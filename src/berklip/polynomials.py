@@ -1,15 +1,17 @@
 """Dense univariate polynomial helpers over exact rationals.
 
-Coefficient lists are ascending: c[i] is the coefficient of z^i.  These are
-small-degree kernels (degree <= 20 in practice), so quadratic algorithms
-are fine; everything stays in Fraction arithmetic except the resultant,
-which clears denominators and runs fraction-free over the integers.
+Coefficient lists are ascending: c[i] is the coefficient of z^i.  The
+helpers stay in Fraction arithmetic and are quadratic.  The exception is
+the resultant valuation, ord_p of the Sylvester determinant, which works
+on integers over Z/p^N: it gives ``res`` and is also the coprimality test
+for every map built, since two forms share a root in P1 exactly when that
+determinant vanishes.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .valued import int_val
 
@@ -21,12 +23,6 @@ def trim(c: Poly) -> Poly:
     while c and c[-1] == 0:
         c.pop()
     return c
-
-
-def degree(c: Poly) -> int:
-    """Degree of a trimmed, nonzero polynomial; -1 for the zero polynomial."""
-    c = trim(c)
-    return len(c) - 1
 
 
 def is_zero(c: Poly) -> bool:
@@ -79,84 +75,100 @@ def taylor_shift(c: Poly, a: Fraction) -> Poly:
     return out
 
 
-def monic_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd over QQ by the Euclidean algorithm."""
-    a, b = trim(a), trim(b)
-    while b:
-        a, b = b, trim(_rem(a, b))
-    if a:
-        lead = a[-1]
-        a = [x / lead for x in a]
-    return a
+def _integral_form(p: int, c: Poly) -> tuple[list[int], int] | None:
+    """Integer coefficients proportional to ``c`` with no common factor p,
+    and ord_p of the ratio ``c`` / those integers; None for a zero form."""
+    den = lcm(*[x.denominator for x in c])
+    ints = [x.numerator * (den // x.denominator) for x in c]
+    content = gcd(*ints)
+    if content == 0:
+        return None
+    k = int_val(content, p)
+    if k:
+        pk = p**k
+        ints = [x // pk for x in ints]
+    return ints, k - int_val(den, p)
 
 
-def _rem(a: Poly, b: Poly) -> Poly:
-    a = list(a)
-    db, lead = len(b) - 1, b[-1]
-    while len(a) - 1 >= db:
-        if a[-1] == 0:
-            a.pop()
+def _precision_cap(p: int, fi: list[int], gi: list[int], d: int) -> int:
+    """An N with p^N above Hadamard's bound on |det| of the integer
+    Sylvester matrix, so a nonzero determinant has ord_p below N.
+
+    The squared bound has at most ``bits`` bits, and log2 p is bounded
+    below by (bitlen(p^16) - 1) / 16, all in integers.
+    """
+    bits = d * (sum(x * x for x in fi).bit_length() + sum(x * x for x in gi).bit_length())
+    return -(-bits * 16 // (2 * ((p**16).bit_length() - 1)))
+
+
+def _unit_position(m: list[list[int]], p: int) -> tuple[int, int] | None:
+    for r, row in enumerate(m):
+        for c, x in enumerate(row):
+            if x % p:
+                return r, c
+    return None
+
+
+def _pivot_ord_sum(rows: list[list[int]], p: int, prec: int) -> int | None:
+    """ord_p det of an integer matrix by elimination over Z/p^prec.
+
+    Each step pivots on a unit of the remaining block.  When it has none,
+    its p-content g is divided out first, adding ord g for every remaining
+    row and leaving the block known mod p^prec / g.  Every step is
+    unimodular over Z_p, and an entry known mod p^N minus a multiple of a
+    pivot row is still known mod p^N, so the sum is exact.  Returns None
+    when a remaining block vanishes mod the working modulus, which means
+    ord_p det >= prec.
+    """
+    q = p**prec
+    m = [[x % q for x in row] for row in rows]
+    total = 0
+    while m:
+        pivot = _unit_position(m, p)
+        if pivot is None:
+            g = gcd(q, *[gcd(*row) for row in m])
+            if g == q:
+                return None
+            total += int_val(g, p) * len(m)
+            q //= g
+            m = [[x // g for x in row] for row in m]
             continue
-        q = a[-1] / lead
-        shift = len(a) - 1 - db
-        for i, coef in enumerate(b):
-            a[shift + i] -= q * coef
-        a.pop()
-    return trim(a)
-
-
-def _int_det_bareiss(m: list[list[int]]) -> int:
-    """Fraction-free determinant of an integer matrix (Bareiss elimination)."""
-    n = len(m)
-    m = [row[:] for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        piv = m[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * piv - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = piv
-    return sign * m[n - 1][n - 1]
+        r, c = pivot
+        prow = m.pop(r)
+        inv = pow(prow.pop(c), -1, q)
+        prow = [x * inv % q for x in prow]
+        for i, row in enumerate(m):
+            t = row.pop(c)
+            if t:
+                m[i] = [(x - t * y) % q for x, y in zip(row, prow)]
+    return total
 
 
 def sylvester_det_ord(p: int, f: Poly, g: Poly, d: int) -> int | None:
     """ord_p of the 2d x 2d Sylvester determinant of degree-d forms.
 
     ``f`` and ``g`` are ascending dehomogenized coefficient lists padded to
-    length d+1 (index i holds the X^i Y^(d-i) coefficient).  Rows are
-    integerized by clearing each block's denominators, which rescales the
-    determinant by a known p-power tracked in the result.  Returns None for
-    a vanishing determinant.
+    length d+1 (index i holds the X^i Y^(d-i) coefficient).  Each block is
+    scaled to coprime integers, which rescales the determinant by a known
+    p-power tracked in the result; the rest is exact p-adic elimination,
+    starting at a small precision and doubling it while a remaining block
+    vanishes.  Returns None for a vanishing determinant, which happens
+    exactly when the forms share a root in P1, infinity included; that is
+    decided once the precision reaches Hadamard's bound.
     """
     fc = list(f) + [Fraction(0)] * (d + 1 - len(f))
     gc = list(g) + [Fraction(0)] * (d + 1 - len(g))
-    lf = lcm(*[c.denominator for c in fc], 1)
-    lg = lcm(*[c.denominator for c in gc], 1)
-    fi = [int(c * lf) for c in fc]
-    gi = [int(c * lg) for c in gc]
-    size = 2 * d
-    rows = []
-    for i in range(d):
-        row = [0] * size
-        for j in range(d + 1):
-            row[i + j] = fi[d - j]  # descending order across the band
-        rows.append(row)
-    for i in range(d):
-        row = [0] * size
-        for j in range(d + 1):
-            row[i + j] = gi[d - j]
-        rows.append(row)
-    det = _int_det_bareiss(rows)
-    if det == 0:
+    fa, ga = _integral_form(p, fc), _integral_form(p, gc)
+    if fa is None or ga is None:
         return None
-    return int_val(det, p) - d * int_val(lf, p) - d * int_val(lg, p)
+    (fi, kf), (gi, kg) = fa, ga
+    rows = [[0] * i + fi[::-1] + [0] * (d - 1 - i) for i in range(d)]
+    rows += [[0] * i + gi[::-1] + [0] * (d - 1 - i) for i in range(d)]
+    prec, cap = max(16, 2 * d), None  # enough for most maps; doubled if not
+    while (total := _pivot_ord_sum(rows, p, prec)) is None:
+        if cap is None:
+            cap = _precision_cap(p, fi, gi, d)
+        if prec >= cap:
+            return None
+        prec = min(2 * prec, cap)
+    return total + d * (kf + kg)

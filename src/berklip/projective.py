@@ -36,8 +36,7 @@ class ProjPoint:
 
     @staticmethod
     def parse(s: str) -> "ProjPoint":
-        s = s.strip()
-        if s in ("inf", "Inf", "INF", "oo"):
+        if isinstance(s, str) and s.strip() in ("inf", "Inf", "INF", "oo"):
             return INF_POINT
         return ProjPoint(parse_fraction(s))
 

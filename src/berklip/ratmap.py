@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegenerateMapError, FactoredFormRequiredError
-from .polynomials import is_zero, monic_gcd, mul, trim
+from .polynomials import mul, trim
 from .projective import INF_POINT, ProjPoint, _vord, spherical_ord
-from .valued import Ord, int_val
+from .valued import Ord
 from . import polynomials as poly
 
 __all__ = [
@@ -68,12 +68,6 @@ class RationalMap:
     def dehomogenized(self) -> tuple[list, list]:
         return list(self.f), list(self.g)
 
-    @property
-    def is_normalized(self) -> bool:
-        ords = [_vord(c, self.p) for c in self.f + self.g]
-        finite = [v for v in ords if v is not None]
-        return min(finite) == 0
-
     def require_factored(self) -> FactoredForm:
         if self.factored is None:
             raise FactoredFormRequiredError("factored form required")
@@ -86,14 +80,11 @@ class RationalMap:
 
 
 def _validate_pair(p: int, f: list, g: list, d: int) -> None:
+    """Reject a pair whose forms share a root in P1, infinity included:
+    exactly the pairs whose Sylvester determinant vanishes."""
     if d < 1:
         raise DegenerateMapError("degree zero")
-    if is_zero(f) or is_zero(g):
-        raise DegenerateMapError("degenerate map")
-    if f[d] == 0 and g[d] == 0:
-        raise DegenerateMapError("degenerate map")  # common root at infinity
-    gcd = monic_gcd(trim(list(f)), trim(list(g)))
-    if len(gcd) > 1:
+    if poly.sylvester_det_ord(p, f, g, d) is None:
         raise DegenerateMapError("degenerate map")
 
 
@@ -360,11 +351,3 @@ def post_compose(entries, m: RationalMap) -> RationalMap:
         new = RationalMap(new.p, new.d, new.f, new.g, _mobius_factored(m.p, new.f, new.g))
     return new
 
-
-def unit_det_ok(p: int, entries) -> bool:
-    """Whether the matrix determinant is a p-adic unit (composition then
-    preserves the invariants)."""
-    ((a, b), (c, d)) = _mat(entries)
-    det = a * d - b * c
-    num, den = det.numerator, det.denominator
-    return int_val(abs(num), p) == int_val(den, p)

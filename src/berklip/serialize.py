@@ -145,12 +145,20 @@ def profile_json(pr: RadialProfile) -> dict:
     }
 
 
+def _json_list(block: dict, key: str) -> list:
+    value = block[key]
+    if not isinstance(value, list):
+        raise ParseError(f"{key!r} must be a JSON list, not {type(value).__name__}")
+    return value
+
+
 def _parse_point_mult(entry) -> tuple[ProjPoint, int]:
-    try:
-        pt, mult = entry
-        return ProjPoint.parse(pt), int(mult)
-    except (TypeError, ValueError) as e:
-        raise ParseError(f"bad zero/pole entry {entry!r}: {e}") from None
+    if not (isinstance(entry, list) and len(entry) == 2):
+        raise ParseError(f"bad zero/pole entry {entry!r}: expected [point, multiplicity]")
+    pt, mult = entry
+    if type(mult) is not int:
+        raise ParseError(f"bad zero/pole entry {entry!r}: multiplicity must be an integer")
+    return ProjPoint.parse(pt), mult
 
 
 def parse_map_data(data: dict, p_override: int | None = None) -> RationalMap:
@@ -175,8 +183,8 @@ def parse_map_data(data: dict, p_override: int | None = None) -> RationalMap:
     if "coeffs" in data:
         block = data["coeffs"]
         try:
-            f_desc = [parse_fraction(c) for c in block["F"]]
-            g_desc = [parse_fraction(c) for c in block["G"]]
+            f_desc = [parse_fraction(c) for c in _json_list(block, "F")]
+            g_desc = [parse_fraction(c) for c in _json_list(block, "G")]
         except (KeyError, TypeError) as e:
             raise ParseError(f"bad coeffs block: {e}") from None
         if len(f_desc) != len(g_desc) or len(f_desc) < 2:
@@ -186,8 +194,8 @@ def parse_map_data(data: dict, p_override: int | None = None) -> RationalMap:
         block = data["factored"]
         try:
             c = parse_fraction(block["C"])
-            zeros = [_parse_point_mult(z) for z in block["zeros"]]
-            poles = [_parse_point_mult(z) for z in block["poles"]]
+            zeros = [_parse_point_mult(z) for z in _json_list(block, "zeros")]
+            poles = [_parse_point_mult(z) for z in _json_list(block, "poles")]
         except (KeyError, TypeError) as e:
             raise ParseError(f"bad factored block: {e}") from None
         return from_factored(ctx.p, c, zeros, poles)

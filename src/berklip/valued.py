@@ -230,6 +230,8 @@ def ord_p(p: int, x) -> Ord:
 
 
 def parse_fraction(s: str) -> Fraction:
+    if not isinstance(s, str):
+        raise ParseError(f"bad rational {s!r}: expected a string such as \"-3/4\"")
     try:
         return Fraction(s.strip())
     except (ValueError, ZeroDivisionError) as e:

@@ -95,6 +95,46 @@ def test_exit_code_parse_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _parse_failure(tmp_path, capsys, data) -> str:
+    """Run invariants on ``data``; expect exit 1 and return the one-line message."""
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(data))
+    assert main(["invariants", "--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    return lines[0]
+
+
+def test_numeric_coefficients_are_parse_errors(tmp_path, capsys):
+    msg = _parse_failure(tmp_path, capsys, {"p": 3, "coeffs": {"F": [1, 0], "G": ["0", "1"]}})
+    assert "bad rational 1" in msg
+    _parse_failure(tmp_path, capsys, {"p": 3, "coeffs": {"F": ["1", "0"], "G": [0.5, "1"]}})
+    _parse_failure(tmp_path, capsys, {"p": 3, "factored": {"C": 1, "zeros": [], "poles": []}})
+    _parse_failure(
+        tmp_path, capsys, {"p": 3, "factored": {"C": "1", "zeros": [[0, 1]], "poles": [["inf", 1]]}}
+    )
+
+
+def test_non_list_blocks_are_parse_errors(tmp_path, capsys):
+    msg = _parse_failure(tmp_path, capsys, {"p": 3, "coeffs": {"F": "123", "G": "456"}})
+    assert "'F' must be a JSON list" in msg
+    _parse_failure(tmp_path, capsys, {"p": 3, "coeffs": {"F": ["1", "0"], "G": {"0": "1"}}})
+    for key in ("zeros", "poles"):
+        block = {"C": "1", "zeros": [["0", 1]], "poles": [["inf", 1]]}
+        block[key] = "01"
+        msg = _parse_failure(tmp_path, capsys, {"p": 3, "factored": block})
+        assert f"'{key}' must be a JSON list" in msg
+    # an entry that is a string of length two, and a fractional multiplicity
+    _parse_failure(
+        tmp_path, capsys, {"p": 3, "factored": {"C": "1", "zeros": ["01"], "poles": [["inf", 1]]}}
+    )
+    _parse_failure(
+        tmp_path, capsys, {"p": 3, "factored": {"C": "1", "zeros": [["0", 1.5]], "poles": [["inf", 1]]}}
+    )
+
+
 def test_exit_code_p_mismatch(capsys):
     code = main(["invariants", "--input", str(FIXTURES / "square_shift_p3.json"), "--p", "5"])
     assert code == 1

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from berklip import polynomials
 from berklip.berk import diam_gauss, gauss_point, push_forward
 from berklip.errors import DegenerateMapError
 from berklip.projective import INF_POINT, ProjPoint
@@ -19,8 +20,8 @@ from berklip.ratmap import (
     resultant_ord_product,
     RationalMap,
 )
-from berklip.sampling import DetRng
-from berklip.valued import Ord
+from berklip.sampling import DetRng, random_rational
+from berklip.valued import Ord, ord_p
 from corpus import random_factored_map, random_unimodular
 
 
@@ -133,6 +134,13 @@ def test_gir_examples():
     assert diam_gauss(p, push_forward(m, gauss_point())) == Ord.of(4)
 
 
+def _poly_from_roots(lead, roots):
+    out = [Fraction(lead)]
+    for r in roots:
+        out = polynomials.mul(out, [-Fraction(r), Fraction(1)])
+    return out
+
+
 def test_degenerate_rejected():
     p = 3
     with pytest.raises(DegenerateMapError):
@@ -141,6 +149,19 @@ def test_degenerate_rejected():
         from_coeffs(p, [1, 1], [2, 2])
     with pytest.raises(DegenerateMapError):
         from_coeffs(p, [0, 0], [1, 0])
+    # degree 6 and 7: a shared finite root with p in some coefficients,
+    # then a shared root at infinity (both forms of actual degree < d)
+    shared = Fraction(2, 9)
+    f = _poly_from_roots(Fraction(1, 3), [shared, 1, -1, 3, Fraction(1, 5), 7])
+    g = _poly_from_roots(9, [shared, 2, -2, Fraction(4, 3), 5, 0])
+    at_inf_f = _poly_from_roots(1, [1, 2, 3, 4, 5]) + [Fraction(0), Fraction(0)]
+    at_inf_g = _poly_from_roots(Fraction(1, 27), [6, 7, 8, 9, 10, 11]) + [Fraction(0)]
+    for f, g in ((f, g), (at_inf_f, at_inf_g)):
+        d = len(f) - 1
+        assert d >= 6
+        assert polynomials.sylvester_det_ord(p, f, g, d) is None
+        with pytest.raises(DegenerateMapError, match="^degenerate map$"):
+            from_coeffs(p, f, g)
 
 
 def test_eval_proj():
@@ -159,6 +180,69 @@ def test_resultant_equals_product_on_corpus():
         p = [3, 5, 7][rng.randint(0, 2)]
         m = random_factored_map(rng, p, dmax=5)
         assert resultant_ord(m) == resultant_ord_product(m)
+    # p = 2 as well, degrees up to 8, repeated zeros and poles
+    for i in range(80):
+        p = [2, 3, 5, 7][i % 4]
+        m = random_factored_map(rng, p, dmax=8, multiplicities=True)
+        assert resultant_ord(m) == resultant_ord_product(m)
+
+
+def test_sylvester_kernel_on_unnormalized_pairs():
+    """The kernel on pairs as construction sees them, before normalizing:
+    p in denominators, and a different p-power content on each form.
+    Scaling f by p^a and g by p^b moves ord Res by d * (a + b)."""
+    rng = DetRng(2718)
+    for i in range(96):
+        p = [2, 3, 5, 7][i % 4]
+        m = random_factored_map(rng, p, dmax=8)
+        a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+        f = [c * Fraction(p) ** a for c in m.f]
+        g = [c * Fraction(p) ** b for c in m.g]
+        got = polynomials.sylvester_det_ord(p, f, g, m.d)
+        assert got == resultant_ord_product(m).frac + m.d * (a + b)
+        if m.d <= 3:
+            det = _sylvester_det_by_minors(f[::-1], g[::-1], m.d)
+            assert got == ord_p(p, det).frac
+
+
+def test_sylvester_kernel_doubles_precision(monkeypatch):
+    """A zero and a pole p^-60 apart make the last pivot's valuation
+    exceed the starting precision, which must then be raised."""
+    precs = []
+    inner = polynomials._pivot_ord_sum
+
+    def recording(rows, p, prec):
+        precs.append(prec)
+        return inner(rows, p, prec)
+
+    monkeypatch.setattr(polynomials, "_pivot_ord_sum", recording)
+    for p in (2, 3, 7):
+        a = Fraction(1, p)
+        zeros = [(pt(a), 1), (pt(5), 1)]
+        poles = [(pt(a + Fraction(p) ** 60), 1), (pt(Fraction(2, 3 * p)), 1)]
+        m = from_factored(p, Fraction(p, 4), zeros, poles)
+        precs.clear()
+        res = resultant_ord(m)
+        assert res == resultant_ord_product(m)
+        assert res.frac >= 60
+        assert len(precs) > 1 and precs[-1] > 60
+
+
+def test_resultant_degree_40_and_twin():
+    """A degree-40 factored map and its unimodular post-composite."""
+    p = 3
+    rng = DetRng(40)
+    pool: list = []
+    while len(pool) < 80:
+        q = pt(random_rational(rng, p))
+        if q not in pool:
+            pool.append(q)
+    m = from_factored(p, random_rational(rng, p), [(q, 1) for q in pool[:40]],
+                      [(q, 1) for q in pool[40:]])
+    res = resultant_ord(m)
+    assert res == resultant_ord_product(m)
+    twin = post_compose(((Fraction(2), Fraction(1)), (Fraction(1), Fraction(1))), m)
+    assert resultant_ord(twin) == res
 
 
 def test_gir_equals_pushforward_on_corpus():
