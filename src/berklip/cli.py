@@ -4,8 +4,9 @@ Commands: invariants | bounds | profile | sample | verify, each reading a
 map file (see serialize) and emitting JSON (default) or a plain table.
 Output is byte-deterministic given the input file, options and seed.
 
-Exit codes: 0 success, 1 parse error, 2 degenerate map, 3 factored form
-required, 4 verification failure.
+Exit codes: 0 success, 1 parse error (bad file or bad option value),
+2 degenerate map, 3 factored form required, 4 verification failure,
+5 internal invariant violated (a bug).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
 from .berk import berk_equal, diam_gauss, gauss_point, push_forward
@@ -21,6 +23,7 @@ from .errors import (
     BerkError,
     DegenerateMapError,
     FactoredFormRequiredError,
+    InternalInvariantError,
     ParseError,
 )
 from .invariants import bundle, gpr, rp_ord
@@ -61,6 +64,28 @@ class RunConfig:
     tmin: str = "0"
     b0_ord: str | None = None
     fmt: str = "json"
+
+
+def _option_fraction(name: str, text: str, low: int | None = None) -> Fraction:
+    try:
+        value = parse_fraction(text)
+    except ParseError as e:
+        raise ParseError(f"{name}: {e}") from None
+    if low is not None and value < low:
+        raise ParseError(f"{name} must be >= {low}, not {text}")
+    return value
+
+
+def _check_options(cfg: RunConfig) -> tuple[Fraction, Fraction, Fraction | None]:
+    """Reject bad option values before the map is read; returns the parsed
+    (center, tmin, b0_ord)."""
+    n_min = 1 if cfg.command in ("sample", "verify") else 0
+    if cfg.n < n_min:
+        raise ParseError(f"--n must be >= {n_min} for {cfg.command}, not {cfg.n}")
+    center = _option_fraction("--center", cfg.center)
+    tmin = _option_fraction("--tmin", cfg.tmin, 0)
+    b0 = None if cfg.b0_ord is None else _option_fraction("--b0-ord", cfg.b0_ord, 0)
+    return center, tmin, b0
 
 
 def _load_map(cfg: RunConfig) -> RationalMap:
@@ -137,7 +162,7 @@ def _verify_checks(m: RationalMap, cfg: RunConfig):
             assert rp_ord(m) <= resultant_ord(m), "RP below |Res|"
 
         def sampled():
-            sample_ratios(m, max(cfg.n, 1), cfg.seed)  # raises if bound exceeded
+            sample_ratios(m, cfg.n, cfg.seed)  # raises if bound exceeded
 
         add("resultant-product-agrees", res_product)
         add("gpr-argmin-verified", gpr_verified)
@@ -147,7 +172,7 @@ def _verify_checks(m: RationalMap, cfg: RunConfig):
 
         def sampled_res_bound():
             cl, _ = resultant_bounds(m)
-            s, _ = sample_ratios(m, max(cfg.n, 1), cfg.seed)
+            s, _ = sample_ratios(m, cfg.n, cfg.seed)
             assert ppow_compare(m.p, s, cl) <= 0, "sample exceeded resultant bound"
 
         add("sampled-ratios-bounded", sampled_res_bound)
@@ -159,6 +184,7 @@ def _verify_checks(m: RationalMap, cfg: RunConfig):
 
 def run(cfg: RunConfig) -> int:
     """Execute one command; returns the process exit status."""
+    center, tmin, b0 = _check_options(cfg)
     m = _load_map(cfg)
     if cfg.command == "invariants":
         print(_emit(bundle_json(bundle(m)), cfg.fmt))
@@ -166,12 +192,11 @@ def run(cfg: RunConfig) -> int:
     if cfg.command == "bounds":
         if m.factored is None:
             raise FactoredFormRequiredError("factored form required")
-        b0 = parse_fraction(cfg.b0_ord) if cfg.b0_ord is not None else None
         rep = bound_report(m, n=cfg.n, seed=cfg.seed, b0_ord=b0)
         print(_emit(report_json(rep), cfg.fmt))
         return 0
     if cfg.command == "profile":
-        pr = radial_profile(m, parse_fraction(cfg.center), parse_fraction(cfg.tmin))
+        pr = radial_profile(m, center, tmin)
         print(_emit(profile_json(pr), cfg.fmt))
         return 0
     if cfg.command == "sample":
@@ -243,6 +268,9 @@ def main(argv=None) -> int:
     except FactoredFormRequiredError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
+    except InternalInvariantError as e:
+        print(f"error: internal invariant violated: {e}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

@@ -15,8 +15,8 @@ mapping onto the Gauss point must separate a zero-direction from a
 pole-direction.  On a hull edge with center a, a disc point zeta_{a, t}
 maps to the Gauss point iff the seminorm of phi - w is exactly 1 for w = 0
 and for every unit residue candidate w; both conditions are piecewise
-linear in t, so the solution set is computed exactly and each solution is
-re-verified through the pushforward.
+linear in t, so the solution set is computed exactly and each distinct
+solution is re-verified through the pushforward.
 """
 
 from __future__ import annotations
@@ -214,15 +214,14 @@ class GprResult:
     preimages: tuple[BerkPoint, ...]
 
 
-def _gauss_fiber_zero_set(p: int, f, g, center: Fraction, lo, hi):
-    """Solution intervals of phi(zeta_{center, t}) = Gauss point on [lo, hi].
+def _gauss_fiber_zero_set(p: int, fs, gs, lo, hi):
+    """Solution intervals of phi(zeta_{center, t}) = Gauss point on [lo, hi],
+    given f and g Taylor-shifted to the center.
 
     The point maps to the Gauss point iff ord|phi - w| = 0 for w = 0 and
     for every unit-residue candidate w, so the zero set of
     max_w |ord(phi - w)| is exactly the fiber restricted to the edge.
     """
-    fs = taylor_shift(list(f), center)
-    gs = taylor_shift(list(g), center)
     sg = _semi_env(p, gs, lo, hi)
     total: PWLinear | None = None
     for w in _unit_residue_lifts(p, fs, gs):
@@ -235,18 +234,13 @@ def _gauss_fiber_zero_set(p: int, f, g, center: Fraction, lo, hi):
     return total.zero_set()
 
 
-def _scan_edge(p: int, f, g, edge: TreeEdge):
-    """Exact solutions of phi(x) = Gauss point along one hull edge."""
-    lo, hi = edge.t_range()
-    return _gauss_fiber_zero_set(p, f, g, edge.center, lo, hi)
-
-
 def gpr(m: RationalMap, hull_points=None) -> GprResult:
     """Minimal Gauss-point preimage diameter and a witness point.
 
     The search space is the hull of the zeros and poles (or of the given
-    override points, which must contain the fiber); every solution found
-    by the piecewise scan is re-verified through push_forward.
+    override points, which must contain the fiber).  f and g are shifted
+    once per distinct edge center, and every distinct solution found by
+    the piecewise scan is re-verified once through push_forward.
     """
     m = normalize(m)
     p = m.p
@@ -255,21 +249,27 @@ def gpr(m: RationalMap, hull_points=None) -> GprResult:
         hull_points = [pt for pt, _ in ff.zeros] + [pt for pt, _ in ff.poles]
     tree = hull(p, hull_points)
     f, g = m.dehomogenized()
+    shifts: dict[Fraction, tuple[list, list]] = {}
     best: tuple[Fraction, BerkPoint] | None = None
     found: list[BerkPoint] = []
     for edge in tree.edges:
-        for a, b in _scan_edge(p, f, g, edge):
+        center = edge.center
+        if center not in shifts:
+            shifts[center] = (taylor_shift(f, center), taylor_shift(g, center))
+        fs, gs = shifts[center]
+        lo, hi = edge.t_range()
+        for a, b in _gauss_fiber_zero_set(p, fs, gs, lo, hi):
             if a is None or b is None:
                 raise InternalInvariantError("unbounded Gauss-fiber interval")
             for t in {a, b}:
-                pt = BerkPoint.disc(edge.center, t)
-                if not berk_equal(p, push_forward(m, pt), gauss_point()):
-                    raise InternalInvariantError(
-                        "edge scan produced a non-preimage; candidate set bug"
-                    )
+                pt = BerkPoint.disc(center, t)
                 if not any(berk_equal(p, pt, q) for q in found):
+                    if not berk_equal(p, push_forward(m, pt), gauss_point()):
+                        raise InternalInvariantError(
+                            "edge scan produced a non-preimage; candidate set bug"
+                        )
                     found.append(pt)
-                s = _diam_gauss_frac(p, edge.center, t)
+                s = _diam_gauss_frac(p, center, t)
                 if best is None or s > best[0]:
                     best = (s, pt)
     if best is None:

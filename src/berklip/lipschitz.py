@@ -19,14 +19,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from math import lcm
 
-from .berk import _candidates
+from .berk import _candidates, iota
 from .errors import InternalInvariantError
-from .invariants import _semi_env, gpr, rp_ord
+from .invariants import InvariantBundle, _semi_env, bundle, gpr
 from .piecewise import PWLinear
 from .polynomials import is_zero, scale, sub, taylor_shift
-from .projective import ProjPoint, _vord, spherical_ord
-from .ratmap import RationalMap, gir_minors, normalize, resultant_ord, resultant_ord_product
+from .projective import INF_POINT, ProjPoint, _vord, spherical_ord
+from .ratmap import (
+    RationalMap,
+    eval_proj,
+    gir_minors,
+    normalize,
+    resultant_ord,
+    resultant_ord_product,
+)
 from .sampling import DetRng, random_point_ints
 from .valued import (
     Ord,
@@ -68,9 +77,13 @@ def lip_classical(m: RationalMap) -> PPowerSum:
 
 def resultant_bounds(m: RationalMap) -> tuple[PPowerSum, PPowerSum]:
     """(classical bound 1/|Res|, Berkovich bound max(d/|Res|, 1/|Res|^d))."""
-    r = resultant_ord(m).frac
-    classical = ppow_term(m.p, 1, r)
-    berk = ppow_max(m.p, ppow_term(m.p, m.d, r), ppow_term(m.p, 1, m.d * r))
+    return _resultant_bounds(m.p, m.d, resultant_ord(m))
+
+
+def _resultant_bounds(p: int, d: int, res: Ord) -> tuple[PPowerSum, PPowerSum]:
+    r = res.frac
+    classical = ppow_term(p, 1, r)
+    berk = ppow_max(p, ppow_term(p, d, r), ppow_term(p, 1, d * r))
     return classical, berk
 
 
@@ -78,25 +91,28 @@ def invariant_bound_terms(
     m: RationalMap, b0_ord
 ) -> tuple[PPowerSum, PPowerSum]:
     """Both branches of max(1/(GIR * B^d), d/(GIR^(1/d) * B)) for B = p^(-b0_ord)."""
+    return _invariant_bound_terms(m.p, m.d, gir_minors(m), b0_ord)
+
+
+def _invariant_bound_terms(
+    p: int, d: int, gir: Ord, b0_ord
+) -> tuple[PPowerSum, PPowerSum]:
     b0 = Fraction(b0_ord)
     if b0 < 0:
         raise ValueError("B0 > 1 impossible")
-    g = gir_minors(m).frac
-    first = ppow_term(m.p, 1, g + m.d * b0)
-    second = ppow_term(m.p, m.d, g / m.d + b0)
+    g = gir.frac
+    first = ppow_term(p, 1, g + d * b0)
+    second = ppow_term(p, d, g / d + b0)
     return first, second
 
 
-def invariant_bound(m: RationalMap, b0_ord, source: str = "user") -> PPowerSum:
-    """The two-term Berkovich bound with ball radius p^(-b0_ord).
+def invariant_bound(m: RationalMap, b0_ord) -> PPowerSum:
+    """The two-term Berkovich bound with ball radius p^(-b0_ord)."""
+    return _invariant_bound(m.p, m.d, gir_minors(m), b0_ord)
 
-    ``source`` records where the radius came from ("rp-lower" or "user");
-    it does not change the value.
-    """
-    if source not in ("rp-lower", "user"):
-        raise ValueError(f"unknown B0 source {source!r}")
-    first, second = invariant_bound_terms(m, b0_ord)
-    return ppow_max(m.p, first, second)
+
+def _invariant_bound(p: int, d: int, gir: Ord, b0_ord) -> PPowerSum:
+    return ppow_max(p, *_invariant_bound_terms(p, d, gir, b0_ord))
 
 
 def mobius_exact(m: RationalMap) -> PPowerSum:
@@ -109,6 +125,11 @@ def mobius_exact(m: RationalMap) -> PPowerSum:
     if m.d != 1:
         raise ValueError("mobius_exact requires degree 1")
     m = normalize(m)
+    return _mobius_exact(m, bundle(m))
+
+
+def _mobius_exact(m: RationalMap, inv: InvariantBundle) -> PPowerSum:
+    """mobius_exact of a normalized degree-1 map whose invariants are ``inv``."""
     a1, a0 = m.f[1], m.f[0]
     b1, b0 = m.g[1], m.g[0]
     det = a1 * b0 - a0 * b1
@@ -116,10 +137,10 @@ def mobius_exact(m: RationalMap) -> PPowerSum:
     min_ord = min(v for v in ords if v is not None)
     direct = _vord(det, m.p) - min_ord
     values = {
-        "1/|Res| (sylvester)": resultant_ord(m).frac,
+        "1/|Res| (sylvester)": inv.res.frac,
         "1/|Res| (product)": resultant_ord_product(m).frac,
-        "1/GIR": gir_minors(m).frac,
-        "1/GPR": gpr(m).ord.frac,
+        "1/GIR": inv.gir.frac,
+        "1/GPR": inv.gpr.frac,
         "max-entry/det": direct,
     }
     if len(set(values.values())) != 1:
@@ -297,16 +318,11 @@ def _sph_pair_ord(p: int, un: int, ud: int, vn: int, vd: int):
 
 def _int_coeff_pair(m: RationalMap) -> tuple[list[int], list[int]]:
     """Clear denominators of (f, g) by one common factor, preserving the map."""
-    from math import lcm
-
     dens = [c.denominator for c in m.f + m.g]
     scale_by = lcm(*dens)
     fi = [int(c * scale_by) for c in m.f]
     gi = [int(c * scale_by) for c in m.g]
     return fi, gi
-
-
-from functools import lru_cache
 
 
 @lru_cache(maxsize=16)
@@ -370,22 +386,22 @@ def sample_ratios(m: RationalMap, n: int, seed: int, lip_ord=None):
     return ppow_term(p, 1, max_e), pair
 
 
-def gpr_witness(m: RationalMap):
+def gpr_witness(m: RationalMap, inv: InvariantBundle | None = None):
     """Search for classical points x, y at spherical distance GPR whose
     images are at distance 1, certifying that 1/GPR is attained.
 
-    Returns (pair, None) on success or (None, diagnostic).  Candidates sit
-    in distinct residue directions at the minimizing preimage point; over
-    QQ only p residue directions exist, so failure is a reportable outcome
-    rather than an error.
+    GPR and its argmin are read from ``inv``, the bundle of ``m``, when the
+    caller has it, and computed by ``gpr`` otherwise.  Returns (pair, None)
+    on success or (None, diagnostic).  Candidates sit in distinct residue
+    directions at the minimizing preimage point; over QQ only p residue
+    directions exist, so failure is a reportable outcome rather than an
+    error.
     """
-    from .berk import iota
-    from .projective import INF_POINT
-    from .ratmap import eval_proj
-
-    result = gpr(m)
-    q = result.argmin
-    target = result.ord  # spherical distance the pair must realize
+    if inv is None:
+        result = gpr(m)
+        q, target = result.argmin, result.ord
+    else:
+        q, target = inv.gpr_argmin, inv.gpr
     a, t = q.center, q.radius_ord
     va = _vord(a, m.p)
     inverted = not (t >= 0 and (va is None or va >= 0))
@@ -439,33 +455,35 @@ def bound_report(
 ) -> BoundReport:
     """Assemble every computable bound for one map.
 
-    Fields depending on the factored form are None when it is absent; the
-    orderings sampled <= exact classical <= resultant bound are asserted.
+    Every field is derived from one invariant bundle, which asserts the
+    invariant chain.  Fields depending on the factored form are None when
+    it is absent; the orderings sampled <= exact classical <= resultant
+    bound are asserted.
     """
     m = normalize(m)
-    p = m.p
-    res_cl, res_bk = resultant_bounds(m)
+    p, d = m.p, m.d
+    b = bundle(m)
+    res_cl, res_bk = _resultant_bounds(p, d, b.res)
     lip = inv_rp = coarse = None
     witness = note = None
     lip_ord = None
     if m.factored is not None:
-        g = gpr(m)
-        lip_ord = g.ord.frac
+        lip_ord = b.gpr.frac
         lip = ppow_term(p, 1, lip_ord)
-        rp = rp_ord(m).frac
-        inv_rp = invariant_bound(m, rp, "rp-lower")
-        coarse = ppow_term(p, m.d, gir_minors(m).frac + m.d * rp)
-        witness, note = gpr_witness(m)
+        rp = b.rp.frac
+        inv_rp = _invariant_bound(p, d, b.gir, rp)
+        coarse = ppow_term(p, d, b.gir.frac + d * rp)
+        witness, note = gpr_witness(m, b)
         if ppow_compare(p, lip, res_cl) > 0:
             raise InternalInvariantError("exact constant exceeded resultant bound")
-    inv_b0 = invariant_bound(m, b0_ord, "user") if b0_ord is not None else None
-    mob = mobius_exact(m) if m.d == 1 else None
+    inv_b0 = _invariant_bound(p, d, b.gir, b0_ord) if b0_ord is not None else None
+    mob = _mobius_exact(m, b) if d == 1 else None
     sampled = pair = None
     if n > 0:
         sampled, pair = sample_ratios(m, n, seed, lip_ord=lip_ord)
     return BoundReport(
         p,
-        m.d,
+        d,
         lip,
         res_cl,
         res_bk,

@@ -23,13 +23,6 @@ __all__ = ["PWLinear", "lower_envelope", "upper_envelope"]
 _Bound = Fraction | None
 
 
-def _lt(a: _Bound, b: _Bound, a_is_low: bool, b_is_low: bool) -> bool:
-    """Compare bounds where None means -inf for a low bound, +inf for high."""
-    av = float("-inf") if a is None and a_is_low else float("inf") if a is None else a
-    bv = float("-inf") if b is None and b_is_low else float("inf") if b is None else b
-    return av < bv
-
-
 @dataclass(frozen=True, slots=True)
 class PWLinear:
     """Continuous piecewise-linear function on [lo, hi]."""

@@ -40,10 +40,6 @@ __all__ = [
 ]
 
 
-def ord_str(o: Ord) -> str:
-    return str(o)
-
-
 def ord_json(p: int, o: Ord | None) -> dict | None:
     """{"ord": t, "value": "p^-t"}; the zero value renders as "0"."""
     if o is None:
@@ -158,6 +154,8 @@ def _parse_point_mult(entry) -> tuple[ProjPoint, int]:
     pt, mult = entry
     if type(mult) is not int:
         raise ParseError(f"bad zero/pole entry {entry!r}: multiplicity must be an integer")
+    if mult < 1:
+        raise ParseError(f"bad zero/pole entry {entry!r}: multiplicity must be >= 1")
     return ProjPoint.parse(pt), mult
 
 

@@ -39,9 +39,7 @@ __all__ = [
     "PPOW_ZERO",
     "ppow_normalize",
     "ppow_term",
-    "ppow_from_radius_ord",
     "ppow_add",
-    "ppow_scale",
     "ppow_mul",
     "ppow_compare",
     "ppow_max",
@@ -315,23 +313,9 @@ def ppow_term(p: int, coef, exp) -> PPowerSum:
     return ppow_normalize(p, [(Fraction(coef), Fraction(exp))])
 
 
-def ppow_from_radius_ord(p: int, t: Ord) -> PPowerSum:
-    """The value p^(-t) as a sum; an infinite exponent gives 0."""
-    if t.is_inf:
-        return PPOW_ZERO
-    return ppow_term(p, 1, -t.frac)
-
-
 def ppow_add(p: int, *sums: PPowerSum) -> PPowerSum:
     raw = [term for s in sums for term in s.terms]
     return ppow_normalize(p, raw)
-
-
-def ppow_scale(p: int, s: PPowerSum, factor) -> PPowerSum:
-    factor = Fraction(factor)
-    if factor < 0:
-        raise ValueError("non-positive term")
-    return ppow_normalize(p, [(c * factor, e) for c, e in s.terms])
 
 
 def ppow_mul(p: int, a: PPowerSum, b: PPowerSum) -> PPowerSum:

@@ -157,7 +157,7 @@ def test_criterion_7_sharpness_family():
         # k / (GIR^(1/k) * B0^(d/k)) with GIR = p^-2, B0 = p^-1
         t1 = (d * s_ord + 2) / k
         assert lip == ppow_term(p, k, t1)
-        full = invariant_bound(m, s_ord, "user")
+        full = invariant_bound(m, s_ord)
         assert ppow_compare(p, lip, full) <= 0
         first, second = invariant_bound_terms(m, s_ord)
         if k == 1:
@@ -221,7 +221,7 @@ def test_criterion_10_bounds_dominate(corpus, corpus_bundles):
     for m, b in zip(corpus[:50], corpus_bundles[:50]):
         p = m.p
         _, res_berk = resultant_bounds(m)
-        inv_rp = invariant_bound(m, b.rp.frac, "rp-lower")
+        inv_rp = invariant_bound(m, b.rp.frac)
         sampled, _ = sample_ratios(m, 500, seed=CORPUS_SEED, lip_ord=b.gpr.frac)
         assert ppow_compare(p, sampled, ppow_term(p, 1, b.gpr.frac)) <= 0
         assert ppow_compare(p, ppow_term(p, 1, b.gpr.frac), res_berk) <= 0

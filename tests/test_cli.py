@@ -135,6 +135,53 @@ def test_non_list_blocks_are_parse_errors(tmp_path, capsys):
     )
 
 
+def test_zero_multiplicity_is_parse_error(tmp_path, capsys):
+    for mult in (0, -1):
+        block = {"C": "1", "zeros": [["0", mult], ["1", 1]], "poles": [["inf", 1]]}
+        msg = _parse_failure(tmp_path, capsys, {"p": 3, "factored": block})
+        assert "multiplicity must be >= 1" in msg
+
+
+def test_bad_option_values_are_parse_errors(tmp_path, capsys):
+    """Each option is checked before the map file is read: the input does
+    not exist, yet the message names the option."""
+    missing = str(tmp_path / "missing.json")
+    cases = [
+        (["profile", "--tmin", "-1"], "--tmin must be >= 0"),
+        (["profile", "--center", "1/0"], "--center: bad rational"),
+        (["sample", "--n", "0"], "--n must be >= 1 for sample"),
+        (["verify", "--n", "0"], "--n must be >= 1 for verify"),
+        (["bounds", "--n", "-5"], "--n must be >= 0 for bounds"),
+        (["bounds", "--b0-ord", "-1"], "--b0-ord must be >= 0"),
+        (["bounds", "--b0-ord", "x"], "--b0-ord: bad rational"),
+    ]
+    for args, expected in cases:
+        assert main([*args, "--input", missing]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and expected in lines[0], (args, lines)
+    # zero samples stay valid for bounds: the report then has no sampled ratio
+    code, out = run_cli(
+        capsys, "bounds", "--input", str(FIXTURES / "square_shift_p3.json"), "--n", "0"
+    )
+    assert code == 0 and json.loads(out)["sampled_max_ratio"] is None
+
+
+def test_internal_invariant_error_exit_code(monkeypatch, capsys):
+    from berklip import cli
+    from berklip.errors import InternalInvariantError
+
+    def broken(m):
+        raise InternalInvariantError("invariant chain violated")
+
+    monkeypatch.setattr(cli, "bundle", broken)
+    assert main(["invariants", "--input", str(FIXTURES / "square_p3.json")]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: internal invariant violated: invariant chain violated\n"
+
+
 def test_exit_code_p_mismatch(capsys):
     code = main(["invariants", "--input", str(FIXTURES / "square_shift_p3.json"), "--p", "5"])
     assert code == 1

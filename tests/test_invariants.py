@@ -109,6 +109,29 @@ def test_gpr_argmin_always_verifies():
         assert berk_equal(p, push_forward(m, res.argmin), gauss_point())
 
 
+def test_gpr_verifies_each_distinct_preimage_once(count_calls):
+    """z^2 / (z - 1) has good reduction: its only Gauss preimage is the
+    Gauss point, an end of all three edges of the hull of 0, 1, inf.
+    The scan finds it on each edge, and push_forward re-verifies it once."""
+    calls = count_calls(push_forward)
+    for p in (2, 3, 5):
+        m = from_factored(p, 1, [(pt(0), 2)], [(pt(1), 1), (INF_POINT, 1)])
+        tree = hull(p, [pt(0), pt(1), INF_POINT])
+        ends = [(e.lower, e.upper) for e in tree.edges]
+        assert all(any(berk_equal(p, x, gauss_point()) for x in pair) for pair in ends)
+        assert len(ends) == 3
+        calls.clear()
+        res = gpr(m)
+        assert len(calls) == len(res.preimages) == 1
+        assert berk_equal(p, res.argmin, gauss_point())
+    rng = DetRng(1618)
+    for _ in range(20):
+        m = random_factored_map(rng, [3, 5, 7][rng.randint(0, 2)], dmax=5)
+        calls.clear()
+        res = gpr(m)
+        assert len(calls) == len(res.preimages)
+
+
 def test_bundle_examples():
     p = 3
     b = bundle(sq_minus_inv_p2(p))

@@ -74,12 +74,12 @@ def test_resultant_bounds_examples():
 def test_invariant_bound_examples():
     p = 3
     m = sq_minus_inv_p2(p)
-    b = invariant_bound(m, rp_ord(m).frac, "rp-lower")
+    b = invariant_bound(m, rp_ord(m).frac)
     assert b == ppow_term(p, 1, 6)  # max(3^6, 2*3^3) = 729
     with pytest.raises(ValueError):
-        invariant_bound(m, -1, "user")
+        invariant_bound(m, -1)
     mob = from_coeffs(p, [0, 1], [9, 0])
-    assert invariant_bound(mob, 0, "user") == ppow_term(p, 1, 2)  # 1/GIR
+    assert invariant_bound(mob, 0) == ppow_term(p, 1, 2)  # 1/GIR
 
 
 def test_radial_profile_examples():
@@ -300,6 +300,20 @@ def pole_in_annulus(p, z, b_ord):
 
     v = _vord(Fraction(z), p)
     return v is not None and 0 < v <= b_ord
+
+
+def test_bound_report_computes_gpr_once(count_calls):
+    """One report reads gpr from one bundle: the witness search, the
+    degree-1 cross-check and the sampler's bound do not recompute it."""
+    calls = count_calls(gpr)
+    mob = from_coeffs(5, [Fraction(1, 25), 3], [2, 5])
+    cubic = from_factored(5, 1, [(pt(0), 2), (pt(5), 1)], [(pt(1), 2), (INF_POINT, 1)])
+    for m, d in ((mob, 1), (sq_minus_inv_p2(3), 2), (cubic, 3)):
+        calls.clear()
+        rep = bound_report(m, n=50)
+        assert len(calls) == 1
+        assert rep.d == d and (rep.mobius_exact is not None) == (d == 1)
+        assert rep.sampled_max_ratio is not None
 
 
 def test_bound_report_assembly():
