@@ -13,6 +13,13 @@ same-index ratios of shifted numerator/denominator coefficients plus 0.
 Images larger than the unit disc are routed through the inversion chart.
 The candidate-set construction is validated against a brute-force sampling
 oracle in the test suite; see tests/oracles.py.
+
+Every seminorm is read from one integer kernel, :class:`Shift`: the map's
+coefficients are cleared of denominators once, the shift to a center u/v
+runs on integer numerators, and each valuation is ord_p of an integer plus
+a multiple of ord_p v.  The pushforward, the gpr edge scan and the radial
+profiles only compare seminorms of one shift with each other, so the
+offset shared by all its coefficients is never needed.
 """
 
 from __future__ import annotations
@@ -20,11 +27,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import DegenerateMapError, InternalInvariantError
-from .polynomials import eval_at, is_zero, scale, sub, taylor_shift, trim
+from .polynomials import taylor_shift, trim
 from .projective import INF_POINT, ProjPoint, _vord
-from .valued import ORD_INF, Ord, PPowerSum, ppow_normalize
+from .ratmap import _int_coeff_pair
+from .valued import ORD_INF, Ord, PPowerSum, int_val, ppow_normalize
 
 __all__ = [
     "BerkPoint",
@@ -41,7 +50,6 @@ __all__ = [
     "seminorm",
     "iota",
     "push_forward",
-    "push_forward_coeffs",
 ]
 
 
@@ -261,105 +269,193 @@ def rho(p: int, x: BerkPoint, y: BerkPoint) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# seminorms and the pushforward
+# the integer shift kernel, seminorms and the pushforward
 # ---------------------------------------------------------------------------
 
 
-def _semi_frac(p: int, coeffs, t: Fraction) -> Fraction:
-    """Exponent of the Gauss seminorm max_i |c_i| r^i at radius r = p^(-t),
-    for already-shifted coefficients: min_i (ord c_i + i*t)."""
-    best = None
-    for i, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        v = _vord(c, p) + i * t
-        if best is None or v < best:
-            best = v
-    if best is None:
+def _shift_ints(c: list[int], u: int, v: int) -> list[int]:
+    """Integer numerators q of c(z + u/v): coefficient j of the shift is
+    q[j] * v^(j-d), d = len(c) - 1."""
+    d = len(c) - 1
+    if v != 1:
+        c = [x * v ** (d - i) for i, x in enumerate(c)]
+    return taylor_shift(c, u)
+
+
+def _ords(p: int, q: list[int]) -> list[int | None]:
+    """ord_p of each integer, None for 0."""
+    return [int_val(x, p) if x else None for x in q]
+
+
+def _lines(ords, ov: int) -> list[tuple[int, int]]:
+    """Seminorm lines (j, ord q[j] + j*ov) of the nonzero numerators q[j]
+    with the given ords: the line t -> ord(coefficient j) + j*t, up to the
+    offset -d*ov."""
+    return [(j, o + j * ov) for j, o in enumerate(ords) if o is not None]
+
+
+def _semi_frac(lines, t) -> Fraction:
+    """min_j (o_j + j*t) over seminorm lines (j, o_j): the Gauss seminorm
+    exponent at radius p^(-t), taken over the integers at t = tn/td."""
+    if not lines:
         raise ValueError("seminorm of the zero polynomial")
-    return best
+    tn, td = t.numerator, t.denominator
+    return Fraction(min(o * td + j * tn for j, o in lines), td)
+
+
+@dataclass(frozen=True, slots=True)
+class Shift:
+    """A map's pair (f, g) Taylor-shifted to a center u/v, kept as integers.
+
+    With (F, G) the coefficients cleared by one common factor D, coefficient
+    j of f(z + u/v) is qf[j] * v^(j-d) / D, of ord
+    ord qf[j] + j*ord v - (d*ord v + ord D); likewise for g.  Every reader
+    compares seminorms of the same shift, so the common offset in brackets
+    cancels and is never computed: neither D nor a normalization matters.
+    """
+
+    p: int
+    ov: int  # ord_p v
+    qf: list[int]
+    qg: list[int]
+    of: list[int | None]  # ord_p qf[j], None for 0
+    og: list[int | None]
+
+    @staticmethod
+    def at(p: int, f: list[int], g: list[int], a: Fraction) -> "Shift":
+        u, v = a.numerator, a.denominator
+        qf, qg = _shift_ints(f, u, v), _shift_ints(g, u, v)
+        return Shift(p, int_val(v, p), qf, qg, _ords(p, qf), _ords(p, qg))
+
+    def swapped(self) -> "Shift":
+        return Shift(self.p, self.ov, self.qg, self.qf, self.og, self.of)
+
+    def f_lines(self) -> list[tuple[int, int]]:
+        return _lines(self.of, self.ov)
+
+    def g_lines(self) -> list[tuple[int, int]]:
+        return _lines(self.og, self.ov)
+
+    def diff_lines(self, w) -> list[tuple[int, int]]:
+        """Seminorm lines of f - w*g on the offset of f and g, from the
+        numerators wd*qf[j] - wn*qg[j] with w = wn/wd; empty when f = w*g.
+
+        Where the two terms have different ords the ord of the difference
+        is the smaller one, so only the terms of equal ord are subtracted.
+        """
+        p = self.p
+        wn, wd = w.numerator, w.denominator
+        own = int_val(wn, p) if wn else None
+        owd = int_val(wd, p)
+        out = []
+        for j, (x, y, ox, oy) in enumerate(zip(self.qf, self.qg, self.of, self.og)):
+            ox = None if ox is None else ox + owd  # ord of wd*x
+            oy = None if oy is None or own is None else oy + own  # ord of wn*y
+            if ox is None or oy is None:
+                o = ox if oy is None else oy
+            elif ox != oy:
+                o = min(ox, oy)
+            else:
+                c = wd * x - wn * y
+                o = int_val(c, p) if c else None
+            if o is not None:
+                out.append((j, o + j * self.ov - owd))
+        return out
+
+    def unit_residue_lifts(self) -> list[int]:
+        """0, then the integer lifts of the residues mod p of the unit
+        ratios f_j / g_j of the shifted coefficients (= qf[j] / qg[j])."""
+        p = self.p
+        lifts = [0]
+        for x, y, k, kg in zip(self.qf, self.qg, self.of, self.og):
+            if k is None or k != kg:
+                continue
+            pk = p**k
+            lift = x // pk * pow(y // pk, -1, p) % p
+            if lift not in lifts:
+                lifts.append(lift)
+        return lifts
+
+    def candidates(self) -> list[Fraction]:
+        """Candidate image centers: the same-index coefficient ratios of the
+        shifted f and g (equal to qf[j]/qg[j]), then 0."""
+        out = dict.fromkeys(Fraction(x, y) for x, y in zip(self.qf, self.qg) if y)
+        out.setdefault(Fraction(0))
+        return list(out)
 
 
 def seminorm(p: int, coeffs, x: BerkPoint) -> Ord:
     """Seminorm exponent of a polynomial at a disc point.
 
-    The coefficients (ascending, over QQ) are Taylor-shifted to the center
-    and the Gauss-norm formula applies: the result s satisfies
-    |poly|_x = p^(-s).
+    The coefficients (ascending, over QQ) are cleared to integers by their
+    common denominator D and Taylor-shifted to the center u/v, and the
+    Gauss-norm formula applies with the offset -d*ord v - ord D put back:
+    the result s satisfies |poly|_x = p^(-s).
     """
     if x.is_classical:
         raise ValueError("seminorm expects a type II point")
-    if is_zero(list(coeffs)):
-        raise ValueError("seminorm of the zero polynomial")
-    shifted = taylor_shift([Fraction(c) for c in coeffs], x.center)
-    return Ord.of(_semi_frac(p, shifted, x.radius_ord))
+    cs = [Fraction(c) for c in coeffs]
+    den = lcm(*[c.denominator for c in cs])
+    ints = [c.numerator * (den // c.denominator) for c in cs]
+    u, v = x.center.numerator, x.center.denominator
+    ov = int_val(v, p)
+    lines = _lines(_ords(p, _shift_ints(ints, u, v)), ov)
+    offset = (len(ints) - 1) * ov + int_val(den, p)
+    return Ord.of(_semi_frac(lines, x.radius_ord) - offset)
 
 
-def _recenter(p: int, den, a: Fraction, t: Fraction) -> Fraction:
+def _hom_eval(c: list[int], a: Fraction) -> int:
+    """v^d * c(u/v) for a = u/v, by Horner's rule in integers."""
+    u, v = a.numerator, a.denominator
+    acc, vpow = 0, 1
+    for x in reversed(c):
+        acc = acc * u + x * vpow
+        vpow *= v
+    return acc
+
+
+def _recenter(p: int, den: list[int], a: Fraction, t: Fraction) -> Fraction:
     """Replace the center by an equivalent one that is not a root of den.
 
     Candidates a + j * p^ceil(t) stay within the equality class of the
     point; den has at most deg(den) roots so a valid j exists.
     """
-    if eval_at(den, a) != 0:
+    if _hom_eval(den, a) != 0:
         return a
     step = Fraction(p) ** math.ceil(t)
     for j in range(1, len(trim(den)) + 2):
         cand = a + j * step
-        if eval_at(den, cand) != 0:
+        if _hom_eval(den, cand) != 0:
             return cand
     raise InternalInvariantError("recentering exhausted candidate offsets")
 
 
-def _candidates(fs, gs) -> list[Fraction]:
-    """Candidate image centers: same-index coefficient ratios, then 0."""
-    out: list[Fraction] = []
-    for fi, gi in zip(fs, gs):
-        if gi != 0:
-            w = fi / gi
-            if w not in out:
-                out.append(w)
-    if Fraction(0) not in out:
-        out.append(Fraction(0))
-    return out
-
-
-def push_forward_coeffs(p: int, f, g, x: BerkPoint) -> BerkPoint:
-    """Image of a disc point under the map with dehomogenized pair (f, g).
-
-    ``f`` and ``g`` are ascending coefficient lists of equal length d+1.
-    """
-    if x.is_classical:
-        raise ValueError("push_forward expects a type II point")
-    if is_zero(f) or is_zero(g):
-        raise DegenerateMapError("degenerate map")
-    return _push(p, list(f), list(g), x.center, x.radius_ord, 0)
-
-
 def push_forward(rmap, x: BerkPoint) -> BerkPoint:
     """Image of a disc point under a RationalMap."""
-    f, g = rmap.dehomogenized()
-    return push_forward_coeffs(rmap.p, f, g, x)
+    if x.is_classical:
+        raise ValueError("push_forward expects a type II point")
+    f, g = _int_coeff_pair(rmap)
+    if not any(f) or not any(g):
+        raise DegenerateMapError("degenerate map")
+    return _push(rmap.p, f, g, x.center, x.radius_ord, 0)
 
 
-def _push(p: int, f, g, a: Fraction, t: Fraction, depth: int) -> BerkPoint:
+def _push(p: int, f: list[int], g: list[int], a: Fraction, t: Fraction, depth: int) -> BerkPoint:
     a = _recenter(p, g, a, t)
-    fs = taylor_shift(f, a)
-    gs = taylor_shift(g, a)
-    sf = _semi_frac(p, fs, t)
-    sg = _semi_frac(p, gs, t)
-    if sf - sg < 0:
+    sh = Shift.at(p, f, g, a)
+    sg = _semi_frac(sh.g_lines(), t)
+    if _semi_frac(sh.f_lines(), t) < sg:
         # image exceeds the unit disc: compute 1/phi and invert back
         if depth > 0:
             raise InternalInvariantError("chart swap did not stabilize")
         return iota(p, _push(p, g, f, a, t, depth + 1))
     best_s = None
     best_w = None
-    for w in _candidates(fs, gs):
-        diff = sub(fs, scale(gs, w))
-        if is_zero(diff):
+    for w in sh.candidates():
+        lines = sh.diff_lines(w)
+        if not lines:
             raise DegenerateMapError("degenerate map")
-        s = _semi_frac(p, diff, t) - sg
+        s = _semi_frac(lines, t) - sg
         if best_s is None or s > best_s:
             best_s, best_w = s, w
     return BerkPoint.disc(best_w, best_s)

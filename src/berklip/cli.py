@@ -26,10 +26,10 @@ from .errors import (
     InternalInvariantError,
     ParseError,
 )
-from .invariants import bundle, gpr, rp_ord
+from .invariants import bundle, rp_ord
 from .lipschitz import (
+    _mobius_exact,
     bound_report,
-    mobius_exact,
     radial_profile,
     resultant_bounds,
     sample_ratios,
@@ -51,6 +51,10 @@ from .serialize import (
 from .valued import parse_fraction, ppow_compare
 
 __all__ = ["RunConfig", "run", "main"]
+
+
+# Largest sample count: the sampled pairs are held in memory at once.
+MAX_SAMPLES = 100_000
 
 
 @dataclass
@@ -82,6 +86,8 @@ def _check_options(cfg: RunConfig) -> tuple[Fraction, Fraction, Fraction | None]
     n_min = 1 if cfg.command in ("sample", "verify") else 0
     if cfg.n < n_min:
         raise ParseError(f"--n must be >= {n_min} for {cfg.command}, not {cfg.n}")
+    if cfg.n > MAX_SAMPLES:
+        raise ParseError(f"--n must be <= {MAX_SAMPLES}, not {cfg.n}")
     center = _option_fraction("--center", cfg.center)
     tmin = _option_fraction("--tmin", cfg.tmin, 0)
     b0 = None if cfg.b0_ord is None else _option_fraction("--b0-ord", cfg.b0_ord, 0)
@@ -119,8 +125,23 @@ def _emit(obj: dict, fmt: str) -> str:
 
 
 def _verify_checks(m: RationalMap, cfg: RunConfig):
-    """Per-map property suite for the verify command."""
+    """Per-map property suite for the verify command.
+
+    The map's bundle is built once, by the first check that needs it; if
+    building it fails, every check that needs it reports that error.
+    """
     checks = []
+    built: list = []
+
+    def inv():
+        if not built:
+            try:
+                built.append(bundle(m))
+            except BerkError as e:
+                built.append(e)
+        if isinstance(built[0], BerkError):
+            raise built[0]
+        return built[0]
 
     def add(name, fn):
         try:
@@ -131,9 +152,6 @@ def _verify_checks(m: RationalMap, cfg: RunConfig):
         except AssertionError as e:
             checks.append((name, False, str(e)))
 
-    def chain():
-        bundle(m)  # raises on any violated inequality
-
     def norm_idempotent():
         n1 = normalize(m)
         n2 = normalize(n1)
@@ -143,7 +161,7 @@ def _verify_checks(m: RationalMap, cfg: RunConfig):
         img = push_forward(m, gauss_point())
         assert diam_gauss(m.p, img) == gir_minors(m), "gir minors disagree with image"
 
-    add("invariant-chain", chain)
+    add("invariant-chain", inv)  # bundle raises on any violated inequality
     add("normalize-idempotent", norm_idempotent)
     add("gir-matches-pushforward", gir_push)
 
@@ -153,16 +171,16 @@ def _verify_checks(m: RationalMap, cfg: RunConfig):
             assert resultant_ord(m) == resultant_ord_product(m), "resultant mismatch"
 
         def gpr_verified():
-            res = gpr(m)
             assert berk_equal(
-                m.p, push_forward(m, res.argmin), gauss_point()
+                m.p, push_forward(m, inv().gpr_argmin), gauss_point()
             ), "gpr argmin does not map to the Gauss point"
 
         def rp_vs_res():
             assert rp_ord(m) <= resultant_ord(m), "RP below |Res|"
 
         def sampled():
-            sample_ratios(m, cfg.n, cfg.seed)  # raises if bound exceeded
+            # raises if a sampled ratio exceeds 1/GPR
+            sample_ratios(m, cfg.n, cfg.seed, lip_ord=inv().gpr.frac)
 
         add("resultant-product-agrees", res_product)
         add("gpr-argmin-verified", gpr_verified)
@@ -178,7 +196,7 @@ def _verify_checks(m: RationalMap, cfg: RunConfig):
         add("sampled-ratios-bounded", sampled_res_bound)
 
     if m.d == 1:
-        add("mobius-constants-agree", lambda: mobius_exact(m))
+        add("mobius-constants-agree", lambda: _mobius_exact(normalize(m), inv()))
     return checks
 
 
@@ -222,8 +240,16 @@ def run(cfg: RunConfig) -> int:
     raise ParseError(f"unknown command {cfg.command!r}")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as a parse error (exit 1, one line)
+    instead of argparse's usage dump and exit status 2."""
+
+    def error(self, message):
+        raise ParseError(" ".join(message.split()))
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="berklip",
         description="Exact invariants and Lipschitz bounds of rational maps "
         "over a p-adically valued field.",
@@ -245,19 +271,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    cfg = RunConfig(
-        command=args.command,
-        input=args.input,
-        p=args.p,
-        seed=args.seed,
-        n=args.n,
-        center=args.center,
-        tmin=args.tmin,
-        b0_ord=args.b0_ord,
-        fmt=args.fmt,
-    )
     try:
+        args = _build_parser().parse_args(argv)
+        cfg = RunConfig(
+            command=args.command,
+            input=args.input,
+            p=args.p,
+            seed=args.seed,
+            n=args.n,
+            center=args.center,
+            tmin=args.tmin,
+            b0_ord=args.b0_ord,
+            fmt=args.fmt,
+        )
         return run(cfg)
     except ParseError as e:
         print(f"error: {e}", file=sys.stderr)

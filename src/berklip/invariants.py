@@ -26,6 +26,7 @@ from fractions import Fraction
 
 from .berk import (
     BerkPoint,
+    Shift,
     berk_equal,
     gauss_point,
     push_forward,
@@ -33,9 +34,8 @@ from .berk import (
 )
 from .errors import InternalInvariantError
 from .piecewise import PWLinear, lower_envelope
-from .polynomials import scale, sub, taylor_shift, is_zero
 from .projective import ProjPoint, _vord, spherical_ord
-from .ratmap import RationalMap, gir_minors, normalize, resultant_ord
+from .ratmap import RationalMap, _int_coeff_pair, gir_minors, normalize, resultant_ord
 from .valued import Ord
 
 __all__ = [
@@ -176,37 +176,6 @@ def hull(p: int, points) -> FiniteTree:
 # ---------------------------------------------------------------------------
 
 
-def _unit_residue_lifts(p: int, fs, gs) -> list[Fraction]:
-    """Integer lifts of the unit-ratio residues fs_i / gs_i mod p.
-
-    A sub-unit image diameter forces cancellation against one of these
-    residues, so testing |phi - w| = 1 for w = 0 and these lifts decides
-    whether the image is exactly the Gauss point.
-    """
-    lifts: list[Fraction] = [Fraction(0)]
-    for fi, gi in zip(fs, gs):
-        if fi == 0 or gi == 0:
-            continue
-        ratio = fi / gi
-        if _vord(ratio, p) != 0:
-            continue
-        num = ratio.numerator % p
-        den = ratio.denominator % p
-        lift = Fraction(num * pow(den, -1, p) % p)
-        if lift not in lifts:
-            lifts.append(lift)
-    return lifts
-
-
-def _semi_env(p: int, coeffs, lo, hi) -> PWLinear:
-    """Seminorm exponent of shifted coefficients as a function of t."""
-    lines = []
-    for i, c in enumerate(coeffs):
-        if c != 0:
-            lines.append((Fraction(i), Fraction(_vord(c, p))))
-    return lower_envelope(lines, lo, hi)
-
-
 @dataclass(frozen=True, slots=True)
 class GprResult:
     ord: Ord
@@ -214,21 +183,22 @@ class GprResult:
     preimages: tuple[BerkPoint, ...]
 
 
-def _gauss_fiber_zero_set(p: int, fs, gs, lo, hi):
+def _gauss_fiber_zero_set(sh: Shift, lo, hi):
     """Solution intervals of phi(zeta_{center, t}) = Gauss point on [lo, hi],
     given f and g Taylor-shifted to the center.
 
     The point maps to the Gauss point iff ord|phi - w| = 0 for w = 0 and
-    for every unit-residue candidate w, so the zero set of
+    for every unit-residue candidate w (a sub-unit image diameter forces
+    cancellation against one of them), so the zero set of
     max_w |ord(phi - w)| is exactly the fiber restricted to the edge.
     """
-    sg = _semi_env(p, gs, lo, hi)
+    sg = lower_envelope(sh.g_lines(), lo, hi)
     total: PWLinear | None = None
-    for w in _unit_residue_lifts(p, fs, gs):
-        diff = sub(fs, scale(gs, w))
-        if is_zero(diff):
+    for w in sh.unit_residue_lifts():
+        lines = sh.diff_lines(w)
+        if not lines:
             raise InternalInvariantError("map degenerated to a constant")
-        e = _semi_env(p, diff, lo, hi) - sg
+        e = lower_envelope(lines, lo, hi) - sg
         abs_e = e.max_with(-e)
         total = abs_e if total is None else total.max_with(abs_e)
     return total.zero_set()
@@ -238,27 +208,26 @@ def gpr(m: RationalMap, hull_points=None) -> GprResult:
     """Minimal Gauss-point preimage diameter and a witness point.
 
     The search space is the hull of the zeros and poles (or of the given
-    override points, which must contain the fiber).  f and g are shifted
-    once per distinct edge center, and every distinct solution found by
-    the piecewise scan is re-verified once through push_forward.
+    override points, which must contain the fiber).  f and g are cleared
+    to integers once and shifted once per distinct edge center, and every
+    distinct solution found by the piecewise scan is re-verified once
+    through push_forward.
     """
-    m = normalize(m)
     p = m.p
     if hull_points is None:
         ff = m.require_factored()
         hull_points = [pt for pt, _ in ff.zeros] + [pt for pt, _ in ff.poles]
     tree = hull(p, hull_points)
-    f, g = m.dehomogenized()
-    shifts: dict[Fraction, tuple[list, list]] = {}
+    f, g = _int_coeff_pair(m)
+    shifts: dict[Fraction, Shift] = {}
     best: tuple[Fraction, BerkPoint] | None = None
     found: list[BerkPoint] = []
     for edge in tree.edges:
         center = edge.center
         if center not in shifts:
-            shifts[center] = (taylor_shift(f, center), taylor_shift(g, center))
-        fs, gs = shifts[center]
+            shifts[center] = Shift.at(p, f, g, center)
         lo, hi = edge.t_range()
-        for a, b in _gauss_fiber_zero_set(p, fs, gs, lo, hi):
+        for a, b in _gauss_fiber_zero_set(shifts[center], lo, hi):
             if a is None or b is None:
                 raise InternalInvariantError("unbounded Gauss-fiber interval")
             for t in {a, b}:

@@ -20,16 +20,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 
-from .berk import _candidates, iota
+from .berk import Shift, iota
 from .errors import InternalInvariantError
-from .invariants import InvariantBundle, _semi_env, bundle, gpr
-from .piecewise import PWLinear
-from .polynomials import is_zero, scale, sub, taylor_shift
+from .invariants import InvariantBundle, bundle, gpr
+from .piecewise import PWLinear, lower_envelope
 from .projective import INF_POINT, ProjPoint, _vord, spherical_ord
 from .ratmap import (
     RationalMap,
+    _int_coeff_pair,
     eval_proj,
     gir_minors,
     normalize,
@@ -184,16 +183,16 @@ class RadialProfile:
         return seg.coeff_ord + seg.k * t
 
 
-def _image_diam_pieces(p: int, fs, gs, lo, hi):
+def _image_diam_pieces(p: int, sh: Shift, lo, hi):
     """diam_G exponent of the image over [lo, hi], assuming the image stays
     within the closed unit disc there (seminorm of f <= seminorm of g)."""
-    sg = _semi_env(p, gs, lo, hi)
+    sg = lower_envelope(sh.g_lines(), lo, hi)
     tagged = []
-    for w in _candidates(fs, gs):
-        diff = sub(fs, scale(gs, w))
-        if is_zero(diff):
+    for w in sh.candidates():
+        lines = sh.diff_lines(w)
+        if not lines:
             raise InternalInvariantError("map degenerated to a constant")
-        tagged.append((w, _semi_env(p, diff, lo, hi) - sg))
+        tagged.append((w, lower_envelope(lines, lo, hi) - sg))
     big = tagged[0][1]
     for _, env in tagged[1:]:
         big = big.max_with(env)
@@ -222,16 +221,15 @@ def radial_profile(m: RationalMap, center, t_min) -> RadialProfile:
     image leaves the unit disc are computed in the inversion chart, whose
     diameters agree since inversion preserves diam_G.
     """
-    m = normalize(m)
     p = m.p
     center = Fraction(center)
     t_min = Fraction(t_min)
     if t_min < 0:
         raise ValueError("t_min must be >= 0 (radii at most 1)")
-    f, g = m.dehomogenized()
-    fs = taylor_shift(f, center)
-    gs = taylor_shift(g, center)
-    sigma = _semi_env(p, fs, t_min, None) - _semi_env(p, gs, t_min, None)
+    f, g = _int_coeff_pair(m)
+    sh = Shift.at(p, f, g, center)
+    sf = lower_envelope(sh.f_lines(), t_min, None)
+    sigma = sf - lower_envelope(sh.g_lines(), t_min, None)
     neg = sigma.negative_regions()
     regions: list[tuple[Fraction | None, Fraction | None, bool]] = []
     cursor: Fraction | None = t_min
@@ -248,10 +246,7 @@ def radial_profile(m: RationalMap, center, t_min) -> RadialProfile:
     for a, b, swapped in regions:
         if a is not None and b is not None and a == b:
             continue
-        if swapped:
-            pieces.extend(_image_diam_pieces(p, gs, fs, a, b))
-        else:
-            pieces.extend(_image_diam_pieces(p, fs, gs, a, b))
+        pieces.extend(_image_diam_pieces(p, sh.swapped() if swapped else sh, a, b))
     profile = PWLinear(t_min, None, tuple(pieces)).simplified()
     segments = []
     for start, end, k, c in profile.spans():
@@ -314,15 +309,6 @@ def _sph_pair_ord(p: int, un: int, ud: int, vn: int, vd: int):
         if vy < 0:
             s -= vy
     return s
-
-
-def _int_coeff_pair(m: RationalMap) -> tuple[list[int], list[int]]:
-    """Clear denominators of (f, g) by one common factor, preserving the map."""
-    dens = [c.denominator for c in m.f + m.g]
-    scale_by = lcm(*dens)
-    fi = [int(c * scale_by) for c in m.f]
-    gi = [int(c * scale_by) for c in m.g]
-    return fi, gi
 
 
 @lru_cache(maxsize=16)

@@ -5,7 +5,10 @@ lines t -> ord(c_i) + i*t, and every quantity derived from them (image
 diameters, chart-swap indicators, diameter profiles) stays piecewise linear
 with rational breakpoints.  This module provides that calculus: envelopes
 of line families, pointwise min/max/sum of two functions, sign partitions
-and exact zero sets.  All arithmetic is Fraction-exact.
+and exact zero sets.  The envelope takes integer lines (integer slopes i,
+integer intercepts: valuations of integer numerators) and builds its hull
+in integers; the functions it returns, and all arithmetic on them, are
+Fraction-exact.
 
 Domains are intervals [lo, hi] where either end may be None (unbounded).
 A function is stored as contiguous pieces (start, slope, intercept); piece
@@ -18,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-__all__ = ["PWLinear", "lower_envelope", "upper_envelope"]
+__all__ = ["PWLinear", "lower_envelope"]
 
 _Bound = Fraction | None
 
@@ -234,17 +237,20 @@ class PWLinear:
 
 
 def lower_envelope(lines, lo: _Bound, hi: _Bound) -> PWLinear:
-    """Pointwise minimum of a finite family of lines (slope, intercept)."""
-    best: dict[Fraction, Fraction] = {}
+    """Pointwise minimum of a finite family of integer lines (slope,
+    intercept), restricted to [lo, hi].
+
+    The hull test runs in integers; only the emitted pieces are Fractions,
+    so that crossings of later sums and differences stay exact.
+    """
+    best: dict[int, int] = {}
     for k, c in lines:
-        k, c = Fraction(k), Fraction(c)
         if k not in best or c < best[k]:
             best[k] = c
     if not best:
         raise ValueError("empty line family")
-    ordered = sorted(best.items(), key=lambda kc: -kc[0])  # slopes descending
-    hull: list[tuple[Fraction, Fraction]] = []
-    for k, c in ordered:
+    hull: list[tuple[int, int]] = []
+    for k, c in sorted(best.items(), reverse=True):  # slopes descending
         while len(hull) >= 2:
             k1, c1 = hull[-2]
             k2, c2 = hull[-1]
@@ -255,16 +261,10 @@ def lower_envelope(lines, lo: _Bound, hi: _Bound) -> PWLinear:
             else:
                 break
         hull.append((k, c))
-    pieces: list[tuple[_Bound, Fraction, Fraction]] = [(None, hull[0][0], hull[0][1])]
-    for i in range(1, len(hull)):
-        k1, c1 = hull[i - 1]
-        k2, c2 = hull[i]
-        t_cross = (c2 - c1) / (k1 - k2)
-        pieces.append((t_cross, k2, c2))
+    pieces: list[tuple[_Bound, Fraction, Fraction]] = [
+        (None, Fraction(hull[0][0]), Fraction(hull[0][1]))
+    ]
+    for (k1, c1), (k2, c2) in zip(hull, hull[1:]):
+        pieces.append((Fraction(c2 - c1, k1 - k2), Fraction(k2), Fraction(c2)))
     full = PWLinear(None, None, tuple(pieces))
     return full.restrict(lo, hi)
-
-
-def upper_envelope(lines, lo: _Bound, hi: _Bound) -> PWLinear:
-    neg = lower_envelope([(-k, -c) for k, c in lines], lo, hi)
-    return -neg

@@ -1,11 +1,13 @@
-"""Dense univariate polynomial helpers over exact rationals.
+"""Dense univariate polynomial kernels.
 
-Coefficient lists are ascending: c[i] is the coefficient of z^i.  The
-helpers stay in Fraction arithmetic and are quadratic.  The exception is
-the resultant valuation, ord_p of the Sylvester determinant, which works
-on integers over Z/p^N: it gives ``res`` and is also the coprimality test
-for every map built, since two forms share a root in P1 exactly when that
-determinant vanishes.
+Coefficient lists are ascending: c[i] is the coefficient of z^i.  ``mul``
+and ``eval_at`` build and evaluate maps in exact rationals.  The two hot
+kernels work on integers: ``taylor_shift`` receives the integer
+numerators of a map cleared of denominators (see ``berk.Shift``, which
+reads every seminorm valuation from them), and the resultant valuation,
+ord_p of the Sylvester determinant, eliminates over Z/p^N: it gives
+``res`` and is also the coprimality test for every map built, since two
+forms share a root in P1 exactly when that determinant vanishes.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from math import gcd, lcm
 
 from .valued import int_val
 
-Poly = list  # list[Fraction], ascending
+Poly = list  # ascending coefficients, Fraction or int
 
 
 def trim(c: Poly) -> Poly:
@@ -25,29 +27,8 @@ def trim(c: Poly) -> Poly:
     return c
 
 
-def is_zero(c: Poly) -> bool:
-    return all(x == 0 for x in c)
-
-
-def add(a: Poly, b: Poly) -> Poly:
-    n = max(len(a), len(b))
-    return [
-        (a[i] if i < len(a) else Fraction(0)) + (b[i] if i < len(b) else Fraction(0))
-        for i in range(n)
-    ]
-
-
-def scale(a: Poly, k) -> Poly:
-    k = Fraction(k)
-    return [x * k for x in a]
-
-
-def sub(a: Poly, b: Poly) -> Poly:
-    return add(a, scale(b, -1))
-
-
 def mul(a: Poly, b: Poly) -> Poly:
-    if is_zero(a) or is_zero(b):
+    if not any(a) or not any(b):
         return []
     out = [Fraction(0)] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
@@ -65,8 +46,9 @@ def eval_at(c: Poly, x: Fraction) -> Fraction:
     return acc
 
 
-def taylor_shift(c: Poly, a: Fraction) -> Poly:
-    """Coefficients of f(z + a), by iterated synthetic division."""
+def taylor_shift(c: Poly, a) -> Poly:
+    """Coefficients of f(z + a), by iterated synthetic division; integer
+    coefficients and an integer a stay integers."""
     out = list(c)
     n = len(out)
     for i in range(n - 1):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import DegenerateMapError, FactoredFormRequiredError
 from .polynomials import mul, trim
@@ -86,6 +87,14 @@ def _validate_pair(p: int, f: list, g: list, d: int) -> None:
         raise DegenerateMapError("degree zero")
     if poly.sylvester_det_ord(p, f, g, d) is None:
         raise DegenerateMapError("degenerate map")
+
+
+def _int_coeff_pair(m: RationalMap) -> tuple[list[int], list[int]]:
+    """Clear denominators of (f, g) by one common factor, preserving the map."""
+    scale_by = lcm(*[c.denominator for c in m.f + m.g])
+    fi = [c.numerator * (scale_by // c.denominator) for c in m.f]
+    gi = [c.numerator * (scale_by // c.denominator) for c in m.g]
+    return fi, gi
 
 
 def _scaled(coeffs, factor: Fraction):

@@ -148,6 +148,16 @@ def _json_list(block: dict, key: str) -> list:
     return value
 
 
+# Largest degree a map file may give: a bundle at this degree already takes
+# seconds, and a multiplicity of 10^9 would otherwise be expanded term by term.
+MAX_DEGREE = 64
+
+
+def _check_degree(d: int) -> None:
+    if d > MAX_DEGREE:
+        raise ParseError(f"degree {d} exceeds the supported maximum {MAX_DEGREE}")
+
+
 def _parse_point_mult(entry) -> tuple[ProjPoint, int]:
     if not (isinstance(entry, list) and len(entry) == 2):
         raise ParseError(f"bad zero/pole entry {entry!r}: expected [point, multiplicity]")
@@ -187,6 +197,7 @@ def parse_map_data(data: dict, p_override: int | None = None) -> RationalMap:
             raise ParseError(f"bad coeffs block: {e}") from None
         if len(f_desc) != len(g_desc) or len(f_desc) < 2:
             raise ParseError("coefficient lists must have equal length d+1 >= 2")
+        _check_degree(len(f_desc) - 1)
         return from_coeffs(ctx.p, list(reversed(f_desc)), list(reversed(g_desc)))
     if "factored" in data:
         block = data["factored"]
@@ -196,5 +207,6 @@ def parse_map_data(data: dict, p_override: int | None = None) -> RationalMap:
             poles = [_parse_point_mult(z) for z in _json_list(block, "poles")]
         except (KeyError, TypeError) as e:
             raise ParseError(f"bad factored block: {e}") from None
+        _check_degree(max(sum(m for _, m in zeros), sum(m for _, m in poles)))
         return from_factored(ctx.p, c, zeros, poles)
     raise ParseError("map file needs a 'coeffs' or 'factored' block")

@@ -21,6 +21,7 @@ unequal values is decided by refining dyadic enclosures of p^(1/m).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from decimal import Decimal, getcontext
 from fractions import Fraction
@@ -105,11 +106,34 @@ class PrimeContext:
 
 
 def int_val(n: int, p: int) -> int:
-    """p-adic valuation of a nonzero integer."""
+    """p-adic valuation of a nonzero integer, in O(log v) divisions.
+
+    The first few factors p, which cover nearly every call, are divided
+    out one at a time; past that, :func:`_val_by_squaring` takes the rest.
+    """
     v = 0
     while n % p == 0:
         n //= p
         v += 1
+        if v == 8:
+            return v + _val_by_squaring(n, p)
+    return v
+
+
+def _val_by_squaring(n: int, p: int) -> int:
+    """ord_p n for a nonzero n: divides by p, p^2, p^4, ... while they
+    divide, then strips the rest (below the first power that failed) with
+    the same powers, largest first."""
+    v = 0
+    pows = [p]  # pows[k] = p^(2^k)
+    while n % pows[-1] == 0:
+        n //= pows[-1]
+        v += 1 << (len(pows) - 1)
+        pows.append(pows[-1] * pows[-1])
+    for k in range(len(pows) - 2, -1, -1):
+        if n % pows[k] == 0:
+            n //= pows[k]
+            v += 1 << k
     return v
 
 
@@ -227,9 +251,16 @@ def ord_p(p: int, x) -> Ord:
 # ---------------------------------------------------------------------------
 
 
+# the one accepted rational form: an integer, or "num/den"; no decimal
+# point and no exponent, so that a short string cannot stand for 10^(10^9)
+_RATIONAL = re.compile(r"\s*[+-]?\d+(/\d+)?\s*", re.ASCII)
+
+
 def parse_fraction(s: str) -> Fraction:
     if not isinstance(s, str):
         raise ParseError(f"bad rational {s!r}: expected a string such as \"-3/4\"")
+    if not _RATIONAL.fullmatch(s):
+        raise ParseError(f"bad rational {s!r}: expected an integer or \"num/den\"")
     try:
         return Fraction(s.strip())
     except (ValueError, ZeroDivisionError) as e:

@@ -1,6 +1,9 @@
-"""Independent brute-force oracle used to validate the exact pushforward.
+"""Independent references for the exact pushforward and the gpr scan.
 
-The reconstruction uses only classical evaluation, exact valuations and
+The first part is a brute-force oracle; the last section is a Fraction
+reference for the integer shift kernel (see there).
+
+Its reconstruction uses only classical evaluation, exact valuations and
 disc joins; it never touches Taylor shifts, seminorm envelopes, or the
 candidate-center minimization it is meant to check.
 
@@ -24,9 +27,10 @@ redraws; a decisive disagreement is a genuine refutation.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-from berklip.berk import BerkPoint, berk_equal, iota
+from berklip.berk import BerkPoint, berk_equal, gauss_point, iota
 from berklip.projective import ProjPoint, _vord
 from berklip.ratmap import RationalMap, eval_proj
 from berklip.sampling import DetRng, random_unit_fraction
@@ -132,19 +136,17 @@ def minimality_refuted(m: RationalMap, x: BerkPoint, seed: int = 0) -> bool:
     diameter computed by push_forward, the finite candidate set missed the
     true minimum.  Returns True on refutation.
     """
-    from berklip.berk import _semi_frac, push_forward
-    from berklip.polynomials import scale, sub, taylor_shift
+    from berklip.berk import push_forward
 
     p = m.p
     a = x.center
     t = int(x.radius_ord)
     got = push_forward(m, x)
     f, g = m.dehomogenized()
-    fs = taylor_shift(f, a)
-    gs = taylor_shift(g, a)
-    sg = _semi_frac(p, gs, Fraction(t))
-    ref = sub(fs, scale(gs, got.center))
-    s_hat = _semi_frac(p, ref, Fraction(t)) - sg  # |phi - b_hat|_x exponent
+    fs = ref_taylor_shift(f, a)
+    gs = ref_taylor_shift(g, a)
+    sg = ref_semi(p, gs, Fraction(t))
+    s_hat = ref_semi(p, _minus(fs, gs, got.center), Fraction(t)) - sg  # |phi - b_hat|_x
     pole_dirs = _point_directions([pt for pt, _ in m.factored.poles], a, t, p)
     rng = DetRng(seed)
     for c in range(p):
@@ -157,7 +159,127 @@ def minimality_refuted(m: RationalMap, x: BerkPoint, seed: int = 0) -> bool:
             w = eval_proj(m, ProjPoint.of(z))
             if w.is_inf:
                 continue
-            s_w = _semi_frac(p, sub(fs, scale(gs, w.z)), Fraction(t)) - sg
+            s_w = ref_semi(p, _minus(fs, gs, w.z), Fraction(t)) - sg
             if s_w > s_hat:
                 return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# Fraction reference for the integer shift kernel
+# ---------------------------------------------------------------------------
+#
+# The shift, seminorm and pushforward below are the kernel's algorithm on
+# Fraction coefficients, with every offset kept: coefficient i of f(z + a)
+# and its valuation are computed directly.  The Gauss preimage radius is
+# found by brute force over line crossings instead of by envelopes.
+
+
+def ref_taylor_shift(c, a) -> list[Fraction]:
+    """Coefficients of c(z + a) over QQ, by iterated synthetic division."""
+    out = [Fraction(x) for x in c]
+    n = len(out)
+    for i in range(n - 1):
+        for j in range(n - 2, i - 1, -1):
+            out[j] += a * out[j + 1]
+    return out
+
+
+def ref_semi(p: int, coeffs, t) -> Fraction:
+    """min_i (ord c_i + i*t) over the nonzero coefficients."""
+    vals = [_vord(c, p) + i * t for i, c in enumerate(coeffs) if c != 0]
+    if not vals:
+        raise ValueError("seminorm of the zero polynomial")
+    return min(vals)
+
+
+def _minus(fs, gs, w) -> list[Fraction]:
+    return [x - w * y for x, y in zip(fs, gs)]
+
+
+def _ref_eval(c, x: Fraction) -> Fraction:
+    acc = Fraction(0)
+    for coef in reversed(c):
+        acc = acc * x + coef
+    return acc
+
+
+def ref_push_forward(m: RationalMap, x: BerkPoint, events: set | None = None) -> BerkPoint:
+    """Image of a disc point by shifted Fraction coefficients.
+
+    ``events`` gains "recenter" when the center is a pole and "swap" when
+    the image is computed in the inversion chart.
+    """
+    f, g = m.dehomogenized()
+    return _ref_push(m.p, f, g, x.center, x.radius_ord, set() if events is None else events)
+
+
+def _ref_push(p, f, g, a, t, events) -> BerkPoint:
+    if _ref_eval(g, a) == 0:
+        events.add("recenter")
+        step = Fraction(p) ** math.ceil(t)
+        j = 1
+        while _ref_eval(g, a + j * step) == 0:
+            j += 1
+        a = a + j * step
+    fs, gs = ref_taylor_shift(f, a), ref_taylor_shift(g, a)
+    sg = ref_semi(p, gs, t)
+    if ref_semi(p, fs, t) < sg:
+        assert "swap" not in events, "chart swap did not stabilize"
+        events.add("swap")
+        return iota(p, _ref_push(p, g, f, a, t, events))
+    cands: list[Fraction] = []
+    for x, y in zip(fs, gs):
+        if y != 0 and x / y not in cands:
+            cands.append(x / y)
+    if 0 not in cands:
+        cands.append(Fraction(0))
+    best = None
+    for w in cands:
+        s = ref_semi(p, _minus(fs, gs, w), t) - sg
+        if best is None or s > best[0]:
+            best = (s, w)
+    return BerkPoint.disc(best[1], best[0])
+
+
+def ref_gpr_ord(m: RationalMap, edges) -> Fraction:
+    """Largest diam_G exponent among disc points on the given hull edges
+    that map to the Gauss point, by brute force.
+
+    An end of a solution interval on an edge is an end of the edge or a
+    point where a line of f - w*g meets a line of g, w a residue in 0..p-1
+    (the image is the Gauss point iff |phi - w| = 1 for every such w).
+    Every such point is tested: first that exact condition, then the
+    reference pushforward.
+    """
+    from berklip.berk import _diam_gauss_frac
+
+    p = m.p
+    f, g = m.dehomogenized()
+    best = None
+    for edge in edges:
+        lo, hi = edge.t_range()
+        fs, gs = ref_taylor_shift(f, edge.center), ref_taylor_shift(g, edge.center)
+        g_lines = [(i, _vord(c, p)) for i, c in enumerate(gs) if c != 0]
+        w_lines = [
+            [(i, _vord(c, p)) for i, c in enumerate(_minus(fs, gs, w)) if c != 0]
+            for w in range(p)
+        ]
+        ts = {t for t in (lo, hi) if t is not None}
+        for lines in w_lines:
+            for i, c in lines:
+                for j, e in g_lines:
+                    if i != j:
+                        t = (e - c) / (i - j)
+                        if (lo is None or t >= lo) and (hi is None or t <= hi):
+                            ts.add(t)
+        for t in sorted(ts):
+            sg = min(e + j * t for j, e in g_lines)
+            if any(min(c + i * t for i, c in lines) != sg for lines in w_lines):
+                continue
+            x = BerkPoint.disc(edge.center, t)
+            if berk_equal(p, ref_push_forward(m, x), gauss_point()):
+                s = _diam_gauss_frac(p, edge.center, t)
+                if best is None or s > best:
+                    best = s
+    return best

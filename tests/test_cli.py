@@ -250,3 +250,33 @@ def test_factored_requires_error_surface():
     m = from_coeffs(3, [1, 1, 1], [1, 0, 0])
     with _pytest.raises(FactoredFormRequiredError):
         resultant_ord_product(m)
+
+
+def test_bad_command_lines_are_parse_errors(tmp_path, capsys):
+    """argparse's own errors exit 1 with one line, not 2 with a usage dump."""
+    fixture = str(FIXTURES / "square_p3.json")
+    cases = [
+        (["bogus", "--input", fixture], "invalid choice: 'bogus'"),
+        (["sample", "--input", fixture, "--n", "abc"], "argument --n: invalid int value: 'abc'"),
+        (["invariants"], "the following arguments are required: --input"),
+        (["invariants", "--input", fixture, "--unknown"], "unrecognized arguments: --unknown"),
+    ]
+    for args, expected in cases:
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and expected in lines[0], lines
+
+
+def test_verify_computes_gpr_once(count_calls, capsys):
+    """verify reads gpr from one bundle: the chain check, the argmin check,
+    the sampler's bound and the degree-1 cross-check share it."""
+    from berklip.invariants import gpr
+
+    calls = count_calls(gpr)
+    for name in ("mobius_z_over_9_p3.json", "square_shift_p3.json", "sharp_family_d3_k1_p5.json"):
+        calls.clear()
+        code, out = run_cli(capsys, "verify", "--input", str(FIXTURES / name), "--n", "50")
+        assert code == 0 and "FAIL" not in out
+        assert len(calls) == 1, name

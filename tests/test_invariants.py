@@ -200,8 +200,7 @@ def test_hull_scan_completeness_spot_check():
     there is exactly 1, so the grid applies that exact test first and
     verifies the rare hits with the full pushforward.
     """
-    from berklip.berk import _semi_frac
-    from berklip.polynomials import taylor_shift
+    from oracles import ref_semi, ref_taylor_shift
 
     rng = DetRng(5252)
     for _ in range(50):
@@ -220,12 +219,12 @@ def test_hull_scan_completeness_spot_check():
             hi = hi if hi is not None else Fraction(6)
             if lo > hi:
                 continue
-            fs = taylor_shift(f, edge.center)
-            gs = taylor_shift(g, edge.center)
+            fs = ref_taylor_shift(f, edge.center)
+            gs = ref_taylor_shift(g, edge.center)
             for k in range(per_edge + 1):
                 t = lo + (hi - lo) * Fraction(k, per_edge)
                 grid += 1
-                if _semi_frac(p, fs, t) != _semi_frac(p, gs, t):
+                if ref_semi(p, fs, t) != ref_semi(p, gs, t):
                     continue  # seminorm of the map is not 1: not a preimage
                 x = BerkPoint.disc(edge.center, t)
                 if berk_equal(p, push_forward(m, x), gauss_point()):

@@ -1,0 +1,85 @@
+"""The integer shift kernel against the Fraction reference in oracles.py.
+
+push_forward, seminorm, gpr and radial_profile read every valuation from
+integer Taylor-shift numerators with the common offset dropped; the
+reference shifts the Fraction coefficients themselves and keeps every
+offset.  Maps are random with p in {2, 3, 5, 7} and d <= 8; centers
+carry p in the numerator and in the denominator, include the poles (so
+the pushforward recenters) and points whose image leaves the unit disc
+(so it swaps charts); radii are negative, zero, positive and fractional.
+"""
+
+from fractions import Fraction
+
+from berklip.berk import BerkPoint, diam_gauss, push_forward, seminorm
+from berklip.invariants import gpr, hull
+from berklip.lipschitz import radial_profile
+from berklip.sampling import DetRng, random_rational
+from corpus import random_factored_map
+from oracles import ref_gpr_ord, ref_push_forward, ref_semi, ref_taylor_shift
+
+PRIMES = (2, 3, 5, 7)
+RADII = (Fraction(-2), Fraction(-1), Fraction(0), Fraction(1), Fraction(3, 2),
+         Fraction(-2, 3), Fraction(7, 3), Fraction(4))
+
+
+def _maps(seed: int, count: int, dmax: int = 8):
+    rng = DetRng(seed)
+    for k in range(count):
+        p = PRIMES[k % len(PRIMES)]
+        yield rng, random_factored_map(rng, p, dmax=dmax, multiplicities=True)
+
+
+def _centers(rng: DetRng, m):
+    """Zeros, poles and random rationals u * p^e with e in [-3, 3]."""
+    ff = m.factored
+    out = [pt.z for pt, _ in ff.zeros + ff.poles if not pt.is_inf]
+    out += [random_rational(rng, m.p, max_exp=3) for _ in range(3)]
+    out.append(Fraction(0))
+    return out
+
+
+def test_push_forward_and_seminorm_match_reference():
+    events: set = set()
+    seen = {"recenter": 0, "swap": 0, "p_in_den": 0, "p_in_num": 0}
+    points = 0
+    for rng, m in _maps(4242, 48):
+        p = m.p
+        f, g = m.dehomogenized()
+        for a in _centers(rng, m):
+            seen["p_in_den"] += a.denominator % p == 0
+            seen["p_in_num"] += a != 0 and a.numerator % p == 0
+            for t in RADII:
+                x = BerkPoint.disc(a, t)
+                events.clear()
+                want = ref_push_forward(m, x, events)
+                assert push_forward(m, x) == want, (m, x)
+                for e in events:
+                    seen[e] += 1
+                points += 1
+                assert seminorm(p, f, x).frac == ref_semi(p, ref_taylor_shift(f, a), t)
+                assert seminorm(p, g, x).frac == ref_semi(p, ref_taylor_shift(g, a), t)
+    assert points > 2000
+    assert all(n >= 20 for n in seen.values()), seen
+
+
+def test_gpr_matches_brute_force_reference():
+    for _, m in _maps(777, 32):
+        ff = m.factored
+        tree = hull(m.p, [pt for pt, _ in ff.zeros + ff.poles])
+        result = gpr(m)
+        assert result.ord.frac == ref_gpr_ord(m, tree.edges)
+        assert diam_gauss(m.p, result.argmin) == result.ord
+        for q in result.preimages:
+            assert ref_push_forward(m, q) == push_forward(m, q)
+
+
+def test_radial_profile_matches_reference_images():
+    for rng, m in _maps(9191, 24):
+        a = _centers(rng, m)[rng.randint(0, 3)]
+        t_min = Fraction(rng.randint(0, 4), rng.randint(1, 3))
+        profile = radial_profile(m, a, t_min)
+        for step in (0, Fraction(1, 2), 1, Fraction(7, 3), 5):
+            t = t_min + step
+            img = ref_push_forward(m, BerkPoint.disc(a, t))
+            assert profile.value_ord_at(t) == diam_gauss(m.p, img).frac, (m, a, t)

@@ -20,11 +20,31 @@ from berklip.valued import (
     ppow_term,
     ppow_add,
     ppow_mul,
+    int_val,
 )
 
 rationals = st.fractions(
     min_value=-1000, max_value=1000, max_denominator=1000
 )
+
+
+def _int_val_naive(n: int, p: int) -> int:
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5, 7, 97, 2**31 - 1]),
+    k=st.integers(0, 500),
+    u=st.integers(-(10**40), 10**40).filter(lambda u: u != 0),
+)
+def test_int_val_matches_naive_loop(p, k, u):
+    n = p**k * u
+    assert int_val(n, p) == _int_val_naive(n, p) >= k
 
 
 def test_prime_context_validates():
