@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -242,7 +243,16 @@ def run(cfg: RunConfig) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """Reports a bad command line as a parse error (exit 1, one line)
-    instead of argparse's usage dump and exit status 2."""
+    instead of argparse's usage dump and exit status 2.
+
+    A negative rational such as ``-1/3`` is read as an option value, as
+    argparse already reads ``-1`` and ``-0.5``; no option of this parser
+    looks like a negative number, so nothing is shadowed.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
 
     def error(self, message):
         raise ParseError(" ".join(message.split()))

@@ -127,6 +127,15 @@ def hull(p: int, points) -> FiniteTree:
 
     Vertices are the inputs plus all pairwise joins; each edge is radial
     with the lower vertex's classical center as witness.
+
+    The join of finite inputs z_i, z_j (i < j) is the disc D(z_i, s),
+    s = ord(z_i - z_j).  Joins are deduplicated by a key, not by comparing
+    each with every vertex: from the matrix of pairwise ords, computed
+    once, D(z_i, s) is keyed by s and the lowest index k of an input in it
+    (the lowest k with ord(z_i - z_k) >= s).  The first pair to produce a
+    disc has i = k, so a join is new exactly when no input before z_i lies
+    in it (s exceeds every ord(z_i - z_k), k < i) and s is new for this i.
+    Each disc keeps the center and the position of its first appearance.
     """
     pts: list[ProjPoint] = []
     for q in points:
@@ -136,13 +145,19 @@ def hull(p: int, points) -> FiniteTree:
         raise ValueError("hull needs at least 2 distinct points")
 
     vertices: list[BerkPoint] = [BerkPoint.classical(q) for q in pts]
-    finite = [q for q in pts if not q.is_inf]
-    for i in range(len(finite)):
-        for j in range(i + 1, len(finite)):
-            v = _vord(finite[i].z - finite[j].z, p)
-            join = BerkPoint.disc(finite[i].z, v)
-            if not any(berk_equal(p, join, w) for w in vertices):
-                vertices.append(join)
+    finite = [q.z for q in pts if not q.is_inf]
+    n = len(finite)
+    ords = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            ords[i][j] = ords[j][i] = _vord(finite[i] - finite[j], p)
+    for i, row in enumerate(ords):
+        earlier = max(row[:i], default=None)
+        radii = set()
+        for s in row[i + 1 :]:
+            if (earlier is None or s > earlier) and s not in radii:
+                radii.add(s)
+                vertices.append(BerkPoint.disc(finite[i], s))
 
     def sort_key(w: BerkPoint):
         if w.is_classical:

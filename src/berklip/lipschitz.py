@@ -12,7 +12,11 @@ Radial profiles track diam_G of the image along a ray [center, zeta] as
 an exact piecewise power of the radius; the segment Lipschitz constant is
 the maximal slope sup |k| C r^(k-1), attained at a piece endpoint.
 A deterministic sampler of classical pairs provides empirical ratio
-maxima and equality witnesses.
+maxima and equality witnesses.  The sampler skips, without evaluating the
+map, every pair whose source exponent is at most the running maximum:
+an image distance is at most 1, so a pair's ratio exponent is at most its
+source exponent, and such a pair cannot raise the maximum or move the
+witness.
 """
 
 from __future__ import annotations
@@ -287,7 +291,13 @@ def segment_lip(profile: RadialProfile) -> PPowerSum:
 
 def _sph_pair_ord(p: int, un: int, ud: int, vn: int, vd: int):
     """Spherical distance exponent for projective integer pairs (num, den);
-    a zero denominator encodes infinity.  None means equal points."""
+    a zero denominator encodes infinity.  None means equal points.
+
+    The result is never negative (spherical distances are at most 1):
+    for two finite points, v(un vd - vn ud) >= min(v un, v ud) +
+    min(v vn, v vd), which is exactly what is subtracted; the infinity
+    branch returns 0 or -v > 0.  The sampler's skip rests on this.
+    """
     if ud == 0 and vd == 0:
         return None
     if ud == 0 or vd == 0:
@@ -330,10 +340,15 @@ def _pair_pool(p: int, n: int, seed: int):
 def sample_ratios(m: RationalMap, n: int, seed: int, lip_ord=None):
     """Max of dist(phi x, phi y)/dist(x, y) over n sampled distinct pairs.
 
-    Returns (max ratio as a one-term sum, maximizing pair of points).  The
-    loop runs on unreduced integer pairs for speed.  When the exact
-    Lipschitz exponent is known (``lip_ord``, or computable from a
-    factored form) the maximum is asserted to stay within it.
+    Returns (max ratio as a one-term sum, maximizing pair of points: the
+    first in pool order to reach the maximum).  The loop runs on unreduced
+    integer pairs for speed.  A pair whose source exponent is at most the
+    running maximum exponent is skipped unevaluated: its image exponent is
+    >= 0 (see ``_sph_pair_ord``), so its ratio exponent is at most its
+    source exponent, and the maximum only moves on a strict increase.  The
+    maximum and the witness are therefore those of the unpruned loop.
+    When the exact Lipschitz exponent is known (``lip_ord``, or computable
+    from a factored form) the maximum is asserted to stay within it.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -345,6 +360,8 @@ def sample_ratios(m: RationalMap, n: int, seed: int, lip_ord=None):
     max_e = None
     best_pair = None
     for xn, xd, yn, yd, s_src in _pair_pool(p, n, seed):
+        if max_e is not None and s_src <= max_e:
+            continue
         ax = bx = ay = by = 0
         xpow = ypow = 1
         # hom eval: sum c_i num^i den^(d-i), Horner in num with den powers

@@ -1,7 +1,9 @@
-"""Independent references for the exact pushforward and the gpr scan.
+"""Independent references for the exact pushforward, the gpr scan, the
+ratio sampler and the hull.
 
-The first part is a brute-force oracle; the last section is a Fraction
-reference for the integer shift kernel (see there).
+The first part is a brute-force oracle; the next section is a Fraction
+reference for the integer shift kernel (see there), and the last holds
+unoptimized forms of the sampler and the hull.
 
 Its reconstruction uses only classical evaluation, exact valuations and
 disc joins; it never touches Taylor shifts, seminorm envelopes, or the
@@ -31,9 +33,10 @@ import math
 from fractions import Fraction
 
 from berklip.berk import BerkPoint, berk_equal, gauss_point, iota
-from berklip.projective import ProjPoint, _vord
+from berklip.projective import ProjPoint, _vord, spherical_ord
 from berklip.ratmap import RationalMap, eval_proj
 from berklip.sampling import DetRng, random_unit_fraction
+from berklip.valued import PPOW_ZERO, ppow_term
 
 SAMPLES = 200
 
@@ -283,3 +286,85 @@ def ref_gpr_ord(m: RationalMap, edges) -> Fraction:
                 if best is None or s > best:
                     best = s
     return best
+
+
+# ---------------------------------------------------------------------------
+# unoptimized sampler and hull
+# ---------------------------------------------------------------------------
+
+
+def ref_sample_ratios(m: RationalMap, n: int, seed: int):
+    """The sampler's (max ratio, witness pair) by the unpruned loop.
+
+    Every pooled pair is evaluated, with Fraction points, ``eval_proj`` and
+    ``spherical_ord`` in place of the sampler's integer Horner evaluation
+    and ``_sph_pair_ord``.  The witness is the first pair in pool order to
+    reach the maximum.
+    """
+    from berklip.lipschitz import _pair_pool
+
+    p = m.p
+    best = None
+    for xn, xd, yn, yd, _ in _pair_pool(p, n, seed):
+        x, y = ProjPoint.of(Fraction(xn, xd)), ProjPoint.of(Fraction(yn, yd))
+        s_img = spherical_ord(p, eval_proj(m, x), eval_proj(m, y))
+        if s_img.is_inf:
+            continue
+        e = spherical_ord(p, x, y).frac - s_img.frac
+        if best is None or e > best[0]:
+            best = (e, (x, y))
+    if best is None:
+        return PPOW_ZERO, None
+    return ppow_term(p, 1, best[0]), best[1]
+
+
+def ref_hull(p: int, points):
+    """The hull with every pairwise join compared against every vertex
+    through ``berk_equal`` (O(n^3)), and each vertex's parent searched
+    among all vertices."""
+    from berklip.invariants import FiniteTree, TreeEdge
+
+    pts: list[ProjPoint] = []
+    for q in points:
+        if q not in pts:
+            pts.append(q)
+    vertices = [BerkPoint.classical(q) for q in pts]
+    finite = [q for q in pts if not q.is_inf]
+    for i in range(len(finite)):
+        for j in range(i + 1, len(finite)):
+            join = BerkPoint.disc(finite[i].z, _vord(finite[i].z - finite[j].z, p))
+            if not any(berk_equal(p, join, w) for w in vertices):
+                vertices.append(join)
+
+    def below(x: BerkPoint, y: BerkPoint) -> bool:
+        if y.is_classical:
+            return y.pt.is_inf or berk_equal(p, x, y)
+        if x.is_classical:
+            if x.pt.is_inf:
+                return False
+            v = _vord(x.pt.z - y.center, p)
+        else:
+            if x.radius_ord < y.radius_ord:
+                return False
+            v = _vord(x.center - y.center, p)
+        return v is None or v >= y.radius_ord
+
+    def sort_key(w: BerkPoint):
+        if w.is_classical:
+            return (0 if w.pt.is_inf else 2, Fraction(0))
+        return (1, w.radius_ord)
+
+    ordered = sorted(vertices, key=sort_key, reverse=True)
+    edges = []
+    for v in ordered:
+        if v.is_classical and v.pt.is_inf:
+            continue
+        parent = None
+        for u in ordered:
+            if u is v or not below(v, u) or berk_equal(p, v, u):
+                continue
+            if parent is None or below(u, parent):
+                parent = u
+        if parent is not None:
+            edges.append(TreeEdge(v, parent, v.pt.z if v.is_classical else v.center))
+    return FiniteTree(tuple(ordered), tuple(edges))

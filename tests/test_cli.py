@@ -148,11 +148,13 @@ def test_bad_option_values_are_parse_errors(tmp_path, capsys):
     missing = str(tmp_path / "missing.json")
     cases = [
         (["profile", "--tmin", "-1"], "--tmin must be >= 0"),
+        (["profile", "--tmin", "-1/3"], "--tmin must be >= 0"),
         (["profile", "--center", "1/0"], "--center: bad rational"),
         (["sample", "--n", "0"], "--n must be >= 1 for sample"),
         (["verify", "--n", "0"], "--n must be >= 1 for verify"),
         (["bounds", "--n", "-5"], "--n must be >= 0 for bounds"),
         (["bounds", "--b0-ord", "-1"], "--b0-ord must be >= 0"),
+        (["bounds", "--b0-ord", "-1/2"], "--b0-ord must be >= 0"),
         (["bounds", "--b0-ord", "x"], "--b0-ord: bad rational"),
     ]
     for args, expected in cases:
@@ -280,3 +282,14 @@ def test_verify_computes_gpr_once(count_calls, capsys):
         code, out = run_cli(capsys, "verify", "--input", str(FIXTURES / name), "--n", "50")
         assert code == 0 and "FAIL" not in out
         assert len(calls) == 1, name
+
+
+def test_negative_rational_option_value(capsys):
+    """A negative rational is read as an option value whether it follows
+    the option as its own word or after "=" (negative --tmin and --b0-ord
+    values fail their own checks, in test_bad_option_values_are_parse_errors)."""
+    fixture = str(FIXTURES / "coeffs_only_p3.json")
+    spaced = run_cli(capsys, "profile", "--input", fixture, "--center", "-1/3")
+    joined = run_cli(capsys, "profile", "--input", fixture, "--center=-1/3")
+    assert spaced == joined
+    assert spaced[0] == 0 and json.loads(spaced[1])["center"] == "-1/3"

@@ -9,9 +9,10 @@ from berklip.errors import FactoredFormRequiredError
 from berklip.invariants import bundle, gpr, hull, rp_ord
 from berklip.projective import INF_POINT, ProjPoint
 from berklip.ratmap import from_coeffs, from_factored
-from berklip.sampling import DetRng
+from berklip.sampling import DetRng, random_rational
 from berklip.valued import Ord
 from corpus import random_factored_map
+from oracles import ref_hull
 
 
 def pt(x):
@@ -67,6 +68,26 @@ def test_hull_two_points():
     assert len(tree.edges) == 1
     with pytest.raises(ValueError):
         hull(p, [pt(0)])
+
+
+def test_hull_matches_reference():
+    """The keyed join dedupe gives the reference's tree, vertex and edge
+    order included, on scattered and clustered sets with and without
+    infinity."""
+    rng = DetRng(808)
+    for k in range(40):
+        p = [2, 3, 5, 7][k % 4]
+        n = 60 if k < 8 else rng.randint(2, 60)
+        pts = [INF_POINT] if k % 3 == 0 else []
+        base = random_rational(rng, p)
+        while len(pts) < n:
+            if k % 2:  # clustered: many points share each disc
+                z = base + Fraction(p) ** rng.randint(0, 6) * rng.randint(0, 50)
+            else:
+                z = random_rational(rng, p)
+            if pt(z) not in pts:
+                pts.append(pt(z))
+        assert hull(p, pts) == ref_hull(p, pts), k
 
 
 def test_gpr_worked_example():

@@ -3,10 +3,15 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from berklip.berk import BerkPoint, diam_gauss, push_forward
+from berklip.errors import DegenerateMapError
 from berklip.invariants import gpr, rp_ord
 from berklip.lipschitz import (
+    _pair_pool,
+    _sph_pair_ord,
     bound_report,
     gpr_witness,
     invariant_bound,
@@ -28,6 +33,7 @@ from berklip.ratmap import (
 from berklip.sampling import DetRng, random_rational
 from berklip.valued import Ord, ppow_compare, ppow_term
 from corpus import random_factored_map, random_mobius
+from oracles import ref_sample_ratios
 
 
 def pt(x):
@@ -222,6 +228,81 @@ def test_sample_ratios_examples():
     zd = from_factored(p, 1, [(pt(0), 3)], [(INF_POINT, 3)])
     s, _ = sample_ratios(zd, 500, 3)
     assert ppow_compare(p, s, ppow_term(p, 1, 0)) <= 0
+
+
+def _random_coeff_map(rng, p, dmax):
+    """A coefficient-only map of degree <= dmax, some coefficients zero."""
+    while True:
+        d = rng.randint(1, dmax)
+        f = [random_rational(rng, p) if rng.randint(0, 3) else 0 for _ in range(d + 1)]
+        g = [random_rational(rng, p) if rng.randint(0, 3) else 0 for _ in range(d + 1)]
+        try:
+            return from_coeffs(p, f, g)
+        except DegenerateMapError:
+            continue
+
+
+def test_sample_ratios_matches_unpruned_reference():
+    """The skip of pairs that cannot win keeps the maximum and the witness
+    of the unpruned loop, on factored and coefficient-only maps."""
+    rng = DetRng(4321)
+    for k in range(16):
+        p = [2, 3, 5, 7][k % 4]
+        if k % 8 >= 4:
+            m = _random_coeff_map(rng, p, 8)
+        else:
+            m = random_factored_map(rng, p, dmax=8)
+        for n in (1, 7, 1000):
+            seed = rng.randint(0, 10**6)
+            assert sample_ratios(m, n, seed) == ref_sample_ratios(m, n, seed), (k, n)
+
+
+@st.composite
+def _int_point(draw, p):
+    """A nonzero integer pair (num, den); den = 0 encodes infinity."""
+    part = st.builds(lambda u, k: u * p**k, st.integers(-40, 40), st.integers(0, 12))
+    return draw(st.tuples(part, part).filter(lambda nd: nd != (0, 0)))
+
+
+def _proj(nd):
+    n, d = nd
+    return INF_POINT if d == 0 else ProjPoint.of(Fraction(n, d))
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(data=st.data())
+def test_sph_pair_ord_is_nonnegative(data):
+    """Spherical distances are at most 1: the exponent is None (equal
+    points) or >= 0, and it is that of the reduced points."""
+    p = data.draw(st.sampled_from([2, 3, 5, 7]))
+    (un, ud), (vn, vd) = data.draw(_int_point(p)), data.draw(_int_point(p))
+    s = _sph_pair_ord(p, un, ud, vn, vd)
+    assert s is None or s >= 0
+    ref = spherical_ord(p, _proj((un, ud)), _proj((vn, vd)))
+    assert (s is None) == ref.is_inf
+    assert s is None or s == ref.frac
+
+
+def test_sample_ratios_skips_pairs_that_cannot_win(count_calls):
+    """A pair is evaluated only while its source exponent exceeds the
+    running maximum: for z^2 the maximum reaches 0 at once, after which
+    the pool's pairs at distance 1 (about two thirds) are skipped."""
+    p, n, seed = 3, 1000, 5
+    m = from_factored(p, 1, [(pt(0), 2)], [(INF_POINT, 2)])
+    pool = _pair_pool(p, n, seed)  # built before counting
+    expected, run_max = 0, None
+    for xn, xd, yn, yd, s_src in pool:
+        if run_max is None or s_src > run_max:
+            expected += 1
+        x, y = ProjPoint.of(Fraction(xn, xd)), ProjPoint.of(Fraction(yn, yd))
+        s_img = spherical_ord(p, eval_proj(m, x), eval_proj(m, y))
+        if not s_img.is_inf:
+            e = s_src - s_img.frac
+            run_max = e if run_max is None else max(run_max, e)
+    calls = count_calls(_sph_pair_ord)
+    got = sample_ratios(m, n, seed, lip_ord=Fraction(0))
+    assert got == ref_sample_ratios(m, n, seed)
+    assert len(calls) == expected < n // 2
 
 
 def test_gpr_witness_examples():
