@@ -239,7 +239,15 @@ def join_gauss(p: int, x: BerkPoint, y: BerkPoint) -> BerkPoint:
 
 
 def d_metric(p: int, x: BerkPoint, y: BerkPoint) -> PPowerSum:
-    """Path-distance metric 2*diam_G(join) - diam_G(x) - diam_G(y), exact."""
+    """Path-distance metric 2*diam_G(join) - diam_G(x) - diam_G(y), exact.
+
+    Supported domain: pairs whose finite diam_G exponents (of x, y and
+    their join toward the Gauss point) differ by integers, for instance
+    any two points of integer radius exponent.  Only then is the distance
+    a sum of p-powers with positive coefficients: 1 - 3^(-1/2), the
+    distance from zeta_{0, 3^(-1/2)} to the Gauss point, is not.  Other
+    pairs raise ValueError.
+    """
     j = join_gauss(p, x, y)
     sj = diam_gauss(p, j)
     terms = []
@@ -247,6 +255,12 @@ def d_metric(p: int, x: BerkPoint, y: BerkPoint) -> PPowerSum:
         terms.append((Fraction(2), -sj.frac))
     for s in (diam_gauss(p, x), diam_gauss(p, y)):
         if not s.is_inf:
+            if (s.frac - sj.frac).denominator != 1:
+                raise ValueError(
+                    "d_metric: the diameter exponents of the points and their "
+                    "join differ by a non-integer, so the distance is no "
+                    "p-power sum with positive coefficients"
+                )
             terms.append((Fraction(-1), -s.frac))
     return ppow_normalize(p, terms)
 

@@ -2,7 +2,8 @@
 
 * rp_ord    -- smallest spherical distance between a zero and a pole.
 * hull      -- the convex hull (Steiner tree) of finitely many classical
-               points inside the Berkovich line.
+               points inside the Berkovich line, read from the matrix of
+               their pairwise ords.
 * gpr       -- the Gauss preimage radius: the minimum diameter among the
                preimages of the Gauss point, found by an exact edge scan
                of the zero/pole hull.
@@ -14,9 +15,11 @@ off the hull all zeros and poles sit in a single direction, while a point
 mapping onto the Gauss point must separate a zero-direction from a
 pole-direction.  On a hull edge with center a, a disc point zeta_{a, t}
 maps to the Gauss point iff the seminorm of phi - w is exactly 1 for w = 0
-and for every unit residue candidate w; both conditions are piecewise
-linear in t, so the solution set is computed exactly and each distinct
-solution is re-verified through the pushforward.
+and for every unit residue candidate w, that is, iff the envelopes of
+f - w g and of g agree at t.  Each condition holds on an exact union of
+intervals (an equality set of two piecewise-linear envelopes), the
+solution set is their intersection, and each distinct solution is
+re-verified through the pushforward.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .berk import (
     _diam_gauss_frac,
 )
 from .errors import InternalInvariantError
-from .piecewise import PWLinear, lower_envelope
+from .piecewise import intersect_intervals, lower_envelope
 from .projective import ProjPoint, _vord, spherical_ord
 from .ratmap import RationalMap, _int_coeff_pair, gir_minors, normalize, resultant_ord
 from .valued import Ord
@@ -106,20 +109,21 @@ class FiniteTree:
     edges: tuple[TreeEdge, ...]
 
 
-def _below(p: int, x: BerkPoint, y: BerkPoint) -> bool:
-    """Whether x lies weakly below y in the order toward infinity
-    (the disc of x is contained in the disc of y)."""
-    if y.is_classical:
-        return y.pt.is_inf or berk_equal(p, x, y)
-    if x.is_classical:
-        if x.pt.is_inf:
-            return False
-        v = _vord(x.pt.z - y.center, p)
-        return v is None or v >= y.radius_ord
-    if x.radius_ord < y.radius_ord:
-        return False
-    v = _vord(x.center - y.center, p)
-    return v is None or v >= y.radius_ord
+def _levels(row: list, i: int) -> list[tuple[int, int]]:
+    """The discs D(z_i, s) for the distinct finite s in row i of the ord
+    matrix, smallest first, each keyed (s, lowest index k of an input in
+    it: the lowest k with ord(z_i - z_k) >= s, i itself included)."""
+    out = []
+    low = i
+    # descending s, so the discs and their index sets grow
+    for s, k in sorted(((s, k) for k, s in enumerate(row) if k != i), reverse=True):
+        low = min(low, k)
+        if out and out[-1][0] == s:
+            out[-1] = (s, low)
+        else:
+            out.append((s, low))
+    out.reverse()
+    return out
 
 
 def hull(p: int, points) -> FiniteTree:
@@ -128,14 +132,19 @@ def hull(p: int, points) -> FiniteTree:
     Vertices are the inputs plus all pairwise joins; each edge is radial
     with the lower vertex's classical center as witness.
 
-    The join of finite inputs z_i, z_j (i < j) is the disc D(z_i, s),
-    s = ord(z_i - z_j).  Joins are deduplicated by a key, not by comparing
-    each with every vertex: from the matrix of pairwise ords, computed
-    once, D(z_i, s) is keyed by s and the lowest index k of an input in it
-    (the lowest k with ord(z_i - z_k) >= s).  The first pair to produce a
-    disc has i = k, so a join is new exactly when no input before z_i lies
-    in it (s exceeds every ord(z_i - z_k), k < i) and s is new for this i.
-    Each disc keeps the center and the position of its first appearance.
+    Everything is read from the matrix of pairwise ords of the finite
+    inputs, computed once.  The join of z_i, z_j is the disc D(z_i, s),
+    s = ord(z_i - z_j), keyed by s and the lowest index k of an input in
+    it (the lowest k with ord(z_i - z_k) >= s); the first pair to produce a
+    disc has i = k, and the disc keeps that center.  The discs containing
+    z_i are those for the distinct values of row i, nested by size, so
+    (as for an ultrametric tree built from its distance matrix) the parent
+    of z_i is the disc at the row maximum, the parent of D(z_i, s) is the
+    disc at the next smaller value s' of row i, and the disc at the row
+    minimum contains every finite input: its parent is infinity when
+    infinity is an input, and otherwise it is the root.  Vertices are
+    ordered deepest first (finite inputs, discs by descending radius
+    exponent, infinity), ties in input order; edges follow that order.
     """
     pts: list[ProjPoint] = []
     for q in points:
@@ -144,46 +153,47 @@ def hull(p: int, points) -> FiniteTree:
     if len(pts) < 2:
         raise ValueError("hull needs at least 2 distinct points")
 
-    vertices: list[BerkPoint] = [BerkPoint.classical(q) for q in pts]
     finite = [q.z for q in pts if not q.is_inf]
     n = len(finite)
     ords = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             ords[i][j] = ords[j][i] = _vord(finite[i] - finite[j], p)
-    for i, row in enumerate(ords):
-        earlier = max(row[:i], default=None)
-        radii = set()
-        for s in row[i + 1 :]:
-            if (earlier is None or s > earlier) and s not in radii:
-                radii.add(s)
-                vertices.append(BerkPoint.disc(finite[i], s))
+    infinity = next((BerkPoint.classical(q) for q in pts if q.is_inf), None)
+    levels = [_levels(row, i) for i, row in enumerate(ords)]
+    # (vertex, parent, center): inputs in input order, then the discs by
+    # creating row; a parent disc is keyed by a lower or the same row, at
+    # a smaller s, so it is created first
+    linked: list[tuple[BerkPoint, BerkPoint | None, Fraction | None]] = []
+    discs: dict[tuple[int, int], BerkPoint] = {}
+    for i, keys in enumerate(levels):
+        for at, key in enumerate(keys):
+            if key[1] == i:
+                discs[key] = BerkPoint.disc(finite[i], key[0])
+                parent = discs[keys[at - 1]] if at > 0 else infinity
+                linked.append((discs[key], parent, finite[i]))
+    inputs = []
+    rows = iter(levels)
+    for q in pts:
+        if q.is_inf:
+            inputs.append((infinity, None, None))
+        else:
+            keys = next(rows)  # z_i lies in every disc of row i
+            inputs.append((BerkPoint.classical(q), discs[keys[-1]] if keys else infinity, q.z))
+    linked = inputs + linked
 
-    def sort_key(w: BerkPoint):
+    def sort_key(item):
+        w = item[0]
         if w.is_classical:
             return (2, Fraction(0)) if not w.pt.is_inf else (0, Fraction(0))
         return (1, w.radius_ord)
 
     # deepest first: classical finite points, then discs by descending t
-    ordered = sorted(vertices, key=sort_key, reverse=True)
-    edges: list[TreeEdge] = []
-    for v in ordered:
-        if v.is_classical and v.pt.is_inf:
-            continue
-        parent = None
-        for u in ordered:
-            if u is v or not _below(p, v, u) or berk_equal(p, v, u):
-                continue
-            if parent is None or _below(p, u, parent):
-                parent = u
-        if parent is None:
-            continue  # the root vertex
-        center = v.pt.z if v.is_classical else v.center
-        edges.append(TreeEdge(v, parent, center))
-    roots = len(vertices) - len(edges)
-    if roots != 1:
+    linked.sort(key=sort_key, reverse=True)
+    edges = tuple(TreeEdge(v, u, c) for v, u, c in linked if u is not None)
+    if len(linked) - len(edges) != 1:
         raise InternalInvariantError("hull is not a single tree")
-    return FiniteTree(tuple(ordered), tuple(edges))
+    return FiniteTree(tuple(v for v, _, _ in linked), edges)
 
 
 # ---------------------------------------------------------------------------
@@ -204,19 +214,24 @@ def _gauss_fiber_zero_set(sh: Shift, lo, hi):
 
     The point maps to the Gauss point iff ord|phi - w| = 0 for w = 0 and
     for every unit-residue candidate w (a sub-unit image diameter forces
-    cancellation against one of them), so the zero set of
-    max_w |ord(phi - w)| is exactly the fiber restricted to the edge.
+    cancellation against one of them), so the fiber restricted to the edge
+    is the zero set of max_w |ord(phi - w)|.  That is exactly the
+    intersection over w of the zero sets of ord(phi - w) = ord(f - w g) -
+    ord(g), i.e. of the equality sets of the two envelopes; the
+    intersection is taken candidate by candidate and the scan stops as
+    soon as it is empty.
     """
     sg = lower_envelope(sh.g_lines(), lo, hi)
-    total: PWLinear | None = None
+    fiber = None
     for w in sh.unit_residue_lifts():
         lines = sh.diff_lines(w)
         if not lines:
             raise InternalInvariantError("map degenerated to a constant")
-        e = lower_envelope(lines, lo, hi) - sg
-        abs_e = e.max_with(-e)
-        total = abs_e if total is None else total.max_with(abs_e)
-    return total.zero_set()
+        agree = lower_envelope(lines, lo, hi).equal_set(sg)
+        fiber = agree if fiber is None else intersect_intervals(fiber, agree)
+        if not fiber:
+            break
+    return fiber
 
 
 def gpr(m: RationalMap, hull_points=None) -> GprResult:

@@ -4,11 +4,13 @@ Seminorms of shifted polynomials along a radial path are lower envelopes of
 lines t -> ord(c_i) + i*t, and every quantity derived from them (image
 diameters, chart-swap indicators, diameter profiles) stays piecewise linear
 with rational breakpoints.  This module provides that calculus: envelopes
-of line families, pointwise min/max/sum of two functions, sign partitions
-and exact zero sets.  The envelope takes integer lines (integer slopes i,
-integer intercepts: valuations of integer numerators) and builds its hull
-in integers; the functions it returns, and all arithmetic on them, are
-Fraction-exact.
+of line families, pointwise min/max/sum of two functions, sign partitions,
+and exact equality sets of two functions (by one merge walk over their
+pieces, without forming the difference) with the intersection of such
+interval lists.  The envelope takes integer lines (integer slopes i,
+integer intercepts: valuations of integer numerators), builds its hull and
+clips it to the domain in integers; the functions it returns, and all
+arithmetic on them, are Fraction-exact.
 
 Domains are intervals [lo, hi] where either end may be None (unbounded).
 A function is stored as contiguous pieces (start, slope, intercept); piece
@@ -21,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-__all__ = ["PWLinear", "lower_envelope"]
+__all__ = ["PWLinear", "lower_envelope", "intersect_intervals"]
 
 _Bound = Fraction | None
 
@@ -89,26 +91,6 @@ class PWLinear:
             merged.append((start, k, c))
         return PWLinear(self.lo, self.hi, tuple(merged))
 
-    def restrict(self, lo: _Bound, hi: _Bound) -> "PWLinear":
-        """Restrict the domain; the new interval must lie inside the old."""
-        pieces = []
-        for start, end, k, c in self.spans():
-            s = start
-            if lo is not None and (s is None or s < lo):
-                s = lo
-            e = end
-            if hi is not None and (e is None or e > hi):
-                e = hi
-            if s is not None and e is not None and s >= e:
-                continue
-            pieces.append((s, k, c))
-        if not pieces:
-            # interval collapsed onto a single point
-            at = lo if lo is not None else hi
-            k, c = self._line_at(at)
-            pieces = [(lo, k, c)]
-        return PWLinear(lo, hi, tuple(pieces)).simplified()
-
     # -- arithmetic ---------------------------------------------------------
 
     def _aligned(self, other: "PWLinear"):
@@ -166,9 +148,6 @@ class PWLinear:
     def __sub__(self, other: "PWLinear") -> "PWLinear":
         return self._binary(other, "sub")
 
-    def __neg__(self) -> "PWLinear":
-        return PWLinear(self.lo, self.hi, tuple((s, -k, -c) for s, k, c in self.pieces))
-
     def min_with(self, other: "PWLinear") -> "PWLinear":
         return self._binary(other, "min")
 
@@ -177,34 +156,55 @@ class PWLinear:
 
     # -- root structure ------------------------------------------------------
 
-    def zero_set(self) -> list[tuple[_Bound, _Bound]]:
-        """Closed intervals (possibly degenerate) where the function is 0.
+    def equal_set(self, other: "PWLinear") -> list[tuple[_Bound, _Bound]]:
+        """Closed maximal intervals (possibly degenerate) of the domain
+        where the function equals ``other``, in ascending order.
 
-        An unbounded interval of zeros is reported with a None end.
+        One merge walk over both piece lists: on each stretch between
+        consecutive breakpoints of either function both are single lines,
+        which agree on the whole stretch, at one point, or nowhere.  An
+        unbounded interval of agreement is reported with a None end.
         """
+        if self.lo != other.lo or self.hi != other.hi:
+            raise ValueError("domain mismatch")
+        a, b = self.pieces, other.pieces
+        i = j = 0
+        start = self.lo
         raw: list[tuple[_Bound, _Bound]] = []
-        for start, end, k, c in self.spans():
-            if k == 0:
-                if c == 0:
+        while True:
+            # the pieces in force on [start, end]: the last ones starting
+            # at or before start, as in _line_at
+            if start is not None:
+                while i + 1 < len(a) and a[i + 1][0] <= start:
+                    i += 1
+                while j + 1 < len(b) and b[j + 1][0] <= start:
+                    j += 1
+            end_a = a[i + 1][0] if i + 1 < len(a) else self.hi
+            end_b = b[j + 1][0] if j + 1 < len(b) else self.hi
+            end = end_a if end_b is None or (end_a is not None and end_a <= end_b) else end_b
+            _, k1, c1 = a[i]
+            _, k2, c2 = b[j]
+            if k1 == k2:
+                if c1 == c2:
                     raw.append((start, end))
-                continue
-            root = -c / k
-            lo_ok = start is None or start <= root
-            hi_ok = end is None or root <= end
-            if lo_ok and hi_ok:
-                raw.append((root, root))
-        # raw is already ordered: spans are ascending, one entry per span
+            else:
+                root = (c2 - c1) / (k1 - k2)
+                if (start is None or start <= root) and (end is None or root <= end):
+                    raw.append((root, root))
+            if i + 1 == len(a) and j + 1 == len(b):
+                break
+            start = end
+        # raw is ascending, one entry per stretch; join the touching ones
         merged: list[list[_Bound]] = []
-        for a, b in raw:
+        for s, e in raw:
             if merged:
-                pa, pb = merged[-1]
-                touches = pb is None or a is None or a <= pb
-                if touches:
-                    if pb is not None and (b is None or b > pb):
-                        merged[-1][1] = b
+                pe = merged[-1][1]
+                if pe is None or s is None or s <= pe:
+                    if pe is not None and (e is None or e > pe):
+                        merged[-1][1] = e
                     continue
-            merged.append([a, b])
-        return [(a, b) for a, b in merged]
+            merged.append([s, e])
+        return [(s, e) for s, e in merged]
 
     def negative_regions(self) -> list[tuple[_Bound, _Bound]]:
         """Maximal open-ish subintervals where the function is < 0.
@@ -240,8 +240,9 @@ def lower_envelope(lines, lo: _Bound, hi: _Bound) -> PWLinear:
     """Pointwise minimum of a finite family of integer lines (slope,
     intercept), restricted to [lo, hi].
 
-    The hull test runs in integers; only the emitted pieces are Fractions,
-    so that crossings of later sums and differences stay exact.
+    The hull and its clipping to [lo, hi] run in integers; only the pieces
+    in force on [lo, hi] are emitted, as Fractions, so that crossings of
+    later sums and differences stay exact.
     """
     best: dict[int, int] = {}
     for k, c in lines:
@@ -261,10 +262,44 @@ def lower_envelope(lines, lo: _Bound, hi: _Bound) -> PWLinear:
             else:
                 break
         hull.append((k, c))
+    # hull[i] is in force from the crossing with hull[i-1] to the crossing
+    # with hull[i+1], (c' - c)/(k - k') with k > k'; clip in integers to
+    # the lines in force on [lo, hi], taking the later line at a crossing
+    # that equals lo (as _line_at does)
+    i = 0
+    if lo is not None:
+        ln, ld = lo.numerator, lo.denominator
+        while i + 1 < len(hull):
+            (k1, c1), (k2, c2) = hull[i], hull[i + 1]
+            if (c2 - c1) * ld > ln * (k1 - k2):
+                break
+            i += 1
     pieces: list[tuple[_Bound, Fraction, Fraction]] = [
-        (None, Fraction(hull[0][0]), Fraction(hull[0][1]))
+        (lo, Fraction(hull[i][0]), Fraction(hull[i][1]))
     ]
-    for (k1, c1), (k2, c2) in zip(hull, hull[1:]):
+    if hi is not None:
+        hn, hd = hi.numerator, hi.denominator
+    for (k1, c1), (k2, c2) in zip(hull[i:], hull[i + 1 :]):
+        if hi is not None and (c2 - c1) * hd >= hn * (k1 - k2):
+            break
         pieces.append((Fraction(c2 - c1, k1 - k2), Fraction(k2), Fraction(c2)))
-    full = PWLinear(None, None, tuple(pieces))
-    return full.restrict(lo, hi)
+    return PWLinear(lo, hi, tuple(pieces))
+
+
+def intersect_intervals(xs, ys) -> list[tuple[_Bound, _Bound]]:
+    """Intersection of two ascending lists of disjoint closed intervals
+    (a, b), a None end meaning unbounded; the result is of the same form."""
+    out: list[tuple[_Bound, _Bound]] = []
+    i = j = 0
+    while i < len(xs) and j < len(ys):
+        (a1, b1), (a2, b2) = xs[i], ys[j]
+        a = a1 if a2 is None or (a1 is not None and a1 >= a2) else a2
+        x_first = b1 is not None and (b2 is None or b1 <= b2)
+        b = b1 if x_first else b2
+        if a is None or b is None or a <= b:
+            out.append((a, b))
+        if x_first:
+            i += 1
+        else:
+            j += 1
+    return out

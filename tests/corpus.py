@@ -76,3 +76,15 @@ def random_unimodular(rng: DetRng, size: int = 3):
         else:
             a, b, c, d = c, d, a, b
     return ((Fraction(a), Fraction(b)), (Fraction(c), Fraction(d)))
+
+
+def random_ladder_map(rng: DetRng, p: int, d: int) -> RationalMap:
+    """A degree-d map with d distinct finite zeros and d distinct finite
+    poles, as on the benchmark's degree ladder."""
+    pool: list[ProjPoint] = []
+    while len(pool) < 2 * d:
+        pt = ProjPoint.of(random_rational(rng, p))
+        if pt not in pool:
+            pool.append(pt)
+    c = random_rational(rng, p)
+    return from_factored(p, c, [(pt, 1) for pt in pool[:d]], [(pt, 1) for pt in pool[d:]])

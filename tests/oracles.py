@@ -368,3 +368,81 @@ def ref_hull(p: int, points):
         if parent is not None:
             edges.append(TreeEdge(v, parent, v.pt.z if v.is_classical else v.center))
     return FiniteTree(tuple(ordered), tuple(edges))
+
+
+# ---------------------------------------------------------------------------
+# envelopes and the Gauss fiber by PWLinear arithmetic
+# ---------------------------------------------------------------------------
+
+
+def ref_lower_envelope(lines, lo, hi):
+    """The lower envelope of integer lines as the full hull on the whole
+    line, then restricted to [lo, hi] span by span (an interval collapsed
+    onto one point takes the line in force there, the later one at a
+    breakpoint)."""
+    from berklip.piecewise import PWLinear
+
+    best: dict[int, int] = {}
+    for k, c in lines:
+        best[k] = min(c, best.get(k, c))
+    hull: list[tuple[Fraction, Fraction]] = []
+    for k, c in sorted(best.items(), reverse=True):
+        k, c = Fraction(k), Fraction(c)
+        # drop lines that the new one undercuts before they become minimal
+        while len(hull) >= 2:
+            (k1, c1), (k2, c2) = hull[-2], hull[-1]
+            if (c - c1) / (k1 - k) <= (c2 - c1) / (k1 - k2):
+                hull.pop()
+            else:
+                break
+        hull.append((k, c))
+    starts = [None] + [(c2 - c1) / (k1 - k2) for (k1, c1), (k2, c2) in zip(hull, hull[1:])]
+    ends = starts[1:] + [None]
+    pieces = []
+    for start, end, (k, c) in zip(starts, ends, hull):
+        s = lo if lo is not None and (start is None or start < lo) else start
+        e = hi if hi is not None and (end is None or end > hi) else end
+        if s is not None and e is not None and s >= e:
+            continue
+        pieces.append((s, k, c))
+    if not pieces:
+        at = lo if lo is not None else hi
+        k, c = hull[max(i for i, s in enumerate(starts) if s is None or s <= at)]
+        pieces = [(lo, k, c)]
+    return PWLinear(lo, hi, tuple(pieces)).simplified()
+
+
+def ref_zero_set(f):
+    """Maximal closed intervals where a PWLinear vanishes, span by span: a
+    zero span whole, a root of a sloped span when it lies in the closed
+    span; touching intervals are then joined."""
+    raw = []
+    for start, end, k, c in f.spans():
+        if k == 0:
+            if c == 0:
+                raw.append((start, end))
+        else:
+            root = -c / k
+            if (start is None or start <= root) and (end is None or root <= end):
+                raw.append((root, root))
+    merged: list[list] = []
+    for a, b in raw:
+        if merged and (merged[-1][1] is None or a is None or a <= merged[-1][1]):
+            if merged[-1][1] is not None and (b is None or b > merged[-1][1]):
+                merged[-1][1] = b
+            continue
+        merged.append([a, b])
+    return [(a, b) for a, b in merged]
+
+
+def ref_gauss_fiber_zero_set(sh, lo, hi):
+    """The Gauss fiber on an edge as one zero set of max_w |e_w|, where
+    e_w = env(f - w g) - env(g) over the residue candidates w, built by
+    PWLinear subtraction and max."""
+    sg = ref_lower_envelope(sh.g_lines(), lo, hi)
+    total = None
+    for w in sh.unit_residue_lifts():
+        env = ref_lower_envelope(sh.diff_lines(w), lo, hi)
+        abs_e = (env - sg).max_with(sg - env)
+        total = abs_e if total is None else total.max_with(abs_e)
+    return ref_zero_set(total)

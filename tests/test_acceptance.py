@@ -12,7 +12,15 @@ from pathlib import Path
 
 import pytest
 
-from berklip.berk import BerkPoint, berk_equal, diam_gauss, gauss_point, push_forward
+from berklip.berk import (
+    BerkPoint,
+    berk_equal,
+    d_metric,
+    diam_gauss,
+    gauss_point,
+    iota,
+    push_forward,
+)
 from berklip.invariants import bundle, gpr
 from berklip.lipschitz import (
     gpr_witness,
@@ -35,7 +43,7 @@ from berklip.ratmap import (
     resultant_ord_product,
 )
 from berklip.sampling import DetRng, random_rational
-from berklip.valued import Ord, ppow_compare, ppow_max, ppow_term
+from berklip.valued import Ord, ppow_compare, ppow_max, ppow_mul, ppow_term
 from corpus import random_factored_map, random_mobius, random_unimodular
 from oracles import minimality_refuted, oracle_push_forward
 
@@ -235,3 +243,36 @@ def test_criterion_10_bounds_dominate(corpus, corpus_bundles):
             assert ppow_compare(p, seg, res_berk) <= 0, "resultant bound violated"
             assert ppow_compare(p, seg, inv_rp) <= 0, "invariant bound violated"
     _passed(10, "bounds dominate sampled ratios and 50 segment constants per map")
+
+
+def _disc_pair(rng: DetRng, p: int):
+    """Two integer-radius disc points: centers with p in the numerator or
+    the denominator, the second often near the first, and a third of the
+    points moved outside the unit disc by the inversion."""
+    x = BerkPoint.disc(random_rational(rng, p), rng.randint(-2, 4))
+    if rng.randint(0, 1):
+        near = x.center + random_rational(rng, p) * Fraction(p) ** rng.randint(0, 3)
+        y = BerkPoint.disc(near, x.radius_ord + rng.randint(-1, 2))
+    else:
+        y = BerkPoint.disc(random_rational(rng, p), rng.randint(-2, 4))
+    return tuple(iota(p, z) if rng.randint(0, 2) == 0 else z for z in (x, y))
+
+
+def test_criterion_11_berkovich_bounds_on_disc_pairs(corpus, corpus_bundles):
+    """d(phi x, phi y) <= B * d(x, y) in the exact path metric, for the
+    resultant bound and the invariant bound at B0 = RP, on pairs of type II
+    points."""
+    rng = DetRng(CORPUS_SEED + 11)
+    pairs = 0
+    for m, b in zip(corpus[:60], corpus_bundles[:60]):
+        p = m.p
+        _, res_berk = resultant_bounds(m)
+        inv_rp = invariant_bound(m, b.rp.frac)
+        for _ in range(20):
+            x, y = _disc_pair(rng, p)
+            dist = d_metric(p, x, y)
+            image = d_metric(p, push_forward(m, x), push_forward(m, y))
+            for bound in (res_berk, inv_rp):
+                assert ppow_compare(p, image, ppow_mul(p, bound, dist)) <= 0, (m, x, y)
+            pairs += 1
+    _passed(11, f"both Berkovich bounds hold on {pairs} disc pairs")

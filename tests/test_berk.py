@@ -108,6 +108,14 @@ def test_d_metric_examples():
     d = d_metric(p, gauss_point(), BerkPoint.disc(0, 1))
     assert d == ppow_normalize(p, [(2, -1)])  # 1 - 1/3 = 2/3
     assert d_metric(p, BerkPoint.disc(2, 5), BerkPoint.disc(2, 5)).is_zero
+    # 1 - 3^(-1/2) is no p-power sum with positive coefficients
+    with pytest.raises(ValueError, match="non-integer"):
+        d_metric(p, BerkPoint.disc(0, Fraction(1, 2)), gauss_point())
+    with pytest.raises(ValueError, match="non-integer"):
+        d_metric(p, cls(0), BerkPoint.disc(1, Fraction(1, 3)))
+    # exponents differing by integers are fine: 3^(-1/2) - 3^(-3/2)
+    d = d_metric(p, BerkPoint.disc(0, Fraction(1, 2)), BerkPoint.disc(0, Fraction(3, 2)))
+    assert d == ppow_normalize(p, [(2, Fraction(-3, 2))])
 
 
 def test_d_metric_axioms_and_path_additivity():

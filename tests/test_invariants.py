@@ -88,6 +88,39 @@ def test_hull_matches_reference():
             if pt(z) not in pts:
                 pts.append(pt(z))
         assert hull(p, pts) == ref_hull(p, pts), k
+    # a deep chain: every point in the residue class of 1 (mod p), at
+    # several depths; one finite point with infinity; duplicated inputs;
+    # infinity listed first
+    for p in (2, 3, 5):
+        chain = [pt(1 + p**j * u) for j in range(1, 7) for u in (1, -1, p + 1)]
+        extra = [pt(1), pt(Fraction(1, p)), pt(p), pt(-p)]
+        cases = [
+            chain,
+            chain + [INF_POINT],
+            [pt(Fraction(2, p)), INF_POINT],
+            [INF_POINT, pt(Fraction(2, p))],
+            chain[:5] + chain[:3] + [INF_POINT, INF_POINT] + extra + extra[::-1],
+            [INF_POINT] + extra + chain[::2],
+        ]
+        for pts in cases:
+            assert hull(p, pts) == ref_hull(p, pts), (p, pts)
+
+
+def test_hull_makes_no_berk_equal_call(count_calls):
+    """Vertices are deduplicated by key and parents read from the ord
+    matrix, without comparing points."""
+    calls = count_calls(berk_equal)
+    rng = DetRng(909)
+    for k in range(6):
+        p = [2, 3, 5][k % 3]
+        pts = [INF_POINT] if k % 2 else []
+        while len(pts) < 20:
+            z = pt(random_rational(rng, p))
+            if z not in pts:
+                pts.append(z)
+        tree = hull(p, pts)
+        assert len(tree.edges) == len(tree.vertices) - 1
+    assert calls == []
 
 
 def test_gpr_worked_example():
