@@ -57,7 +57,6 @@ from .valued import (
     Ord,
     ORD_INF,
     PPowerSum,
-    PrimeContext,
     ord_p,
     ppow_compare,
     ppow_decimal,

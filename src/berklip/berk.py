@@ -33,7 +33,7 @@ from .errors import DegenerateMapError, InternalInvariantError
 from .polynomials import taylor_shift, trim
 from .projective import INF_POINT, ProjPoint, _vord
 from .ratmap import _int_coeff_pair
-from .valued import ORD_INF, Ord, PPowerSum, int_val, ppow_normalize
+from .valued import ORD_INF, Ord, PPowerSum, format_fraction, int_val, ppow_normalize
 
 __all__ = [
     "BerkPoint",
@@ -80,8 +80,6 @@ class BerkPoint:
     def __str__(self) -> str:
         if self.is_classical:
             return str(self.pt)
-        from .valued import format_fraction
-
         return f"zeta({format_fraction(self.center)}, t={format_fraction(self.radius_ord)})"
 
     def __repr__(self) -> str:

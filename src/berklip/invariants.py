@@ -38,7 +38,7 @@ from .berk import (
 from .errors import InternalInvariantError
 from .piecewise import intersect_intervals, lower_envelope
 from .projective import ProjPoint, _vord, spherical_ord
-from .ratmap import RationalMap, _int_coeff_pair, gir_minors, normalize, resultant_ord
+from .ratmap import RationalMap, _int_coeff_pair, gir_minors, resultant_ord
 from .valued import Ord
 
 __all__ = [
@@ -298,7 +298,6 @@ class InvariantBundle:
 def bundle(m: RationalMap) -> InvariantBundle:
     """All invariants of one map; asserts the inequality chain before
     returning."""
-    m = normalize(m)
     gir = gir_minors(m)
     res = resultant_ord(m)
     rp = gp = argmin = note = None

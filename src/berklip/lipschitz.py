@@ -9,8 +9,11 @@ caller.  Degree-1 maps collapse: all quantities agree and are checked
 against each other.
 
 Radial profiles track diam_G of the image along a ray [center, zeta] as
-an exact piecewise power of the radius; the segment Lipschitz constant is
-the maximal slope sup |k| C r^(k-1), attained at a piece endpoint.
+an exact piecewise power of the radius: on each chart region of the ray
+its exponent is the max of the candidate envelopes env(f - w g) minus
+env(g), with no per-piece correction (see ``radial_profile``).  The
+segment Lipschitz constant is the maximal slope sup |k| C r^(k-1),
+attained at a piece endpoint.
 A deterministic sampler of classical pairs provides empirical ratio
 maxima and equality witnesses.  The sampler skips, without evaluating the
 map, every pair whose source exponent is at most the running maximum:
@@ -35,7 +38,6 @@ from .ratmap import (
     _int_coeff_pair,
     eval_proj,
     gir_minors,
-    normalize,
     resultant_ord,
     resultant_ord_product,
 )
@@ -127,12 +129,11 @@ def mobius_exact(m: RationalMap) -> PPowerSum:
     """
     if m.d != 1:
         raise ValueError("mobius_exact requires degree 1")
-    m = normalize(m)
     return _mobius_exact(m, bundle(m))
 
 
 def _mobius_exact(m: RationalMap, inv: InvariantBundle) -> PPowerSum:
-    """mobius_exact of a normalized degree-1 map whose invariants are ``inv``."""
+    """mobius_exact of a degree-1 map whose invariants are ``inv``."""
     a1, a0 = m.f[1], m.f[0]
     b1, b0 = m.g[1], m.g[0]
     det = a1 * b0 - a0 * b1
@@ -187,43 +188,41 @@ class RadialProfile:
         return seg.coeff_ord + seg.k * t
 
 
-def _image_diam_pieces(p: int, sh: Shift, lo, hi):
-    """diam_G exponent of the image over [lo, hi], assuming the image stays
-    within the closed unit disc there (seminorm of f <= seminorm of g)."""
-    sg = lower_envelope(sh.g_lines(), lo, hi)
-    tagged = []
+def _image_diam_pieces(sh: Shift, lo, hi):
+    """Pieces of the diam_G exponent (max_w env(f - w g)) - env(g) of the
+    image over [lo, hi], where the image lies in the closed unit disc (see
+    ``radial_profile``)."""
+    big = None
     for w in sh.candidates():
         lines = sh.diff_lines(w)
         if not lines:
             raise InternalInvariantError("map degenerated to a constant")
-        tagged.append((w, lower_envelope(lines, lo, hi) - sg))
-    big = tagged[0][1]
-    for _, env in tagged[1:]:
-        big = big.max_with(env)
-    pieces = []
-    for start, end, k, c in big.spans():
-        t_star = big._sample_point(start, end)
-        w_star = None
-        for w, env in tagged:
-            if env(t_star) == k * t_star + c:
-                w_star = w
-                break
-        vb = _vord(w_star, p)
-        piece = PWLinear(start, end, ((start, k, c),))
-        floor = min(Fraction(0), vb) if vb is not None else Fraction(0)
-        fold = piece.min_with(PWLinear.const(floor, start, end))
-        s_img = piece - fold - fold
-        pieces.extend(s_img.pieces)
-    return pieces
+        env = lower_envelope(lines, lo, hi)
+        big = env if big is None else big.max_with(env)
+    return (big - lower_envelope(sh.g_lines(), lo, hi)).pieces
 
 
 def radial_profile(m: RationalMap, center, t_min) -> RadialProfile:
     """Exact diam_G-of-image profile along the ray from p^(-t_min) down to
     the classical center.
 
-    Piecewise p^(-c) * r^k with integer |k| <= degree; regions where the
-    image leaves the unit disc are computed in the inversion chart, whose
-    diameters agree since inversion preserves diam_G.
+    Piecewise p^(-c) * r^k with integer |k| <= degree.  The ray splits into
+    chart regions: the closed intervals where env(f) < env(g) (the
+    ``below_set``) are profiled in the inversion chart (f and g swapped),
+    whose diameters agree since inversion preserves diam_G, and the rest
+    as is.  In each region the exponent is (max over the candidates w of
+    env(f - w g)) - env(g), by one subtraction.  That is the diam_G
+    exponent min(s*, min(0, ord w*)) of the image disc D(w*, p^(-s*)) with
+    nothing folded away, because:
+
+    * in an unswapped region |phi|_x <= 1, in a swapped one |1/phi|_x < 1
+      (<= 1 at its ends), so in either chart the image lies in the closed
+      unit disc;
+    * hence s* = max_w e_w >= e_0 = env(f) - env(g) >= 0, and every
+      maximizing center w* has |w*| <= max(|phi|_x, |phi - w*|_x) <= 1,
+      that is ord w* >= 0;
+    * so min(s*, min(0, ord w*)) = s*: the fold never changes a piece;
+    * and max_w (env_w - env(g)) = (max_w env_w) - env(g).
     """
     p = m.p
     center = Fraction(center)
@@ -233,24 +232,16 @@ def radial_profile(m: RationalMap, center, t_min) -> RadialProfile:
     f, g = _int_coeff_pair(m)
     sh = Shift.at(p, f, g, center)
     sf = lower_envelope(sh.f_lines(), t_min, None)
-    sigma = sf - lower_envelope(sh.g_lines(), t_min, None)
-    neg = sigma.negative_regions()
-    regions: list[tuple[Fraction | None, Fraction | None, bool]] = []
-    cursor: Fraction | None = t_min
-    for a, b in neg:
-        if a is not None and cursor is not None and a > cursor:
-            regions.append((cursor, a, False))
-        regions.append((a if a is not None else cursor, b, True))
-        cursor = b
-        if b is None:
-            break
-    if cursor is not None:
-        regions.append((cursor, None, False))
+    swapped = sf.below_set(lower_envelope(sh.g_lines(), t_min, None))
     pieces = []
-    for a, b, swapped in regions:
-        if a is not None and b is not None and a == b:
-            continue
-        pieces.extend(_image_diam_pieces(p, sh.swapped() if swapped else sh, a, b))
+    cursor = t_min
+    for a, b in swapped:
+        if a > cursor:
+            pieces += _image_diam_pieces(sh, cursor, a)
+        pieces += _image_diam_pieces(sh.swapped(), a, b)
+        cursor = b
+    if cursor is not None:
+        pieces += _image_diam_pieces(sh, cursor, None)
     profile = PWLinear(t_min, None, tuple(pieces)).simplified()
     segments = []
     for start, end, k, c in profile.spans():
@@ -352,7 +343,6 @@ def sample_ratios(m: RationalMap, n: int, seed: int, lip_ord=None):
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    m = normalize(m)
     p = m.p
     fi, gi = _int_coeff_pair(m)
     d = m.d
@@ -463,7 +453,6 @@ def bound_report(
     it is absent; the orderings sampled <= exact classical <= resultant
     bound are asserted.
     """
-    m = normalize(m)
     p, d = m.p, m.d
     b = bundle(m)
     res_cl, res_bk = _resultant_bounds(p, d, b.res)

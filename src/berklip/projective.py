@@ -26,10 +26,6 @@ class ProjPoint:
     def of(value) -> "ProjPoint":
         return ProjPoint(Fraction(value))
 
-    @staticmethod
-    def infinity() -> "ProjPoint":
-        return INF_POINT
-
     @property
     def is_inf(self) -> bool:
         return self.z is None

@@ -60,6 +60,11 @@ class FactoredForm:
 
 @dataclass(frozen=True, slots=True)
 class RationalMap:
+    """A normalized map.  Instances come from the constructors of this
+    module (``from_coeffs``, ``from_factored``, ``pre_compose``,
+    ``post_compose``, ``mobius_from_matrix``), each of which normalizes
+    once, so no reader normalizes again."""
+
     p: int
     d: int
     f: tuple[Fraction, ...]  # ascending, length d+1
@@ -210,7 +215,6 @@ def from_factored(p: int, c, zeros, poles) -> RationalMap:
 
 def resultant_ord(m: RationalMap) -> Ord:
     """ord_p of the Sylvester resultant of the normalized pair."""
-    m = normalize(m)
     res = poly.sylvester_det_ord(m.p, list(m.f), list(m.g), m.d)
     if res is None:
         raise DegenerateMapError("degenerate map")
@@ -226,7 +230,6 @@ def resultant_ord_product(m: RationalMap) -> Ord:
     """Resultant valuation from the factorization: d*(ord C0 + ord C1) plus
     the sum of spherical distances over all zero/pole pairs."""
     ff = m.require_factored()
-    m = normalize(m)
     c0 = _content_ord(m.p, m.f)
     c1 = _content_ord(m.p, m.g)
     total = Fraction(m.d) * (c0 + c1)
@@ -240,7 +243,6 @@ def resultant_ord_product(m: RationalMap) -> Ord:
 def gir_minors(m: RationalMap) -> Ord:
     """Gauss image radius from 2x2 coefficient minors: the image of the
     Gauss point has diameter max_{i != j} |f_i g_j - f_j g_i|."""
-    m = normalize(m)
     best = None
     n = m.d + 1
     for i in range(n):

@@ -24,6 +24,7 @@ from .valued import (
     Ord,
     PPowerSum,
     format_fraction,
+    is_prime,
     parse_fraction,
     ppow_decimal,
 )
@@ -183,11 +184,11 @@ def parse_map_data(data: dict, p_override: int | None = None) -> RationalMap:
     if not isinstance(p, int):
         raise ParseError("p must be an integer")
     try:
-        from .valued import PrimeContext
-
-        ctx = PrimeContext(p)
+        prime = is_prime(p)
     except ValueError as e:
         raise ParseError(str(e)) from None
+    if not prime:
+        raise ParseError(f"{p} is not prime")
     if "coeffs" in data:
         block = data["coeffs"]
         try:
@@ -198,7 +199,7 @@ def parse_map_data(data: dict, p_override: int | None = None) -> RationalMap:
         if len(f_desc) != len(g_desc) or len(f_desc) < 2:
             raise ParseError("coefficient lists must have equal length d+1 >= 2")
         _check_degree(len(f_desc) - 1)
-        return from_coeffs(ctx.p, list(reversed(f_desc)), list(reversed(g_desc)))
+        return from_coeffs(p, list(reversed(f_desc)), list(reversed(g_desc)))
     if "factored" in data:
         block = data["factored"]
         try:
@@ -208,5 +209,5 @@ def parse_map_data(data: dict, p_override: int | None = None) -> RationalMap:
         except (KeyError, TypeError) as e:
             raise ParseError(f"bad factored block: {e}") from None
         _check_degree(max(sum(m for _, m in zeros), sum(m for _, m in poles)))
-        return from_factored(ctx.p, c, zeros, poles)
+        return from_factored(p, c, zeros, poles)
     raise ParseError("map file needs a 'coeffs' or 'factored' block")

@@ -30,7 +30,6 @@ from math import floor, lcm
 from .errors import ParseError
 
 __all__ = [
-    "PrimeContext",
     "Ord",
     "ORD_INF",
     "is_prime",
@@ -62,7 +61,7 @@ _MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test for the context prime."""
+    """Deterministic primality test for the prime of a map file."""
     if n < 2:
         return False
     for q in _SMALL_PRIMES:
@@ -87,17 +86,6 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-@dataclass(frozen=True)
-class PrimeContext:
-    """A fixed prime p; the base of every absolute value and radius."""
-
-    p: int
-
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
 
 
 # ---------------------------------------------------------------------------
@@ -150,10 +138,6 @@ class Ord:
     @staticmethod
     def of(value) -> "Ord":
         return Ord(Fraction(value))
-
-    @staticmethod
-    def inf() -> "Ord":
-        return ORD_INF
 
     @property
     def is_inf(self) -> bool:

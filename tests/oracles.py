@@ -1,9 +1,11 @@
 """Independent references for the exact pushforward, the gpr scan, the
-ratio sampler and the hull.
+ratio sampler, the hull, PWLinear arithmetic and the radial profile.
 
 The first part is a brute-force oracle; the next section is a Fraction
-reference for the integer shift kernel (see there), and the last holds
-unoptimized forms of the sampler and the hull.
+reference for the integer shift kernel (see there), the next holds
+unoptimized forms of the sampler and the hull, and the last ones
+PWLinear arithmetic by sampled alignment with the envelopes, the Gauss
+fiber and the radial profile built on it.
 
 Its reconstruction uses only classical evaluation, exact valuations and
 disc joins; it never touches Taylor shifts, seminorm envelopes, or the
@@ -32,9 +34,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from berklip.berk import BerkPoint, berk_equal, gauss_point, iota
+from berklip.berk import BerkPoint, Shift, berk_equal, gauss_point, iota
+from berklip.errors import InternalInvariantError
+from berklip.piecewise import PWLinear
 from berklip.projective import ProjPoint, _vord, spherical_ord
-from berklip.ratmap import RationalMap, eval_proj
+from berklip.ratmap import RationalMap, _int_coeff_pair, eval_proj
 from berklip.sampling import DetRng, random_unit_fraction
 from berklip.valued import PPOW_ZERO, ppow_term
 
@@ -380,8 +384,6 @@ def ref_lower_envelope(lines, lo, hi):
     line, then restricted to [lo, hi] span by span (an interval collapsed
     onto one point takes the line in force there, the later one at a
     breakpoint)."""
-    from berklip.piecewise import PWLinear
-
     best: dict[int, int] = {}
     for k, c in lines:
         best[k] = min(c, best.get(k, c))
@@ -438,11 +440,167 @@ def ref_zero_set(f):
 def ref_gauss_fiber_zero_set(sh, lo, hi):
     """The Gauss fiber on an edge as one zero set of max_w |e_w|, where
     e_w = env(f - w g) - env(g) over the residue candidates w, built by
-    PWLinear subtraction and max."""
+    the reference subtraction and max."""
     sg = ref_lower_envelope(sh.g_lines(), lo, hi)
     total = None
     for w in sh.unit_residue_lifts():
         env = ref_lower_envelope(sh.diff_lines(w), lo, hi)
-        abs_e = (env - sg).max_with(sg - env)
-        total = abs_e if total is None else total.max_with(abs_e)
+        abs_e = ref_max(ref_sub(env, sg), ref_sub(sg, env))
+        total = abs_e if total is None else ref_max(total, abs_e)
     return ref_zero_set(total)
+
+
+# ---------------------------------------------------------------------------
+# PWLinear arithmetic by sampled alignment, and the radial profile on it
+# ---------------------------------------------------------------------------
+#
+# Two functions are aligned on the union of their breakpoints, and the
+# line of each in force on a stretch is looked up by a linear scan at a
+# sample point inside it; a min or max splits a stretch where its two
+# lines cross and keeps the line that is smaller or larger at a sample
+# point of each part.
+
+
+def _ref_line_at(f, t):
+    """(slope, intercept) of the piece of f in force at t, the later piece
+    at a breakpoint."""
+    chosen = f.pieces[0]
+    for piece in f.pieces[1:]:
+        if piece[0] is not None and piece[0] <= t:
+            chosen = piece
+        else:
+            break
+    return chosen[1], chosen[2]
+
+
+def _ref_value(f, t):
+    k, c = _ref_line_at(f, t)
+    return k * t + c
+
+
+def _ref_sample_point(start, end):
+    if start is None and end is None:
+        return Fraction(0)
+    if start is None:
+        return end - 1
+    if end is None:
+        return start + 1
+    return (start + end) / 2
+
+
+def _ref_binary(f, g, mode):
+    if f.lo != g.lo or f.hi != g.hi:
+        raise ValueError("domain mismatch")
+    starts = sorted({s for h in (f, g) for s, _, _ in h.pieces if s is not None and s != f.lo})
+    cuts = [f.lo] + starts
+    pieces = []
+    for i, s in enumerate(cuts):
+        e = cuts[i + 1] if i + 1 < len(cuts) else f.hi
+        t = _ref_sample_point(s, e)
+        (k1, c1), (k2, c2) = _ref_line_at(f, t), _ref_line_at(g, t)
+        if mode == "sub":
+            pieces.append((s, k1 - k2, c1 - c2))
+            continue
+        segs = [s]
+        if k1 != k2:
+            cross = (c2 - c1) / (k1 - k2)
+            if (s is None or s < cross) and (e is None or cross < e):
+                segs.append(cross)
+        for j, s2 in enumerate(segs):
+            t = _ref_sample_point(s2, segs[j + 1] if j + 1 < len(segs) else e)
+            v1, v2 = k1 * t + c1, k2 * t + c2
+            take_first = v1 <= v2 if mode == "min" else v1 >= v2
+            pieces.append((s2, k1, c1) if take_first else (s2, k2, c2))
+    return PWLinear(f.lo, f.hi, tuple(pieces)).simplified()
+
+
+def ref_sub(f, g):
+    return _ref_binary(f, g, "sub")
+
+
+def ref_max(f, g):
+    """Pointwise maximum, f's line kept where the two tie."""
+    return _ref_binary(f, g, "max")
+
+
+def ref_negative_regions(f):
+    """Maximal closed intervals, of positive length, on whose interiors f
+    is < 0: f is sampled between consecutive cuts (breakpoints and roots
+    inside a span) and negative stretches that touch are joined."""
+    cuts = [f.lo]
+    for start, end, k, c in f.spans():
+        if start is not None and start != f.lo and start not in cuts:
+            cuts.append(start)
+        if k != 0:
+            root = -c / k
+            if (start is None or start < root) and (end is None or root < end):
+                cuts.append(root)
+    regions = []
+    for i, s in enumerate(cuts):
+        e = cuts[i + 1] if i + 1 < len(cuts) else f.hi
+        if s is not None and e is not None and s == e:
+            continue
+        if _ref_value(f, _ref_sample_point(s, e)) < 0:
+            if regions and regions[-1][1] == s:
+                regions[-1] = (regions[-1][0], e)
+            else:
+                regions.append((s, e))
+    return regions
+
+
+def _ref_image_diam_pieces(p, sh, lo, hi):
+    """Per piece of max_w e_w, e_w = env(f - w g) - env(g): find a
+    maximizing candidate w* at a sample point and fold the piece at
+    min(0, ord w*), the diam_G exponent of a disc D(w*, p^-s)."""
+    sg = ref_lower_envelope(sh.g_lines(), lo, hi)
+    tagged = []
+    for w in sh.candidates():
+        lines = sh.diff_lines(w)
+        if not lines:
+            raise InternalInvariantError("map degenerated to a constant")
+        tagged.append((w, ref_sub(ref_lower_envelope(lines, lo, hi), sg)))
+    big = tagged[0][1]
+    for _, env in tagged[1:]:
+        big = ref_max(big, env)
+    pieces = []
+    for start, end, k, c in big.spans():
+        t_star = _ref_sample_point(start, end)
+        w_star = next(w for w, env in tagged if _ref_value(env, t_star) == k * t_star + c)
+        vb = _vord(w_star, p)
+        piece = PWLinear(start, end, ((start, k, c),))
+        floor = min(Fraction(0), vb) if vb is not None else Fraction(0)
+        fold = _ref_binary(piece, PWLinear(start, end, ((start, Fraction(0), floor),)), "min")
+        pieces.extend(ref_sub(ref_sub(piece, fold), fold).pieces)
+    return pieces
+
+
+def ref_radial_profile(m: RationalMap, center, t_min, events: set | None = None):
+    """The radial profile by reference arithmetic: chart regions from the
+    negative regions of env(f) - env(g), and per region the argmax-and-fold
+    pieces.  ``events`` gains "swap" when a region uses the inversion
+    chart."""
+    from berklip.lipschitz import ProfileSegment, RadialProfile
+
+    p = m.p
+    center, t_min = Fraction(center), Fraction(t_min)
+    f, g = _int_coeff_pair(m)
+    sh = Shift.at(p, f, g, center)
+    sf = ref_lower_envelope(sh.f_lines(), t_min, None)
+    sigma = ref_sub(sf, ref_lower_envelope(sh.g_lines(), t_min, None))
+    regions = []
+    cursor = t_min
+    for a, b in ref_negative_regions(sigma):
+        if a > cursor:
+            regions.append((cursor, a, False))
+        regions.append((a, b, True))
+        cursor = b
+    if cursor is not None:
+        regions.append((cursor, None, False))
+    pieces = []
+    for a, b, swapped in regions:
+        if swapped and events is not None:
+            events.add("swap")
+        pieces.extend(_ref_image_diam_pieces(p, sh.swapped() if swapped else sh, a, b))
+    profile = PWLinear(t_min, None, tuple(pieces)).simplified()
+    segments = tuple(ProfileSegment(s, e, c, int(k)) for s, e, k, c in profile.spans())
+    return RadialProfile(p, center, t_min, segments)

@@ -135,6 +135,16 @@ def test_non_list_blocks_are_parse_errors(tmp_path, capsys):
     )
 
 
+def test_prime_is_checked(tmp_path, capsys):
+    coeffs = {"F": ["1", "0"], "G": ["0", "1"]}
+    msg = _parse_failure(tmp_path, capsys, {"p": 15, "coeffs": coeffs})
+    assert msg == "error: 15 is not prime"
+    # past the bound of the deterministic test, even for a prime
+    p = 2**89 - 1
+    msg = _parse_failure(tmp_path, capsys, {"p": p, "coeffs": coeffs})
+    assert msg == f"error: prime candidate {p} exceeds the deterministic test bound"
+
+
 def test_zero_multiplicity_is_parse_error(tmp_path, capsys):
     for mult in (0, -1):
         block = {"C": "1", "zeros": [["0", mult], ["1", 1]], "poles": [["inf", 1]]}
@@ -156,6 +166,9 @@ def test_bad_option_values_are_parse_errors(tmp_path, capsys):
         (["bounds", "--b0-ord", "-1"], "--b0-ord must be >= 0"),
         (["bounds", "--b0-ord", "-1/2"], "--b0-ord must be >= 0"),
         (["bounds", "--b0-ord", "x"], "--b0-ord: bad rational"),
+        (["bounds", "--b0-ord", "65"], "--b0-ord must be <= 64, not 65"),
+        (["bounds", "--b0-ord", "1000000"], "--b0-ord must be <= 64"),
+        (["bounds", "--b0-ord", "129/2"], "--b0-ord must be <= 64, not 129/2"),
     ]
     for args, expected in cases:
         assert main([*args, "--input", missing]) == 1

@@ -32,8 +32,8 @@ from berklip.ratmap import (
 )
 from berklip.sampling import DetRng, random_rational
 from berklip.valued import Ord, ppow_compare, ppow_term
-from corpus import random_factored_map, random_mobius
-from oracles import ref_sample_ratios
+from corpus import random_factored_map, random_ladder_map, random_mobius
+from oracles import ref_radial_profile, ref_sample_ratios
 
 
 def pt(x):
@@ -114,6 +114,32 @@ def test_radial_profile_matches_pointwise_pushforward():
             t = Fraction(rng.randint(0, 24), rng.randint(1, 4))
             img = push_forward(m, BerkPoint.disc(center, t))
             assert diam_gauss(p, img) == Ord.of(pr.value_ord_at(t))
+
+
+def test_radial_profile_matches_argmax_and_fold_reference():
+    """radial_profile (per chart region, the max of the candidate envelopes
+    minus env(g), nothing folded) equals the reference that finds a
+    maximizing center on each piece and folds the piece at it, on factored
+    maps of degree <= 6 and ladder maps of degree 5, 10 and 15, with ray
+    centers at random rationals and near zeros and poles."""
+    rng = DetRng(8890)
+    maps = [random_factored_map(rng, [2, 3, 5, 7][k % 4], dmax=6) for k in range(170)]
+    maps += [random_ladder_map(rng, [2, 3, 5, 7][k % 4], d) for k, d in enumerate((5, 10, 15) * 2)]
+    triples = swapped = 0
+    for m in maps:
+        points = [q.z for q, _ in m.factored.zeros + m.factored.poles if not q.is_inf]
+        for _ in range(9):
+            p = m.p
+            center = random_rational(rng, p)
+            if rng.randint(0, 1):
+                center = rng.choice(points) + center * Fraction(p) ** rng.randint(0, 4)
+            t_min = Fraction(rng.randint(0, 8), rng.randint(1, 3))
+            events: set = set()
+            want = ref_radial_profile(m, center, t_min, events)
+            assert radial_profile(m, center, t_min) == want, (m, center, t_min)
+            triples += 1
+            swapped += "swap" in events
+    assert triples >= 1500 and swapped >= 400, (triples, swapped)
 
 
 def test_profile_monotone_exponents_in_pole_free_regime():

@@ -1,5 +1,5 @@
-"""Envelopes, equality sets and the Gauss fiber against PWLinear-arithmetic
-references (tests/oracles.py)."""
+"""Envelopes, PWLinear arithmetic, equality sets and the Gauss fiber
+against the sampled-alignment references of tests/oracles.py."""
 
 from fractions import Fraction
 
@@ -10,7 +10,14 @@ from berklip.piecewise import intersect_intervals, lower_envelope
 from berklip.ratmap import _int_coeff_pair
 from berklip.sampling import DetRng
 from corpus import random_factored_map, random_ladder_map
-from oracles import ref_gauss_fiber_zero_set, ref_lower_envelope, ref_zero_set
+from oracles import (
+    ref_gauss_fiber_zero_set,
+    ref_lower_envelope,
+    ref_max,
+    ref_negative_regions,
+    ref_sub,
+    ref_zero_set,
+)
 
 
 def _family(rng: DetRng):
@@ -76,6 +83,66 @@ def _partner(rng: DetRng, lines):
     return _family(rng)
 
 
+def _special(a, b):
+    """Breakpoints of both envelopes and the ends of their equality set:
+    domain ends worth drawing."""
+    f, g = ref_lower_envelope(a, None, None), ref_lower_envelope(b, None, None)
+    full = ref_zero_set(ref_sub(f, g))
+    return _breaks(a) + _breaks(b) + [x for iv in full for x in iv if x is not None]
+
+
+def _touching(rng: DetRng):
+    """Two families whose envelopes touch at one point x0 and are apart on
+    both sides of it: a kink of the first envelope at x0, and a line of
+    intermediate slope through it."""
+    x0, y0 = rng.randint(-5, 5), rng.randint(-12, 12)
+    k2 = rng.randint(0, 6)
+    k1 = k2 + rng.randint(2, 3)
+    k = rng.randint(k2 + 1, k1 - 1)
+    return [(k1, y0 - k1 * x0), (k2, y0 - k2 * x0)], [(k, y0 - k * x0)]
+
+
+def test_sub_max_and_below_set_match_reference():
+    """The merge walk's difference, maximum and below-set against sampled
+    alignment, on families that agree everywhere, on intervals, or nowhere,
+    over domains with None ends, collapsed onto one point, and with ends at
+    breakpoints and crossings."""
+    rng = DetRng(6066)
+    seen = {"open end": 0, "point": 0, "end at special": 0, "split by max": 0,
+            "below somewhere": 0, "joined below": 0, "random pair": 0}
+    for _ in range(4200):
+        if rng.randint(0, 3) == 0:
+            a, b = _touching(rng)
+        else:
+            a = _family(rng)
+            b = _partner(rng, a)
+            seen["random pair"] += 1
+        special = _special(a, b)
+        lo, hi = _domain(rng, special)
+        f, g = lower_envelope(a, lo, hi), lower_envelope(b, lo, hi)
+        diff = ref_sub(f, g)
+        assert f - g == diff, (a, b, lo, hi)
+        assert g - f == ref_sub(g, f)
+        got = f.max_with(g)
+        assert got == ref_max(f, g), (a, b, lo, hi)
+        assert g.max_with(f) == ref_max(g, f)
+        below = f.below_set(g)
+        assert below == ref_negative_regions(diff), (a, b, lo, hi)
+        assert g.below_set(f) == ref_negative_regions(ref_sub(g, f))
+        seen["open end"] += lo is None or hi is None
+        seen["point"] += lo is not None and lo == hi
+        seen["end at special"] += lo != hi and (lo in special or hi in special)
+        seen["split by max"] += any(
+            x not in [y for y, _, _ in f.pieces + g.pieces] for x, _, _ in got.pieces
+        )
+        seen["below somewhere"] += bool(below)
+        seen["joined below"] += any(
+            s is not None and e is not None and any(s < x < e for x, y in f.equal_set(g) if x == y)
+            for s, e in below
+        )
+    assert seen["random pair"] >= 3000 and min(seen.values()) >= 50, seen
+
+
 def test_equal_set_matches_zero_set_of_difference():
     rng = DetRng(6062)
     seen = {"whole domain": 0, "root at an end": 0, "several": 0, "empty": 0}
@@ -83,11 +150,9 @@ def test_equal_set_matches_zero_set_of_difference():
         a = _family(rng)
         b = _partner(rng, a)
         # ends at breakpoints and at crossings of the two envelopes
-        full = ref_zero_set(ref_lower_envelope(a, None, None) - ref_lower_envelope(b, None, None))
-        special = _breaks(a) + _breaks(b) + [x for iv in full for x in iv if x is not None]
-        lo, hi = _domain(rng, special)
+        lo, hi = _domain(rng, _special(a, b))
         f, g = lower_envelope(a, lo, hi), lower_envelope(b, lo, hi)
-        want = ref_zero_set(f - g)
+        want = ref_zero_set(ref_sub(f, g))
         assert f.equal_set(g) == want, (a, b, lo, hi)
         assert g.equal_set(f) == want
         seen["whole domain"] += want == [(lo, hi)]

@@ -13,6 +13,7 @@ from berklip.ratmap import (
     from_coeffs,
     from_factored,
     gir_minors,
+    mobius_from_matrix,
     normalize,
     post_compose,
     pre_compose,
@@ -65,6 +66,33 @@ def test_normalize_examples():
     m = RationalMap(p, 1, (Fraction(0), Fraction(3)), (Fraction(3), Fraction(0)))
     n = normalize(m)
     assert n.f == (Fraction(0), Fraction(1)) and n.g == (Fraction(1), Fraction(0))
+
+
+def test_constructors_return_normalized_maps():
+    """Every constructor normalizes once, so normalize hands the same
+    object back and no reader needs to normalize again."""
+    from berklip.serialize import parse_map_data
+
+    rng = DetRng(2719)
+    maps = []
+    for i in range(40):
+        p = [2, 3, 5, 7][i % 4]
+        m = random_factored_map(rng, p, dmax=5)
+        scale = Fraction(p) ** rng.randint(-3, 3)
+        mat = random_unimodular(rng)
+        maps += [
+            m,
+            from_coeffs(p, [c * scale for c in m.f], [c * scale for c in m.g]),
+            pre_compose(m, mat),
+            post_compose(mat, m),
+        ]
+    maps.append(from_coeffs(3, [Fraction(1, 9), 0], [0, 3]))  # degree 1
+    maps.append(mobius_from_matrix(5, ((25, 5), (0, 1))))
+    maps.append(parse_map_data({"p": 3, "coeffs": {"F": ["1/9", "0", "0"], "G": ["0", "0", "27"]}}))
+    factored = {"C": "1/27", "zeros": [["1/3", 2]], "poles": [["9", 1]]}
+    maps.append(parse_map_data({"p": 3, "factored": factored}))
+    for m in maps:
+        assert normalize(m) is m, m
 
 
 def _sylvester_det_by_minors(f_desc, g_desc, d):

@@ -11,7 +11,6 @@ from berklip.sampling import DetRng
 from berklip.valued import (
     ORD_INF,
     Ord,
-    PrimeContext,
     is_prime,
     ord_p,
     ppow_compare,
@@ -47,13 +46,11 @@ def test_int_val_matches_naive_loop(p, k, u):
     assert int_val(n, p) == _int_val_naive(n, p) >= k
 
 
-def test_prime_context_validates():
-    assert PrimeContext(2).p == 2
-    assert PrimeContext(97).p == 97
-    with pytest.raises(ValueError):
-        PrimeContext(1)
-    with pytest.raises(ValueError):
-        PrimeContext(15)
+def test_is_prime_examples():
+    assert is_prime(2)
+    assert is_prime(97)
+    assert not is_prime(1)
+    assert not is_prime(15)
     assert is_prime(2**31 - 1)
     assert not is_prime(2**32 + 1)
 
