@@ -167,7 +167,7 @@ def diam_infty(x: BerkPoint) -> Ord:
 def _diam_gauss_frac(p: int, center: Fraction, t: Fraction) -> Fraction:
     """Exponent s with diam_G = p^(-s) for a disc point: r / max(1,|a|,r)^2."""
     va = _vord(center, p)
-    m = min(Fraction(0), t) if va is None else min(Fraction(0), va, t)
+    m = min(0, t) if va is None else min(0, va, t)
     return t - 2 * m
 
 
@@ -306,13 +306,13 @@ def _lines(ords, ov: int) -> list[tuple[int, int]]:
     return [(j, o + j * ov) for j, o in enumerate(ords) if o is not None]
 
 
-def _semi_frac(lines, t) -> Fraction:
-    """min_j (o_j + j*t) over seminorm lines (j, o_j): the Gauss seminorm
-    exponent at radius p^(-t), taken over the integers at t = tn/td."""
+def _semi_num(lines, tn: int, td: int) -> int:
+    """td * min_j (o_j + j*t) over seminorm lines (j, o_j) at t = tn/td:
+    the Gauss seminorm exponent at radius p^(-t), scaled by td to stay an
+    integer."""
     if not lines:
         raise ValueError("seminorm of the zero polynomial")
-    tn, td = t.numerator, t.denominator
-    return Fraction(min(o * td + j * tn for j, o in lines), td)
+    return min(o * td + j * tn for j, o in lines)
 
 
 @dataclass(frozen=True, slots=True)
@@ -413,7 +413,8 @@ def seminorm(p: int, coeffs, x: BerkPoint) -> Ord:
     ov = int_val(v, p)
     lines = _lines(_ords(p, _shift_ints(ints, u, v)), ov)
     offset = (len(ints) - 1) * ov + int_val(den, p)
-    return Ord.of(_semi_frac(lines, x.radius_ord) - offset)
+    tn, td = x.radius_ord.numerator, x.radius_ord.denominator
+    return Ord.of(Fraction(_semi_num(lines, tn, td) - offset * td, td))
 
 
 def _hom_eval(c: list[int], a: Fraction) -> int:
@@ -455,8 +456,9 @@ def push_forward(rmap, x: BerkPoint) -> BerkPoint:
 def _push(p: int, f: list[int], g: list[int], a: Fraction, t: Fraction, depth: int) -> BerkPoint:
     a = _recenter(p, g, a, t)
     sh = Shift.at(p, f, g, a)
-    sg = _semi_frac(sh.g_lines(), t)
-    if _semi_frac(sh.f_lines(), t) < sg:
+    tn, td = t.numerator, t.denominator
+    sg = _semi_num(sh.g_lines(), tn, td)
+    if _semi_num(sh.f_lines(), tn, td) < sg:
         # image exceeds the unit disc: compute 1/phi and invert back
         if depth > 0:
             raise InternalInvariantError("chart swap did not stabilize")
@@ -467,7 +469,7 @@ def _push(p: int, f: list[int], g: list[int], a: Fraction, t: Fraction, depth: i
         lines = sh.diff_lines(w)
         if not lines:
             raise DegenerateMapError("degenerate map")
-        s = _semi_frac(lines, t) - sg
+        s = _semi_num(lines, tn, td)
         if best_s is None or s > best_s:
             best_s, best_w = s, w
-    return BerkPoint.disc(best_w, best_s)
+    return BerkPoint.disc(best_w, Fraction(best_s - sg, td))

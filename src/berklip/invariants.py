@@ -37,9 +37,9 @@ from .berk import (
 )
 from .errors import InternalInvariantError
 from .piecewise import intersect_intervals, lower_envelope
-from .projective import ProjPoint, _vord, spherical_ord
+from .projective import ProjPoint, _num_den, _sph_pair_ord
 from .ratmap import RationalMap, _int_coeff_pair, gir_minors, resultant_ord
-from .valued import Ord
+from .valued import Ord, int_val
 
 __all__ = [
     "TreeEdge",
@@ -61,15 +61,19 @@ def rp_ord(m: RationalMap) -> Ord:
     """Largest exponent t with p^(-t) the minimal zero-pole spherical
     distance."""
     ff = m.require_factored()
-    best: Ord | None = None
+    poles = [_num_den(beta) for beta, _ in ff.poles]
+    best: int | None = None
     for alpha, _ in ff.zeros:
-        for beta, _ in ff.poles:
-            s = spherical_ord(m.p, alpha, beta)
+        un, ud = _num_den(alpha)
+        for vn, vd in poles:
+            s = _sph_pair_ord(m.p, un, ud, vn, vd)
+            if s is None:
+                raise InternalInvariantError("zero/pole lists cannot meet")
             if best is None or s > best:
                 best = s
-    if best is None or best.is_inf:
-        raise InternalInvariantError("zero/pole lists cannot be empty or meet")
-    return best
+    if best is None:
+        raise InternalInvariantError("zero/pole lists cannot be empty")
+    return Ord.of(best)
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +113,7 @@ class FiniteTree:
     edges: tuple[TreeEdge, ...]
 
 
-def _levels(row: list, i: int) -> list[tuple[int, int]]:
+def _levels(row: list[int | None], i: int) -> list[tuple[int, int]]:
     """The discs D(z_i, s) for the distinct finite s in row i of the ord
     matrix, smallest first, each keyed (s, lowest index k of an input in
     it: the lowest k with ord(z_i - z_k) >= s, i itself included)."""
@@ -133,10 +137,11 @@ def hull(p: int, points) -> FiniteTree:
     with the lower vertex's classical center as witness.
 
     Everything is read from the matrix of pairwise ords of the finite
-    inputs, computed once.  The join of z_i, z_j is the disc D(z_i, s),
-    s = ord(z_i - z_j), keyed by s and the lowest index k of an input in
-    it (the lowest k with ord(z_i - z_k) >= s); the first pair to produce a
-    disc has i = k, and the disc keeps that center.  The discs containing
+    inputs, computed once in integers: for z = a/d and z' = a'/d',
+    ord(z - z') = ord(a d' - a' d) - ord d - ord d'.  The join of z_i, z_j
+    is the disc D(z_i, s), s = ord(z_i - z_j), keyed by s and the lowest
+    index k of an input in it (the lowest k with ord(z_i - z_k) >= s); the
+    first pair to produce a disc has i = k, and the disc keeps that center.  The discs containing
     z_i are those for the distinct values of row i, nested by size, so
     (as for an ultrametric tree built from its distance matrix) the parent
     of z_i is the disc at the row maximum, the parent of D(z_i, s) is the
@@ -146,19 +151,21 @@ def hull(p: int, points) -> FiniteTree:
     ordered deepest first (finite inputs, discs by descending radius
     exponent, infinity), ties in input order; edges follow that order.
     """
-    pts: list[ProjPoint] = []
-    for q in points:
-        if q not in pts:
-            pts.append(q)
+    pts: list[ProjPoint] = list(dict.fromkeys(points))
     if len(pts) < 2:
         raise ValueError("hull needs at least 2 distinct points")
 
     finite = [q.z for q in pts if not q.is_inf]
     n = len(finite)
-    ords = [[None] * n for _ in range(n)]
+    nums = [z.numerator for z in finite]
+    dens = [z.denominator for z in finite]
+    od = [int_val(d, p) for d in dens]
+    ords: list[list[int | None]] = [[None] * n for _ in range(n)]
     for i in range(n):
+        a, d, o = nums[i], dens[i], od[i]
         for j in range(i + 1, n):
-            ords[i][j] = ords[j][i] = _vord(finite[i] - finite[j], p)
+            v = int_val(a * dens[j] - nums[j] * d, p) - o - od[j]
+            ords[i][j] = ords[j][i] = v
     infinity = next((BerkPoint.classical(q) for q in pts if q.is_inf), None)
     levels = [_levels(row, i) for i, row in enumerate(ords)]
     # (vertex, parent, center): inputs in input order, then the discs by
@@ -185,7 +192,7 @@ def hull(p: int, points) -> FiniteTree:
     def sort_key(item):
         w = item[0]
         if w.is_classical:
-            return (2, Fraction(0)) if not w.pt.is_inf else (0, Fraction(0))
+            return (0, 0) if w.pt.is_inf else (2, 0)
         return (1, w.radius_ord)
 
     # deepest first: classical finite points, then discs by descending t
@@ -254,10 +261,11 @@ def gpr(m: RationalMap, hull_points=None) -> GprResult:
     found: list[BerkPoint] = []
     for edge in tree.edges:
         center = edge.center
-        if center not in shifts:
-            shifts[center] = Shift.at(p, f, g, center)
+        sh = shifts.get(center)
+        if sh is None:
+            sh = shifts[center] = Shift.at(p, f, g, center)
         lo, hi = edge.t_range()
-        for a, b in _gauss_fiber_zero_set(shifts[center], lo, hi):
+        for a, b in _gauss_fiber_zero_set(sh, lo, hi):
             if a is None or b is None:
                 raise InternalInvariantError("unbounded Gauss-fiber interval")
             for t in {a, b}:

@@ -32,7 +32,7 @@ from .berk import Shift, iota
 from .errors import InternalInvariantError
 from .invariants import InvariantBundle, bundle, gpr
 from .piecewise import PWLinear, lower_envelope
-from .projective import INF_POINT, ProjPoint, _vord, spherical_ord
+from .projective import INF_POINT, ProjPoint, _sph_pair_ord, _vord, spherical_ord
 from .ratmap import (
     RationalMap,
     _int_coeff_pair,
@@ -46,7 +46,6 @@ from .valued import (
     Ord,
     PPowerSum,
     PPOW_ZERO,
-    int_val,
     ppow_compare,
     ppow_max,
     ppow_term,
@@ -165,7 +164,7 @@ class ProfileSegment:
 
     t_hi: Fraction
     t_lo: Fraction | None
-    coeff_ord: Fraction
+    coeff_ord: int
     k: int
 
 
@@ -243,12 +242,8 @@ def radial_profile(m: RationalMap, center, t_min) -> RadialProfile:
     if cursor is not None:
         pieces += _image_diam_pieces(sh, cursor, None)
     profile = PWLinear(t_min, None, tuple(pieces)).simplified()
-    segments = []
-    for start, end, k, c in profile.spans():
-        if k.denominator != 1:
-            raise InternalInvariantError("profile slope must be an integer")
-        segments.append(ProfileSegment(start, end, c, int(k)))
-    return RadialProfile(p, center, t_min, tuple(segments))
+    segments = tuple(ProfileSegment(s, e, c, k) for s, e, k, c in profile.spans())
+    return RadialProfile(p, center, t_min, segments)
 
 
 def segment_lip(profile: RadialProfile) -> PPowerSum:
@@ -278,38 +273,6 @@ def segment_lip(profile: RadialProfile) -> PPowerSum:
 # ---------------------------------------------------------------------------
 # sampling and witnesses
 # ---------------------------------------------------------------------------
-
-
-def _sph_pair_ord(p: int, un: int, ud: int, vn: int, vd: int):
-    """Spherical distance exponent for projective integer pairs (num, den);
-    a zero denominator encodes infinity.  None means equal points.
-
-    The result is never negative (spherical distances are at most 1):
-    for two finite points, v(un vd - vn ud) >= min(v un, v ud) +
-    min(v vn, v vd), which is exactly what is subtracted; the infinity
-    branch returns 0 or -v > 0.  The sampler's skip rests on this.
-    """
-    if ud == 0 and vd == 0:
-        return None
-    if ud == 0 or vd == 0:
-        n, d = (vn, vd) if ud == 0 else (un, ud)
-        if n == 0:
-            return 0
-        v = int_val(abs(n), p) - int_val(abs(d), p)
-        return -v if v < 0 else 0
-    num = un * vd - vn * ud
-    if num == 0:
-        return None
-    s = int_val(abs(num), p) - int_val(abs(ud), p) - int_val(abs(vd), p)
-    if un != 0:
-        vx = int_val(abs(un), p) - int_val(abs(ud), p)
-        if vx < 0:
-            s -= vx
-    if vn != 0:
-        vy = int_val(abs(vn), p) - int_val(abs(vd), p)
-        if vy < 0:
-            s -= vy
-    return s
 
 
 @lru_cache(maxsize=16)

@@ -11,8 +11,11 @@ binary operations read one merge walk over the two piece lists, which
 visits each stretch between consecutive breakpoints of either function
 with the two lines in force on it.  The envelope takes integer lines
 (integer slopes i, integer intercepts: valuations of integer numerators),
-builds its hull and clips it to the domain in integers; the functions it
-returns, and all arithmetic on them, are Fraction-exact.
+builds its hull and clips it to the domain in integers.  Every function
+here is made of integer lines with rational breakpoints: a difference or
+a max of integer lines is again an integer line, and the only Fractions
+are breakpoints, the crossings Fraction(c2 - c1, k1 - k2) of two lines
+and the domain ends.
 
 Domains are intervals [lo, hi] where either end may be None (unbounded).
 A function is stored as contiguous pieces (start, slope, intercept); piece
@@ -36,13 +39,13 @@ class PWLinear:
 
     lo: _Bound
     hi: _Bound
-    pieces: tuple[tuple[_Bound, Fraction, Fraction], ...]  # (start, slope, icept)
+    pieces: tuple[tuple[_Bound, int, int], ...]  # (start, slope, icept)
 
     def __post_init__(self):
         if not self.pieces:
             raise ValueError("PWLinear needs at least one piece")
 
-    def spans(self) -> list[tuple[_Bound, _Bound, Fraction, Fraction]]:
+    def spans(self) -> list[tuple[_Bound, _Bound, int, int]]:
         """Pieces as (start, end, slope, intercept) with explicit ends."""
         out = []
         for i, (start, k, c) in enumerate(self.pieces):
@@ -95,12 +98,12 @@ class PWLinear:
         Two lines that cross inside a stretch split it at the crossing:
         the flatter line is the larger before it, the steeper one after.
         """
-        pieces: list[tuple[_Bound, Fraction, Fraction]] = []
+        pieces: list[tuple[_Bound, int, int]] = []
         for s, e, k1, c1, k2, c2 in self._stretches(other):
             if k1 == k2:
                 pieces.append((s, k1, c1) if c1 >= c2 else (s, k2, c2))
                 continue
-            root = (c2 - c1) / (k1 - k2)
+            root = Fraction(c2 - c1, k1 - k2)
             steep, flat = ((k1, c1), (k2, c2)) if k1 > k2 else ((k2, c2), (k1, c1))
             if (s is None or s < root) and (e is None or root < e):
                 pieces += [(s, *flat), (root, *steep)]
@@ -126,7 +129,7 @@ class PWLinear:
                 if c1 == c2:
                     raw.append((start, end))
             else:
-                root = (c2 - c1) / (k1 - k2)
+                root = Fraction(c2 - c1, k1 - k2)
                 if (start is None or start <= root) and (end is None or root <= end):
                     raw.append((root, root))
         # raw is ascending, one entry per stretch; join the touching ones
@@ -156,7 +159,7 @@ class PWLinear:
                     continue
                 a, b = s, e
             else:
-                root = (c2 - c1) / (k1 - k2)
+                root = Fraction(c2 - c1, k1 - k2)
                 if k1 > k2:  # below before the crossing
                     if s is not None and root <= s:
                         continue
@@ -179,8 +182,8 @@ def lower_envelope(lines, lo: _Bound, hi: _Bound) -> PWLinear:
     intercept), restricted to [lo, hi].
 
     The hull and its clipping to [lo, hi] run in integers; only the pieces
-    in force on [lo, hi] are emitted, as Fractions, so that crossings of
-    later sums and differences stay exact.
+    in force on [lo, hi] are emitted, with their integer lines and the
+    crossings between them as Fraction breakpoints.
     """
     best: dict[int, int] = {}
     for k, c in lines:
@@ -212,15 +215,13 @@ def lower_envelope(lines, lo: _Bound, hi: _Bound) -> PWLinear:
             if (c2 - c1) * ld > ln * (k1 - k2):
                 break
             i += 1
-    pieces: list[tuple[_Bound, Fraction, Fraction]] = [
-        (lo, Fraction(hull[i][0]), Fraction(hull[i][1]))
-    ]
+    pieces: list[tuple[_Bound, int, int]] = [(lo, *hull[i])]
     if hi is not None:
         hn, hd = hi.numerator, hi.denominator
     for (k1, c1), (k2, c2) in zip(hull[i:], hull[i + 1 :]):
         if hi is not None and (c2 - c1) * hd >= hn * (k1 - k2):
             break
-        pieces.append((Fraction(c2 - c1, k1 - k2), Fraction(k2), Fraction(c2)))
+        pieces.append((Fraction(c2 - c1, k1 - k2), k2, c2))
     return PWLinear(lo, hi, tuple(pieces))
 
 

@@ -2,7 +2,9 @@
 
 The spherical metric is carried in log form: ``spherical_ord(p, x, y)``
 returns the exponent t with dist(x, y) = p^(-t), so t = +infinity exactly
-when x = y.  This keeps every metric quantity an exact rational.
+when x = y.  Valuations of rationals are integers, and the one distance
+kernel, ``_sph_pair_ord``, runs on integer numerators and denominators;
+``Ord`` wraps its result only at the public boundary.
 """
 
 from __future__ import annotations
@@ -46,40 +48,59 @@ class ProjPoint:
 INF_POINT = ProjPoint(None)
 
 
-def _vord(x: Fraction, p: int) -> Fraction | None:
-    """Plain valuation as a Fraction, None for 0 (internal fast form)."""
-    if x == 0:
+def _vord(x: Fraction, p: int) -> int | None:
+    """Plain valuation as an int, None for 0 (internal fast form)."""
+    n = x.numerator
+    if not n:
         return None
-    return Fraction(int_val(abs(x.numerator), p) - int_val(x.denominator, p))
+    return int_val(n, p) - int_val(x.denominator, p)
 
 
-def spherical_ord(p: int, x: ProjPoint, y: ProjPoint) -> Ord:
-    """log-form spherical distance: dist(x, y) = p^(-result).
+def _sph_pair_ord(p: int, un: int, ud: int, vn: int, vd: int) -> int | None:
+    """The spherical distance kernel on projective integer pairs (num, den),
+    a zero denominator encoding infinity; None means equal points.
 
     Case split: |x - y| when both points sit in the closed unit disc,
     |1/x - 1/y| when both sit outside, and 1 otherwise; for two finite
-    points this is |x - y| / (max(1, |x|) * max(1, |y|)).  Always >= 0,
-    +infinity iff the points coincide.
+    points this is |x - y| / (max(1, |x|) * max(1, |y|)).  The result is
+    never negative (spherical distances are at most 1): for two finite
+    points, v(un vd - vn ud) >= min(v un, v ud) + min(v vn, v vd), which
+    is exactly what is subtracted; the infinity branch returns 0 or
+    -v > 0.  The pairs need not be reduced.
     """
-    if x == y:
-        return ORD_INF
-    if x.is_inf or y.is_inf:
-        z = y.z if x.is_inf else x.z
-        vz = _vord(z, p)
-        if vz is None or vz >= 0:
-            return Ord.of(0)  # one inside the unit disc, one at infinity
-        return Ord.of(-vz)
-    vd = _vord(x.z - y.z, p)
-    if vd is None:
-        return ORD_INF
-    vx = _vord(x.z, p)
-    vy = _vord(y.z, p)
-    s = vd
-    if vx is not None and vx < 0:
-        s -= vx
-    if vy is not None and vy < 0:
-        s -= vy
-    return Ord.of(s)
+    if ud == 0 and vd == 0:
+        return None
+    if ud == 0 or vd == 0:
+        n, d = (vn, vd) if ud == 0 else (un, ud)
+        if n == 0:
+            return 0
+        v = int_val(n, p) - int_val(d, p)
+        return -v if v < 0 else 0
+    num = un * vd - vn * ud
+    if num == 0:
+        return None
+    s = int_val(num, p) - int_val(ud, p) - int_val(vd, p)
+    if un != 0:
+        vx = int_val(un, p) - int_val(ud, p)
+        if vx < 0:
+            s -= vx
+    if vn != 0:
+        vy = int_val(vn, p) - int_val(vd, p)
+        if vy < 0:
+            s -= vy
+    return s
+
+
+def _num_den(x: ProjPoint) -> tuple[int, int]:
+    """(num, den) of a point, (1, 0) for infinity."""
+    return (1, 0) if x.z is None else (x.z.numerator, x.z.denominator)
+
+
+def spherical_ord(p: int, x: ProjPoint, y: ProjPoint) -> Ord:
+    """log-form spherical distance: dist(x, y) = p^(-result), always >= 0,
+    +infinity iff the points coincide (see ``_sph_pair_ord``)."""
+    s = _sph_pair_ord(p, *_num_den(x), *_num_den(y))
+    return ORD_INF if s is None else Ord.of(s)
 
 
 @dataclass(frozen=True, slots=True)
@@ -103,5 +124,5 @@ def unit_normalize(p: int, h: HomogCoords) -> HomogCoords:
     vx = _vord(h.x, p)
     vy = _vord(h.y, p)
     m = min(v for v in (vx, vy) if v is not None)
-    f = Fraction(p) ** int(-m)
+    f = Fraction(p) ** -m
     return HomogCoords(h.x * f, h.y * f)

@@ -18,8 +18,8 @@ from math import lcm
 
 from .errors import DegenerateMapError, FactoredFormRequiredError
 from .polynomials import mul, trim
-from .projective import INF_POINT, ProjPoint, _vord, spherical_ord
-from .valued import Ord
+from .projective import INF_POINT, ProjPoint, _num_den, _sph_pair_ord, _vord
+from .valued import Ord, int_val
 from . import polynomials as poly
 
 __all__ = [
@@ -112,7 +112,7 @@ def normalize(m: RationalMap) -> RationalMap:
     low = min(v for v in ords if v is not None)
     if low == 0:
         return m
-    factor = Fraction(m.p) ** int(-low)
+    factor = Fraction(m.p) ** -low
     return RationalMap(m.p, m.d, _scaled(m.f, factor), _scaled(m.g, factor), m.factored)
 
 
@@ -221,7 +221,7 @@ def resultant_ord(m: RationalMap) -> Ord:
     return Ord.of(res)
 
 
-def _content_ord(p: int, coeffs) -> Fraction:
+def _content_ord(p: int, coeffs) -> int:
     vs = [_vord(c, p) for c in coeffs]
     return min(v for v in vs if v is not None)
 
@@ -230,32 +230,43 @@ def resultant_ord_product(m: RationalMap) -> Ord:
     """Resultant valuation from the factorization: d*(ord C0 + ord C1) plus
     the sum of spherical distances over all zero/pole pairs."""
     ff = m.require_factored()
-    c0 = _content_ord(m.p, m.f)
-    c1 = _content_ord(m.p, m.g)
-    total = Fraction(m.d) * (c0 + c1)
+    p = m.p
+    total = m.d * (_content_ord(p, m.f) + _content_ord(p, m.g))
+    poles = [_num_den(beta) for beta in ff.pole_points()]
     for alpha in ff.zero_points():
-        for beta in ff.pole_points():
-            s = spherical_ord(m.p, alpha, beta)
-            total += s.frac
+        un, ud = _num_den(alpha)
+        for vn, vd in poles:
+            s = _sph_pair_ord(p, un, ud, vn, vd)
+            if s is None:
+                raise DegenerateMapError("a zero is also a pole")
+            total += s
     return Ord.of(total)
 
 
 def gir_minors(m: RationalMap) -> Ord:
     """Gauss image radius from 2x2 coefficient minors: the image of the
-    Gauss point has diameter max_{i != j} |f_i g_j - f_j g_i|."""
+    Gauss point has diameter max_{i != j} |f_i g_j - f_j g_i|.
+
+    The minors are formed on the integer pair (F, G) = D (f, g), so each
+    is D^2 times the map's: ord(f_i g_j - f_j g_i) = ord(F_i G_j - F_j G_i)
+    - 2 ord D, and ord D = ord F_k - ord f_k for any f_k != 0.
+    """
+    p = m.p
+    f, g = _int_coeff_pair(m)
     best = None
     n = m.d + 1
     for i in range(n):
+        fi, gi = f[i], g[i]
         for j in range(i + 1, n):
-            det = m.f[i] * m.g[j] - m.f[j] * m.g[i]
-            if det == 0:
-                continue
-            v = _vord(det, m.p)
-            if best is None or v < best:
-                best = v
+            det = fi * g[j] - f[j] * gi
+            if det:
+                v = int_val(det, p)
+                if best is None or v < best:
+                    best = v
     if best is None:
         raise DegenerateMapError("degenerate map")
-    return Ord.of(best)
+    k = next(i for i, c in enumerate(m.f) if c)
+    return Ord.of(best - 2 * (int_val(f[k], p) - _vord(m.f[k], p)))
 
 
 def eval_proj(m: RationalMap, pt: ProjPoint) -> ProjPoint:

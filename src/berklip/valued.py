@@ -94,7 +94,8 @@ def is_prime(n: int) -> bool:
 
 
 def int_val(n: int, p: int) -> int:
-    """p-adic valuation of a nonzero integer, in O(log v) divisions.
+    """p-adic valuation of a nonzero integer of either sign, in O(log v)
+    divisions (floor division by a divisor is exact for negative n too).
 
     The first few factors p, which cover nearly every call, are divided
     out one at a time; past that, :func:`_val_by_squaring` takes the rest.
@@ -227,7 +228,7 @@ def ord_p(p: int, x) -> Ord:
     x = Fraction(x)
     if x == 0:
         return ORD_INF
-    return Ord.of(int_val(abs(x.numerator), p) - int_val(x.denominator, p))
+    return Ord.of(int_val(x.numerator, p) - int_val(x.denominator, p))
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,10 @@ unoptimized forms of the sampler and the hull, and the last ones
 PWLinear arithmetic by sampled alignment with the envelopes, the Gauss
 fiber and the radial profile built on it.
 
-Its reconstruction uses only classical evaluation, exact valuations and
-disc joins; it never touches Taylor shifts, seminorm envelopes, or the
+Valuations here are the Fraction ``ref_vord`` and ``ref_spherical_ord``,
+independent of the program's integer kernels.  The brute-force
+reconstruction uses only classical evaluation, exact valuations and disc
+joins; it never touches Taylor shifts, seminorm envelopes, or the
 candidate-center minimization it is meant to check.
 
 Soundness facts (both one-sided):
@@ -37,12 +39,44 @@ from fractions import Fraction
 from berklip.berk import BerkPoint, Shift, berk_equal, gauss_point, iota
 from berklip.errors import InternalInvariantError
 from berklip.piecewise import PWLinear
-from berklip.projective import ProjPoint, _vord, spherical_ord
+from berklip.projective import ProjPoint
 from berklip.ratmap import RationalMap, _int_coeff_pair, eval_proj
 from berklip.sampling import DetRng, random_unit_fraction
 from berklip.valued import PPOW_ZERO, ppow_term
 
 SAMPLES = 200
+
+
+def ref_vord(x, p: int) -> Fraction | None:
+    """ord_p of a rational as a Fraction, None for 0, by dividing out p
+    one factor at a time."""
+    x = Fraction(x)
+    if x == 0:
+        return None
+    v, n, d = 0, x.numerator, x.denominator
+    while n % p == 0:
+        n, v = n // p, v + 1
+    while d % p == 0:
+        d, v = d // p, v - 1
+    return Fraction(v)
+
+
+def ref_spherical_ord(p: int, x: ProjPoint, y: ProjPoint) -> Fraction | None:
+    """Spherical distance exponent by the case split on Fractions: |x - y|
+    inside the closed unit disc, |1/x - 1/y| outside it, 1 across; None
+    for equal points."""
+    if x == y:
+        return None
+    if x.is_inf or y.is_inf:
+        z = y.z if x.is_inf else x.z
+        if z == 0 or ref_vord(z, p) >= 0:
+            return Fraction(0)
+        return -ref_vord(z, p)
+    s = ref_vord(x.z - y.z, p)
+    for z in (x.z, y.z):
+        if z != 0:
+            s -= min(Fraction(0), ref_vord(z, p))
+    return s
 
 
 def _point_directions(points, a: Fraction, t: int, p: int) -> set[int]:
@@ -51,7 +85,7 @@ def _point_directions(points, a: Fraction, t: int, p: int) -> set[int]:
     for pt in points:
         if pt.is_inf:
             continue
-        v = _vord(pt.z - a, p)
+        v = ref_vord(pt.z - a, p)
         if v is None or v > t:
             dirs.add(0)
         elif v == t:
@@ -67,7 +101,7 @@ def _join_top(values, p: int) -> BerkPoint | None:
     b = values[0]
     s = None
     for w in values[1:]:
-        v = _vord(w - b, p)
+        v = ref_vord(w - b, p)
         if v is not None and (s is None or v < s):
             s = v
     if s is None:
@@ -129,7 +163,7 @@ def oracle_push_forward(m: RationalMap, x: BerkPoint, seed: int = 0):
         return low, False
     # pinned only when the paths toward 0 and infinity leave the meeting
     # point in different directions, i.e. its disc contains 0
-    v_center = _vord(low.center, p)
+    v_center = ref_vord(low.center, p)
     decisive = v_center is None or v_center >= low.radius_ord
     return low, decisive
 
@@ -194,7 +228,7 @@ def ref_taylor_shift(c, a) -> list[Fraction]:
 
 def ref_semi(p: int, coeffs, t) -> Fraction:
     """min_i (ord c_i + i*t) over the nonzero coefficients."""
-    vals = [_vord(c, p) + i * t for i, c in enumerate(coeffs) if c != 0]
+    vals = [ref_vord(c, p) + i * t for i, c in enumerate(coeffs) if c != 0]
     if not vals:
         raise ValueError("seminorm of the zero polynomial")
     return min(vals)
@@ -249,6 +283,14 @@ def _ref_push(p, f, g, a, t, events) -> BerkPoint:
     return BerkPoint.disc(best[1], best[0])
 
 
+def _ref_diam_gauss(p: int, a: Fraction, t: Fraction) -> Fraction:
+    """Exponent of diam_G at zeta_{a, p^-t}: t - 2 min(0, ord a, t)."""
+    low = min(Fraction(0), t)
+    if a != 0:
+        low = min(low, ref_vord(a, p))
+    return t - 2 * low
+
+
 def ref_gpr_ord(m: RationalMap, edges) -> Fraction:
     """Largest diam_G exponent among disc points on the given hull edges
     that map to the Gauss point, by brute force.
@@ -259,17 +301,15 @@ def ref_gpr_ord(m: RationalMap, edges) -> Fraction:
     Every such point is tested: first that exact condition, then the
     reference pushforward.
     """
-    from berklip.berk import _diam_gauss_frac
-
     p = m.p
     f, g = m.dehomogenized()
     best = None
     for edge in edges:
         lo, hi = edge.t_range()
         fs, gs = ref_taylor_shift(f, edge.center), ref_taylor_shift(g, edge.center)
-        g_lines = [(i, _vord(c, p)) for i, c in enumerate(gs) if c != 0]
+        g_lines = [(i, ref_vord(c, p)) for i, c in enumerate(gs) if c != 0]
         w_lines = [
-            [(i, _vord(c, p)) for i, c in enumerate(_minus(fs, gs, w)) if c != 0]
+            [(i, ref_vord(c, p)) for i, c in enumerate(_minus(fs, gs, w)) if c != 0]
             for w in range(p)
         ]
         ts = {t for t in (lo, hi) if t is not None}
@@ -286,7 +326,7 @@ def ref_gpr_ord(m: RationalMap, edges) -> Fraction:
                 continue
             x = BerkPoint.disc(edge.center, t)
             if berk_equal(p, ref_push_forward(m, x), gauss_point()):
-                s = _diam_gauss_frac(p, edge.center, t)
+                s = _ref_diam_gauss(p, edge.center, t)
                 if best is None or s > best:
                     best = s
     return best
@@ -301,9 +341,9 @@ def ref_sample_ratios(m: RationalMap, n: int, seed: int):
     """The sampler's (max ratio, witness pair) by the unpruned loop.
 
     Every pooled pair is evaluated, with Fraction points, ``eval_proj`` and
-    ``spherical_ord`` in place of the sampler's integer Horner evaluation
-    and ``_sph_pair_ord``.  The witness is the first pair in pool order to
-    reach the maximum.
+    ``ref_spherical_ord`` in place of the sampler's integer Horner
+    evaluation and ``_sph_pair_ord``.  The witness is the first pair in
+    pool order to reach the maximum.
     """
     from berklip.lipschitz import _pair_pool
 
@@ -311,10 +351,10 @@ def ref_sample_ratios(m: RationalMap, n: int, seed: int):
     best = None
     for xn, xd, yn, yd, _ in _pair_pool(p, n, seed):
         x, y = ProjPoint.of(Fraction(xn, xd)), ProjPoint.of(Fraction(yn, yd))
-        s_img = spherical_ord(p, eval_proj(m, x), eval_proj(m, y))
-        if s_img.is_inf:
+        s_img = ref_spherical_ord(p, eval_proj(m, x), eval_proj(m, y))
+        if s_img is None:
             continue
-        e = spherical_ord(p, x, y).frac - s_img.frac
+        e = ref_spherical_ord(p, x, y) - s_img
         if best is None or e > best[0]:
             best = (e, (x, y))
     if best is None:
@@ -336,7 +376,7 @@ def ref_hull(p: int, points):
     finite = [q for q in pts if not q.is_inf]
     for i in range(len(finite)):
         for j in range(i + 1, len(finite)):
-            join = BerkPoint.disc(finite[i].z, _vord(finite[i].z - finite[j].z, p))
+            join = BerkPoint.disc(finite[i].z, ref_vord(finite[i].z - finite[j].z, p))
             if not any(berk_equal(p, join, w) for w in vertices):
                 vertices.append(join)
 
@@ -346,11 +386,11 @@ def ref_hull(p: int, points):
         if x.is_classical:
             if x.pt.is_inf:
                 return False
-            v = _vord(x.pt.z - y.center, p)
+            v = ref_vord(x.pt.z - y.center, p)
         else:
             if x.radius_ord < y.radius_ord:
                 return False
-            v = _vord(x.center - y.center, p)
+            v = ref_vord(x.center - y.center, p)
         return v is None or v >= y.radius_ord
 
     def sort_key(w: BerkPoint):
@@ -424,7 +464,7 @@ def ref_zero_set(f):
             if c == 0:
                 raw.append((start, end))
         else:
-            root = -c / k
+            root = Fraction(-c, k)
             if (start is None or start <= root) and (end is None or root <= end):
                 raw.append((root, root))
     merged: list[list] = []
@@ -503,7 +543,7 @@ def _ref_binary(f, g, mode):
             continue
         segs = [s]
         if k1 != k2:
-            cross = (c2 - c1) / (k1 - k2)
+            cross = Fraction(c2 - c1, k1 - k2)
             if (s is None or s < cross) and (e is None or cross < e):
                 segs.append(cross)
         for j, s2 in enumerate(segs):
@@ -532,7 +572,7 @@ def ref_negative_regions(f):
         if start is not None and start != f.lo and start not in cuts:
             cuts.append(start)
         if k != 0:
-            root = -c / k
+            root = Fraction(-c, k)
             if (start is None or start < root) and (end is None or root < end):
                 cuts.append(root)
     regions = []
@@ -566,7 +606,7 @@ def _ref_image_diam_pieces(p, sh, lo, hi):
     for start, end, k, c in big.spans():
         t_star = _ref_sample_point(start, end)
         w_star = next(w for w, env in tagged if _ref_value(env, t_star) == k * t_star + c)
-        vb = _vord(w_star, p)
+        vb = ref_vord(w_star, p)
         piece = PWLinear(start, end, ((start, k, c),))
         floor = min(Fraction(0), vb) if vb is not None else Fraction(0)
         fold = _ref_binary(piece, PWLinear(start, end, ((start, Fraction(0), floor),)), "min")

@@ -33,7 +33,7 @@ from berklip.ratmap import (
 from berklip.sampling import DetRng, random_rational
 from berklip.valued import Ord, ppow_compare, ppow_term
 from corpus import random_factored_map, random_ladder_map, random_mobius
-from oracles import ref_radial_profile, ref_sample_ratios
+from oracles import ref_radial_profile, ref_sample_ratios, ref_spherical_ord
 
 
 def pt(x):
@@ -299,14 +299,14 @@ def _proj(nd):
 @given(data=st.data())
 def test_sph_pair_ord_is_nonnegative(data):
     """Spherical distances are at most 1: the exponent is None (equal
-    points) or >= 0, and it is that of the reduced points."""
+    points) or a nonnegative int, and it is the Fraction reference's on
+    the reduced points."""
     p = data.draw(st.sampled_from([2, 3, 5, 7]))
     (un, ud), (vn, vd) = data.draw(_int_point(p)), data.draw(_int_point(p))
     s = _sph_pair_ord(p, un, ud, vn, vd)
-    assert s is None or s >= 0
-    ref = spherical_ord(p, _proj((un, ud)), _proj((vn, vd)))
-    assert (s is None) == ref.is_inf
-    assert s is None or s == ref.frac
+    assert s is None or (type(s) is int and s >= 0)
+    ref = ref_spherical_ord(p, _proj((un, ud)), _proj((vn, vd)))
+    assert s == ref
 
 
 def test_sample_ratios_skips_pairs_that_cannot_win(count_calls):

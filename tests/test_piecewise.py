@@ -162,6 +162,44 @@ def test_equal_set_matches_zero_set_of_difference():
     assert min(seen.values()) >= 50, seen
 
 
+def _int_lines(h) -> bool:
+    """Every piece of h has an int slope and intercept and a Fraction or
+    None start."""
+    return all(
+        type(k) is int and type(c) is int and (s is None or type(s) is Fraction)
+        for s, k, c in h.pieces
+    )
+
+
+def test_no_float_in_pieces_or_interval_ends():
+    """Envelopes, differences and maxima are integer lines with Fraction
+    breakpoints, and equality and below sets have Fraction or None ends:
+    a crossing is Fraction(c2 - c1, k1 - k2), never an int division,
+    which would be a float."""
+    rng = DetRng(6068)
+    seen = {"envelope break": 0, "max split": 0, "equal root": 0, "below end": 0}
+    for _ in range(3000):
+        if rng.randint(0, 3) == 0:
+            a, b = _touching(rng)
+        else:
+            a = _family(rng)
+            b = _partner(rng, a)
+        lo, hi = _domain(rng, _special(a, b))
+        f, g = lower_envelope(a, lo, hi), lower_envelope(b, lo, hi)
+        for h in (f, g, f - g, g - f, f.max_with(g), g.max_with(f)):
+            assert _int_lines(h), (a, b, lo, hi, h)
+        sets = (f.equal_set(g), f.below_set(g), g.below_set(f))
+        for ivs in sets:
+            assert all(x is None or type(x) is Fraction for iv in ivs for x in iv), ivs
+        starts = {x for x, _, _ in f.pieces + g.pieces}
+        seen["envelope break"] += len(f.pieces) > 1
+        seen["max split"] += any(x not in starts for x, _, _ in f.max_with(g).pieces)
+        seen["equal root"] += any(x == y and x not in (lo, hi) for x, y in sets[0])
+        ends = {x for ivs in sets[1:] for iv in ivs for x in iv}
+        seen["below end"] += any(x not in starts and x not in (lo, hi) for x in ends)
+    assert min(seen.values()) >= 100, seen
+
+
 def test_intersect_intervals_pointwise():
     rng = DetRng(6063)
 

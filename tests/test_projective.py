@@ -11,6 +11,7 @@ from berklip.projective import (
     HomogCoords,
     INF_POINT,
     ProjPoint,
+    _vord,
     spherical_ord,
     unit_normalize,
 )
@@ -18,6 +19,7 @@ from berklip.ratmap import mobius_apply
 from berklip.sampling import DetRng, random_rational
 from berklip.valued import Ord
 from corpus import random_unimodular
+from oracles import ref_vord
 
 pts = st.fractions(min_value=-50, max_value=50, max_denominator=30)
 
@@ -31,6 +33,21 @@ def test_spherical_examples():
     assert spherical_ord(3, INF_POINT, INF_POINT).is_inf
     # one point far outside the unit disc
     assert spherical_ord(3, ProjPoint.of(Fraction(1, 9)), INF_POINT) == Ord.of(2)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(
+    p=st.sampled_from([2, 3, 5, 7, 97]),
+    u=st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**4),
+    k=st.integers(-40, 40),
+)
+def test_vord_is_the_reference_valuation_as_an_int(p, u, k):
+    """_vord(x) is ord_p x as an int (None for 0), equal to the oracle's
+    Fraction valuation, on rationals carrying p^k."""
+    x = u * Fraction(p) ** k
+    v = _vord(x, p)
+    assert v == ref_vord(x, p)
+    assert v is None if x == 0 else type(v) is int
 
 
 @given(pts, pts)

@@ -44,6 +44,7 @@ def _int_val_naive(n: int, p: int) -> int:
 def test_int_val_matches_naive_loop(p, k, u):
     n = p**k * u
     assert int_val(n, p) == _int_val_naive(n, p) >= k
+    assert int_val(-n, p) == int_val(n, p)  # exact on either sign: no abs()
 
 
 def test_is_prime_examples():
