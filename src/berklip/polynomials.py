@@ -5,9 +5,10 @@ and ``eval_at`` build and evaluate maps in exact rationals.  The two hot
 kernels work on integers: ``taylor_shift`` receives the integer
 numerators of a map cleared of denominators (see ``berk.Shift``, which
 reads every seminorm valuation from them), and the resultant valuation,
-ord_p of the Sylvester determinant, eliminates over Z/p^N: it gives
-``res`` and is also the coprimality test for every map built, since two
-forms share a root in P1 exactly when that determinant vanishes.
+ord_p of the Sylvester determinant, eliminates over Z/p^N.  It runs once
+per map, at construction, where it is the coprimality test (two forms
+share a root in P1 exactly when that determinant vanishes) and its value
+is kept as the map's ``res``.
 """
 
 from __future__ import annotations

@@ -4,10 +4,12 @@ A degree-d map is a coprime pair (F, G) of degree-d forms; coefficients
 are stored ascending, list index i holding the X^i Y^(d-i) coefficient,
 so the dehomogenized numerator is f(z) = sum f[i] z^i.  Maps are kept in
 normalized form: integral coefficients with at least one p-unit among
-them.  An optional factored form (leading constant, zeros, poles over
-P1(QQ) with multiplicity) unlocks the zero/pole-based invariants; it is
-derived automatically for degree 1, where both points are always
-rational.
+them.  Each map carries ord_p of its Sylvester resultant, taken from the
+one p-adic elimination its constructor runs, which is also the
+coprimality test; ``resultant_ord`` only reads it.  An optional factored
+form (leading constant, zeros, poles over P1(QQ) with multiplicity)
+unlocks the zero/pole-based invariants; it is derived automatically for
+degree 1, where both points are always rational.
 """
 
 from __future__ import annotations
@@ -62,13 +64,16 @@ class FactoredForm:
 class RationalMap:
     """A normalized map.  Instances come from the constructors of this
     module (``from_coeffs``, ``from_factored``, ``pre_compose``,
-    ``post_compose``, ``mobius_from_matrix``), each of which normalizes
-    once, so no reader normalizes again."""
+    ``post_compose``, ``mobius_from_matrix``), each of which runs the
+    Sylvester elimination once and normalizes once, so no reader does
+    either again.  ``res_ord`` is ord_p of the Sylvester resultant of the
+    stored pair (f, g)."""
 
     p: int
     d: int
     f: tuple[Fraction, ...]  # ascending, length d+1
     g: tuple[Fraction, ...]
+    res_ord: int
     factored: FactoredForm | None = None
 
     def dehomogenized(self) -> tuple[list, list]:
@@ -85,13 +90,25 @@ class RationalMap:
 # ---------------------------------------------------------------------------
 
 
-def _validate_pair(p: int, f: list, g: list, d: int) -> None:
-    """Reject a pair whose forms share a root in P1, infinity included:
-    exactly the pairs whose Sylvester determinant vanishes."""
+def _build(
+    p: int, d: int, f: list, g: list, factored: FactoredForm | None = None
+) -> RationalMap:
+    """The normalized map of a raw pair, with its resultant valuation.
+
+    The Sylvester elimination runs once, on the raw pair: it rejects a
+    pair whose forms share a root in P1, infinity included (exactly the
+    pairs whose determinant vanishes, an all-zero form among them), and
+    its value is kept.  A degree-1 map without zero/pole data gets the
+    data of its coefficients.
+    """
     if d < 1:
         raise DegenerateMapError("degree zero")
-    if poly.sylvester_det_ord(p, f, g, d) is None:
+    res = poly.sylvester_det_ord(p, f, g, d)
+    if res is None:
         raise DegenerateMapError("degenerate map")
+    if factored is None and d == 1:
+        factored = _mobius_factored(f, g)
+    return normalize(RationalMap(p, d, tuple(f), tuple(g), res, factored))
 
 
 def _int_coeff_pair(m: RationalMap) -> tuple[list[int], list[int]]:
@@ -107,17 +124,25 @@ def _scaled(coeffs, factor: Fraction):
 
 
 def normalize(m: RationalMap) -> RationalMap:
-    """Rescale both forms by a p-power so min coefficient ord is 0."""
+    """Rescale both forms by a p-power so min coefficient ord is 0.
+
+    Scaling both forms by c scales their 2d x 2d Sylvester determinant by
+    c^(2d), so the factor p^(-low) moves ``res_ord`` by -2d*low.
+    """
     ords = [_vord(c, m.p) for c in m.f + m.g]
     low = min(v for v in ords if v is not None)
     if low == 0:
         return m
     factor = Fraction(m.p) ** -low
-    return RationalMap(m.p, m.d, _scaled(m.f, factor), _scaled(m.g, factor), m.factored)
+    return RationalMap(
+        m.p, m.d, _scaled(m.f, factor), _scaled(m.g, factor),
+        m.res_ord - 2 * m.d * low, m.factored,
+    )
 
 
-def _mobius_factored(p: int, f, g) -> FactoredForm:
-    """Zero/pole data of a degree-1 map, always rational."""
+def _mobius_factored(f, g) -> FactoredForm:
+    """Zero/pole data of a degree-1 map, always rational; unchanged by a
+    common rescaling of (f, g)."""
     a1, a0 = f[1], f[0]
     b1, b0 = g[1], g[0]
     zero = ProjPoint.of(-a0 / a1) if a1 != 0 else INF_POINT
@@ -137,13 +162,7 @@ def from_coeffs(p: int, f_coeffs, g_coeffs) -> RationalMap:
     g = [Fraction(c) for c in g_coeffs]
     if len(f) != len(g):
         raise DegenerateMapError("coefficient lists must have equal length")
-    d = len(f) - 1
-    _validate_pair(p, f, g, d)
-    m = RationalMap(p, d, tuple(f), tuple(g))
-    m = normalize(m)
-    if d == 1:
-        m = RationalMap(m.p, m.d, m.f, m.g, _mobius_factored(p, m.f, m.g))
-    return m
+    return _build(p, len(f) - 1, f, g)
 
 
 def from_factored(p: int, c, zeros, poles) -> RationalMap:
@@ -195,7 +214,6 @@ def from_factored(p: int, c, zeros, poles) -> RationalMap:
     g = _expand(pf, Fraction(1))
     f = f + [Fraction(0)] * (d + 1 - len(f))
     g = g + [Fraction(0)] * (d + 1 - len(g))
-    _validate_pair(p, f, g, d)
 
     def _pairs(fin: dict, inf_mult: int):
         out = [(ProjPoint.of(z), m) for z, m in fin.items()]
@@ -203,9 +221,7 @@ def from_factored(p: int, c, zeros, poles) -> RationalMap:
             out.append((INF_POINT, inf_mult))
         return tuple(out)
 
-    ff = FactoredForm(c, _pairs(zf, z_inf), _pairs(pf, p_inf))
-    m = RationalMap(p, d, tuple(f), tuple(g), ff)
-    return normalize(m)
+    return _build(p, d, f, g, FactoredForm(c, _pairs(zf, z_inf), _pairs(pf, p_inf)))
 
 
 # ---------------------------------------------------------------------------
@@ -214,11 +230,9 @@ def from_factored(p: int, c, zeros, poles) -> RationalMap:
 
 
 def resultant_ord(m: RationalMap) -> Ord:
-    """ord_p of the Sylvester resultant of the normalized pair."""
-    res = poly.sylvester_det_ord(m.p, list(m.f), list(m.g), m.d)
-    if res is None:
-        raise DegenerateMapError("degenerate map")
-    return Ord.of(res)
+    """ord_p of the Sylvester resultant of the normalized pair, as its
+    constructor computed it."""
+    return Ord.of(m.res_ord)
 
 
 def _content_ord(p: int, coeffs) -> int:
@@ -342,9 +356,9 @@ def pre_compose(m: RationalMap, entries) -> RationalMap:
 
     f2 = subst(m.f)
     g2 = subst(m.g)
-    _validate_pair(m.p, f2, g2, m.d)
-    new = normalize(RationalMap(m.p, m.d, tuple(f2), tuple(g2)))
+    ff = None
     if m.factored is not None:
+        # gamma is invertible, so f2 and g2 are nonzero like f and g
         inv = _mat_inverse(mat)
         zeros = tuple(
             (mobius_apply(inv, pt), mult) for pt, mult in m.factored.zeros
@@ -352,13 +366,8 @@ def pre_compose(m: RationalMap, entries) -> RationalMap:
         poles = tuple(
             (mobius_apply(inv, pt), mult) for pt, mult in m.factored.poles
         )
-        ft = trim(list(new.f))
-        gt = trim(list(new.g))
-        c2 = ft[-1] / gt[-1]
-        new = RationalMap(new.p, new.d, new.f, new.g, FactoredForm(c2, zeros, poles))
-    elif m.d == 1:
-        new = RationalMap(new.p, new.d, new.f, new.g, _mobius_factored(m.p, new.f, new.g))
-    return new
+        ff = FactoredForm(trim(f2)[-1] / trim(g2)[-1], zeros, poles)
+    return _build(m.p, m.d, f2, g2, ff)
 
 
 def post_compose(entries, m: RationalMap) -> RationalMap:
@@ -367,9 +376,5 @@ def post_compose(entries, m: RationalMap) -> RationalMap:
     ((a, b), (c, d)) = _mat(entries)
     f2 = [a * fi + b * gi for fi, gi in zip(m.f, m.g)]
     g2 = [c * fi + d * gi for fi, gi in zip(m.f, m.g)]
-    _validate_pair(m.p, f2, g2, m.d)
-    new = normalize(RationalMap(m.p, m.d, tuple(f2), tuple(g2)))
-    if m.d == 1:
-        new = RationalMap(new.p, new.d, new.f, new.g, _mobius_factored(m.p, new.f, new.g))
-    return new
+    return _build(m.p, m.d, f2, g2)
 

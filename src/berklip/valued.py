@@ -16,7 +16,8 @@ ultrametric becomes a min.  Two kinds of values appear:
 Normal forms are canonical: powers of p with exponents in distinct classes
 mod ZZ are linearly independent over QQ (x^m - p is Eisenstein), so value
 equality is syntactic equality of normal forms.  Strict comparison of
-unequal values is decided by refining dyadic enclosures of p^(1/m).
+unequal values is decided in integers for two one-term sums and by
+refining dyadic enclosures of p^(1/m) otherwise.
 """
 
 from __future__ import annotations
@@ -361,17 +362,50 @@ def ppow_compare(p: int, a: PPowerSum, b: PPowerSum) -> int:
     """Exact comparison of values: -1, 0 or +1.
 
     Equal values have identical normal forms.  Otherwise the difference is
-    strict; with m the lcm of the exponent denominators, both sides are
-    polynomials in X = p^(1/m) with positive coefficients, and a bisected
-    dyadic enclosure of X separates them after finitely many refinements.
+    strict.  Two one-term sums are compared in integers
+    (``_compare_one_term``).  Else, with m the lcm of the exponent
+    denominators, both sides are polynomials in X = p^(1/m) with positive
+    coefficients, and a bisected dyadic enclosure of X separates them
+    after finitely many refinements.
     """
     if a.terms == b.terms:
         return 0
+    if len(a.terms) == 1 == len(b.terms):
+        return _compare_one_term(p, a.terms[0], b.terms[0])
     m = lcm(*[e.denominator for _, e in a.terms + b.terms], 1)
     if m == 1:
         va = sum(c * Fraction(p) ** int(e) for c, e in a.terms)
         vb = sum(c * Fraction(p) ** int(e) for c, e in b.terms)
         return -1 if va < vb else 1
+    return _compare_by_bisection(p, a, b, m)
+
+
+def _compare_one_term(
+    p: int, a: tuple[Fraction, Fraction], b: tuple[Fraction, Fraction]
+) -> int:
+    """Sign of c_a p^(e_a) - c_b p^(e_b) for positive rationals c_a, c_b.
+
+    With m the lcm of the exponent denominators and k = m (e_b - e_a),
+    the sign is that of c_a^m p^max(0, -k) - c_b^m p^max(0, k).  Those
+    powers are formed only when |k| is small: |log2(c_a / c_b)| is below
+    the total bit length L of the four numerators and denominators, and
+    log2 p >= bitlen(p) - 1, so once |k| (bitlen(p) - 1) > m L the
+    exponent gap alone decides.
+    """
+    (ca, ea), (cb, eb) = a, b
+    m = lcm(ea.denominator, eb.denominator)
+    k = int((eb - ea) * m)
+    na, da, nb, db = ca.numerator, ca.denominator, cb.numerator, cb.denominator
+    bits = na.bit_length() + da.bit_length() + nb.bit_length() + db.bit_length()
+    if abs(k) * (p.bit_length() - 1) > m * bits:
+        return -1 if k > 0 else 1
+    lhs = (na * db) ** m * p ** max(0, -k)
+    rhs = (nb * da) ** m * p ** max(0, k)
+    return (lhs > rhs) - (lhs < rhs)
+
+
+def _compare_by_bisection(p: int, a: PPowerSum, b: PPowerSum, m: int) -> int:
+    """Sign of a - b for unequal values, both polynomials in X = p^(1/m)."""
     ta, tb = _root_terms(a, m), _root_terms(b, m)
     lo, hi = Fraction(1), Fraction(p)
     for _ in range(256):

@@ -210,6 +210,18 @@ def test_exit_code_degenerate(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_all_zero_map_is_degenerate(tmp_path, capsys):
+    """The coprimality test rejects an all-zero pair before normalization
+    looks for a coefficient of least valuation."""
+    zero = tmp_path / "zero.json"
+    zero.write_text(json.dumps({"p": 3, "coeffs": {"F": ["0", "0"], "G": ["0", "0"]}}))
+    for cmd in ("invariants", "verify"):
+        assert main([cmd, "--input", str(zero)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: degenerate map"]
+
+
 def test_output_is_byte_deterministic(capsys):
     args = [
         "bounds", "--input", str(FIXTURES / "square_shift_p3.json"),

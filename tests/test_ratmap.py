@@ -1,6 +1,7 @@
 """Rational map construction, normalization, resultants, minors."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -23,7 +24,7 @@ from berklip.ratmap import (
 )
 from berklip.sampling import DetRng, random_rational
 from berklip.valued import Ord, ord_p
-from corpus import random_factored_map, random_unimodular
+from corpus import random_factored_map, random_mobius, random_unimodular
 
 
 def pt(x):
@@ -57,15 +58,19 @@ def test_implied_infinity_padding():
 
 
 def test_normalize_examples():
+    """Rescaling both forms by p^(-low) moves ord Res by -2d*low."""
     p = 3
-    m = RationalMap(p, 2, (Fraction(0), Fraction(0), Fraction(1)), (Fraction(1, 9), Fraction(0), Fraction(0)))
+    # F = X^2, G = Y^2 / 9: Res = 9^-2; after scaling by 9, Res = 9^2
+    m = RationalMap(p, 2, (Fraction(0), Fraction(0), Fraction(1)), (Fraction(1, 9), Fraction(0), Fraction(0)), -4)
     n = normalize(m)
     assert n.f == (Fraction(0), Fraction(0), Fraction(9))
     assert n.g == (Fraction(1), Fraction(0), Fraction(0))
+    assert n.res_ord == 4 == polynomials.sylvester_det_ord(p, list(n.f), list(n.g), 2)
     assert normalize(n) == n
-    m = RationalMap(p, 1, (Fraction(0), Fraction(3)), (Fraction(3), Fraction(0)))
+    m = RationalMap(p, 1, (Fraction(0), Fraction(3)), (Fraction(3), Fraction(0)), 2)
     n = normalize(m)
     assert n.f == (Fraction(0), Fraction(1)) and n.g == (Fraction(1), Fraction(0))
+    assert n.res_ord == 0
 
 
 def test_constructors_return_normalized_maps():
@@ -93,6 +98,117 @@ def test_constructors_return_normalized_maps():
     maps.append(parse_map_data({"p": 3, "factored": factored}))
     for m in maps:
         assert normalize(m) is m, m
+
+
+def _raw_low(p, f, g):
+    """min ord_p over a raw pair's nonzero coefficients."""
+    return min(ord_p(p, c).frac for c in list(f) + list(g) if c)
+
+
+def _assert_stored_resultant(m, expected):
+    assert isinstance(m.res_ord, int)
+    assert m.res_ord == polynomials.sylvester_det_ord(m.p, list(m.f), list(m.g), m.d), m
+    assert m.res_ord == expected, m
+    assert resultant_ord(m) == Ord.of(m.res_ord)
+
+
+def test_stored_resultant_matches_kernel_and_product():
+    """Every constructor keeps ord_p Res of the pair it stores: a fresh
+    elimination on that pair and the product formula agree with it.  The
+    raw pairs carry p-power content of both signs, so normalization moves
+    the kernel's value by -2d*low for low of both signs."""
+    from berklip.serialize import parse_map_data
+
+    rng = DetRng(4242)
+    lows = set()
+    for i in range(48):
+        p = [2, 3, 5, 7][i % 4]
+        m = random_factored_map(rng, p, dmax=6)
+        res = resultant_ord_product(m).frac
+        _assert_stored_resultant(m, res)
+        # from_factored: the leading constant carries p^a
+        a = rng.randint(-4, 4)
+        c = m.factored.c * Fraction(p) ** a
+        scaled = from_factored(p, c, m.factored.zeros, m.factored.poles)
+        _assert_stored_resultant(scaled, resultant_ord_product(scaled).frac)
+        # from_coeffs: f times p^a, g times p^b, so Res moves by d(a + b)
+        # before normalizing by p^-low
+        a, b = rng.randint(-4, 4), rng.randint(-4, 4)
+        f = [x * Fraction(p) ** a for x in m.f]
+        g = [x * Fraction(p) ** b for x in m.g]
+        low = _raw_low(p, f, g)
+        lows.add(low)
+        _assert_stored_resultant(from_coeffs(p, f, g), res + m.d * (a + b) - 2 * m.d * low)
+        # pre- and post-composition with p^s times a unimodular matrix:
+        # the raw pair has content p^(ds) and p^s, normalization takes it out
+        s = rng.randint(-3, 3)
+        mat = tuple(tuple(x * Fraction(p) ** s for x in row) for row in random_unimodular(rng))
+        pre = pre_compose(m, mat)
+        _assert_stored_resultant(pre, resultant_ord_product(pre).frac)
+        assert pre.res_ord == res
+        _assert_stored_resultant(post_compose(mat, m), res)
+        lows.update({m.d * s, s})
+        # the map file forms, coefficients and zero/pole data
+        desc = [str(x * Fraction(p) ** a) for x in reversed(m.f)]
+        gdesc = [str(x * Fraction(p) ** a) for x in reversed(m.g)]
+        parsed = parse_map_data({"p": p, "coeffs": {"F": desc, "G": gdesc}})
+        _assert_stored_resultant(parsed, res)
+        block = {
+            "C": str(c),
+            "zeros": [[str(q), k] for q, k in m.factored.zeros],
+            "poles": [[str(q), k] for q, k in m.factored.poles],
+        }
+        parsed = parse_map_data({"p": p, "factored": block})
+        _assert_stored_resultant(parsed, scaled.res_ord)
+    for i in range(24):
+        p = [2, 3, 5, 7][i % 4]
+        k = rng.randint(-3, 3)
+        mob = random_mobius(rng, p)
+        mat = ((mob.f[1] * Fraction(p) ** k, mob.f[0]), (mob.g[1], mob.g[0] * Fraction(p) ** k))
+        try:
+            built = mobius_from_matrix(p, mat)
+        except DegenerateMapError:
+            continue
+        _assert_stored_resultant(built, resultant_ord_product(built).frac)
+        det = mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
+        low = _raw_low(p, [mat[0][1], mat[0][0]], [mat[1][1], mat[1][0]])
+        assert built.res_ord == ord_p(p, det).frac - 2 * low
+        lows.add(low)
+    assert min(lows) < 0 < max(lows)
+
+
+def test_one_elimination_per_map(count_calls, capsys):
+    """The Sylvester elimination runs once per map built, and never in
+    the readers of a built map."""
+    from berklip import cli, invariants, lipschitz
+
+    calls = count_calls(polynomials.sylvester_det_ord)
+    rng = DetRng(77)
+    m = random_factored_map(rng, 3, dmax=4)
+    mat = random_unimodular(rng)
+    builders = [
+        lambda: random_factored_map(DetRng(5), 5, dmax=5),
+        lambda: from_coeffs(3, [Fraction(1, 9), 0, 2], [0, 3, 0]),
+        lambda: mobius_from_matrix(5, ((25, 5), (0, 1))),
+        lambda: pre_compose(m, mat),
+        lambda: post_compose(mat, m),
+    ]
+    for build in builders:
+        calls.clear()
+        build()
+        assert len(calls) == 1
+    for d in (1, 3, 5):
+        m = random_factored_map(DetRng(d), 3, dmax=d)
+        calls.clear()
+        invariants.bundle(m)
+        lipschitz.bound_report(m, n=1000, seed=1)
+        lipschitz.segment_lip(lipschitz.radial_profile(m, 0, 0))
+        assert calls == []
+    calls.clear()
+    fixture = Path(__file__).parent.parent / "fixtures" / "square_shift_p3.json"
+    assert cli.main(["verify", "--input", str(fixture)]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
 
 
 def _sylvester_det_by_minors(f_desc, g_desc, d):
@@ -175,8 +291,14 @@ def test_degenerate_rejected():
         from_coeffs(p, [0, 1], [0, 2])  # both vanish at 0 after gcd
     with pytest.raises(DegenerateMapError):
         from_coeffs(p, [1, 1], [2, 2])
-    with pytest.raises(DegenerateMapError):
-        from_coeffs(p, [0, 0], [1, 0])
+    with pytest.raises(DegenerateMapError, match="^degenerate map$"):
+        from_coeffs(p, [0, 0], [1, 0])  # zero numerator
+    with pytest.raises(DegenerateMapError, match="^degenerate map$"):
+        from_coeffs(p, [0, 0], [0, 0])  # the kernel rejects it before normalize looks for a unit
+    with pytest.raises(DegenerateMapError, match="^degree zero$"):
+        from_coeffs(p, [5], [1])
+    with pytest.raises(DegenerateMapError, match="^singular matrix$"):
+        mobius_from_matrix(p, ((1, 2), (3, 6)))
     # degree 6 and 7: a shared finite root with p in some coefficients,
     # then a shared root at infinity (both forms of actual degree < d)
     shared = Fraction(2, 9)
@@ -248,8 +370,8 @@ def test_sylvester_kernel_doubles_precision(monkeypatch):
         a = Fraction(1, p)
         zeros = [(pt(a), 1), (pt(5), 1)]
         poles = [(pt(a + Fraction(p) ** 60), 1), (pt(Fraction(2, 3 * p)), 1)]
-        m = from_factored(p, Fraction(p, 4), zeros, poles)
         precs.clear()
+        m = from_factored(p, Fraction(p, 4), zeros, poles)  # runs the kernel
         res = resultant_ord(m)
         assert res == resultant_ord_product(m)
         assert res.frac >= 60

@@ -2,13 +2,17 @@
 
 from decimal import Decimal, getcontext
 from fractions import Fraction
+from math import lcm
+from time import process_time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from berklip.lipschitz import _invariant_bound_terms
 from berklip.sampling import DetRng
 from berklip.valued import (
+    _compare_by_bisection,
     ORD_INF,
     Ord,
     is_prime,
@@ -179,6 +183,50 @@ def test_compare_matches_decimal_oracle_on_random_sums():
         assert ppow_compare(p, a, b) == -ppow_compare(p, b, a)
         if ppow_compare(p, a, b) <= 0 and ppow_compare(p, b, c) <= 0:
             assert ppow_compare(p, a, c) <= 0
+
+
+def test_one_term_compare_matches_bisection():
+    """Two one-term sums are compared in integers (or by the exponent gap
+    alone); the bisected enclosure of p^(1/m) must agree on every pair."""
+    rng = DetRng(9001)
+    pairs = 0
+    for i in range(3200):
+        p = [2, 3, 5, 7][i % 4]
+        terms = []
+        for _ in range(2):
+            c = Fraction(rng.randint(1, 60), rng.randint(1, 12))
+            # small gaps reach the integer comparison, large ones the gap test
+            span = [3, 12, 40][rng.randint(0, 2)]
+            terms.append(ppow_term(p, c, Fraction(rng.randint(-span, span), rng.randint(1, 6))))
+        a, b = terms
+        if a == b:
+            continue
+        m = lcm(*[e.denominator for _, e in a.terms + b.terms])
+        assert ppow_compare(p, a, b) == _compare_by_bisection(p, a, b, m), (p, a, b)
+        assert ppow_compare(p, b, a) == -ppow_compare(p, a, b)
+        pairs += 1
+    assert pairs >= 3000
+
+
+@pytest.mark.parametrize(
+    "p, d, gir, b0, expected",
+    [
+        (3, 64, -5, Fraction(191, 3), 1),
+        (2**61 - 1, 64, -5, 32, 1),
+        (3, 2, 0, Fraction(1, 100003), -1),
+    ],
+)
+def test_invariant_bound_terms_compare_fast(p, d, gir, b0, expected):
+    """The two branches of the invariant bound at large d * B0, at a huge
+    prime, and at a huge exponent denominator: each took seconds to
+    bisect, and compares in integers in well under a second.  The first
+    branch p^(gir + d B0) beats d p^(gir/d + B0) exactly when
+    (d - 1)(gir/d + B0) > log_p d."""
+    first, second = _invariant_bound_terms(p, d, Ord.of(gir), b0)
+    start = process_time()
+    got = ppow_compare(p, first, second)
+    assert process_time() - start < 0.5
+    assert got == expected
 
 
 def test_compare_is_total_order():
