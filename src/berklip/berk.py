@@ -4,7 +4,7 @@ action of a rational map on discs.
 A type II point is a disc D(a, r) with rational center a and radius
 r = p^(-t), t rational; it is stored as (center, radius_ord=t).  Distinct
 (center, t) pairs can name the same point, so identity is the predicate
-:func:`berk_equal`, never dataclass equality.
+:func:`berk_equal`, never record equality.
 
 The pushforward of a disc point computes the image point phi(zeta_{a,r})
 through Taylor-shift seminorms: the image diameter is the minimum over
@@ -25,9 +25,9 @@ offset shared by all its coefficients is never needed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
 from .errors import DegenerateMapError, InternalInvariantError
 from .polynomials import taylor_shift, trim
@@ -37,24 +37,18 @@ from .valued import ORD_INF, Ord, PPowerSum, format_fraction, int_val, ppow_norm
 
 __all__ = [
     "BerkPoint",
-    "Direction",
     "gauss_point",
     "berk_equal",
-    "direction_key",
-    "same_direction",
-    "diam_infty",
     "diam_gauss",
     "join_gauss",
     "d_metric",
-    "rho",
     "seminorm",
     "iota",
     "push_forward",
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class BerkPoint:
+class BerkPoint(NamedTuple):
     """A classical point of P1(QQ) or a disc point zeta_{a, p^(-t)}."""
 
     pt: ProjPoint | None  # set for type I
@@ -91,52 +85,6 @@ def gauss_point() -> BerkPoint:
     return BerkPoint.disc(0, 0)
 
 
-@dataclass(frozen=True, slots=True)
-class Direction:
-    """A tangent direction at a disc point, witnessed by a classical
-    representative: the component of the complement of ``at`` containing
-    the representative.  Only finitely many witnesses are ever
-    materialized; equality of directions is :func:`same_direction`."""
-
-    at: BerkPoint
-    representative: ProjPoint
-
-    def __post_init__(self):
-        if not self.at.is_disc:
-            raise ValueError("directions are attached to type II points")
-
-
-def direction_key(p: int, at: BerkPoint, rep: ProjPoint):
-    """Identify the direction at a disc point containing a classical rep.
-
-    Returns None for the outward direction (representatives outside the
-    disc, including infinity) and otherwise the integer residue lift of
-    (rep - center)/p^t, which labels the inward sub-disc.
-    """
-    if not at.is_disc:
-        raise ValueError("directions are attached to type II points")
-    t = at.radius_ord
-    if rep.is_inf:
-        return None
-    v = _vord(rep.z - at.center, p)
-    if v is not None and v < t:
-        return None
-    if v is None or v > t:
-        return 0
-    off = (rep.z - at.center) / Fraction(p) ** t
-    num = off.numerator % p
-    den = off.denominator % p
-    return num * pow(den, -1, p) % p
-
-
-def same_direction(p: int, a: Direction, b: Direction) -> bool:
-    if not berk_equal(p, a.at, b.at):
-        return False
-    return direction_key(p, a.at, a.representative) == direction_key(
-        p, b.at, b.representative
-    )
-
-
 def berk_equal(p: int, x: BerkPoint, y: BerkPoint) -> bool:
     """Identity of points: equal radius exponent and center distance within."""
     if x.is_classical != y.is_classical:
@@ -152,16 +100,6 @@ def berk_equal(p: int, x: BerkPoint, y: BerkPoint) -> bool:
 # ---------------------------------------------------------------------------
 # diameters and the tree metrics
 # ---------------------------------------------------------------------------
-
-
-def diam_infty(x: BerkPoint) -> Ord:
-    """Radius exponent of the disc seen from infinity; classical points
-    are radius-0 (exponent +infinity)."""
-    if x.is_classical:
-        if x.pt.is_inf:
-            raise ValueError("diam_infty undefined at infinity")
-        return ORD_INF
-    return Ord.of(x.radius_ord)
 
 
 def _diam_gauss_frac(p: int, center: Fraction, t: Fraction) -> Fraction:
@@ -263,23 +201,6 @@ def d_metric(p: int, x: BerkPoint, y: BerkPoint) -> PPowerSum:
     return ppow_normalize(p, terms)
 
 
-def rho(p: int, x: BerkPoint, y: BerkPoint) -> Fraction:
-    """Logarithmic path distance between two disc points.
-
-    Measured through the join toward infinity: the radius exponent is
-    monotone along each half of the path, so the length is
-    t_x + t_y - 2 * min(t_x, t_y, ord(a_x - a_y)).
-    """
-    if x.is_classical or y.is_classical:
-        raise ValueError("rho infinite at classical points")
-    cands = [x.radius_ord, y.radius_ord]
-    vd = _vord(x.center - y.center, p)
-    if vd is not None:
-        cands.append(vd)
-    m = min(cands)
-    return x.radius_ord + y.radius_ord - 2 * m
-
-
 # ---------------------------------------------------------------------------
 # the integer shift kernel, seminorms and the pushforward
 # ---------------------------------------------------------------------------
@@ -315,8 +236,7 @@ def _semi_num(lines, tn: int, td: int) -> int:
     return min(o * td + j * tn for j, o in lines)
 
 
-@dataclass(frozen=True, slots=True)
-class Shift:
+class Shift(NamedTuple):
     """A map's pair (f, g) Taylor-shifted to a center u/v, kept as integers.
 
     With (F, G) the coefficients cleared by one common factor D, coefficient

@@ -7,6 +7,10 @@ Output is byte-deterministic given the input file, options and seed.
 Exit codes: 0 success, 1 parse error (bad file or bad option value),
 2 degenerate map, 3 factored form required, 4 verification failure,
 5 internal invariant violated (a bug).
+
+Each command imports only what it runs: ``invariants`` reads the map and
+builds its bundle, and the Lipschitz layer (``lipschitz``, with the
+sampler under it) is imported by the other four commands on first use.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,13 +31,6 @@ from .errors import (
     ParseError,
 )
 from .invariants import bundle, rp_ord
-from .lipschitz import (
-    _mobius_exact,
-    bound_report,
-    radial_profile,
-    resultant_bounds,
-    sample_ratios,
-)
 from .ratmap import (
     RationalMap,
     gir_minors,
@@ -51,30 +47,19 @@ from .serialize import (
 )
 from .valued import parse_fraction, ppow_compare
 
-__all__ = ["RunConfig", "run", "main"]
+__all__ = ["run", "main"]
 
 
 # Largest sample count: the sampled pairs are held in memory at once.
 MAX_SAMPLES = 100_000
 
-# Largest --b0-ord: the invariant bound's terms p^(gir + d*B0) and
-# d p^(gir/d + B0) are compared and rendered exactly, at a cost growing
-# with d*B0 (at the cap, about 0.3 s for a degree-64 map at p = 3 on a
-# 2-vCPU Xeon with Python 3.11).
+# Largest --b0-ord: it bounds the size of the invariant bound's terms
+# p^(gir + d*B0) and d p^(gir/d + B0), which are compared exactly and
+# rendered from a Decimal enclosure.  At the cap, for a degree-64 map with
+# gir = -5, both take under 1 ms at p = 3 and about 0.13 s at
+# p = 2^61 - 1 (the exact rendering of p^4091), on a 2-vCPU Xeon with
+# Python 3.11.
 MAX_B0_ORD = 64
-
-
-@dataclass
-class RunConfig:
-    command: str
-    input: str
-    p: int | None = None
-    seed: int = 0
-    n: int = 1000
-    center: str = "0"
-    tmin: str = "0"
-    b0_ord: str | None = None
-    fmt: str = "json"
 
 
 def _option_fraction(name: str, text: str, low: int | None = None) -> Fraction:
@@ -87,7 +72,7 @@ def _option_fraction(name: str, text: str, low: int | None = None) -> Fraction:
     return value
 
 
-def _check_options(cfg: RunConfig) -> tuple[Fraction, Fraction, Fraction | None]:
+def _check_options(cfg: argparse.Namespace) -> tuple[Fraction, Fraction, Fraction | None]:
     """Reject bad option values before the map is read; returns the parsed
     (center, tmin, b0_ord)."""
     n_min = 1 if cfg.command in ("sample", "verify") else 0
@@ -103,7 +88,7 @@ def _check_options(cfg: RunConfig) -> tuple[Fraction, Fraction, Fraction | None]
     return center, tmin, b0
 
 
-def _load_map(cfg: RunConfig) -> RationalMap:
+def _load_map(cfg: argparse.Namespace) -> RationalMap:
     try:
         text = Path(cfg.input).read_text()
     except OSError as e:
@@ -131,12 +116,14 @@ def _emit(obj: dict, fmt: str) -> str:
     return "\n".join(lines)
 
 
-def _verify_checks(m: RationalMap, cfg: RunConfig):
+def _verify_checks(m: RationalMap, cfg: argparse.Namespace):
     """Per-map property suite for the verify command.
 
     The map's bundle is built once, by the first check that needs it; if
     building it fails, every check that needs it reports that error.
     """
+    from .lipschitz import _mobius_exact, resultant_bounds, sample_ratios
+
     checks = []
     built: list = []
 
@@ -207,25 +194,28 @@ def _verify_checks(m: RationalMap, cfg: RunConfig):
     return checks
 
 
-def run(cfg: RunConfig) -> int:
-    """Execute one command; returns the process exit status."""
+def run(cfg: argparse.Namespace) -> int:
+    """Execute one command, configured by the parsed command line (see
+    ``_build_parser``); returns the process exit status."""
     center, tmin, b0 = _check_options(cfg)
     m = _load_map(cfg)
     if cfg.command == "invariants":
         print(_emit(bundle_json(bundle(m)), cfg.fmt))
         return 0
+    from . import lipschitz
+
     if cfg.command == "bounds":
         if m.factored is None:
             raise FactoredFormRequiredError("factored form required")
-        rep = bound_report(m, n=cfg.n, seed=cfg.seed, b0_ord=b0)
+        rep = lipschitz.bound_report(m, n=cfg.n, seed=cfg.seed, b0_ord=b0)
         print(_emit(report_json(rep), cfg.fmt))
         return 0
     if cfg.command == "profile":
-        pr = radial_profile(m, center, tmin)
+        pr = lipschitz.radial_profile(m, center, tmin)
         print(_emit(profile_json(pr), cfg.fmt))
         return 0
     if cfg.command == "sample":
-        s, pair = sample_ratios(m, cfg.n, cfg.seed)
+        s, pair = lipschitz.sample_ratios(m, cfg.n, cfg.seed)
         obj = {
             "p": m.p,
             "n": cfg.n,
@@ -287,19 +277,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
-        cfg = RunConfig(
-            command=args.command,
-            input=args.input,
-            p=args.p,
-            seed=args.seed,
-            n=args.n,
-            center=args.center,
-            tmin=args.tmin,
-            b0_ord=args.b0_ord,
-            fmt=args.fmt,
-        )
-        return run(cfg)
+        return run(_build_parser().parse_args(argv))
     except ParseError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -24,8 +24,8 @@ re-verified through the pushforward.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .berk import (
     BerkPoint,
@@ -81,8 +81,7 @@ def rp_ord(m: RationalMap) -> Ord:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class TreeEdge:
+class TreeEdge(NamedTuple):
     """A radial edge {zeta_{center, t}} between two tree vertices.
 
     ``lower`` is the small-radius end (larger t, possibly a classical
@@ -107,8 +106,7 @@ class TreeEdge:
         return lo, hi
 
 
-@dataclass(frozen=True, slots=True)
-class FiniteTree:
+class FiniteTree(NamedTuple):
     vertices: tuple[BerkPoint, ...]
     edges: tuple[TreeEdge, ...]
 
@@ -208,8 +206,7 @@ def hull(p: int, points) -> FiniteTree:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class GprResult:
+class GprResult(NamedTuple):
     ord: Ord
     argmin: BerkPoint
     preimages: tuple[BerkPoint, ...]
@@ -289,8 +286,7 @@ def gpr(m: RationalMap, hull_points=None) -> GprResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class InvariantBundle:
+class InvariantBundle(NamedTuple):
     p: int
     d: int
     gir: Ord

@@ -24,9 +24,9 @@ witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .berk import Shift, iota
 from .errors import InternalInvariantError
@@ -156,8 +156,7 @@ def _mobius_exact(m: RationalMap, inv: InvariantBundle) -> PPowerSum:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class ProfileSegment:
+class ProfileSegment(NamedTuple):
     """One monomial piece: image diameter p^(-coeff_ord) * r^k for radii
     r = p^(-t), t in [t_hi, t_lo] (t_lo None when the piece runs to the
     classical center, r -> 0)."""
@@ -168,8 +167,7 @@ class ProfileSegment:
     k: int
 
 
-@dataclass(frozen=True, slots=True)
-class RadialProfile:
+class RadialProfile(NamedTuple):
     p: int
     center: Fraction
     t_min: Fraction
@@ -389,8 +387,7 @@ def gpr_witness(m: RationalMap, inv: InvariantBundle | None = None):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     p: int
     d: int
     lip_classical: PPowerSum | None

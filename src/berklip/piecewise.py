@@ -25,25 +25,29 @@ the last piece).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 __all__ = ["PWLinear", "lower_envelope", "intersect_intervals"]
 
 _Bound = Fraction | None
 
 
-@dataclass(frozen=True, slots=True)
-class PWLinear:
-    """Continuous piecewise-linear function on [lo, hi]."""
-
+class _PWLinearFields(NamedTuple):
     lo: _Bound
     hi: _Bound
     pieces: tuple[tuple[_Bound, int, int], ...]  # (start, slope, icept)
 
-    def __post_init__(self):
-        if not self.pieces:
+
+class PWLinear(_PWLinearFields):
+    """Continuous piecewise-linear function on [lo, hi]."""
+
+    __slots__ = ()
+
+    def __new__(cls, lo: _Bound, hi: _Bound, pieces: tuple[tuple[_Bound, int, int], ...]):
+        if not pieces:
             raise ValueError("PWLinear needs at least one piece")
+        return tuple.__new__(cls, (lo, hi, pieces))
 
     def spans(self) -> list[tuple[_Bound, _Bound, int, int]]:
         """Pieces as (start, end, slope, intercept) with explicit ends."""

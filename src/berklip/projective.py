@@ -9,17 +9,15 @@ kernel, ``_sph_pair_ord``, runs on integer numerators and denominators;
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-from .errors import ParseError
 from .valued import ORD_INF, Ord, int_val, format_fraction, parse_fraction
 
-__all__ = ["ProjPoint", "INF_POINT", "HomogCoords", "spherical_ord", "unit_normalize"]
+__all__ = ["ProjPoint", "INF_POINT", "spherical_ord"]
 
 
-@dataclass(frozen=True, slots=True)
-class ProjPoint:
+class ProjPoint(NamedTuple):
     """A point of P1(QQ): a finite rational z, or the point at infinity."""
 
     z: Fraction | None  # None encodes infinity
@@ -101,28 +99,3 @@ def spherical_ord(p: int, x: ProjPoint, y: ProjPoint) -> Ord:
     +infinity iff the points coincide (see ``_sph_pair_ord``)."""
     s = _sph_pair_ord(p, *_num_den(x), *_num_den(y))
     return ORD_INF if s is None else Ord.of(s)
-
-
-@dataclass(frozen=True, slots=True)
-class HomogCoords:
-    """Nonzero homogeneous coordinates (X : Y) with rational entries."""
-
-    x: Fraction
-    y: Fraction
-
-    def __post_init__(self):
-        if self.x == 0 and self.y == 0:
-            raise ParseError("homogeneous coordinates cannot both vanish")
-
-
-def unit_normalize(p: int, h: HomogCoords) -> HomogCoords:
-    """Scale by p^(-m), m the minimum coordinate valuation, so min ord = 0.
-
-    Deterministic representative: only the p-power is removed, any unit
-    content is kept.
-    """
-    vx = _vord(h.x, p)
-    vy = _vord(h.y, p)
-    m = min(v for v in (vx, vy) if v is not None)
-    f = Fraction(p) ** -m
-    return HomogCoords(h.x * f, h.y * f)

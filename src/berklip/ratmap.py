@@ -14,9 +14,9 @@ degree 1, where both points are always rational.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
 from .errors import DegenerateMapError, FactoredFormRequiredError
 from .polynomials import mul, trim
@@ -40,8 +40,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class FactoredForm:
+class FactoredForm(NamedTuple):
     """Projectively complete zero/pole data: C * prod(z - a) / prod(z - b).
 
     ``zeros`` and ``poles`` list (point, multiplicity) pairs whose
@@ -60,8 +59,7 @@ class FactoredForm:
         return [pt for pt, m in self.poles for _ in range(m)]
 
 
-@dataclass(frozen=True, slots=True)
-class RationalMap:
+class RationalMap(NamedTuple):
     """A normalized map.  Instances come from the constructors of this
     module (``from_coeffs``, ``from_factored``, ``pre_compose``,
     ``post_compose``, ``mobius_from_matrix``), each of which runs the

@@ -14,10 +14,10 @@ valuation exponents additionally render a display value "p^-t".
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from .berk import BerkPoint
 from .errors import ParseError
-from .invariants import InvariantBundle
-from .lipschitz import BoundReport, RadialProfile
 from .projective import ProjPoint
 from .ratmap import RationalMap, from_coeffs, from_factored
 from .valued import (
@@ -28,6 +28,10 @@ from .valued import (
     parse_fraction,
     ppow_decimal,
 )
+
+if TYPE_CHECKING:  # annotations only: the commands that need them load these
+    from .invariants import InvariantBundle
+    from .lipschitz import BoundReport, RadialProfile
 
 __all__ = [
     "ord_json",

@@ -18,15 +18,18 @@ mod ZZ are linearly independent over QQ (x^m - p is Eisenstein), so value
 equality is syntactic equality of normal forms.  Strict comparison of
 unequal values is decided in integers for two one-term sums and by
 refining dyadic enclosures of p^(1/m) otherwise.
+
+The value types are ``NamedTuple`` records: immutable, with C-level
+equality and hashing, and nothing costly to build when the module loads.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from decimal import Decimal, getcontext
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_CEILING, ROUND_FLOOR, Context, Decimal
 from fractions import Fraction
 from math import floor, lcm
+from typing import NamedTuple
 
 from .errors import ParseError
 
@@ -40,7 +43,6 @@ __all__ = [
     "PPOW_ZERO",
     "ppow_normalize",
     "ppow_term",
-    "ppow_add",
     "ppow_mul",
     "ppow_compare",
     "ppow_max",
@@ -127,15 +129,14 @@ def _val_by_squaring(n: int, p: int) -> int:
     return v
 
 
-@dataclass(frozen=True, slots=True)
-class Ord:
+class Ord(NamedTuple):
     """A valuation exponent t in QQ, or +infinity; |x| = p^(-t).
 
     Total order with +infinity as the maximum.  Addition and integer
     scaling follow valuation arithmetic (infinity is absorbing).
     """
 
-    _v: Fraction | None  # None encodes +infinity
+    v: Fraction | None  # None encodes +infinity
 
     @staticmethod
     def of(value) -> "Ord":
@@ -143,48 +144,48 @@ class Ord:
 
     @property
     def is_inf(self) -> bool:
-        return self._v is None
+        return self.v is None
 
     @property
     def frac(self) -> Fraction:
-        if self._v is None:
+        if self.v is None:
             raise ValueError("infinite Ord has no finite value")
-        return self._v
+        return self.v
 
     def __add__(self, other) -> "Ord":
         o = other if isinstance(other, Ord) else Ord.of(other)
-        if self._v is None or o._v is None:
+        if self.v is None or o.v is None:
             return ORD_INF
-        return Ord(self._v + o._v)
+        return Ord(self.v + o.v)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "Ord":
         o = other if isinstance(other, Ord) else Ord.of(other)
-        if o._v is None:
+        if o.v is None:
             raise ValueError("cannot subtract an infinite Ord")
-        if self._v is None:
+        if self.v is None:
             return ORD_INF
-        return Ord(self._v - o._v)
+        return Ord(self.v - o.v)
 
     def __mul__(self, k) -> "Ord":
         k = Fraction(k)
-        if self._v is None:
+        if self.v is None:
             if k <= 0:
                 raise ValueError("cannot scale infinite Ord by a nonpositive factor")
             return ORD_INF
-        return Ord(self._v * k)
+        return Ord(self.v * k)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "Ord":
-        if self._v is None:
+        if self.v is None:
             raise ValueError("cannot negate infinite Ord")
-        return Ord(-self._v)
+        return Ord(-self.v)
 
     def _key(self, other):
         o = other if isinstance(other, Ord) else Ord.of(other)
-        return self._v, o._v
+        return self.v, o.v
 
     def __lt__(self, other) -> bool:
         a, b = self._key(other)
@@ -206,16 +207,21 @@ class Ord:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Ord):
-            return self._v == other._v
+            return self.v == other.v
         if isinstance(other, (int, Fraction)):
-            return self._v == Fraction(other)
+            return self.v == Fraction(other)
         return NotImplemented
 
+    def __ne__(self, other) -> bool:
+        # tuple's own != would compare Ord(3) and 3 as unequal tuples
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
+
     def __hash__(self):
-        return hash(self._v)
+        return hash(self.v)
 
     def __str__(self) -> str:
-        return "inf" if self._v is None else format_fraction(self._v)
+        return "inf" if self.v is None else format_fraction(self.v)
 
     def __repr__(self) -> str:
         return f"Ord({self})"
@@ -263,8 +269,7 @@ def format_fraction(x: Fraction) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class PPowerSum:
+class PPowerSum(NamedTuple):
     """Normal-form finite sum of positive p-power terms.
 
     ``terms`` is a tuple of (coefficient, exponent) pairs meaning
@@ -328,11 +333,6 @@ def ppow_normalize(p: int, terms) -> PPowerSum:
 
 def ppow_term(p: int, coef, exp) -> PPowerSum:
     return ppow_normalize(p, [(Fraction(coef), Fraction(exp))])
-
-
-def ppow_add(p: int, *sums: PPowerSum) -> PPowerSum:
-    raw = [term for s in sums for term in s.terms]
-    return ppow_normalize(p, raw)
 
 
 def ppow_mul(p: int, a: PPowerSum, b: PPowerSum) -> PPowerSum:
@@ -432,27 +432,59 @@ def ppow_max(p: int, *sums: PPowerSum) -> PPowerSum:
     return best
 
 
+# working-precision cap of ppow_decimal: an irrational value this close to
+# a rounding boundary does not occur in practice
+_MAX_DECIMAL_PREC = 20_000
+
+
 def ppow_decimal(p: int, s: PPowerSum, digits: int = 12) -> str:
-    """Decimal rendering to ``digits`` significant figures (display only)."""
+    """Decimal rendering to ``digits`` significant figures, rounded half
+    to even (display only).
+
+    A sum with integer exponents is a rational and is rounded once.  Any
+    other sum is irrational (the normal form is unique), so it lies on no
+    rounding boundary: each term c * p^e is enclosed through the correctly
+    rounded ``Decimal.ln`` and ``Decimal.exp``, each widened by one unit in
+    the last place, and the working precision grows until both ends of the
+    enclosure round alike.  The digits carried grow with the logarithm of
+    the exponents, and not at all with their denominators.
+    """
     if s.is_zero:
         return "0"
-    m = lcm(*[e.denominator for _, e in s.terms], 1)
-    if m == 1:
+    out = Context(prec=digits, Emax=MAX_EMAX, Emin=MIN_EMIN)
+    if all(e.denominator == 1 for _, e in s.terms):
         val = sum(c * Fraction(p) ** int(e) for c, e in s.terms)
-        lo_val = hi_val = val
-    else:
-        terms = _root_terms(s, m)
-        lo, hi = Fraction(1), Fraction(p)
-        lo_val, hi_val = _sum_bounds(terms, lo, hi)
-        while hi_val - lo_val > lo_val / 10 ** (digits + 4):
-            mid = (lo + hi) / 2
-            if mid**m <= p:
-                lo = mid
-            else:
-                hi = mid
-            lo_val, hi_val = _sum_bounds(terms, lo, hi)
-    mid_val = (lo_val + hi_val) / 2
-    ctx = getcontext().copy()
-    ctx.prec = digits
-    d = ctx.divide(Decimal(mid_val.numerator), Decimal(mid_val.denominator))
-    return str(d)
+        return str(out.divide(Decimal(val.numerator), Decimal(val.denominator)))
+    # |e ln p| < |e| * bitlen(p): enough digits that the error of e ln p,
+    # which exp turns into a relative error, stays below the last digit
+    scale = max(int(abs(e) * p.bit_length()) for _, e in s.terms)
+    prec = digits + 8 + len(str(scale))
+    while prec <= _MAX_DECIMAL_PREC:
+        lo, hi = _decimal_enclosure(p, s.terms, prec)
+        low, high = str(out.plus(lo)), str(out.plus(hi))
+        if low == high:
+            return low
+        prec *= 2
+    raise ArithmeticError("decimal enclosure failed to settle the rounding")
+
+
+def _decimal_enclosure(p: int, terms, prec: int) -> tuple[Decimal, Decimal]:
+    """Decimals lo <= sum c * p^e <= hi, from ``prec``-digit arithmetic
+    rounded toward the side each bound needs."""
+    near = Context(prec=prec, Emax=MAX_EMAX, Emin=MIN_EMIN)
+    down = Context(prec=prec, rounding=ROUND_FLOOR, Emax=MAX_EMAX, Emin=MIN_EMIN)
+    up = Context(prec=prec, rounding=ROUND_CEILING, Emax=MAX_EMAX, Emin=MIN_EMIN)
+    ln_p = near.ln(Decimal(p))
+    ln_lo, ln_hi = near.next_minus(ln_p), near.next_plus(ln_p)
+    lo = hi = Decimal(0)
+    for c, e in terms:
+        a, b = Decimal(e.numerator), Decimal(e.denominator)
+        l_lo, l_hi = (ln_lo, ln_hi) if e > 0 else (ln_hi, ln_lo)
+        y_lo = down.divide(down.multiply(a, l_lo), b)
+        y_hi = up.divide(up.multiply(a, l_hi), b)
+        x_lo = near.next_minus(near.exp(y_lo))
+        x_hi = near.next_plus(near.exp(y_hi))
+        n, d = Decimal(c.numerator), Decimal(c.denominator)
+        lo = down.add(lo, down.divide(down.multiply(n, x_lo), d))
+        hi = up.add(hi, up.divide(up.multiply(n, x_hi), d))
+    return lo, hi

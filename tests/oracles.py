@@ -5,7 +5,10 @@ The first part is a brute-force oracle; the next section is a Fraction
 reference for the integer shift kernel (see there), the next holds
 unoptimized forms of the sampler and the hull, and the last ones
 PWLinear arithmetic by sampled alignment with the envelopes, the Gauss
-fiber and the radial profile built on it.
+fiber and the radial profile built on it.  The last section keeps the
+helpers that only the tests use (directions, rho, the diameter seen from
+infinity, homogeneous coordinates, ppow_add) and the bisection rendering
+that ``ppow_decimal`` replaced.
 
 Valuations here are the Fraction ``ref_vord`` and ``ref_spherical_ord``,
 independent of the program's integer kernels.  The brute-force
@@ -34,15 +37,26 @@ redraws; a decisive disagreement is a genuine refutation.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from decimal import Decimal, getcontext
 from fractions import Fraction
 
 from berklip.berk import BerkPoint, Shift, berk_equal, gauss_point, iota
-from berklip.errors import InternalInvariantError
+from berklip.errors import InternalInvariantError, ParseError
 from berklip.piecewise import PWLinear
-from berklip.projective import ProjPoint
+from berklip.projective import ProjPoint, _vord
 from berklip.ratmap import RationalMap, _int_coeff_pair, eval_proj
 from berklip.sampling import DetRng, random_unit_fraction
-from berklip.valued import PPOW_ZERO, ppow_term
+from berklip.valued import (
+    ORD_INF,
+    PPOW_ZERO,
+    Ord,
+    PPowerSum,
+    _root_terms,
+    _sum_bounds,
+    ppow_normalize,
+    ppow_term,
+)
 
 SAMPLES = 200
 
@@ -644,3 +658,143 @@ def ref_radial_profile(m: RationalMap, center, t_min, events: set | None = None)
     profile = PWLinear(t_min, None, tuple(pieces)).simplified()
     segments = tuple(ProfileSegment(s, e, c, int(k)) for s, e, k, c in profile.spans())
     return RadialProfile(p, center, t_min, segments)
+
+
+# ---------------------------------------------------------------------------
+# test-only helpers, and the bisection rendering of p-power sums
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True, slots=True)
+class Direction:
+    """A tangent direction at a disc point, witnessed by a classical
+    representative: the component of the complement of ``at`` containing
+    the representative.  Only finitely many witnesses are ever
+    materialized; equality of directions is :func:`same_direction`."""
+
+    at: BerkPoint
+    representative: ProjPoint
+
+    def __post_init__(self):
+        if not self.at.is_disc:
+            raise ValueError("directions are attached to type II points")
+
+
+def direction_key(p: int, at: BerkPoint, rep: ProjPoint):
+    """Identify the direction at a disc point containing a classical rep.
+
+    Returns None for the outward direction (representatives outside the
+    disc, including infinity) and otherwise the integer residue lift of
+    (rep - center)/p^t, which labels the inward sub-disc.
+    """
+    if not at.is_disc:
+        raise ValueError("directions are attached to type II points")
+    t = at.radius_ord
+    if rep.is_inf:
+        return None
+    v = _vord(rep.z - at.center, p)
+    if v is not None and v < t:
+        return None
+    if v is None or v > t:
+        return 0
+    off = (rep.z - at.center) / Fraction(p) ** t
+    num = off.numerator % p
+    den = off.denominator % p
+    return num * pow(den, -1, p) % p
+
+
+def same_direction(p: int, a: Direction, b: Direction) -> bool:
+    if not berk_equal(p, a.at, b.at):
+        return False
+    return direction_key(p, a.at, a.representative) == direction_key(
+        p, b.at, b.representative
+    )
+
+
+def diam_infty(x: BerkPoint) -> Ord:
+    """Radius exponent of the disc seen from infinity; classical points
+    are radius-0 (exponent +infinity)."""
+    if x.is_classical:
+        if x.pt.is_inf:
+            raise ValueError("diam_infty undefined at infinity")
+        return ORD_INF
+    return Ord.of(x.radius_ord)
+
+
+def rho(p: int, x: BerkPoint, y: BerkPoint) -> Fraction:
+    """Logarithmic path distance between two disc points.
+
+    Measured through the join toward infinity: the radius exponent is
+    monotone along each half of the path, so the length is
+    t_x + t_y - 2 * min(t_x, t_y, ord(a_x - a_y)).
+    """
+    if x.is_classical or y.is_classical:
+        raise ValueError("rho infinite at classical points")
+    cands = [x.radius_ord, y.radius_ord]
+    vd = _vord(x.center - y.center, p)
+    if vd is not None:
+        cands.append(vd)
+    m = min(cands)
+    return x.radius_ord + y.radius_ord - 2 * m
+
+
+@dataclass(frozen=True, slots=True)
+class HomogCoords:
+    """Nonzero homogeneous coordinates (X : Y) with rational entries."""
+
+    x: Fraction
+    y: Fraction
+
+    def __post_init__(self):
+        if self.x == 0 and self.y == 0:
+            raise ParseError("homogeneous coordinates cannot both vanish")
+
+
+def unit_normalize(p: int, h: HomogCoords) -> HomogCoords:
+    """Scale by p^(-m), m the minimum coordinate valuation, so min ord = 0.
+
+    Deterministic representative: only the p-power is removed, any unit
+    content is kept.
+    """
+    vx = _vord(h.x, p)
+    vy = _vord(h.y, p)
+    m = min(v for v in (vx, vy) if v is not None)
+    f = Fraction(p) ** -m
+    return HomogCoords(h.x * f, h.y * f)
+
+
+def ppow_add(p: int, *sums: PPowerSum) -> PPowerSum:
+    raw = [term for s in sums for term in s.terms]
+    return ppow_normalize(p, raw)
+
+
+def ref_ppow_decimal_enclosure(p: int, s: PPowerSum, digits: int = 12):
+    """The former ``ppow_decimal``: bisect an enclosure of X = p^(1/m)
+    until the enclosure [lo, hi] of the value is narrower than
+    lo / 10^(digits + 4), then round its midpoint.  Returns (lo, hi,
+    rendering); its cost grows with m and the exponents."""
+    if s.is_zero:
+        return Fraction(0), Fraction(0), "0"
+    m = math.lcm(*[e.denominator for _, e in s.terms], 1)
+    if m == 1:
+        val = sum(c * Fraction(p) ** int(e) for c, e in s.terms)
+        lo_val = hi_val = val
+    else:
+        terms = _root_terms(s, m)
+        lo, hi = Fraction(1), Fraction(p)
+        lo_val, hi_val = _sum_bounds(terms, lo, hi)
+        while hi_val - lo_val > lo_val / 10 ** (digits + 4):
+            mid = (lo + hi) / 2
+            if mid**m <= p:
+                lo = mid
+            else:
+                hi = mid
+            lo_val, hi_val = _sum_bounds(terms, lo, hi)
+    mid_val = (lo_val + hi_val) / 2
+    return lo_val, hi_val, _round_fraction(mid_val, digits)
+
+
+def _round_fraction(x: Fraction, digits: int) -> str:
+    ctx = getcontext().copy()
+    ctx.prec = digits
+    return str(ctx.divide(Decimal(x.numerator), Decimal(x.denominator)))

@@ -1,6 +1,9 @@
 """Command line front end: outputs, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from berklip.cli import main
@@ -318,3 +321,26 @@ def test_negative_rational_option_value(capsys):
     joined = run_cli(capsys, "profile", "--input", fixture, "--center=-1/3")
     assert spaced == joined
     assert spaced[0] == 0 and json.loads(spaced[1])["center"] == "-1/3"
+
+
+_FOOTPRINT = """
+import contextlib, io, sys
+import berklip.cli
+print(sorted(m for m in ("dataclasses", "inspect") if m in sys.modules))
+with contextlib.redirect_stdout(io.StringIO()):
+    code = berklip.cli.main(["invariants", "--input", sys.argv[1]])
+print(code, sorted(m for m in sys.modules if m in ("berklip.lipschitz", "berklip.sampling")))
+"""
+
+
+def test_import_footprint():
+    """Start-up loads no dataclass machinery, and ``invariants`` loads
+    neither the Lipschitz layer nor the sampler.  ``python -S`` skips the
+    site hooks, so only the interpreter and berklip load modules."""
+    src = Path(__file__).parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _FOOTPRINT, str(FIXTURES / "square_shift_p3.json")],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert proc.stdout.splitlines() == ["[]", "0 []"]

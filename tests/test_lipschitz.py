@@ -350,7 +350,7 @@ def test_gpr_witness_examples():
 def test_growth_bound_along_profiles():
     """For a map with a zero at 0 and no poles inside |z| < B = RP, the
     image diameter at radius B obeys diam <= B^(n-m) / GIR."""
-    from berklip.berk import diam_infty
+    from oracles import diam_infty
     from berklip.errors import DegenerateMapError
 
     rng = DetRng(777)

@@ -7,19 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from berklip.errors import ParseError
-from berklip.projective import (
-    HomogCoords,
-    INF_POINT,
-    ProjPoint,
-    _vord,
-    spherical_ord,
-    unit_normalize,
-)
+from berklip.projective import INF_POINT, ProjPoint, _vord, spherical_ord
 from berklip.ratmap import mobius_apply
 from berklip.sampling import DetRng, random_rational
 from berklip.valued import Ord
 from corpus import random_unimodular
-from oracles import ref_vord
+from oracles import HomogCoords, ref_vord, unit_normalize
 
 pts = st.fractions(min_value=-50, max_value=50, max_denominator=30)
 

@@ -1,8 +1,10 @@
 """Valuation arithmetic, p-power sums, and exact comparison."""
 
+import json
 from decimal import Decimal, getcontext
 from fractions import Fraction
 from math import lcm
+from pathlib import Path
 from time import process_time
 
 import pytest
@@ -21,10 +23,10 @@ from berklip.valued import (
     ppow_decimal,
     ppow_normalize,
     ppow_term,
-    ppow_add,
     ppow_mul,
     int_val,
 )
+from oracles import ppow_add, ref_ppow_decimal_enclosure
 
 rationals = st.fractions(
     min_value=-1000, max_value=1000, max_denominator=1000
@@ -141,6 +143,12 @@ def _decimal_value(p, s, digits=30):
     return total
 
 
+def _round_decimal(x: Decimal, digits: int) -> str:
+    ctx = getcontext().copy()
+    ctx.prec = digits
+    return str(ctx.plus(x))
+
+
 def test_compare_examples():
     p = 3
     one = ppow_term(p, 1, 0)
@@ -221,12 +229,19 @@ def test_invariant_bound_terms_compare_fast(p, d, gir, b0, expected):
     prime, and at a huge exponent denominator: each took seconds to
     bisect, and compares in integers in well under a second.  The first
     branch p^(gir + d B0) beats d p^(gir/d + B0) exactly when
-    (d - 1)(gir/d + B0) > log_p d."""
+    (d - 1)(gir/d + B0) > log_p d.  The larger one renders in well under
+    a second too (the bisection rendering took 38.5 s on the first case
+    and 17.8 s on the third)."""
     first, second = _invariant_bound_terms(p, d, Ord.of(gir), b0)
     start = process_time()
     got = ppow_compare(p, first, second)
     assert process_time() - start < 0.5
     assert got == expected
+    bound = first if got > 0 else second
+    start = process_time()
+    text = ppow_decimal(p, bound)
+    assert process_time() - start < 0.5
+    assert text == _round_decimal(_decimal_value(p, bound, 50), 12)
 
 
 def test_compare_is_total_order():
@@ -257,3 +272,62 @@ def test_decimal_rendering():
     val = ppow_decimal(p, ppow_term(p, 1, Fraction(-1, 2)))
     # 3^(-1/2) = 0.57735026918962576...
     assert val.startswith("0.5773502691")
+
+
+def test_decimal_rendering_matches_bisection_reference():
+    """ppow_decimal against the former bisection rendering (oracles): on
+    every sum whose bisected enclosure rounds alike at both ends, the two
+    strings agree byte for byte.  Where the enclosure straddles a rounding
+    boundary, a 50-digit value from Decimal.power decides instead."""
+    rng = DetRng(4242)
+    agreed = 0
+    for i in range(400):
+        p = [2, 3, 5, 7, 11, 13][i % 6]
+        digits = 12 if i % 3 else 6
+        terms = []
+        for _ in range(rng.randint(1, 3)):
+            c = Fraction(rng.randint(1, 50), rng.randint(1, 9))
+            terms.append((c, Fraction(rng.randint(-20, 20), rng.randint(1, 6))))
+        s = ppow_normalize(p, terms)
+        got = ppow_decimal(p, s, digits)
+        lo, hi, ref = ref_ppow_decimal_enclosure(p, s, digits)
+        ctx = getcontext().copy()
+        ctx.prec = digits
+        ends = [str(ctx.divide(Decimal(x.numerator), Decimal(x.denominator))) for x in (lo, hi)]
+        if ends[0] == ends[1]:
+            assert got == ref, (p, s, digits)
+            agreed += 1
+        else:
+            assert got == _round_decimal(_decimal_value(p, s, 50), digits), (p, s, digits)
+    assert agreed >= 360
+
+
+@pytest.mark.parametrize(
+    "fixture, b0, expected",
+    [
+        ("square_shift_p3", Fraction(1, 1009), "81.1765798942"),
+        ("square_shift_p3", Fraction(4031, 63), "9.22271772254E+62"),
+        ("square_shift_p3", Fraction(1, 100003), "81.0017797181"),
+        ("mobius_generic_p5", Fraction(1, 1009), "1.00159635499"),
+        ("mobius_generic_p5", Fraction(4031, 63), "5.28427627510E+44"),
+        ("mobius_generic_p5", Fraction(1, 100003), "1.00001609403"),
+    ],
+)
+def test_invariant_bound_renders_fast(fixture, b0, expected):
+    """The user-B0 invariant bound of ``bounds --input <fixture> --b0-ord
+    B0`` at large exponent denominators: the bisection rendering took
+    4.9 s (1/1009), 20.4 s (4031/63) and over two minutes (1/100003) on
+    square_shift_p3.  The expected strings are its output where it
+    finished; each is also the rounding of a 50-digit Decimal.power
+    value."""
+    from berklip.invariants import bundle
+    from berklip.lipschitz import _invariant_bound
+    from berklip.serialize import parse_map_data
+
+    path = Path(__file__).parent.parent / "fixtures" / f"{fixture}.json"
+    m = parse_map_data(json.loads(path.read_text()))
+    bound = _invariant_bound(m.p, m.d, bundle(m).gir, b0)
+    start = process_time()
+    got = ppow_decimal(m.p, bound)
+    assert process_time() - start < 0.5
+    assert got == expected == _round_decimal(_decimal_value(m.p, bound, 50), 12)
