@@ -67,10 +67,6 @@ class BerkPoint(NamedTuple):
     def is_classical(self) -> bool:
         return self.pt is not None
 
-    @property
-    def is_disc(self) -> bool:
-        return self.pt is None
-
     def __str__(self) -> str:
         if self.is_classical:
             return str(self.pt)

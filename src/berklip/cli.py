@@ -58,7 +58,10 @@ MAX_SAMPLES = 100_000
 # rendered from a Decimal enclosure.  At the cap, for a degree-64 map with
 # gir = -5, both take under 1 ms at p = 3 and about 0.13 s at
 # p = 2^61 - 1 (the exact rendering of p^4091), on a 2-vCPU Xeon with
-# Python 3.11.
+# Python 3.11.  The cap does not bound the denominator: at B0 = 1/100003
+# a degree-64 map's two terms have exponent denominators with lcm
+# 6,400,192, and they compare and render in under 1 ms, because the
+# enclosure's cost grows with the exponents' size, not their denominators.
 MAX_B0_ORD = 64
 
 

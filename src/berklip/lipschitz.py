@@ -173,17 +173,6 @@ class RadialProfile(NamedTuple):
     t_min: Fraction
     segments: tuple[ProfileSegment, ...]
 
-    def value_ord_at(self, t) -> Fraction:
-        """Exponent s with image diameter p^(-s) at radius exponent t."""
-        t = Fraction(t)
-        seg = self.segments[0]
-        for s in self.segments[1:]:
-            if s.t_hi <= t:
-                seg = s
-            else:
-                break
-        return seg.coeff_ord + seg.k * t
-
 
 def _image_diam_pieces(sh: Shift, lo, hi):
     """Pieces of the diam_G exponent (max_w env(f - w g)) - env(g) of the

@@ -74,9 +74,6 @@ class RationalMap(NamedTuple):
     res_ord: int
     factored: FactoredForm | None = None
 
-    def dehomogenized(self) -> tuple[list, list]:
-        return list(self.f), list(self.g)
-
     def require_factored(self) -> FactoredForm:
         if self.factored is None:
             raise FactoredFormRequiredError("factored form required")

@@ -32,9 +32,6 @@ class DetRng:
         """Uniform-ish integer in [lo, hi] (modulo bias irrelevant here)."""
         return lo + self.next_u64() % (hi - lo + 1)
 
-    def choice(self, seq):
-        return seq[self.next_u64() % len(seq)]
-
 
 def random_unit_fraction(rng: DetRng, p: int, height: int = 9) -> Fraction:
     """Nonzero rational of bounded height with numerator and denominator

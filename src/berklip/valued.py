@@ -16,8 +16,14 @@ ultrametric becomes a min.  Two kinds of values appear:
 Normal forms are canonical: powers of p with exponents in distinct classes
 mod ZZ are linearly independent over QQ (x^m - p is Eisenstein), so value
 equality is syntactic equality of normal forms.  Strict comparison of
-unequal values is decided in integers for two one-term sums and by
-refining dyadic enclosures of p^(1/m) otherwise.
+unequal values is exact: by the exponent gap of two one-term sums where
+that decides, in integers when every exponent is an integer, and
+otherwise by the correctly rounded ``Decimal`` enclosure that also
+renders sums, at doubling precision until the two enclosures are
+disjoint.  That terminates, because unequal normal forms differ by a
+nonzero element of Q(p^(1/m)) (m the lcm of the exponent denominators)
+and the enclosure width goes to 0 as the precision grows.  The precision
+cap is a resource limit: reaching it raises, and never yields a guess.
 
 The value types are ``NamedTuple`` records: immutable, with C-level
 equality and hashing, and nothing costly to build when the module loads.
@@ -31,7 +37,7 @@ from fractions import Fraction
 from math import floor, lcm
 from typing import NamedTuple
 
-from .errors import ParseError
+from .errors import InternalInvariantError, ParseError
 
 __all__ = [
     "Ord",
@@ -340,88 +346,59 @@ def ppow_mul(p: int, a: PPowerSum, b: PPowerSum) -> PPowerSum:
     return ppow_normalize(p, raw)
 
 
-def _sum_bounds(terms, lo: Fraction, hi: Fraction):
-    """Interval bounds of sum c * X^k for X in [lo, hi], all c > 0."""
-    lo_val = Fraction(0)
-    hi_val = Fraction(0)
-    for c, k in terms:
-        if k >= 0:
-            lo_val += c * lo**k
-            hi_val += c * hi**k
-        else:
-            lo_val += c * hi**k
-            hi_val += c * lo**k
-    return lo_val, hi_val
-
-
-def _root_terms(s: PPowerSum, m: int):
-    return [(c, int(e * m)) for c, e in s.terms]
-
-
 def ppow_compare(p: int, a: PPowerSum, b: PPowerSum) -> int:
     """Exact comparison of values: -1, 0 or +1.
 
-    Equal values have identical normal forms.  Otherwise the difference is
-    strict.  Two one-term sums are compared in integers
-    (``_compare_one_term``).  Else, with m the lcm of the exponent
-    denominators, both sides are polynomials in X = p^(1/m) with positive
-    coefficients, and a bisected dyadic enclosure of X separates them
-    after finitely many refinements.
+    Equal values have identical normal forms.  A strict difference is
+    decided by the exponent gap of two one-term sums (:func:`_gap_sign`),
+    in integers when every exponent is one, else by the enclosures that
+    :func:`ppow_decimal` rounds, widened until disjoint.  That terminates:
+    unequal normal forms differ by a nonzero element of Q(p^(1/m)), m the
+    lcm of the exponent denominators, and the enclosure width goes to 0 as
+    the precision grows.  ``_MAX_DECIMAL_PREC`` is a resource limit that
+    raises, never a guess.
     """
     if a.terms == b.terms:
         return 0
     if len(a.terms) == 1 == len(b.terms):
-        return _compare_one_term(p, a.terms[0], b.terms[0])
-    m = lcm(*[e.denominator for _, e in a.terms + b.terms], 1)
-    if m == 1:
-        va = sum(c * Fraction(p) ** int(e) for c, e in a.terms)
-        vb = sum(c * Fraction(p) ** int(e) for c, e in b.terms)
+        sign = _gap_sign(p, a.terms[0], b.terms[0])
+        if sign:
+            return sign
+    terms = a.terms + b.terms
+    if all(e.denominator == 1 for _, e in terms):
+        # both sides times den * p^(-base) are integers
+        base = min(e.numerator for _, e in terms)
+        den = lcm(*[c.denominator for c, _ in terms])
+        va, vb = (
+            sum(c.numerator * (den // c.denominator) * p ** (e.numerator - base)
+                for c, e in s.terms)
+            for s in (a, b)
+        )
         return -1 if va < vb else 1
-    return _compare_by_bisection(p, a, b, m)
+
+    def disjoint(enc_a, enc_b):
+        return -1 if enc_a[1] < enc_b[0] else 1 if enc_b[1] < enc_a[0] else None
+
+    # 4 digits separate almost every pair at once, at half the cost of 12
+    return _widen(p, (a, b), 4, disjoint)
 
 
-def _compare_one_term(
-    p: int, a: tuple[Fraction, Fraction], b: tuple[Fraction, Fraction]
-) -> int:
-    """Sign of c_a p^(e_a) - c_b p^(e_b) for positive rationals c_a, c_b.
+def _gap_sign(p: int, a: tuple[Fraction, Fraction], b: tuple[Fraction, Fraction]) -> int:
+    """Sign of c_a p^(e_a) - c_b p^(e_b), positive rationals c_a and c_b,
+    when the exponent gap alone decides it; else 0.
 
-    With m the lcm of the exponent denominators and k = m (e_b - e_a),
-    the sign is that of c_a^m p^max(0, -k) - c_b^m p^max(0, k).  Those
-    powers are formed only when |k| is small: |log2(c_a / c_b)| is below
-    the total bit length L of the four numerators and denominators, and
-    log2 p >= bitlen(p) - 1, so once |k| (bitlen(p) - 1) > m L the
-    exponent gap alone decides.
+    |log2(c_a / c_b)| is below the total bit length L of the four
+    numerators and denominators, and log2 p >= bitlen(p) - 1, so the gap
+    decides once |e_b - e_a| (bitlen(p) - 1) > L.
     """
     (ca, ea), (cb, eb) = a, b
-    m = lcm(ea.denominator, eb.denominator)
-    k = int((eb - ea) * m)
-    na, da, nb, db = ca.numerator, ca.denominator, cb.numerator, cb.denominator
-    bits = na.bit_length() + da.bit_length() + nb.bit_length() + db.bit_length()
-    if abs(k) * (p.bit_length() - 1) > m * bits:
-        return -1 if k > 0 else 1
-    lhs = (na * db) ** m * p ** max(0, -k)
-    rhs = (nb * da) ** m * p ** max(0, k)
-    return (lhs > rhs) - (lhs < rhs)
-
-
-def _compare_by_bisection(p: int, a: PPowerSum, b: PPowerSum, m: int) -> int:
-    """Sign of a - b for unequal values, both polynomials in X = p^(1/m)."""
-    ta, tb = _root_terms(a, m), _root_terms(b, m)
-    lo, hi = Fraction(1), Fraction(p)
-    for _ in range(256):
-        for _ in range(8):
-            mid = (lo + hi) / 2
-            if mid**m <= p:
-                lo = mid
-            else:
-                hi = mid
-        a_lo, a_hi = _sum_bounds(ta, lo, hi)
-        b_lo, b_hi = _sum_bounds(tb, lo, hi)
-        if a_hi < b_lo:
-            return -1
-        if b_hi < a_lo:
-            return 1
-    raise ArithmeticError("enclosure refinement failed to separate unequal values")
+    bits = (ca.numerator.bit_length() + ca.denominator.bit_length()
+            + cb.numerator.bit_length() + cb.denominator.bit_length())
+    # e_b - e_a = gap / (den e_a * den e_b), kept in integers
+    gap = eb.numerator * ea.denominator - ea.numerator * eb.denominator
+    if abs(gap) * (p.bit_length() - 1) > bits * ea.denominator * eb.denominator:
+        return -1 if gap > 0 else 1
+    return 0
 
 
 def ppow_max(p: int, *sums: PPowerSum) -> PPowerSum:
@@ -432,8 +409,9 @@ def ppow_max(p: int, *sums: PPowerSum) -> PPowerSum:
     return best
 
 
-# working-precision cap of ppow_decimal: an irrational value this close to
-# a rounding boundary does not occur in practice
+# working-precision cap, in digits, of the enclosures behind ppow_compare
+# and ppow_decimal: a resource limit, reached only by values that agree to
+# thousands of digits or lie that close to a rounding boundary
 _MAX_DECIMAL_PREC = 20_000
 
 
@@ -443,11 +421,8 @@ def ppow_decimal(p: int, s: PPowerSum, digits: int = 12) -> str:
 
     A sum with integer exponents is a rational and is rounded once.  Any
     other sum is irrational (the normal form is unique), so it lies on no
-    rounding boundary: each term c * p^e is enclosed through the correctly
-    rounded ``Decimal.ln`` and ``Decimal.exp``, each widened by one unit in
-    the last place, and the working precision grows until both ends of the
-    enclosure round alike.  The digits carried grow with the logarithm of
-    the exponents, and not at all with their denominators.
+    rounding boundary, and its enclosure is widened until both ends round
+    alike.
     """
     if s.is_zero:
         return "0"
@@ -455,36 +430,59 @@ def ppow_decimal(p: int, s: PPowerSum, digits: int = 12) -> str:
     if all(e.denominator == 1 for _, e in s.terms):
         val = sum(c * Fraction(p) ** int(e) for c, e in s.terms)
         return str(out.divide(Decimal(val.numerator), Decimal(val.denominator)))
-    # |e ln p| < |e| * bitlen(p): enough digits that the error of e ln p,
-    # which exp turns into a relative error, stays below the last digit
-    scale = max(int(abs(e) * p.bit_length()) for _, e in s.terms)
+
+    def rounded_alike(enc):
+        low, high = (str(out.plus(x)) for x in enc)
+        return low if low == high else None
+
+    return _widen(p, (s,), digits, rounded_alike)
+
+
+def _widen(p: int, sums, digits: int, settle):
+    """``settle(*enclosures)`` of the sums at the first working precision
+    where it is not None.
+
+    Each term c * p^e is enclosed through the correctly rounded
+    ``Decimal.ln`` and ``Decimal.exp``, each widened by one unit in the
+    last place.  |e ln p| < |e| * bitlen(p), so the precision starts at
+    ``digits`` plus 8 plus the digits of that bound, which keeps the error
+    of e ln p (a relative error after exp) below the last digit; it then
+    doubles.  The digits carried grow with the logarithm of the exponents,
+    and not at all with their denominators.
+    """
+    scale = max(int(abs(e) * p.bit_length()) for s in sums for _, e in s.terms)
     prec = digits + 8 + len(str(scale))
     while prec <= _MAX_DECIMAL_PREC:
-        lo, hi = _decimal_enclosure(p, s.terms, prec)
-        low, high = str(out.plus(lo)), str(out.plus(hi))
-        if low == high:
-            return low
+        got = settle(*_decimal_enclosures(p, sums, prec))
+        if got is not None:
+            return got
         prec *= 2
-    raise ArithmeticError("decimal enclosure failed to settle the rounding")
+    raise InternalInvariantError(
+        f"p-power sum enclosure reached the working-precision cap "
+        f"_MAX_DECIMAL_PREC = {_MAX_DECIMAL_PREC} digits"
+    )
 
 
-def _decimal_enclosure(p: int, terms, prec: int) -> tuple[Decimal, Decimal]:
-    """Decimals lo <= sum c * p^e <= hi, from ``prec``-digit arithmetic
-    rounded toward the side each bound needs."""
+def _decimal_enclosures(p: int, sums, prec: int) -> list[tuple[Decimal, Decimal]]:
+    """Decimals lo <= s <= hi for each sum s, from ``prec``-digit
+    arithmetic rounded toward the side each bound needs."""
     near = Context(prec=prec, Emax=MAX_EMAX, Emin=MIN_EMIN)
     down = Context(prec=prec, rounding=ROUND_FLOOR, Emax=MAX_EMAX, Emin=MIN_EMIN)
     up = Context(prec=prec, rounding=ROUND_CEILING, Emax=MAX_EMAX, Emin=MIN_EMIN)
     ln_p = near.ln(Decimal(p))
     ln_lo, ln_hi = near.next_minus(ln_p), near.next_plus(ln_p)
-    lo = hi = Decimal(0)
-    for c, e in terms:
-        a, b = Decimal(e.numerator), Decimal(e.denominator)
-        l_lo, l_hi = (ln_lo, ln_hi) if e > 0 else (ln_hi, ln_lo)
-        y_lo = down.divide(down.multiply(a, l_lo), b)
-        y_hi = up.divide(up.multiply(a, l_hi), b)
-        x_lo = near.next_minus(near.exp(y_lo))
-        x_hi = near.next_plus(near.exp(y_hi))
-        n, d = Decimal(c.numerator), Decimal(c.denominator)
-        lo = down.add(lo, down.divide(down.multiply(n, x_lo), d))
-        hi = up.add(hi, up.divide(up.multiply(n, x_hi), d))
-    return lo, hi
+    out = []
+    for s in sums:
+        lo = hi = Decimal(0)
+        for c, e in s.terms:
+            a, b = Decimal(e.numerator), Decimal(e.denominator)
+            l_lo, l_hi = (ln_lo, ln_hi) if e > 0 else (ln_hi, ln_lo)
+            y_lo = down.divide(down.multiply(a, l_lo), b)
+            y_hi = up.divide(up.multiply(a, l_hi), b)
+            x_lo = near.next_minus(near.exp(y_lo))
+            x_hi = near.next_plus(near.exp(y_hi))
+            n, d = Decimal(c.numerator), Decimal(c.denominator)
+            lo = down.add(lo, down.divide(down.multiply(n, x_lo), d))
+            hi = up.add(hi, up.divide(up.multiply(n, x_hi), d))
+        out.append((lo, hi))
+    return out

@@ -1,9 +1,25 @@
+import decimal
 import sys
 from pathlib import Path
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+
+def _decimal_settings():
+    ctx = decimal.getcontext()
+    return ctx.prec, ctx.rounding, ctx.Emin, ctx.Emax, ctx.capitals, ctx.clamp, dict(ctx.traps)
+
+
+@pytest.fixture(autouse=True)
+def decimal_context_unchanged():
+    """Errors a test that leaves the process-wide ``Decimal`` context
+    changed, which every later test in the process would run under; a test
+    changes it only inside ``decimal.localcontext()``."""
+    before = _decimal_settings()
+    yield
+    assert _decimal_settings() == before, "test changed the process-wide Decimal context"
 
 
 @pytest.fixture

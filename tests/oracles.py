@@ -7,8 +7,10 @@ unoptimized forms of the sampler and the hull, and the last ones
 PWLinear arithmetic by sampled alignment with the envelopes, the Gauss
 fiber and the radial profile built on it.  The last section keeps the
 helpers that only the tests use (directions, rho, the diameter seen from
-infinity, homogeneous coordinates, ppow_add) and the bisection rendering
-that ``ppow_decimal`` replaced.
+infinity, homogeneous coordinates, ppow_add, and the record accessors
+``is_disc``, ``value_ord_at``, ``dehomogenized`` and ``choice``) and the
+bisection compare and rendering that the ``Decimal`` enclosure of
+``ppow_compare`` and ``ppow_decimal`` replaced.
 
 Valuations here are the Fraction ``ref_vord`` and ``ref_spherical_ord``,
 independent of the program's integer kernels.  The brute-force
@@ -52,8 +54,6 @@ from berklip.valued import (
     PPOW_ZERO,
     Ord,
     PPowerSum,
-    _root_terms,
-    _sum_bounds,
     ppow_normalize,
     ppow_term,
 )
@@ -197,7 +197,7 @@ def minimality_refuted(m: RationalMap, x: BerkPoint, seed: int = 0) -> bool:
     a = x.center
     t = int(x.radius_ord)
     got = push_forward(m, x)
-    f, g = m.dehomogenized()
+    f, g = dehomogenized(m)
     fs = ref_taylor_shift(f, a)
     gs = ref_taylor_shift(g, a)
     sg = ref_semi(p, gs, Fraction(t))
@@ -265,7 +265,7 @@ def ref_push_forward(m: RationalMap, x: BerkPoint, events: set | None = None) ->
     ``events`` gains "recenter" when the center is a pole and "swap" when
     the image is computed in the inversion chart.
     """
-    f, g = m.dehomogenized()
+    f, g = dehomogenized(m)
     return _ref_push(m.p, f, g, x.center, x.radius_ord, set() if events is None else events)
 
 
@@ -316,7 +316,7 @@ def ref_gpr_ord(m: RationalMap, edges) -> Fraction:
     reference pushforward.
     """
     p = m.p
-    f, g = m.dehomogenized()
+    f, g = dehomogenized(m)
     best = None
     for edge in edges:
         lo, hi = edge.t_range()
@@ -661,8 +661,33 @@ def ref_radial_profile(m: RationalMap, center, t_min, events: set | None = None)
 
 
 # ---------------------------------------------------------------------------
-# test-only helpers, and the bisection rendering of p-power sums
+# test-only helpers, and the bisection compare and rendering of p-power sums
 # ---------------------------------------------------------------------------
+
+
+def is_disc(x: BerkPoint) -> bool:
+    return x.pt is None
+
+
+def value_ord_at(profile, t) -> Fraction:
+    """Exponent s with image diameter p^(-s) at radius exponent t on a
+    ``RadialProfile``."""
+    t = Fraction(t)
+    seg = profile.segments[0]
+    for s in profile.segments[1:]:
+        if s.t_hi <= t:
+            seg = s
+        else:
+            break
+    return seg.coeff_ord + seg.k * t
+
+
+def dehomogenized(m: RationalMap) -> tuple[list, list]:
+    return list(m.f), list(m.g)
+
+
+def choice(rng: DetRng, seq):
+    return seq[rng.next_u64() % len(seq)]
 
 
 @dataclass(frozen=True, slots=True)
@@ -676,7 +701,7 @@ class Direction:
     representative: ProjPoint
 
     def __post_init__(self):
-        if not self.at.is_disc:
+        if not is_disc(self.at):
             raise ValueError("directions are attached to type II points")
 
 
@@ -687,7 +712,7 @@ def direction_key(p: int, at: BerkPoint, rep: ProjPoint):
     disc, including infinity) and otherwise the integer residue lift of
     (rep - center)/p^t, which labels the inward sub-disc.
     """
-    if not at.is_disc:
+    if not is_disc(at):
         raise ValueError("directions are attached to type II points")
     t = at.radius_ord
     if rep.is_inf:
@@ -766,6 +791,48 @@ def unit_normalize(p: int, h: HomogCoords) -> HomogCoords:
 def ppow_add(p: int, *sums: PPowerSum) -> PPowerSum:
     raw = [term for s in sums for term in s.terms]
     return ppow_normalize(p, raw)
+
+
+def _sum_bounds(terms, lo: Fraction, hi: Fraction):
+    """Interval bounds of sum c * X^k for X in [lo, hi], all c > 0."""
+    lo_val = Fraction(0)
+    hi_val = Fraction(0)
+    for c, k in terms:
+        if k >= 0:
+            lo_val += c * lo**k
+            hi_val += c * hi**k
+        else:
+            lo_val += c * hi**k
+            hi_val += c * lo**k
+    return lo_val, hi_val
+
+
+def _root_terms(s: PPowerSum, m: int):
+    return [(c, int(e * m)) for c, e in s.terms]
+
+
+def ref_compare_by_bisection(p: int, a: PPowerSum, b: PPowerSum) -> int:
+    """The former strict ``ppow_compare`` of unequal values: with m the lcm
+    of the exponent denominators, both sides are polynomials in X = p^(1/m)
+    with positive coefficients, and a bisected dyadic enclosure of X is
+    refined until their enclosures are disjoint.  Its cost grows with m."""
+    m = math.lcm(*[e.denominator for _, e in a.terms + b.terms], 1)
+    ta, tb = _root_terms(a, m), _root_terms(b, m)
+    lo, hi = Fraction(1), Fraction(p)
+    for _ in range(256):
+        for _ in range(8):
+            mid = (lo + hi) / 2
+            if mid**m <= p:
+                lo = mid
+            else:
+                hi = mid
+        a_lo, a_hi = _sum_bounds(ta, lo, hi)
+        b_lo, b_hi = _sum_bounds(tb, lo, hi)
+        if a_hi < b_lo:
+            return -1
+        if b_hi < a_lo:
+            return 1
+    raise ArithmeticError("enclosure refinement failed to separate unequal values")
 
 
 def ref_ppow_decimal_enclosure(p: int, s: PPowerSum, digits: int = 12):

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from time import process_time
 
 from berklip.cli import main
 
@@ -198,6 +199,40 @@ def test_internal_invariant_error_exit_code(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: internal invariant violated: invariant chain violated\n"
+
+
+def test_enclosure_cap_exits_cleanly(monkeypatch, capsys):
+    """A p-power sum whose enclosure reaches the working-precision cap
+    ends in exit 5 with one line that names the cap, not a traceback."""
+    from berklip import valued
+
+    monkeypatch.setattr(valued, "_MAX_DECIMAL_PREC", 10)
+    args = ["bounds", "--input", str(FIXTURES / "square_shift_p3.json"), "--b0-ord", "1/1009"]
+    assert main(args) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: internal invariant violated: p-power sum enclosure reached the "
+        "working-precision cap _MAX_DECIMAL_PREC = 10 digits"
+    ]
+
+
+def test_bounds_degree_64_at_huge_exponent_denominator(tmp_path, capsys):
+    """The invariant bound of z -> 3^5 z^64 at B0 = 1/100003 compares two
+    one-term sums whose exponent denominators have lcm 6,400,192; that
+    compare took 24.5 s through integer powers.  The terms and decimal are
+    the output recorded before the change."""
+    path = tmp_path / "deg64.json"
+    path.write_text(json.dumps(
+        {"p": 3, "factored": {"C": "243", "zeros": [["0", 64]], "poles": [["inf", 64]]}}
+    ))
+    start = process_time()
+    code, out = run_cli(capsys, "bounds", "--input", str(path), "--b0-ord", "1/100003")
+    assert process_time() - start < 1.0
+    assert code == 0
+    got = json.loads(out)["invariant_bound_user_b0"]
+    assert got["terms"] == [{"coef": "1", "exp": "500079/100003"}]
+    assert got["decimal"] == "243.170911134"
 
 
 def test_exit_code_p_mismatch(capsys):

@@ -12,7 +12,7 @@ from berklip.ratmap import from_coeffs, from_factored
 from berklip.sampling import DetRng, random_rational
 from berklip.valued import Ord
 from corpus import random_factored_map
-from oracles import ref_hull
+from oracles import dehomogenized, ref_hull
 
 
 def pt(x):
@@ -264,7 +264,7 @@ def test_hull_scan_completeness_spot_check():
         ff = m.factored
         points = [q for q, _ in ff.zeros] + [q for q, _ in ff.poles]
         tree = hull(p, points)
-        f, g = m.dehomogenized()
+        f, g = dehomogenized(m)
         grid = 0
         per_edge = max(4, 1000 // len(tree.edges))
         for edge in tree.edges:

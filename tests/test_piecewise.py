@@ -11,6 +11,7 @@ from berklip.ratmap import _int_coeff_pair
 from berklip.sampling import DetRng
 from corpus import random_factored_map, random_ladder_map
 from oracles import (
+    choice,
     ref_gauss_fiber_zero_set,
     ref_lower_envelope,
     ref_max,
@@ -37,7 +38,7 @@ def _domain(rng: DetRng, special):
         if r == 0:
             return None
         if r == 1 and special:
-            return rng.choice(special)
+            return choice(rng, special)
         return Fraction(rng.randint(-30, 30), rng.randint(1, 4))
 
     lo, hi = pick(), pick()

@@ -1,9 +1,8 @@
 """Valuation arithmetic, p-power sums, and exact comparison."""
 
 import json
-from decimal import Decimal, getcontext
+from decimal import Decimal, getcontext, localcontext
 from fractions import Fraction
-from math import lcm
 from pathlib import Path
 from time import process_time
 
@@ -11,10 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from berklip import valued
+from berklip.errors import InternalInvariantError
 from berklip.lipschitz import _invariant_bound_terms
 from berklip.sampling import DetRng
 from berklip.valued import (
-    _compare_by_bisection,
     ORD_INF,
     Ord,
     is_prime,
@@ -26,7 +26,7 @@ from berklip.valued import (
     ppow_mul,
     int_val,
 )
-from oracles import ppow_add, ref_ppow_decimal_enclosure
+from oracles import ppow_add, ref_compare_by_bisection, ref_ppow_decimal_enclosure
 
 rationals = st.fractions(
     min_value=-1000, max_value=1000, max_denominator=1000
@@ -173,17 +173,18 @@ def test_compare_matches_decimal_oracle_on_random_sums():
             e = Fraction(rng.randint(-12, 12), rng.randint(1, 4))
             terms.append((c, e))
         sums.append(ppow_normalize(p, terms))
-    getcontext().prec = 50
     decimals = [_decimal_value(p, s, 50) for s in sums]
     pairs = 0
-    for i in range(len(sums)):
-        for j in range(i + 1, min(i + 6, len(sums))):
-            cmp_exact = ppow_compare(p, sums[i], sums[j])
-            da, db = decimals[i], decimals[j]
-            if abs(da - db) > Decimal("1e-30"):
-                cmp_dec = -1 if da < db else 1
-                assert cmp_exact == cmp_dec
-            pairs += 1
+    with localcontext() as ctx:
+        ctx.prec = 50
+        for i in range(len(sums)):
+            for j in range(i + 1, min(i + 6, len(sums))):
+                cmp_exact = ppow_compare(p, sums[i], sums[j])
+                da, db = decimals[i], decimals[j]
+                if abs(da - db) > Decimal("1e-30"):
+                    cmp_dec = -1 if da < db else 1
+                    assert cmp_exact == cmp_dec
+                pairs += 1
     assert pairs >= 4900
     # total-order spot check: antisymmetry and transitivity on triples
     for i in range(0, 997, 97):
@@ -193,9 +194,38 @@ def test_compare_matches_decimal_oracle_on_random_sums():
             assert ppow_compare(p, a, c) <= 0
 
 
+def _root_convergents(p: int, k: int):
+    """Continued-fraction convergents c of p^(1/k) that agree with it to
+    20 to 45 significant digits, each with the sign of c - p^(1/k), read
+    from an 80-digit root."""
+    with localcontext() as ctx:
+        ctx.prec = 80
+        root = Decimal(p) ** (Decimal(1) / k)
+        x = Fraction(root)
+        h0, h1, k0, k1 = 0, 1, 1, 0
+        while True:
+            a = x.numerator // x.denominator
+            h0, h1, k0, k1 = h1, a * h1 + h0, k1, a * k1 + k0
+            gap = (Decimal(h1) / Decimal(k1) - root) / root
+            if abs(gap) < Decimal("1e-45"):
+                return
+            if abs(gap) < Decimal("1e-20"):
+                yield Fraction(h1, k1), 1 if gap > 0 else -1
+            x = 1 / (x - a)
+
+
+def _check_against_bisection(p, a, b):
+    assert ppow_compare(p, a, b) == ref_compare_by_bisection(p, a, b), (p, a, b)
+    assert ppow_compare(p, b, a) == -ppow_compare(p, a, b)
+
+
 def test_one_term_compare_matches_bisection():
-    """Two one-term sums are compared in integers (or by the exponent gap
-    alone); the bisected enclosure of p^(1/m) must agree on every pair."""
+    """ppow_compare against the bisected enclosure of p^(1/m) (oracles) on
+    three families: one-term pairs, where small exponent gaps reach the
+    integer or the Decimal comparison and large ones the gap test; seeded
+    sums of 1-3 terms with exponent denominators up to 12; and near-ties,
+    a continued-fraction convergent c of p^(1/2) or p^(1/3) against that
+    root, agreeing with it to at least 20 digits."""
     rng = DetRng(9001)
     pairs = 0
     for i in range(3200):
@@ -203,17 +233,41 @@ def test_one_term_compare_matches_bisection():
         terms = []
         for _ in range(2):
             c = Fraction(rng.randint(1, 60), rng.randint(1, 12))
-            # small gaps reach the integer comparison, large ones the gap test
             span = [3, 12, 40][rng.randint(0, 2)]
             terms.append(ppow_term(p, c, Fraction(rng.randint(-span, span), rng.randint(1, 6))))
         a, b = terms
         if a == b:
             continue
-        m = lcm(*[e.denominator for _, e in a.terms + b.terms])
-        assert ppow_compare(p, a, b) == _compare_by_bisection(p, a, b, m), (p, a, b)
-        assert ppow_compare(p, b, a) == -ppow_compare(p, a, b)
+        _check_against_bisection(p, a, b)
         pairs += 1
     assert pairs >= 3000
+
+    sums = 0
+    for i in range(300):
+        p = [2, 3, 5, 7][i % 4]
+        a, b = (
+            ppow_normalize(p, [
+                (Fraction(rng.randint(1, 60), rng.randint(1, 12)),
+                 Fraction(rng.randint(-24, 24), rng.randint(1, 12)))
+                for _ in range(rng.randint(1, 3))
+            ])
+            for _ in range(2)
+        )
+        if a == b:
+            continue
+        _check_against_bisection(p, a, b)
+        sums += len(a.terms) + len(b.terms) > 2
+    assert sums >= 150
+
+    ties = 0
+    for p in (2, 3, 5, 7):
+        for k in (2, 3):
+            root = ppow_term(p, 1, Fraction(1, k))
+            for c, sign in _root_convergents(p, k):
+                assert ppow_compare(p, ppow_term(p, c, 0), root) == sign, (p, k, c)
+                _check_against_bisection(p, ppow_term(p, c, 0), root)
+                ties += 1
+    assert ties >= 40
 
 
 @pytest.mark.parametrize(
@@ -222,16 +276,18 @@ def test_one_term_compare_matches_bisection():
         (3, 64, -5, Fraction(191, 3), 1),
         (2**61 - 1, 64, -5, 32, 1),
         (3, 2, 0, Fraction(1, 100003), -1),
+        (3, 64, 5, Fraction(1, 100003), 1),
     ],
 )
 def test_invariant_bound_terms_compare_fast(p, d, gir, b0, expected):
     """The two branches of the invariant bound at large d * B0, at a huge
-    prime, and at a huge exponent denominator: each took seconds to
-    bisect, and compares in integers in well under a second.  The first
-    branch p^(gir + d B0) beats d p^(gir/d + B0) exactly when
-    (d - 1)(gir/d + B0) > log_p d.  The larger one renders in well under
-    a second too (the bisection rendering took 38.5 s on the first case
-    and 17.8 s on the third)."""
+    prime, and at huge exponent denominators: each took seconds to
+    bisect, and compares in well under a second.  The last case (m =
+    6,400,192) took 24.5 s when two one-term sums were compared through
+    (n d)^m p^k.  The first branch p^(gir + d B0) beats d p^(gir/d + B0)
+    exactly when (d - 1)(gir/d + B0) > log_p d.  The larger one renders
+    in well under a second too (the bisection rendering took 38.5 s on
+    the first case and 17.8 s on the third)."""
     first, second = _invariant_bound_terms(p, d, Ord.of(gir), b0)
     start = process_time()
     got = ppow_compare(p, first, second)
@@ -242,6 +298,17 @@ def test_invariant_bound_terms_compare_fast(p, d, gir, b0, expected):
     text = ppow_decimal(p, bound)
     assert process_time() - start < 0.5
     assert text == _round_decimal(_decimal_value(p, bound, 50), 12)
+
+
+def test_enclosure_cap_raises(monkeypatch):
+    """Reaching the working-precision cap is a resource limit: the compare
+    and the rendering raise an error that names it, and never guess."""
+    p = 3
+    a, b = ppow_term(p, 1, Fraction(1, 2)), ppow_term(p, 2, Fraction(1, 3))
+    monkeypatch.setattr(valued, "_MAX_DECIMAL_PREC", 10)
+    for call in (lambda: ppow_compare(p, a, b), lambda: ppow_decimal(p, a)):
+        with pytest.raises(InternalInvariantError, match="_MAX_DECIMAL_PREC = 10 digits"):
+            call()
 
 
 def test_compare_is_total_order():
