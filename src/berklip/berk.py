@@ -14,6 +14,14 @@ Images larger than the unit disc are routed through the inversion chart.
 The candidate-set construction is validated against a brute-force sampling
 oracle in the test suite; see tests/oracles.py.
 
+The scan over the candidates is pruned without changing its result.  In
+the chart used, |f|_x <= |g|_x, so a ratio w with |w| > 1 gives
+|f - w g|_x = |w| |g|_x > |f|_x = |f - 0 g|_x and can never win against
+the candidate 0: such ratios are not built.  The seminorm of f - w g at x
+is a minimum over lines and only a strictly larger value replaces the
+best one, so a candidate is abandoned at its first line that is no larger
+than the best so far.
+
 Every seminorm is read from one integer kernel, :class:`Shift`: the map's
 coefficients are cleared of denominators once, the shift to a center u/v
 runs on integer numerators, and each valuation is ord_p of an integer plus
@@ -264,30 +272,41 @@ class Shift(NamedTuple):
     def g_lines(self) -> list[tuple[int, int]]:
         return _lines(self.og, self.ov)
 
-    def diff_lines(self, w) -> list[tuple[int, int]]:
-        """Seminorm lines of f - w*g on the offset of f and g, from the
-        numerators wd*qf[j] - wn*qg[j] with w = wn/wd; empty when f = w*g.
+    def _diff_ords(self, wn: int, owd: int):
+        """(j, o, exact) for each coefficient j of f - w*g whose numerator
+        wd*qf[j] - wn*qg[j] can be nonzero, w = wn/wd, owd = ord_p wd.
 
-        Where the two terms have different ords the ord of the difference
-        is the smaller one, so only the terms of equal ord are subtracted.
+        This is the one rule for the ord of such a numerator: where its two
+        terms have different ords it is the smaller one (exact), and where
+        both have ord o it is o or more and the terms must be subtracted.
         """
-        p = self.p
-        wn, wd = w.numerator, w.denominator
-        own = int_val(wn, p) if wn else None
+        own = int_val(wn, self.p) if wn else None
+        for j, (ox, oy) in enumerate(zip(self.of, self.og)):
+            ox = None if ox is None else ox + owd  # ord of wd*qf[j]
+            oy = None if oy is None or own is None else oy + own  # ord of wn*qg[j]
+            if ox is None:
+                if oy is not None:
+                    yield j, oy, True
+            elif oy is None or ox != oy:
+                yield j, ox if oy is None else min(ox, oy), True
+            else:
+                yield j, ox, False
+
+    def diff_lines(self, w) -> list[tuple[int, int]]:
+        """Seminorm lines of f - w*g on the offset of f and g, w = wn/wd
+        given as the pair (wn, wd), from the numerators wd*qf[j] - wn*qg[j];
+        empty when f = w*g.  Only the terms of equal ord are subtracted."""
+        p, ov, qf, qg = self.p, self.ov, self.qf, self.qg
+        wn, wd = w
         owd = int_val(wd, p)
         out = []
-        for j, (x, y, ox, oy) in enumerate(zip(self.qf, self.qg, self.of, self.og)):
-            ox = None if ox is None else ox + owd  # ord of wd*x
-            oy = None if oy is None or own is None else oy + own  # ord of wn*y
-            if ox is None or oy is None:
-                o = ox if oy is None else oy
-            elif ox != oy:
-                o = min(ox, oy)
-            else:
-                c = wd * x - wn * y
-                o = int_val(c, p) if c else None
-            if o is not None:
-                out.append((j, o + j * self.ov - owd))
+        for j, o, exact in self._diff_ords(wn, owd):
+            if not exact:
+                c = wd * qf[j] - wn * qg[j]
+                if not c:
+                    continue
+                o = int_val(c, p)
+            out.append((j, o + j * ov - owd))
         return out
 
     def unit_residue_lifts(self) -> list[int]:
@@ -304,11 +323,30 @@ class Shift(NamedTuple):
                 lifts.append(lift)
         return lifts
 
-    def candidates(self) -> list[Fraction]:
-        """Candidate image centers: the same-index coefficient ratios of the
-        shifted f and g (equal to qf[j]/qg[j]), then 0."""
-        out = dict.fromkeys(Fraction(x, y) for x, y in zip(self.qf, self.qg) if y)
-        out.setdefault(Fraction(0))
+    def candidates(self) -> list[tuple[int, int]]:
+        """Candidate image centers in the closed unit disc, as pairs
+        (num, den) reduced as ``Fraction`` reduces them: the same-index
+        coefficient ratios qf[j]/qg[j] (= f_j/g_j) of ord >= 0 in index
+        order, then 0 unless present.
+
+        A ratio with ord qf[j] < ord qg[j], that is |w| > 1, is left out,
+        which needs no big-integer work: wherever |f|_x <= |g|_x, as in
+        the chart the pushforward and the radial profile read it in, such
+        a w has |f - w g|_x = |w| |g|_x > |f|_x, so the candidate 0 is
+        strictly better and w is never a maximizer (see ``push_forward``).
+        """
+        out = {}
+        for x, y, ox, oy in zip(self.qf, self.qg, self.of, self.og):
+            if oy is None or (ox is not None and ox < oy):
+                continue
+            if ox is None:
+                out.setdefault((0, 1))
+            else:
+                c = math.gcd(x, y)
+                if y < 0:
+                    c = -c
+                out.setdefault((x // c, y // c))
+        out.setdefault((0, 1))
         return list(out)
 
 
@@ -359,33 +397,89 @@ def _recenter(p: int, den: list[int], a: Fraction, t: Fraction) -> Fraction:
     raise InternalInvariantError("recentering exhausted candidate offsets")
 
 
-def push_forward(rmap, x: BerkPoint) -> BerkPoint:
-    """Image of a disc point under a RationalMap."""
+def push_forward(rmap, x: BerkPoint, shift: Shift | None = None) -> BerkPoint:
+    """Image of a disc point under a RationalMap.
+
+    ``shift``, when given, is ``Shift.at(p, f, g, x.center)`` for the map's
+    integer pair (f, g) = ``_int_coeff_pair(rmap)``; it is used as long as
+    the center stays, and a new one is built only when the center is a pole
+    and recentering moves it.
+
+    At the point x, in the chart where |f|_x <= |g|_x (else the image is
+    computed for 1/phi and inverted back), the image is the disc D(w*,
+    p^(-s*)), s* the largest seminorm exponent s(f - w g) - s(g) over the
+    candidate centers w, the first maximizer in candidate order.  Two
+    shortcuts leave that record unchanged:
+
+    * candidates of ord w < 0 are never built: for them s(f - w g) =
+      ord w + s(g) < s(g) <= s(f) = s(f - 0 g), and 0 is always a candidate;
+    * s(f - w g) at x is a minimum over lines, and only a strictly larger
+      value replaces the best so far, so a candidate is dropped as soon as
+      one of its lines is <= the best value; the lines whose terms have
+      different ords come first, and an equal-ord line whose lower bound
+      is no smaller than the minimum so far is not subtracted.
+    """
     if x.is_classical:
         raise ValueError("push_forward expects a type II point")
     f, g = _int_coeff_pair(rmap)
     if not any(f) or not any(g):
         raise DegenerateMapError("degenerate map")
-    return _push(rmap.p, f, g, x.center, x.radius_ord, 0)
+    return _push(rmap.p, f, g, x.center, x.radius_ord, 0, shift)
 
 
-def _push(p: int, f: list[int], g: list[int], a: Fraction, t: Fraction, depth: int) -> BerkPoint:
-    a = _recenter(p, g, a, t)
-    sh = Shift.at(p, f, g, a)
+def _diff_semi(sh: Shift, w, tn: int, td: int, floor: int | None) -> int | None:
+    """td * s(f - w g) at t = tn/td, the minimum over ``sh.diff_lines(w)``
+    of o*td + j*tn, when it exceeds ``floor``; None as soon as one line is
+    <= floor.  The lines whose ord needs no subtraction come first."""
+    p = sh.p
+    wn, wd = w
+    owd = int_val(wd, p)
+    # td times the line of coefficient j at t is o*td + j*k + base, o the
+    # ord of its numerator
+    k, base = sh.ov * td + tn, -owd * td
+    low = None
+    tied = []
+    for j, o, exact in sh._diff_ords(wn, owd):
+        if not exact:
+            tied.append((j, o))
+            continue
+        v = o * td + j * k + base
+        if floor is not None and v <= floor:
+            return None
+        if low is None or v < low:
+            low = v
+    for j, o in tied:
+        if low is not None and o * td + j * k + base >= low:
+            continue  # the ord of the numerator is o or more
+        c = wd * sh.qf[j] - wn * sh.qg[j]
+        if not c:
+            continue
+        v = int_val(c, p) * td + j * k + base
+        if floor is not None and v <= floor:
+            return None
+        if low is None or v < low:
+            low = v
+    if low is None:
+        raise DegenerateMapError("degenerate map")
+    return low
+
+
+def _push(p: int, f: list[int], g: list[int], a: Fraction, t: Fraction, depth: int,
+          sh: Shift | None) -> BerkPoint:
+    moved = _recenter(p, g, a, t)
+    if sh is None or moved != a:
+        sh = Shift.at(p, f, g, moved)
     tn, td = t.numerator, t.denominator
     sg = _semi_num(sh.g_lines(), tn, td)
     if _semi_num(sh.f_lines(), tn, td) < sg:
         # image exceeds the unit disc: compute 1/phi and invert back
         if depth > 0:
             raise InternalInvariantError("chart swap did not stabilize")
-        return iota(p, _push(p, g, f, a, t, depth + 1))
+        return iota(p, _push(p, g, f, moved, t, depth + 1, sh.swapped()))
     best_s = None
     best_w = None
     for w in sh.candidates():
-        lines = sh.diff_lines(w)
-        if not lines:
-            raise DegenerateMapError("degenerate map")
-        s = _semi_num(lines, tn, td)
-        if best_s is None or s > best_s:
+        s = _diff_semi(sh, w, tn, td, best_s)
+        if s is not None:
             best_s, best_w = s, w
-    return BerkPoint.disc(best_w, Fraction(best_s - sg, td))
+    return BerkPoint.disc(Fraction(*best_w), Fraction(best_s - sg, td))

@@ -6,7 +6,8 @@ Output is byte-deterministic given the input file, options and seed.
 
 Exit codes: 0 success, 1 parse error (bad file or bad option value),
 2 degenerate map, 3 factored form required, 4 verification failure,
-5 internal invariant violated (a bug).
+5 internal invariant violated (a bug), 6 resource limit reached (a valid
+input that needs more than a documented cap allows).
 
 Each command imports only what it runs: ``invariants`` reads the map and
 builds its bundle, and the Lipschitz layer (``lipschitz``, with the
@@ -29,6 +30,7 @@ from .errors import (
     FactoredFormRequiredError,
     InternalInvariantError,
     ParseError,
+    ResourceLimitError,
 )
 from .invariants import bundle, rp_ord
 from .ratmap import (
@@ -293,6 +295,9 @@ def main(argv=None) -> int:
     except InternalInvariantError as e:
         print(f"error: internal invariant violated: {e}", file=sys.stderr)
         return 5
+    except ResourceLimitError as e:
+        print(f"error: resource limit: {e}", file=sys.stderr)
+        return 6
 
 
 if __name__ == "__main__":

@@ -19,3 +19,8 @@ class FactoredFormRequiredError(BerkError):
 
 class InternalInvariantError(BerkError):
     """A structural fact the algorithms rely on failed; indicates a bug."""
+
+
+class ResourceLimitError(BerkError):
+    """A computation reached a documented resource cap; the input is valid
+    but needs more than the cap allows."""

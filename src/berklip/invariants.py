@@ -19,7 +19,10 @@ and for every unit residue candidate w, that is, iff the envelopes of
 f - w g and of g agree at t.  Each condition holds on an exact union of
 intervals (an equality set of two piecewise-linear envelopes), the
 solution set is their intersection, and each distinct solution is
-re-verified through the pushforward.
+re-verified once through the pushforward.  That check is handed the
+edge's shift, which it keeps unless the center is a pole and recentering
+moves it; it still decides the image by comparing seminorms, and the
+image's identity with the Gauss point by ``berk_equal``.
 """
 
 from __future__ import annotations
@@ -228,7 +231,7 @@ def _gauss_fiber_zero_set(sh: Shift, lo, hi):
     sg = lower_envelope(sh.g_lines(), lo, hi)
     fiber = None
     for w in sh.unit_residue_lifts():
-        lines = sh.diff_lines(w)
+        lines = sh.diff_lines((w, 1))
         if not lines:
             raise InternalInvariantError("map degenerated to a constant")
         agree = lower_envelope(lines, lo, hi).equal_set(sg)
@@ -245,7 +248,8 @@ def gpr(m: RationalMap, hull_points=None) -> GprResult:
     override points, which must contain the fiber).  f and g are cleared
     to integers once and shifted once per distinct edge center, and every
     distinct solution found by the piecewise scan is re-verified once
-    through push_forward.
+    through push_forward, with the edge's shift unless recentering moves
+    the center (a pole as center).
     """
     p = m.p
     if hull_points is None:
@@ -268,7 +272,7 @@ def gpr(m: RationalMap, hull_points=None) -> GprResult:
             for t in {a, b}:
                 pt = BerkPoint.disc(center, t)
                 if not any(berk_equal(p, pt, q) for q in found):
-                    if not berk_equal(p, push_forward(m, pt), gauss_point()):
+                    if not berk_equal(p, push_forward(m, pt, shift=sh), gauss_point()):
                         raise InternalInvariantError(
                             "edge scan produced a non-preimage; candidate set bug"
                         )

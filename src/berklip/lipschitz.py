@@ -177,7 +177,12 @@ class RadialProfile(NamedTuple):
 def _image_diam_pieces(sh: Shift, lo, hi):
     """Pieces of the diam_G exponent (max_w env(f - w g)) - env(g) of the
     image over [lo, hi], where the image lies in the closed unit disc (see
-    ``radial_profile``)."""
+    ``radial_profile``).
+
+    ``Shift.candidates`` leaves out the ratios w of ord < 0.  That drops
+    no piece of the max: on the region env(f) >= env(g) pointwise, so
+    env(f - w g) = ord w + env(g) < env(f) = env_0 at every t.
+    """
     big = None
     for w in sh.candidates():
         lines = sh.diff_lines(w)

@@ -23,7 +23,8 @@ renders sums, at doubling precision until the two enclosures are
 disjoint.  That terminates, because unequal normal forms differ by a
 nonzero element of Q(p^(1/m)) (m the lcm of the exponent denominators)
 and the enclosure width goes to 0 as the precision grows.  The precision
-cap is a resource limit: reaching it raises, and never yields a guess.
+cap is a resource limit: reaching it raises ``ResourceLimitError``, and
+never yields a guess.
 
 The value types are ``NamedTuple`` records: immutable, with C-level
 equality and hashing, and nothing costly to build when the module loads.
@@ -37,7 +38,7 @@ from fractions import Fraction
 from math import floor, lcm
 from typing import NamedTuple
 
-from .errors import InternalInvariantError, ParseError
+from .errors import ParseError, ResourceLimitError
 
 __all__ = [
     "Ord",
@@ -356,7 +357,7 @@ def ppow_compare(p: int, a: PPowerSum, b: PPowerSum) -> int:
     unequal normal forms differ by a nonzero element of Q(p^(1/m)), m the
     lcm of the exponent denominators, and the enclosure width goes to 0 as
     the precision grows.  ``_MAX_DECIMAL_PREC`` is a resource limit that
-    raises, never a guess.
+    raises ``ResourceLimitError``, never a guess.
     """
     if a.terms == b.terms:
         return 0
@@ -457,7 +458,7 @@ def _widen(p: int, sums, digits: int, settle):
         if got is not None:
             return got
         prec *= 2
-    raise InternalInvariantError(
+    raise ResourceLimitError(
         f"p-power sum enclosure reached the working-precision cap "
         f"_MAX_DECIMAL_PREC = {_MAX_DECIMAL_PREC} digits"
     )

@@ -498,7 +498,7 @@ def ref_gauss_fiber_zero_set(sh, lo, hi):
     sg = ref_lower_envelope(sh.g_lines(), lo, hi)
     total = None
     for w in sh.unit_residue_lifts():
-        env = ref_lower_envelope(sh.diff_lines(w), lo, hi)
+        env = ref_lower_envelope(sh.diff_lines((w, 1)), lo, hi)
         abs_e = ref_max(ref_sub(env, sg), ref_sub(sg, env))
         total = abs_e if total is None else ref_max(total, abs_e)
     return ref_zero_set(total)
@@ -605,11 +605,16 @@ def ref_negative_regions(f):
 def _ref_image_diam_pieces(p, sh, lo, hi):
     """Per piece of max_w e_w, e_w = env(f - w g) - env(g): find a
     maximizing candidate w* at a sample point and fold the piece at
-    min(0, ord w*), the diam_G exponent of a disc D(w*, p^-s)."""
+    min(0, ord w*), the diam_G exponent of a disc D(w*, p^-s).  The
+    candidates are every same-index ratio qf[j]/qg[j] and 0, including
+    those of negative ord that ``Shift.candidates`` leaves out."""
     sg = ref_lower_envelope(sh.g_lines(), lo, hi)
+    cands = list(dict.fromkeys(Fraction(x, y) for x, y in zip(sh.qf, sh.qg) if y))
+    if 0 not in cands:
+        cands.append(Fraction(0))
     tagged = []
-    for w in sh.candidates():
-        lines = sh.diff_lines(w)
+    for w in cands:
+        lines = sh.diff_lines((w.numerator, w.denominator))
         if not lines:
             raise InternalInvariantError("map degenerated to a constant")
         tagged.append((w, ref_sub(ref_lower_envelope(lines, lo, hi), sg)))

@@ -203,16 +203,16 @@ def test_internal_invariant_error_exit_code(monkeypatch, capsys):
 
 def test_enclosure_cap_exits_cleanly(monkeypatch, capsys):
     """A p-power sum whose enclosure reaches the working-precision cap
-    ends in exit 5 with one line that names the cap, not a traceback."""
+    ends in exit 6 with one line that names the cap, not a traceback."""
     from berklip import valued
 
     monkeypatch.setattr(valued, "_MAX_DECIMAL_PREC", 10)
     args = ["bounds", "--input", str(FIXTURES / "square_shift_p3.json"), "--b0-ord", "1/1009"]
-    assert main(args) == 5
+    assert main(args) == 6
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [
-        "error: internal invariant violated: p-power sum enclosure reached the "
+        "error: resource limit: p-power sum enclosure reached the "
         "working-precision cap _MAX_DECIMAL_PREC = 10 digits"
     ]
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from berklip import valued
-from berklip.errors import InternalInvariantError
+from berklip.errors import ResourceLimitError
 from berklip.lipschitz import _invariant_bound_terms
 from berklip.sampling import DetRng
 from berklip.valued import (
@@ -307,7 +307,7 @@ def test_enclosure_cap_raises(monkeypatch):
     a, b = ppow_term(p, 1, Fraction(1, 2)), ppow_term(p, 2, Fraction(1, 3))
     monkeypatch.setattr(valued, "_MAX_DECIMAL_PREC", 10)
     for call in (lambda: ppow_compare(p, a, b), lambda: ppow_decimal(p, a)):
-        with pytest.raises(InternalInvariantError, match="_MAX_DECIMAL_PREC = 10 digits"):
+        with pytest.raises(ResourceLimitError, match="_MAX_DECIMAL_PREC = 10 digits"):
             call()
 
 
