@@ -23,6 +23,24 @@ re-verified once through the pushforward.  That check is handed the
 edge's shift, which it keeps unless the center is a pole and recentering
 moves it; it still decides the image by comparing seminorms, and the
 image's identity with the Gauss point by ``berk_equal``.
+
+Most hull edges cannot meet the fiber, and the factored form says which.
+On a hull edge ord phi(zeta_{a, t}) is the line K + s*t: with phi = C
+prod (z - alpha) / prod (z - beta) over the finite zeros and poles (with
+multiplicity), each factor contributes min(ord(a - alpha), t), and every
+input either lies below the edge's lower vertex (ord(a - alpha) >= t_hi,
+the factor gives t) or leaves the path at or above its upper vertex
+(ord(a - alpha) <= t_lo, the factor is constant there); infinity is below
+no edge.  So s = zeros - poles below the lower vertex, and since ord phi
+is continuous along the tree, K follows from its value at the top by
+walking down the edges: at the root disc, which contains every finite
+input, it is ord C + t_root * (finite zeros - finite poles) = ord C (the
+root is a disc only when infinity is no input, and then both sides have
+d finite points), and on an edge up to infinity K = ord C.  A Gauss
+preimage has ord phi = 0 (the w = 0 condition), so an edge on which
+K + s*t has no zero is skipped before its Taylor shift; that condition is
+exactly the emptiness of the w = 0 equality set, so the scan's result is
+unchanged.
 """
 
 from __future__ import annotations
@@ -40,8 +58,8 @@ from .berk import (
 )
 from .errors import InternalInvariantError
 from .piecewise import intersect_intervals, lower_envelope
-from .projective import ProjPoint, _num_den, _sph_pair_ord
-from .ratmap import RationalMap, _int_coeff_pair, gir_minors, resultant_ord
+from .projective import ProjPoint, _num_den, _sph_pair_ord, _vord
+from .ratmap import FactoredForm, RationalMap, _int_coeff_pair, gir_minors, resultant_ord
 from .valued import Ord, int_val
 
 __all__ = [
@@ -241,26 +259,104 @@ def _gauss_fiber_zero_set(sh: Shift, lo, hi):
     return fiber
 
 
+def _ord_phi_lines(p: int, ff: FactoredForm, edges) -> list[tuple[int, int]]:
+    """(K, s) for each edge of the zero/pole hull, in edge order, with
+    ord phi(zeta_{center, t}) = K + s*t on the edge.
+
+    s is the signed multiplicity of the inputs below the lower vertex,
+    summed bottom-up (the edges come deepest first), and K comes from one
+    top-down walk of the vertex values: an edge up to infinity has K =
+    ord C, the root disc (when infinity is no input) has ord C, and
+    F(lower) = F(upper) + s * (t_hi - t_lo).  No shift and no valuation
+    beyond ord C is needed, and everything is an int: the hull's radius
+    exponents are ords of differences of its inputs.  Vertices are keyed
+    by identity, since ``hull`` builds each once and every edge at it
+    refers to that object.
+    """
+    mult: dict[tuple[int, int], int] = {}  # keyed without hashing a Fraction
+    for sign, side in ((1, ff.zeros), (-1, ff.poles)):
+        for pt, k in side:
+            if not pt.is_inf:
+                key = pt.z.numerator, pt.z.denominator
+                mult[key] = mult.get(key, 0) + sign * k
+    below: dict[int, int] = {}
+    slopes = []
+    for e in edges:
+        # a classical lower vertex is a finite input and a leaf
+        if e.lower.is_classical:
+            s = mult[e.center.numerator, e.center.denominator]
+        else:
+            s = below[id(e.lower)]
+        below[id(e.upper)] = below.get(id(e.upper), 0) + s
+        slopes.append(s)
+    oc = _vord(ff.c, p)
+    # the last vertex, above every other; as a disc it has ord phi = ord C
+    value = {id(edges[-1].upper): oc}
+    lines = []
+    for e, s in zip(reversed(edges), reversed(slopes)):
+        if e.upper.is_classical:  # infinity: every finite input is below
+            k = oc
+        else:
+            t = e.upper.radius_ord.numerator
+            k = value[id(e.upper)] - s * t
+        if not e.lower.is_classical:
+            value[id(e.lower)] = k + s * e.lower.radius_ord.numerator
+        lines.append((k, s))
+    lines.reverse()
+    return lines
+
+
+def _has_zero(k: int, s: int, lo, hi) -> bool:
+    """Whether K + s*t vanishes somewhere on [lo, hi] (None: unbounded)."""
+    if s == 0:
+        return k == 0
+    # the signs of the line at the two ends (times their positive
+    # denominators); at an open end, those of -s and s
+    a = -s if lo is None else k * lo.denominator + s * lo.numerator
+    b = s if hi is None else k * hi.denominator + s * hi.numerator
+    return a <= 0 <= b or b <= 0 <= a
+
+
 def gpr(m: RationalMap, hull_points=None) -> GprResult:
     """Minimal Gauss-point preimage diameter and a witness point.
 
     The search space is the hull of the zeros and poles (or of the given
     override points, which must contain the fiber).  f and g are cleared
-    to integers once and shifted once per distinct edge center, and every
-    distinct solution found by the piecewise scan is re-verified once
-    through push_forward, with the edge's shift unless recentering moves
-    the center (a pole as center).
+    to integers once and shifted once per distinct center of an edge that
+    can meet the fiber, and every distinct solution found by the piecewise
+    scan is re-verified once through push_forward, with the edge's shift
+    unless recentering moves the center (a pole as center).
+
+    On the zero/pole hull the edges are screened first by the slope rule:
+    ord phi(zeta_{a, t}) = K + s*t on an edge, s = (zeros - poles below
+    the edge's lower vertex, with multiplicity), and a Gauss preimage has
+    ord phi = 0 (its w = 0 condition), so an edge on which K + s*t has no
+    zero is skipped before any shift.  Proof: with phi = C prod (z -
+    alpha)^(m) / prod (z - beta)^(n) over the finite zeros and poles,
+    ord phi(zeta_{a, t}) = ord C + sum m min(ord(a - alpha), t) - sum n
+    min(ord(a - beta), t).  Each input lies below the lower vertex
+    (ord(a - alpha) >= t_hi, its term is t on the edge) or leaves the path
+    at or above the upper vertex (ord(a - alpha) <= t_lo, its term is
+    constant on the edge); infinity is never below.  The function is
+    continuous along the tree, and at the root disc, which contains every
+    finite input, it is ord C + t_root * (finite zeros - finite poles) =
+    ord C: the root is a disc only when infinity is neither a zero nor a
+    pole, and then both sides have d finite points.  The override path
+    keeps the unscreened scan.
     """
     p = m.p
     if hull_points is None:
         ff = m.require_factored()
-        hull_points = [pt for pt, _ in ff.zeros] + [pt for pt, _ in ff.poles]
-    tree = hull(p, hull_points)
+        edges = hull(p, [pt for pt, _ in ff.zeros] + [pt for pt, _ in ff.poles]).edges
+        edges = [e for e, line in zip(edges, _ord_phi_lines(p, ff, edges))
+                 if _has_zero(*line, *e.t_range())]
+    else:
+        edges = hull(p, hull_points).edges
     f, g = _int_coeff_pair(m)
     shifts: dict[Fraction, Shift] = {}
     best: tuple[Fraction, BerkPoint] | None = None
     found: list[BerkPoint] = []
-    for edge in tree.edges:
+    for edge in edges:
         center = edge.center
         sh = shifts.get(center)
         if sh is None:

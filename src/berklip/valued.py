@@ -312,7 +312,8 @@ def ppow_normalize(p: int, terms) -> PPowerSum:
     summed exactly; cancellation to zero drops the class, while a negative
     net value is rejected (all quantities in scope are non-negative).
     Residual p-valuation of a coefficient is folded into the exponent so
-    every surviving coefficient is a p-unit.
+    every surviving coefficient is a p-unit.  A class with one term (the
+    common case) is not summed.
     """
     groups: dict[Fraction, list[tuple[Fraction, Fraction]]] = {}
     for coef, exp in terms:
@@ -323,23 +324,43 @@ def ppow_normalize(p: int, terms) -> PPowerSum:
         groups.setdefault(cls, []).append((coef, exp))
     out = []
     for cls, items in groups.items():
-        base = min(e for _, e in items)
-        total = Fraction(0)
-        for coef, exp in items:
-            total += coef * Fraction(p) ** int(exp - base)
-        if total == 0:
-            continue
-        if total < 0:
-            raise ValueError("non-positive term")
-        v = int_val(total.numerator, p) - int_val(total.denominator, p)
-        unit = total / Fraction(p) ** v
-        out.append((unit, base + v))
+        if len(items) == 1:
+            (total, base), = items
+        else:
+            base = min(e for _, e in items)
+            total = Fraction(0)
+            for coef, exp in items:
+                total += coef * Fraction(p) ** int(exp - base)
+            if total == 0:
+                continue
+        out.append(_unit_term(p, total, base))
     out.sort(key=lambda t: t[1], reverse=True)
     return PPowerSum(tuple(out))
 
 
+def _unit_term(p: int, total: Fraction, base: Fraction) -> tuple[Fraction, Fraction]:
+    """The term total * p^base as (p-unit, exponent) for a nonzero total:
+    the p-part of its numerator or of its denominator (they are coprime)
+    is divided out as an int power and moved into the exponent."""
+    if total < 0:
+        raise ValueError("non-positive term")
+    num, den = total.numerator, total.denominator
+    v = int_val(num, p)
+    if v:
+        return Fraction(num // p**v, den), base + v
+    v = int_val(den, p)
+    if v:
+        return Fraction(num, den // p**v), base - v
+    return total, base
+
+
 def ppow_term(p: int, coef, exp) -> PPowerSum:
-    return ppow_normalize(p, [(Fraction(coef), Fraction(exp))])
+    """The one-term sum coef * p^exp in normal form, as
+    ``ppow_normalize(p, [(coef, exp)])``."""
+    coef = Fraction(coef)
+    if coef == 0:
+        return PPOW_ZERO
+    return PPowerSum((_unit_term(p, coef, Fraction(exp)),))
 
 
 def ppow_mul(p: int, a: PPowerSum, b: PPowerSum) -> PPowerSum:

@@ -88,3 +88,13 @@ def random_ladder_map(rng: DetRng, p: int, d: int) -> RationalMap:
             pool.append(pt)
     c = random_rational(rng, p)
     return from_factored(p, c, [(pt, 1) for pt in pool[:d]], [(pt, 1) for pt in pool[d:]])
+
+
+ACCEPTANCE_SEED = 20151203
+
+
+def acceptance_corpus() -> list[RationalMap]:
+    """The acceptance suite's 200 seeded factored maps of degree <= 5 over
+    p in {3, 5, 7}."""
+    rng = DetRng(ACCEPTANCE_SEED)
+    return [random_factored_map(rng, (3, 5, 7)[rng.randint(0, 2)], dmax=5) for _ in range(200)]

@@ -8,9 +8,10 @@ PWLinear arithmetic by sampled alignment with the envelopes, the Gauss
 fiber and the radial profile built on it.  The last section keeps the
 helpers that only the tests use (directions, rho, the diameter seen from
 infinity, homogeneous coordinates, ppow_add, and the record accessors
-``is_disc``, ``value_ord_at``, ``dehomogenized`` and ``choice``) and the
+``is_disc``, ``value_ord_at``, ``dehomogenized`` and ``choice``), the
 bisection compare and rendering that the ``Decimal`` enclosure of
-``ppow_compare`` and ``ppow_decimal`` replaced.
+``ppow_compare`` and ``ppow_decimal`` replaced, and ``ppow_normalize`` as
+it was before its one-term classes skipped the summation.
 
 Valuations here are the Fraction ``ref_vord`` and ``ref_spherical_ord``,
 independent of the program's integer kernels.  The brute-force
@@ -791,6 +792,34 @@ def unit_normalize(p: int, h: HomogCoords) -> HomogCoords:
     m = min(v for v in (vx, vy) if v is not None)
     f = Fraction(p) ** -m
     return HomogCoords(h.x * f, h.y * f)
+
+
+def ref_ppow_normalize(p: int, terms) -> PPowerSum:
+    """The former ``ppow_normalize``: every class summed as Fractions, its
+    p-valuation divided out by a ``Fraction`` power, one-term classes
+    included."""
+    groups: dict[Fraction, list[tuple[Fraction, Fraction]]] = {}
+    for coef, exp in terms:
+        coef, exp = Fraction(coef), Fraction(exp)
+        if coef == 0:
+            continue
+        cls = exp - math.floor(exp)
+        groups.setdefault(cls, []).append((coef, exp))
+    out = []
+    for cls, items in groups.items():
+        base = min(e for _, e in items)
+        total = Fraction(0)
+        for coef, exp in items:
+            total += coef * Fraction(p) ** int(exp - base)
+        if total == 0:
+            continue
+        if total < 0:
+            raise ValueError("non-positive term")
+        v = int(ref_vord(total, p))
+        unit = total / Fraction(p) ** v
+        out.append((unit, base + v))
+    out.sort(key=lambda t: t[1], reverse=True)
+    return PPowerSum(tuple(out))
 
 
 def ppow_add(p: int, *sums: PPowerSum) -> PPowerSum:

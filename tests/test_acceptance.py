@@ -44,10 +44,16 @@ from berklip.ratmap import (
 )
 from berklip.sampling import DetRng, random_rational
 from berklip.valued import Ord, ppow_compare, ppow_max, ppow_mul, ppow_term
-from corpus import random_factored_map, random_mobius, random_unimodular
+from corpus import (
+    ACCEPTANCE_SEED,
+    acceptance_corpus,
+    random_factored_map,
+    random_mobius,
+    random_unimodular,
+)
 from oracles import minimality_refuted, oracle_push_forward
 
-CORPUS_SEED = 20151203
+CORPUS_SEED = ACCEPTANCE_SEED
 PRIMES = (3, 5, 7)
 FIXTURES = Path(__file__).parent.parent / "fixtures"
 
@@ -60,12 +66,7 @@ def load_fixture(name):
 
 @pytest.fixture(scope="module")
 def corpus():
-    rng = DetRng(CORPUS_SEED)
-    maps = []
-    for _ in range(200):
-        p = PRIMES[rng.randint(0, 2)]
-        maps.append(random_factored_map(rng, p, dmax=5))
-    return maps
+    return acceptance_corpus()
 
 
 @pytest.fixture(scope="module")

@@ -4,14 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from berklip.berk import BerkPoint, berk_equal, diam_gauss, gauss_point, push_forward
+from berklip.berk import BerkPoint, Shift, berk_equal, diam_gauss, gauss_point, push_forward
 from berklip.errors import FactoredFormRequiredError
-from berklip.invariants import bundle, gpr, hull, rp_ord
+from berklip.invariants import _has_zero, _ord_phi_lines, bundle, gpr, hull, rp_ord
+from berklip.piecewise import lower_envelope
 from berklip.projective import INF_POINT, ProjPoint
-from berklip.ratmap import from_coeffs, from_factored
+from berklip.ratmap import _int_coeff_pair, from_coeffs, from_factored
 from berklip.sampling import DetRng, random_rational
 from berklip.valued import Ord
-from corpus import random_factored_map
+from corpus import acceptance_corpus, random_factored_map, random_ladder_map, random_mobius
 from oracles import dehomogenized, ref_hull
 
 
@@ -184,6 +185,109 @@ def test_gpr_verifies_each_distinct_preimage_once(count_calls):
         calls.clear()
         res = gpr(m)
         assert len(calls) == len(res.preimages)
+
+
+def _screen_maps(seed: int):
+    """Seeded factored maps for the edge screen: degree-1 maps, maps of
+    degree <= 6 with multiplicities (infinity a zero or a pole in about a
+    quarter of them), and ladder-type maps of degree 10."""
+    rng = DetRng(seed)
+    for k in range(30):
+        yield random_mobius(rng, [2, 3, 5, 7][k % 4])
+    for k in range(120):
+        yield random_factored_map(rng, [2, 3, 5, 7][k % 4], dmax=6, multiplicities=True)
+    for p in (2, 3, 5):
+        yield random_ladder_map(rng, p, 10)
+
+
+def _zero_pole_hull(m):
+    ff = m.factored
+    return hull(m.p, [q for q, _ in ff.zeros] + [q for q, _ in ff.poles])
+
+
+def _w0_equal_set(sh, lo, hi):
+    """The equality set of env(f) and env(g) on [lo, hi]: the first
+    (w = 0) condition of ``_gauss_fiber_zero_set``."""
+    return lower_envelope(sh.diff_lines((0, 1)), lo, hi).equal_set(
+        lower_envelope(sh.g_lines(), lo, hi)
+    )
+
+
+def test_screened_gpr_equals_unscreened_scan():
+    """The screen changes no field of the result: gpr on the zero/pole
+    hull equals the unscreened scan of the same hull through the override
+    path, preimages in order, on the acceptance corpus, the screen maps
+    and seeded ladder-type maps of degree 10 and 20."""
+    rng = DetRng(2024)
+    ladder = [random_ladder_map(rng, p, d) for d in (10, 20) for p in (3, 5)]
+    maps = acceptance_corpus() + list(_screen_maps(31)) + ladder
+    for m in maps:
+        ff = m.factored
+        assert gpr(m) == gpr(m, hull_points=[q for q, _ in ff.zeros + ff.poles]), m
+
+
+def test_screen_agrees_with_w0_equality_set():
+    """Edge by edge, the line K + s*t of the screen is ord phi = env(f) -
+    env(g) on the edge (checked at its ends and inside), and it has a zero
+    on the edge exactly when the w = 0 equality set is nonempty."""
+    seen = {"deg1": 0, "inf_zero": 0, "inf_pole": 0, "kept": 0, "skipped": 0}
+    for m in _screen_maps(32):
+        p, ff = m.p, m.factored
+        seen["deg1"] += m.d == 1
+        seen["inf_zero"] += any(q.is_inf for q, _ in ff.zeros)
+        seen["inf_pole"] += any(q.is_inf for q, _ in ff.poles)
+        fi, gi = _int_coeff_pair(m)
+        edges = _zero_pole_hull(m).edges
+        for e, (k, s) in zip(edges, _ord_phi_lines(p, ff, edges)):
+            lo, hi = e.t_range()
+            sh = Shift.at(p, fi, gi, e.center)
+            a = lo if lo is not None else (hi if hi is not None else 0) - 3
+            b = hi if hi is not None else a + 5
+            for t in (a, (a + b) / 2, b):
+                semi_f = min(o + j * t for j, o in sh.f_lines())
+                semi_g = min(o + j * t for j, o in sh.g_lines())
+                assert k + s * t == semi_f - semi_g, (m, e, t)
+            kept = _has_zero(k, s, lo, hi)
+            assert kept == bool(_w0_equal_set(sh, lo, hi)), (m, e)
+            seen["kept" if kept else "skipped"] += 1
+    assert all(n >= 20 for n in seen.values()), seen
+
+
+def test_screen_counts_shifts_and_reverifications(count_calls, monkeypatch):
+    """gpr builds one shift per distinct center of an edge on which the
+    w = 0 equality set is nonempty, plus one per re-verification whose
+    center is a pole (push_forward recenters it), and re-verifies each
+    distinct preimage once.  Both totals are pinned, so a screen that
+    passes every edge fails here."""
+    pushes = count_calls(push_forward)
+    shifts = []
+    at = Shift.at
+
+    def counted_at(*args):
+        shifts.append(args)
+        return at(*args)
+
+    monkeypatch.setattr(Shift, "at", staticmethod(counted_at))
+    totals = {"shifts": 0, "pushes": 0, "unscreened": 0}
+    rng = DetRng(4711)
+    maps = [random_factored_map(rng, p, dmax=6, multiplicities=True) for p in (3, 5, 7) * 4]
+    maps += [random_ladder_map(rng, 3, 10), random_ladder_map(rng, 5, 10)]
+    for m in maps:
+        p, ff = m.p, m.factored
+        fi, gi = _int_coeff_pair(m)
+        edges = _zero_pole_hull(m).edges
+        centers = {e.center for e in edges}
+        live = {e.center for e in edges if _w0_equal_set(at(p, fi, gi, e.center), *e.t_range())}
+        poles = {q.z for q, _ in ff.poles if not q.is_inf}
+        shifts.clear()
+        pushes.clear()
+        res = gpr(m)
+        assert len(pushes) == len(res.preimages)
+        assert len(shifts) == len(live) + sum(x.center in poles for x in res.preimages), m
+        totals["shifts"] += len(shifts)
+        totals["pushes"] += len(pushes)
+        totals["unscreened"] += len(centers)
+    assert totals == {"shifts": 70, "pushes": 45, "unscreened": 92}, totals
 
 
 def test_bundle_examples():

@@ -26,7 +26,12 @@ from berklip.valued import (
     ppow_mul,
     int_val,
 )
-from oracles import ppow_add, ref_compare_by_bisection, ref_ppow_decimal_enclosure
+from oracles import (
+    ppow_add,
+    ref_compare_by_bisection,
+    ref_ppow_decimal_enclosure,
+    ref_ppow_normalize,
+)
 
 rationals = st.fractions(
     min_value=-1000, max_value=1000, max_denominator=1000
@@ -115,6 +120,50 @@ def test_normalize_borrows_across_integer_exponents():
     # 1 - 1/3 = 2 * 3^-1
     s = ppow_normalize(3, [(1, 0), (-1, -1)])
     assert s.terms == ((Fraction(2), Fraction(-1)),)
+
+
+def _normal_form_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as e:
+        return str(e)
+
+
+def test_normalize_matches_summing_reference():
+    """The one-term fast path against the former summation on seeded raw
+    term lists: 1-4 terms, integer and rational exponents drawn so that
+    classes mix and repeat, coefficients with p in the numerator or the
+    denominator, negatives (a negative total raises ValueError) and
+    cancellation of a class to zero."""
+    rng = DetRng(4131)
+    seen = {"one": 0, "multi": 0, "cancel": 0, "negative": 0, "empty": 0}
+    for i in range(3000):
+        p = [2, 3, 5, 7][i % 4]
+        terms = []
+        for _ in range(rng.randint(1, 4)):
+            num = rng.randint(-6, 24) * p ** rng.randint(0, 3)
+            coef = Fraction(num, rng.randint(1, 6) * p ** rng.randint(0, 3))
+            exp = Fraction(rng.randint(-9, 9), [1, 1, 2, 3][rng.randint(0, 3)])
+            terms.append((coef, exp))
+        if rng.randint(0, 4) == 0:
+            coef, exp = terms[0]
+            terms.append((-coef, exp))  # the class of terms[0] cancels
+            seen["cancel"] += 1
+        want = _normal_form_or_error(ref_ppow_normalize, p, terms)
+        got = _normal_form_or_error(ppow_normalize, p, terms)
+        assert got == want, (p, terms)
+        assert repr(got) == repr(want)
+        if isinstance(want, str):
+            seen["negative"] += 1
+        elif want.is_zero:
+            seen["empty"] += 1
+        else:
+            for coef, exp in terms:
+                assert _normal_form_or_error(ppow_term, p, coef, exp) == _normal_form_or_error(
+                    ref_ppow_normalize, p, [(coef, exp)]
+                ), (p, coef, exp)
+            seen["one" if len(terms) == 1 else "multi"] += 1
+    assert all(n >= 100 for n in seen.values()), seen
 
 
 @given(
