@@ -16,12 +16,9 @@ mapping onto the Gauss point must separate a zero-direction from a
 pole-direction.  On a hull edge with center a, a disc point zeta_{a, t}
 maps to the Gauss point iff the seminorm of phi - w is exactly 1 for w = 0
 and for every unit residue candidate w, that is, iff the envelopes of
-f - w g and of g agree at t.  Each condition holds on an exact union of
-intervals (an equality set of two piecewise-linear envelopes), the
-solution set is their intersection, and each distinct solution is
-re-verified once through the pushforward.  That check is handed the
-edge's shift, which it keeps unless the center is a pole and recentering
-moves it; it still decides the image by comparing seminorms, and the
+f - w g and of g agree at t.  Each distinct solution is re-verified once
+through the pushforward, handed the shift the scan decided it on; the
+pushforward still decides the image by comparing seminorms, and the
 image's identity with the Gauss point by ``berk_equal``.
 
 Most hull edges cannot meet the fiber, and the factored form says which.
@@ -41,6 +38,23 @@ preimage has ord phi = 0 (the w = 0 condition), so an edge on which
 K + s*t has no zero is skipped before its Taylor shift; that condition is
 exactly the emptiness of the w = 0 equality set, so the scan's result is
 unchanged.
+
+An edge that passes is decided in one of two ways.  When s != 0 the line
+vanishes at one point only, t0 = -K/s, so the fiber on the edge is a
+subset of {t0}, and t0 alone is tested, on one shift at a center b of
+the same disc that is no pole (the edge center unless that is a pole;
+seminorms at a disc point do not depend on which center of the disc they
+are read at).  There the w = 0 condition holds, so for a unit w
+s(f - w g) >= s(g) and the point is in the fiber iff every nonzero
+residue lift w reaches s(f - w g) <= s(g), which the pushforward's
+early-exit kernel reads line by line.  The lifts read at b suffice: a
+point with |phi| = 1 and an image D(w*, r) other than the Gauss point
+has r < 1 and w* a unit, and the residue of w* is that of a ratio f_j/g_j
+of equal-ord Taylor coefficients at any center of the disc (the proof is
+in ``gpr``).  The re-verification runs on the same shift at b and never
+recenters.  When s = 0 the w = 0 set is the whole edge, and the fiber is
+the intersection over w of the equality sets of the envelopes, an exact
+union of intervals.
 """
 
 from __future__ import annotations
@@ -55,6 +69,9 @@ from .berk import (
     gauss_point,
     push_forward,
     _diam_gauss_frac,
+    _diff_semi,
+    _recenter,
+    _semi_num,
 )
 from .errors import InternalInvariantError
 from .piecewise import intersect_intervals, lower_envelope
@@ -259,6 +276,21 @@ def _gauss_fiber_zero_set(sh: Shift, lo, hi):
     return fiber
 
 
+def _in_gauss_fiber(sh: Shift, t: Fraction) -> bool:
+    """Whether zeta_{center, t} maps to the Gauss point, given f and g
+    Taylor-shifted to the center and s(f) = s(g) at t (the w = 0
+    condition).
+
+    For a unit w, s(f - w g) >= min(s(f), s(g)) = s(g), so the condition
+    for w is s(f - w g) <= s(g): some line of f - w g reaches the floor
+    s(g), which is when ``_diff_semi`` returns None.
+    """
+    tn, td = t.numerator, t.denominator
+    floor = _semi_num(sh.g_lines(), tn, td)
+    return all(_diff_semi(sh, (w, 1), tn, td, floor) is None
+               for w in sh.unit_residue_lifts()[1:])
+
+
 def _ord_phi_lines(p: int, ff: FactoredForm, edges) -> list[tuple[int, int]]:
     """(K, s) for each edge of the zero/pole hull, in edge order, with
     ord phi(zeta_{center, t}) = K + s*t on the edge.
@@ -322,10 +354,10 @@ def gpr(m: RationalMap, hull_points=None) -> GprResult:
 
     The search space is the hull of the zeros and poles (or of the given
     override points, which must contain the fiber).  f and g are cleared
-    to integers once and shifted once per distinct center of an edge that
-    can meet the fiber, and every distinct solution found by the piecewise
-    scan is re-verified once through push_forward, with the edge's shift
-    unless recentering moves the center (a pole as center).
+    to integers once and shifted once per distinct center a check is made
+    at, and every distinct solution is re-verified once through
+    push_forward on the shift it was found with (recentered there only on
+    the override path and on edges of slope 0 whose center is a pole).
 
     On the zero/pole hull the edges are screened first by the slope rule:
     ord phi(zeta_{a, t}) = K + s*t on an edge, s = (zeros - poles below
@@ -343,39 +375,77 @@ def gpr(m: RationalMap, hull_points=None) -> GprResult:
     ord C: the root is a disc only when infinity is neither a zero nor a
     pole, and then both sides have d finite points.  The override path
     keeps the unscreened scan.
+
+    A passing edge with s != 0 is decided at one point.  Three facts make
+    this exact:
+
+    * The fiber on the edge is a subset of {t0}, t0 = -K/s: a preimage
+      has ord phi = K + s*t = 0, and a line of nonzero slope vanishes
+      once.
+    * Seminorms at zeta = zeta_{a, t0} do not depend on the center read:
+      |h|_zeta is the sup of |h| over the disc D(a, p^(-t0)), and every b
+      with ord(b - a) >= t0 names the same disc.  So zeta is tested on the
+      shift at b = ``_recenter(g, a, t0)``, the center the pushforward
+      would move to (a itself unless g(a) = 0), and the same shift serves
+      the re-verification, which then keeps it.
+    * The residue lifts of any such center's shift are complete.  If
+      |phi|_zeta = 1 but phi(zeta) is not the Gauss point, the image is a
+      disc D(w*, r) with r < 1 and max(|w*|, r) = 1, so w* is a unit and
+      s(f - w* g) > s(g) = s(f).  Let f_j, g_j be the Taylor coefficients
+      at the center read and j one that attains s(g), ord g_j + j*t0 =
+      s(g).  Then ord(f_j - w* g_j) + j*t0 > s(g) gives ord(f_j - w* g_j)
+      > ord g_j: f_j = w* g_j to first order, ord f_j = ord g_j, and the
+      residue of w* is that of the unit f_j/g_j, one of the equal-ord
+      ratios whose lifts ``unit_residue_lifts`` lists.  The lift w of it
+      has |w - w*| < 1, hence |phi - w|_zeta < 1, and the test fails for
+      w.  Conversely a Gauss preimage has |phi - w|_zeta = 1 for every
+      unit w.  So the point test equals the interval scan's answer at t0,
+      whichever center the lifts come from.
+
+    Every record names the point by the edge center, zeta_{a, t0}, so
+    ``found``, the argmin and their order are those of the interval scan.
+    Edges with s = 0, where the w = 0 set is the whole edge, and every
+    edge of the override path take the interval scan.
     """
     p = m.p
     if hull_points is None:
         ff = m.require_factored()
         edges = hull(p, [pt for pt, _ in ff.zeros] + [pt for pt, _ in ff.poles]).edges
-        edges = [e for e, line in zip(edges, _ord_phi_lines(p, ff, edges))
-                 if _has_zero(*line, *e.t_range())]
+        scan = [(e, Fraction(-k, s) if s else None)
+                for e, (k, s) in zip(edges, _ord_phi_lines(p, ff, edges))
+                if _has_zero(k, s, *e.t_range())]
     else:
-        edges = hull(p, hull_points).edges
+        scan = [(e, None) for e in hull(p, hull_points).edges]
     f, g = _int_coeff_pair(m)
     shifts: dict[Fraction, Shift] = {}
     best: tuple[Fraction, BerkPoint] | None = None
     found: list[BerkPoint] = []
-    for edge in edges:
+    for edge, t0 in scan:
         center = edge.center
-        sh = shifts.get(center)
+        at = center if t0 is None else _recenter(p, g, center, t0)
+        sh = shifts.get(at)
         if sh is None:
-            sh = shifts[center] = Shift.at(p, f, g, center)
-        lo, hi = edge.t_range()
-        for a, b in _gauss_fiber_zero_set(sh, lo, hi):
-            if a is None or b is None:
-                raise InternalInvariantError("unbounded Gauss-fiber interval")
-            for t in {a, b}:
-                pt = BerkPoint.disc(center, t)
-                if not any(berk_equal(p, pt, q) for q in found):
-                    if not berk_equal(p, push_forward(m, pt, shift=sh), gauss_point()):
-                        raise InternalInvariantError(
-                            "edge scan produced a non-preimage; candidate set bug"
-                        )
-                    found.append(pt)
-                s = _diam_gauss_frac(p, center, t)
-                if best is None or s > best[0]:
-                    best = (s, pt)
+            sh = shifts[at] = Shift.at(p, f, g, at)
+        if t0 is None:
+            ts = []
+            for a, b in _gauss_fiber_zero_set(sh, *edge.t_range()):
+                if a is None or b is None:
+                    raise InternalInvariantError("unbounded Gauss-fiber interval")
+                ts.extend({a, b})
+        else:
+            ts = [t0] if _in_gauss_fiber(sh, t0) else []
+        for t in ts:
+            pt = BerkPoint.disc(center, t)
+            if not any(berk_equal(p, pt, q) for q in found):
+                image = push_forward(m, BerkPoint.disc(at, t), shift=sh)
+                if not berk_equal(p, image, gauss_point()):
+                    raise InternalInvariantError(
+                        "edge scan produced a non-preimage; candidate set bug"
+                    )
+                found.append(pt)
+            s = _diam_gauss_frac(p, center, t)
+            if best is None or s > best[0]:
+                best = (s, pt)
     if best is None:
         raise InternalInvariantError("internal: preimage must lie on hull")
     return GprResult(Ord.of(best[0]), best[1], tuple(found))

@@ -32,11 +32,10 @@ from .berk import Shift, iota
 from .errors import InternalInvariantError
 from .invariants import InvariantBundle, bundle, gpr
 from .piecewise import PWLinear, lower_envelope
-from .projective import INF_POINT, ProjPoint, _sph_pair_ord, _vord, spherical_ord
+from .projective import INF_POINT, ProjPoint, _sph_pair_ord, _vord
 from .ratmap import (
     RationalMap,
     _int_coeff_pair,
-    eval_proj,
     gir_minors,
     resultant_ord,
     resultant_ord_product,
@@ -334,6 +333,10 @@ def sample_ratios(m: RationalMap, n: int, seed: int, lip_ord=None):
     return ppow_term(p, 1, max_e), pair
 
 
+def _proj_point(num: int, den: int) -> ProjPoint:
+    return INF_POINT if den == 0 else ProjPoint.of(Fraction(num, den))
+
+
 def gpr_witness(m: RationalMap, inv: InvariantBundle | None = None):
     """Search for classical points x, y at spherical distance GPR whose
     images are at distance 1, certifying that 1/GPR is attained.
@@ -343,37 +346,50 @@ def gpr_witness(m: RationalMap, inv: InvariantBundle | None = None):
     on success or (None, diagnostic).  Candidates sit in distinct residue
     directions at the minimizing preimage point; over QQ only p residue
     directions exist, so failure is a reportable outcome rather than an
-    error.
+    error.  Each candidate's image is evaluated once, as the integer pair
+    of the homogeneous forms at its (num, den), and both distances are
+    read by ``_sph_pair_ord``; pairs are tried in index order and the first
+    hit is returned.
     """
     if inv is None:
         result = gpr(m)
-        q, target = result.argmin, result.ord
+        q, target = result.argmin, result.ord.frac
     else:
-        q, target = inv.gpr_argmin, inv.gpr
+        q, target = inv.gpr_argmin, inv.gpr.frac
+    p = m.p
     a, t = q.center, q.radius_ord
-    va = _vord(a, m.p)
+    va = _vord(a, p)
     inverted = not (t >= 0 and (va is None or va >= 0))
     if inverted:
-        qi = iota(m.p, q)
+        qi = iota(p, q)
         a, t = qi.center, qi.radius_ord
     if t.denominator != 1:
         return None, "witness requires an integer radius exponent"
-    step = Fraction(m.p) ** int(t)  # |step| equals the disc radius
-    pts = []
-    for u in range(min(m.p, 97)):
-        z = a + u * step
+    # the candidates a + u p^t, t >= 0 in the unit chart, as (num, den)
+    # pairs; inverted, (den, num), with den 0 for infinity
+    an, ad = a.numerator, a.denominator
+    step = p ** int(t) * ad
+    fi, gi = _int_coeff_pair(m)
+    cands = []
+    for u in range(min(p, 97)):
+        xn, xd = an + u * step, ad
         if inverted:
-            pts.append(INF_POINT if z == 0 else ProjPoint.of(1 / z))
-        else:
-            pts.append(ProjPoint.of(z))
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if spherical_ord(m.p, pts[i], pts[j]) != target:
+            xn, xd = xd, xn
+        fx = gx = 0
+        xpow = 1
+        # hom eval: sum c_i num^i den^(d-i), Horner in num with den powers
+        for i in range(m.d, -1, -1):
+            fx = fx * xn + fi[i] * xpow
+            gx = gx * xn + gi[i] * xpow
+            xpow *= xd
+        cands.append((xn, xd, fx, gx))
+    for i, (xn, xd, fx, gx) in enumerate(cands):
+        for yn, yd, fy, gy in cands[i + 1:]:
+            if _sph_pair_ord(p, xn, xd, yn, yd) != target:
                 continue
-            ix, iy = eval_proj(m, pts[i]), eval_proj(m, pts[j])
-            if spherical_ord(m.p, ix, iy) == Ord.of(0):
-                return (pts[i], pts[j]), None
-    return None, f"no witness among {min(m.p, 97)} residue directions"
+            if _sph_pair_ord(p, fx, gx, fy, gy) == 0:
+                return (_proj_point(xn, xd), _proj_point(yn, yd)), None
+    return None, f"no witness among {min(p, 97)} residue directions"
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,7 @@ from fractions import Fraction
 from berklip.berk import BerkPoint, Shift, berk_equal, gauss_point, iota
 from berklip.errors import InternalInvariantError, ParseError
 from berklip.piecewise import PWLinear
-from berklip.projective import ProjPoint, _vord
+from berklip.projective import INF_POINT, ProjPoint, _vord, spherical_ord
 from berklip.ratmap import RationalMap, _int_coeff_pair, eval_proj
 from berklip.sampling import DetRng, random_unit_fraction
 from berklip.valued import (
@@ -375,6 +375,40 @@ def ref_sample_ratios(m: RationalMap, n: int, seed: int):
     if best is None:
         return PPOW_ZERO, None
     return ppow_term(p, 1, best[0]), best[1]
+
+
+def ref_gpr_witness(m: RationalMap):
+    """``gpr_witness`` in Fractions: the same candidates in the same pair
+    order, each pair's distance by ``spherical_ord`` and its images by
+    ``eval_proj``, evaluated again for every pair at distance GPR."""
+    from berklip.invariants import gpr
+
+    result = gpr(m)
+    q, target = result.argmin, result.ord
+    a, t = q.center, q.radius_ord
+    va = _vord(a, m.p)
+    inverted = not (t >= 0 and (va is None or va >= 0))
+    if inverted:
+        qi = iota(m.p, q)
+        a, t = qi.center, qi.radius_ord
+    if t.denominator != 1:
+        return None, "witness requires an integer radius exponent"
+    step = Fraction(m.p) ** int(t)
+    pts = []
+    for u in range(min(m.p, 97)):
+        z = a + u * step
+        if inverted:
+            pts.append(INF_POINT if z == 0 else ProjPoint.of(1 / z))
+        else:
+            pts.append(ProjPoint.of(z))
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            if spherical_ord(m.p, pts[i], pts[j]) != target:
+                continue
+            ix, iy = eval_proj(m, pts[i]), eval_proj(m, pts[j])
+            if spherical_ord(m.p, ix, iy) == Ord.of(0):
+                return (pts[i], pts[j]), None
+    return None, f"no witness among {min(m.p, 97)} residue directions"
 
 
 def ref_hull(p: int, points):

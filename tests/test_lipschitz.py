@@ -32,9 +32,10 @@ from berklip.ratmap import (
 )
 from berklip.sampling import DetRng, random_rational
 from berklip.valued import Ord, ppow_compare, ppow_term
-from corpus import random_factored_map, random_ladder_map, random_mobius
+from corpus import acceptance_corpus, random_factored_map, random_ladder_map, random_mobius
 from oracles import (
     choice,
+    ref_gpr_witness,
     ref_radial_profile,
     ref_sample_ratios,
     ref_spherical_ord,
@@ -351,6 +352,28 @@ def test_gpr_witness_examples():
     ident = from_factored(p, 1, [(pt(0), 1)], [(INF_POINT, 1)])
     w, _ = gpr_witness(ident)
     assert w == (pt(0), pt(1))
+
+
+def test_gpr_witness_matches_fraction_reference():
+    """The integer witness search returns what the Fraction search of
+    ``ref_gpr_witness`` returns, pair or note, on the acceptance corpus
+    and on maps at p = 2 and p = 101: both charts, the infinity candidate
+    of the inverted chart, a fractional radius, no witness, and the cap
+    of 97 directions."""
+    rng = DetRng(97)
+    maps = acceptance_corpus()
+    maps += [random_factored_map(rng, p, dmax=5) for p in (2, 101) for _ in range(40)]
+    seen = {"inverted": 0, "infinity": 0, "none": 0, "capped": 0}
+    for m in maps:
+        got = gpr_witness(m)
+        assert got == ref_gpr_witness(m), m
+        q = gpr(m).argmin
+        # outside the closed unit disc exactly when diam_G differs from r
+        seen["inverted"] += diam_gauss(m.p, q) != Ord.of(q.radius_ord)
+        seen["infinity"] += got[0] is not None and INF_POINT in got[0]
+        seen["none"] += got[0] is None
+        seen["capped"] += m.p > 97 and got[0] is not None
+    assert all(n >= 5 for n in seen.values()), seen
 
 
 def test_growth_bound_along_profiles():

@@ -7,7 +7,8 @@ from berklip import invariants
 from berklip.berk import Shift
 from berklip.invariants import _gauss_fiber_zero_set, gpr, hull
 from berklip.piecewise import intersect_intervals, lower_envelope
-from berklip.ratmap import _int_coeff_pair
+from berklip.projective import INF_POINT, ProjPoint
+from berklip.ratmap import _int_coeff_pair, from_factored
 from berklip.sampling import DetRng
 from corpus import random_factored_map, random_ladder_map
 from oracles import (
@@ -254,8 +255,32 @@ def test_gauss_fiber_matches_reference_on_every_hull_edge():
 
 
 def test_gpr_unchanged_with_reference_fiber(monkeypatch):
+    """gpr with both fiber decisions replaced by the reference: the
+    interval scan of edges of slope 0 by the reference zero set, and the
+    point test of sloped edges by the reference zero set on the single
+    point.  Both paths must have run.  Random maps have few edges of slope
+    0 on which ord phi vanishes, so (z - p^k)(z - 1)/z is added: its edge
+    from D(0, p^-k) up to the Gauss point has a zero and a pole below and
+    ord phi = 0 on it, and its fiber there is the two ends."""
     rng = DetRng(6065)
     maps = [random_factored_map(rng, [2, 3, 5, 7][k % 4], dmax=6) for k in range(30)]
+    maps += [
+        from_factored(p, 1, [(ProjPoint.of(p**k), 1), (ProjPoint.of(1), 1)],
+                      [(ProjPoint.of(0), 1), (INF_POINT, 1)])
+        for p in (2, 3, 5, 7) for k in (1, 2, 3)
+    ]
     got = [gpr(m) for m in maps]
-    monkeypatch.setattr(invariants, "_gauss_fiber_zero_set", ref_gauss_fiber_zero_set)
+    calls = {"interval": 0, "point": 0}
+
+    def ref_interval(sh, lo, hi):
+        calls["interval"] += 1
+        return ref_gauss_fiber_zero_set(sh, lo, hi)
+
+    def ref_point(sh, t):
+        calls["point"] += 1
+        return bool(ref_gauss_fiber_zero_set(sh, t, t))
+
+    monkeypatch.setattr(invariants, "_gauss_fiber_zero_set", ref_interval)
+    monkeypatch.setattr(invariants, "_in_gauss_fiber", ref_point)
     assert got == [gpr(m) for m in maps]
+    assert calls["interval"] >= 10 and calls["point"] >= 50, calls
