@@ -12,6 +12,8 @@ input that needs more than a documented cap allows).
 Each command imports only what it runs: ``invariants`` reads the map and
 builds its bundle, and the Lipschitz layer (``lipschitz``, with the
 sampler under it) is imported by the other four commands on first use.
+``invariants.bundle`` keeps the last map's bundle, so the checks of
+``verify`` and the parts of a ``bounds`` report share one.
 """
 
 from __future__ import annotations
@@ -124,31 +126,19 @@ def _emit(obj: dict, fmt: str) -> str:
 def _verify_checks(m: RationalMap, cfg: argparse.Namespace):
     """Per-map property suite for the verify command.
 
-    The map's bundle is built once, by the first check that needs it; if
-    building it fails, every check that needs it reports that error.
+    Each check that needs the map's bundle calls ``bundle(m)``, which keeps
+    it for the next; a bundle that fails is not kept, so each such check
+    builds it again and reports the same error.
     """
-    from .lipschitz import _mobius_exact, resultant_bounds, sample_ratios
+    from .lipschitz import mobius_exact, resultant_bounds, sample_ratios
 
     checks = []
-    built: list = []
-
-    def inv():
-        if not built:
-            try:
-                built.append(bundle(m))
-            except BerkError as e:
-                built.append(e)
-        if isinstance(built[0], BerkError):
-            raise built[0]
-        return built[0]
 
     def add(name, fn):
         try:
             fn()
             checks.append((name, True, ""))
-        except BerkError as e:
-            checks.append((name, False, str(e)))
-        except AssertionError as e:
+        except (BerkError, AssertionError) as e:
             checks.append((name, False, str(e)))
 
     def norm_idempotent():
@@ -160,7 +150,7 @@ def _verify_checks(m: RationalMap, cfg: argparse.Namespace):
         img = push_forward(m, gauss_point())
         assert diam_gauss(m.p, img) == gir_minors(m), "gir minors disagree with image"
 
-    add("invariant-chain", inv)  # bundle raises on any violated inequality
+    add("invariant-chain", lambda: bundle(m))  # raises on any violated inequality
     add("normalize-idempotent", norm_idempotent)
     add("gir-matches-pushforward", gir_push)
 
@@ -171,7 +161,7 @@ def _verify_checks(m: RationalMap, cfg: argparse.Namespace):
 
         def gpr_verified():
             assert berk_equal(
-                m.p, push_forward(m, inv().gpr_argmin), gauss_point()
+                m.p, push_forward(m, bundle(m).gpr_argmin), gauss_point()
             ), "gpr argmin does not map to the Gauss point"
 
         def rp_vs_res():
@@ -179,7 +169,7 @@ def _verify_checks(m: RationalMap, cfg: argparse.Namespace):
 
         def sampled():
             # raises if a sampled ratio exceeds 1/GPR
-            sample_ratios(m, cfg.n, cfg.seed, lip_ord=inv().gpr.frac)
+            sample_ratios(m, cfg.n, cfg.seed, lip_ord=bundle(m).gpr.frac)
 
         add("resultant-product-agrees", res_product)
         add("gpr-argmin-verified", gpr_verified)
@@ -195,7 +185,7 @@ def _verify_checks(m: RationalMap, cfg: argparse.Namespace):
         add("sampled-ratios-bounded", sampled_res_bound)
 
     if m.d == 1:
-        add("mobius-constants-agree", lambda: _mobius_exact(m, inv()))
+        add("mobius-constants-agree", lambda: mobius_exact(m))
     return checks
 
 

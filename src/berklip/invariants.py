@@ -8,7 +8,8 @@
                preimages of the Gauss point, found by an exact edge scan
                of the zero/pole hull.
 * bundle    -- all invariants of one map, with the inequality chain
-               |Res| <= GPR <= RP <= 1 and GIR >= |Res|^(1/d) asserted.
+               |Res| <= GPR <= RP <= 1 and GIR >= |Res|^(1/d) asserted;
+               the last map's bundle is kept for a repeat call.
 
 The preimages of the Gauss point lie on the hull of the zeros and poles:
 off the hull all zeros and poles sit in a single direction, while a point
@@ -469,9 +470,25 @@ class InvariantBundle(NamedTuple):
     note: str | None = None  # why zero/pole invariants are absent
 
 
+_last = None  # (map, its bundle) for the last map ``bundle`` built
+
+
 def bundle(m: RationalMap) -> InvariantBundle:
     """All invariants of one map; asserts the inequality chain before
-    returning."""
+    returning.
+
+    The last map's bundle is kept, keyed by object identity: a call with
+    that same object returns it, so a bound report on a map its caller
+    just bundled computes nothing twice.  Exact, since a ``RationalMap``
+    is immutable and its bundle a pure function of it, checked when built.
+    One entry, not a cache: any other object (an equal map built again
+    too) is computed and replaces it, and a bundle that raises is never
+    kept.  It is read once, so a concurrent caller can only miss.
+    """
+    global _last
+    last = _last
+    if last is not None and last[0] is m:
+        return last[1]
     gir = gir_minors(m)
     res = resultant_ord(m)
     rp = gp = argmin = note = None
@@ -489,4 +506,5 @@ def bundle(m: RationalMap) -> InvariantBundle:
         )
     if gir > res * Fraction(1, m.d):
         raise InternalInvariantError("GIR >= |Res|^(1/d) violated")
-    return InvariantBundle(m.p, m.d, gir, res, rp, gp, argmin, rp, note)
+    _last = last = (m, InvariantBundle(m.p, m.d, gir, res, rp, gp, argmin, rp, note))
+    return last[1]

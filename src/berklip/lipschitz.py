@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 from .berk import Shift, iota
 from .errors import InternalInvariantError
-from .invariants import InvariantBundle, bundle, gpr
+from .invariants import bundle, gpr  # noqa: F401 (gpr re-exported; read via bundle)
 from .piecewise import PWLinear, lower_envelope
 from .projective import INF_POINT, ProjPoint, _sph_pair_ord, _vord
 from .ratmap import (
@@ -74,8 +74,8 @@ __all__ = [
 
 def lip_classical(m: RationalMap) -> PPowerSum:
     """Exact classical Lipschitz constant 1/GPR as a one-term sum."""
-    result = gpr(m)
-    return ppow_term(m.p, 1, result.ord.frac)
+    m.require_factored()
+    return ppow_term(m.p, 1, bundle(m).gpr.frac)
 
 
 def resultant_bounds(m: RationalMap) -> tuple[PPowerSum, PPowerSum]:
@@ -127,11 +127,7 @@ def mobius_exact(m: RationalMap) -> PPowerSum:
     """
     if m.d != 1:
         raise ValueError("mobius_exact requires degree 1")
-    return _mobius_exact(m, bundle(m))
-
-
-def _mobius_exact(m: RationalMap, inv: InvariantBundle) -> PPowerSum:
-    """mobius_exact of a degree-1 map whose invariants are ``inv``."""
+    inv = bundle(m)
     a1, a0 = m.f[1], m.f[0]
     b1, b0 = m.g[1], m.g[0]
     det = a1 * b0 - a0 * b1
@@ -326,7 +322,7 @@ def sample_ratios(m: RationalMap, n: int, seed: int, lip_ord=None):
     if max_e is None:
         return PPOW_ZERO, None
     if lip_ord is None and m.factored is not None:
-        lip_ord = gpr(m).ord.frac
+        lip_ord = bundle(m).gpr.frac
     if lip_ord is not None and max_e > lip_ord:
         raise InternalInvariantError("sampled ratio exceeded the exact Lipschitz bound")
     pair = (ProjPoint.of(best_pair[0]), ProjPoint.of(best_pair[1]))
@@ -337,12 +333,11 @@ def _proj_point(num: int, den: int) -> ProjPoint:
     return INF_POINT if den == 0 else ProjPoint.of(Fraction(num, den))
 
 
-def gpr_witness(m: RationalMap, inv: InvariantBundle | None = None):
+def gpr_witness(m: RationalMap):
     """Search for classical points x, y at spherical distance GPR whose
     images are at distance 1, certifying that 1/GPR is attained.
 
-    GPR and its argmin are read from ``inv``, the bundle of ``m``, when the
-    caller has it, and computed by ``gpr`` otherwise.  Returns (pair, None)
+    GPR and its argmin are read from ``bundle(m)``.  Returns (pair, None)
     on success or (None, diagnostic).  Candidates sit in distinct residue
     directions at the minimizing preimage point; over QQ only p residue
     directions exist, so failure is a reportable outcome rather than an
@@ -351,11 +346,9 @@ def gpr_witness(m: RationalMap, inv: InvariantBundle | None = None):
     read by ``_sph_pair_ord``; pairs are tried in index order and the first
     hit is returned.
     """
-    if inv is None:
-        result = gpr(m)
-        q, target = result.argmin, result.ord.frac
-    else:
-        q, target = inv.gpr_argmin, inv.gpr.frac
+    m.require_factored()
+    inv = bundle(m)
+    q, target = inv.gpr_argmin, inv.gpr.frac
     p = m.p
     a, t = q.center, q.radius_ord
     va = _vord(a, p)
@@ -419,30 +412,28 @@ def bound_report(
     """Assemble every computable bound for one map.
 
     Every field is derived from one invariant bundle, which asserts the
-    invariant chain.  Fields depending on the factored form are None when
-    it is absent; the orderings sampled <= exact classical <= resultant
-    bound are asserted.
+    invariant chain; ``bundle`` keeps the last map's, so a report on the
+    map object its caller just bundled, and the witness search and the
+    degree-1 check inside it, reuse that exact bundle.  Fields depending
+    on the factored form are None when it is absent; the orderings
+    sampled <= exact classical <= resultant bound are asserted.
     """
     p, d = m.p, m.d
     b = bundle(m)
     res_cl, res_bk = _resultant_bounds(p, d, b.res)
-    lip = inv_rp = coarse = None
-    witness = note = None
-    lip_ord = None
+    lip = inv_rp = coarse = witness = note = lip_ord = None
     if m.factored is not None:
         lip_ord = b.gpr.frac
         lip = ppow_term(p, 1, lip_ord)
         rp = b.rp.frac
         inv_rp = _invariant_bound(p, d, b.gir, rp)
         coarse = ppow_term(p, d, b.gir.frac + d * rp)
-        witness, note = gpr_witness(m, b)
+        witness, note = gpr_witness(m)
         if ppow_compare(p, lip, res_cl) > 0:
             raise InternalInvariantError("exact constant exceeded resultant bound")
     inv_b0 = _invariant_bound(p, d, b.gir, b0_ord) if b0_ord is not None else None
-    mob = _mobius_exact(m, b) if d == 1 else None
-    sampled = pair = None
-    if n > 0:
-        sampled, pair = sample_ratios(m, n, seed, lip_ord=lip_ord)
+    mob = mobius_exact(m) if d == 1 else None
+    sampled, pair = sample_ratios(m, n, seed, lip_ord=lip_ord) if n > 0 else (None, None)
     return BoundReport(
         p,
         d,

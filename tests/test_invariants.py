@@ -1,9 +1,12 @@
 """Hulls, root-pole number, Gauss preimage radius, invariant bundles."""
 
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 
+from berklip import invariants
 from berklip.berk import (
     BerkPoint,
     Shift,
@@ -13,7 +16,7 @@ from berklip.berk import (
     gauss_point,
     push_forward,
 )
-from berklip.errors import FactoredFormRequiredError
+from berklip.errors import FactoredFormRequiredError, InternalInvariantError
 from berklip.invariants import (
     _gauss_fiber_zero_set,
     _has_zero,
@@ -27,7 +30,7 @@ from berklip.invariants import (
 from berklip.piecewise import lower_envelope
 from berklip.polynomials import taylor_shift
 from berklip.projective import INF_POINT, ProjPoint
-from berklip.ratmap import _int_coeff_pair, from_coeffs, from_factored
+from berklip.ratmap import _int_coeff_pair, from_coeffs, from_factored, gir_minors
 from berklip.sampling import DetRng, random_rational
 from berklip.valued import Ord
 from corpus import acceptance_corpus, random_factored_map, random_ladder_map, random_mobius
@@ -392,6 +395,87 @@ def test_bundle_chain_on_corpus():
         assert b.res >= b.gpr >= b.rp >= Ord.of(0)
         assert b.gir * b.d <= b.res * 1  # GIR^d >= |Res|
         assert b.gir <= b.res * Fraction(1, b.d)
+
+
+def test_bundle_memo_keeps_the_last_map_only(count_calls):
+    """The same map object gets back the identical bundle; an equal map
+    built again is computed, and so is a map asked for again after
+    another one (a, b, a computes three times).  Degree 1, degree 2 and a
+    map with only coefficients."""
+    girs = count_calls(gir_minors)
+    gprs = count_calls(gpr)
+    for build in (
+        lambda: from_factored(5, Fraction(1, 25), [(pt(0), 1)], [(INF_POINT, 1)]),
+        lambda: sq_minus_inv_p2(3),
+        lambda: from_coeffs(3, [1, 1, 1], [1, 0, 0]),
+    ):
+        m = build()
+        girs.clear()
+        gprs.clear()
+        first = bundle(m)
+        assert bundle(m) is first and bundle(m) is first
+        assert len(girs) == 1 and len(gprs) == (m.factored is not None)
+        again = build()
+        assert again == m and again is not m
+        rebuilt = bundle(again)
+        assert rebuilt == first and rebuilt is not first and len(girs) == 2
+        other = sq_minus_inv_p2(7)
+        girs.clear()
+        bundle(m)
+        bundle(other)
+        assert bundle(m) == first and len(girs) == 3
+
+
+def test_bundle_memo_never_keeps_a_failure(monkeypatch):
+    """A bundle that raises is not kept: the next call on the same map
+    computes it again, and succeeds."""
+    m = sq_minus_inv_p2(5)
+    expected = bundle(sq_minus_inv_p2(5))
+    calls = []
+
+    def fails_once(x):
+        calls.append(x)
+        if len(calls) == 1:
+            raise InternalInvariantError("fails once")
+        return gir_minors(x)
+
+    monkeypatch.setattr(invariants, "gir_minors", fails_once)
+    with pytest.raises(InternalInvariantError, match="fails once"):
+        bundle(m)
+    b = bundle(m)
+    assert b == expected and len(calls) == 2
+    assert bundle(m) is b and len(calls) == 2
+
+
+def test_bundle_memo_across_threads():
+    """Threads asking for different maps at once each get their own map's
+    bundle, never another's: the kept entry is read once per call.  A
+    short switch interval makes the threads interleave inside ``bundle``;
+    a memo whose map and bundle are two globals, read one after the
+    other, fails here."""
+    maps = [sq_minus_inv_p2(3), sq_minus_inv_p2(5)]
+    expected = [bundle(m) for m in maps]
+    wrong = []
+
+    def work(shift):
+        for k in range(600):
+            i = (k + shift) % 2
+            for _ in range(3):
+                if bundle(maps[i]) != expected[i]:
+                    wrong.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(j,)) for j in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
 
 
 def test_gpr_strictness_witness():

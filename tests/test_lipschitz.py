@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from berklip import invariants
 from berklip.berk import BerkPoint, diam_gauss, push_forward
-from berklip.errors import DegenerateMapError
-from berklip.invariants import gpr, rp_ord
+from berklip.errors import DegenerateMapError, FactoredFormRequiredError
+from berklip.invariants import bundle, gpr, hull, rp_ord
 from berklip.lipschitz import (
     _pair_pool,
     _sph_pair_ord,
@@ -466,3 +467,66 @@ def test_bound_report_assembly():
     assert ppow_compare(p, rep.sampled_max_ratio, rep.lip_classical) <= 0
     assert ppow_compare(p, rep.lip_classical, rep.resultant_bound_classical) <= 0
     assert rep.gpr_witness is not None
+
+
+def _memo_maps():
+    """Seeded maps for the memo tests: the acceptance corpus (degrees 1 to
+    5), degree-1 maps, and maps with only coefficients, rebuilt from the
+    coefficients of corpus maps of degree >= 2."""
+    rng = DetRng(1512)
+    maps = acceptance_corpus()
+    maps += [random_mobius(rng, p) for p in (3, 5, 7) * 4]
+    maps += [from_coeffs(m.p, list(m.f), list(m.g)) for m in maps[:60] if m.d >= 2]
+    return maps
+
+
+def test_corpus_operation_memo_computes_each_invariant_once(count_calls):
+    """One operation of the corpus benchmark (bundle, then a bound report
+    with 1000 samples, then the profile and its segment constant) computes
+    gpr, the hull, rp and the Gauss-image minors once per factored map: the
+    report reads the bundle its caller just built.  A map with only
+    coefficients computes the minors once and nothing of the zero/pole
+    layer."""
+    counts = {f.__name__: count_calls(f) for f in (gpr, hull, rp_ord, gir_minors)}
+    seen = {"deg1": 0, "coeffs_only": 0, "factored": 0}
+    for m in _memo_maps():
+        for calls in counts.values():
+            calls.clear()
+        b = bundle(m)
+        rep = bound_report(m, n=1000, seed=0)
+        segment_lip(radial_profile(m, 0, 0))
+        factored = int(m.factored is not None)
+        got = {name: len(calls) for name, calls in counts.items()}
+        assert got == {"gpr": factored, "hull": factored, "rp_ord": factored, "gir_minors": 1}, m
+        assert rep.lip_classical == (ppow_term(m.p, 1, b.gpr.frac) if factored else None)
+        seen["deg1"] += m.d == 1
+        seen["coeffs_only"] += not factored
+        seen["factored"] += factored
+    assert seen["deg1"] >= 20 and seen["coeffs_only"] >= 20 and seen["factored"] >= 200, seen
+
+
+def test_bound_report_memo_cold_equals_warm(count_calls, monkeypatch):
+    """Every field of a report is the same whether the bundle is computed
+    inside it (cold) or kept from the caller's ``bundle`` call (warm, no
+    gpr run), on the acceptance corpus with a user ball radius."""
+    calls = count_calls(gpr)
+    for m in acceptance_corpus():
+        monkeypatch.setattr(invariants, "_last", None)
+        calls.clear()
+        cold = bound_report(m, n=300, seed=4, b0_ord=Fraction(1, 2))
+        assert len(calls) == 1
+        monkeypatch.setattr(invariants, "_last", None)
+        bundle(m)
+        calls.clear()
+        warm = bound_report(m, n=300, seed=4, b0_ord=Fraction(1, 2))
+        assert calls == []
+        assert warm._asdict() == cold._asdict(), m
+
+
+def test_gpr_readers_memo_require_the_factored_form():
+    """The Lipschitz readers of gpr go through ``bundle`` but still reject a
+    map with only coefficients, whose bundle carries no gpr."""
+    m = from_coeffs(3, [1, 1, 1], [1, 0, 0])
+    for fn in (lip_classical, gpr_witness):
+        with pytest.raises(FactoredFormRequiredError):
+            fn(m)
