@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from math import lcm
 from typing import NamedTuple
 
 from .errors import DegenerateMapError, InternalInvariantError
@@ -50,7 +49,6 @@ __all__ = [
     "diam_gauss",
     "join_gauss",
     "d_metric",
-    "seminorm",
     "iota",
     "push_forward",
 ]
@@ -350,30 +348,8 @@ class Shift(NamedTuple):
         return list(out)
 
 
-def seminorm(p: int, coeffs, x: BerkPoint) -> Ord:
-    """Seminorm exponent of a polynomial at a disc point.
-
-    The coefficients (ascending, over QQ) are cleared to integers by their
-    common denominator D and Taylor-shifted to the center u/v, and the
-    Gauss-norm formula applies with the offset -d*ord v - ord D put back:
-    the result s satisfies |poly|_x = p^(-s).
-    """
-    if x.is_classical:
-        raise ValueError("seminorm expects a type II point")
-    cs = [Fraction(c) for c in coeffs]
-    den = lcm(*[c.denominator for c in cs])
-    ints = [c.numerator * (den // c.denominator) for c in cs]
-    u, v = x.center.numerator, x.center.denominator
-    ov = int_val(v, p)
-    lines = _lines(_ords(p, _shift_ints(ints, u, v)), ov)
-    offset = (len(ints) - 1) * ov + int_val(den, p)
-    tn, td = x.radius_ord.numerator, x.radius_ord.denominator
-    return Ord.of(Fraction(_semi_num(lines, tn, td) - offset * td, td))
-
-
-def _hom_eval(c: list[int], a: Fraction) -> int:
-    """v^d * c(u/v) for a = u/v, by Horner's rule in integers."""
-    u, v = a.numerator, a.denominator
+def _hom_eval(c: list[int], u: int, v: int) -> int:
+    """v^d * c(u/v), d = len(c) - 1, by Horner's rule in integers."""
     acc, vpow = 0, 1
     for x in reversed(c):
         acc = acc * u + x * vpow
@@ -387,23 +363,18 @@ def _recenter(p: int, den: list[int], a: Fraction, t: Fraction) -> Fraction:
     Candidates a + j * p^ceil(t) stay within the equality class of the
     point; den has at most deg(den) roots so a valid j exists.
     """
-    if _hom_eval(den, a) != 0:
+    if _hom_eval(den, a.numerator, a.denominator) != 0:
         return a
     step = Fraction(p) ** math.ceil(t)
     for j in range(1, len(trim(den)) + 2):
         cand = a + j * step
-        if _hom_eval(den, cand) != 0:
+        if _hom_eval(den, cand.numerator, cand.denominator) != 0:
             return cand
     raise InternalInvariantError("recentering exhausted candidate offsets")
 
 
-def push_forward(rmap, x: BerkPoint, shift: Shift | None = None) -> BerkPoint:
+def push_forward(rmap, x: BerkPoint) -> BerkPoint:
     """Image of a disc point under a RationalMap.
-
-    ``shift``, when given, is ``Shift.at(p, f, g, x.center)`` for the map's
-    integer pair (f, g) = ``_int_coeff_pair(rmap)``; it is used as long as
-    the center stays, and a new one is built only when the center is a pole
-    and recentering moves it.
 
     At the point x, in the chart where |f|_x <= |g|_x (else the image is
     computed for 1/phi and inverted back), the image is the disc D(w*,
@@ -424,7 +395,7 @@ def push_forward(rmap, x: BerkPoint, shift: Shift | None = None) -> BerkPoint:
     f, g = _int_coeff_pair(rmap)
     if not any(f) or not any(g):
         raise DegenerateMapError("degenerate map")
-    return _push(rmap.p, f, g, x.center, x.radius_ord, 0, shift)
+    return _push(rmap.p, f, g, x.center, x.radius_ord, 0)
 
 
 def _diff_semi(sh: Shift, w, tn: int, td: int, floor: int | None) -> int | None:
@@ -465,7 +436,9 @@ def _diff_semi(sh: Shift, w, tn: int, td: int, floor: int | None) -> int | None:
 
 
 def _push(p: int, f: list[int], g: list[int], a: Fraction, t: Fraction, depth: int,
-          sh: Shift | None) -> BerkPoint:
+          sh: Shift | None = None) -> BerkPoint:
+    """``sh``, when given, is the swapped shift at ``a`` of the chart-swap
+    recursion; it is kept unless recentering moves the center."""
     moved = _recenter(p, g, a, t)
     if sh is None or moved != a:
         sh = Shift.at(p, f, g, moved)

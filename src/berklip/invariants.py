@@ -18,9 +18,8 @@ pole-direction.  On a hull edge with center a, a disc point zeta_{a, t}
 maps to the Gauss point iff the seminorm of phi - w is exactly 1 for w = 0
 and for every unit residue candidate w, that is, iff the envelopes of
 f - w g and of g agree at t.  Each distinct solution is re-verified once
-through the pushforward, handed the shift the scan decided it on; the
-pushforward still decides the image by comparing seminorms, and the
-image's identity with the Gauss point by ``berk_equal``.
+through the pushforward, which decides the image by comparing seminorms,
+and the image's identity with the Gauss point by ``berk_equal``.
 
 Most hull edges cannot meet the fiber, and the factored form says which.
 On a hull edge ord phi(zeta_{a, t}) is the line K + s*t: with phi = C
@@ -40,20 +39,9 @@ K + s*t has no zero is skipped before its Taylor shift; that condition is
 exactly the emptiness of the w = 0 equality set, so the scan's result is
 unchanged.
 
-An edge that passes is decided in one of two ways.  When s != 0 the line
-vanishes at one point only, t0 = -K/s, so the fiber on the edge is a
-subset of {t0}, and t0 alone is tested, on one shift at a center b of
-the same disc that is no pole (the edge center unless that is a pole;
-seminorms at a disc point do not depend on which center of the disc they
-are read at).  There the w = 0 condition holds, so for a unit w
-s(f - w g) >= s(g) and the point is in the fiber iff every nonzero
-residue lift w reaches s(f - w g) <= s(g), which the pushforward's
-early-exit kernel reads line by line.  The lifts read at b suffice: a
-point with |phi| = 1 and an image D(w*, r) other than the Gauss point
-has r < 1 and w* a unit, and the residue of w* is that of a ratio f_j/g_j
-of equal-ord Taylor coefficients at any center of the disc (the proof is
-in ``gpr``).  The re-verification runs on the same shift at b and never
-recenters.  When s = 0 the w = 0 set is the whole edge, and the fiber is
+An edge that passes is decided in one of two ways.  When s != 0 its
+fiber is exactly {t0}, t0 = -K/s (see ``gpr``), and no shift is built
+for it.  When s = 0 the w = 0 set is the whole edge, and the fiber is
 the intersection over w of the equality sets of the envelopes, an exact
 union of intervals.
 """
@@ -70,9 +58,6 @@ from .berk import (
     gauss_point,
     push_forward,
     _diam_gauss_frac,
-    _diff_semi,
-    _recenter,
-    _semi_num,
 )
 from .errors import InternalInvariantError
 from .piecewise import intersect_intervals, lower_envelope
@@ -277,21 +262,6 @@ def _gauss_fiber_zero_set(sh: Shift, lo, hi):
     return fiber
 
 
-def _in_gauss_fiber(sh: Shift, t: Fraction) -> bool:
-    """Whether zeta_{center, t} maps to the Gauss point, given f and g
-    Taylor-shifted to the center and s(f) = s(g) at t (the w = 0
-    condition).
-
-    For a unit w, s(f - w g) >= min(s(f), s(g)) = s(g), so the condition
-    for w is s(f - w g) <= s(g): some line of f - w g reaches the floor
-    s(g), which is when ``_diff_semi`` returns None.
-    """
-    tn, td = t.numerator, t.denominator
-    floor = _semi_num(sh.g_lines(), tn, td)
-    return all(_diff_semi(sh, (w, 1), tn, td, floor) is None
-               for w in sh.unit_residue_lifts()[1:])
-
-
 def _ord_phi_lines(p: int, ff: FactoredForm, edges) -> list[tuple[int, int]]:
     """(K, s) for each edge of the zero/pole hull, in edge order, with
     ord phi(zeta_{center, t}) = K + s*t on the edge.
@@ -355,10 +325,8 @@ def gpr(m: RationalMap, hull_points=None) -> GprResult:
 
     The search space is the hull of the zeros and poles (or of the given
     override points, which must contain the fiber).  f and g are cleared
-    to integers once and shifted once per distinct center a check is made
-    at, and every distinct solution is re-verified once through
-    push_forward on the shift it was found with (recentered there only on
-    the override path and on edges of slope 0 whose center is a pole).
+    to integers once, and every distinct solution is re-verified once
+    through push_forward.
 
     On the zero/pole hull the edges are screened first by the slope rule:
     ord phi(zeta_{a, t}) = K + s*t on an edge, s = (zeros - poles below
@@ -377,36 +345,20 @@ def gpr(m: RationalMap, hull_points=None) -> GprResult:
     pole, and then both sides have d finite points.  The override path
     keeps the unscreened scan.
 
-    A passing edge with s != 0 is decided at one point.  Three facts make
-    this exact:
-
-    * The fiber on the edge is a subset of {t0}, t0 = -K/s: a preimage
-      has ord phi = K + s*t = 0, and a line of nonzero slope vanishes
-      once.
-    * Seminorms at zeta = zeta_{a, t0} do not depend on the center read:
-      |h|_zeta is the sup of |h| over the disc D(a, p^(-t0)), and every b
-      with ord(b - a) >= t0 names the same disc.  So zeta is tested on the
-      shift at b = ``_recenter(g, a, t0)``, the center the pushforward
-      would move to (a itself unless g(a) = 0), and the same shift serves
-      the re-verification, which then keeps it.
-    * The residue lifts of any such center's shift are complete.  If
-      |phi|_zeta = 1 but phi(zeta) is not the Gauss point, the image is a
-      disc D(w*, r) with r < 1 and max(|w*|, r) = 1, so w* is a unit and
-      s(f - w* g) > s(g) = s(f).  Let f_j, g_j be the Taylor coefficients
-      at the center read and j one that attains s(g), ord g_j + j*t0 =
-      s(g).  Then ord(f_j - w* g_j) + j*t0 > s(g) gives ord(f_j - w* g_j)
-      > ord g_j: f_j = w* g_j to first order, ord f_j = ord g_j, and the
-      residue of w* is that of the unit f_j/g_j, one of the equal-ord
-      ratios whose lifts ``unit_residue_lifts`` lists.  The lift w of it
-      has |w - w*| < 1, hence |phi - w|_zeta < 1, and the test fails for
-      w.  Conversely a Gauss preimage has |phi - w|_zeta = 1 for every
-      unit w.  So the point test equals the interval scan's answer at t0,
-      whichever center the lifts come from.
-
-    Every record names the point by the edge center, zeta_{a, t0}, so
-    ``found``, the argmin and their order are those of the interval scan.
-    Edges with s = 0, where the w = 0 set is the whole edge, and every
-    edge of the override path take the interval scan.
+    A passing edge with s != 0 meets the fiber exactly at t0 = -K/s.  A
+    preimage has ord phi = K + s*t = 0, and the line vanishes only at t0,
+    which lies on the edge since it passed.  Conversely let zeta =
+    zeta_{a, t0}, so |phi|_zeta = 1.  If phi(zeta) were not the Gauss
+    point, it would be a disc D(w*, r) with r < 1 and max(|w*|, r) = 1,
+    so w* is a unit.  Then |phi| = |w*| = 1 on the open set
+    phi^-1(D^-(w*, 1)), which contains zeta and so a piece of the edge
+    around t0, and K + s*t would vanish on an interval, against s != 0.
+    So the edge contributes t0 with no Taylor shift; the re-verification
+    still checks it.  Edges with s = 0, where the w = 0 set is the whole
+    edge, and every edge of the override path take the interval scan on
+    one shift at the edge center.  Every record names the point by the
+    edge center, so ``found``, the argmin and their order are those of
+    the interval scan.
     """
     p = m.p
     if hull_points is None:
@@ -418,28 +370,22 @@ def gpr(m: RationalMap, hull_points=None) -> GprResult:
     else:
         scan = [(e, None) for e in hull(p, hull_points).edges]
     f, g = _int_coeff_pair(m)
-    shifts: dict[Fraction, Shift] = {}
     best: tuple[Fraction, BerkPoint] | None = None
     found: list[BerkPoint] = []
     for edge, t0 in scan:
         center = edge.center
-        at = center if t0 is None else _recenter(p, g, center, t0)
-        sh = shifts.get(at)
-        if sh is None:
-            sh = shifts[at] = Shift.at(p, f, g, at)
         if t0 is None:
             ts = []
-            for a, b in _gauss_fiber_zero_set(sh, *edge.t_range()):
+            for a, b in _gauss_fiber_zero_set(Shift.at(p, f, g, center), *edge.t_range()):
                 if a is None or b is None:
                     raise InternalInvariantError("unbounded Gauss-fiber interval")
                 ts.extend({a, b})
         else:
-            ts = [t0] if _in_gauss_fiber(sh, t0) else []
+            ts = [t0]
         for t in ts:
             pt = BerkPoint.disc(center, t)
             if not any(berk_equal(p, pt, q) for q in found):
-                image = push_forward(m, BerkPoint.disc(at, t), shift=sh)
-                if not berk_equal(p, image, gauss_point()):
+                if not berk_equal(p, push_forward(m, pt), gauss_point()):
                     raise InternalInvariantError(
                         "edge scan produced a non-preimage; candidate set bug"
                     )

@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .berk import Shift, iota
+from .berk import Shift, _hom_eval, iota
 from .errors import InternalInvariantError
 from .invariants import bundle, gpr  # noqa: F401 (gpr re-exported; read via bundle)
 from .piecewise import PWLinear, lower_envelope
@@ -368,14 +368,7 @@ def gpr_witness(m: RationalMap):
         xn, xd = an + u * step, ad
         if inverted:
             xn, xd = xd, xn
-        fx = gx = 0
-        xpow = 1
-        # hom eval: sum c_i num^i den^(d-i), Horner in num with den powers
-        for i in range(m.d, -1, -1):
-            fx = fx * xn + fi[i] * xpow
-            gx = gx * xn + gi[i] * xpow
-            xpow *= xd
-        cands.append((xn, xd, fx, gx))
+        cands.append((xn, xd, _hom_eval(fi, xn, xd), _hom_eval(gi, xn, xd)))
     for i, (xn, xd, fx, gx) in enumerate(cands):
         for yn, yd, fy, gy in cands[i + 1:]:
             if _sph_pair_ord(p, xn, xd, yn, yd) != target:

@@ -36,7 +36,6 @@ __all__ = [
     "eval_proj",
     "pre_compose",
     "post_compose",
-    "mobius_from_matrix",
 ]
 
 
@@ -61,10 +60,9 @@ class FactoredForm(NamedTuple):
 
 class RationalMap(NamedTuple):
     """A normalized map.  Instances come from the constructors of this
-    module (``from_coeffs``, ``from_factored``, ``pre_compose``,
-    ``post_compose``, ``mobius_from_matrix``), each of which runs the
-    Sylvester elimination once and normalizes once, so no reader does
-    either again.  ``res_ord`` is ord_p of the Sylvester resultant of the
+    module (``from_coeffs``, ``from_factored``, ``pre_compose`` and
+    ``post_compose``), each of which runs the Sylvester elimination once
+    and normalizes once, so no reader does either again.  ``res_ord`` is ord_p of the Sylvester resultant of the
     stored pair (f, g)."""
 
     p: int
@@ -303,11 +301,6 @@ def _mat(entries) -> Matrix2:
     if mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0] == 0:
         raise DegenerateMapError("singular matrix")
     return mat
-
-
-def mobius_from_matrix(p: int, entries) -> RationalMap:
-    ((a, b), (c, d)) = _mat(entries)
-    return from_coeffs(p, [b, a], [d, c])
 
 
 def mobius_apply(entries, pt: ProjPoint) -> ProjPoint:

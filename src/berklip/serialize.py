@@ -37,7 +37,6 @@ __all__ = [
     "ord_json",
     "ppow_json",
     "berk_point_json",
-    "berk_point_from_json",
     "bundle_json",
     "report_json",
     "profile_json",
@@ -76,19 +75,6 @@ def berk_point_json(x: BerkPoint | None) -> dict | None:
         "center": format_fraction(x.center),
         "radius_ord": format_fraction(x.radius_ord),
     }
-
-
-def berk_point_from_json(data: dict) -> BerkPoint:
-    try:
-        if data["type"] == "I":
-            return BerkPoint.classical(ProjPoint.parse(data["pt"]))
-        if data["type"] == "II":
-            return BerkPoint.disc(
-                parse_fraction(data["center"]), parse_fraction(data["radius_ord"])
-            )
-    except (KeyError, TypeError) as e:
-        raise ParseError(f"bad point object: {e}") from None
-    raise ParseError(f"unknown point type {data.get('type')!r}")
 
 
 def bundle_json(b: InvariantBundle) -> dict:

@@ -44,7 +44,6 @@ __all__ = [
     "Ord",
     "ORD_INF",
     "is_prime",
-    "ord_p",
     "int_val",
     "PPowerSum",
     "PPOW_ZERO",
@@ -237,14 +236,6 @@ class Ord(NamedTuple):
 ORD_INF = Ord(None)
 
 
-def ord_p(p: int, x) -> Ord:
-    """Exact p-adic valuation of a rational; ord_p(0) = +infinity."""
-    x = Fraction(x)
-    if x == 0:
-        return ORD_INF
-    return Ord.of(int_val(x.numerator, p) - int_val(x.denominator, p))
-
-
 # ---------------------------------------------------------------------------
 # rational string forms ("num/den", denominator omitted when 1)
 # ---------------------------------------------------------------------------
@@ -253,17 +244,31 @@ def ord_p(p: int, x) -> Ord:
 # the one accepted rational form: an integer, or "num/den"; no decimal
 # point and no exponent, so that a short string cannot stand for 10^(10^9)
 _RATIONAL = re.compile(r"\s*[+-]?\d+(/\d+)?\s*", re.ASCII)
+_DIGITS = re.compile(r"\d+", re.ASCII)
+# the most digits a numerator or a denominator may have: CPython's default
+# cap on converting a string to an int, checked here, so that every Python
+# gives the same answer
+_MAX_DIGITS = 4300
+
+
+def _clip(text: str) -> str:
+    """Echoed input, cut to its first 40 characters."""
+    return text if len(text) <= 40 else text[:40] + "..."
 
 
 def parse_fraction(s: str) -> Fraction:
     if not isinstance(s, str):
-        raise ParseError(f"bad rational {s!r}: expected a string such as \"-3/4\"")
+        raise ParseError(f"bad rational {_clip(repr(s))}: expected a string such as \"-3/4\"")
     if not _RATIONAL.fullmatch(s):
-        raise ParseError(f"bad rational {s!r}: expected an integer or \"num/den\"")
+        raise ParseError(f"bad rational {_clip(repr(s))}: expected an integer or \"num/den\"")
+    if max(map(len, _DIGITS.findall(s))) > _MAX_DIGITS:
+        raise ResourceLimitError(
+            f"a rational's numerator or denominator has more than {_MAX_DIGITS} digits"
+        )
     try:
         return Fraction(s.strip())
     except (ValueError, ZeroDivisionError) as e:
-        raise ParseError(f"bad rational {s!r}: {e}") from None
+        raise ParseError(f"bad rational {_clip(repr(s))}: {_clip(str(e))}") from None
 
 
 def format_fraction(x: Fraction) -> str:

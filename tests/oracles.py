@@ -7,8 +7,10 @@ unoptimized forms of the sampler and the hull, and the last ones
 PWLinear arithmetic by sampled alignment with the envelopes, the Gauss
 fiber and the radial profile built on it.  The last section keeps the
 helpers that only the tests use (directions, rho, the diameter seen from
-infinity, homogeneous coordinates, ppow_add, and the record accessors
-``is_disc``, ``value_ord_at``, ``dehomogenized`` and ``choice``), the
+infinity, homogeneous coordinates, ppow_add, the record accessors
+``is_disc``, ``value_ord_at``, ``dehomogenized`` and ``choice``, and
+``ord_p``, ``seminorm`` on the integer shift kernel,
+``mobius_from_matrix`` and ``berk_point_from_json``), the
 bisection compare and rendering that the ``Decimal`` enclosure of
 ``ppow_compare`` and ``ppow_decimal`` replaced, and ``ppow_normalize`` as
 it was before its one-term classes skipped the summation.
@@ -44,17 +46,29 @@ from dataclasses import dataclass
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
-from berklip.berk import BerkPoint, Shift, berk_equal, gauss_point, iota
+from berklip.berk import (
+    BerkPoint,
+    Shift,
+    _lines,
+    _ords,
+    _semi_num,
+    _shift_ints,
+    berk_equal,
+    gauss_point,
+    iota,
+)
 from berklip.errors import InternalInvariantError, ParseError
 from berklip.piecewise import PWLinear
 from berklip.projective import INF_POINT, ProjPoint, _vord, spherical_ord
-from berklip.ratmap import RationalMap, _int_coeff_pair, eval_proj
+from berklip.ratmap import RationalMap, _int_coeff_pair, _mat, eval_proj, from_coeffs
 from berklip.sampling import DetRng, random_unit_fraction
 from berklip.valued import (
     ORD_INF,
     PPOW_ZERO,
     Ord,
     PPowerSum,
+    int_val,
+    parse_fraction,
     ppow_normalize,
     ppow_term,
 )
@@ -724,6 +738,54 @@ def value_ord_at(profile, t) -> Fraction:
 
 def dehomogenized(m: RationalMap) -> tuple[list, list]:
     return list(m.f), list(m.g)
+
+
+def ord_p(p: int, x) -> Ord:
+    """Exact p-adic valuation of a rational; ord_p(0) = +infinity."""
+    x = Fraction(x)
+    if x == 0:
+        return ORD_INF
+    return Ord.of(int_val(x.numerator, p) - int_val(x.denominator, p))
+
+
+def seminorm(p: int, coeffs, x: BerkPoint) -> Ord:
+    """Seminorm exponent of a polynomial at a disc point, read from the
+    program's integer shift kernel.
+
+    The coefficients (ascending, over QQ) are cleared to integers by their
+    common denominator D and Taylor-shifted to the center u/v, and the
+    Gauss-norm formula applies with the offset -d*ord v - ord D put back:
+    the result s satisfies |poly|_x = p^(-s).
+    """
+    if x.is_classical:
+        raise ValueError("seminorm expects a type II point")
+    cs = [Fraction(c) for c in coeffs]
+    den = math.lcm(*[c.denominator for c in cs])
+    ints = [c.numerator * (den // c.denominator) for c in cs]
+    u, v = x.center.numerator, x.center.denominator
+    ov = int_val(v, p)
+    lines = _lines(_ords(p, _shift_ints(ints, u, v)), ov)
+    offset = (len(ints) - 1) * ov + int_val(den, p)
+    tn, td = x.radius_ord.numerator, x.radius_ord.denominator
+    return Ord.of(Fraction(_semi_num(lines, tn, td) - offset * td, td))
+
+
+def mobius_from_matrix(p: int, entries) -> RationalMap:
+    ((a, b), (c, d)) = _mat(entries)
+    return from_coeffs(p, [b, a], [d, c])
+
+
+def berk_point_from_json(data: dict) -> BerkPoint:
+    try:
+        if data["type"] == "I":
+            return BerkPoint.classical(ProjPoint.parse(data["pt"]))
+        if data["type"] == "II":
+            return BerkPoint.disc(
+                parse_fraction(data["center"]), parse_fraction(data["radius_ord"])
+            )
+    except (KeyError, TypeError) as e:
+        raise ParseError(f"bad point object: {e}") from None
+    raise ParseError(f"unknown point type {data.get('type')!r}")
 
 
 def choice(rng: DetRng, seq):

@@ -14,14 +14,13 @@ from berklip.berk import (
     iota,
     join_gauss,
     push_forward,
-    seminorm,
 )
 from berklip.projective import INF_POINT, ProjPoint, spherical_ord
-from berklip.ratmap import from_coeffs, from_factored, mobius_from_matrix
+from berklip.ratmap import from_coeffs, from_factored
 from berklip.sampling import DetRng, random_rational
 from berklip.valued import Ord, ppow_normalize
 from corpus import random_unimodular
-from oracles import diam_infty, oracle_push_forward, ppow_add, rho
+from oracles import diam_infty, mobius_from_matrix, oracle_push_forward, ppow_add, rho, seminorm
 
 
 def cls(x):

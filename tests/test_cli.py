@@ -121,6 +121,26 @@ def test_numeric_coefficients_are_parse_errors(tmp_path, capsys):
     )
 
 
+def test_oversized_integers_hit_the_digit_cap(tmp_path, capsys):
+    """A numerator or denominator of more than 4300 digits exits 6 with one
+    short line on every Python, and 4000 digits still parse.  A bad
+    rational's message echoes at most 40 characters of it."""
+    path = tmp_path / "map.json"
+    for big in ("1" + "0" * 5000, "1/" + "7" * 5001):
+        path.write_text(json.dumps({"p": 3, "coeffs": {"F": [big, "1"], "G": ["1", "0"]}}))
+        assert main(["invariants", "--input", str(path)]) == 6
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert captured.out == "" and len(lines) == 1, captured.err[:200]
+        assert lines[0].startswith("error: resource limit: ") and len(lines[0]) < 120
+    path.write_text(json.dumps({"p": 3, "coeffs": {"F": ["1" + "0" * 3999, "1"], "G": ["1", "0"]}}))
+    assert main(["invariants", "--input", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["degree"] == 1
+    for bad in ("x" * 5000, "1/" + "0" * 4000, 10**4000):
+        msg = _parse_failure(tmp_path, capsys, {"p": 3, "coeffs": {"F": [bad, "1"], "G": ["1", "0"]}})
+        assert "bad rational" in msg and len(msg) < 120, msg[:200]
+
+
 def test_non_list_blocks_are_parse_errors(tmp_path, capsys):
     msg = _parse_failure(tmp_path, capsys, {"p": 3, "coeffs": {"F": "123", "G": "456"}})
     assert "'F' must be a JSON list" in msg
@@ -296,7 +316,8 @@ def test_point_serialization_round_trip():
 
     from berklip.berk import BerkPoint
     from berklip.projective import ProjPoint
-    from berklip.serialize import berk_point_from_json, berk_point_json
+    from berklip.serialize import berk_point_json
+    from oracles import berk_point_from_json
 
     for x in (
         BerkPoint.classical(ProjPoint.parse("inf")),

@@ -1,0 +1,75 @@
+"""Every public symbol is used by the program, the benchmark harness or an
+acceptance criterion: each name in a module's ``__all__`` is referenced in
+``src/berklip`` outside its own definition, in ``perfbench/*.py`` or in
+``tests/test_acceptance.py``, or it is a ``NamedTuple`` record type.  A
+symbol that only other tests use belongs in ``tests/oracles.py``."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "berklip"
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _defines(node: ast.stmt) -> set[str]:
+    """The names a top-level statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return {node.name}
+    if isinstance(node, ast.Assign):
+        return {t.id for t in node.targets if isinstance(t, ast.Name)}
+    return set()
+
+
+def _referenced(tree: ast.Module, skip: str | None = None) -> set[str]:
+    """Names read as a variable or an attribute in ``tree``, leaving out the
+    top-level statement that defines ``skip``."""
+    out: set[str] = set()
+    for stmt in tree.body:
+        if skip is not None and skip in _defines(stmt):
+            continue
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                out.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                out.add(node.attr)
+    return out
+
+
+def _public(tree: ast.Module) -> list[str]:
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign) and "__all__" in _defines(stmt):
+            return list(ast.literal_eval(stmt.value))
+    return []
+
+
+def _records(tree: ast.Module) -> set[str]:
+    return {
+        stmt.name
+        for stmt in tree.body
+        if isinstance(stmt, ast.ClassDef)
+        and any(isinstance(b, ast.Name) and b.id == "NamedTuple" for b in stmt.bases)
+    }
+
+
+def test_every_public_symbol_has_a_user():
+    modules = {path: _parse(path) for path in sorted(SRC.glob("*.py"))}
+    outside = set()
+    for path in sorted((ROOT / "perfbench").glob("*.py")) + [ROOT / "tests" / "test_acceptance.py"]:
+        outside |= _referenced(_parse(path))
+    checked = 0
+    unused = []
+    for path, tree in modules.items():
+        records = _records(tree)
+        for name in _public(tree):
+            checked += 1
+            if name in records or name in outside:
+                continue
+            if not any(name in _referenced(other, name if other is tree else None)
+                       for other in modules.values()):
+                unused.append(f"{path.stem}.{name}")
+    assert checked >= 40, checked
+    assert not unused, f"public symbols used only by tests: {unused}"

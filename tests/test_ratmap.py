@@ -14,7 +14,6 @@ from berklip.ratmap import (
     from_coeffs,
     from_factored,
     gir_minors,
-    mobius_from_matrix,
     normalize,
     post_compose,
     pre_compose,
@@ -23,8 +22,9 @@ from berklip.ratmap import (
     RationalMap,
 )
 from berklip.sampling import DetRng, random_rational
-from berklip.valued import Ord, ord_p
+from berklip.valued import Ord
 from corpus import random_factored_map, random_mobius, random_unimodular
+from oracles import mobius_from_matrix, ord_p
 
 
 def pt(x):

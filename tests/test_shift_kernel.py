@@ -7,17 +7,13 @@ offset.  Maps are random with p in {2, 3, 5, 7} and d <= 8; centers
 carry p in the numerator and in the denominator, include the poles (so
 the pushforward recenters) and points whose image leaves the unit disc
 (so it swaps charts); radii are negative, zero, positive and fractional.
-Every pushforward is also run with the caller's shift at the center,
-which the pushforward keeps unless it recenters.
 """
 
 from fractions import Fraction
 
-from berklip.berk import BerkPoint, Shift, diam_gauss, push_forward, seminorm
+from berklip.berk import BerkPoint, diam_gauss, push_forward
 from berklip.invariants import gpr, hull
 from berklip.lipschitz import radial_profile
-from berklip.polynomials import taylor_shift
-from berklip.ratmap import _int_coeff_pair
 from berklip.sampling import DetRng, random_rational
 from corpus import random_factored_map, random_ladder_map
 from oracles import (
@@ -26,6 +22,7 @@ from oracles import (
     ref_push_forward,
     ref_semi,
     ref_taylor_shift,
+    seminorm,
     value_ord_at,
 )
 
@@ -62,20 +59,17 @@ def test_push_forward_and_seminorm_match_reference():
     for rng, m in _maps(4242, 48, ladder=(10, 20, 10)):
         p = m.p
         f, g = dehomogenized(m)
-        fi, gi = _int_coeff_pair(m)
         # the Fraction reference is slow at d = 10 and 20: three zeros and
         # three poles of each ladder map
         for a in _centers(rng, m, per_side=3 if m.d >= 10 else None):
             seen["p_in_den"] += a.denominator % p == 0
             seen["p_in_num"] += a != 0 and a.numerator % p == 0
-            sh = Shift.at(p, fi, gi, a)
             fs, gs = ref_taylor_shift(f, a), ref_taylor_shift(g, a)
             for t in RADII:
                 x = BerkPoint.disc(a, t)
                 events.clear()
                 want = ref_push_forward(m, x, events)
                 assert push_forward(m, x) == want, (m, x)
-                assert push_forward(m, x, shift=sh) == want, (m, x)
                 for e in events:
                     seen[e] += 1
                 points += 1
@@ -85,31 +79,23 @@ def test_push_forward_and_seminorm_match_reference():
     assert all(n >= 20 for n in seen.values()), seen
 
 
-def test_gpr_matches_brute_force_reference(count_calls):
+def test_gpr_matches_brute_force_reference():
     """gpr against the brute force; at every preimage and every disc vertex
-    of the hull the pushforward with the caller's shift equals the one
-    without and the reference, with pole centers (the shift is rebuilt)
-    and chart swaps (the swapped shift is used) both reached.  With the
-    caller's shift, the pushforward Taylor-shifts only when it recenters."""
+    of the hull the pushforward equals the reference, with pole centers
+    (recentered) and chart swaps both reached."""
     seen = {"recenter": 0, "swap": 0}
     events: set = set()
-    shifts = count_calls(taylor_shift)
     for _, m in _maps(777, 32):
         p, ff = m.p, m.factored
         tree = hull(p, [pt for pt, _ in ff.zeros + ff.poles])
         result = gpr(m)
         assert result.ord.frac == ref_gpr_ord(m, tree.edges)
         assert diam_gauss(p, result.argmin) == result.ord
-        fi, gi = _int_coeff_pair(m)
         discs = [v for v in tree.vertices if not v.is_classical]
         for q in list(result.preimages) + discs:
             events.clear()
             want = ref_push_forward(m, q, events)
             assert push_forward(m, q) == want, (m, q)
-            sh = Shift.at(p, fi, gi, q.center)
-            shifts.clear()
-            assert push_forward(m, q, shift=sh) == want, (m, q)
-            assert (len(shifts) > 0) == ("recenter" in events), (m, q)
             for e in events:
                 seen[e] += 1
     assert all(n >= 20 for n in seen.values()), seen

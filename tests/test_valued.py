@@ -18,7 +18,6 @@ from berklip.valued import (
     ORD_INF,
     Ord,
     is_prime,
-    ord_p,
     ppow_compare,
     ppow_decimal,
     ppow_normalize,
@@ -27,6 +26,7 @@ from berklip.valued import (
     int_val,
 )
 from oracles import (
+    ord_p,
     ppow_add,
     ref_compare_by_bisection,
     ref_ppow_decimal_enclosure,
