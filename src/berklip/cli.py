@@ -49,7 +49,7 @@ from .serialize import (
     profile_json,
     report_json,
 )
-from .valued import parse_fraction, ppow_compare
+from .valued import _clip, parse_fraction, parse_int, ppow_compare
 
 __all__ = ["run", "main"]
 
@@ -75,7 +75,7 @@ def _option_fraction(name: str, text: str, low: int | None = None) -> Fraction:
     except ParseError as e:
         raise ParseError(f"{name}: {e}") from None
     if low is not None and value < low:
-        raise ParseError(f"{name} must be >= {low}, not {text}")
+        raise ParseError(f"{name} must be >= {low}, not {_clip(text)}")
     return value
 
 
@@ -84,15 +84,24 @@ def _check_options(cfg: argparse.Namespace) -> tuple[Fraction, Fraction, Fractio
     (center, tmin, b0_ord)."""
     n_min = 1 if cfg.command in ("sample", "verify") else 0
     if cfg.n < n_min:
-        raise ParseError(f"--n must be >= {n_min} for {cfg.command}, not {cfg.n}")
+        raise ParseError(f"--n must be >= {n_min} for {cfg.command}, not {_clip(str(cfg.n))}")
     if cfg.n > MAX_SAMPLES:
-        raise ParseError(f"--n must be <= {MAX_SAMPLES}, not {cfg.n}")
+        raise ParseError(f"--n must be <= {MAX_SAMPLES}, not {_clip(str(cfg.n))}")
     center = _option_fraction("--center", cfg.center)
     tmin = _option_fraction("--tmin", cfg.tmin, 0)
     b0 = None if cfg.b0_ord is None else _option_fraction("--b0-ord", cfg.b0_ord, 0)
     if b0 is not None and b0 > MAX_B0_ORD:
-        raise ParseError(f"--b0-ord must be <= {MAX_B0_ORD}, not {cfg.b0_ord}")
+        raise ParseError(f"--b0-ord must be <= {MAX_B0_ORD}, not {_clip(cfg.b0_ord)}")
     return center, tmin, b0
+
+
+def _option_int(text: str) -> int:
+    """``type`` of the integer options: at most 4300 digits (exit 6), and a
+    bad value's echo clipped."""
+    try:
+        return parse_int(text)
+    except ParseError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
 
 
 def _load_map(cfg: argparse.Namespace) -> RationalMap:
@@ -101,7 +110,7 @@ def _load_map(cfg: argparse.Namespace) -> RationalMap:
     except OSError as e:
         raise ParseError(f"cannot read {cfg.input}: {e}") from None
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_int=parse_int)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON in {cfg.input}: {e}") from None
     return parse_map_data(data, cfg.p)
@@ -259,9 +268,9 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=["invariants", "bounds", "profile", "sample", "verify"],
     )
     ap.add_argument("--input", required=True, help="map file (JSON)")
-    ap.add_argument("--p", type=int, default=None, help="prime; must match the file")
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--n", type=int, default=1000, help="sample count")
+    ap.add_argument("--p", type=_option_int, default=None, help="prime; must match the file")
+    ap.add_argument("--seed", type=_option_int, default=0)
+    ap.add_argument("--n", type=_option_int, default=1000, help="sample count")
     ap.add_argument("--center", default="0", help="profile ray center (rational)")
     ap.add_argument("--tmin", default="0", help="profile top radius exponent")
     ap.add_argument("--b0-ord", dest="b0_ord", default=None,

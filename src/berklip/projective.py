@@ -77,13 +77,15 @@ def _sph_pair_ord(p: int, un: int, ud: int, vn: int, vd: int) -> int | None:
     num = un * vd - vn * ud
     if num == 0:
         return None
-    s = int_val(num, p) - int_val(ud, p) - int_val(vd, p)
+    oud = int_val(ud, p)
+    ovd = int_val(vd, p)
+    s = int_val(num, p) - oud - ovd
     if un != 0:
-        vx = int_val(un, p) - int_val(ud, p)
+        vx = int_val(un, p) - oud
         if vx < 0:
             s -= vx
     if vn != 0:
-        vy = int_val(vn, p) - int_val(vd, p)
+        vy = int_val(vn, p) - ovd
         if vy < 0:
             s -= vy
     return s

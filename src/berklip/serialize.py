@@ -21,6 +21,7 @@ from .errors import ParseError
 from .projective import ProjPoint
 from .ratmap import RationalMap, from_coeffs, from_factored
 from .valued import (
+    _clip,
     Ord,
     PPowerSum,
     format_fraction,
@@ -146,17 +147,22 @@ MAX_DEGREE = 64
 
 def _check_degree(d: int) -> None:
     if d > MAX_DEGREE:
-        raise ParseError(f"degree {d} exceeds the supported maximum {MAX_DEGREE}")
+        raise ParseError(f"degree {_clip(str(d))} exceeds the supported maximum {MAX_DEGREE}")
+
+
+def _bad_entry(entry, why: str) -> ParseError:
+    return ParseError(f"bad zero/pole entry {_clip(repr(entry))}: {why}")
 
 
 def _parse_point_mult(entry) -> tuple[ProjPoint, int]:
     if not (isinstance(entry, list) and len(entry) == 2):
-        raise ParseError(f"bad zero/pole entry {entry!r}: expected [point, multiplicity]")
+        raise _bad_entry(entry, "expected [point, multiplicity]")
     pt, mult = entry
     if type(mult) is not int:
-        raise ParseError(f"bad zero/pole entry {entry!r}: multiplicity must be an integer")
+        raise _bad_entry(entry, "multiplicity must be an integer")
     if mult < 1:
-        raise ParseError(f"bad zero/pole entry {entry!r}: multiplicity must be >= 1")
+        raise _bad_entry(entry, "multiplicity must be >= 1")
+    _check_degree(mult)  # alone, so that no sum of multiplicities is a huge number to echo
     return ProjPoint.parse(pt), mult
 
 
@@ -168,7 +174,9 @@ def parse_map_data(data: dict, p_override: int | None = None) -> RationalMap:
     if p is None:
         p = p_override
     elif p_override is not None and p != p_override:
-        raise ParseError(f"p mismatch: file has {p}, configuration has {p_override}")
+        raise ParseError(
+            f"p mismatch: file has {_clip(str(p))}, configuration has {_clip(str(p_override))}"
+        )
     if p is None:
         raise ParseError("no prime given (file key 'p' or --p)")
     if not isinstance(p, int):
@@ -178,7 +186,7 @@ def parse_map_data(data: dict, p_override: int | None = None) -> RationalMap:
     except ValueError as e:
         raise ParseError(str(e)) from None
     if not prime:
-        raise ParseError(f"{p} is not prime")
+        raise ParseError(f"{_clip(str(p))} is not prime")
     if "coeffs" in data:
         block = data["coeffs"]
         try:

@@ -33,6 +33,7 @@ equality and hashing, and nothing costly to build when the module loads.
 from __future__ import annotations
 
 import re
+import sys
 from decimal import MAX_EMAX, MIN_EMIN, ROUND_CEILING, ROUND_FLOOR, Context, Decimal
 from fractions import Fraction
 from math import floor, lcm
@@ -54,6 +55,7 @@ __all__ = [
     "ppow_max",
     "ppow_decimal",
     "parse_fraction",
+    "parse_int",
     "format_fraction",
 ]
 
@@ -79,7 +81,7 @@ def is_prime(n: int) -> bool:
         if n % q == 0:
             return False
     if n >= _MR_DETERMINISTIC_BOUND:
-        raise ValueError(f"prime candidate {n} exceeds the deterministic test bound")
+        raise ValueError(f"prime candidate {_clip(str(n))} exceeds the deterministic test bound")
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
@@ -102,37 +104,69 @@ def is_prime(n: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def int_val(n: int, p: int) -> int:
-    """p-adic valuation of a nonzero integer of either sign, in O(log v)
-    divisions (floor division by a divisor is exact for negative n too).
+# bits in one CPython digit: a remainder by an int below 2^_DIGIT_BITS is
+# one pass of single-digit divisions in C
+_DIGIT_BITS = sys.int_info.bits_per_digit
+# p -> (k, p^k), the word exponent of p and its power (see _word_power)
+_WORDS: dict[int, tuple[int, int]] = {}
 
-    The first few factors p, which cover nearly every call, are divided
-    out one at a time; past that, :func:`_val_by_squaring` takes the rest.
+
+def _word_power(p: int, bits: int = _DIGIT_BITS) -> tuple[int, int]:
+    """(k, p^k) for the largest k >= 1 with p^k < 2^bits, so that p^k is one
+    digit of ``bits`` bits; k = 1 when p itself is not below 2^bits."""
+    k, pk = 1, p
+    while pk * p < 1 << bits:
+        pk *= p
+        k += 1
+    return k, pk
+
+
+def int_val(n: int, p: int) -> int:
+    """p-adic valuation of a nonzero integer of either sign.
+
+    With k the word exponent of p and P = p^k (see :func:`_word_power`),
+    one remainder r = n mod P, in [0, P) for either sign of n, decides
+    every valuation below k: floor division gives n = qP + r with
+    v(qP) >= k, so if r != 0 then v(n) < k, and v(r) = v(n - qP) = v(n)
+    (the ultrametric inequality is an equality when the valuations
+    differ).  The factors p of r are then divided out of a word-sized int.
+    If r = 0, :func:`_val_by_squaring` strips the powers of P from n / P,
+    and one more word remainder of what is left gives the rest.  Cost: one
+    digit-sized remainder of n for v < k, and O(log v) big divisions
+    beyond.  For p of a digit or more, k = 1 and P = p.
     """
+    try:
+        k, pk = _WORDS[p]
+    except KeyError:
+        k, pk = _WORDS[p] = _word_power(p)
+    r = n % pk
     v = 0
-    while n % p == 0:
-        n //= p
+    if not r:
+        w, n = _val_by_squaring(n // pk, pk)
+        v = k * (w + 1)
+        r = n % pk
+    while not r % p:
+        r //= p
         v += 1
-        if v == 8:
-            return v + _val_by_squaring(n, p)
     return v
 
 
-def _val_by_squaring(n: int, p: int) -> int:
-    """ord_p n for a nonzero n: divides by p, p^2, p^4, ... while they
-    divide, then strips the rest (below the first power that failed) with
-    the same powers, largest first."""
-    v = 0
-    pows = [p]  # pows[k] = p^(2^k)
+def _val_by_squaring(n: int, b: int) -> tuple[int, int]:
+    """(w, n / b^w) for a nonzero n, with b^w the largest power of b that
+    divides n: divides by b, b^2, b^4, ... while they divide, then strips
+    the rest (below the first power that failed) with the same powers,
+    largest first."""
+    w = 0
+    pows = [b]  # pows[j] = b^(2^j)
     while n % pows[-1] == 0:
         n //= pows[-1]
-        v += 1 << (len(pows) - 1)
+        w += 1 << (len(pows) - 1)
         pows.append(pows[-1] * pows[-1])
-    for k in range(len(pows) - 2, -1, -1):
-        if n % pows[k] == 0:
-            n //= pows[k]
-            v += 1 << k
-    return v
+    for j in range(len(pows) - 2, -1, -1):
+        if n % pows[j] == 0:
+            n //= pows[j]
+            w += 1 << j
+    return w, n
 
 
 class Ord(NamedTuple):
@@ -245,9 +279,11 @@ ORD_INF = Ord(None)
 # point and no exponent, so that a short string cannot stand for 10^(10^9)
 _RATIONAL = re.compile(r"\s*[+-]?\d+(/\d+)?\s*", re.ASCII)
 _DIGITS = re.compile(r"\d+", re.ASCII)
-# the most digits a numerator or a denominator may have: CPython's default
-# cap on converting a string to an int, checked here, so that every Python
-# gives the same answer
+# an integer: a JSON number of a map file, or an integer option
+_INTEGER = re.compile(r"\s*[+-]?\d+\s*", re.ASCII)
+# the most digits an integer, a numerator or a denominator may have:
+# CPython's default cap on converting a string to an int, checked here, so
+# that every Python gives the same answer
 _MAX_DIGITS = 4300
 
 
@@ -269,6 +305,16 @@ def parse_fraction(s: str) -> Fraction:
         return Fraction(s.strip())
     except (ValueError, ZeroDivisionError) as e:
         raise ParseError(f"bad rational {_clip(repr(s))}: {_clip(str(e))}") from None
+
+
+def parse_int(s: str) -> int:
+    """A decimal integer of at most ``_MAX_DIGITS`` digits, the cap checked
+    before conversion as for rationals."""
+    if not _INTEGER.fullmatch(s):
+        raise ParseError(f"invalid int value: {_clip(repr(s))}")
+    if len(_DIGITS.search(s)[0]) > _MAX_DIGITS:
+        raise ResourceLimitError(f"an integer has more than {_MAX_DIGITS} digits")
+    return int(s)
 
 
 def format_fraction(x: Fraction) -> str:

@@ -141,6 +141,64 @@ def test_oversized_integers_hit_the_digit_cap(tmp_path, capsys):
         assert "bad rational" in msg and len(msg) < 120, msg[:200]
 
 
+def _unscreened(digits: int) -> int:
+    """A number of ``digits`` digits that no small prime divides, so the
+    primality test reaches its bound instead of a small factor."""
+    from berklip.valued import _SMALL_PRIMES
+
+    n = 10 ** (digits - 1) + 1
+    while any(n % q == 0 for q in _SMALL_PRIMES):
+        n += 2
+    return n
+
+
+def test_oversized_json_and_option_integers(tmp_path, capsys):
+    """A JSON integer or an integer option of more than 4300 digits exits 6
+    on every Python, and every message that echoes an input integer clips
+    it: each case prints one stderr line under 120 bytes, no traceback."""
+    ones = "1" * 5001
+    coeffs = '"coeffs": {"F": ["1", "0"], "G": ["0", "1"]}'
+    nines = "9" * 4300
+    files = {
+        "big_p": '{"p": %s, %s}' % (ones, coeffs),
+        "big_mult": '{"p": 3, "factored": {"C": "1", "zeros": [["0", %s]]}}' % ones,
+        "composite_p": '{"p": %s, %s}' % ("1" * 4000, coeffs),
+        "unscreened_p": '{"p": %d, %s}' % (_unscreened(4000), coeffs),
+        "mult_sum": '{"p": 3, "factored": {"C": "1", "zeros": [["0", %s], ["1", %s]]}}'
+        % (nines, nines),
+        "no_p": "{%s}" % coeffs,
+        "p3": '{"p": 3, %s}' % coeffs,
+    }
+    cases = [
+        ("big_p", [], 6, "resource limit: an integer has more than 4300 digits"),
+        ("big_mult", [], 6, "resource limit: an integer has more than 4300 digits"),
+        ("p3", ["--p", ones], 6, "resource limit: an integer has more than 4300 digits"),
+        ("p3", ["--seed", ones], 6, "resource limit"),
+        ("p3", ["--n", "-" + ones], 6, "resource limit"),
+        ("p3", ["--p", "x" * 5000], 1, "argument --p: invalid int value: 'xxx"),
+        ("p3", ["--seed", "1_000"], 1, "argument --seed: invalid int value: '1_000'"),
+        ("p3", ["--n", "1" * 3000], 1, "--n must be <= 100000, not 111"),
+        ("p3", ["--n", "-" + "1" * 3000], 1, "--n must be >= 1 for sample, not -111"),
+        ("p3", ["--p", "1" * 4000], 1, "p mismatch: file has 3, configuration has 111"),
+        ("composite_p", [], 1, " is not prime"),
+        ("no_p", ["--p", "1" * 4000], 1, " is not prime"),
+        ("unscreened_p", [], 1, "prime candidate 1000"),
+        ("no_p", ["--p", str(_unscreened(4000))], 1, "exceeds the deterministic test bound"),
+        ("mult_sum", [], 1, "degree 999"),
+        ("p3", ["--tmin", "-" + "1" * 3000], 1, "--tmin must be >= 0, not -111"),
+        ("p3", ["--b0-ord", "1" * 3000], 1, "--b0-ord must be <= 64, not 111"),
+    ]
+    path = tmp_path / "map.json"
+    for name, opts, code, expected in cases:
+        path.write_text(files[name])
+        assert main(["sample", "--input", str(path), *opts]) == code, (name, opts[:1])
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert captured.out == "" and len(lines) == 1, (name, opts[:1], captured.err[:200])
+        assert lines[0].startswith("error: ") and expected in lines[0], (name, lines[0][:200])
+        assert len(lines[0].encode()) < 120, (name, opts[:1], lines[0][:200])
+
+
 def test_non_list_blocks_are_parse_errors(tmp_path, capsys):
     msg = _parse_failure(tmp_path, capsys, {"p": 3, "coeffs": {"F": "123", "G": "456"}})
     assert "'F' must be a JSON list" in msg

@@ -58,6 +58,48 @@ def test_int_val_matches_naive_loop(p, k, u):
     assert int_val(-n, p) == int_val(n, p)  # exact on either sign: no abs()
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 97, 2**31 - 1])
+def test_int_val_at_the_word_boundary(p):
+    """Valuations around the word exponent k and its multiples, where the
+    one-remainder rule hands over to the squaring strip: a word power off by
+    one shows here."""
+    k, pk = valued._word_power(p)
+    cofactors = [1, pk + 1, p - 1, p + 1, pk - 1, pk * pk + 1, 10**60 + 7]
+    for v in sorted({0, 1, k - 1, k, k + 1, 2 * k - 1, 2 * k, 2 * k + 1, 5000}):
+        # at v = 5000 the naive loop is the slow side: two cofactors there
+        for u in cofactors if v < 5000 else cofactors[:2]:
+            if u % p == 0:
+                u += 1
+            n = p**v * u
+            assert _int_val_naive(n, p) == v
+            assert int_val(n, p) == int_val(-n, p) == v, (p, v, u)
+
+
+@pytest.mark.parametrize("bits", [15, 30])
+def test_word_power_fits_one_digit(bits):
+    for p in (2, 3, 5, 7, 97, 181, 32749, 32771, 2**31 - 1, 2**61 - 1):
+        k, pk = valued._word_power(p, bits)
+        assert pk == p**k and k >= 1
+        if p < 2**bits:
+            assert p**k < 2**bits <= p ** (k + 1), (p, bits, k)
+        else:
+            assert k == 1, (p, bits, k)
+    assert valued._word_power(3, 30) == (18, 3**18)
+    assert valued._word_power(5, 30) == (12, 5**12)
+    assert valued._word_power(7, 30) == (10, 7**10)
+    assert valued._word_power(2, 15) == (14, 2**14)
+
+
+def test_int_val_is_one_call(count_calls):
+    """The kernel never calls itself through the module name, which the
+    benchmark's call counter rebinds: one valuation is one counted call."""
+    calls = count_calls(int_val)
+    for p in (2, 3, 2**31 - 1):
+        calls.clear()
+        assert valued.int_val(-(p**5000) * (p + 1), p) == 5000
+        assert len(calls) == 1, p
+
+
 def test_is_prime_examples():
     assert is_prime(2)
     assert is_prime(97)
