@@ -25,9 +25,9 @@ than the best so far.
 Every seminorm is read from one integer kernel, :class:`Shift`: the map's
 coefficients are cleared of denominators once, the shift to a center u/v
 runs on integer numerators, and each valuation is ord_p of an integer plus
-a multiple of ord_p v.  The pushforward, the gpr edge scan and the radial
-profiles only compare seminorms of one shift with each other, so the
-offset shared by all its coefficients is never needed.
+a multiple of ord_p v.  The pushforward and the radial profiles only
+compare seminorms of one shift with each other, so the offset shared by
+all its coefficients is never needed.
 """
 
 from __future__ import annotations
@@ -306,20 +306,6 @@ class Shift(NamedTuple):
                 o = int_val(c, p)
             out.append((j, o + j * ov - owd))
         return out
-
-    def unit_residue_lifts(self) -> list[int]:
-        """0, then the integer lifts of the residues mod p of the unit
-        ratios f_j / g_j of the shifted coefficients (= qf[j] / qg[j])."""
-        p = self.p
-        lifts = [0]
-        for x, y, k, kg in zip(self.qf, self.qg, self.of, self.og):
-            if k is None or k != kg:
-                continue
-            pk = p**k
-            lift = x // pk * pow(y // pk, -1, p) % p
-            if lift not in lifts:
-                lifts.append(lift)
-        return lifts
 
     def candidates(self) -> list[tuple[int, int]]:
         """Candidate image centers in the closed unit disc, as pairs

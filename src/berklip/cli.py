@@ -34,7 +34,7 @@ from .errors import (
     ParseError,
     ResourceLimitError,
 )
-from .invariants import bundle, rp_ord
+from .invariants import bundle
 from .ratmap import (
     RationalMap,
     gir_minors,
@@ -108,11 +108,11 @@ def _load_map(cfg: argparse.Namespace) -> RationalMap:
     try:
         text = Path(cfg.input).read_text()
     except OSError as e:
-        raise ParseError(f"cannot read {cfg.input}: {e}") from None
+        raise ParseError(f"cannot read {_clip(cfg.input)}: {e.strerror}") from None
     try:
         data = json.loads(text, parse_int=parse_int)
     except json.JSONDecodeError as e:
-        raise ParseError(f"invalid JSON in {cfg.input}: {e}") from None
+        raise ParseError(f"invalid JSON in {_clip(cfg.input)}: {e}") from None
     return parse_map_data(data, cfg.p)
 
 
@@ -174,7 +174,7 @@ def _verify_checks(m: RationalMap, cfg: argparse.Namespace):
             ), "gpr argmin does not map to the Gauss point"
 
         def rp_vs_res():
-            assert rp_ord(m) <= resultant_ord(m), "RP below |Res|"
+            assert bundle(m).rp <= resultant_ord(m), "RP below |Res|"
 
         def sampled():
             # raises if a sampled ratio exceeds 1/GPR
@@ -242,7 +242,8 @@ def run(cfg: argparse.Namespace) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """Reports a bad command line as a parse error (exit 1, one line)
-    instead of argparse's usage dump and exit status 2.
+    instead of argparse's usage dump and exit status 2, with every word
+    of argparse's message (an echoed command, option or value) clipped.
 
     A negative rational such as ``-1/3`` is read as an option value, as
     argparse already reads ``-1`` and ``-0.5``; no option of this parser
@@ -254,7 +255,7 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
 
     def error(self, message):
-        raise ParseError(" ".join(message.split()))
+        raise ParseError(" ".join(_clip(word) for word in message.split()))
 
 
 def _build_parser() -> argparse.ArgumentParser:

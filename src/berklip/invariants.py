@@ -14,36 +14,18 @@
 The preimages of the Gauss point lie on the hull of the zeros and poles:
 off the hull all zeros and poles sit in a single direction, while a point
 mapping onto the Gauss point must separate a zero-direction from a
-pole-direction.  On a hull edge with center a, a disc point zeta_{a, t}
-maps to the Gauss point iff the seminorm of phi - w is exactly 1 for w = 0
-and for every unit residue candidate w, that is, iff the envelopes of
-f - w g and of g agree at t.  Each distinct solution is re-verified once
-through the pushforward, which decides the image by comparing seminorms,
-and the image's identity with the Gauss point by ``berk_equal``.
+pole-direction.  Each distinct preimage is re-verified once through the
+pushforward, and its identity with the Gauss point decided by
+``berk_equal``.
 
 Most hull edges cannot meet the fiber, and the factored form says which.
-On a hull edge ord phi(zeta_{a, t}) is the line K + s*t: with phi = C
-prod (z - alpha) / prod (z - beta) over the finite zeros and poles (with
-multiplicity), each factor contributes min(ord(a - alpha), t), and every
-input either lies below the edge's lower vertex (ord(a - alpha) >= t_hi,
-the factor gives t) or leaves the path at or above its upper vertex
-(ord(a - alpha) <= t_lo, the factor is constant there); infinity is below
-no edge.  So s = zeros - poles below the lower vertex, and since ord phi
-is continuous along the tree, K follows from its value at the top by
-walking down the edges: at the root disc, which contains every finite
-input, it is ord C + t_root * (finite zeros - finite poles) = ord C (the
-root is a disc only when infinity is no input, and then both sides have
-d finite points), and on an edge up to infinity K = ord C.  A Gauss
-preimage has ord phi = 0 (the w = 0 condition), so an edge on which
-K + s*t has no zero is skipped before its Taylor shift; that condition is
-exactly the emptiness of the w = 0 equality set, so the scan's result is
-unchanged.
-
-An edge that passes is decided in one of two ways.  When s != 0 its
-fiber is exactly {t0}, t0 = -K/s (see ``gpr``), and no shift is built
-for it.  When s = 0 the w = 0 set is the whole edge, and the fiber is
-the intersection over w of the equality sets of the envelopes, an exact
-union of intervals.
+On a hull edge ord phi(zeta_{a, t}) is the line K + s*t, s = zeros -
+poles below the edge's lower vertex (proof in ``gpr``; the lines are
+computed in ints by ``_ord_phi_lines``).  A Gauss preimage has ord phi =
+0, so an edge on which K + s*t has no zero holds none.  An edge that
+passes is decided by its slope alone, with no Taylor shift: when s != 0
+its fiber is its one point t0 = -K/s, and when s = 0 it is those of its
+two ends that touch an edge of nonzero slope.
 """
 
 from __future__ import annotations
@@ -53,16 +35,14 @@ from typing import NamedTuple
 
 from .berk import (
     BerkPoint,
-    Shift,
     berk_equal,
     gauss_point,
     push_forward,
     _diam_gauss_frac,
 )
 from .errors import InternalInvariantError
-from .piecewise import intersect_intervals, lower_envelope
 from .projective import ProjPoint, _num_den, _sph_pair_ord, _vord
-from .ratmap import FactoredForm, RationalMap, _int_coeff_pair, gir_minors, resultant_ord
+from .ratmap import FactoredForm, RationalMap, gir_minors, resultant_ord
 from .valued import Ord, int_val
 
 __all__ = [
@@ -236,32 +216,6 @@ class GprResult(NamedTuple):
     preimages: tuple[BerkPoint, ...]
 
 
-def _gauss_fiber_zero_set(sh: Shift, lo, hi):
-    """Solution intervals of phi(zeta_{center, t}) = Gauss point on [lo, hi],
-    given f and g Taylor-shifted to the center.
-
-    The point maps to the Gauss point iff ord|phi - w| = 0 for w = 0 and
-    for every unit-residue candidate w (a sub-unit image diameter forces
-    cancellation against one of them), so the fiber restricted to the edge
-    is the zero set of max_w |ord(phi - w)|.  That is exactly the
-    intersection over w of the zero sets of ord(phi - w) = ord(f - w g) -
-    ord(g), i.e. of the equality sets of the two envelopes; the
-    intersection is taken candidate by candidate and the scan stops as
-    soon as it is empty.
-    """
-    sg = lower_envelope(sh.g_lines(), lo, hi)
-    fiber = None
-    for w in sh.unit_residue_lifts():
-        lines = sh.diff_lines((w, 1))
-        if not lines:
-            raise InternalInvariantError("map degenerated to a constant")
-        agree = lower_envelope(lines, lo, hi).equal_set(sg)
-        fiber = agree if fiber is None else intersect_intervals(fiber, agree)
-        if not fiber:
-            break
-    return fiber
-
-
 def _ord_phi_lines(p: int, ff: FactoredForm, edges) -> list[tuple[int, int]]:
     """(K, s) for each edge of the zero/pole hull, in edge order, with
     ord phi(zeta_{center, t}) = K + s*t on the edge.
@@ -320,30 +274,50 @@ def _has_zero(k: int, s: int, lo, hi) -> bool:
     return a <= 0 <= b or b <= 0 <= a
 
 
-def gpr(m: RationalMap, hull_points=None) -> GprResult:
+def _fiber_points(p: int, ff: FactoredForm, edges) -> list[list[Fraction]]:
+    """For each edge of the zero/pole hull, in edge order, the t of its
+    Gauss preimages zeta_{center, t}, upper end first (proof in ``gpr``).
+
+    A screened edge of slope s != 0 gives its one point t0 = -K/s, and a
+    flat screened edge (s = 0, K = 0) those of its two ends that touch an
+    edge of nonzero slope, screened or not.  Vertices are keyed by
+    identity, as in ``_ord_phi_lines``.
+    """
+    lines = _ord_phi_lines(p, ff, edges)
+    sloped = {id(v) for e, (_, s) in zip(edges, lines) if s for v in (e.upper, e.lower)}
+    out = []
+    for e, (k, s) in zip(edges, lines):
+        if not _has_zero(k, s, *e.t_range()):
+            out.append([])
+        elif s:
+            out.append([Fraction(-k, s)])
+        else:
+            out.append([v.radius_ord for v in (e.upper, e.lower) if id(v) in sloped])
+    return out
+
+
+def gpr(m: RationalMap) -> GprResult:
     """Minimal Gauss-point preimage diameter and a witness point.
 
-    The search space is the hull of the zeros and poles (or of the given
-    override points, which must contain the fiber).  f and g are cleared
-    to integers once, and every distinct solution is re-verified once
-    through push_forward.
+    The search space is the hull of the zeros and poles.  Each edge's
+    preimages are read from the factored form by ``_fiber_points``, with
+    no Taylor shift, and every distinct one is re-verified once through
+    push_forward.
 
-    On the zero/pole hull the edges are screened first by the slope rule:
-    ord phi(zeta_{a, t}) = K + s*t on an edge, s = (zeros - poles below
-    the edge's lower vertex, with multiplicity), and a Gauss preimage has
-    ord phi = 0 (its w = 0 condition), so an edge on which K + s*t has no
-    zero is skipped before any shift.  Proof: with phi = C prod (z -
-    alpha)^(m) / prod (z - beta)^(n) over the finite zeros and poles,
-    ord phi(zeta_{a, t}) = ord C + sum m min(ord(a - alpha), t) - sum n
-    min(ord(a - beta), t).  Each input lies below the lower vertex
+    The edges are screened first by the slope rule: ord phi(zeta_{a, t})
+    = K + s*t on an edge, s = (zeros - poles below the edge's lower
+    vertex, with multiplicity), and a Gauss preimage has ord phi = 0, so
+    an edge on which K + s*t has no zero holds none.  Proof: with phi = C
+    prod (z - alpha)^(m) / prod (z - beta)^(n) over the finite zeros and
+    poles, ord phi(zeta_{a, t}) = ord C + sum m min(ord(a - alpha), t) -
+    sum n min(ord(a - beta), t).  Each input lies below the lower vertex
     (ord(a - alpha) >= t_hi, its term is t on the edge) or leaves the path
     at or above the upper vertex (ord(a - alpha) <= t_lo, its term is
     constant on the edge); infinity is never below.  The function is
     continuous along the tree, and at the root disc, which contains every
     finite input, it is ord C + t_root * (finite zeros - finite poles) =
     ord C: the root is a disc only when infinity is neither a zero nor a
-    pole, and then both sides have d finite points.  The override path
-    keeps the unscreened scan.
+    pole, and then both sides have d finite points.
 
     A passing edge with s != 0 meets the fiber exactly at t0 = -K/s.  A
     preimage has ord phi = K + s*t = 0, and the line vanishes only at t0,
@@ -353,35 +327,42 @@ def gpr(m: RationalMap, hull_points=None) -> GprResult:
     so w* is a unit.  Then |phi| = |w*| = 1 on the open set
     phi^-1(D^-(w*, 1)), which contains zeta and so a piece of the edge
     around t0, and K + s*t would vanish on an interval, against s != 0.
-    So the edge contributes t0 with no Taylor shift; the re-verification
-    still checks it.  Edges with s = 0, where the w = 0 set is the whole
-    edge, and every edge of the override path take the interval scan on
-    one shift at the edge center.  Every record names the point by the
-    edge center, so ``found``, the argmin and their order are those of
-    the interval scan.
+
+    A passing edge with s = 0 has K = 0, so ord phi = 0 along it.  Its
+    preimages are exactly those of its two ends that touch an edge of
+    nonzero slope, by the reduction of phi at a type II point (Baker-
+    Rumely, Potential Theory and Dynamics on the Berkovich Projective
+    Line, AMS 2010):
+
+    * Interior points.  The directions off a hull edge hold no zero and no
+      pole, so at zeta_{a, t} inside the edge the reduction of phi is
+      c u^s.  With s = 0 it is constant, so no interior point of a flat
+      edge is a preimage.  The same fact gives t0 on a sloped edge.
+    * Vertices.  At a vertex v with |phi|_v = 1 the reduction is c prod_d
+      (u - u_d)^(n_d), n_d the zeros minus poles, with multiplicity, in
+      direction d, and phi(v) is the Gauss point iff it is not constant.
+      The directions that hold inputs are exactly the hull edges at v.
+      For a child edge n_d is that edge's slope s; for the parent
+      direction it is minus the parent edge's slope, because the counts
+      sum to 0, and at the root disc it is 0.  So phi(v) is the Gauss
+      point iff some edge at v has s != 0.
+    * Flat edges have finite ends.  A leaf edge has slope the leaf's
+      multiplicity, and an edge up to infinity slope +- the multiplicity
+      at infinity, so a flat edge never ends at a leaf or at infinity:
+      both ends are discs, and t is finite.
+    * No intervals.  phi is finite-to-one, so the fiber is finite.
+
+    Every record names the point by the edge center, so ``found``, the
+    argmin and their order are those of the scan of every edge's whole
+    fiber.
     """
     p = m.p
-    if hull_points is None:
-        ff = m.require_factored()
-        edges = hull(p, [pt for pt, _ in ff.zeros] + [pt for pt, _ in ff.poles]).edges
-        scan = [(e, Fraction(-k, s) if s else None)
-                for e, (k, s) in zip(edges, _ord_phi_lines(p, ff, edges))
-                if _has_zero(k, s, *e.t_range())]
-    else:
-        scan = [(e, None) for e in hull(p, hull_points).edges]
-    f, g = _int_coeff_pair(m)
+    ff = m.require_factored()
+    edges = hull(p, [pt for pt, _ in ff.zeros] + [pt for pt, _ in ff.poles]).edges
     best: tuple[Fraction, BerkPoint] | None = None
     found: list[BerkPoint] = []
-    for edge, t0 in scan:
+    for edge, ts in zip(edges, _fiber_points(p, ff, edges)):
         center = edge.center
-        if t0 is None:
-            ts = []
-            for a, b in _gauss_fiber_zero_set(Shift.at(p, f, g, center), *edge.t_range()):
-                if a is None or b is None:
-                    raise InternalInvariantError("unbounded Gauss-fiber interval")
-                ts.extend({a, b})
-        else:
-            ts = [t0]
         for t in ts:
             pt = BerkPoint.disc(center, t)
             if not any(berk_equal(p, pt, q) for q in found):

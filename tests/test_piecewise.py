@@ -1,12 +1,12 @@
-"""Envelopes, PWLinear arithmetic, equality sets and the Gauss fiber
-against the sampled-alignment references of tests/oracles.py."""
+"""Envelopes and PWLinear arithmetic against the sampled-alignment
+references of tests/oracles.py, and gpr's per-edge Gauss fiber against
+the reference fiber on the Taylor shift at the edge center."""
 
 from fractions import Fraction
 
-from berklip import invariants
 from berklip.berk import Shift
-from berklip.invariants import _gauss_fiber_zero_set, gpr, hull
-from berklip.piecewise import intersect_intervals, lower_envelope
+from berklip.invariants import _fiber_points, _ord_phi_lines, hull
+from berklip.piecewise import lower_envelope
 from berklip.projective import INF_POINT, ProjPoint
 from berklip.ratmap import _int_coeff_pair, from_factored
 from berklip.sampling import DetRng
@@ -139,29 +139,10 @@ def test_sub_max_and_below_set_match_reference():
         )
         seen["below somewhere"] += bool(below)
         seen["joined below"] += any(
-            s is not None and e is not None and any(s < x < e for x, y in f.equal_set(g) if x == y)
+            s is not None and e is not None and any(s < x < e for x, y in ref_zero_set(diff) if x == y)
             for s, e in below
         )
     assert seen["random pair"] >= 3000 and min(seen.values()) >= 50, seen
-
-
-def test_equal_set_matches_zero_set_of_difference():
-    rng = DetRng(6062)
-    seen = {"whole domain": 0, "root at an end": 0, "several": 0, "empty": 0}
-    for _ in range(3000):
-        a = _family(rng)
-        b = _partner(rng, a)
-        # ends at breakpoints and at crossings of the two envelopes
-        lo, hi = _domain(rng, _special(a, b))
-        f, g = lower_envelope(a, lo, hi), lower_envelope(b, lo, hi)
-        want = ref_zero_set(ref_sub(f, g))
-        assert f.equal_set(g) == want, (a, b, lo, hi)
-        assert g.equal_set(f) == want
-        seen["whole domain"] += want == [(lo, hi)]
-        seen["root at an end"] += any(x == y and x in (lo, hi) for x, y in want)
-        seen["several"] += len(want) >= 2
-        seen["empty"] += not want
-    assert min(seen.values()) >= 50, seen
 
 
 def _int_lines(h) -> bool:
@@ -175,9 +156,9 @@ def _int_lines(h) -> bool:
 
 def test_no_float_in_pieces_or_interval_ends():
     """Envelopes, differences and maxima are integer lines with Fraction
-    breakpoints, and equality and below sets have Fraction or None ends:
-    a crossing is Fraction(c2 - c1, k1 - k2), never an int division,
-    which would be a float."""
+    breakpoints, and below sets (and the zero set of the difference) have
+    Fraction or None ends: a crossing is Fraction(c2 - c1, k1 - k2), never
+    an int division, which would be a float."""
     rng = DetRng(6068)
     seen = {"envelope break": 0, "max split": 0, "equal root": 0, "below end": 0}
     for _ in range(3000):
@@ -190,7 +171,7 @@ def test_no_float_in_pieces_or_interval_ends():
         f, g = lower_envelope(a, lo, hi), lower_envelope(b, lo, hi)
         for h in (f, g, f - g, g - f, f.max_with(g), g.max_with(f)):
             assert _int_lines(h), (a, b, lo, hi, h)
-        sets = (f.equal_set(g), f.below_set(g), g.below_set(f))
+        sets = (ref_zero_set(ref_sub(f, g)), f.below_set(g), g.below_set(f))
         for ivs in sets:
             assert all(x is None or type(x) is Fraction for iv in ivs for x in iv), ivs
         starts = {x for x, _, _ in f.pieces + g.pieces}
@@ -202,78 +183,45 @@ def test_no_float_in_pieces_or_interval_ends():
     assert min(seen.values()) >= 100, seen
 
 
-def test_intersect_intervals_pointwise():
-    rng = DetRng(6063)
-
-    def intervals():
-        cuts = sorted({rng.randint(-20, 20) for _ in range(rng.randint(0, 8))})
-        out = []
-        while len(cuts) >= 2 and len(out) < 3:
-            a, b = cuts.pop(0), cuts.pop(0)
-            if rng.randint(0, 3) == 0:
-                b = a  # a single point
-            out.append((Fraction(a), Fraction(b)))
-        if out and rng.randint(0, 2) == 0:
-            out[0] = (None, out[0][1])
-        if out and rng.randint(0, 2) == 0:
-            out[-1] = (out[-1][0], None)
-        return out
-
-    def member(x, ivs):
-        return any((a is None or a <= x) and (b is None or x <= b) for a, b in ivs)
-
-    for _ in range(500):
-        xs, ys = intervals(), intervals()
-        got = intersect_intervals(xs, ys)
-        for x in [Fraction(k, 2) for k in range(-50, 51)]:
-            assert member(x, got) == (member(x, xs) and member(x, ys))
-        flat = [t for iv in got for t in iv]
-        assert all(a is None or b is None or a <= b for a, b in got)
-        assert [t for t in flat if t is not None] == sorted(t for t in flat if t is not None)
-
-
-def _edges_and_shifts(m):
-    ff = m.factored
-    tree = hull(m.p, [q for q, _ in ff.zeros] + [q for q, _ in ff.poles])
-    f, g = _int_coeff_pair(m)
-    for edge in tree.edges:
-        yield Shift.at(m.p, f, g, edge.center), edge.t_range()
-
-
-def test_gauss_fiber_matches_reference_on_every_hull_edge():
-    rng = DetRng(6064)
+def _fiber_maps(rng: DetRng):
+    """Random maps of degree <= 5 and ladder-type maps, then maps whose
+    flat screened edges keep both ends, one end or none:
+    (z - p^k)(z - 1)/z, whose edge from D(0, p^-k) up to the Gauss point
+    has ord phi = 0 and a sloped edge at each end, and at p = 3
+    z(z-3)(z-1)(z-4)/((z-9)(z-12)(z-10)(z-13)), whose flat edge
+    D(0, 3^-2) -> D(0, 3^-1) keeps only its lower end and whose flat edge
+    from D(0, 3^-1) up to the Gauss point keeps neither."""
     maps = [random_factored_map(rng, [3, 5, 7][k % 3], dmax=5) for k in range(120)]
     maps += [random_ladder_map(rng, 3, d) for d in (5, 10, 10, 20)]
-    edges = hits = 0
-    for m in maps:
-        for sh, (lo, hi) in _edges_and_shifts(m):
-            got = _gauss_fiber_zero_set(sh, lo, hi)
-            assert got == ref_gauss_fiber_zero_set(sh, lo, hi)
-            edges += 1
-            hits += bool(got)
-    assert edges >= 1000 and hits >= 100, (edges, hits)
-
-
-def test_gpr_unchanged_with_reference_fiber(monkeypatch):
-    """gpr with the interval scan of edges of slope 0 replaced by the
-    reference zero set, which must have run.  Random maps have few edges
-    of slope 0 on which ord phi vanishes, so (z - p^k)(z - 1)/z is added:
-    its edge from D(0, p^-k) up to the Gauss point has a zero and a pole
-    below and ord phi = 0 on it, and its fiber there is the two ends."""
-    rng = DetRng(6065)
-    maps = [random_factored_map(rng, [2, 3, 5, 7][k % 4], dmax=6) for k in range(30)]
     maps += [
         from_factored(p, 1, [(ProjPoint.of(p**k), 1), (ProjPoint.of(1), 1)],
                       [(ProjPoint.of(0), 1), (INF_POINT, 1)])
         for p in (2, 3, 5, 7) for k in (1, 2, 3)
     ]
-    got = [gpr(m) for m in maps]
-    calls = {"interval": 0}
+    maps.append(from_factored(3, 1, [(ProjPoint.of(z), 1) for z in (0, 3, 1, 4)],
+                              [(ProjPoint.of(z), 1) for z in (9, 12, 10, 13)]))
+    return maps
 
-    def ref_interval(sh, lo, hi):
-        calls["interval"] += 1
-        return ref_gauss_fiber_zero_set(sh, lo, hi)
 
-    monkeypatch.setattr(invariants, "_gauss_fiber_zero_set", ref_interval)
-    assert got == [gpr(m) for m in maps]
-    assert calls["interval"] >= 10, calls
+def test_gauss_fiber_matches_reference_on_every_hull_edge():
+    """On every edge of the zero/pole hull, gpr's fiber points, as
+    degenerate intervals, are the reference fiber of the whole edge on
+    the shift at the edge center: one point on a screened sloped edge,
+    the ends that touch a sloped edge on a flat screened one, and nothing
+    elsewhere.  Every outcome of a flat screened edge occurs."""
+    edges = hits = 0
+    flat = {"both ends": 0, "one end": 0, "none": 0}
+    for m in _fiber_maps(DetRng(6064)):
+        p, ff = m.p, m.factored
+        tree = hull(p, [q for q, _ in ff.zeros] + [q for q, _ in ff.poles])
+        f, g = _int_coeff_pair(m)
+        lines = _ord_phi_lines(p, ff, tree.edges)
+        for edge, ts, line in zip(tree.edges, _fiber_points(p, ff, tree.edges), lines):
+            want = ref_gauss_fiber_zero_set(Shift.at(p, f, g, edge.center), *edge.t_range())
+            assert [(t, t) for t in ts] == want, (m, edge)
+            edges += 1
+            hits += bool(ts)
+            if line == (0, 0):
+                flat[("none", "one end", "both ends")[len(ts)]] += 1
+    assert edges >= 1000 and hits >= 100, (edges, hits)
+    assert min(flat.values()) >= 1, flat

@@ -1,8 +1,10 @@
 """Every public symbol is used by the program, the benchmark harness or an
 acceptance criterion: each name in a module's ``__all__`` is referenced in
 ``src/berklip`` outside its own definition, in ``perfbench/*.py`` or in
-``tests/test_acceptance.py``, or it is a ``NamedTuple`` record type.  A
-symbol that only other tests use belongs in ``tests/oracles.py``."""
+``tests/test_acceptance.py``, or it is a ``NamedTuple`` record type; so
+is each public method (a name without a leading ``_``) of a class in
+``src/berklip``.  A symbol that only other tests use belongs in
+``tests/oracles.py``."""
 
 import ast
 from pathlib import Path
@@ -24,18 +26,30 @@ def _defines(node: ast.stmt) -> set[str]:
     return set()
 
 
+def _names_read(node: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """Names read as a variable or an attribute under ``node``, leaving out
+    the subtree ``skip``."""
+    out: set[str] = set()
+    stack = [node]
+    while stack:
+        n = stack.pop()
+        if n is skip:
+            continue
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        stack.extend(ast.iter_child_nodes(n))
+    return out
+
+
 def _referenced(tree: ast.Module, skip: str | None = None) -> set[str]:
     """Names read as a variable or an attribute in ``tree``, leaving out the
     top-level statement that defines ``skip``."""
     out: set[str] = set()
     for stmt in tree.body:
-        if skip is not None and skip in _defines(stmt):
-            continue
-        for node in ast.walk(stmt):
-            if isinstance(node, ast.Name):
-                out.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                out.add(node.attr)
+        if skip is None or skip not in _defines(stmt):
+            out |= _names_read(stmt)
     return out
 
 
@@ -55,11 +69,17 @@ def _records(tree: ast.Module) -> set[str]:
     }
 
 
+def _outside() -> set[str]:
+    """Names read in ``perfbench/*.py`` and ``tests/test_acceptance.py``."""
+    out: set[str] = set()
+    for path in sorted((ROOT / "perfbench").glob("*.py")) + [ROOT / "tests" / "test_acceptance.py"]:
+        out |= _referenced(_parse(path))
+    return out
+
+
 def test_every_public_symbol_has_a_user():
     modules = {path: _parse(path) for path in sorted(SRC.glob("*.py"))}
-    outside = set()
-    for path in sorted((ROOT / "perfbench").glob("*.py")) + [ROOT / "tests" / "test_acceptance.py"]:
-        outside |= _referenced(_parse(path))
+    outside = _outside()
     checked = 0
     unused = []
     for path, tree in modules.items():
@@ -73,3 +93,22 @@ def test_every_public_symbol_has_a_user():
                 unused.append(f"{path.stem}.{name}")
     assert checked >= 40, checked
     assert not unused, f"public symbols used only by tests: {unused}"
+
+
+def test_every_public_method_has_a_user():
+    modules = {path: _parse(path) for path in sorted(SRC.glob("*.py"))}
+    outside = _outside()
+    checked = 0
+    unused = []
+    for path, tree in modules.items():
+        for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
+            for method in cls.body:
+                if not isinstance(method, ast.FunctionDef) or method.name.startswith("_"):
+                    continue
+                checked += 1
+                if method.name in outside:
+                    continue
+                if not any(method.name in _names_read(other, method) for other in modules.values()):
+                    unused.append(f"{path.stem}.{cls.name}.{method.name}")
+    assert checked >= 20, checked
+    assert not unused, f"public methods used only by tests: {unused}"
