@@ -23,7 +23,6 @@ import json
 import re
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 from .berk import berk_equal, diam_gauss, gauss_point, push_forward
 from .errors import (
@@ -43,13 +42,14 @@ from .ratmap import (
     resultant_ord_product,
 )
 from .serialize import (
+    MAX_DEGREE,
     bundle_json,
     parse_map_data,
     ppow_json,
     profile_json,
     report_json,
 )
-from .valued import _clip, parse_fraction, parse_int, ppow_compare
+from .valued import _MAX_DIGITS, _clip, parse_fraction, parse_int, ppow_compare
 
 __all__ = ["run", "main"]
 
@@ -67,6 +67,13 @@ MAX_SAMPLES = 100_000
 # 6,400,192, and they compare and render in under 1 ms, because the
 # enclosure's cost grows with the exponents' size, not their denominators.
 MAX_B0_ORD = 64
+
+# Largest map file read, in bytes.  At the caps a map holds at most 131
+# numbers: the 2 * 65 coefficients of a degree-64 map (a factored one has
+# at most 129 rationals) and p.  Each is at most two 4300-digit integers
+# plus 16 bytes of sign, slash, quotes, brackets, multiplicity and
+# separators, 1,128,696 bytes in all; the cap is twice that, for layout.
+MAX_INPUT_BYTES = 2 * (2 * (MAX_DEGREE + 1) + 1) * (2 * _MAX_DIGITS + 16)
 
 
 def _option_fraction(name: str, text: str, low: int | None = None) -> Fraction:
@@ -106,9 +113,19 @@ def _option_int(text: str) -> int:
 
 def _load_map(cfg: argparse.Namespace) -> RationalMap:
     try:
-        text = Path(cfg.input).read_text()
+        with open(cfg.input, "rb") as f:
+            raw = f.read(MAX_INPUT_BYTES + 1)
     except OSError as e:
         raise ParseError(f"cannot read {_clip(cfg.input)}: {e.strerror}") from None
+    if len(raw) > MAX_INPUT_BYTES:
+        raise ResourceLimitError(f"{_clip(cfg.input)} has more than {MAX_INPUT_BYTES} bytes")
+    try:
+        # as a text-mode read gives it: UTF-8, with universal newlines
+        text = raw.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    except UnicodeDecodeError as e:
+        raise ParseError(
+            f"{_clip(cfg.input)} is not UTF-8 text ({e.reason} at byte {e.start})"
+        ) from None
     try:
         data = json.loads(text, parse_int=parse_int)
     except json.JSONDecodeError as e:

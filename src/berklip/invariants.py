@@ -1,9 +1,11 @@
 """Tree-geometric invariants of a rational map.
 
-* rp_ord    -- smallest spherical distance between a zero and a pole.
+* rp_ord    -- smallest spherical distance between a zero and a pole,
+               one valuation per zero/pole pair.
 * hull      -- the convex hull (Steiner tree) of finitely many classical
-               points inside the Berkovich line, read from the matrix of
-               their pairwise ords.
+               points inside the Berkovich line: the single-linkage tree
+               of their pairwise ords, merged from one link per point to
+               its nearest earlier point.
 * gpr       -- the Gauss preimage radius: the minimum diameter among the
                preimages of the Gauss point, found by an exact edge scan
                of the zero/pole hull.
@@ -31,6 +33,8 @@ two ends that touch an edge of nonzero slope.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import groupby
+from operator import itemgetter
 from typing import NamedTuple
 
 from .berk import (
@@ -41,7 +45,7 @@ from .berk import (
     _diam_gauss_frac,
 )
 from .errors import InternalInvariantError
-from .projective import ProjPoint, _num_den, _sph_pair_ord, _vord
+from .projective import INF_POINT, ProjPoint, _num_den, _vord
 from .ratmap import FactoredForm, RationalMap, gir_minors, resultant_ord
 from .valued import Ord, int_val
 
@@ -63,16 +67,27 @@ __all__ = [
 
 def rp_ord(m: RationalMap) -> Ord:
     """Largest exponent t with p^(-t) the minimal zero-pole spherical
-    distance."""
+    distance.
+
+    Each point is read as its pair (num, den) of coprime integers, (1, 0)
+    for infinity.  p divides at most one of the two, so min(ord num, ord
+    den) = 0, and the distance ``_sph_pair_ord`` gives, ord(u_n v_d -
+    v_n u_d) - min(ord u_n, ord u_d) - min(ord v_n, ord v_d), is ord(u_n
+    v_d - v_n u_d): one valuation per zero/pole pair and none per point.
+    With infinity as u it is ord v_d, the infinity branch's max(0, -ord
+    v).
+    """
+    p = m.p
     ff = m.require_factored()
     poles = [_num_den(beta) for beta, _ in ff.poles]
     best: int | None = None
     for alpha, _ in ff.zeros:
         un, ud = _num_den(alpha)
         for vn, vd in poles:
-            s = _sph_pair_ord(m.p, un, ud, vn, vd)
-            if s is None:
+            det = un * vd - vn * ud
+            if not det:
                 raise InternalInvariantError("zero/pole lists cannot meet")
+            s = int_val(det, p)
             if best is None or s > best:
                 best = s
     if best is None:
@@ -115,43 +130,45 @@ class FiniteTree(NamedTuple):
     edges: tuple[TreeEdge, ...]
 
 
-def _levels(row: list[int | None], i: int) -> list[tuple[int, int]]:
-    """The discs D(z_i, s) for the distinct finite s in row i of the ord
-    matrix, smallest first, each keyed (s, lowest index k of an input in
-    it: the lowest k with ord(z_i - z_k) >= s, i itself included)."""
-    out = []
-    low = i
-    # descending s, so the discs and their index sets grow
-    for s, k in sorted(((s, k) for k, s in enumerate(row) if k != i), reverse=True):
-        low = min(low, k)
-        if out and out[-1][0] == s:
-            out[-1] = (s, low)
-        else:
-            out.append((s, low))
-    out.reverse()
-    return out
-
-
 def hull(p: int, points) -> FiniteTree:
     """Convex hull in the Berkovich line of >= 2 distinct classical points.
 
     Vertices are the inputs plus all pairwise joins; each edge is radial
     with the lower vertex's classical center as witness.
 
-    Everything is read from the matrix of pairwise ords of the finite
-    inputs, computed once in integers: for z = a/d and z' = a'/d',
-    ord(z - z') = ord(a d' - a' d) - ord d - ord d'.  The join of z_i, z_j
-    is the disc D(z_i, s), s = ord(z_i - z_j), keyed by s and the lowest
-    index k of an input in it (the lowest k with ord(z_i - z_k) >= s); the
-    first pair to produce a disc has i = k, and the disc keeps that center.  The discs containing
-    z_i are those for the distinct values of row i, nested by size, so
-    (as for an ultrametric tree built from its distance matrix) the parent
-    of z_i is the disc at the row maximum, the parent of D(z_i, s) is the
-    disc at the next smaller value s' of row i, and the disc at the row
-    minimum contains every finite input: its parent is infinity when
-    infinity is an input, and otherwise it is the root.  Vertices are
-    ordered deepest first (finite inputs, discs by descending radius
-    exponent, infinity), ties in input order; edges follow that order.
+    The tree is the single-linkage dendrogram of the finite inputs z_0,
+    ..., z_(n-1) under ord(z_i - z_j), an ultrametric (Gower and Ross,
+    Minimum spanning trees and single linkage cluster analysis, Appl.
+    Stat. 1969), built from n - 1 links.  Each z_i, i >= 1, links to z_j,
+    j_i the lowest j < i attaining s_i = max_(j < i) ord(z_i - z_j); the
+    ords are computed in integers, ord(a/d - a'/d') = ord(a d' - a' d) -
+    ord d - ord d', with the ord of each denominator taken once.  The
+    links are merged by descending s with a union-find whose root is the
+    lowest index, and each cluster that the links of one level s touch
+    becomes the vertex D(z_root, s), the parent of the previous top
+    vertices of the clusters it merged.
+
+    Proof that these are the hull's discs.  At a threshold sigma, the
+    classes {k : ord(z_i - z_k) >= sigma} are the inputs in the discs
+    D(z_i, sigma).  In a class, every member i other than its lowest
+    index e has s_i >= ord(z_i - z_e) >= sigma, and z_(j_i) lies in
+    D(z_i, s_i), inside the class; so i links to an earlier member of its
+    class, and following the links from any member reaches e.  A link of
+    level >= sigma joins two points of one class.  So the links with s >=
+    sigma connect exactly the classes at sigma.  A class at s is a hull
+    vertex iff it is not also a class at s + 1 (levels are ints), that is
+    iff a link of level exactly s lies in it, and it is then the disc D(z_e, s)
+    with e its lowest index, the union-find root.  Its children are the
+    classes at s + 1 inside it, the top vertices of the clusters merged
+    at s.
+
+    The top cluster holds every finite input: its parent is infinity
+    when infinity is an input, and otherwise it is the root.  Vertices
+    are ordered deepest first: finite inputs in input order, discs by
+    descending radius exponent, ties by lowest index, then infinity; the
+    levels come in descending order and each level's clusters in
+    ascending root order, so the vertices need no sort.  Edges follow that
+    order.
     """
     pts: list[ProjPoint] = list(dict.fromkeys(points))
     if len(pts) < 2:
@@ -162,47 +179,52 @@ def hull(p: int, points) -> FiniteTree:
     nums = [z.numerator for z in finite]
     dens = [z.denominator for z in finite]
     od = [int_val(d, p) for d in dens]
-    ords: list[list[int | None]] = [[None] * n for _ in range(n)]
-    for i in range(n):
+    links = []
+    for i in range(1, n):
         a, d, o = nums[i], dens[i], od[i]
-        for j in range(i + 1, n):
-            v = int_val(a * dens[j] - nums[j] * d, p) - o - od[j]
-            ords[i][j] = ords[j][i] = v
-    infinity = next((BerkPoint.classical(q) for q in pts if q.is_inf), None)
-    levels = [_levels(row, i) for i, row in enumerate(ords)]
-    # (vertex, parent, center): inputs in input order, then the discs by
-    # creating row; a parent disc is keyed by a lower or the same row, at
-    # a smaller s, so it is created first
-    linked: list[tuple[BerkPoint, BerkPoint | None, Fraction | None]] = []
-    discs: dict[tuple[int, int], BerkPoint] = {}
-    for i, keys in enumerate(levels):
-        for at, key in enumerate(keys):
-            if key[1] == i:
-                discs[key] = BerkPoint.disc(finite[i], key[0])
-                parent = discs[keys[at - 1]] if at > 0 else infinity
-                linked.append((discs[key], parent, finite[i]))
-    inputs = []
-    rows = iter(levels)
-    for q in pts:
-        if q.is_inf:
-            inputs.append((infinity, None, None))
-        else:
-            keys = next(rows)  # z_i lies in every disc of row i
-            inputs.append((BerkPoint.classical(q), discs[keys[-1]] if keys else infinity, q.z))
-    linked = inputs + linked
+        row = [int_val(a * dens[j] - nums[j] * d, p) - o - od[j] for j in range(i)]
+        s = max(row)
+        links.append((s, i, row.index(s)))
+    links.sort(reverse=True)
 
-    def sort_key(item):
-        w = item[0]
-        if w.is_classical:
-            return (0, 0) if w.pt.is_inf else (2, 0)
-        return (1, w.radius_ord)
+    # the finite inputs first, then each disc as it is made
+    vertices = [BerkPoint.classical(q) for q in pts if not q.is_inf]
+    up: list[int | None] = [None] * n  # parent vertex of each vertex
+    root = list(range(n))  # union-find over input indices
+    top = list(range(n))  # a cluster's top vertex, at its root
 
-    # deepest first: classical finite points, then discs by descending t
-    linked.sort(key=sort_key, reverse=True)
-    edges = tuple(TreeEdge(v, u, c) for v, u, c in linked if u is not None)
-    if len(linked) - len(edges) != 1:
+    def find(i: int) -> int:
+        while root[i] != i:
+            root[i] = i = root[root[i]]
+        return i
+
+    for s, level in groupby(links, key=itemgetter(0)):
+        merged = set()  # roots, before this level, of the clusters it touches
+        for _, i, j in level:
+            ri, rj = find(i), find(j)
+            merged.update((ri, rj))
+            root[max(ri, rj)] = min(ri, rj)
+        children: dict[int, list[int]] = {}
+        for r in sorted(merged):  # a new root is its cluster's least old one
+            children.setdefault(find(r), []).append(top[r])
+        for r, below in children.items():
+            top[r] = len(vertices)
+            vertices.append(BerkPoint.disc(finite[r], s))
+            up.append(None)
+            for c in below:
+                up[c] = top[r]
+    if n < len(pts):  # infinity is an input
+        up[top[0]] = len(vertices)
+        vertices.append(BerkPoint.classical(INF_POINT))
+        up.append(None)
+    edges = tuple(
+        TreeEdge(w, vertices[u], w.pt.z if w.is_classical else w.center)
+        for w, u in zip(vertices, up)
+        if u is not None
+    )
+    if len(vertices) - len(edges) != 1:
         raise InternalInvariantError("hull is not a single tree")
-    return FiniteTree(tuple(v for v, _, _ in linked), edges)
+    return FiniteTree(tuple(vertices), edges)
 
 
 # ---------------------------------------------------------------------------

@@ -270,9 +270,16 @@ _INTEGER = re.compile(r"\s*[+-]?\d+\s*", re.ASCII)
 _MAX_DIGITS = 4300
 
 
+# characters that a terminal or ``str.splitlines`` may take as a line break
+# or a control sequence
+_CONTROL = re.compile("[\x00-\x1f\x7f-\x9f\u2028\u2029]")
+
+
 def _clip(text: str) -> str:
-    """Echoed input, cut to its first 40 characters."""
-    return text if len(text) <= 40 else text[:40] + "..."
+    """Echoed input, cut to its first 40 characters, with each control
+    character escaped as ``repr`` writes it, so a message stays one line."""
+    text = text if len(text) <= 40 else text[:40] + "..."
+    return _CONTROL.sub(lambda c: repr(c[0])[1:-1], text)
 
 
 def parse_fraction(s: str) -> Fraction:

@@ -15,8 +15,9 @@ compare and rendering that the ``Decimal`` enclosure of ``ppow_compare``
 and ``ppow_decimal`` replaced, and ``ppow_normalize`` as it was before
 its one-term classes skipped the summation.
 
-Valuations here are the Fraction ``ref_vord`` and ``ref_spherical_ord``,
-independent of the program's integer kernels.  The brute-force
+Valuations here are the Fraction ``ref_vord`` and ``ref_spherical_ord``
+(and rp, ``ref_rp_ord``, on the latter), independent of the program's
+integer kernels.  The brute-force
 reconstruction uses only classical evaluation, exact valuations and disc
 joins; it never touches Taylor shifts, seminorm envelopes, or the
 candidate-center minimization it is meant to check.
@@ -109,6 +110,14 @@ def ref_spherical_ord(p: int, x: ProjPoint, y: ProjPoint) -> Fraction | None:
         if z != 0:
             s -= min(Fraction(0), ref_vord(z, p))
     return s
+
+
+def ref_rp_ord(m: RationalMap) -> Fraction:
+    """rp as the largest ``ref_spherical_ord`` over every zero/pole pair."""
+    ff = m.require_factored()
+    return max(
+        ref_spherical_ord(m.p, alpha, beta) for alpha, _ in ff.zeros for beta, _ in ff.poles
+    )
 
 
 def _point_directions(points, a: Fraction, t: int, p: int) -> set[int]:

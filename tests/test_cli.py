@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 from time import process_time
 
-from berklip.cli import main
+from berklip.cli import MAX_INPUT_BYTES, main
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
 
@@ -219,6 +219,46 @@ def test_oversized_json_and_option_integers(tmp_path, capsys):
         assert captured.out == "" and len(lines) == 1, (expected, captured.err[:200])
         assert lines[0].startswith("error: ") and expected in lines[0], lines[0][:200]
         assert len(lines[0].encode()) < limit and "..." in lines[0], (expected, lines[0][:200])
+
+
+def _one_line_error(capsys, args, code: int) -> str:
+    """Run ``args``; expect ``code``, no stdout and one stderr line."""
+    assert main(args) == code, args
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 1, captured.err[:200]
+    assert lines[0].startswith("error: ") and len(lines[0].encode()) < 120, lines[0][:200]
+    return lines[0]
+
+
+def test_input_that_is_not_text_or_too_large(tmp_path, capsys):
+    """A map file that is not UTF-8 is a parse error, and one past the size
+    cap exits 6 after reading at most one byte more than the cap; each
+    prints one line.  The large files are sparse, so nothing fills the
+    disk, and a file at the cap is still read (as bad JSON here)."""
+    path = tmp_path / "map.json"
+    path.write_bytes(b"\xff\xfe{\x00}\x00")
+    line = _one_line_error(capsys, ["invariants", "--input", str(path)], 1)
+    assert "is not UTF-8 text" in line
+    with open(path, "wb") as f:
+        f.truncate(MAX_INPUT_BYTES + 1)
+    line = _one_line_error(capsys, ["invariants", "--input", str(path)], 6)
+    assert line.startswith("error: resource limit: ") and f"more than {MAX_INPUT_BYTES}" in line
+    with open(path, "wb") as f:
+        f.truncate(MAX_INPUT_BYTES)
+    assert "invalid JSON in " in _one_line_error(capsys, ["invariants", "--input", str(path)], 1)
+
+
+def test_echoed_control_characters_stay_on_one_line(tmp_path, capsys, monkeypatch):
+    """A path with a newline, missing or holding bad JSON, is echoed with
+    the newline escaped: one stderr line, exit 1."""
+    monkeypatch.chdir(tmp_path)
+    name = "x\ny"
+    line = _one_line_error(capsys, ["invariants", "--input", name], 1)
+    assert line.startswith("error: cannot read x\\ny: ")
+    (tmp_path / name).write_text("{")
+    line = _one_line_error(capsys, ["sample", "--input", name], 1)
+    assert line.startswith("error: invalid JSON in x\\ny: ")
 
 
 def test_non_list_blocks_are_parse_errors(tmp_path, capsys):

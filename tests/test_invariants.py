@@ -37,6 +37,7 @@ from oracles import (
     ref_gauss_fiber_zero_set,
     ref_gpr_scan,
     ref_hull,
+    ref_rp_ord,
     ref_sub,
     ref_zero_set,
 )
@@ -63,6 +64,28 @@ def test_rp_examples():
     p = 5
     m = from_factored(p, 25, [(pt(0), 3)], [(pt(5), 1), (pt(10), 1), (pt(15), 1)])
     assert rp_ord(m) == Ord.of(1)
+
+
+def test_rp_matches_reference():
+    """rp_ord, one valuation per zero/pole pair, equals the largest Fraction
+    spherical ord over the pairs: on the acceptance corpus, on seeded
+    ladder-type maps, and with infinity as a zero and as a pole, a zero at
+    0, and zeros and poles of negative ord."""
+    maps = acceptance_corpus()
+    rng = DetRng(1717)
+    maps += [random_ladder_map(rng, p, d) for p in (2, 3, 5, 7) for d in (1, 2, 5, 12)]
+    for p in (2, 3, 5):
+        q = Fraction(1, p)
+        for zeros, poles in (
+            ([(pt(0), 2)], [(INF_POINT, 1), (pt(q), 1)]),
+            ([(INF_POINT, 2)], [(pt(0), 1), (pt(q**3), 1)]),
+            ([(INF_POINT, 1), (pt(1 + p), 1)], [(pt(q**2), 1), (pt(-(q**2)), 1)]),
+            ([(pt(q), 1), (pt(2 * q**2), 1)], [(pt(q + 1), 1), (pt(3 * q**2 + q), 1)]),
+            ([(pt(0), 1), (pt(p**3), 1)], [(pt(p**2), 1), (pt(q**4), 1)]),
+        ):
+            maps.append(from_factored(p, Fraction(p, 7), zeros, poles))
+    for m in maps:
+        assert rp_ord(m) == Ord.of(ref_rp_ord(m)), m
 
 
 def test_hull_star_example():
@@ -131,6 +154,26 @@ def test_hull_matches_reference():
         ]
         for pts in cases:
             assert hull(p, pts) == ref_hull(p, pts), (p, pts)
+    # clusters that merge at one level into a vertex with three or more
+    # children; discs of one level in disjoint branches, whose order is
+    # by lowest index and not by when a link first reaches them; a deep
+    # cluster whose lowest index comes late in the input
+    for p in (3, 5, 7):
+        star = [pt(r + p * u) for u in (0, 1, p) for r in range(p)]
+        twins = [pt(2), pt(1), pt(2 + p), pt(1 + p), pt(2 + p * p), pt(1 + p * p)]
+        deep = [pt(1 + p**6 * u) for u in (1, 2, p + 1)] + [pt(1 + p**4), pt(1)]
+        spread = [pt(Fraction(u, p)) for u in range(1, 7) if u % p]
+        for pts in (
+            star,
+            star + [pt(Fraction(1, p)), INF_POINT],
+            twins,
+            twins[::-1] + [INF_POINT],
+            spread + deep,
+            [INF_POINT] + spread + twins + deep[::-1],
+        ):
+            assert hull(p, pts) == ref_hull(p, pts), (p, pts)
+        children = [e.upper for e in hull(p, star).edges]
+        assert max(children.count(v) for v in children) >= 3
 
 
 def test_hull_makes_no_berk_equal_call(count_calls):
