@@ -1,14 +1,15 @@
 """Dense univariate polynomial kernels.
 
 Coefficient lists are ascending: c[i] is the coefficient of z^i.  ``mul``
-and ``eval_at`` build and evaluate maps in exact rationals.  The two hot
-kernels work on integers: ``taylor_shift`` receives the integer
+and ``eval_at`` compose and evaluate maps in exact rationals.  The two
+hot kernels work on integers: ``taylor_shift`` receives the integer
 numerators of a map cleared of denominators (see ``berk.Shift``, which
-reads every seminorm valuation from them), and the resultant valuation,
-ord_p of the Sylvester determinant, eliminates over Z/p^N.  It runs once
-per map, at construction, where it is the coprimality test (two forms
-share a root in P1 exactly when that determinant vanishes) and its value
-is kept as the map's ``res``.
+reads every seminorm valuation from them), and the resultant valuation
+eliminates over Z/p^N on the d x d Bezout matrix of the two forms, whose
+determinant is the resultant up to sign.  It runs once per map, at
+construction, where it is the coprimality test (two forms share a root
+in P1 exactly when that determinant vanishes) and its value is kept as
+the map's ``res``.
 """
 
 from __future__ import annotations
@@ -73,15 +74,40 @@ def _integral_form(p: int, c: Poly) -> tuple[list[int], int] | None:
     return ints, k - int_val(den, p)
 
 
-def _precision_cap(p: int, fi: list[int], gi: list[int], d: int) -> int:
-    """An N with p^N above Hadamard's bound on |det| of the integer
-    Sylvester matrix, so a nonzero determinant has ord_p below N.
+def _precision_cap(p: int, rows: list[list[int]]) -> int:
+    """An N with p^N above Hadamard's bound on |det| of the integer matrix
+    ``rows``, so a nonzero determinant has ord_p below N.
 
-    The squared bound has at most ``bits`` bits, and log2 p is bounded
-    below by (bitlen(p^16) - 1) / 16, all in integers.
+    |det|^2 <= prod ||row||^2 < 2^bits with bits the sum of the bit
+    lengths of the squared row norms, and log2 p is bounded below by
+    (bitlen(p^16) - 1) / 16, all in integers.
     """
-    bits = d * (sum(x * x for x in fi).bit_length() + sum(x * x for x in gi).bit_length())
+    bits = sum(sum(x * x for x in row).bit_length() for row in rows)
     return -(-bits * 16 // (2 * ((p**16).bit_length() - 1)))
+
+
+def _bezout_rows(fi: list[int], gi: list[int]) -> list[list[int]]:
+    """The d x d Bezout matrix of two ascending coefficient lists of
+    length d+1: B[0][j] = c(j+1, 0) and B[i][j] = c(j+1, i) + B[i-1][j+1]
+    (B[i-1][d] = 0), with c(a, b) = F_a G_b - F_b G_a.
+
+    These are the coefficients of (F(x)G(y) - F(y)G(x)) / (x - y) =
+    sum B[i][j] x^i y^j: the numerator is the sum over a > b of c(a, b)
+    (x^a y^b - x^b y^a), and (x^a y^b - x^b y^a) / (x - y) is the sum of
+    x^(b+k) y^(a-1-k) for 0 <= k < a - b.  Unrolled, the recurrence sums
+    c(j+1+k, i-k) over every k with both indices in range; the terms with
+    j+1+k <= i-k cancel in pairs (k and i-j-1-k), since c(a, b) = -c(b, a)
+    and c(a, a) = 0.
+    """
+    d = len(fi) - 1
+    rows = [[fi[j + 1] * gi[0] - fi[0] * gi[j + 1] for j in range(d)]]
+    for i in range(1, d):
+        prev, fii, gii = rows[-1], fi[i], gi[i]
+        rows.append(
+            [fi[j + 1] * gii - fii * gi[j + 1] + prev[j + 1] for j in range(d - 1)]
+            + [fi[d] * gii - fii * gi[d]]
+        )
+    return rows
 
 
 def _unit_position(m: list[list[int]], p: int) -> tuple[int, int] | None:
@@ -128,16 +154,24 @@ def _pivot_ord_sum(rows: list[list[int]], p: int, prec: int) -> int | None:
 
 
 def sylvester_det_ord(p: int, f: Poly, g: Poly, d: int) -> int | None:
-    """ord_p of the 2d x 2d Sylvester determinant of degree-d forms.
+    """ord_p of the resultant Res_(d,d) of degree-d forms, the 2d x 2d
+    Sylvester determinant, taken from the d x d Bezout matrix.
 
     ``f`` and ``g`` are ascending dehomogenized coefficient lists padded to
-    length d+1 (index i holds the X^i Y^(d-i) coefficient).  Each block is
-    scaled to coprime integers, which rescales the determinant by a known
-    p-power tracked in the result; the rest is exact p-adic elimination,
-    starting at a small precision and doubling it while a remaining block
-    vanishes.  Returns None for a vanishing determinant, which happens
-    exactly when the forms share a root in P1, infinity included; that is
-    decided once the precision reaches Hadamard's bound.
+    length d+1 (index i holds the X^i Y^(d-i) coefficient).  Each is
+    scaled to coprime integers, which rescales the resultant by a known
+    p-power tracked in the result.  For two forms of formal degree d,
+    det Bez_d(F, G) = (-1)^(d(d-1)/2) Res_(d,d)(F, G) (Gelfand, Kapranov
+    and Zelevinsky, *Discriminants, Resultants and Multidimensional
+    Determinants*, ch. 12).  Both sides are polynomials in the 2d+2
+    coefficients, so the identity holds at every specialization, a zero
+    leading coefficient (infinity a zero or a pole) included, and the
+    two determinants have the same valuation.  The rest is exact p-adic
+    elimination on the Bezout rows, starting at a small precision and
+    doubling it while a remaining block vanishes.  Returns None for a
+    vanishing resultant, which happens exactly when the forms share a
+    root in P1, infinity included; that is decided once the precision
+    reaches Hadamard's bound on the Bezout rows (``_precision_cap``).
     """
     fc = list(f) + [Fraction(0)] * (d + 1 - len(f))
     gc = list(g) + [Fraction(0)] * (d + 1 - len(g))
@@ -145,12 +179,11 @@ def sylvester_det_ord(p: int, f: Poly, g: Poly, d: int) -> int | None:
     if fa is None or ga is None:
         return None
     (fi, kf), (gi, kg) = fa, ga
-    rows = [[0] * i + fi[::-1] + [0] * (d - 1 - i) for i in range(d)]
-    rows += [[0] * i + gi[::-1] + [0] * (d - 1 - i) for i in range(d)]
+    rows = _bezout_rows(fi, gi)
     prec, cap = max(16, 2 * d), None  # enough for most maps; doubled if not
     while (total := _pivot_ord_sum(rows, p, prec)) is None:
         if cap is None:
-            cap = _precision_cap(p, fi, gi, d)
+            cap = _precision_cap(p, rows)
         if prec >= cap:
             return None
         prec = min(2 * prec, cap)

@@ -4,12 +4,12 @@ A degree-d map is a coprime pair (F, G) of degree-d forms; coefficients
 are stored ascending, list index i holding the X^i Y^(d-i) coefficient,
 so the dehomogenized numerator is f(z) = sum f[i] z^i.  Maps are kept in
 normalized form: integral coefficients with at least one p-unit among
-them.  Each map carries ord_p of its Sylvester resultant, taken from the
-one p-adic elimination its constructor runs, which is also the
-coprimality test; ``resultant_ord`` only reads it.  An optional factored
-form (leading constant, zeros, poles over P1(QQ) with multiplicity)
-unlocks the zero/pole-based invariants; it is derived automatically for
-degree 1, where both points are always rational.
+them.  Each map carries ord_p of its resultant, taken from the one
+p-adic elimination on the Bezout matrix its constructor runs, which is
+also the coprimality test; ``resultant_ord`` only reads it.  An optional
+factored form (leading constant, zeros, poles over P1(QQ) with
+multiplicity) unlocks the zero/pole-based invariants; it is derived
+automatically for degree 1, where both points are always rational.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 from .errors import DegenerateMapError, FactoredFormRequiredError
 from .polynomials import mul, trim
-from .projective import INF_POINT, ProjPoint, _num_den, _sph_pair_ord, _vord
+from .projective import INF_POINT, ProjPoint, _num_den, _vord
 from .valued import Ord, int_val
 from . import polynomials as poly
 
@@ -51,19 +51,14 @@ class FactoredForm(NamedTuple):
     zeros: tuple[tuple[ProjPoint, int], ...]
     poles: tuple[tuple[ProjPoint, int], ...]
 
-    def zero_points(self) -> list[ProjPoint]:
-        return [pt for pt, m in self.zeros for _ in range(m)]
-
-    def pole_points(self) -> list[ProjPoint]:
-        return [pt for pt, m in self.poles for _ in range(m)]
-
 
 class RationalMap(NamedTuple):
     """A normalized map.  Instances come from the constructors of this
     module (``from_coeffs``, ``from_factored``, ``pre_compose`` and
-    ``post_compose``), each of which runs the Sylvester elimination once
-    and normalizes once, so no reader does either again.  ``res_ord`` is ord_p of the Sylvester resultant of the
-    stored pair (f, g)."""
+    ``post_compose``), each of which runs the resultant elimination (on
+    the d x d Bezout matrix) once and normalizes once, so no reader does
+    either again.  ``res_ord`` is ord_p of the resultant of the stored
+    pair (f, g)."""
 
     p: int
     d: int
@@ -88,7 +83,7 @@ def _build(
 ) -> RationalMap:
     """The normalized map of a raw pair, with its resultant valuation.
 
-    The Sylvester elimination runs once, on the raw pair: it rejects a
+    The resultant elimination runs once, on the raw pair: it rejects a
     pair whose forms share a root in P1, infinity included (exactly the
     pairs whose determinant vanishes, an all-zero form among them), and
     its value is kept.  A degree-1 map without zero/pole data gets the
@@ -163,7 +158,10 @@ def from_factored(p: int, c, zeros, poles) -> RationalMap:
 
     ``zeros`` and ``poles`` are (ProjPoint, multiplicity) pairs; a missing
     balance of multiplicity is assigned to infinity.  A point shared
-    between the two lists is rejected.
+    between the two lists is rejected.  Each side is expanded in integers:
+    with every finite root a/b in lowest terms, lead * prod(z - a/b) =
+    (lead / prod b) * prod(b z - a), and the ``Fraction``s are built once,
+    from the integer product and that scale.
     """
     c = Fraction(c)
     if c == 0:
@@ -197,16 +195,17 @@ def from_factored(p: int, c, zeros, poles) -> RationalMap:
         raise DegenerateMapError("degenerate map")
 
     def _expand(fin: dict, lead: Fraction) -> list:
-        out = [lead]
+        out, den = [1], 1
         for root, mult in fin.items():
+            a, b = root.numerator, root.denominator
+            den *= b**mult
             for _ in range(mult):
-                out = mul(out, [-root, Fraction(1)])
-        return out
+                out = [b * x - a * y for x, y in zip([0] + out, out + [0])]
+        scale = lead / den
+        return [scale * x for x in out + [0] * (d + 1 - len(out))]
 
     f = _expand(zf, c)
     g = _expand(pf, Fraction(1))
-    f = f + [Fraction(0)] * (d + 1 - len(f))
-    g = g + [Fraction(0)] * (d + 1 - len(g))
 
     def _pairs(fin: dict, inf_mult: int):
         out = [(ProjPoint.of(z), m) for z, m in fin.items()]
@@ -223,8 +222,8 @@ def from_factored(p: int, c, zeros, poles) -> RationalMap:
 
 
 def resultant_ord(m: RationalMap) -> Ord:
-    """ord_p of the Sylvester resultant of the normalized pair, as its
-    constructor computed it."""
+    """ord_p of the resultant of the normalized pair, as its constructor
+    computed it."""
     return Ord.of(m.res_ord)
 
 
@@ -235,18 +234,25 @@ def _content_ord(p: int, coeffs) -> int:
 
 def resultant_ord_product(m: RationalMap) -> Ord:
     """Resultant valuation from the factorization: d*(ord C0 + ord C1) plus
-    the sum of spherical distances over all zero/pole pairs."""
+    the sum of spherical distances over all zero/pole pairs, each counted
+    with the product of its multiplicities.
+
+    Each point is read as its pair (num, den) of coprime integers, (1, 0)
+    for infinity, so min(ord num, ord den) = 0 and the spherical distance
+    of a pair is ord(u_n v_d - v_n u_d) (the proof is at
+    ``invariants.rp_ord``): one valuation per distinct pair.
+    """
     ff = m.require_factored()
     p = m.p
     total = m.d * (_content_ord(p, m.f) + _content_ord(p, m.g))
-    poles = [_num_den(beta) for beta in ff.pole_points()]
-    for alpha in ff.zero_points():
+    poles = [(*_num_den(beta), k) for beta, k in ff.poles]
+    for alpha, j in ff.zeros:
         un, ud = _num_den(alpha)
-        for vn, vd in poles:
-            s = _sph_pair_ord(p, un, ud, vn, vd)
-            if s is None:
+        for vn, vd, k in poles:
+            det = un * vd - vn * ud
+            if not det:
                 raise DegenerateMapError("a zero is also a pole")
-            total += s
+            total += j * k * int_val(det, p)
     return Ord.of(total)
 
 

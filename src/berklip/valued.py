@@ -133,7 +133,8 @@ def int_val(n: int, p: int) -> int:
     If r = 0, :func:`_val_by_squaring` strips the powers of P from n / P,
     and one more word remainder of what is left gives the rest.  Cost: one
     digit-sized remainder of n for v < k, and O(log v) big divisions
-    beyond.  For p of a digit or more, k = 1 and P = p.
+    beyond.  For p of a digit or more, k = 1 and P = p.  Raises
+    ``ValueError`` for n = 0, checked only once r = 0.
     """
     try:
         k, pk = _WORDS[p]
@@ -142,6 +143,8 @@ def int_val(n: int, p: int) -> int:
     r = n % pk
     v = 0
     if not r:
+        if not n:
+            raise ValueError("the valuation of 0 is infinite")
         w, n = _val_by_squaring(n // pk, pk)
         v = k * (w + 1)
         r = n % pk

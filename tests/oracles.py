@@ -8,16 +8,21 @@ PWLinear arithmetic by sampled alignment with the envelopes, the Gauss
 fiber with the unscreened gpr scan on it, and the radial profile.  The
 last section keeps the helpers that only the tests use (directions, rho,
 the diameter seen from infinity, homogeneous coordinates, ppow_add, the
-record accessors ``is_disc``, ``value_ord_at``, ``dehomogenized`` and
-``choice``, and ``ord_p``, ``seminorm`` on the integer shift kernel,
-``mobius_from_matrix`` and ``berk_point_from_json``), the bisection
+record accessors ``is_disc``, ``value_ord_at``, ``dehomogenized``,
+``with_multiplicity`` and ``choice``, and ``ord_p``, ``seminorm`` on the
+integer shift kernel, ``mobius_from_matrix`` and
+``berk_point_from_json``), the bisection
 compare and rendering that the ``Decimal`` enclosure of ``ppow_compare``
 and ``ppow_decimal`` replaced, and ``ppow_normalize`` as it was before
 its one-term classes skipped the summation.
 
 Valuations here are the Fraction ``ref_vord`` and ``ref_spherical_ord``
-(and rp, ``ref_rp_ord``, on the latter), independent of the program's
-integer kernels.  The brute-force
+(and rp, ``ref_rp_ord``, and the product formula for the resultant,
+``ref_resultant_ord_product``, on the latter), independent of the
+program's integer kernels.  Next to them sit the ``Fraction`` expansion
+of a factored form (``ref_expand``) and the Sylvester matrix with an
+exact determinant (``ref_sylvester_rows``, ``ref_det``), against which
+the integer expansion and the Bezout kernel are checked.  The brute-force
 reconstruction uses only classical evaluation, exact valuations and disc
 joins; it never touches Taylor shifts, seminorm envelopes, or the
 candidate-center minimization it is meant to check.
@@ -63,6 +68,7 @@ from berklip.berk import (
 from berklip.errors import InternalInvariantError, ParseError
 from berklip.invariants import GprResult, hull
 from berklip.piecewise import PWLinear
+from berklip.polynomials import mul
 from berklip.projective import INF_POINT, ProjPoint, _vord, spherical_ord
 from berklip.ratmap import RationalMap, _int_coeff_pair, _mat, eval_proj, from_coeffs
 from berklip.sampling import DetRng, random_unit_fraction
@@ -118,6 +124,58 @@ def ref_rp_ord(m: RationalMap) -> Fraction:
     return max(
         ref_spherical_ord(m.p, alpha, beta) for alpha, _ in ff.zeros for beta, _ in ff.poles
     )
+
+
+def ref_resultant_ord_product(m: RationalMap) -> Fraction:
+    """The product formula, d (ord C0 + ord C1) plus ``ref_spherical_ord``
+    summed over every zero/pole pair, repeated by multiplicity."""
+    ff = m.require_factored()
+    total = m.d * sum(min(ref_vord(c, m.p) for c in form if c) for form in (m.f, m.g))
+    for alpha in with_multiplicity(ff.zeros):
+        for beta in with_multiplicity(ff.poles):
+            total += ref_spherical_ord(m.p, alpha, beta)
+    return total
+
+
+def ref_expand(ff, d: int) -> tuple[list[Fraction], list[Fraction]]:
+    """The raw pair of a factored form, multiplied out in ``Fraction``s one
+    linear factor (z - root) at a time: C times the finite zeros' product
+    and 1 times the finite poles', each padded to length d+1."""
+
+    def expand(points, lead):
+        out = [Fraction(lead)]
+        for pt, mult in points:
+            if not pt.is_inf:
+                for _ in range(mult):
+                    out = mul(out, [-pt.z, Fraction(1)])
+        return out + [Fraction(0)] * (d + 1 - len(out))
+
+    return expand(ff.zeros, ff.c), expand(ff.poles, 1)
+
+
+def ref_sylvester_rows(f: list[int], g: list[int]) -> list[list[int]]:
+    """The 2d x 2d Sylvester matrix of two ascending coefficient lists of
+    length d+1: d shifted rows of f's descending coefficients, then g's."""
+    d = len(f) - 1
+    return [[0] * i + c[::-1] + [0] * (d - 1 - i) for c in (f, g) for i in range(d)]
+
+
+def ref_det(rows: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination with row swaps; every division is exact."""
+    m = [list(row) for row in rows]
+    n, sign, prev = len(m), 1, 1
+    for k in range(n - 1):
+        r = next((i for i in range(k, n) if m[i][k]), None)
+        if r is None:
+            return 0
+        if r != k:
+            m[k], m[r], sign = m[r], m[k], -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1]
 
 
 def _point_directions(points, a: Fraction, t: int, p: int) -> set[int]:
@@ -774,6 +832,12 @@ def ref_radial_profile(m: RationalMap, center, t_min, events: set | None = None)
 # ---------------------------------------------------------------------------
 # test-only helpers, and the bisection compare and rendering of p-power sums
 # ---------------------------------------------------------------------------
+
+
+def with_multiplicity(pairs) -> list[ProjPoint]:
+    """The points of a ``FactoredForm`` side, each repeated by its
+    multiplicity."""
+    return [pt for pt, m in pairs for _ in range(m)]
 
 
 def is_disc(x: BerkPoint) -> bool:

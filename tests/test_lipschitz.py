@@ -41,6 +41,7 @@ from oracles import (
     ref_sample_ratios,
     ref_spherical_ord,
     value_ord_at,
+    with_multiplicity,
 )
 
 
@@ -408,7 +409,7 @@ def test_growth_bound_along_profiles():
         except DegenerateMapError:
             continue
         ff = m.factored
-        zeros_pts = ff.zero_points()
+        zeros_pts = with_multiplicity(ff.zeros)
         b_ord = rp_ord(m).frac
         x = BerkPoint.disc(0, b_ord)
         img = push_forward(m, x)
@@ -416,7 +417,7 @@ def test_growth_bound_along_profiles():
         n = sum(1 for z in zeros_pts if not z.is_inf and in_open_disc(p, z.z, b_ord))
         mm = sum(
             1
-            for q in ff.pole_points()
+            for q in with_multiplicity(ff.poles)
             if not q.is_inf and pole_in_annulus(p, q.z, b_ord)
         )
         gir = gir_minors(m).frac

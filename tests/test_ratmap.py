@@ -23,8 +23,22 @@ from berklip.ratmap import (
 )
 from berklip.sampling import DetRng, random_rational
 from berklip.valued import Ord
-from corpus import random_factored_map, random_mobius, random_unimodular
-from oracles import mobius_from_matrix, ord_p
+from berklip.serialize import MAX_DEGREE
+from corpus import (
+    acceptance_corpus,
+    random_factored_map,
+    random_ladder_map,
+    random_mobius,
+    random_unimodular,
+)
+from oracles import (
+    mobius_from_matrix,
+    ord_p,
+    ref_det,
+    ref_expand,
+    ref_resultant_ord_product,
+    ref_sylvester_rows,
+)
 
 
 def pt(x):
@@ -393,6 +407,109 @@ def test_resultant_degree_40_and_twin():
     assert res == resultant_ord_product(m)
     twin = post_compose(((Fraction(2), Fraction(1)), (Fraction(1), Fraction(1))), m)
     assert resultant_ord(twin) == res
+
+
+def _int_poly(lead, roots, d):
+    """Ascending integer coefficients of lead * prod(b z - a) over the
+    roots (a, b), padded with zeros to length d+1."""
+    out = [lead]
+    for a, b in roots:
+        out = [b * x - a * y for x, y in zip([0] + out, out + [0])]
+    return out + [0] * (d + 1 - len(out))
+
+
+def test_bezout_determinant_is_signed_sylvester():
+    """det Bez_d(F, G) = (-1)^(d(d-1)/2) Res_(d,d)(F, G) exactly, at formal
+    degree d: with a leading coefficient dropped on either side or both
+    (infinity a zero or a pole, or a shared root at infinity), and with a
+    shared finite root, where both determinants are 0."""
+    rng = DetRng(1729)
+    zero = nonzero = 0
+    for i in range(320):
+        d = 1 + i % 8
+        case = i // 8 % 5
+        if case == 4:  # a shared finite root a/b
+            a, b = rng.randint(-9, 9), rng.randint(1, 9)
+            f = _int_poly(rng.randint(1, 9), [(a, b)] + [
+                (rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(d - 1)], d)
+            g = _int_poly(-rng.randint(1, 9), [(a, b)] + [
+                (rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(rng.randint(0, d - 1))], d)
+        else:
+            f = [rng.randint(-9, 9) * 3 ** rng.randint(0, 2) for _ in range(d + 1)]
+            g = [rng.randint(-9, 9) * 3 ** rng.randint(0, 2) for _ in range(d + 1)]
+            if case in (1, 3):
+                f[d] = 0
+            if case in (2, 3):
+                g[d] = 0
+        bez = ref_det(polynomials._bezout_rows(f, g))
+        syl = ref_det(ref_sylvester_rows(f, g))
+        assert bez == (-1) ** (d * (d - 1) // 2) * syl, (f, g)
+        if case >= 3:
+            assert syl == 0, (f, g)
+        zero += syl == 0
+        nonzero += syl != 0
+    assert zero >= 128 and nonzero >= 150
+
+
+def test_kernel_matches_product_formula_on_ladder_maps():
+    """The Bezout kernel against the product formula on ladder-type maps
+    (d distinct finite zeros and d distinct finite poles) of degree up to
+    40, above the sizes of the corpus tests, at every small p."""
+    for d in (10, 20, 30, 40):
+        for p in (2, 3, 5, 7):
+            m = random_ladder_map(DetRng(100 * d + p), p, d)
+            res = polynomials.sylvester_det_ord(p, list(m.f), list(m.g), d)
+            assert res == m.res_ord == resultant_ord_product(m).frac, (d, p)
+
+
+def test_resultant_at_the_degree_cap():
+    """A factored map of the largest degree a map file may have."""
+    m = random_ladder_map(DetRng(MAX_DEGREE), 3, MAX_DEGREE)
+    assert m.d == MAX_DEGREE
+    assert m.res_ord == resultant_ord_product(m).frac
+
+
+def _factored_maps():
+    """The acceptance corpus, ladder-type maps, maps with multiplicities,
+    and maps with infinity as a zero and as a pole, p in the denominators
+    and negative roots."""
+    rng = DetRng(4242)
+    maps = acceptance_corpus()
+    maps += [random_ladder_map(DetRng(d), p, d) for d in (5, 10, 20) for p in (2, 3, 5)]
+    maps += [random_factored_map(rng, (2, 3, 5, 7)[i % 4], dmax=6, multiplicities=True)
+             for i in range(40)]
+    maps += [
+        from_factored(3, Fraction(2, 27), [(INF_POINT, 2), (pt(Fraction(1, 3)), 1)],
+                      [(pt(-6), 2), (pt(Fraction(5, 9)), 1)]),
+        from_factored(5, Fraction(-25, 3), [(pt(-2), 3)],
+                      [(INF_POINT, 1), (pt(Fraction(-7, 25)), 2)]),
+        from_factored(2, 4, [(pt(0), 1), (pt(Fraction(-3, 8)), 2)], [(pt(Fraction(1, 2)), 1)]),
+        from_factored(7, Fraction(1, 49), [(pt(Fraction(-1, 7)), 2)], [(pt(49), 1)]),
+        from_factored(3, Fraction(-4, 9), [(pt(Fraction(-5, 27)), 2), (pt(Fraction(1, 3)), 1)],
+                      [(pt(Fraction(-2, 9)), 1)]),
+        from_factored(5, Fraction(3, 7), [(pt(Fraction(-1, 5)), 1)],
+                      [(pt(Fraction(-3, 125)), 2), (pt(-10), 1)]),
+    ]
+    assert any(pt.is_inf for m in maps for pt, _ in m.factored.zeros)
+    assert any(pt.is_inf for m in maps for pt, _ in m.factored.poles)
+    return maps
+
+
+def test_resultant_product_matches_spherical_reference():
+    """One valuation per zero/pole pair, weighted by multiplicities, gives
+    the sum of spherical distances over all pairs."""
+    for m in _factored_maps():
+        assert resultant_ord_product(m).frac == ref_resultant_ord_product(m), m
+
+
+def test_integer_expansion_matches_fraction_reference():
+    """``from_factored`` expands in integers and gives the pair of the
+    ``Fraction`` expansion, normalized, coefficient for coefficient."""
+    for m in _factored_maps():
+        f, g = ref_expand(m.factored, m.d)
+        ref = normalize(RationalMap(m.p, m.d, tuple(f), tuple(g), 0))
+        assert (m.f, m.g) == (ref.f, ref.g), m
+        assert all(type(c) is Fraction for c in m.f + m.g), m
 
 
 def test_gir_equals_pushforward_on_corpus():

@@ -75,6 +75,14 @@ def test_int_val_at_the_word_boundary(p):
             assert int_val(n, p) == int_val(-n, p) == v, (p, v, u)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 2**31 - 1])
+def test_int_val_of_zero_raises(p):
+    """0 has no finite valuation: the kernel raises instead of stripping
+    powers of p from 0 without end."""
+    with pytest.raises(ValueError):
+        int_val(0, p)
+
+
 @pytest.mark.parametrize("bits", [15, 30])
 def test_word_power_fits_one_digit(bits):
     for p in (2, 3, 5, 7, 97, 181, 32749, 32771, 2**31 - 1, 2**61 - 1):
