@@ -22,12 +22,15 @@ is a minimum over lines and only a strictly larger value replaces the
 best one, so a candidate is abandoned at its first line that is no larger
 than the best so far.
 
-Every seminorm is read from one integer kernel, :class:`Shift`: the map's
-coefficients are cleared of denominators once, the shift to a center u/v
-runs on integer numerators, and each valuation is ord_p of an integer plus
-a multiple of ord_p v.  The pushforward and the radial profiles only
+Every seminorm is read from one integer kernel, :class:`Shift`: the shift
+to a center u/v runs on the map's integer pair (F, G), kept on the map
+since its construction, and each valuation is ord_p of an integer plus a
+multiple of ord_p v.  The pushforward and the radial profiles only
 compare seminorms of one shift with each other, so the offset shared by
-all its coefficients is never needed.
+all its coefficients is never needed.  The candidate centers are the
+unreduced ratios qf[j]/qg[j]: the seminorms of f - w g read from (wn, wd)
+do not change when both are scaled by a common factor, so only the
+winning center is reduced, when the image disc is built.
 """
 
 from __future__ import annotations
@@ -37,10 +40,9 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import DegenerateMapError, InternalInvariantError
-from .polynomials import taylor_shift, trim
+from .polynomials import hom_eval, taylor_shift, trim
 from .projective import INF_POINT, ProjPoint, _vord
-from .ratmap import _int_coeff_pair
-from .valued import ORD_INF, Ord, PPowerSum, format_fraction, int_val, ppow_normalize
+from .valued import ORD_INF, Ord, PPowerSum, _ords, format_fraction, int_val, ppow_normalize
 
 __all__ = [
     "BerkPoint",
@@ -211,15 +213,13 @@ def d_metric(p: int, x: BerkPoint, y: BerkPoint) -> PPowerSum:
 def _shift_ints(c: list[int], u: int, v: int) -> list[int]:
     """Integer numerators q of c(z + u/v): coefficient j of the shift is
     q[j] * v^(j-d), d = len(c) - 1."""
-    d = len(c) - 1
     if v != 1:
-        c = [x * v ** (d - i) for i, x in enumerate(c)]
+        scaled, vpow = [], 1
+        for x in reversed(c):
+            scaled.append(x * vpow)
+            vpow *= v
+        c = scaled[::-1]
     return taylor_shift(c, u)
-
-
-def _ords(p: int, q: list[int]) -> list[int | None]:
-    """ord_p of each integer, None for 0."""
-    return [int_val(x, p) if x else None for x in q]
 
 
 def _lines(ords, ov: int) -> list[tuple[int, int]]:
@@ -241,7 +241,7 @@ def _semi_num(lines, tn: int, td: int) -> int:
 class Shift(NamedTuple):
     """A map's pair (f, g) Taylor-shifted to a center u/v, kept as integers.
 
-    With (F, G) the coefficients cleared by one common factor D, coefficient
+    With (F, G) the map's integer pair over its denominator D, coefficient
     j of f(z + u/v) is qf[j] * v^(j-d) / D, of ord
     ord qf[j] + j*ord v - (d*ord v + ord D); likewise for g.  Every reader
     compares seminorms of the same shift, so the common offset in brackets
@@ -308,10 +308,18 @@ class Shift(NamedTuple):
         return out
 
     def candidates(self) -> list[tuple[int, int]]:
-        """Candidate image centers in the closed unit disc, as pairs
-        (num, den) reduced as ``Fraction`` reduces them: the same-index
-        coefficient ratios qf[j]/qg[j] (= f_j/g_j) of ord >= 0 in index
-        order, then 0 unless present.
+        """Candidate image centers in the closed unit disc, as unreduced
+        pairs (num, den) with den > 0: the same-index coefficient ratios
+        qf[j]/qg[j] (= f_j/g_j) of ord >= 0 in index order, a zero ratio
+        as (0, 1), then (0, 1) unless present.  Exact duplicates are
+        dropped, but one ratio may appear in two unreduced forms.
+
+        No gcd is needed.  ``diff_lines`` and ``_diff_semi`` read (wn, wd)
+        through the numerators wd*qf[j] - wn*qg[j] less ord wd, unchanged
+        when (wn, wd) is scaled by a common factor, so both forms of a
+        ratio give the same lines.  A repeated ratio can then never
+        strictly beat the best so far, which is at least its first form's
+        seminorm, and adds nothing to a max of envelopes.
 
         A ratio with ord qf[j] < ord qg[j], that is |w| > 1, is left out,
         which needs no big-integer work: wherever |f|_x <= |g|_x, as in
@@ -323,24 +331,9 @@ class Shift(NamedTuple):
         for x, y, ox, oy in zip(self.qf, self.qg, self.of, self.og):
             if oy is None or (ox is not None and ox < oy):
                 continue
-            if ox is None:
-                out.setdefault((0, 1))
-            else:
-                c = math.gcd(x, y)
-                if y < 0:
-                    c = -c
-                out.setdefault((x // c, y // c))
+            out.setdefault((0, 1) if ox is None else (x, y) if y > 0 else (-x, -y))
         out.setdefault((0, 1))
         return list(out)
-
-
-def _hom_eval(c: list[int], u: int, v: int) -> int:
-    """v^d * c(u/v), d = len(c) - 1, by Horner's rule in integers."""
-    acc, vpow = 0, 1
-    for x in reversed(c):
-        acc = acc * u + x * vpow
-        vpow *= v
-    return acc
 
 
 def _recenter(p: int, den: list[int], a: Fraction, t: Fraction) -> Fraction:
@@ -349,12 +342,12 @@ def _recenter(p: int, den: list[int], a: Fraction, t: Fraction) -> Fraction:
     Candidates a + j * p^ceil(t) stay within the equality class of the
     point; den has at most deg(den) roots so a valid j exists.
     """
-    if _hom_eval(den, a.numerator, a.denominator) != 0:
+    if hom_eval(den, a.numerator, a.denominator) != 0:
         return a
     step = Fraction(p) ** math.ceil(t)
     for j in range(1, len(trim(den)) + 2):
         cand = a + j * step
-        if _hom_eval(den, cand.numerator, cand.denominator) != 0:
+        if hom_eval(den, cand.numerator, cand.denominator) != 0:
             return cand
     raise InternalInvariantError("recentering exhausted candidate offsets")
 
@@ -378,7 +371,7 @@ def push_forward(rmap, x: BerkPoint) -> BerkPoint:
     """
     if x.is_classical:
         raise ValueError("push_forward expects a type II point")
-    f, g = _int_coeff_pair(rmap)
+    f, g = rmap.F, rmap.G
     if not any(f) or not any(g):
         raise DegenerateMapError("degenerate map")
     return _push(rmap.p, f, g, x.center, x.radius_ord, 0)
@@ -421,10 +414,11 @@ def _diff_semi(sh: Shift, w, tn: int, td: int, floor: int | None) -> int | None:
     return low
 
 
-def _push(p: int, f: list[int], g: list[int], a: Fraction, t: Fraction, depth: int,
+def _push(p: int, f: tuple[int, ...], g: tuple[int, ...], a: Fraction, t: Fraction, depth: int,
           sh: Shift | None = None) -> BerkPoint:
     """``sh``, when given, is the swapped shift at ``a`` of the chart-swap
-    recursion; it is kept unless recentering moves the center."""
+    recursion; it is kept unless recentering moves the center.  The
+    winning candidate is reduced here, by ``Fraction``, and no other."""
     moved = _recenter(p, g, a, t)
     if sh is None or moved != a:
         sh = Shift.at(p, f, g, moved)

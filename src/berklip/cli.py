@@ -170,7 +170,7 @@ def _verify_checks(m: RationalMap, cfg: argparse.Namespace):
     def norm_idempotent():
         n1 = normalize(m)
         n2 = normalize(n1)
-        assert n1.f == n2.f and n1.g == n2.g, "normalize not idempotent"
+        assert n1 == n2, "normalize not idempotent"
 
     def gir_push():
         img = push_forward(m, gauss_point())

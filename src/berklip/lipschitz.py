@@ -28,18 +28,13 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .berk import Shift, _hom_eval, iota
+from .berk import Shift, iota
 from .errors import InternalInvariantError
 from .invariants import bundle, gpr  # noqa: F401 (gpr re-exported; read via bundle)
 from .piecewise import PWLinear, lower_envelope
+from .polynomials import hom_eval
 from .projective import INF_POINT, ProjPoint, _sph_pair_ord, _vord
-from .ratmap import (
-    RationalMap,
-    _int_coeff_pair,
-    gir_minors,
-    resultant_ord,
-    resultant_ord_product,
-)
+from .ratmap import RationalMap, gir_minors, resultant_ord, resultant_ord_product
 from .sampling import DetRng, random_point_ints
 from .valued import (
     Ord,
@@ -128,8 +123,8 @@ def mobius_exact(m: RationalMap) -> PPowerSum:
     if m.d != 1:
         raise ValueError("mobius_exact requires degree 1")
     inv = bundle(m)
-    a1, a0 = m.f[1], m.f[0]
-    b1, b0 = m.g[1], m.g[0]
+    (a0, a1), (b0, b1) = m.F, m.G
+    # on the integer pair: the denominator D is prime to p
     det = a1 * b0 - a0 * b1
     ords = [_vord(c, m.p) for c in (a1, a0, b1, b0)]
     min_ord = min(v for v in ords if v is not None)
@@ -215,8 +210,7 @@ def radial_profile(m: RationalMap, center, t_min) -> RadialProfile:
     t_min = Fraction(t_min)
     if t_min < 0:
         raise ValueError("t_min must be >= 0 (radii at most 1)")
-    f, g = _int_coeff_pair(m)
-    sh = Shift.at(p, f, g, center)
+    sh = Shift.at(p, m.F, m.G, center)
     sf = lower_envelope(sh.f_lines(), t_min, None)
     swapped = sf.below_set(lower_envelope(sh.g_lines(), t_min, None))
     pieces = []
@@ -294,7 +288,7 @@ def sample_ratios(m: RationalMap, n: int, seed: int, lip_ord=None):
     if n < 1:
         raise ValueError("n must be >= 1")
     p = m.p
-    fi, gi = _int_coeff_pair(m)
+    fi, gi = m.F, m.G
     d = m.d
     rng_span = range(d, -1, -1)
     max_e = None
@@ -362,13 +356,13 @@ def gpr_witness(m: RationalMap):
     # pairs; inverted, (den, num), with den 0 for infinity
     an, ad = a.numerator, a.denominator
     step = p ** int(t) * ad
-    fi, gi = _int_coeff_pair(m)
+    fi, gi = m.F, m.G
     cands = []
     for u in range(min(p, 97)):
         xn, xd = an + u * step, ad
         if inverted:
             xn, xd = xd, xn
-        cands.append((xn, xd, _hom_eval(fi, xn, xd), _hom_eval(gi, xn, xd)))
+        cands.append((xn, xd, hom_eval(fi, xn, xd), hom_eval(gi, xn, xd)))
     for i, (xn, xd, fx, gx) in enumerate(cands):
         for yn, yd, fy, gy in cands[i + 1:]:
             if _sph_pair_ord(p, xn, xd, yn, yd) != target:

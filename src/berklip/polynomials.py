@@ -1,15 +1,13 @@
 """Dense univariate polynomial kernels.
 
-Coefficient lists are ascending: c[i] is the coefficient of z^i.  ``mul``
-and ``eval_at`` compose and evaluate maps in exact rationals.  The two
-hot kernels work on integers: ``taylor_shift`` receives the integer
-numerators of a map cleared of denominators (see ``berk.Shift``, which
-reads every seminorm valuation from them), and the resultant valuation
-eliminates over Z/p^N on the d x d Bezout matrix of the two forms, whose
-determinant is the resultant up to sign.  It runs once per map, at
-construction, where it is the coprimality test (two forms share a root
-in P1 exactly when that determinant vanishes) and its value is kept as
-the map's ``res``.
+Coefficient lists are ascending: c[i] is the coefficient of z^i.  The
+kernels work on integers: ``hom_eval`` evaluates a form, ``taylor_shift``
+receives a map's integer pair (see ``berk.Shift``, which reads every
+seminorm valuation from it), and the resultant valuation eliminates over
+Z/p^N on the d x d Bezout matrix of the two forms, whose determinant is
+the resultant up to sign.  It runs once per map, at construction, where
+it is the coprimality test (two forms share a root in P1 exactly when
+that determinant vanishes) and its value is kept as the map's ``res``.
 """
 
 from __future__ import annotations
@@ -29,22 +27,13 @@ def trim(c: Poly) -> Poly:
     return c
 
 
-def mul(a: Poly, b: Poly) -> Poly:
-    if not any(a) or not any(b):
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def eval_at(c: Poly, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for coef in reversed(c):
-        acc = acc * x + coef
+def hom_eval(c: list[int], u: int, v: int) -> int:
+    """v^d * c(u/v), d = len(c) - 1, by Horner's rule in integers; (1, 0)
+    gives the leading coefficient, the value at infinity."""
+    acc, vpow = 0, 1
+    for x in reversed(c):
+        acc = acc * u + x * vpow
+        vpow *= v
     return acc
 
 
@@ -52,6 +41,8 @@ def taylor_shift(c: Poly, a) -> Poly:
     """Coefficients of f(z + a), by iterated synthetic division; integer
     coefficients and an integer a stay integers."""
     out = list(c)
+    if not a:
+        return out
     n = len(out)
     for i in range(n - 1):
         for j in range(n - 2, i - 1, -1):

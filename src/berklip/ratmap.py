@@ -1,27 +1,30 @@
 """Rational maps on P1(QQ) as homogeneous coefficient pairs.
 
-A degree-d map is a coprime pair (F, G) of degree-d forms; coefficients
+A degree-d map is a coprime pair (f, g) of degree-d forms; coefficients
 are stored ascending, list index i holding the X^i Y^(d-i) coefficient,
 so the dehomogenized numerator is f(z) = sum f[i] z^i.  Maps are kept in
-normalized form: integral coefficients with at least one p-unit among
-them.  Each map carries ord_p of its resultant, taken from the one
-p-adic elimination on the Bezout matrix its constructor runs, which is
-also the coprimality test; ``resultant_ord`` only reads it.  An optional
-factored form (leading constant, zeros, poles over P1(QQ) with
-multiplicity) unlocks the zero/pole-based invariants; it is derived
-automatically for degree 1, where both points are always rational.
+normalized form, p-integral with at least one p-unit coefficient, as one
+integer pair: f = F / D and g = G / D with D the least common
+denominator, prime to p, so each coefficient ord is its numerator's.
+Every reader takes the integers; ``f`` and ``g`` are views.  Each map
+carries ord_p of its resultant, taken from the one p-adic elimination on
+the Bezout matrix its constructor runs, which is also the coprimality
+test; ``resultant_ord`` only reads it.  An optional factored form
+(leading constant, zeros, poles over P1(QQ) with multiplicity) unlocks
+the zero/pole-based invariants; it is derived automatically for degree
+1, where both points are always rational.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import NamedTuple
 
 from .errors import DegenerateMapError, FactoredFormRequiredError
-from .polynomials import mul, trim
-from .projective import INF_POINT, ProjPoint, _num_den, _vord
-from .valued import Ord, int_val
+from .polynomials import hom_eval, trim
+from .projective import INF_POINT, ProjPoint, _num_den
+from .valued import Ord, _ords, int_val
 from . import polynomials as poly
 
 __all__ = [
@@ -55,17 +58,26 @@ class FactoredForm(NamedTuple):
 class RationalMap(NamedTuple):
     """A normalized map.  Instances come from the constructors of this
     module (``from_coeffs``, ``from_factored``, ``pre_compose`` and
-    ``post_compose``), each of which runs the resultant elimination (on
-    the d x d Bezout matrix) once and normalizes once, so no reader does
-    either again.  ``res_ord`` is ord_p of the resultant of the stored
-    pair (f, g)."""
+    ``post_compose``), each of which builds the integer pair, runs the
+    resultant elimination (on the d x d Bezout matrix) once and
+    normalizes once, so no reader does either again.  ``res_ord`` is
+    ord_p of the resultant of (f, g), and of (F, G) since ord_p D = 0."""
 
     p: int
     d: int
-    f: tuple[Fraction, ...]  # ascending, length d+1
-    g: tuple[Fraction, ...]
+    F: tuple[int, ...]  # ascending, length d+1
+    G: tuple[int, ...]
+    D: int
     res_ord: int
     factored: FactoredForm | None = None
+
+    @property
+    def f(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.D) for x in self.F)
+
+    @property
+    def g(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, self.D) for x in self.G)
 
     def require_factored(self) -> FactoredForm:
         if self.factored is None:
@@ -78,69 +90,67 @@ class RationalMap(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-def _build(
-    p: int, d: int, f: list, g: list, factored: FactoredForm | None = None
-) -> RationalMap:
-    """The normalized map of a raw pair, with its resultant valuation.
+def _cleared(xs: list[Fraction]) -> tuple[int, list[int]]:
+    """(D, D * xs), D the least common denominator of the rationals xs."""
+    D = lcm(*[x.denominator for x in xs])
+    return D, [x.numerator * (D // x.denominator) for x in xs]
 
-    The resultant elimination runs once, on the raw pair: it rejects a
-    pair whose forms share a root in P1, infinity included (exactly the
-    pairs whose determinant vanishes, an all-zero form among them), and
-    its value is kept.  A degree-1 map without zero/pole data gets the
-    data of its coefficients.
+
+def _times_linear(h: list[int], y: int, x: int) -> list[int]:
+    """A form of degree k, ascending, times the linear form xX + yY."""
+    return [y * u + x * v for u, v in zip(h + [0], [0] + h)]
+
+
+def _build(p: int, d: int, F: list[int], G: list[int], D: int, factored=None) -> RationalMap:
+    """The normalized map of the raw pair (F / D, G / D), D > 0, with its
+    resultant valuation.
+
+    The resultant elimination runs once, on (F, G): it rejects a pair
+    whose forms share a root in P1, infinity included (exactly the pairs
+    whose determinant vanishes, an all-zero form among them), and its
+    value, moved by -2d ord D, is kept.  Dividing out the common factor
+    of D and every numerator makes D least.  A degree-1 map without
+    zero/pole data gets the data of its coefficients.
     """
     if d < 1:
         raise DegenerateMapError("degree zero")
-    res = poly.sylvester_det_ord(p, f, g, d)
+    res = poly.sylvester_det_ord(p, F, G, d)
     if res is None:
         raise DegenerateMapError("degenerate map")
+    res -= 2 * d * int_val(D, p)
     if factored is None and d == 1:
-        factored = _mobius_factored(f, g)
-    return normalize(RationalMap(p, d, tuple(f), tuple(g), res, factored))
-
-
-def _int_coeff_pair(m: RationalMap) -> tuple[list[int], list[int]]:
-    """Clear denominators of (f, g) by one common factor, preserving the map."""
-    scale_by = lcm(*[c.denominator for c in m.f + m.g])
-    fi = [c.numerator * (scale_by // c.denominator) for c in m.f]
-    gi = [c.numerator * (scale_by // c.denominator) for c in m.g]
-    return fi, gi
-
-
-def _scaled(coeffs, factor: Fraction):
-    return tuple(c * factor for c in coeffs)
+        factored = _mobius_factored(F, G)
+    c = gcd(D, *F, *G)
+    if c > 1:
+        F, G, D = [x // c for x in F], [x // c for x in G], D // c
+    return normalize(RationalMap(p, d, tuple(F), tuple(G), D, res, factored))
 
 
 def normalize(m: RationalMap) -> RationalMap:
     """Rescale both forms by a p-power so min coefficient ord is 0.
 
-    Scaling both forms by c scales their 2d x 2d Sylvester determinant by
-    c^(2d), so the factor p^(-low) moves ``res_ord`` by -2d*low.
+    With D least, at most one of k = min ord (F, G) and e = ord D is
+    positive; the factor p^(e - k) divides F, G by p^k and D by p^e, and D
+    stays least.  Scaling both forms by c scales their 2d x 2d Sylvester
+    determinant by c^(2d), so ``res_ord`` moves by -2d(k - e).
     """
-    ords = [_vord(c, m.p) for c in m.f + m.g]
-    low = min(v for v in ords if v is not None)
-    if low == 0:
+    p = m.p
+    k = min(int_val(x, p) for x in m.F + m.G if x)
+    e = int_val(m.D, p)
+    if k == e == 0:
         return m
-    factor = Fraction(m.p) ** -low
-    return RationalMap(
-        m.p, m.d, _scaled(m.f, factor), _scaled(m.g, factor),
-        m.res_ord - 2 * m.d * low, m.factored,
-    )
+    pk = p**k
+    F, G = (tuple(x // pk for x in h) for h in (m.F, m.G))
+    return RationalMap(p, m.d, F, G, m.D // p**e, m.res_ord - 2 * m.d * (k - e), m.factored)
 
 
-def _mobius_factored(f, g) -> FactoredForm:
+def _mobius_factored(F, G) -> FactoredForm:
     """Zero/pole data of a degree-1 map, always rational; unchanged by a
-    common rescaling of (f, g)."""
-    a1, a0 = f[1], f[0]
-    b1, b0 = g[1], g[0]
-    zero = ProjPoint.of(-a0 / a1) if a1 != 0 else INF_POINT
-    pole = ProjPoint.of(-b0 / b1) if b1 != 0 else INF_POINT
-    if a1 != 0 and b1 != 0:
-        c = a1 / b1
-    elif a1 != 0:
-        c = a1 / b0
-    else:
-        c = a0 / b1
+    common rescaling of (F, G)."""
+    (a0, a1), (b0, b1) = F, G
+    zero = ProjPoint.of(Fraction(-a0, a1)) if a1 else INF_POINT
+    pole = ProjPoint.of(Fraction(-b0, b1)) if b1 else INF_POINT
+    c = Fraction(a1, b1) if a1 and b1 else Fraction(a1, b0) if a1 else Fraction(a0, b1)
     return FactoredForm(c, ((zero, 1),), ((pole, 1),))
 
 
@@ -150,7 +160,8 @@ def from_coeffs(p: int, f_coeffs, g_coeffs) -> RationalMap:
     g = [Fraction(c) for c in g_coeffs]
     if len(f) != len(g):
         raise DegenerateMapError("coefficient lists must have equal length")
-    return _build(p, len(f) - 1, f, g)
+    D, ints = _cleared(f + g)
+    return _build(p, len(f) - 1, ints[: len(f)], ints[len(f):], D)
 
 
 def from_factored(p: int, c, zeros, poles) -> RationalMap:
@@ -159,9 +170,9 @@ def from_factored(p: int, c, zeros, poles) -> RationalMap:
     ``zeros`` and ``poles`` are (ProjPoint, multiplicity) pairs; a missing
     balance of multiplicity is assigned to infinity.  A point shared
     between the two lists is rejected.  Each side is expanded in integers:
-    with every finite root a/b in lowest terms, lead * prod(z - a/b) =
-    (lead / prod b) * prod(b z - a), and the ``Fraction``s are built once,
-    from the integer product and that scale.
+    with every finite root a/b in lowest terms, prod(z - a/b) =
+    prod(b z - a) / prod b, so with c = n / q the pair is (n B_p P_z,
+    q B_z P_p) over q B_z B_p, P the integer products and B their scales.
     """
     c = Fraction(c)
     if c == 0:
@@ -194,18 +205,19 @@ def from_factored(p: int, c, zeros, poles) -> RationalMap:
     if z_inf > 0 and p_inf > 0:
         raise DegenerateMapError("degenerate map")
 
-    def _expand(fin: dict, lead: Fraction) -> list:
+    def _expand(fin: dict) -> tuple[list[int], int]:
         out, den = [1], 1
         for root, mult in fin.items():
             a, b = root.numerator, root.denominator
             den *= b**mult
             for _ in range(mult):
-                out = [b * x - a * y for x, y in zip([0] + out, out + [0])]
-        scale = lead / den
-        return [scale * x for x in out + [0] * (d + 1 - len(out))]
+                out = _times_linear(out, -a, b)
+        return out + [0] * (d + 1 - len(out)), den
 
-    f = _expand(zf, c)
-    g = _expand(pf, Fraction(1))
+    (pz, bz), (pp, bp) = _expand(zf), _expand(pf)
+    F = [c.numerator * bp * x for x in pz]
+    G = [c.denominator * bz * x for x in pp]
+    D = c.denominator * bz * bp
 
     def _pairs(fin: dict, inf_mult: int):
         out = [(ProjPoint.of(z), m) for z, m in fin.items()]
@@ -213,7 +225,7 @@ def from_factored(p: int, c, zeros, poles) -> RationalMap:
             out.append((INF_POINT, inf_mult))
         return tuple(out)
 
-    return _build(p, d, f, g, FactoredForm(c, _pairs(zf, z_inf), _pairs(pf, p_inf)))
+    return _build(p, d, F, G, D, FactoredForm(c, _pairs(zf, z_inf), _pairs(pf, p_inf)))
 
 
 # ---------------------------------------------------------------------------
@@ -227,24 +239,20 @@ def resultant_ord(m: RationalMap) -> Ord:
     return Ord.of(m.res_ord)
 
 
-def _content_ord(p: int, coeffs) -> int:
-    vs = [_vord(c, p) for c in coeffs]
-    return min(v for v in vs if v is not None)
-
-
 def resultant_ord_product(m: RationalMap) -> Ord:
     """Resultant valuation from the factorization: d*(ord C0 + ord C1) plus
     the sum of spherical distances over all zero/pole pairs, each counted
     with the product of its multiplicities.
 
-    Each point is read as its pair (num, den) of coprime integers, (1, 0)
-    for infinity, so min(ord num, ord den) = 0 and the spherical distance
-    of a pair is ord(u_n v_d - v_n u_d) (the proof is at
+    C0 and C1 are the contents of the two forms, of ord that of F and G
+    since ord D = 0.  Each point is read as its pair (num, den) of coprime
+    integers, (1, 0) for infinity, so min(ord num, ord den) = 0 and the
+    spherical distance of a pair is ord(u_n v_d - v_n u_d) (the proof is at
     ``invariants.rp_ord``): one valuation per distinct pair.
     """
     ff = m.require_factored()
     p = m.p
-    total = m.d * (_content_ord(p, m.f) + _content_ord(p, m.g))
+    total = m.d * sum(min(o for o in _ords(p, form) if o is not None) for form in (m.F, m.G))
     poles = [(*_num_den(beta), k) for beta, k in ff.poles]
     for alpha, j in ff.zeros:
         un, ud = _num_den(alpha)
@@ -260,38 +268,43 @@ def gir_minors(m: RationalMap) -> Ord:
     """Gauss image radius from 2x2 coefficient minors: the image of the
     Gauss point has diameter max_{i != j} |f_i g_j - f_j g_i|.
 
-    The minors are formed on the integer pair (F, G) = D (f, g), so each
-    is D^2 times the map's: ord(f_i g_j - f_j g_i) = ord(F_i G_j - F_j G_i)
-    - 2 ord D, and ord D = ord F_k - ord f_k for any f_k != 0.
+    The minors of (F, G) have the same ords, as ord D = 0.  Each is first
+    decided by the ords of its two products: where ord F_i + ord G_j and
+    ord F_j + ord G_i differ (a zero product has none) the minor's ord is
+    the smaller, and where they tie at o it is o or more.  So only tied
+    minors with o below the least ord so far are multiplied out, lowest
+    o first.
     """
     p = m.p
-    f, g = _int_coeff_pair(m)
-    best = None
-    n = m.d + 1
-    for i in range(n):
-        fi, gi = f[i], g[i]
-        for j in range(i + 1, n):
-            det = fi * g[j] - f[j] * gi
-            if det:
-                v = int_val(det, p)
-                if best is None or v < best:
-                    best = v
+    F, G = m.F, m.G
+    of, og = _ords(p, F), _ords(p, G)
+    best, tied = None, []
+    for i, (ofi, ogi) in enumerate(zip(of, og)):
+        for j in range(i + 1, m.d + 1):
+            a = None if ofi is None or og[j] is None else ofi + og[j]
+            b = None if of[j] is None or ogi is None else of[j] + ogi
+            if a == b:
+                if a is not None:
+                    tied.append((a, i, j))
+            else:
+                v = b if a is None else a if b is None else min(a, b)
+                best = v if best is None else min(best, v)
+    for o, i, j in sorted(tied):
+        if best is not None and o >= best:
+            break
+        if det := F[i] * G[j] - F[j] * G[i]:
+            v = int_val(det, p)
+            best = v if best is None else min(best, v)
     if best is None:
         raise DegenerateMapError("degenerate map")
-    k = next(i for i, c in enumerate(m.f) if c)
-    return Ord.of(best - 2 * (int_val(f[k], p) - _vord(m.f[k], p)))
+    return Ord.of(best)
 
 
 def eval_proj(m: RationalMap, pt: ProjPoint) -> ProjPoint:
     """Evaluate the map at a classical point (exact, infinity-aware)."""
-    if pt.is_inf:
-        num, den = m.f[m.d], m.g[m.d]
-    else:
-        num = poly.eval_at(list(m.f), pt.z)
-        den = poly.eval_at(list(m.g), pt.z)
-    if den == 0:
-        return INF_POINT
-    return ProjPoint.of(num / den)
+    u, v = (1, 0) if pt.is_inf else (pt.z.numerator, pt.z.denominator)
+    den = hom_eval(m.G, u, v)
+    return ProjPoint.of(Fraction(hom_eval(m.F, u, v), den)) if den else INF_POINT
 
 
 # ---------------------------------------------------------------------------
@@ -321,54 +334,45 @@ def mobius_apply(entries, pt: ProjPoint) -> ProjPoint:
     return ProjPoint.of(num / den)
 
 
-def _mat_inverse(entries) -> Matrix2:
-    ((a, b), (c, d)) = _mat(entries)
-    return ((d, -b), (-c, a))
-
-
 def pre_compose(m: RationalMap, entries) -> RationalMap:
-    """The map z -> phi(gamma(z)); zero/pole data transports by gamma^(-1)."""
-    mat = _mat(entries)
-    ((a, b), (c, d)) = mat
-    # substitute (X, Y) -> (aX + bY, cX + dY) in each degree-d form
-    top = [Fraction(b), Fraction(a)]  # ascending linear form aX + bY
-    bot = [Fraction(d), Fraction(c)]
+    """The map z -> phi(gamma(z)); zero/pole data transports by gamma^(-1).
+
+    With lam gamma = ((a, b), (c, e)) integral, the forms become
+    sum F_i T^i B^(d-i), T = aX + bY and B = cX + eY, over D lam^d: by
+    Horner's rule in T, with the powers of B shared by both forms.
+    """
+    lam, (a, b, c, e) = _cleared([x for row in _mat(entries) for x in row])
+    n = m.d
+    bpow = [[1]]
+    for _ in range(n):
+        bpow.append(_times_linear(bpow[-1], e, c))
 
     def subst(coeffs):
-        out = [Fraction(0)] * (m.d + 1)
-        for i, coef in enumerate(coeffs):
-            if coef == 0:
-                continue
-            term = [Fraction(1)]
-            for _ in range(i):
-                term = mul(term, top)
-            for _ in range(m.d - i):
-                term = mul(term, bot)
-            for j, t in enumerate(term):
-                out[j] += coef * t
-        return out
+        acc = [coeffs[n]]
+        for i in range(n - 1, -1, -1):
+            acc = _times_linear(acc, b, a)
+            if coeffs[i]:
+                acc = [u + coeffs[i] * v for u, v in zip(acc, bpow[n - i])]
+        return acc
 
-    f2 = subst(m.f)
-    g2 = subst(m.g)
+    F2, G2 = subst(m.F), subst(m.G)
     ff = None
     if m.factored is not None:
-        # gamma is invertible, so f2 and g2 are nonzero like f and g
-        inv = _mat_inverse(mat)
-        zeros = tuple(
-            (mobius_apply(inv, pt), mult) for pt, mult in m.factored.zeros
+        # gamma is invertible, so F2 and G2 are nonzero like F and G; its
+        # adjugate, a multiple of the inverse, transports the points
+        inv = ((e, -b), (-c, a))
+        zeros, poles = (
+            tuple((mobius_apply(inv, pt), k) for pt, k in side)
+            for side in (m.factored.zeros, m.factored.poles)
         )
-        poles = tuple(
-            (mobius_apply(inv, pt), mult) for pt, mult in m.factored.poles
-        )
-        ff = FactoredForm(trim(f2)[-1] / trim(g2)[-1], zeros, poles)
-    return _build(m.p, m.d, f2, g2, ff)
+        ff = FactoredForm(Fraction(trim(F2)[-1], trim(G2)[-1]), zeros, poles)
+    return _build(m.p, n, F2, G2, m.D * lam**n, ff)
 
 
 def post_compose(entries, m: RationalMap) -> RationalMap:
     """The map z -> gamma(phi(z)); zeros and poles move off QQ in general,
     so no factored form is attached."""
-    ((a, b), (c, d)) = _mat(entries)
-    f2 = [a * fi + b * gi for fi, gi in zip(m.f, m.g)]
-    g2 = [c * fi + d * gi for fi, gi in zip(m.f, m.g)]
-    return _build(m.p, m.d, f2, g2)
-
+    lam, (a, b, c, e) = _cleared([x for row in _mat(entries) for x in row])
+    F2 = [a * x + b * y for x, y in zip(m.F, m.G)]
+    G2 = [c * x + e * y for x, y in zip(m.F, m.G)]
+    return _build(m.p, m.d, F2, G2, m.D * lam)

@@ -154,6 +154,11 @@ def int_val(n: int, p: int) -> int:
     return v
 
 
+def _ords(p: int, q) -> list[int | None]:
+    """ord_p of each integer, None for 0."""
+    return [int_val(x, p) if x else None for x in q]
+
+
 def _val_by_squaring(n: int, b: int) -> tuple[int, int]:
     """(w, n / b^w) for a nonzero n, with b^w the largest power of b that
     divides n: divides by b, b^2, b^4, ... while they divide, then strips

@@ -68,9 +68,15 @@ from berklip.berk import (
 from berklip.errors import InternalInvariantError, ParseError
 from berklip.invariants import GprResult, hull
 from berklip.piecewise import PWLinear
-from berklip.polynomials import mul
 from berklip.projective import INF_POINT, ProjPoint, _vord, spherical_ord
-from berklip.ratmap import RationalMap, _int_coeff_pair, _mat, eval_proj, from_coeffs
+from berklip.ratmap import (
+    FactoredForm,
+    RationalMap,
+    _mat,
+    eval_proj,
+    from_coeffs,
+    mobius_apply,
+)
 from berklip.sampling import DetRng, random_unit_fraction
 from berklip.valued import (
     ORD_INF,
@@ -151,6 +157,73 @@ def ref_expand(ff, d: int) -> tuple[list[Fraction], list[Fraction]]:
         return out + [Fraction(0)] * (d + 1 - len(out))
 
     return expand(ff.zeros, ff.c), expand(ff.poles, 1)
+
+
+def mul(a, b) -> list[Fraction]:
+    """The product of two ascending coefficient lists, in ``Fraction``s."""
+    if not any(a) or not any(b):
+        return []
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def ref_normalized(p: int, f, g) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """The pair (f, g) in ``Fraction``s, scaled by the p-power that makes
+    its least coefficient ord 0."""
+    low = min(ref_vord(c, p) for c in list(f) + list(g) if c)
+    scale = Fraction(p) ** -low
+    return tuple(Fraction(c) * scale for c in f), tuple(Fraction(c) * scale for c in g)
+
+
+def ref_gir_minors(m: RationalMap) -> Fraction:
+    """min ord_p of the 2x2 minors f_i g_j - f_j g_i over every i < j,
+    each one multiplied out in ``Fraction``s."""
+    f, g = m.f, m.g
+    return min(
+        ref_vord(f[i] * g[j] - f[j] * g[i], m.p)
+        for i in range(m.d + 1)
+        for j in range(i + 1, m.d + 1)
+        if f[i] * g[j] != f[j] * g[i]
+    )
+
+
+def ref_pre_compose(m: RationalMap, entries) -> RationalMap:
+    """``pre_compose`` by substitution in ``Fraction``s: (X, Y) -> (aX + bY,
+    cX + dY) in each form, one power of each linear form at a time, the
+    result built by ``from_coeffs`` with the zero/pole data transported by
+    gamma^(-1)."""
+    ((a, b), (c, d)) = _mat(entries)
+    top = [b, a]  # ascending linear form aX + bY
+    bot = [d, c]
+
+    def subst(coeffs):
+        out = [Fraction(0)] * (m.d + 1)
+        for i, coef in enumerate(coeffs):
+            if coef == 0:
+                continue
+            term = [Fraction(1)]
+            for _ in range(i):
+                term = mul(term, top)
+            for _ in range(m.d - i):
+                term = mul(term, bot)
+            for j, t in enumerate(term):
+                out[j] += coef * t
+        return out
+
+    f2, g2 = subst(m.f), subst(m.g)
+    built = from_coeffs(m.p, f2, g2)
+    if m.factored is None:
+        return built
+    inv = ((d, -b), (-c, a))
+    ff = FactoredForm(
+        [x for x in f2 if x][-1] / [x for x in g2 if x][-1],
+        tuple((mobius_apply(inv, pt), k) for pt, k in m.factored.zeros),
+        tuple((mobius_apply(inv, pt), k) for pt, k in m.factored.poles),
+    )
+    return built._replace(factored=ff)
 
 
 def ref_sylvester_rows(f: list[int], g: list[int]) -> list[list[int]]:
@@ -649,7 +722,7 @@ def ref_gpr_scan(m: RationalMap, points):
     recorded, lower t first, and every distinct point is re-verified
     through the pushforward, as ``gpr`` records its points."""
     p = m.p
-    f, g = _int_coeff_pair(m)
+    f, g = m.F, m.G
     best = None
     found = []
     for edge in hull(p, points).edges:
@@ -806,7 +879,7 @@ def ref_radial_profile(m: RationalMap, center, t_min, events: set | None = None)
 
     p = m.p
     center, t_min = Fraction(center), Fraction(t_min)
-    f, g = _int_coeff_pair(m)
+    f, g = m.F, m.G
     sh = Shift.at(p, f, g, center)
     sf = ref_lower_envelope(sh.f_lines(), t_min, None)
     sigma = ref_sub(sf, ref_lower_envelope(sh.g_lines(), t_min, None))

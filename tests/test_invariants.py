@@ -28,7 +28,7 @@ from berklip.invariants import (
 from berklip.piecewise import lower_envelope
 from berklip.polynomials import taylor_shift
 from berklip.projective import INF_POINT, ProjPoint
-from berklip.ratmap import _int_coeff_pair, from_coeffs, from_factored, gir_minors
+from berklip.ratmap import from_coeffs, from_factored, gir_minors
 from berklip.sampling import DetRng, random_rational
 from berklip.valued import Ord
 from corpus import acceptance_corpus, random_factored_map, random_ladder_map, random_mobius
@@ -304,7 +304,7 @@ def test_screen_agrees_with_w0_equality_set():
         seen["deg1"] += m.d == 1
         seen["inf_zero"] += any(q.is_inf for q, _ in ff.zeros)
         seen["inf_pole"] += any(q.is_inf for q, _ in ff.poles)
-        fi, gi = _int_coeff_pair(m)
+        fi, gi = m.F, m.G
         edges = _zero_pole_hull(m).edges
         for e, (k, s) in zip(edges, _ord_phi_lines(p, ff, edges)):
             lo, hi = e.t_range()
@@ -336,7 +336,7 @@ def test_point_decision_matches_reference_fiber():
     seen = {"sloped": 0, "pole_center": 0}
     for m in maps:
         p, ff = m.p, m.factored
-        fi, gi = _int_coeff_pair(m)
+        fi, gi = m.F, m.G
         edges = _zero_pole_hull(m).edges
         for e, (k, s) in zip(edges, _ord_phi_lines(p, ff, edges)):
             lo, hi = e.t_range()

@@ -8,7 +8,7 @@ from berklip.berk import Shift
 from berklip.invariants import _fiber_points, _ord_phi_lines, hull
 from berklip.piecewise import lower_envelope
 from berklip.projective import INF_POINT, ProjPoint
-from berklip.ratmap import _int_coeff_pair, from_factored
+from berklip.ratmap import from_factored
 from berklip.sampling import DetRng
 from corpus import random_factored_map, random_ladder_map
 from oracles import (
@@ -214,7 +214,7 @@ def test_gauss_fiber_matches_reference_on_every_hull_edge():
     for m in _fiber_maps(DetRng(6064)):
         p, ff = m.p, m.factored
         tree = hull(p, [q for q, _ in ff.zeros] + [q for q, _ in ff.poles])
-        f, g = _int_coeff_pair(m)
+        f, g = m.F, m.G
         lines = _ord_phi_lines(p, ff, tree.edges)
         for edge, ts, line in zip(tree.edges, _fiber_points(p, ff, tree.edges), lines):
             want = ref_gauss_fiber_zero_set(Shift.at(p, f, g, edge.center), *edge.t_range())

@@ -33,9 +33,11 @@ from corpus import (
 )
 from oracles import (
     mobius_from_matrix,
+    mul,
     ord_p,
     ref_det,
     ref_expand,
+    ref_normalized,
     ref_resultant_ord_product,
     ref_sylvester_rows,
 )
@@ -74,14 +76,15 @@ def test_implied_infinity_padding():
 def test_normalize_examples():
     """Rescaling both forms by p^(-low) moves ord Res by -2d*low."""
     p = 3
-    # F = X^2, G = Y^2 / 9: Res = 9^-2; after scaling by 9, Res = 9^2
-    m = RationalMap(p, 2, (Fraction(0), Fraction(0), Fraction(1)), (Fraction(1, 9), Fraction(0), Fraction(0)), -4)
+    # f = X^2, g = Y^2 / 9, stored as (F, G) / D with D = 9: Res = 9^-2;
+    # after scaling by 9, Res = 9^2
+    m = RationalMap(p, 2, (0, 0, 9), (1, 0, 0), 9, -4)
     n = normalize(m)
     assert n.f == (Fraction(0), Fraction(0), Fraction(9))
     assert n.g == (Fraction(1), Fraction(0), Fraction(0))
     assert n.res_ord == 4 == polynomials.sylvester_det_ord(p, list(n.f), list(n.g), 2)
     assert normalize(n) == n
-    m = RationalMap(p, 1, (Fraction(0), Fraction(3)), (Fraction(3), Fraction(0)), 2)
+    m = RationalMap(p, 1, (0, 3), (3, 0), 1, 2)
     n = normalize(m)
     assert n.f == (Fraction(0), Fraction(1)) and n.g == (Fraction(1), Fraction(0))
     assert n.res_ord == 0
@@ -295,7 +298,7 @@ def test_gir_examples():
 def _poly_from_roots(lead, roots):
     out = [Fraction(lead)]
     for r in roots:
-        out = polynomials.mul(out, [-Fraction(r), Fraction(1)])
+        out = mul(out, [-Fraction(r), Fraction(1)])
     return out
 
 
@@ -507,8 +510,7 @@ def test_integer_expansion_matches_fraction_reference():
     ``Fraction`` expansion, normalized, coefficient for coefficient."""
     for m in _factored_maps():
         f, g = ref_expand(m.factored, m.d)
-        ref = normalize(RationalMap(m.p, m.d, tuple(f), tuple(g), 0))
-        assert (m.f, m.g) == (ref.f, ref.g), m
+        assert (m.f, m.g) == ref_normalized(m.p, f, g), m
         assert all(type(c) is Fraction for c in m.f + m.g), m
 
 

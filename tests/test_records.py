@@ -45,9 +45,8 @@ def _records():
             None,
         ),
         (
-            RationalMap(3, 1, (Fraction(-1, 2), Fraction(1)), (Fraction(1), Fraction(0)), 0, ff),
-            "RationalMap(p=3, d=1, f=(Fraction(-1, 2), Fraction(1, 1)), "
-            "g=(Fraction(1, 1), Fraction(0, 1)), res_ord=0, factored=FactoredForm("
+            RationalMap(3, 1, (-1, 2), (2, 0), 2, 0, ff),
+            "RationalMap(p=3, d=1, F=(-1, 2), G=(2, 0), D=2, res_ord=0, factored=FactoredForm("
             "c=Fraction(1, 1), zeros=((ProjPoint(1/2), 1),), poles=((ProjPoint(inf), 1),)))",
             None,
         ),
