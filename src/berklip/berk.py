@@ -20,7 +20,8 @@ the chart used, |f|_x <= |g|_x, so a ratio w with |w| > 1 gives
 the candidate 0: such ratios are not built.  The seminorm of f - w g at x
 is a minimum over lines and only a strictly larger value replaces the
 best one, so a candidate is abandoned at its first line that is no larger
-than the best so far.
+than the best so far.  The lines are read from two tables, those of f and
+of g at the radius, built once per pushforward (see ``_push``).
 
 Every seminorm is read from one integer kernel, :class:`Shift`: the shift
 to a center u/v runs on the map's integer pair (F, G), kept on the map
@@ -28,9 +29,18 @@ since its construction, and each valuation is ord_p of an integer plus a
 multiple of ord_p v.  The pushforward and the radial profiles only
 compare seminorms of one shift with each other, so the offset shared by
 all its coefficients is never needed.  The candidate centers are the
-unreduced ratios qf[j]/qg[j]: the seminorms of f - w g read from (wn, wd)
-do not change when both are scaled by a common factor, so only the
-winning center is reduced, when the image disc is built.
+unreduced ratios qf[j]/qg[j], each carried with the ords of its numerator
+and denominator, which the shift already holds: the seminorms of f - w g
+read from (wn, wd) do not change when both are scaled by a common factor,
+so only the winning center is reduced, when the image disc is built.
+
+Line j of f - w g, less ord wd, is the ord of wd*qf[j] - wn*qg[j] less
+ord wd: its two terms have ords ord qf[j] and ord qg[j] + delta, with
+delta = ord wn - ord wd.  Where these differ the line is the smaller one
+exactly, since ord(X - Y) = min(ord X, ord Y) whenever ord X != ord Y
+(the ultrametric inequality is an equality then); only where they tie is
+the numerator subtracted and valued (``Shift._tie_ord``).  So a candidate
+costs no valuation of its own, and one integer product only on a tie.
 """
 
 from __future__ import annotations
@@ -229,15 +239,6 @@ def _lines(ords, ov: int) -> list[tuple[int, int]]:
     return [(j, o + j * ov) for j, o in enumerate(ords) if o is not None]
 
 
-def _semi_num(lines, tn: int, td: int) -> int:
-    """td * min_j (o_j + j*t) over seminorm lines (j, o_j) at t = tn/td:
-    the Gauss seminorm exponent at radius p^(-t), scaled by td to stay an
-    integer."""
-    if not lines:
-        raise ValueError("seminorm of the zero polynomial")
-    return min(o * td + j * tn for j, o in lines)
-
-
 class Shift(NamedTuple):
     """A map's pair (f, g) Taylor-shifted to a center u/v, kept as integers.
 
@@ -270,55 +271,49 @@ class Shift(NamedTuple):
     def g_lines(self) -> list[tuple[int, int]]:
         return _lines(self.og, self.ov)
 
-    def _diff_ords(self, wn: int, owd: int):
-        """(j, o, exact) for each coefficient j of f - w*g whose numerator
-        wd*qf[j] - wn*qg[j] can be nonzero, w = wn/wd, owd = ord_p wd.
+    def _tie_ord(self, c, j: int) -> int | None:
+        """The tie rule: ord_p of the numerator wd*qf[j] - wn*qg[j] less
+        ord wd, None when it is 0, for a candidate record c whose two terms
+        have the same ord at j (see the module docstring)."""
+        wn, wd, _, owd = c
+        x = wd * self.qf[j] - wn * self.qg[j]
+        return int_val(x, self.p) - owd if x else None
 
-        This is the one rule for the ord of such a numerator: where its two
-        terms have different ords it is the smaller one (exact), and where
-        both have ord o it is o or more and the terms must be subtracted.
-        """
-        own = int_val(wn, self.p) if wn else None
-        for j, (ox, oy) in enumerate(zip(self.of, self.og)):
-            ox = None if ox is None else ox + owd  # ord of wd*qf[j]
-            oy = None if oy is None or own is None else oy + own  # ord of wn*qg[j]
-            if ox is None:
-                if oy is not None:
-                    yield j, oy, True
-            elif oy is None or ox != oy:
-                yield j, ox if oy is None else min(ox, oy), True
-            else:
-                yield j, ox, False
-
-    def diff_lines(self, w) -> list[tuple[int, int]]:
-        """Seminorm lines of f - w*g on the offset of f and g, w = wn/wd
-        given as the pair (wn, wd), from the numerators wd*qf[j] - wn*qg[j];
-        empty when f = w*g.  Only the terms of equal ord are subtracted."""
-        p, ov, qf, qg = self.p, self.ov, self.qf, self.qg
-        wn, wd = w
-        owd = int_val(wd, p)
+    def diff_lines(self, c) -> list[tuple[int, int]]:
+        """Seminorm lines (j, o) of f - w*g on the offset of f and g less
+        ord wd, for a candidate record c = (wn, wd, ord wn, ord wd) of
+        w = wn/wd (see ``candidates``); empty when f = w*g.  Line j is
+        min(ord qf[j], ord qg[j] + delta) + j*ord v, delta = ord wn - ord
+        wd, where the two differ, and ``_tie_ord`` where they tie."""
+        ov = self.ov
+        own, owd = c[2], c[3]
+        delta = None if own is None else own - owd
         out = []
-        for j, o, exact in self._diff_ords(wn, owd):
-            if not exact:
-                c = wd * qf[j] - wn * qg[j]
-                if not c:
-                    continue
-                o = int_val(c, p)
-            out.append((j, o + j * ov - owd))
+        for j, (x, y) in enumerate(zip(self.of, self.og)):
+            if y is not None and delta is not None:
+                y += delta
+                if x is None or y < x:
+                    x = y
+                elif x == y:
+                    x = self._tie_ord(c, j)
+            if x is not None:
+                out.append((j, x + j * ov))
         return out
 
-    def candidates(self) -> list[tuple[int, int]]:
-        """Candidate image centers in the closed unit disc, as unreduced
-        pairs (num, den) with den > 0: the same-index coefficient ratios
-        qf[j]/qg[j] (= f_j/g_j) of ord >= 0 in index order, a zero ratio
-        as (0, 1), then (0, 1) unless present.  Exact duplicates are
-        dropped, but one ratio may appear in two unreduced forms.
+    def candidates(self) -> list[tuple[int, int, int | None, int]]:
+        """Candidate image centers in the closed unit disc, as records
+        (wn, wd, ord wn, ord wd) of unreduced pairs with wd > 0: the
+        same-index coefficient ratios qf[j]/qg[j] (= f_j/g_j) of ord >= 0
+        in index order with the ords ``of[j]``, ``og[j]`` the shift holds,
+        a zero ratio as (0, 1, None, 0), then (0, 1, None, 0) unless
+        present.  Exact duplicates are dropped, but one ratio may appear in
+        two unreduced forms.
 
-        No gcd is needed.  ``diff_lines`` and ``_diff_semi`` read (wn, wd)
-        through the numerators wd*qf[j] - wn*qg[j] less ord wd, unchanged
-        when (wn, wd) is scaled by a common factor, so both forms of a
-        ratio give the same lines.  A repeated ratio can then never
-        strictly beat the best so far, which is at least its first form's
+        No gcd is needed.  The lines of f - w g are read through the
+        numerators wd*qf[j] - wn*qg[j] less ord wd, unchanged when
+        (wn, wd) is scaled by a common factor, so both forms of a ratio
+        give the same lines.  A repeated ratio can then never strictly
+        beat the best so far, which is at least its first form's
         seminorm, and adds nothing to a max of envelopes.
 
         A ratio with ord qf[j] < ord qg[j], that is |w| > 1, is left out,
@@ -327,12 +322,13 @@ class Shift(NamedTuple):
         a w has |f - w g|_x = |w| |g|_x > |f|_x, so the candidate 0 is
         strictly better and w is never a maximizer (see ``push_forward``).
         """
+        zero = (0, 1, None, 0)
         out = {}
         for x, y, ox, oy in zip(self.qf, self.qg, self.of, self.og):
             if oy is None or (ox is not None and ox < oy):
                 continue
-            out.setdefault((0, 1) if ox is None else (x, y) if y > 0 else (-x, -y))
-        out.setdefault((0, 1))
+            out.setdefault(zero if ox is None else (x, y, ox, oy) if y > 0 else (-x, -y, ox, oy))
+        out.setdefault(zero)
         return list(out)
 
 
@@ -365,9 +361,11 @@ def push_forward(rmap, x: BerkPoint) -> BerkPoint:
       ord w + s(g) < s(g) <= s(f) = s(f - 0 g), and 0 is always a candidate;
     * s(f - w g) at x is a minimum over lines, and only a strictly larger
       value replaces the best so far, so a candidate is dropped as soon as
-      one of its lines is <= the best value; the lines whose terms have
-      different ords come first, and an equal-ord line whose lower bound
-      is no smaller than the minimum so far is not subtracted.
+      one of its lines is <= the best value.  The best starts just below
+      s(f), the value of the candidate 0, which no smaller value can beat.
+      The lines whose terms have different ords are read first, from the
+      line tables, and a tied line whose lower bound is no smaller than
+      the minimum so far is not subtracted (see ``_push``).
     """
     if x.is_classical:
         raise ValueError("push_forward expects a type II point")
@@ -377,62 +375,75 @@ def push_forward(rmap, x: BerkPoint) -> BerkPoint:
     return _push(rmap.p, f, g, x.center, x.radius_ord, 0)
 
 
-def _diff_semi(sh: Shift, w, tn: int, td: int, floor: int | None) -> int | None:
-    """td * s(f - w g) at t = tn/td, the minimum over ``sh.diff_lines(w)``
-    of o*td + j*tn, when it exceeds ``floor``; None as soon as one line is
-    <= floor.  The lines whose ord needs no subtraction come first."""
-    p = sh.p
-    wn, wd = w
-    owd = int_val(wd, p)
-    # td times the line of coefficient j at t is o*td + j*k + base, o the
-    # ord of its numerator
-    k, base = sh.ov * td + tn, -owd * td
-    low = None
-    tied = []
-    for j, o, exact in sh._diff_ords(wn, owd):
-        if not exact:
-            tied.append((j, o))
-            continue
-        v = o * td + j * k + base
-        if floor is not None and v <= floor:
-            return None
-        if low is None or v < low:
-            low = v
-    for j, o in tied:
-        if low is not None and o * td + j * k + base >= low:
-            continue  # the ord of the numerator is o or more
-        c = wd * sh.qf[j] - wn * sh.qg[j]
-        if not c:
-            continue
-        v = int_val(c, p) * td + j * k + base
-        if floor is not None and v <= floor:
-            return None
-        if low is None or v < low:
-            low = v
-    if low is None:
-        raise DegenerateMapError("degenerate map")
-    return low
-
-
 def _push(p: int, f: tuple[int, ...], g: tuple[int, ...], a: Fraction, t: Fraction, depth: int,
           sh: Shift | None = None) -> BerkPoint:
     """``sh``, when given, is the swapped shift at ``a`` of the chart-swap
     recursion; it is kept unless recentering moves the center.  The
-    winning candidate is reduced here, by ``Fraction``, and no other."""
+    winning candidate is reduced here, by ``Fraction``, and no other.
+
+    With k = ord v * td + tn at t = tn/td, the line tables A_j = ord qf[j]
+    * td + j*k and B_j = ord qg[j] * td + j*k are td times the lines of f
+    and g at t up to the shift's offset, built once: s(f) = min A and
+    s(g) = min B.  A candidate record (wn, wd, ord wn, ord wd) with
+    delta = (ord wn - ord wd) * td reads line j of f - w g, less ord wd,
+    as min(A_j, B_j + delta) wherever A_j != B_j + delta: the two terms
+    wd*qf[j] and wn*qg[j] have different ords there, and the ord of their
+    difference is the smaller one.  Only on a tie is the numerator
+    wd*qf[j] - wn*qg[j] valued (``Shift._tie_ord``).  The candidate 0 is
+    s(f) itself."""
     moved = _recenter(p, g, a, t)
     if sh is None or moved != a:
         sh = Shift.at(p, f, g, moved)
     tn, td = t.numerator, t.denominator
-    sg = _semi_num(sh.g_lines(), tn, td)
-    if _semi_num(sh.f_lines(), tn, td) < sg:
+    k = sh.ov * td + tn
+    fa = [None if o is None else o * td + j * k for j, o in enumerate(sh.of)]
+    gb = [None if o is None else o * td + j * k for j, o in enumerate(sh.og)]
+    sf = min(x for x in fa if x is not None)
+    sg = min(y for y in gb if y is not None)
+    if sf < sg:
         # image exceeds the unit disc: compute 1/phi and invert back
         if depth > 0:
             raise InternalInvariantError("chart swap did not stabilize")
         return iota(p, _push(p, g, f, moved, t, depth + 1, sh.swapped()))
-    best_s = None
+    rows = [(j, x, y) for j, (x, y) in enumerate(zip(fa, gb)) if x is not None or y is not None]
+    # s(f) = s(f - 0 g) is a candidate's value, so one below it never wins
+    best = sf - 1
     best_w = None
-    for w in sh.candidates():
-        s = _diff_semi(sh, w, tn, td, best_s)
-        if s is not None:
-            best_s, best_w = s, w
-    return BerkPoint.disc(Fraction(*best_w), Fraction(best_s - sg, td))
+    for c in sh.candidates():
+        wn, wd, own, owd = c
+        if own is None:
+            if sf > best:
+                best, best_w = sf, (wn, wd)
+            continue
+        delta = (own - owd) * td
+        low = None
+        tied = []
+        for j, x, y in rows:
+            if y is not None:
+                y += delta
+                if x is None or y < x:
+                    x = y
+                elif x == y:
+                    tied.append((j, x))
+                    continue
+            if x <= best:
+                break
+            if low is None or x < low:
+                low = x
+        else:
+            for j, x in tied:
+                if low is not None and x >= low:
+                    continue  # the line is x or more
+                o = sh._tie_ord(c, j)
+                if o is None:
+                    continue
+                x = o * td + j * k
+                if x <= best:
+                    break
+                if low is None or x < low:
+                    low = x
+            else:
+                if low is None:
+                    raise DegenerateMapError("degenerate map")
+                best, best_w = low, (wn, wd)
+    return BerkPoint.disc(Fraction(*best_w), Fraction(best - sg, td))

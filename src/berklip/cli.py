@@ -68,6 +68,15 @@ MAX_SAMPLES = 100_000
 # enclosure's cost grows with the exponents' size, not their denominators.
 MAX_B0_ORD = 64
 
+# Largest number of digits in the numerator and in the denominator of the
+# --center of profile: the Taylor shift to the center, and each tied
+# candidate line read from it, grow with the center's height times the
+# degree.  On the degree-64 map with zeros 1..64 and poles -k/2 at p = 3,
+# the slowest center timed at the cap, 77...76 (100 digits), takes 2.4 s
+# against 0.2 s at center 0; 150 digits took 3.0 s, on a 2-vCPU Xeon with
+# Python 3.11.
+MAX_CENTER_DIGITS = 100
+
 # Largest map file read, in bytes.  At the caps a map holds at most 131
 # numbers: the 2 * 65 coefficients of a degree-64 map (a factored one has
 # at most 129 rationals) and p.  Each is at most two 4300-digit integers
@@ -95,6 +104,10 @@ def _check_options(cfg: argparse.Namespace) -> tuple[Fraction, Fraction, Fractio
     if cfg.n > MAX_SAMPLES:
         raise ParseError(f"--n must be <= {MAX_SAMPLES}, not {_clip(str(cfg.n))}")
     center = _option_fraction("--center", cfg.center)
+    if max(abs(center.numerator), center.denominator) >= 10**MAX_CENTER_DIGITS:
+        raise ResourceLimitError(
+            f"--center {_clip(cfg.center)} has more than {MAX_CENTER_DIGITS} digits"
+        )
     tmin = _option_fraction("--tmin", cfg.tmin, 0)
     b0 = None if cfg.b0_ord is None else _option_fraction("--b0-ord", cfg.b0_ord, 0)
     if b0 is not None and b0 > MAX_B0_ORD:

@@ -1,7 +1,7 @@
 """JSON forms for every public value type and the map input file.
 
 Map files carry either homogeneous coefficients (highest degree first) or
-a factored form:
+a factored form, never both and no key beyond these:
 
     {"p": 3, "coeffs": {"F": ["9", "0", "-1"], "G": ["9", "0", "0"]}}
     {"p": 3, "factored": {"C": "1",
@@ -166,10 +166,24 @@ def _parse_point_mult(entry) -> tuple[ProjPoint, int]:
     return ProjPoint.parse(pt), mult
 
 
+def _check_keys(obj, allowed: tuple[str, ...], where: str) -> None:
+    """A key outside ``allowed`` is a parse error, never ignored."""
+    if isinstance(obj, dict):
+        for key in obj:
+            if key not in allowed:
+                raise ParseError(f"unknown key {_clip(repr(key))} in {where}")
+
+
 def parse_map_data(data: dict, p_override: int | None = None) -> RationalMap:
-    """Build a RationalMap from a parsed input file object."""
+    """Build a RationalMap from a parsed input file object: ``p`` and
+    exactly one of the blocks ``coeffs`` and ``factored``, no other key."""
     if not isinstance(data, dict):
         raise ParseError("map file must contain a JSON object")
+    _check_keys(data, ("p", "coeffs", "factored"), "the map file")
+    if "coeffs" in data and "factored" in data:
+        raise ParseError("map file has both a 'coeffs' and a 'factored' block")
+    _check_keys(data.get("coeffs"), ("F", "G"), "the coeffs block")
+    _check_keys(data.get("factored"), ("C", "zeros", "poles"), "the factored block")
     p = data.get("p")
     if p is None:
         p = p_override

@@ -57,7 +57,6 @@ from berklip.berk import (
     Shift,
     _lines,
     _ords,
-    _semi_num,
     _shift_ints,
     berk_equal,
     diam_gauss,
@@ -683,6 +682,14 @@ def ref_zero_set(f):
     return [(a, b) for a, b in merged]
 
 
+def ref_candidate(p: int, wn: int, wd: int) -> tuple[int, int, int | None, int]:
+    """The candidate record (wn, wd, ord wn, ord wd) that
+    ``Shift.candidates`` gives for the integer pair (wn, wd), wd > 0, with
+    the ords found by ``ref_vord``, None for wn = 0."""
+    own = ref_vord(wn, p)
+    return wn, wd, None if own is None else int(own), int(ref_vord(wd, p))
+
+
 def ref_unit_residue_lifts(sh) -> list[int]:
     """0, then the integer lifts of the residues mod p of the unit ratios
     f_j / g_j (= qf[j] / qg[j]) of a shift's coefficients."""
@@ -709,7 +716,7 @@ def ref_gauss_fiber_zero_set(sh, lo, hi):
     sg = ref_lower_envelope(sh.g_lines(), lo, hi)
     total = None
     for w in ref_unit_residue_lifts(sh):
-        env = ref_lower_envelope(sh.diff_lines((w, 1)), lo, hi)
+        env = ref_lower_envelope(sh.diff_lines(ref_candidate(sh.p, w, 1)), lo, hi)
         abs_e = ref_max(ref_sub(env, sg), ref_sub(sg, env))
         total = abs_e if total is None else ref_max(total, abs_e)
     return ref_zero_set(total)
@@ -851,7 +858,7 @@ def _ref_image_diam_pieces(p, sh, lo, hi):
         cands.append(Fraction(0))
     tagged = []
     for w in cands:
-        lines = sh.diff_lines((w.numerator, w.denominator))
+        lines = sh.diff_lines(ref_candidate(p, w.numerator, w.denominator))
         if not lines:
             raise InternalInvariantError("map degenerated to a constant")
         tagged.append((w, ref_sub(ref_lower_envelope(lines, lo, hi), sg)))
@@ -960,8 +967,10 @@ def seminorm(p: int, coeffs, x: BerkPoint) -> Ord:
     ov = int_val(v, p)
     lines = _lines(_ords(p, _shift_ints(ints, u, v)), ov)
     offset = (len(ints) - 1) * ov + int_val(den, p)
+    if not lines:
+        raise ValueError("seminorm of the zero polynomial")
     tn, td = x.radius_ord.numerator, x.radius_ord.denominator
-    return Ord.of(Fraction(_semi_num(lines, tn, td) - offset * td, td))
+    return Ord.of(Fraction(min(o * td + j * tn for j, o in lines) - offset * td, td))
 
 
 def mobius_from_matrix(p: int, entries) -> RationalMap:

@@ -279,6 +279,28 @@ def test_non_list_blocks_are_parse_errors(tmp_path, capsys):
     )
 
 
+def test_ambiguous_map_files_are_parse_errors(tmp_path, capsys):
+    """Both blocks in one file, or a key the format does not define, exit 1
+    with one line that names the key, clipped; the first file below once
+    printed the invariants of z, read from its coeffs block alone."""
+    coeffs = {"F": ["1", "0"], "G": ["0", "1"]}
+    factored = {"C": "1", "zeros": [["1", 1], ["2", 1]], "poles": [["inf", 2]]}
+    msg = _parse_failure(tmp_path, capsys, {"p": 3, "coeffs": coeffs, "factored": factored})
+    assert msg == "error: map file has both a 'coeffs' and a 'factored' block"
+    cases = [
+        ({"p": 3, "coeffs": {**coeffs, "H": ["1"]}, "q": 5}, "'q' in the map file"),
+        ({"p": 3, "coeffs": {**coeffs, "H": ["1"]}}, "'H' in the coeffs block"),
+        ({"p": 3, "factored": {**factored, "c": "1"}}, "'c' in the factored block"),
+        ({"p": 3, "factored": factored, "F": ["1", "0"]}, "'F' in the map file"),
+        ({"p": 3, "coeffs": coeffs, "P": 3}, "'P' in the map file"),
+        ({"p": 3, "coeffs": coeffs, "x\n" + "k" * 100: 1}, "unknown key 'x\\nkkk"),
+    ]
+    for data, expected in cases:
+        msg = _parse_failure(tmp_path, capsys, data)
+        assert msg.startswith("error: unknown key ") and expected in msg, (data, msg)
+        assert len(msg.encode()) < 120, msg
+
+
 def test_prime_is_checked(tmp_path, capsys):
     coeffs = {"F": ["1", "0"], "G": ["0", "1"]}
     msg = _parse_failure(tmp_path, capsys, {"p": 15, "coeffs": coeffs})
@@ -325,6 +347,31 @@ def test_bad_option_values_are_parse_errors(tmp_path, capsys):
         capsys, "bounds", "--input", str(FIXTURES / "square_shift_p3.json"), "--n", "0"
     )
     assert code == 0 and json.loads(out)["sampled_max_ratio"] is None
+
+
+def test_profile_center_digit_cap(tmp_path, capsys):
+    """A --center whose reduced numerator or denominator has more than 100
+    digits exits 6 before the map is read, well under a second even on a
+    degree-64 map; at 100 digits the profile runs."""
+    path = tmp_path / "deg64.json"
+    path.write_text(json.dumps({"p": 3, "factored": {
+        "C": "1",
+        "zeros": [[str(k), 1] for k in range(1, 65)],
+        "poles": [[f"-{k}/2", 1] for k in range(1, 65)],
+    }}))
+    big = "7" * 101
+    for center in (big, f"-{big}", f"1/{big}", f"{big}/2"):
+        start = process_time()
+        line = _one_line_error(capsys, ["profile", "--input", str(path), f"--center={center}"], 6)
+        assert process_time() - start < 0.5
+        assert line.startswith("error: resource limit: --center ") and "100 digits" in line, line
+    # the reduced form counts: the second center is 7
+    for center in (f"{'7' * 100}/{'1' * 99}3", f"{big}/{'1' * 101}"):
+        code, out = run_cli(
+            capsys, "profile", "--input", str(FIXTURES / "square_shift_p3.json"),
+            f"--center={center}", "--tmin", "1",
+        )
+        assert code == 0 and json.loads(out)["segments"], center
 
 
 def test_internal_invariant_error_exit_code(monkeypatch, capsys):

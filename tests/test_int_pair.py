@@ -144,8 +144,8 @@ def _twice_map():
 def test_one_ratio_in_two_unreduced_forms():
     m = _twice_map()
     sh = Shift.at(m.p, m.F, m.G, Fraction(0))
-    assert sh.candidates() == [(1, 2), (2, 4), (0, 1)]
-    assert sh.diff_lines((1, 2)) == sh.diff_lines((2, 4))
+    assert sh.candidates() == [(1, 2, 0, 0), (2, 4, 0, 0), (0, 1, None, 0)]
+    assert sh.diff_lines((1, 2, 0, 0)) == sh.diff_lines((2, 4, 0, 0))
     radii = [Fraction(k, 2) for k in range(-6, 9)]
     for t in radii:
         x = BerkPoint.disc(0, t)

@@ -34,6 +34,7 @@ from berklip.valued import Ord
 from corpus import acceptance_corpus, random_factored_map, random_ladder_map, random_mobius
 from oracles import (
     dehomogenized,
+    ref_candidate,
     ref_gauss_fiber_zero_set,
     ref_gpr_scan,
     ref_hull,
@@ -277,7 +278,8 @@ def _zero_pole_hull(m):
 def _w0_equal_set(sh, lo, hi):
     """The equality set of env(f) and env(g) on [lo, hi]: the first
     (w = 0) condition of ``ref_gauss_fiber_zero_set``."""
-    return ref_zero_set(ref_sub(lower_envelope(sh.diff_lines((0, 1)), lo, hi),
+    w0 = sh.diff_lines(ref_candidate(sh.p, 0, 1))
+    return ref_zero_set(ref_sub(lower_envelope(w0, lo, hi),
                                 lower_envelope(sh.g_lines(), lo, hi)))
 
 

@@ -11,10 +11,11 @@ the pushforward recenters) and points whose image leaves the unit disc
 
 from fractions import Fraction
 
-from berklip.berk import BerkPoint, diam_gauss, push_forward
+from berklip.berk import BerkPoint, Shift, diam_gauss, push_forward
 from berklip.invariants import gpr, hull
 from berklip.lipschitz import radial_profile
 from berklip.sampling import DetRng, random_rational
+from berklip.valued import int_val
 from corpus import random_factored_map, random_ladder_map
 from oracles import (
     dehomogenized,
@@ -76,6 +77,32 @@ def test_push_forward_and_seminorm_match_reference():
                 assert seminorm(p, f, x).frac == ref_semi(p, fs, t)
                 assert seminorm(p, g, x).frac == ref_semi(p, gs, t)
     assert points > 2000
+    assert all(n >= 20 for n in seen.values()), seen
+
+
+def test_candidates_carry_the_ords_of_their_pairs():
+    """Every candidate record (wn, wd, ord wn, ord wd) carries the ords
+    ``int_val`` gives for its pair, None for wn = 0, in either chart, with
+    wd > 0 and |wn/wd| <= 1; the centers include the poles and carry p in
+    numerators and denominators."""
+    seen = {"zero": 0, "p_in_wn": 0, "p_in_wd": 0, "abs_one": 0}
+    for rng, m in _maps(5151, 32):
+        p = m.p
+        for a in _centers(rng, m):
+            sh = Shift.at(p, m.F, m.G, a)
+            for side in (sh, sh.swapped()):
+                cands = side.candidates()
+                assert (0, 1, None, 0) in cands
+                for wn, wd, own, owd in cands:
+                    assert wd > 0 and owd == int_val(wd, p), (m, a, wn, wd)
+                    if wn == 0:
+                        assert (wd, own) == (1, None)
+                        seen["zero"] += 1
+                        continue
+                    assert own == int_val(wn, p) and own >= owd, (m, a, wn, wd)
+                    seen["p_in_wn"] += own > 0
+                    seen["p_in_wd"] += owd > 0
+                    seen["abs_one"] += own == owd
     assert all(n >= 20 for n in seen.values()), seen
 
 
