@@ -70,12 +70,10 @@ def rp_ord(m: RationalMap) -> Ord:
     distance.
 
     Each point is read as its pair (num, den) of coprime integers, (1, 0)
-    for infinity.  p divides at most one of the two, so min(ord num, ord
-    den) = 0, and the distance ``_sph_pair_ord`` gives, ord(u_n v_d -
-    v_n u_d) - min(ord u_n, ord u_d) - min(ord v_n, ord v_d), is ord(u_n
-    v_d - v_n u_d): one valuation per zero/pole pair and none per point.
-    With infinity as u it is ord v_d, the infinity branch's max(0, -ord
-    v).
+    for infinity.  The chordal distance ``_sph_pair_ord`` takes, ord((u_n
+    v_d - v_n u_d) / (gcd(u_n, u_d) gcd(v_n, v_d))), has both gcds 1 on
+    coprime pairs, so it is ord(u_n v_d - v_n u_d): one valuation per
+    zero/pole pair, with no gcd and none per point.
     """
     p = m.p
     ff = m.require_factored()

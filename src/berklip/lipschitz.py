@@ -277,13 +277,15 @@ def sample_ratios(m: RationalMap, n: int, seed: int, lip_ord=None):
 
     Returns (max ratio as a one-term sum, maximizing pair of points: the
     first in pool order to reach the maximum).  The loop runs on unreduced
-    integer pairs for speed.  A pair whose source exponent is at most the
-    running maximum exponent is skipped unevaluated: its image exponent is
-    >= 0 (see ``_sph_pair_ord``), so its ratio exponent is at most its
-    source exponent, and the maximum only moves on a strict increase.  The
-    maximum and the witness are therefore those of the unpruned loop.
-    When the exact Lipschitz exponent is known (``lip_ord``, or computable
-    from a factored form) the maximum is asserted to stay within it.
+    integer pairs for speed and keeps the running witness as its four
+    ints; the points are built once, at the end.  A pair whose source
+    exponent is at most the running maximum exponent is skipped
+    unevaluated: its image exponent is >= 0 (see ``_sph_pair_ord``), so
+    its ratio exponent is at most its source exponent, and the maximum
+    only moves on a strict increase.  The maximum and the witness are
+    therefore those of the unpruned loop.  When the exact Lipschitz
+    exponent is known (``lip_ord``, or computable from a factored form)
+    the maximum is asserted to stay within it.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -291,8 +293,7 @@ def sample_ratios(m: RationalMap, n: int, seed: int, lip_ord=None):
     fi, gi = m.F, m.G
     d = m.d
     rng_span = range(d, -1, -1)
-    max_e = None
-    best_pair = None
+    max_e = best = None
     for xn, xd, yn, yd, s_src in _pair_pool(p, n, seed):
         if max_e is not None and s_src <= max_e:
             continue
@@ -312,14 +313,15 @@ def sample_ratios(m: RationalMap, n: int, seed: int, lip_ord=None):
         e = s_src - s_img
         if max_e is None or e > max_e:
             max_e = e
-            best_pair = (Fraction(xn, xd), Fraction(yn, yd))
+            best = xn, xd, yn, yd
     if max_e is None:
         return PPOW_ZERO, None
     if lip_ord is None and m.factored is not None:
         lip_ord = bundle(m).gpr.frac
     if lip_ord is not None and max_e > lip_ord:
         raise InternalInvariantError("sampled ratio exceeded the exact Lipschitz bound")
-    pair = (ProjPoint.of(best_pair[0]), ProjPoint.of(best_pair[1]))
+    xn, xd, yn, yd = best
+    pair = (ProjPoint.of(Fraction(xn, xd)), ProjPoint.of(Fraction(yn, yd)))
     return ppow_term(p, 1, max_e), pair
 
 

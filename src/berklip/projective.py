@@ -1,15 +1,24 @@
-"""Points of the rational projective line and the spherical metric.
+"""Points of the rational projective line and the chordal metric.
 
-The spherical metric is carried in log form: ``spherical_ord(p, x, y)``
-returns the exponent t with dist(x, y) = p^(-t), so t = +infinity exactly
-when x = y.  Valuations of rationals are integers, and the one distance
-kernel, ``_sph_pair_ord``, runs on integer numerators and denominators;
+A point is a homogeneous pair x = (x0, x1), x0/x1 the point, (1, 0) (or
+any (k, 0), k != 0) infinity.  The chordal (spherical) metric is
+
+    ||x, y|| = |x0 y1 - x1 y0| / (max(|x0|, |x1|) * max(|y0|, |y1|)),
+
+independent of the scaling of either pair (Baker and Rumely, *Potential
+Theory and Dynamics on the Berkovich Projective Line*; Rumely and
+Winburn, arXiv:1512.01136).  It is carried in log form:
+``spherical_ord(p, x, y)`` returns the exponent t with ||x, y|| =
+p^(-t), so t = +infinity exactly when x = y.  On integer pairs the
+ultrametric max is the absolute value of the gcd, so every distance is
+one valuation, taken by the one distance kernel, ``_sph_pair_ord``;
 ``Ord`` wraps its result only at the public boundary.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import NamedTuple
 
 from .valued import ORD_INF, Ord, int_val, format_fraction, parse_fraction
@@ -55,40 +64,27 @@ def _vord(x: Fraction, p: int) -> int | None:
 
 
 def _sph_pair_ord(p: int, un: int, ud: int, vn: int, vd: int) -> int | None:
-    """The spherical distance kernel on projective integer pairs (num, den),
-    a zero denominator encoding infinity; None means equal points.
+    """The chordal distance kernel on homogeneous integer pairs (num, den),
+    (k, 0) for infinity: ord((un vd - vn ud) / (gcd(un, ud) gcd(vn, vd))),
+    None for equal points.  The pairs need not be reduced.
 
-    Case split: |x - y| when both points sit in the closed unit disc,
-    |1/x - 1/y| when both sit outside, and 1 otherwise; for two finite
-    points this is |x - y| / (max(1, |x|) * max(1, |y|)).  The result is
-    never negative (spherical distances are at most 1): for two finite
-    points, v(un vd - vn ud) >= min(v un, v ud) + min(v vn, v vd), which
-    is exactly what is subtracted; the infinity branch returns 0 or
-    -v > 0.  The pairs need not be reduced.
+    * For integers a, b not both 0, max(|a|, |b|) = |gcd(a, b)| in the
+      p-adic absolute value: ord gcd(a, b) = min(ord a, ord b).  So the
+      quotient has the absolute value of the chordal metric.
+    * The division is exact: gcd(un, ud) gcd(vn, vd) divides both un vd
+      and vn ud, hence their difference.
+    * The result is >= 0: it is min(ord un, ord ud) + min(ord vn, ord vd)
+      subtracted from ord(un vd - vn ud), which is at least
+      min(ord un + ord vd, ord vn + ord ud), itself at least that sum.
+    * (0, 0) is not a point, and no caller passes it: every source pair
+      has a denominator >= 1 (in the inverted chart, a numerator >= 1),
+      and the forms F and G of a map are coprime, so they never vanish
+      together at such a pair.
     """
-    if ud == 0 and vd == 0:
-        return None
-    if ud == 0 or vd == 0:
-        n, d = (vn, vd) if ud == 0 else (un, ud)
-        if n == 0:
-            return 0
-        v = int_val(n, p) - int_val(d, p)
-        return -v if v < 0 else 0
     num = un * vd - vn * ud
-    if num == 0:
+    if not num:
         return None
-    oud = int_val(ud, p)
-    ovd = int_val(vd, p)
-    s = int_val(num, p) - oud - ovd
-    if un != 0:
-        vx = int_val(un, p) - oud
-        if vx < 0:
-            s -= vx
-    if vn != 0:
-        vy = int_val(vn, p) - ovd
-        if vy < 0:
-            s -= vy
-    return s
+    return int_val(num // (gcd(un, ud) * gcd(vn, vd)), p)
 
 
 def _num_den(x: ProjPoint) -> tuple[int, int]:
@@ -97,7 +93,7 @@ def _num_den(x: ProjPoint) -> tuple[int, int]:
 
 
 def spherical_ord(p: int, x: ProjPoint, y: ProjPoint) -> Ord:
-    """log-form spherical distance: dist(x, y) = p^(-result), always >= 0,
+    """log-form chordal distance: dist(x, y) = p^(-result), always >= 0,
     +infinity iff the points coincide (see ``_sph_pair_ord``)."""
     s = _sph_pair_ord(p, *_num_den(x), *_num_den(y))
     return ORD_INF if s is None else Ord.of(s)

@@ -246,9 +246,10 @@ def resultant_ord_product(m: RationalMap) -> Ord:
 
     C0 and C1 are the contents of the two forms, of ord that of F and G
     since ord D = 0.  Each point is read as its pair (num, den) of coprime
-    integers, (1, 0) for infinity, so min(ord num, ord den) = 0 and the
-    spherical distance of a pair is ord(u_n v_d - v_n u_d) (the proof is at
-    ``invariants.rp_ord``): one valuation per distinct pair.
+    integers, (1, 0) for infinity, so both gcds in the chordal distance
+    ord((u_n v_d - v_n u_d) / (gcd(u_n, u_d) gcd(v_n, v_d))) of
+    ``projective._sph_pair_ord`` are 1, and the distance of a pair is
+    ord(u_n v_d - v_n u_d): one valuation per distinct pair.
     """
     ff = m.require_factored()
     p = m.p

@@ -318,6 +318,32 @@ def test_sph_pair_ord_is_nonnegative(data):
     assert s == ref
 
 
+@st.composite
+def _scale(draw, p):
+    """A nonzero integer of either sign with a p-power and a part prime to p."""
+    unit = draw(st.integers(1, 60).filter(lambda u: u % p))
+    return draw(st.sampled_from([1, -1])) * unit * p ** draw(st.integers(0, 6))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(data=st.data())
+def test_sph_pair_ord_is_scale_free(data):
+    """The kernel reads homogeneous pairs: scaling either pair by its own
+    nonzero factor (p-powers, factors prime to p, signs) leaves the
+    distance unchanged, and (k, 0) is infinity for every k != 0."""
+    p = data.draw(st.sampled_from([2, 3, 5, 7]))
+    (un, ud), (vn, vd) = data.draw(_int_point(p)), data.draw(_int_point(p))
+    a, b = data.draw(_scale(p)), data.draw(_scale(p))
+    s = _sph_pair_ord(p, un, ud, vn, vd)
+    assert _sph_pair_ord(p, a * un, a * ud, b * vn, b * vd) == s
+    assert _sph_pair_ord(p, b * vn, b * vd, a * un, a * ud) == s
+    k = data.draw(st.integers(2, 10**6)) * data.draw(st.sampled_from([1, -1]))
+    k *= p ** data.draw(st.integers(0, 4))
+    at_inf = _sph_pair_ord(p, k, 0, vn, vd)
+    assert at_inf == _sph_pair_ord(p, 1, 0, vn, vd)
+    assert at_inf == ref_spherical_ord(p, INF_POINT, _proj((vn, vd)))
+
+
 def test_sample_ratios_skips_pairs_that_cannot_win(count_calls):
     """A pair is evaluated only while its source exponent exceeds the
     running maximum: for z^2 the maximum reaches 0 at once, after which

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from pathlib import Path
+from time import process_time
 
 import pytest
 
@@ -393,6 +394,43 @@ def test_sylvester_kernel_doubles_precision(monkeypatch):
         assert res == resultant_ord_product(m)
         assert res.frac >= 60
         assert len(precs) > 1 and precs[-1] > 60
+
+
+LARGE_P = 2**61 - 1
+
+
+def test_large_prime_builds_in_milliseconds():
+    """At p = 2^61 - 1 the elimination starts at a modulus of a few
+    hundred bits, not max(16, 2d) digits of p: a degree-64 map builds in
+    well under 2 s CPU, with the resultant of the product formula."""
+    zeros = [(pt(k), 1) for k in range(1, 65)]
+    poles = [(pt(Fraction(-k, 2)), 1) for k in range(1, 65)]
+    start = process_time()
+    m = from_factored(LARGE_P, 1, zeros, poles)
+    assert process_time() - start < 2.0
+    assert m.d == 64
+    assert resultant_ord(m) == resultant_ord_product(m)
+
+
+def test_large_prime_doubles_precision(monkeypatch):
+    """A zero and a pole p^-3 apart at p = 2^61 - 1 need more than the
+    one digit a degree-2 elimination starts with there."""
+    precs = []
+    inner = polynomials._pivot_ord_sum
+
+    def recording(rows, p, prec):
+        precs.append(prec)
+        return inner(rows, p, prec)
+
+    monkeypatch.setattr(polynomials, "_pivot_ord_sum", recording)
+    p = LARGE_P
+    zeros = [(pt(Fraction(1, p)), 1), (pt(5), 1)]
+    poles = [(pt(Fraction(1, p) + Fraction(p) ** 3), 1), (pt(Fraction(2, 3 * p)), 1)]
+    m = from_factored(p, Fraction(p, 4), zeros, poles)
+    res = resultant_ord(m)
+    assert res == resultant_ord_product(m)
+    assert res.frac >= 3
+    assert precs[0] < 3 and precs[-1] > 3
 
 
 def test_resultant_degree_40_and_twin():
