@@ -77,15 +77,6 @@ def _precision_cap(p: int, rows: list[list[int]]) -> int:
     return -(-bits * 16 // (2 * ((p**16).bit_length() - 1)))
 
 
-def _start_precision(p: int, d: int) -> int:
-    """The first precision N of the elimination: max(16, 2d) digits of p,
-    enough for most maps, with p^N capped at 4 bits per digit, so a large
-    p starts at a modulus of the same size as a small one.  Every p < 16
-    has at most 4 bits and keeps all max(16, 2d) digits."""
-    digits = max(16, 2 * d)
-    return max(1, min(digits, 4 * digits // p.bit_length()))
-
-
 def _bezout_rows(fi: list[int], gi: list[int]) -> list[list[int]]:
     """The d x d Bezout matrix of two ascending coefficient lists of
     length d+1: B[0][j] = c(j+1, 0) and B[i][j] = c(j+1, i) + B[i-1][j+1]
@@ -167,9 +158,8 @@ def sylvester_det_ord(p: int, f: Poly, g: Poly, d: int) -> int | None:
     coefficients, so the identity holds at every specialization, a zero
     leading coefficient (infinity a zero or a pole) included, and the
     two determinants have the same valuation.  The rest is exact p-adic
-    elimination on the Bezout rows, starting at a small precision
-    (``_start_precision``) and doubling it while a remaining block
-    vanishes.  Returns None for a
+    elimination on the Bezout rows, starting at a small precision and
+    doubling it while a remaining block vanishes.  Returns None for a
     vanishing resultant, which happens exactly when the forms share a
     root in P1, infinity included; that is decided once the precision
     reaches Hadamard's bound on the Bezout rows (``_precision_cap``).
@@ -181,7 +171,11 @@ def sylvester_det_ord(p: int, f: Poly, g: Poly, d: int) -> int | None:
         return None
     (fi, kf), (gi, kg) = fa, ga
     rows = _bezout_rows(fi, gi)
-    prec, cap = _start_precision(p, d), None
+    # max(16, 2d) digits of p suffice for most maps; p^prec is capped at
+    # 4 bits per digit, so a large p starts at a modulus of the same size
+    # as a small one, and every p < 16 (at most 4 bits) keeps all digits
+    digits = max(16, 2 * d)
+    prec, cap = max(1, min(digits, 4 * digits // p.bit_length())), None
     while (total := _pivot_ord_sum(rows, p, prec)) is None:
         if cap is None:
             cap = _precision_cap(p, rows)
