@@ -6,51 +6,48 @@ r = p^(-t), t rational; it is stored as (center, radius_ord=t).  Distinct
 (center, t) pairs can name the same point, so identity is the predicate
 :func:`berk_equal`, never record equality.
 
-The pushforward of a disc point computes the image point phi(zeta_{a,r})
-through Taylor-shift seminorms: the image diameter is the minimum over
-candidate centers w of the seminorm of (phi - w), the candidates being the
-same-index ratios of shifted numerator/denominator coefficients plus 0.
-Images larger than the unit disc are routed through the inversion chart.
-The candidate-set construction is validated against a brute-force sampling
-oracle in the test suite; see tests/oracles.py.
+The pushforward of a disc point reads the image off one Taylor shift to
+its center: at a radius r, let j be the first index where the shifted
+denominator's term |g_j| r^j is largest.  Then the image is the disc
+about the same-index ratio w = f_j/g_j whose radius exponent is
+s(f - w g) - s(g), s the seminorm exponent at the point (proof in
+``push_forward``).  A pole as center and an image outside the unit disc
+need no case of their own.  The result is validated against a
+brute-force sampling oracle and an independent candidate-scan reference
+in the test suite; see tests/oracles.py.
 
-The scan over the candidates is pruned without changing its result.  In
-the chart used, |f|_x <= |g|_x, so a ratio w with |w| > 1 gives
-|f - w g|_x = |w| |g|_x > |f|_x = |f - 0 g|_x and can never win against
-the candidate 0: such ratios are not built.  The seminorm of f - w g at x
-is a minimum over lines and only a strictly larger value replaces the
-best one, so a candidate is abandoned at its first line that is no larger
-than the best so far.  The lines are read from two tables, those of f and
-of g at the radius, built once per pushforward (see ``_push``).
+The radial profile reads the image diameter on a whole interval of radii
+as the max of envelopes over candidate centers, the same-index ratios
+plus 0 (``Shift.candidates``).
 
 Every seminorm is read from one integer kernel, :class:`Shift`: the shift
 to a center u/v runs on the map's integer pair (F, G), kept on the map
 since its construction, and each valuation is ord_p of an integer plus a
 multiple of ord_p v.  The pushforward and the radial profiles only
 compare seminorms of one shift with each other, so the offset shared by
-all its coefficients is never needed.  The candidate centers are the
-unreduced ratios qf[j]/qg[j], each carried with the ords of its numerator
-and denominator, which the shift already holds: the seminorms of f - w g
-read from (wn, wd) do not change when both are scaled by a common factor,
-so only the winning center is reduced, when the image disc is built.
+all its coefficients is never needed.  A center is carried as the
+unreduced ratio qf[j]/qg[j], with the ords of its numerator and
+denominator, which the shift already holds: the seminorms of f - w g
+read from (wn, wd) do not change when both are scaled by a common
+factor, so a center is reduced only when its image disc is built.
 
 Line j of f - w g, less ord wd, is the ord of wd*qf[j] - wn*qg[j] less
 ord wd: its two terms have ords ord qf[j] and ord qg[j] + delta, with
 delta = ord wn - ord wd.  Where these differ the line is the smaller one
 exactly, since ord(X - Y) = min(ord X, ord Y) whenever ord X != ord Y
 (the ultrametric inequality is an equality then); only where they tie is
-the numerator subtracted and valued (``Shift._tie_ord``).  So a candidate
-costs no valuation of its own, and one integer product only on a tie.
+the numerator subtracted and valued (``Shift._tie_ord``).  That is the
+one statement of the tie rule, through ``Shift.diff_lines``, and it
+serves both the pushforward and the profile.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import DegenerateMapError, InternalInvariantError
-from .polynomials import hom_eval, taylor_shift, trim
+from .errors import DegenerateMapError
+from .polynomials import taylor_shift
 from .projective import INF_POINT, ProjPoint, _vord
 from .valued import ORD_INF, Ord, PPowerSum, _ords, format_fraction, int_val, ppow_normalize
 
@@ -273,7 +270,7 @@ class Shift(NamedTuple):
 
     def _tie_ord(self, c, j: int) -> int | None:
         """The tie rule: ord_p of the numerator wd*qf[j] - wn*qg[j] less
-        ord wd, None when it is 0, for a candidate record c whose two terms
+        ord wd, None when it is 0, for a center record c whose two terms
         have the same ord at j (see the module docstring)."""
         wn, wd, _, owd = c
         x = wd * self.qf[j] - wn * self.qg[j]
@@ -281,8 +278,8 @@ class Shift(NamedTuple):
 
     def diff_lines(self, c) -> list[tuple[int, int]]:
         """Seminorm lines (j, o) of f - w*g on the offset of f and g less
-        ord wd, for a candidate record c = (wn, wd, ord wn, ord wd) of
-        w = wn/wd (see ``candidates``); empty when f = w*g.  Line j is
+        ord wd, for a center record c = (wn, wd, ord wn, ord wd) of
+        w = wn/wd, wn = 0 as (0, 1, None, 0); empty when f = w*g.  Line j is
         min(ord qf[j], ord qg[j] + delta) + j*ord v, delta = ord wn - ord
         wd, where the two differ, and ``_tie_ord`` where they tie."""
         ov = self.ov
@@ -301,26 +298,25 @@ class Shift(NamedTuple):
         return out
 
     def candidates(self) -> list[tuple[int, int, int | None, int]]:
-        """Candidate image centers in the closed unit disc, as records
-        (wn, wd, ord wn, ord wd) of unreduced pairs with wd > 0: the
-        same-index coefficient ratios qf[j]/qg[j] (= f_j/g_j) of ord >= 0
-        in index order with the ords ``of[j]``, ``og[j]`` the shift holds,
-        a zero ratio as (0, 1, None, 0), then (0, 1, None, 0) unless
-        present.  Exact duplicates are dropped, but one ratio may appear in
-        two unreduced forms.
+        """Candidate image centers in the closed unit disc for the radial
+        profile, as records (wn, wd, ord wn, ord wd) of unreduced pairs
+        with wd > 0: the same-index coefficient ratios qf[j]/qg[j]
+        (= f_j/g_j) of ord >= 0 in index order with the ords ``of[j]``,
+        ``og[j]`` the shift holds, a zero ratio as (0, 1, None, 0), then
+        (0, 1, None, 0) unless present.  Exact duplicates are dropped, but
+        one ratio may appear in two unreduced forms.
 
         No gcd is needed.  The lines of f - w g are read through the
         numerators wd*qf[j] - wn*qg[j] less ord wd, unchanged when
         (wn, wd) is scaled by a common factor, so both forms of a ratio
-        give the same lines.  A repeated ratio can then never strictly
-        beat the best so far, which is at least its first form's
-        seminorm, and adds nothing to a max of envelopes.
+        give the same lines and add nothing to a max of envelopes.
 
         A ratio with ord qf[j] < ord qg[j], that is |w| > 1, is left out,
         which needs no big-integer work: wherever |f|_x <= |g|_x, as in
-        the chart the pushforward and the radial profile read it in, such
-        a w has |f - w g|_x = |w| |g|_x > |f|_x, so the candidate 0 is
-        strictly better and w is never a maximizer (see ``push_forward``).
+        the chart the radial profile reads it in, such a w has
+        |f - w g|_x = |w| |g|_x > |f|_x, so the candidate 0 gives a
+        strictly larger image diameter exponent and w adds nothing to the
+        max.
         """
         zero = (0, 1, None, 0)
         out = {}
@@ -332,118 +328,43 @@ class Shift(NamedTuple):
         return list(out)
 
 
-def _recenter(p: int, den: list[int], a: Fraction, t: Fraction) -> Fraction:
-    """Replace the center by an equivalent one that is not a root of den.
-
-    Candidates a + j * p^ceil(t) stay within the equality class of the
-    point; den has at most deg(den) roots so a valid j exists.
-    """
-    if hom_eval(den, a.numerator, a.denominator) != 0:
-        return a
-    step = Fraction(p) ** math.ceil(t)
-    for j in range(1, len(trim(den)) + 2):
-        cand = a + j * step
-        if hom_eval(den, cand.numerator, cand.denominator) != 0:
-            return cand
-    raise InternalInvariantError("recentering exhausted candidate offsets")
-
-
 def push_forward(rmap, x: BerkPoint) -> BerkPoint:
-    """Image of a disc point under a RationalMap.
+    """Image of a disc point x = zeta_{a,r} under a RationalMap: the disc
+    about w = f_j/g_j with radius exponent s(f - w g) - s(g), where f, g
+    are the map's numerator and denominator shifted to a, s(h) is the
+    seminorm exponent of h at x (|h|_x = p^(-s(h))), and j is the first
+    index whose term |g_j| r^j is |g|_x.
 
-    At the point x, in the chart where |f|_x <= |g|_x (else the image is
-    computed for 1/phi and inverted back), the image is the disc D(w*,
-    p^(-s*)), s* the largest seminorm exponent s(f - w g) - s(g) over the
-    candidate centers w, the first maximizer in candidate order.  Two
-    shortcuts leave that record unchanged:
+    Proof.  phi(x) is a type II point zeta_{c,R} with c in C_p, and for
+    every w, |T - w| at zeta_{c,R} is max(|w - c|, R) (Baker-Rumely,
+    *Potential Theory and Dynamics on the Berkovich Projective Line*, AMS
+    2010), so |f - w g|_x = |g|_x |phi - w|_x = |g|_x max(|w - c|, R).
+    Take j with |g_j| r^j = |g|_x.  Coefficient j of f - c g is
+    f_j - c g_j, and the Gauss seminorm is the largest term, so
+    |f_j - c g_j| r^j <= |f - c g|_x = R |g|_x = R |g_j| r^j.  Dividing
+    by |g_j| r^j, |w - c| <= R for w = f_j/g_j, so zeta_{w,R} = phi(x)
+    and |f - w g|_x = R |g|_x.
 
-    * candidates of ord w < 0 are never built: for them s(f - w g) =
-      ord w + s(g) < s(g) <= s(f) = s(f - 0 g), and 0 is always a candidate;
-    * s(f - w g) at x is a minimum over lines, and only a strictly larger
-      value replaces the best so far, so a candidate is dropped as soon as
-      one of its lines is <= the best value.  The best starts just below
-      s(f), the value of the candidate 0, which no smaller value can beat.
-      The lines whose terms have different ords are read first, from the
-      line tables, and a tied line whose lower bound is no smaller than
-      the minimum so far is not subtracted (see ``_push``).
+    The argument needs no bound on |phi|_x, so no chart is needed, and
+    it needs g_j != 0, not g(a) != 0, so a pole as center needs no
+    recentering.  Both seminorms are read from one ``Shift`` at a, whose
+    common factor cancels in their difference: with t = tn/td, line i of
+    g is td*(ord qg[i] + i*ord v) + i*tn, and s(f - w g) less that offset
+    is the least of ``diff_lines`` at t.
     """
     if x.is_classical:
         raise ValueError("push_forward expects a type II point")
     f, g = rmap.F, rmap.G
     if not any(f) or not any(g):
         raise DegenerateMapError("degenerate map")
-    return _push(rmap.p, f, g, x.center, x.radius_ord, 0)
-
-
-def _push(p: int, f: tuple[int, ...], g: tuple[int, ...], a: Fraction, t: Fraction, depth: int,
-          sh: Shift | None = None) -> BerkPoint:
-    """``sh``, when given, is the swapped shift at ``a`` of the chart-swap
-    recursion; it is kept unless recentering moves the center.  The
-    winning candidate is reduced here, by ``Fraction``, and no other.
-
-    With k = ord v * td + tn at t = tn/td, the line tables A_j = ord qf[j]
-    * td + j*k and B_j = ord qg[j] * td + j*k are td times the lines of f
-    and g at t up to the shift's offset, built once: s(f) = min A and
-    s(g) = min B.  A candidate record (wn, wd, ord wn, ord wd) with
-    delta = (ord wn - ord wd) * td reads line j of f - w g, less ord wd,
-    as min(A_j, B_j + delta) wherever A_j != B_j + delta: the two terms
-    wd*qf[j] and wn*qg[j] have different ords there, and the ord of their
-    difference is the smaller one.  Only on a tie is the numerator
-    wd*qf[j] - wn*qg[j] valued (``Shift._tie_ord``).  The candidate 0 is
-    s(f) itself."""
-    moved = _recenter(p, g, a, t)
-    if sh is None or moved != a:
-        sh = Shift.at(p, f, g, moved)
+    t = x.radius_ord
     tn, td = t.numerator, t.denominator
+    sh = Shift.at(rmap.p, f, g, x.center)
     k = sh.ov * td + tn
-    fa = [None if o is None else o * td + j * k for j, o in enumerate(sh.of)]
-    gb = [None if o is None else o * td + j * k for j, o in enumerate(sh.og)]
-    sf = min(x for x in fa if x is not None)
-    sg = min(y for y in gb if y is not None)
-    if sf < sg:
-        # image exceeds the unit disc: compute 1/phi and invert back
-        if depth > 0:
-            raise InternalInvariantError("chart swap did not stabilize")
-        return iota(p, _push(p, g, f, moved, t, depth + 1, sh.swapped()))
-    rows = [(j, x, y) for j, (x, y) in enumerate(zip(fa, gb)) if x is not None or y is not None]
-    # s(f) = s(f - 0 g) is a candidate's value, so one below it never wins
-    best = sf - 1
-    best_w = None
-    for c in sh.candidates():
-        wn, wd, own, owd = c
-        if own is None:
-            if sf > best:
-                best, best_w = sf, (wn, wd)
-            continue
-        delta = (own - owd) * td
-        low = None
-        tied = []
-        for j, x, y in rows:
-            if y is not None:
-                y += delta
-                if x is None or y < x:
-                    x = y
-                elif x == y:
-                    tied.append((j, x))
-                    continue
-            if x <= best:
-                break
-            if low is None or x < low:
-                low = x
-        else:
-            for j, x in tied:
-                if low is not None and x >= low:
-                    continue  # the line is x or more
-                o = sh._tie_ord(c, j)
-                if o is None:
-                    continue
-                x = o * td + j * k
-                if x <= best:
-                    break
-                if low is None or x < low:
-                    low = x
-            else:
-                if low is None:
-                    raise DegenerateMapError("degenerate map")
-                best, best_w = low, (wn, wd)
-    return BerkPoint.disc(Fraction(*best_w), Fraction(best - sg, td))
+    sg, j = min((o * td + i * k, i) for i, o in enumerate(sh.og) if o is not None)
+    c = (0, 1, None, 0) if sh.of[j] is None else (sh.qf[j], sh.qg[j], sh.of[j], sh.og[j])
+    lines = sh.diff_lines(c)
+    if not lines:
+        raise DegenerateMapError("degenerate map")
+    s = min(o * td + i * tn for i, o in lines)
+    return BerkPoint.disc(Fraction(c[0], c[1]), Fraction(s - sg, td))

@@ -215,7 +215,8 @@ def test_push_forward_examples():
 def test_push_forward_pole_centered_input():
     p = 3
     inv = from_coeffs(p, [1, 0], [0, 1])
-    # the center 0 is the pole of 1/z; recentering must handle it
+    # the center 0 is the pole of 1/z: g(0) = 0, and g's dominant
+    # coefficient at the radius gives the image center
     img = push_forward(inv, BerkPoint.disc(0, 2))
     assert berk_equal(p, img, BerkPoint.disc(0, -2))
 

@@ -12,7 +12,7 @@ from functools import lru_cache
 from math import gcd
 from pathlib import Path
 
-from berklip.berk import BerkPoint, Shift, push_forward
+from berklip.berk import BerkPoint, Shift, berk_equal, diam_gauss, push_forward
 from berklip.lipschitz import radial_profile
 from berklip.ratmap import from_coeffs, gir_minors, post_compose, pre_compose
 from berklip.valued import int_val
@@ -149,6 +149,8 @@ def test_one_ratio_in_two_unreduced_forms():
     radii = [Fraction(k, 2) for k in range(-6, 9)]
     for t in radii:
         x = BerkPoint.disc(0, t)
-        assert push_forward(m, x) == ref_push_forward(m, x), t
+        got, want = push_forward(m, x), ref_push_forward(m, x)
+        assert berk_equal(m.p, got, want), t
+        assert diam_gauss(m.p, got) == diam_gauss(m.p, want), t
     for t in radii[6:]:
         assert radial_profile(m, 0, t) == ref_radial_profile(m, 0, t), t

@@ -4,14 +4,16 @@ push_forward, seminorm, gpr and radial_profile read every valuation from
 integer Taylor-shift numerators with the common offset dropped; the
 reference shifts the Fraction coefficients themselves and keeps every
 offset.  Maps are random with p in {2, 3, 5, 7} and d <= 8; centers
-carry p in the numerator and in the denominator, include the poles (so
-the pushforward recenters) and points whose image leaves the unit disc
-(so it swaps charts); radii are negative, zero, positive and fractional.
+carry p in the numerator and in the denominator, include the poles
+(where the reference recenters) and points whose image leaves the unit
+disc (where the reference swaps charts); radii are negative, zero,
+positive and fractional.  Distinct records can name one point, so
+pushforwards are compared as points (``_same_point``).
 """
 
 from fractions import Fraction
 
-from berklip.berk import BerkPoint, Shift, diam_gauss, push_forward
+from berklip.berk import BerkPoint, Shift, berk_equal, diam_gauss, push_forward
 from berklip.invariants import gpr, hull
 from berklip.lipschitz import radial_profile
 from berklip.sampling import DetRng, random_rational
@@ -23,6 +25,7 @@ from oracles import (
     ref_push_forward,
     ref_semi,
     ref_taylor_shift,
+    ref_vord,
     seminorm,
     value_ord_at,
 )
@@ -53,6 +56,10 @@ def _centers(rng: DetRng, m, per_side: int | None = None):
     return out
 
 
+def _same_point(p: int, x: BerkPoint, y: BerkPoint) -> bool:
+    return berk_equal(p, x, y) and diam_gauss(p, x) == diam_gauss(p, y)
+
+
 def test_push_forward_and_seminorm_match_reference():
     events: set = set()
     seen = {"recenter": 0, "swap": 0, "p_in_den": 0, "p_in_num": 0}
@@ -70,13 +77,55 @@ def test_push_forward_and_seminorm_match_reference():
                 x = BerkPoint.disc(a, t)
                 events.clear()
                 want = ref_push_forward(m, x, events)
-                assert push_forward(m, x) == want, (m, x)
+                assert _same_point(p, push_forward(m, x), want), (m, x)
                 for e in events:
                     seen[e] += 1
                 points += 1
                 assert seminorm(p, f, x).frac == ref_semi(p, fs, t)
                 assert seminorm(p, g, x).frac == ref_semi(p, gs, t)
     assert points > 2000
+    assert all(n >= 20 for n in seen.values()), seen
+
+
+def test_push_forward_center_is_the_dominant_ratio(monkeypatch):
+    """The image center is the ratio f_j/g_j of the shifted Fraction
+    coefficients at the first index j whose term ord g_j + j*t is least,
+    the point is the reference's, and each call builds one ``Shift``.
+    Pole centers, images outside the unit disc (where the reference swaps
+    charts), p in numerators and denominators, and ties of g's least
+    term between indices of different ratios (where only the first index
+    gives the center) are all reached."""
+    shifts = []
+    at = Shift.at
+
+    def counted_at(*args):
+        shifts.append(args)
+        return at(*args)
+
+    monkeypatch.setattr(Shift, "at", staticmethod(counted_at))
+    seen = {"pole": 0, "outside": 0, "p_in_den": 0, "p_in_num": 0, "tie": 0}
+    events: set = set()
+    for rng, m in _maps(6262, 40):
+        p = m.p
+        f, g = dehomogenized(m)
+        for a in _centers(rng, m):
+            fs, gs = ref_taylor_shift(f, a), ref_taylor_shift(g, a)
+            for t in RADII:
+                terms = [(ref_vord(y, p) + j * t, j) for j, y in enumerate(gs) if y != 0]
+                least = min(terms)[0]
+                first, *rest = [j for o, j in terms if o == least]
+                x = BerkPoint.disc(a, t)
+                shifts.clear()
+                got = push_forward(m, x)
+                assert len(shifts) == 1, (m, x)
+                assert got.center == fs[first] / gs[first], (m, x)
+                events.clear()
+                assert _same_point(p, got, ref_push_forward(m, x, events)), (m, x)
+                seen["pole"] += gs[0] == 0
+                seen["outside"] += "swap" in events
+                seen["p_in_den"] += a.denominator % p == 0
+                seen["p_in_num"] += a != 0 and a.numerator % p == 0
+                seen["tie"] += any(fs[j] / gs[j] != got.center for j in rest)
     assert all(n >= 20 for n in seen.values()), seen
 
 
@@ -108,8 +157,8 @@ def test_candidates_carry_the_ords_of_their_pairs():
 
 def test_gpr_matches_brute_force_reference():
     """gpr against the brute force; at every preimage and every disc vertex
-    of the hull the pushforward equals the reference, with pole centers
-    (recentered) and chart swaps both reached."""
+    of the hull the pushforward is the reference's point, with pole
+    centers and chart swaps of the reference both reached."""
     seen = {"recenter": 0, "swap": 0}
     events: set = set()
     for _, m in _maps(777, 32):
@@ -122,7 +171,7 @@ def test_gpr_matches_brute_force_reference():
         for q in list(result.preimages) + discs:
             events.clear()
             want = ref_push_forward(m, q, events)
-            assert push_forward(m, q) == want, (m, q)
+            assert _same_point(p, push_forward(m, q), want), (m, q)
             for e in events:
                 seen[e] += 1
     assert all(n >= 20 for n in seen.values()), seen
