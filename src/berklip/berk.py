@@ -347,10 +347,11 @@ def push_forward(rmap, x: BerkPoint) -> BerkPoint:
 
     The argument needs no bound on |phi|_x, so no chart is needed, and
     it needs g_j != 0, not g(a) != 0, so a pole as center needs no
-    recentering.  Both seminorms are read from one ``Shift`` at a, whose
-    common factor cancels in their difference: with t = tn/td, line i of
-    g is td*(ord qg[i] + i*ord v) + i*tn, and s(f - w g) less that offset
-    is the least of ``diff_lines`` at t.
+    recentering.  Both seminorms are read from one ``Shift`` at a, as td
+    times their exponents less the shift's common offset, which cancels
+    in the difference: with t = tn/td, term i of g gives
+    td*(ord qg[i] + i*ord v) + i*tn, and line (i, o) of ``diff_lines``
+    gives o*td + i*tn.
     """
     if x.is_classical:
         raise ValueError("push_forward expects a type II point")

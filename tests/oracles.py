@@ -417,7 +417,13 @@ def _ref_eval(c, x: Fraction) -> Fraction:
 
 
 def ref_push_forward(m: RationalMap, x: BerkPoint, events: set | None = None) -> BerkPoint:
-    """Image of a disc point by shifted Fraction coefficients.
+    """Image of a disc point by shifted Fraction coefficients, found by an
+    algorithm independent of ``push_forward``'s dominant-coefficient
+    rule: the center is moved off a pole, the image is computed in the
+    inversion chart when |phi|_x > 1, and every same-index ratio plus 0
+    is tried as the center, keeping the first with the largest radius
+    exponent.  Its record may differ from ``push_forward``'s for the
+    same point; compare with ``berk_equal``.
 
     ``events`` gains "recenter" when the center is a pole and "swap" when
     the image is computed in the inversion chart.
