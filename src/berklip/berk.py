@@ -6,39 +6,43 @@ r = p^(-t), t rational; it is stored as (center, radius_ord=t).  Distinct
 (center, t) pairs can name the same point, so identity is the predicate
 :func:`berk_equal`, never record equality.
 
-The pushforward of a disc point reads the image off one Taylor shift to
+The pushforward of a disc point reads the image off the Taylor shift to
 its center: at a radius r, let j be the first index where the shifted
 denominator's term |g_j| r^j is largest.  Then the image is the disc
 about the same-index ratio w = f_j/g_j whose radius exponent is
 s(f - w g) - s(g), s the seminorm exponent at the point (proof in
 ``push_forward``).  A pole as center and an image outside the unit disc
-need no case of their own.  The result is validated against a
-brute-force sampling oracle and an independent candidate-scan reference
-in the test suite; see tests/oracles.py.
+need no case of their own.  The shift is read one final coefficient at
+a time and cut at the first index no later term can undercut, so most
+pushforwards never finish it.  The result is validated against a
+brute-force sampling oracle, an independent candidate-scan reference
+and the whole-shift record in the test suite; see tests/oracles.py.
 
 The radial profile reads the image diameter on a whole interval of radii
 as the max of envelopes over candidate centers, the same-index ratios
 plus 0 (``Shift.candidates``).
 
-Every seminorm is read from one integer kernel, :class:`Shift`: the shift
-to a center u/v runs on the map's integer pair (F, G), kept on the map
-since its construction, and each valuation is ord_p of an integer plus a
-multiple of ord_p v.  The pushforward and the radial profiles only
-compare seminorms of one shift with each other, so the offset shared by
-all its coefficients is never needed.  A center is carried as the
-unreduced ratio qf[j]/qg[j], with the ords of its numerator and
-denominator, which the shift already holds: the seminorms of f - w g
-read from (wn, wd) do not change when both are scaled by a common
-factor, so a center is reduced only when its image disc is built.
+Every seminorm is read from the integer numerators of a shift to a
+center u/v of the map's integer pair (F, G), kept on the map since its
+construction: each valuation is ord_p of an integer plus a multiple of
+ord_p v.  The radial profile holds the whole shift in a :class:`Shift`;
+the pushforward reads it in index order (``_Passes``), only as far as
+it must.  Both only compare seminorms of one shift with each other, so
+the offset shared by all its coefficients is never needed.  A center is
+carried as the unreduced ratio qf[j]/qg[j], with the ords of its
+numerator and denominator, which the shift already holds: the seminorms
+of f - w g read from (wn, wd) do not change when both are scaled by a
+common factor, so a center is reduced only when its image disc is
+built.
 
 Line j of f - w g, less ord wd, is the ord of wd*qf[j] - wn*qg[j] less
 ord wd: its two terms have ords ord qf[j] and ord qg[j] + delta, with
 delta = ord wn - ord wd.  Where these differ the line is the smaller one
 exactly, since ord(X - Y) = min(ord X, ord Y) whenever ord X != ord Y
 (the ultrametric inequality is an equality then); only where they tie is
-the numerator subtracted and valued (``Shift._tie_ord``).  That is the
-one statement of the tie rule, through ``Shift.diff_lines``, and it
-serves both the pushforward and the profile.
+the numerator subtracted and valued.  ``_diff_ord`` is the one statement
+of this tie rule, and it serves the pushforward's scan and, through
+``Shift.diff_lines``, the profile.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import DegenerateMapError
-from .polynomials import taylor_shift
+from .polynomials import taylor_passes, taylor_shift
 from .projective import INF_POINT, ProjPoint, _vord
 from .valued import ORD_INF, Ord, PPowerSum, _ords, format_fraction, int_val, ppow_normalize
 
@@ -217,16 +221,53 @@ def d_metric(p: int, x: BerkPoint, y: BerkPoint) -> PPowerSum:
 # ---------------------------------------------------------------------------
 
 
-def _shift_ints(c: list[int], u: int, v: int) -> list[int]:
-    """Integer numerators q of c(z + u/v): coefficient j of the shift is
-    q[j] * v^(j-d), d = len(c) - 1."""
-    if v != 1:
-        scaled, vpow = [], 1
-        for x in reversed(c):
-            scaled.append(x * vpow)
-            vpow *= v
-        c = scaled[::-1]
-    return taylor_shift(c, u)
+def _scaled(c: list[int], v: int) -> list[int]:
+    """c with coefficient j times v^(d-j), d = len(c) - 1: coefficient j of
+    its shift by an integer u is the integer numerator q[j] of coefficient
+    j of c(z + u/v), which is q[j] * v^(j-d)."""
+    if v == 1:
+        return c
+    scaled, vpow = [], 1
+    for x in reversed(c):
+        scaled.append(x * vpow)
+        vpow *= v
+    return scaled[::-1]
+
+
+class _Passes:
+    """The integer numerators of c(z + u/v) and their ords, read on demand:
+    ``at(i)`` runs the passes of ``taylor_passes`` up to i once and
+    returns (q[i], ord q[i]), None for 0."""
+
+    def __init__(self, p: int, c: list[int], u: int, v: int):
+        self.p, self.passes = p, taylor_passes(_scaled(c, v), u)
+        self.read: list[tuple[int, int | None]] = []
+
+    def at(self, i: int) -> tuple[int, int | None]:
+        read = self.read
+        while len(read) <= i:
+            x = next(self.passes)
+            read.append((x, int_val(x, self.p) if x else None))
+        return read[i]
+
+
+def _diff_ord(p: int, c, x: int, ox: int | None, y: int, oy: int | None) -> int | None:
+    """The tie rule: line j of f - w*g less j*ord v and ord wd, for the
+    shifted numerators x = qf[j], y = qg[j] with ords ox, oy and a center
+    record c = (wn, wd, ord wn, ord wd) of w = wn/wd, wn = 0 as
+    (0, 1, None, 0).  It is ord(wd*x - wn*y) - ord wd, None when that
+    numerator is 0: min(ox, oy + delta), delta = ord wn - ord wd, where
+    the two differ, and the numerator is subtracted and valued only where
+    they tie (see the module docstring)."""
+    if oy is None or c[2] is None:
+        return ox
+    oy += c[2] - c[3]
+    if ox is None or oy < ox:
+        return oy
+    if ox < oy:
+        return ox
+    n = c[1] * x - c[0] * y
+    return int_val(n, p) - c[3] if n else None
 
 
 def _lines(ords, ov: int) -> list[tuple[int, int]]:
@@ -256,7 +297,7 @@ class Shift(NamedTuple):
     @staticmethod
     def at(p: int, f: list[int], g: list[int], a: Fraction) -> "Shift":
         u, v = a.numerator, a.denominator
-        qf, qg = _shift_ints(f, u, v), _shift_ints(g, u, v)
+        qf, qg = taylor_shift(_scaled(f, v), u), taylor_shift(_scaled(g, v), u)
         return Shift(p, int_val(v, p), qf, qg, _ords(p, qf), _ords(p, qg))
 
     def swapped(self) -> "Shift":
@@ -268,33 +309,17 @@ class Shift(NamedTuple):
     def g_lines(self) -> list[tuple[int, int]]:
         return _lines(self.og, self.ov)
 
-    def _tie_ord(self, c, j: int) -> int | None:
-        """The tie rule: ord_p of the numerator wd*qf[j] - wn*qg[j] less
-        ord wd, None when it is 0, for a center record c whose two terms
-        have the same ord at j (see the module docstring)."""
-        wn, wd, _, owd = c
-        x = wd * self.qf[j] - wn * self.qg[j]
-        return int_val(x, self.p) - owd if x else None
-
     def diff_lines(self, c) -> list[tuple[int, int]]:
         """Seminorm lines (j, o) of f - w*g on the offset of f and g less
         ord wd, for a center record c = (wn, wd, ord wn, ord wd) of
-        w = wn/wd, wn = 0 as (0, 1, None, 0); empty when f = w*g.  Line j is
-        min(ord qf[j], ord qg[j] + delta) + j*ord v, delta = ord wn - ord
-        wd, where the two differ, and ``_tie_ord`` where they tie."""
-        ov = self.ov
-        own, owd = c[2], c[3]
-        delta = None if own is None else own - owd
+        w = wn/wd, wn = 0 as (0, 1, None, 0); empty when f = w*g.  Line j
+        is ``_diff_ord`` of the pair at j plus j*ord v."""
+        p, ov = self.p, self.ov
         out = []
-        for j, (x, y) in enumerate(zip(self.of, self.og)):
-            if y is not None and delta is not None:
-                y += delta
-                if x is None or y < x:
-                    x = y
-                elif x == y:
-                    x = self._tie_ord(c, j)
-            if x is not None:
-                out.append((j, x + j * ov))
+        for j, pair in enumerate(zip(self.qf, self.of, self.qg, self.og)):
+            o = _diff_ord(p, c, *pair)
+            if o is not None:
+                out.append((j, o + j * ov))
         return out
 
     def candidates(self) -> list[tuple[int, int, int | None, int]]:
@@ -347,25 +372,61 @@ def push_forward(rmap, x: BerkPoint) -> BerkPoint:
 
     The argument needs no bound on |phi|_x, so no chart is needed, and
     it needs g_j != 0, not g(a) != 0, so a pole as center needs no
-    recentering.  Both seminorms are read from one ``Shift`` at a, as td
-    times their exponents less the shift's common offset, which cancels
-    in the difference: with t = tn/td, term i of g gives
-    td*(ord qg[i] + i*ord v) + i*tn, and line (i, o) of ``diff_lines``
-    gives o*td + i*tn.
+    recentering.  Both seminorms are read from the integer numerators
+    qf, qg of the shift to a = u/v (``_scaled``), as td times their
+    exponents less the common offset of the shift, which cancels in the
+    difference: with t = tn/td and k = td*ord v + tn, term i of g is
+    td*ord qg[i] + i*k and line i of f - w g is td*o + i*k, o the
+    ``_diff_ord`` of the pair at i.
+
+    The shift is read in index order and cut.  ``taylor_passes`` makes
+    coefficient i final after pass i, so both scans read (qf[i], qg[i])
+    in index order and stop once no later index can change their answer;
+    stopping after index J costs about J*d steps, where the whole shift
+    costs d^2/2.  Each numerator is an integer, so its ord is >= 0 and
+    term l of g is >= l*k.  Line l of f - w g is
+    >= min(0, delta)*td + l*k, delta = ord wn - ord wd (0 for the zero
+    record): without a tie o = min(ord qf[l], ord qg[l] + delta) >=
+    min(0, delta), and on a tie o >= ord qf[l] >= 0, since
+    wd*qf[l] - wn*qg[l] has ord >= ord wd + ord qf[l] there.  So with
+    B = 0 for g and B = min(0, delta)*td for f - w g, every term from
+    index i on is >= B + i*k when k >= 0.  The g scan stops before index
+    i once i*k >= the least term so far: no later term is strictly
+    smaller, so the first minimising index j is final.  The f - w g scan
+    stops once B + i*k >= the least line so far, which is then the least
+    of all.  When k < 0, each term l < i read is >= B + l*k > B + i*k, so
+    the least so far is above B + i*k and neither scan stops: every index
+    is read, with no case of its own.
     """
     if x.is_classical:
         raise ValueError("push_forward expects a type II point")
     f, g = rmap.F, rmap.G
     if not any(f) or not any(g):
         raise DegenerateMapError("degenerate map")
-    t = x.radius_ord
+    p, t, a = rmap.p, x.radius_ord, x.center
     tn, td = t.numerator, t.denominator
-    sh = Shift.at(rmap.p, f, g, x.center)
-    k = sh.ov * td + tn
-    sg, j = min((o * td + i * k, i) for i, o in enumerate(sh.og) if o is not None)
-    c = (0, 1, None, 0) if sh.of[j] is None else (sh.qf[j], sh.qg[j], sh.of[j], sh.og[j])
-    lines = sh.diff_lines(c)
-    if not lines:
+    u, v = a.numerator, a.denominator
+    k = int_val(v, p) * td + tn
+    f_at, g_at = _Passes(p, f, u, v).at, _Passes(p, g, u, v).at
+    sg = j = None
+    for i in range(len(g)):
+        if sg is not None and i * k >= sg:
+            break
+        o = g_at(i)[1]
+        if o is not None and (sg is None or o * td + i * k < sg):
+            sg, j = o * td + i * k, i
+    (wn, own), (wd, owd) = f_at(j), g_at(j)
+    if own is None:
+        c, low = (0, 1, None, 0), 0
+    else:
+        c, low = (wn, wd, own, owd), min(0, own - owd) * td
+    s = None
+    for i in range(len(f)):
+        if s is not None and low + i * k >= s:
+            break
+        o = _diff_ord(p, c, *f_at(i), *g_at(i))
+        if o is not None and (s is None or o * td + i * k < s):
+            s = o * td + i * k
+    if s is None:
         raise DegenerateMapError("degenerate map")
-    s = min(o * td + i * tn for i, o in lines)
     return BerkPoint.disc(Fraction(c[0], c[1]), Fraction(s - sg, td))

@@ -1,19 +1,23 @@
 """Dense univariate polynomial kernels.
 
 Coefficient lists are ascending: c[i] is the coefficient of z^i.  The
-kernels work on integers: ``hom_eval`` evaluates a form, ``taylor_shift``
-receives a map's integer pair (see ``berk.Shift``, which reads every
-seminorm valuation from it), and the resultant valuation eliminates over
-Z/p^N on the d x d Bezout matrix of the two forms, whose determinant is
-the resultant up to sign.  It runs once per map, at construction, where
-it is the coprimality test (two forms share a root in P1 exactly when
-that determinant vanishes) and its value is kept as the map's ``res``.
+kernels work on integers: ``hom_eval`` evaluates a form,
+``taylor_passes`` shifts a map's integer pair one final coefficient at a
+time (``berk.push_forward`` stops once no later coefficient can change
+its answer), ``taylor_shift`` drains it for a whole shift (``berk.Shift``,
+which the radial profile reads), and the resultant valuation eliminates
+over Z/p^N on the d x d Bezout matrix of the two forms, whose
+determinant is the resultant up to sign.  It runs once per map, at
+construction, where it is the coprimality test (two forms share a root
+in P1 exactly when that determinant vanishes) and its value is kept as
+the map's ``res``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from typing import Iterator
 
 from .valued import int_val
 
@@ -37,17 +41,29 @@ def hom_eval(c: list[int], u: int, v: int) -> int:
     return acc
 
 
-def taylor_shift(c: Poly, a) -> Poly:
-    """Coefficients of f(z + a), by iterated synthetic division; integer
-    coefficients and an integer a stay integers."""
+def taylor_passes(c: Poly, a) -> Iterator:
+    """Coefficients of f(z + a) in index order, by iterated synthetic
+    division: pass i adds a times each coefficient above i to the one
+    below it, from the top down to i, and no later pass touches index i,
+    so coefficient i is final after pass i and is yielded then.  Reading
+    the first J coefficients costs J passes, about J*len(c) steps, where
+    the whole shift costs len(c)^2 / 2.  Integer coefficients and an
+    integer a stay integers."""
     out = list(c)
     if not a:
-        return out
+        yield from out
+        return
     n = len(out)
     for i in range(n - 1):
         for j in range(n - 2, i - 1, -1):
             out[j] += a * out[j + 1]
-    return out
+        yield out[i]
+    yield from out[n - 1 :]
+
+
+def taylor_shift(c: Poly, a) -> Poly:
+    """Coefficients of f(z + a), every pass of ``taylor_passes``."""
+    return list(taylor_passes(c, a))
 
 
 def _integral_form(p: int, c: Poly) -> tuple[list[int], int] | None:

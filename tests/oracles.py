@@ -57,16 +57,17 @@ from berklip.berk import (
     Shift,
     _lines,
     _ords,
-    _shift_ints,
+    _scaled,
     berk_equal,
     diam_gauss,
     gauss_point,
     iota,
     push_forward,
 )
-from berklip.errors import InternalInvariantError, ParseError
+from berklip.errors import DegenerateMapError, InternalInvariantError, ParseError
 from berklip.invariants import GprResult, hull
 from berklip.piecewise import PWLinear
+from berklip.polynomials import taylor_shift
 from berklip.projective import INF_POINT, ProjPoint, _vord, spherical_ord
 from berklip.ratmap import (
     FactoredForm,
@@ -458,6 +459,29 @@ def _ref_push(p, f, g, a, t, events) -> BerkPoint:
         if best is None or s > best[0]:
             best = (s, w)
     return BerkPoint.disc(best[1], best[0])
+
+
+def ref_push_forward_full(m: RationalMap, x: BerkPoint) -> BerkPoint:
+    """The pushforward read off whole shifts, as before the cut scans: one
+    ``Shift.at`` at the center, the first index of least g-term, then the
+    least of all of ``diff_lines``.  ``push_forward`` returns this exact
+    record, the center's ``Fraction`` and the radius alike."""
+    if x.is_classical:
+        raise ValueError("push_forward expects a type II point")
+    f, g = m.F, m.G
+    if not any(f) or not any(g):
+        raise DegenerateMapError("degenerate map")
+    t = x.radius_ord
+    tn, td = t.numerator, t.denominator
+    sh = Shift.at(m.p, f, g, x.center)
+    k = sh.ov * td + tn
+    sg, j = min((o * td + i * k, i) for i, o in enumerate(sh.og) if o is not None)
+    c = (0, 1, None, 0) if sh.of[j] is None else (sh.qf[j], sh.qg[j], sh.of[j], sh.og[j])
+    lines = sh.diff_lines(c)
+    if not lines:
+        raise DegenerateMapError("degenerate map")
+    s = min(o * td + i * tn for i, o in lines)
+    return BerkPoint.disc(Fraction(c[0], c[1]), Fraction(s - sg, td))
 
 
 def _ref_diam_gauss(p: int, a: Fraction, t: Fraction) -> Fraction:
@@ -971,7 +995,7 @@ def seminorm(p: int, coeffs, x: BerkPoint) -> Ord:
     ints = [c.numerator * (den // c.denominator) for c in cs]
     u, v = x.center.numerator, x.center.denominator
     ov = int_val(v, p)
-    lines = _lines(_ords(p, _shift_ints(ints, u, v)), ov)
+    lines = _lines(_ords(p, taylor_shift(_scaled(ints, v), u)), ov)
     offset = (len(ints) - 1) * ov + int_val(den, p)
     if not lines:
         raise ValueError("seminorm of the zero polynomial")

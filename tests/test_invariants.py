@@ -25,7 +25,7 @@ from berklip.invariants import (
     rp_ord,
 )
 from berklip.piecewise import lower_envelope
-from berklip.polynomials import hom_eval, taylor_shift
+from berklip.polynomials import hom_eval, taylor_passes
 from berklip.projective import INF_POINT, ProjPoint
 from berklip.ratmap import from_coeffs, from_factored, gir_minors
 from berklip.sampling import DetRng, random_rational
@@ -353,12 +353,13 @@ def test_point_decision_matches_reference_fiber():
 
 def test_screen_counts_shifts_and_reverifications(count_calls, monkeypatch):
     """gpr builds no shift for any edge, sloped or flat, and re-verifies
-    each distinct preimage once, each pushforward building one shift:
-    every Taylor shift is one of the two of a ``Shift.at``, and there is
-    one ``Shift.at`` per pushforward.  The totals are pinned, so a screen
-    that passes every edge, or a shift built for an edge, fails here."""
+    each distinct preimage once, each pushforward starting one shift of F
+    and one of G: gpr builds no ``Shift``, and every started Taylor shift
+    (``taylor_passes``, which ``taylor_shift`` drains too) is one of the
+    two of a pushforward.  The totals are pinned, so a screen that passes
+    every edge, or a shift built for an edge, fails here."""
     pushes = count_calls(push_forward)
-    taylor = count_calls(taylor_shift)
+    passes = count_calls(taylor_passes)
     shifts = []
     at = Shift.at
 
@@ -367,7 +368,7 @@ def test_screen_counts_shifts_and_reverifications(count_calls, monkeypatch):
         return at(*args)
 
     monkeypatch.setattr(Shift, "at", staticmethod(counted_at))
-    totals = {"shifts": 0, "pushes": 0, "unscreened": 0}
+    totals = {"shifts": 0, "passes": 0, "pushes": 0, "unscreened": 0}
     rng = DetRng(4711)
     maps = [random_factored_map(rng, p, dmax=6, multiplicities=True) for p in (3, 5, 7) * 4]
     maps += [random_ladder_map(rng, 3, 10), random_ladder_map(rng, 5, 10)]
@@ -375,15 +376,16 @@ def test_screen_counts_shifts_and_reverifications(count_calls, monkeypatch):
         edges = _zero_pole_hull(m).edges
         shifts.clear()
         pushes.clear()
-        taylor.clear()
+        passes.clear()
         res = gpr(m)
         assert len(pushes) == len(res.preimages)
-        assert len(shifts) == len(pushes), m
-        assert len(taylor) == 2 * len(shifts), m
+        assert not shifts, m
+        assert len(passes) == 2 * len(pushes), m
         totals["shifts"] += len(shifts)
+        totals["passes"] += len(passes)
         totals["pushes"] += len(pushes)
         totals["unscreened"] += len({e.center for e in edges})
-    assert totals == {"shifts": 45, "pushes": 45, "unscreened": 92}, totals
+    assert totals == {"shifts": 0, "passes": 90, "pushes": 45, "unscreened": 92}, totals
 
 
 def test_bundle_examples():
