@@ -16,9 +16,10 @@
 The preimages of the Gauss point lie on the hull of the zeros and poles:
 off the hull all zeros and poles sit in a single direction, while a point
 mapping onto the Gauss point must separate a zero-direction from a
-pole-direction.  Each distinct preimage is re-verified once through the
-pushforward, and its identity with the Gauss point decided by
-``berk_equal``.
+pole-direction.  Each distinct preimage, told apart from the others by
+where it lies on the hull (a vertex, or a point inside one edge), is
+re-verified once through the pushforward, and its identity with the Gauss
+point decided by ``berk_equal``.
 
 Most hull edges cannot meet the fiber, and the factored form says which.
 On a hull edge ord phi(zeta_{a, t}) is the line K + s*t, s = zeros -
@@ -375,21 +376,36 @@ def gpr(m: RationalMap) -> GprResult:
     Every record names the point by the edge center, so ``found``, the
     argmin and their order are those of the scan of every edge's whole
     fiber.
+
+    A preimage is recorded once, by a key of where it lies on the hull:
+    at an end of its edge (t equal to an end of ``t_range``) by the
+    identity of that vertex, inside the edge by (edge index, t).  Two
+    records name one point exactly when their keys agree.  The hull is a
+    tree: ``hull`` builds each vertex once, and every edge at a vertex
+    refers to that object; the open edges are disjoint from each other and
+    from the vertices; and on one edge t names one point.  So no two
+    distinct points share a key and no point has two keys: the set of keys
+    decides what a ``berk_equal`` scan of ``found`` would, without its
+    cost quadratic in the preimages.
     """
     p = m.p
     ff = m.require_factored()
     edges = hull(p, [pt for pt, _ in ff.zeros] + [pt for pt, _ in ff.poles]).edges
     best: tuple[Fraction, BerkPoint] | None = None
     found: list[BerkPoint] = []
-    for edge, ts in zip(edges, _fiber_points(p, ff, edges)):
+    seen = set()  # the keys of the points in found
+    for i, (edge, ts) in enumerate(zip(edges, _fiber_points(p, ff, edges))):
         center = edge.center
+        lo, hi = edge.t_range()
         for t in ts:
             pt = BerkPoint.disc(center, t)
-            if not any(berk_equal(p, pt, q) for q in found):
+            key = id(edge.upper) if t == lo else id(edge.lower) if t == hi else (i, t)
+            if key not in seen:
                 if not berk_equal(p, push_forward(m, pt), gauss_point()):
                     raise InternalInvariantError(
                         "edge scan produced a non-preimage; candidate set bug"
                     )
+                seen.add(key)
                 found.append(pt)
             s = _diam_gauss_frac(p, center, t)
             if best is None or s > best[0]:

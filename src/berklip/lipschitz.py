@@ -15,17 +15,22 @@ env(g), with no per-piece correction (see ``radial_profile``).  The
 segment Lipschitz constant is the maximal slope sup |k| C r^(k-1),
 attained at a piece endpoint.
 A deterministic sampler of classical pairs provides empirical ratio
-maxima and equality witnesses.  The sampler skips, without evaluating the
-map, every pair whose source exponent is at most the running maximum:
-an image distance is at most 1, so a pair's ratio exponent is at most its
-source exponent, and such a pair cannot raise the maximum or move the
-witness.
+maxima and equality witnesses.  Its pool, shared by every map with the
+same prime, sample count and seed, lists the distinct sampled points once
+and the pairs by descending source exponent; the map is evaluated at most
+once per distinct point, the first time a pair needs it.  An image
+distance is at most 1, so a pair's ratio exponent is at most its source
+exponent: the scan stops at the first pair whose source exponent is below
+the running maximum, and of the pairs at the maximum evaluates only those
+that could still be the first in pool order to reach it (proof in
+``sample_ratios``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from typing import NamedTuple
 
 from .berk import Shift, iota
@@ -258,69 +263,109 @@ def segment_lip(profile: RadialProfile) -> PPowerSum:
 
 @lru_cache(maxsize=16)
 def _pair_pool(p: int, n: int, seed: int):
-    """n sampled distinct pairs with their source distances, reusable
-    across maps for a fixed seed."""
+    """n sampled pairs of distinct points, reusable across maps for a fixed
+    p, n and seed.
+
+    Returns (points, pairs).  ``points`` lists the distinct sampled points
+    as reduced (num, den) pairs, in order of first draw.  ``pairs`` holds
+    one record (s, k, a, b) per pair: its source distance exponent s, its
+    index k in draw order (the pool order), and the indices a, b of its two
+    points in ``points``.  The records are sorted by descending s, ties in
+    pool order.
+    """
     rng = DetRng(seed)
-    pool = []
-    while len(pool) < n:
+    slot: dict[tuple[int, int], int] = {}
+    pairs = []
+    while len(pairs) < n:
         xn, xd = random_point_ints(rng, p)
         yn, yd = random_point_ints(rng, p)
         s = _sph_pair_ord(p, xn, xd, yn, yd)
         if s is None:
             continue
-        pool.append((xn, xd, yn, yd, s))
-    return tuple(pool)
+        ends = []
+        for num, den in ((xn, xd), (yn, yd)):
+            g = gcd(num, den)
+            ends.append(slot.setdefault((num // g, den // g), len(slot)))
+        pairs.append((s, len(pairs), *ends))
+    pairs.sort(key=lambda r: -r[0])  # stable: ties stay in pool order
+    return tuple(slot), tuple(pairs)
 
 
 def sample_ratios(m: RationalMap, n: int, seed: int, lip_ord=None):
     """Max of dist(phi x, phi y)/dist(x, y) over n sampled distinct pairs.
 
     Returns (max ratio as a one-term sum, maximizing pair of points: the
-    first in pool order to reach the maximum).  The loop runs on unreduced
-    integer pairs for speed and keeps the running witness as its four
-    ints; the points are built once, at the end.  A pair whose source
-    exponent is at most the running maximum exponent is skipped
-    unevaluated: its image exponent is >= 0 (see ``_sph_pair_ord``), so
-    its ratio exponent is at most its source exponent, and the maximum
-    only moves on a strict increase.  The maximum and the witness are
-    therefore those of the unpruned loop.  When the exact Lipschitz
-    exponent is known (``lip_ord``, or computable from a factored form)
-    the maximum is asserted to stay within it.
+    first in pool order to reach the maximum), that is the result of the
+    loop that evaluates every pair in pool order and moves the maximum only
+    on a strict increase.  The loop runs on integer pairs.  The forms F and
+    G are evaluated at most once per distinct pool point, by one fused
+    Horner loop the first time a pair needs the point, and kept in the
+    point's slot for this map; ``_sph_pair_ord`` reads homogeneous pairs,
+    so the pool's reduced points give the distances of the drawn ones.  The
+    witness is kept as its pool record and built once, at the end.  When
+    the exact Lipschitz exponent is known (``lip_ord``, or computable from
+    a factored form) the maximum is asserted to stay within it.
+
+    The pairs are visited by descending source exponent s, ties in pool
+    order (see ``_pair_pool``).  With e = s - s_img the ratio exponent of
+    a pair and m the running maximum, the visit stops at the first pair
+    with s < m and skips a pair with s = m whose pool index is above the
+    current witness's; a pair that ties m with a lower pool index becomes
+    the witness.  Proof that the result is the pool-order loop's, with M
+    its maximum and W its witness, the first pair in pool order with
+    e = M:
+
+    * an image distance is at most 1, so s_img >= 0 and e <= s; m is a
+      max over pairs visited, so m <= M at every step;
+    * the visit never stops before W: the stop needs s < m <= M, and every
+      pair from there on has s < M, while s_W >= e_W = M;
+    * W is never skipped: a skip needs s_W = m, and m <= M <= s_W makes
+      m = M, so the current witness, a pair with e = M, would lie before W
+      in pool order, against W being the first;
+    * once W is evaluated the maximum is M and the witness W (a tie with
+      the current witness moves it to W, the lower pool index), and
+      neither moves again: that needs e > M, or e = M below W in pool
+      order.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     p = m.p
     fi, gi = m.F, m.G
-    d = m.d
-    rng_span = range(d, -1, -1)
+    points, pairs = _pair_pool(p, n, seed)
+    span = range(m.d, -1, -1)
+    vals = [None] * len(points)  # (F, G) at each point, once needed
     max_e = best = None
-    for xn, xd, yn, yd, s_src in _pair_pool(p, n, seed):
-        if max_e is not None and s_src <= max_e:
-            continue
-        ax = bx = ay = by = 0
-        xpow = ypow = 1
-        # hom eval: sum c_i num^i den^(d-i), Horner in num with den powers
-        for i in rng_span:
-            ax = ax * xn + fi[i] * xpow
-            bx = bx * xn + gi[i] * xpow
-            ay = ay * yn + fi[i] * ypow
-            by = by * yn + gi[i] * ypow
-            xpow *= xd
-            ypow *= yd
-        s_img = _sph_pair_ord(p, ax, bx, ay, by)
+    for s_src, k, a, b in pairs:
+        if max_e is not None:
+            if s_src < max_e:
+                break
+            if s_src == max_e and k > best[0]:
+                continue
+        for j in (a, b):
+            if vals[j] is None:
+                # F and G at (num, den): Horner in num with den powers
+                xn, xd = points[j]
+                fx = gx = 0
+                xpow = 1
+                for i in span:
+                    fx = fx * xn + fi[i] * xpow
+                    gx = gx * xn + gi[i] * xpow
+                    xpow *= xd
+                vals[j] = fx, gx
+        s_img = _sph_pair_ord(p, *vals[a], *vals[b])
         if s_img is None:
             continue
         e = s_src - s_img
-        if max_e is None or e > max_e:
+        if max_e is None or e > max_e or (e == max_e and k < best[0]):
             max_e = e
-            best = xn, xd, yn, yd
+            best = k, a, b
     if max_e is None:
         return PPOW_ZERO, None
     if lip_ord is None and m.factored is not None:
         lip_ord = bundle(m).gpr.frac
     if lip_ord is not None and max_e > lip_ord:
         raise InternalInvariantError("sampled ratio exceeded the exact Lipschitz bound")
-    xn, xd, yn, yd = best
+    (xn, xd), (yn, yd) = points[best[1]], points[best[2]]
     pair = (ProjPoint.of(Fraction(xn, xd)), ProjPoint.of(Fraction(yn, yd)))
     return ppow_term(p, 1, max_e), pair
 

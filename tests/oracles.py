@@ -541,17 +541,20 @@ def ref_gpr_ord(m: RationalMap, edges) -> Fraction:
 def ref_sample_ratios(m: RationalMap, n: int, seed: int):
     """The sampler's (max ratio, witness pair) by the unpruned loop.
 
-    Every pooled pair is evaluated, with Fraction points, ``eval_proj`` and
-    ``ref_spherical_ord`` in place of the sampler's integer Horner
-    evaluation and ``_sph_pair_ord``.  The witness is the first pair in
-    pool order to reach the maximum.
+    Every pooled pair is evaluated in pool order (the pool's records
+    sorted back by their pool index), with Fraction points, ``eval_proj``
+    and ``ref_spherical_ord`` in place of the sampler's integer Horner
+    evaluation and ``_sph_pair_ord``; the pool's source exponents are not
+    read.  The witness is the first pair in pool order to reach the
+    maximum.
     """
     from berklip.lipschitz import _pair_pool
 
     p = m.p
+    points, pairs = _pair_pool(p, n, seed)
     best = None
-    for xn, xd, yn, yd, _ in _pair_pool(p, n, seed):
-        x, y = ProjPoint.of(Fraction(xn, xd)), ProjPoint.of(Fraction(yn, yd))
+    for _, _, a, b in sorted(pairs, key=lambda r: r[1]):
+        x, y = (ProjPoint.of(Fraction(*points[i])) for i in (a, b))
         s_img = ref_spherical_ord(p, eval_proj(m, x), eval_proj(m, y))
         if s_img is None:
             continue
@@ -775,6 +778,29 @@ def ref_gpr_scan(m: RationalMap, points):
                 if best is None or s > best[0]:
                     best = (s, pt)
     assert best is not None, "no Gauss preimage on the hull"
+    return GprResult(Ord.of(best[0]), best[1], tuple(found))
+
+
+def ref_gpr_found_by_scan(m: RationalMap) -> GprResult:
+    """gpr on the same hull edges and fiber points, with each new point
+    compared against every point found so far by ``berk_equal`` (the
+    dedupe before the key of where a point lies on the hull) and the
+    diameters by ``diam_gauss``.  No point is re-verified here."""
+    from berklip.invariants import _fiber_points
+
+    p = m.p
+    ff = m.require_factored()
+    edges = hull(p, [pt for pt, _ in ff.zeros] + [pt for pt, _ in ff.poles]).edges
+    best = None
+    found = []
+    for edge, ts in zip(edges, _fiber_points(p, ff, edges)):
+        for t in ts:
+            pt = BerkPoint.disc(edge.center, t)
+            if not any(berk_equal(p, pt, q) for q in found):
+                found.append(pt)
+            s = diam_gauss(p, pt).frac
+            if best is None or s > best[0]:
+                best = (s, pt)
     return GprResult(Ord.of(best[0]), best[1], tuple(found))
 
 

@@ -35,6 +35,7 @@ from oracles import (
     dehomogenized,
     ref_candidate,
     ref_gauss_fiber_zero_set,
+    ref_gpr_found_by_scan,
     ref_gpr_scan,
     ref_hull,
     ref_rp_ord,
@@ -293,6 +294,25 @@ def test_screened_gpr_equals_unscreened_scan():
     for m in maps:
         ff = m.factored
         assert gpr(m) == ref_gpr_scan(m, [q for q, _ in ff.zeros + ff.poles]), m
+
+
+def test_gpr_preimage_key_matches_berk_equal_dedupe(count_calls):
+    """Keying each preimage by where it lies on the hull (a vertex by
+    identity, an edge's inside by (edge index, t)) finds the points, in
+    the order, that a ``berk_equal`` scan of ``found`` does, with one
+    pushforward per distinct point: on the acceptance corpus, maps with
+    multiplicities and ladder-type maps of degree 10, 20 and 30 at p = 3."""
+    rng = DetRng(2603)
+    maps = acceptance_corpus()
+    maps += [random_factored_map(rng, p, dmax=6, multiplicities=True) for p in (2, 3, 5, 7) * 3]
+    maps += [random_ladder_map(rng, 3, d) for d, count in ((10, 3), (20, 4), (30, 3))
+             for _ in range(count)]
+    calls = count_calls(push_forward)
+    for m in maps:
+        calls.clear()
+        res = gpr(m)
+        assert res == ref_gpr_found_by_scan(m), m
+        assert len(calls) == len(res.preimages), m
 
 
 def test_screen_agrees_with_w0_equality_set():

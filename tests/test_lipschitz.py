@@ -24,6 +24,7 @@ from berklip.lipschitz import (
     sample_ratios,
     segment_lip,
 )
+from berklip.polynomials import hom_eval
 from berklip.projective import INF_POINT, ProjPoint, spherical_ord
 from berklip.ratmap import (
     eval_proj,
@@ -290,6 +291,10 @@ def test_sample_ratios_matches_unpruned_reference():
         for n in (1, 7, 1000):
             seed = rng.randint(0, 10**6)
             assert sample_ratios(m, n, seed) == ref_sample_ratios(m, n, seed), (k, n)
+    # deep in a large pool many pairs tie at the maximum
+    for p, dmax in ((3, 3), (7, 8)):
+        m = random_factored_map(rng, p, dmax=dmax)
+        assert sample_ratios(m, 10_000, 1) == ref_sample_ratios(m, 10_000, 1), p
 
 
 @st.composite
@@ -344,26 +349,109 @@ def test_sph_pair_ord_is_scale_free(data):
     assert at_inf == ref_spherical_ord(p, INF_POINT, _proj((vn, vd)))
 
 
+def _pool_ratios(m, n, seed):
+    """(s, e) for each pair of the pool in pool order: its source distance
+    exponent and ratio exponent (None where the images coincide), in
+    Fractions by ``eval_proj`` and ``ref_spherical_ord``."""
+    p = m.p
+    points, pairs = _pair_pool(p, n, seed)
+    out = []
+    for _, _, a, b in sorted(pairs, key=lambda r: r[1]):
+        x, y = (ProjPoint.of(Fraction(*points[i])) for i in (a, b))
+        s = ref_spherical_ord(p, x, y)
+        s_img = ref_spherical_ord(p, eval_proj(m, x), eval_proj(m, y))
+        out.append((s, None if s_img is None else s - s_img))
+    return out
+
+
+def _stop_rule_model(ratios):
+    """The pool indices of the pairs the stop rule evaluates, in the order
+    it visits them (descending s, ties in pool order), from the pool's
+    ``_pool_ratios``: those with s above the final maximum M, and those
+    with s = M at or before the witness W, the first pair in pool order
+    with e = M."""
+    big = max(e for _, e in ratios if e is not None)
+    first = next(k for k, (_, e) in enumerate(ratios) if e == big)
+    order = sorted(range(len(ratios)), key=lambda k: (-ratios[k][0], k))
+    return [k for k in order if ratios[k][0] > big or (ratios[k][0] == big and k <= first)]
+
+
 def test_sample_ratios_skips_pairs_that_cannot_win(count_calls):
-    """A pair is evaluated only while its source exponent exceeds the
-    running maximum: for z^2 the maximum reaches 0 at once, after which
-    the pool's pairs at distance 1 (about two thirds) are skipped."""
+    """A pair is evaluated only if its source exponent is above the final
+    maximum, or equal to it and no later in pool order than the witness:
+    for z^2 the maximum is 0, and the pool's pairs at distance 1 (about two
+    thirds) are never reached."""
     p, n, seed = 3, 1000, 5
     m = from_factored(p, 1, [(pt(0), 2)], [(INF_POINT, 2)])
-    pool = _pair_pool(p, n, seed)  # built before counting
-    expected, run_max = 0, None
-    for xn, xd, yn, yd, s_src in pool:
-        if run_max is None or s_src > run_max:
-            expected += 1
-        x, y = ProjPoint.of(Fraction(xn, xd)), ProjPoint.of(Fraction(yn, yd))
-        s_img = spherical_ord(p, eval_proj(m, x), eval_proj(m, y))
-        if not s_img.is_inf:
-            e = s_src - s_img.frac
-            run_max = e if run_max is None else max(run_max, e)
+    expected = len(_stop_rule_model(_pool_ratios(m, n, seed)))
+    _pair_pool(p, n, seed)  # built before counting
     calls = count_calls(_sph_pair_ord)
     got = sample_ratios(m, n, seed, lip_ord=Fraction(0))
     assert got == ref_sample_ratios(m, n, seed)
     assert len(calls) == expected < n // 2
+
+
+class _TopReads(tuple):
+    """A form that counts the reads of its top coefficient: the sampler's
+    Horner loop reads it once per point it evaluates."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        if i == len(self) - 1:
+            self.reads += 1
+        return tuple.__getitem__(self, i)
+
+
+def test_sample_ratios_evaluates_each_point_once(count_calls):
+    """Per map, the sampler evaluates each distinct pool point at most once
+    and reaches exactly the pairs of the stop rule's model, in its visiting
+    order, so never one whose source exponent is below the final maximum.
+    The pool lists each point once, with every pair's source exponent, by
+    descending source exponent and ties in pool order."""
+    rng = DetRng(808)
+    maps = acceptance_corpus()[:12]
+    maps += [_random_coeff_map(rng, p, 6) for p in (2, 3, 5, 7)]
+    maps.append(from_factored(3, 1, [(pt(0), 2)], [(INF_POINT, 2)]))
+    calls = count_calls(_sph_pair_ord)
+    for k, m in enumerate(maps):
+        p, n, seed = m.p, (200, 1000)[k % 2], k
+        ratios = _pool_ratios(m, n, seed)
+        model = _stop_rule_model(ratios)
+        points, pairs = _pair_pool(p, n, seed)
+        assert len(set(points)) == len(points)
+        assert [(-s, i) for s, i, _, _ in pairs] == sorted((-s, i) for s, i, _, _ in pairs)
+        assert all(s == ratios[i][0] for s, i, _, _ in pairs)
+        ends = {i: (a, b) for _, i, a, b in pairs}
+        images = [(hom_eval(m.F, *xy), hom_eval(m.G, *xy)) for xy in points]
+        lip = bundle(m).gpr.frac if m.factored is not None else None
+        expected = [(p, *images[ends[i][0]], *images[ends[i][1]]) for i in model]
+        top = _TopReads(m.F)
+        calls.clear()
+        got = sample_ratios(m._replace(F=top), n, seed, lip_ord=lip)
+        assert got == ref_sample_ratios(m, n, seed), k
+        assert calls == expected, k
+        assert top.reads == len({j for i in model for j in ends[i]}), k
+
+
+def test_sample_ratios_tie_goes_to_the_first_pair_in_pool_order():
+    """For z^2 at p = 3 the pool of 12 pairs at seed 5 has its first pair
+    at the maximum 0 with source exponent 0, and a later pair with a
+    larger source exponent, visited earlier, that reaches the same
+    maximum: the witness is still the first pair in pool order."""
+    p, n, seed = 3, 12, 5
+    m = from_factored(p, 1, [(pt(0), 2)], [(INF_POINT, 2)])
+    ratios = _pool_ratios(m, n, seed)
+    big = max(e for _, e in ratios if e is not None)
+    first = next(k for k, (_, e) in enumerate(ratios) if e == big)
+    assert any(
+        e == big and s > ratios[first][0] for s, e in ratios[first + 1:]
+    ), "the pool no longer holds a later tie at a larger source exponent"
+    got = sample_ratios(m, n, seed)
+    assert got == ref_sample_ratios(m, n, seed)
+    points, pairs = _pair_pool(p, n, seed)
+    a, b = next((a, b) for _, i, a, b in pairs if i == first)
+    assert got[1] == tuple(ProjPoint.of(Fraction(*points[j])) for j in (a, b))
 
 
 def test_gpr_witness_examples():
