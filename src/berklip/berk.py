@@ -18,9 +18,10 @@ pushforwards never finish it.  The result is validated against a
 brute-force sampling oracle, an independent candidate-scan reference
 and the whole-shift record in the test suite; see tests/oracles.py.
 
-The radial profile reads the image diameter on a whole interval of radii
-as the max of envelopes over candidate centers, the same-index ratios
-plus 0 (``Shift.candidates``).
+The radial profile reads the same theorem on a whole interval of radii:
+on each piece of the denominator's envelope one index j is dominant, so
+the one ratio f_j/g_j centers the image all along the piece
+(``radial_profile`` in ``lipschitz``).
 
 Every seminorm is read from the integer numerators of a shift to a
 center u/v of the map's integer pair (F, G), kept on the map since its
@@ -270,6 +271,17 @@ def _diff_ord(p: int, c, x: int, ox: int | None, y: int, oy: int | None) -> int 
     return int_val(n, p) - c[3] if n else None
 
 
+def _ratio_record(x: int, ox: int | None, y: int, oy: int) -> tuple[tuple, int]:
+    """The center record (wn, wd, ord wn, ord wd) of w = x/y for shifted
+    numerators x = qf[j], y = qg[j] != 0 with ords ox, oy, the zero record
+    (0, 1, None, 0) when x = 0, and min(0, ord w), 0 for the zero record.
+    The pair is kept unreduced and its sign as it is: ``_diff_ord`` reads
+    w through wd*qf - wn*qg less ord wd, unchanged by a common factor."""
+    if ox is None:
+        return (0, 1, None, 0), 0
+    return (x, y, ox, oy), min(0, ox - oy)
+
+
 def _lines(ords, ov: int) -> list[tuple[int, int]]:
     """Seminorm lines (j, ord q[j] + j*ov) of the nonzero numerators q[j]
     with the given ords: the line t -> ord(coefficient j) + j*t, up to the
@@ -300,12 +312,6 @@ class Shift(NamedTuple):
         qf, qg = taylor_shift(_scaled(f, v), u), taylor_shift(_scaled(g, v), u)
         return Shift(p, int_val(v, p), qf, qg, _ords(p, qf), _ords(p, qg))
 
-    def swapped(self) -> "Shift":
-        return Shift(self.p, self.ov, self.qg, self.qf, self.og, self.of)
-
-    def f_lines(self) -> list[tuple[int, int]]:
-        return _lines(self.of, self.ov)
-
     def g_lines(self) -> list[tuple[int, int]]:
         return _lines(self.og, self.ov)
 
@@ -321,36 +327,6 @@ class Shift(NamedTuple):
             if o is not None:
                 out.append((j, o + j * ov))
         return out
-
-    def candidates(self) -> list[tuple[int, int, int | None, int]]:
-        """Candidate image centers in the closed unit disc for the radial
-        profile, as records (wn, wd, ord wn, ord wd) of unreduced pairs
-        with wd > 0: the same-index coefficient ratios qf[j]/qg[j]
-        (= f_j/g_j) of ord >= 0 in index order with the ords ``of[j]``,
-        ``og[j]`` the shift holds, a zero ratio as (0, 1, None, 0), then
-        (0, 1, None, 0) unless present.  Exact duplicates are dropped, but
-        one ratio may appear in two unreduced forms.
-
-        No gcd is needed.  The lines of f - w g are read through the
-        numerators wd*qf[j] - wn*qg[j] less ord wd, unchanged when
-        (wn, wd) is scaled by a common factor, so both forms of a ratio
-        give the same lines and add nothing to a max of envelopes.
-
-        A ratio with ord qf[j] < ord qg[j], that is |w| > 1, is left out,
-        which needs no big-integer work: wherever |f|_x <= |g|_x, as in
-        the chart the radial profile reads it in, such a w has
-        |f - w g|_x = |w| |g|_x > |f|_x, so the candidate 0 gives a
-        strictly larger image diameter exponent and w adds nothing to the
-        max.
-        """
-        zero = (0, 1, None, 0)
-        out = {}
-        for x, y, ox, oy in zip(self.qf, self.qg, self.of, self.og):
-            if oy is None or (ox is not None and ox < oy):
-                continue
-            out.setdefault(zero if ox is None else (x, y, ox, oy) if y > 0 else (-x, -y, ox, oy))
-        out.setdefault(zero)
-        return list(out)
 
 
 def push_forward(rmap, x: BerkPoint) -> BerkPoint:
@@ -415,11 +391,8 @@ def push_forward(rmap, x: BerkPoint) -> BerkPoint:
         o = g_at(i)[1]
         if o is not None and (sg is None or o * td + i * k < sg):
             sg, j = o * td + i * k, i
-    (wn, own), (wd, owd) = f_at(j), g_at(j)
-    if own is None:
-        c, low = (0, 1, None, 0), 0
-    else:
-        c, low = (wn, wd, own, owd), min(0, own - owd) * td
+    c, low = _ratio_record(*f_at(j), *g_at(j))
+    low *= td
     s = None
     for i in range(len(f)):
         if s is not None and low + i * k >= s:

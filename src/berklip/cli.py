@@ -70,11 +70,12 @@ MAX_B0_ORD = 64
 
 # Largest number of digits in the numerator and in the denominator of the
 # --center of profile: the Taylor shift to the center, and each tied
-# candidate line read from it, grow with the center's height times the
+# line of f - w g read from it, grow with the center's height times the
 # degree.  On the degree-64 map with zeros 1..64 and poles -k/2 at p = 3,
-# the slowest center timed at the cap, 77...76 (100 digits), takes 2.4 s
-# against 0.2 s at center 0; 150 digits took 3.0 s, on a 2-vCPU Xeon with
-# Python 3.11.
+# the slowest center timed at the cap, 77...76 (100 digits), takes 0.23 s
+# against 0.15 s at center 0 for the whole command; the profile alone
+# takes 0.09 s there and 0.12 s at 77...76 with 150 digits, on a 2-vCPU
+# Xeon with Python 3.11.
 MAX_CENTER_DIGITS = 100
 
 # Largest map file read, in bytes.  At the caps a map holds at most 131

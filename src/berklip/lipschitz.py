@@ -9,11 +9,11 @@ caller.  Degree-1 maps collapse: all quantities agree and are checked
 against each other.
 
 Radial profiles track diam_G of the image along a ray [center, zeta] as
-an exact piecewise power of the radius: on each chart region of the ray
-its exponent is the max of the candidate envelopes env(f - w g) minus
-env(g), with no per-piece correction (see ``radial_profile``).  The
-segment Lipschitz constant is the maximal slope sup |k| C r^(k-1),
-attained at a piece endpoint.
+an exact piecewise power of the radius: on each piece of env(g) the one
+ratio f_j/g_j of its slope j centers the image, so the exponent is one
+envelope env(f - w g) - env(g) folded by the diameter formula, with no
+chart (see ``radial_profile``).  The segment Lipschitz constant is the
+maximal slope sup |k| C r^(k-1), attained at a piece endpoint.
 A deterministic sampler of classical pairs provides empirical ratio
 maxima and equality witnesses.  Its pool, shared by every map with the
 same prime, sample count and seed, lists the distinct sampled points once
@@ -33,12 +33,12 @@ from functools import lru_cache
 from math import gcd
 from typing import NamedTuple
 
-from .berk import Shift, iota
+from .berk import Shift, _ratio_record, iota
 from .errors import InternalInvariantError
 from .invariants import bundle, gpr  # noqa: F401 (gpr re-exported; read via bundle)
 from .piecewise import PWLinear, lower_envelope
 from .polynomials import hom_eval
-from .projective import INF_POINT, ProjPoint, _sph_pair_ord, _vord
+from .projective import INF_POINT, ProjPoint, _cross_ord, _sph_pair_ord, _vord
 from .ratmap import RationalMap, gir_minors, resultant_ord, resultant_ord_product
 from .sampling import DetRng, random_point_ints
 from .valued import (
@@ -169,46 +169,26 @@ class RadialProfile(NamedTuple):
     segments: tuple[ProfileSegment, ...]
 
 
-def _image_diam_pieces(sh: Shift, lo, hi):
-    """Pieces of the diam_G exponent (max_w env(f - w g)) - env(g) of the
-    image over [lo, hi], where the image lies in the closed unit disc (see
-    ``radial_profile``).
-
-    ``Shift.candidates`` leaves out the ratios w of ord < 0.  That drops
-    no piece of the max: on the region env(f) >= env(g) pointwise, so
-    env(f - w g) = ord w + env(g) < env(f) = env_0 at every t.
-    """
-    big = None
-    for w in sh.candidates():
-        lines = sh.diff_lines(w)
-        if not lines:
-            raise InternalInvariantError("map degenerated to a constant")
-        env = lower_envelope(lines, lo, hi)
-        big = env if big is None else big.max_with(env)
-    return (big - lower_envelope(sh.g_lines(), lo, hi)).pieces
-
-
 def radial_profile(m: RationalMap, center, t_min) -> RadialProfile:
     """Exact diam_G-of-image profile along the ray from p^(-t_min) down to
     the classical center.
 
-    Piecewise p^(-c) * r^k with integer |k| <= degree.  The ray splits into
-    chart regions: the closed intervals where env(f) < env(g) (the
-    ``below_set``) are profiled in the inversion chart (f and g swapped),
-    whose diameters agree since inversion preserves diam_G, and the rest
-    as is.  In each region the exponent is (max over the candidates w of
-    env(f - w g)) - env(g), by one subtraction.  That is the diam_G
-    exponent min(s*, min(0, ord w*)) of the image disc D(w*, p^(-s*)) with
-    nothing folded away, because:
+    Piecewise p^(-c) * r^k with integer |k| <= degree, read in one pass
+    over the pieces of env(g) on [t_min, oo), with no chart.  On a piece
+    [s, e] of slope j, with w = f_j/g_j (``_ratio_record``),
+    E = env(f - w g) - line j of env(g) and mu = min(0, ord w), the
+    exponent is max(E - 2 mu, -E), because:
 
-    * in an unswapped region |phi|_x <= 1, in a swapped one |1/phi|_x < 1
-      (<= 1 at its ends), so in either chart the image lies in the closed
-      unit disc;
-    * hence s* = max_w e_w >= e_0 = env(f) - env(g) >= 0, and every
-      maximizing center w* has |w*| <= max(|phi|_x, |phi - w*|_x) <= 1,
-      that is ord w* >= 0;
-    * so min(s*, min(0, ord w*)) = s*: the fold never changes a piece;
-    * and max_w (env_w - env(g)) = (max_w env_w) - env(g).
+    * |g_j| r^j = |g|_x at every point x of the closed piece, so by the
+      theorem of ``push_forward`` (which holds for any such j, not only
+      the first) the image of x is the disc point zeta_{w, R} with
+      R = p^(-E(t)); a piece's ends need no tie rule;
+    * the diam_G exponent of zeta_{w, R} is
+      E - 2 min(0, ord w, E) = max(E - 2 mu, -E) (``_diam_gauss_frac``),
+      with mu = 0 for w = 0;
+    * E is a lower envelope of integer lines less an integer line, and mu
+      is an integer, so the profile is made of integer lines, as
+      ``PWLinear`` requires.
     """
     p = m.p
     center = Fraction(center)
@@ -216,17 +196,16 @@ def radial_profile(m: RationalMap, center, t_min) -> RadialProfile:
     if t_min < 0:
         raise ValueError("t_min must be >= 0 (radii at most 1)")
     sh = Shift.at(p, m.F, m.G, center)
-    sf = lower_envelope(sh.f_lines(), t_min, None)
-    swapped = sf.below_set(lower_envelope(sh.g_lines(), t_min, None))
     pieces = []
-    cursor = t_min
-    for a, b in swapped:
-        if a > cursor:
-            pieces += _image_diam_pieces(sh, cursor, a)
-        pieces += _image_diam_pieces(sh.swapped(), a, b)
-        cursor = b
-    if cursor is not None:
-        pieces += _image_diam_pieces(sh, cursor, None)
+    for s, e, j, gj in lower_envelope(sh.g_lines(), t_min, None).spans():
+        c, mu = _ratio_record(sh.qf[j], sh.of[j], sh.qg[j], sh.og[j])
+        lines = sh.diff_lines(c)
+        if not lines:
+            raise InternalInvariantError("map degenerated to a constant")
+        env = lower_envelope(lines, s, e).pieces
+        up = tuple((a, k - j, o - gj - 2 * mu) for a, k, o in env)
+        down = tuple((a, j - k, gj - o) for a, k, o in env)
+        pieces += PWLinear(s, e, up).max_with(PWLinear(s, e, down)).pieces
     profile = PWLinear(t_min, None, tuple(pieces)).simplified()
     segments = tuple(ProfileSegment(s, e, c, k) for s, e, k, c in profile.spans())
     return RadialProfile(p, center, t_min, segments)
@@ -300,11 +279,13 @@ def sample_ratios(m: RationalMap, n: int, seed: int, lip_ord=None):
     on a strict increase.  The loop runs on integer pairs.  The forms F and
     G are evaluated at most once per distinct pool point, by one fused
     Horner loop the first time a pair needs the point, and kept in the
-    point's slot for this map; ``_sph_pair_ord`` reads homogeneous pairs,
-    so the pool's reduced points give the distances of the drawn ones.  The
-    witness is kept as its pool record and built once, at the end.  When
-    the exact Lipschitz exponent is known (``lip_ord``, or computable from
-    a factored form) the maximum is asserted to stay within it.
+    point's slot for this map with their gcd, so each image distance is
+    one ``_cross_ord`` on the two slots.  The chordal distance reads
+    homogeneous pairs, so the pool's reduced points give the distances
+    of the drawn ones.  The witness is kept as its pool record and built
+    once, at the end.  When the exact Lipschitz exponent is known
+    (``lip_ord``, or computable from a factored form) the maximum is
+    asserted to stay within it.
 
     The pairs are visited by descending source exponent s, ties in pool
     order (see ``_pair_pool``).  With e = s - s_img the ratio exponent of
@@ -333,7 +314,7 @@ def sample_ratios(m: RationalMap, n: int, seed: int, lip_ord=None):
     fi, gi = m.F, m.G
     points, pairs = _pair_pool(p, n, seed)
     span = range(m.d, -1, -1)
-    vals = [None] * len(points)  # (F, G) at each point, once needed
+    vals = [None] * len(points)  # (F, G, gcd(F, G)) at each point, once needed
     max_e = best = None
     for s_src, k, a, b in pairs:
         if max_e is not None:
@@ -351,8 +332,9 @@ def sample_ratios(m: RationalMap, n: int, seed: int, lip_ord=None):
                     fx = fx * xn + fi[i] * xpow
                     gx = gx * xn + gi[i] * xpow
                     xpow *= xd
-                vals[j] = fx, gx
-        s_img = _sph_pair_ord(p, *vals[a], *vals[b])
+                vals[j] = fx, gx, gcd(fx, gx)
+        (fa, ga, ca), (fb, gb, cb) = vals[a], vals[b]
+        s_img = _cross_ord(p, fa, ga, fb, gb, ca * cb)
         if s_img is None:
             continue
         e = s_src - s_img

@@ -2,19 +2,17 @@
 
 Seminorms of shifted polynomials along a radial path are lower envelopes of
 lines t -> ord(c_i) + i*t, and every quantity derived from them (image
-diameters, chart-swap indicators, diameter profiles) stays piecewise linear
-with rational breakpoints.  This module provides that calculus: envelopes
-of line families, and for two functions on one domain their difference,
-their pointwise max and the set where one lies below the other.  All three
-binary operations read one merge walk over the two piece lists, which
-visits each stretch between consecutive breakpoints of either function
-with the two lines in force on it.  The envelope takes integer lines
-(integer slopes i, integer intercepts: valuations of integer numerators),
-builds its hull and clips it to the domain in integers.  Every function
-here is made of integer lines with rational breakpoints: a difference or
-a max of integer lines is again an integer line, and the only Fractions
-are breakpoints, the crossings Fraction(c2 - c1, k1 - k2) of two lines
-and the domain ends.
+radii, diameter profiles) stays piecewise linear with rational
+breakpoints.  This module provides that calculus: envelopes of line
+families, and the pointwise max of two functions on one domain, read by
+one merge walk over the two piece lists that visits each stretch between
+consecutive breakpoints of either function with the two lines in force on
+it.  The envelope takes integer lines (integer slopes i, integer
+intercepts: valuations of integer numerators), builds its hull and clips
+it to the domain in integers.  Every function here is made of integer
+lines with rational breakpoints: a max of integer lines is again an
+integer line, and the only Fractions are breakpoints, the crossings
+Fraction(c2 - c1, k1 - k2) of two lines and the domain ends.
 
 Domains are intervals [lo, hi] where either end may be None (unbounded).
 A function is stored as contiguous pieces (start, slope, intercept); piece
@@ -91,10 +89,6 @@ class PWLinear(_PWLinearFields):
                 return
             start = end
 
-    def __sub__(self, other: "PWLinear") -> "PWLinear":
-        pieces = tuple((s, k1 - k2, c1 - c2) for s, _, k1, c1, k2, c2 in self._stretches(other))
-        return PWLinear(self.lo, self.hi, pieces).simplified()
-
     def max_with(self, other: "PWLinear") -> "PWLinear":
         """Pointwise maximum; where the two lines tie, self's is kept.
 
@@ -117,38 +111,6 @@ class PWLinear(_PWLinearFields):
             else:
                 pieces.append((s, *flat))
         return PWLinear(self.lo, self.hi, tuple(pieces)).simplified()
-
-    def below_set(self, other: "PWLinear") -> list[tuple[_Bound, _Bound]]:
-        """Closed maximal intervals of positive length, ascending, on whose
-        interiors the function is < ``other``: the closure of that open
-        set, with intervals that meet at a point joined.
-
-        On each stretch of the merge walk the function is below ``other``
-        on the whole stretch, on one side of the crossing, or nowhere.
-        """
-        out: list[tuple[_Bound, _Bound]] = []
-        for s, e, k1, c1, k2, c2 in self._stretches(other):
-            if k1 == k2:
-                if c1 >= c2:
-                    continue
-                a, b = s, e
-            else:
-                root = Fraction(c2 - c1, k1 - k2)
-                if k1 > k2:  # below before the crossing
-                    if s is not None and root <= s:
-                        continue
-                    a, b = s, root if e is None or root < e else e
-                else:  # below after it
-                    if e is not None and root >= e:
-                        continue
-                    a, b = root if s is None or root > s else s, e
-            if a is not None and a == b:
-                continue
-            if out and out[-1][1] == a:
-                out[-1] = (out[-1][0], b)
-            else:
-                out.append((a, b))
-        return out
 
 
 def lower_envelope(lines, lo: _Bound, hi: _Bound) -> PWLinear:

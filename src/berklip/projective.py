@@ -11,8 +11,10 @@ Winburn, arXiv:1512.01136).  It is carried in log form:
 ``spherical_ord(p, x, y)`` returns the exponent t with ||x, y|| =
 p^(-t), so t = +infinity exactly when x = y.  On integer pairs the
 ultrametric max is the absolute value of the gcd, so every distance is
-one valuation, taken by the one distance kernel, ``_sph_pair_ord``;
-``Ord`` wraps its result only at the public boundary.
+one valuation, taken by the one distance kernel, ``_sph_pair_ord``, of
+the cross product over the product of the two gcds (``_cross_ord`` takes
+that product from a caller that keeps each pair's gcd); ``Ord`` wraps its
+result only at the public boundary.
 """
 
 from __future__ import annotations
@@ -80,11 +82,21 @@ def _sph_pair_ord(p: int, un: int, ud: int, vn: int, vd: int) -> int | None:
       has a denominator >= 1 (in the inverted chart, a numerator >= 1),
       and the forms F and G of a map are coprime, so they never vanish
       together at such a pair.
+
+    The valuation is ``_cross_ord``'s, which takes the gcd product c as
+    given, so a caller holding the gcd of each pair pays it once.
     """
+    return _cross_ord(p, un, ud, vn, vd, gcd(un, ud) * gcd(vn, vd))
+
+
+def _cross_ord(p: int, un: int, ud: int, vn: int, vd: int, c: int) -> int | None:
+    """ord((un vd - vn ud) / c), None when the numerator is 0, for c the
+    product gcd(un, ud) gcd(vn, vd): the chordal distance of
+    ``_sph_pair_ord``, whose docstring proves it."""
     num = un * vd - vn * ud
     if not num:
         return None
-    return int_val(num // (gcd(un, ud) * gcd(vn, vd)), p)
+    return int_val(num // c, p)
 
 
 def _num_den(x: ProjPoint) -> tuple[int, int]:

@@ -544,7 +544,7 @@ def ref_sample_ratios(m: RationalMap, n: int, seed: int):
     Every pooled pair is evaluated in pool order (the pool's records
     sorted back by their pool index), with Fraction points, ``eval_proj``
     and ``ref_spherical_ord`` in place of the sampler's integer Horner
-    evaluation and ``_sph_pair_ord``; the pool's source exponents are not
+    evaluation and ``_cross_ord``; the pool's source exponents are not
     read.  The witness is the first pair in pool order to reach the
     maximum.
     """
@@ -907,7 +907,7 @@ def _ref_image_diam_pieces(p, sh, lo, hi):
     maximizing candidate w* at a sample point and fold the piece at
     min(0, ord w*), the diam_G exponent of a disc D(w*, p^-s).  The
     candidates are every same-index ratio qf[j]/qg[j] and 0, including
-    those of negative ord that ``Shift.candidates`` leaves out."""
+    those of negative ord."""
     sg = ref_lower_envelope(sh.g_lines(), lo, hi)
     cands = list(dict.fromkeys(Fraction(x, y) for x, y in zip(sh.qf, sh.qg) if y))
     if 0 not in cands:
@@ -936,15 +936,17 @@ def _ref_image_diam_pieces(p, sh, lo, hi):
 def ref_radial_profile(m: RationalMap, center, t_min, events: set | None = None):
     """The radial profile by reference arithmetic: chart regions from the
     negative regions of env(f) - env(g), and per region the argmax-and-fold
-    pieces.  ``events`` gains "swap" when a region uses the inversion
-    chart."""
+    pieces over every candidate center.  The inversion chart is the shift
+    with f and g swapped, built here, and env(f) is read as its env(g).
+    ``events`` gains "swap" when a region uses the inversion chart."""
     from berklip.lipschitz import ProfileSegment, RadialProfile
 
     p = m.p
     center, t_min = Fraction(center), Fraction(t_min)
     f, g = m.F, m.G
     sh = Shift.at(p, f, g, center)
-    sf = ref_lower_envelope(sh.f_lines(), t_min, None)
+    inverted = Shift(p, sh.ov, sh.qg, sh.qf, sh.og, sh.of)
+    sf = ref_lower_envelope(inverted.g_lines(), t_min, None)
     sigma = ref_sub(sf, ref_lower_envelope(sh.g_lines(), t_min, None))
     regions = []
     cursor = t_min
@@ -959,7 +961,7 @@ def ref_radial_profile(m: RationalMap, center, t_min, events: set | None = None)
     for a, b, swapped in regions:
         if swapped and events is not None:
             events.add("swap")
-        pieces.extend(_ref_image_diam_pieces(p, sh.swapped() if swapped else sh, a, b))
+        pieces.extend(_ref_image_diam_pieces(p, inverted if swapped else sh, a, b))
     profile = PWLinear(t_min, None, tuple(pieces)).simplified()
     segments = tuple(ProfileSegment(s, e, c, int(k)) for s, e, k, c in profile.spans())
     return RadialProfile(p, center, t_min, segments)

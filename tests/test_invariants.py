@@ -330,10 +330,11 @@ def test_screen_agrees_with_w0_equality_set():
         for e, (k, s) in zip(edges, _ord_phi_lines(p, ff, edges)):
             lo, hi = e.t_range()
             sh = Shift.at(p, fi, gi, e.center)
+            inverted = Shift(p, sh.ov, sh.qg, sh.qf, sh.og, sh.of)
             a = lo if lo is not None else (hi if hi is not None else 0) - 3
             b = hi if hi is not None else a + 5
             for t in (a, (a + b) / 2, b):
-                semi_f = min(o + j * t for j, o in sh.f_lines())
+                semi_f = min(o + j * t for j, o in inverted.g_lines())
                 semi_g = min(o + j * t for j, o in sh.g_lines())
                 assert k + s * t == semi_f - semi_g, (m, e, t)
             kept = _has_zero(k, s, lo, hi)

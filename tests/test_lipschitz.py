@@ -1,16 +1,18 @@
 """Lipschitz constants, bound formulas, radial profiles, sampling."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from berklip import invariants
-from berklip.berk import BerkPoint, diam_gauss, push_forward
+from berklip.berk import BerkPoint, Shift, diam_gauss, push_forward
 from berklip.errors import DegenerateMapError, FactoredFormRequiredError
 from berklip.invariants import bundle, gpr, hull, rp_ord
 from berklip.lipschitz import (
+    _cross_ord,
     _pair_pool,
     _sph_pair_ord,
     bound_report,
@@ -24,6 +26,7 @@ from berklip.lipschitz import (
     sample_ratios,
     segment_lip,
 )
+from berklip.piecewise import PWLinear, lower_envelope
 from berklip.polynomials import hom_eval
 from berklip.projective import INF_POINT, ProjPoint, spherical_ord
 from berklip.ratmap import (
@@ -113,6 +116,28 @@ def test_radial_profile_examples():
     assert value_ord_at(pr, 2) == Fraction(1)  # diam(image) = p^-1 at r = p^-2
 
 
+def test_radial_profile_reads_one_envelope_per_piece_of_env_g(monkeypatch):
+    """On the degree-64 map with zeros 1..64 and poles -k/2 at p = 3, at
+    the center 0 and at a 100-digit center, radial_profile builds the
+    lines of f - w g and takes one max exactly once per piece of env(g),
+    and equals the chart-and-candidates reference."""
+    m = from_factored(3, 1, [(pt(k), 1) for k in range(1, 65)],
+                      [(pt(Fraction(-k, 2)), 1) for k in range(1, 65)])
+    counts = {"diff_lines": 0, "max_with": 0}
+    for cls, name in ((Shift, "diff_lines"), (PWLinear, "max_with")):
+        def counted(*args, _fn=getattr(cls, name), _name=name):
+            counts[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(cls, name, counted)
+    for center in (Fraction(0), Fraction(int("7" * 99 + "6"))):
+        sh = Shift.at(m.p, m.F, m.G, center)
+        pieces = len(lower_envelope(sh.g_lines(), Fraction(0), None).pieces)
+        counts.update(diff_lines=0, max_with=0)
+        got = radial_profile(m, center, 0)
+        assert counts == {"diff_lines": pieces, "max_with": pieces} and pieces > 1, (center, counts)
+        assert got == ref_radial_profile(m, center, 0), center
+
+
 def test_radial_profile_matches_pointwise_pushforward():
     rng = DetRng(8888)
     for _ in range(25):
@@ -127,11 +152,14 @@ def test_radial_profile_matches_pointwise_pushforward():
 
 
 def test_radial_profile_matches_argmax_and_fold_reference():
-    """radial_profile (per chart region, the max of the candidate envelopes
-    minus env(g), nothing folded) equals the reference that finds a
-    maximizing center on each piece and folds the piece at it, on factored
-    maps of degree <= 6 and ladder maps of degree 5, 10 and 15, with ray
-    centers at random rationals and near zeros and poles."""
+    """radial_profile (per piece of env(g), the envelope of the one ratio
+    of its slope, folded by the diameter formula, with no chart) equals
+    the reference that splits the ray into chart regions, finds a
+    maximizing center among all candidates on each piece and folds the
+    piece at it, on factored maps of degree <= 6 and ladder maps of
+    degree 5, 10 and 15, with ray centers at random rationals and near
+    zeros and poles; hundreds of the rays reach the reference's
+    inversion chart."""
     rng = DetRng(8890)
     maps = [random_factored_map(rng, [2, 3, 5, 7][k % 4], dmax=6) for k in range(170)]
     maps += [random_ladder_map(rng, [2, 3, 5, 7][k % 4], d) for k, d in enumerate((5, 10, 15) * 2)]
@@ -385,7 +413,7 @@ def test_sample_ratios_skips_pairs_that_cannot_win(count_calls):
     m = from_factored(p, 1, [(pt(0), 2)], [(INF_POINT, 2)])
     expected = len(_stop_rule_model(_pool_ratios(m, n, seed)))
     _pair_pool(p, n, seed)  # built before counting
-    calls = count_calls(_sph_pair_ord)
+    calls = count_calls(_cross_ord)
     got = sample_ratios(m, n, seed, lip_ord=Fraction(0))
     assert got == ref_sample_ratios(m, n, seed)
     assert len(calls) == expected < n // 2
@@ -413,7 +441,7 @@ def test_sample_ratios_evaluates_each_point_once(count_calls):
     maps = acceptance_corpus()[:12]
     maps += [_random_coeff_map(rng, p, 6) for p in (2, 3, 5, 7)]
     maps.append(from_factored(3, 1, [(pt(0), 2)], [(INF_POINT, 2)]))
-    calls = count_calls(_sph_pair_ord)
+    calls = count_calls(_cross_ord)
     for k, m in enumerate(maps):
         p, n, seed = m.p, (200, 1000)[k % 2], k
         ratios = _pool_ratios(m, n, seed)
@@ -424,8 +452,12 @@ def test_sample_ratios_evaluates_each_point_once(count_calls):
         assert all(s == ratios[i][0] for s, i, _, _ in pairs)
         ends = {i: (a, b) for _, i, a, b in pairs}
         images = [(hom_eval(m.F, *xy), hom_eval(m.G, *xy)) for xy in points]
+        images = [(fx, gx, gcd(fx, gx)) for fx, gx in images]
         lip = bundle(m).gpr.frac if m.factored is not None else None
-        expected = [(p, *images[ends[i][0]], *images[ends[i][1]]) for i in model]
+        expected = []
+        for i in model:
+            (fa, ga, ca), (fb, gb, cb) = images[ends[i][0]], images[ends[i][1]]
+            expected.append((p, fa, ga, fb, gb, ca * cb))
         top = _TopReads(m.F)
         calls.clear()
         got = sample_ratios(m._replace(F=top), n, seed, lip_ord=lip)

@@ -152,29 +152,31 @@ def test_push_forward_center_is_the_dominant_ratio(monkeypatch):
     assert all(n >= 20 for n in seen.values()), seen
 
 
-def test_candidates_carry_the_ords_of_their_pairs():
-    """Every candidate record (wn, wd, ord wn, ord wd) carries the ords
-    ``int_val`` gives for its pair, None for wn = 0, in either chart, with
-    wd > 0 and |wn/wd| <= 1; the centers include the poles and carry p in
-    numerators and denominators."""
-    seen = {"zero": 0, "p_in_wn": 0, "p_in_wd": 0, "abs_one": 0}
+def test_ratio_records_carry_the_ords_of_their_pairs():
+    """The center record of every same-index ratio qf[j]/qg[j] of a shift
+    carries the ords ``int_val`` gives for its pair, the zero record for
+    qf[j] = 0, and min(0, ord w) of the ratio; the centers include the
+    poles, and the ratios carry p in numerators and denominators and lie
+    inside and outside the unit disc."""
+    seen = {"zero": 0, "p_in_wn": 0, "p_in_wd": 0, "outside": 0}
     for rng, m in _maps(5151, 32):
         p = m.p
         for a in _centers(rng, m):
             sh = Shift.at(p, m.F, m.G, a)
-            for side in (sh, sh.swapped()):
-                cands = side.candidates()
-                assert (0, 1, None, 0) in cands
-                for wn, wd, own, owd in cands:
-                    assert wd > 0 and owd == int_val(wd, p), (m, a, wn, wd)
-                    if wn == 0:
-                        assert (wd, own) == (1, None)
-                        seen["zero"] += 1
-                        continue
-                    assert own == int_val(wn, p) and own >= owd, (m, a, wn, wd)
-                    seen["p_in_wn"] += own > 0
-                    seen["p_in_wd"] += owd > 0
-                    seen["abs_one"] += own == owd
+            for x, y, ox, oy in zip(sh.qf, sh.qg, sh.of, sh.og):
+                if y == 0:
+                    continue
+                (wn, wd, own, owd), low = berk._ratio_record(x, ox, y, oy)
+                if x == 0:
+                    assert ((wn, wd, own, owd), low) == ((0, 1, None, 0), 0), (m, a)
+                    seen["zero"] += 1
+                    continue
+                assert (wn, wd) == (x, y), (m, a)
+                assert own == int_val(wn, p) and owd == int_val(wd, p), (m, a, wn, wd)
+                assert low == min(0, ref_vord(Fraction(wn, wd), p)), (m, a, wn, wd)
+                seen["p_in_wn"] += own > 0
+                seen["p_in_wd"] += owd > 0
+                seen["outside"] += low < 0
     assert all(n >= 20 for n in seen.values()), seen
 
 
