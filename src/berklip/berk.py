@@ -26,15 +26,15 @@ the one ratio f_j/g_j centers the image all along the piece
 Every seminorm is read from the integer numerators of a shift to a
 center u/v of the map's integer pair (F, G), kept on the map since its
 construction: each valuation is ord_p of an integer plus a multiple of
-ord_p v.  The radial profile holds the whole shift in a :class:`Shift`;
-the pushforward reads it in index order (``_Passes``), only as far as
-it must.  Both only compare seminorms of one shift with each other, so
-the offset shared by all its coefficients is never needed.  A center is
-carried as the unreduced ratio qf[j]/qg[j], with the ords of its
-numerator and denominator, which the shift already holds: the seminorms
-of f - w g read from (wn, wd) do not change when both are scaled by a
-common factor, so a center is reduced only when its image disc is
-built.
+ord_p v.  Both readers take the shift in index order through
+``_Passes``, the pushforward only as far as it must and the radial
+profile whole.  Both only compare seminorms of one shift with each
+other, so the offset shared by all its coefficients is never needed.
+A center is carried as the unreduced ratio qf[j]/qg[j], with the ords
+of its numerator and denominator, which the shift already holds: the
+seminorms of f - w g read from (wn, wd) do not change when both are
+scaled by a common factor, so a center is reduced only when its image
+disc is built.
 
 Line j of f - w g, less ord wd, is the ord of wd*qf[j] - wn*qg[j] less
 ord wd: its two terms have ords ord qf[j] and ord qg[j] + delta, with
@@ -42,8 +42,8 @@ delta = ord wn - ord wd.  Where these differ the line is the smaller one
 exactly, since ord(X - Y) = min(ord X, ord Y) whenever ord X != ord Y
 (the ultrametric inequality is an equality then); only where they tie is
 the numerator subtracted and valued.  ``_diff_ord`` is the one statement
-of this tie rule, and it serves the pushforward's scan and, through
-``Shift.diff_lines``, the profile.
+of this tie rule, and it serves the pushforward's scan and the
+profile's lines.
 """
 
 from __future__ import annotations
@@ -52,9 +52,9 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import DegenerateMapError
-from .polynomials import taylor_passes, taylor_shift
+from .polynomials import taylor_shift
 from .projective import INF_POINT, ProjPoint, _vord
-from .valued import ORD_INF, Ord, PPowerSum, _ords, format_fraction, int_val, ppow_normalize
+from .valued import ORD_INF, Ord, PPowerSum, format_fraction, int_val, ppow_normalize
 
 __all__ = [
     "BerkPoint",
@@ -237,11 +237,15 @@ def _scaled(c: list[int], v: int) -> list[int]:
 
 class _Passes:
     """The integer numerators of c(z + u/v) and their ords, read on demand:
-    ``at(i)`` runs the passes of ``taylor_passes`` up to i once and
-    returns (q[i], ord q[i]), None for 0."""
+    ``at(i)`` runs the passes of ``taylor_shift`` up to i once and
+    returns (q[i], ord q[i]), None for 0.
+
+    With c the map's F or G over its denominator D, coefficient i of
+    f(z + u/v) has ord ord q[i] + i*ord v - (d*ord v + ord D).  Readers
+    compare seminorms of one shift only, so the bracket cancels."""
 
     def __init__(self, p: int, c: list[int], u: int, v: int):
-        self.p, self.passes = p, taylor_passes(_scaled(c, v), u)
+        self.p, self.passes = p, taylor_shift(_scaled(c, v), u)
         self.read: list[tuple[int, int | None]] = []
 
     def at(self, i: int) -> tuple[int, int | None]:
@@ -282,53 +286,6 @@ def _ratio_record(x: int, ox: int | None, y: int, oy: int) -> tuple[tuple, int]:
     return (x, y, ox, oy), min(0, ox - oy)
 
 
-def _lines(ords, ov: int) -> list[tuple[int, int]]:
-    """Seminorm lines (j, ord q[j] + j*ov) of the nonzero numerators q[j]
-    with the given ords: the line t -> ord(coefficient j) + j*t, up to the
-    offset -d*ov."""
-    return [(j, o + j * ov) for j, o in enumerate(ords) if o is not None]
-
-
-class Shift(NamedTuple):
-    """A map's pair (f, g) Taylor-shifted to a center u/v, kept as integers.
-
-    With (F, G) the map's integer pair over its denominator D, coefficient
-    j of f(z + u/v) is qf[j] * v^(j-d) / D, of ord
-    ord qf[j] + j*ord v - (d*ord v + ord D); likewise for g.  Every reader
-    compares seminorms of the same shift, so the common offset in brackets
-    cancels and is never computed: neither D nor a normalization matters.
-    """
-
-    p: int
-    ov: int  # ord_p v
-    qf: list[int]
-    qg: list[int]
-    of: list[int | None]  # ord_p qf[j], None for 0
-    og: list[int | None]
-
-    @staticmethod
-    def at(p: int, f: list[int], g: list[int], a: Fraction) -> "Shift":
-        u, v = a.numerator, a.denominator
-        qf, qg = taylor_shift(_scaled(f, v), u), taylor_shift(_scaled(g, v), u)
-        return Shift(p, int_val(v, p), qf, qg, _ords(p, qf), _ords(p, qg))
-
-    def g_lines(self) -> list[tuple[int, int]]:
-        return _lines(self.og, self.ov)
-
-    def diff_lines(self, c) -> list[tuple[int, int]]:
-        """Seminorm lines (j, o) of f - w*g on the offset of f and g less
-        ord wd, for a center record c = (wn, wd, ord wn, ord wd) of
-        w = wn/wd, wn = 0 as (0, 1, None, 0); empty when f = w*g.  Line j
-        is ``_diff_ord`` of the pair at j plus j*ord v."""
-        p, ov = self.p, self.ov
-        out = []
-        for j, pair in enumerate(zip(self.qf, self.of, self.qg, self.og)):
-            o = _diff_ord(p, c, *pair)
-            if o is not None:
-                out.append((j, o + j * ov))
-        return out
-
-
 def push_forward(rmap, x: BerkPoint) -> BerkPoint:
     """Image of a disc point x = zeta_{a,r} under a RationalMap: the disc
     about w = f_j/g_j with radius exponent s(f - w g) - s(g), where f, g
@@ -355,7 +312,7 @@ def push_forward(rmap, x: BerkPoint) -> BerkPoint:
     td*ord qg[i] + i*k and line i of f - w g is td*o + i*k, o the
     ``_diff_ord`` of the pair at i.
 
-    The shift is read in index order and cut.  ``taylor_passes`` makes
+    The shift is read in index order and cut.  ``taylor_shift`` makes
     coefficient i final after pass i, so both scans read (qf[i], qg[i])
     in index order and stop once no later index can change their answer;
     stopping after index J costs about J*d steps, where the whole shift

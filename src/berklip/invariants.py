@@ -46,8 +46,8 @@ from .berk import (
     _diam_gauss_frac,
 )
 from .errors import InternalInvariantError
-from .projective import INF_POINT, ProjPoint, _num_den, _vord
-from .ratmap import FactoredForm, RationalMap, gir_minors, resultant_ord
+from .projective import INF_POINT, ProjPoint, _vord
+from .ratmap import FactoredForm, RationalMap, _zero_pole_ords, gir_minors, resultant_ord
 from .valued import Ord, int_val
 
 __all__ = [
@@ -68,27 +68,9 @@ __all__ = [
 
 def rp_ord(m: RationalMap) -> Ord:
     """Largest exponent t with p^(-t) the minimal zero-pole spherical
-    distance.
-
-    Each point is read as its pair (num, den) of coprime integers, (1, 0)
-    for infinity.  The chordal distance ``_sph_pair_ord`` takes, ord((u_n
-    v_d - v_n u_d) / (gcd(u_n, u_d) gcd(v_n, v_d))), has both gcds 1 on
-    coprime pairs, so it is ord(u_n v_d - v_n u_d): one valuation per
-    zero/pole pair, with no gcd and none per point.
-    """
-    p = m.p
-    ff = m.require_factored()
-    poles = [_num_den(beta) for beta, _ in ff.poles]
-    best: int | None = None
-    for alpha, _ in ff.zeros:
-        un, ud = _num_den(alpha)
-        for vn, vd in poles:
-            det = un * vd - vn * ud
-            if not det:
-                raise InternalInvariantError("zero/pole lists cannot meet")
-            s = int_val(det, p)
-            if best is None or s > best:
-                best = s
+    distance: the largest distance exponent ``ratmap._zero_pole_ords``
+    gives, one valuation per zero/pole pair."""
+    best = max((s for _, s in _zero_pole_ords(m.p, m.require_factored())), default=None)
     if best is None:
         raise InternalInvariantError("zero/pole lists cannot be empty")
     return Ord.of(best)

@@ -12,8 +12,10 @@ Radial profiles track diam_G of the image along a ray [center, zeta] as
 an exact piecewise power of the radius: on each piece of env(g) the one
 ratio f_j/g_j of its slope j centers the image, so the exponent is one
 envelope env(f - w g) - env(g) folded by the diameter formula, with no
-chart (see ``radial_profile``).  The segment Lipschitz constant is the
-maximal slope sup |k| C r^(k-1), attained at a piece endpoint.
+chart (see ``radial_profile``).  Its lines are read from the
+pushforward's shift reader, ``berk._Passes``, once for F and once for G.
+The segment Lipschitz constant is the maximal slope sup |k| C r^(k-1),
+attained at a piece endpoint.
 A deterministic sampler of classical pairs provides empirical ratio
 maxima and equality witnesses.  Its pool, shared by every map with the
 same prime, sample count and seed, lists the distinct sampled points once
@@ -33,7 +35,7 @@ from functools import lru_cache
 from math import gcd
 from typing import NamedTuple
 
-from .berk import Shift, _ratio_record, iota
+from .berk import _diff_ord, _Passes, _ratio_record, iota
 from .errors import InternalInvariantError
 from .invariants import bundle, gpr  # noqa: F401 (gpr re-exported; read via bundle)
 from .piecewise import PWLinear, lower_envelope
@@ -45,6 +47,7 @@ from .valued import (
     Ord,
     PPowerSum,
     PPOW_ZERO,
+    int_val,
     ppow_compare,
     ppow_max,
     ppow_term,
@@ -189,17 +192,31 @@ def radial_profile(m: RationalMap, center, t_min) -> RadialProfile:
     * E is a lower envelope of integer lines less an integer line, and mu
       is an integer, so the profile is made of integer lines, as
       ``PWLinear`` requires.
+
+    The lines come from one ``_Passes`` of F and one of G at the center,
+    read at every index, up to the offset common to the shift: line j of
+    g is ord qg[j] + j*ord v, and line i of f - w g is ``_diff_ord`` of
+    the pair at i plus i*ord v.
     """
     p = m.p
     center = Fraction(center)
     t_min = Fraction(t_min)
     if t_min < 0:
         raise ValueError("t_min must be >= 0 (radii at most 1)")
-    sh = Shift.at(p, m.F, m.G, center)
+    u, v = center.numerator, center.denominator
+    ov = int_val(v, p)
+    f_at, g_at = _Passes(p, m.F, u, v).at, _Passes(p, m.G, u, v).at
+    qf = [f_at(i) for i in range(m.d + 1)]  # (qf[i], ord qf[i])
+    qg = [g_at(i) for i in range(m.d + 1)]
+    g_lines = [(j, o + j * ov) for j, (_, o) in enumerate(qg) if o is not None]
     pieces = []
-    for s, e, j, gj in lower_envelope(sh.g_lines(), t_min, None).spans():
-        c, mu = _ratio_record(sh.qf[j], sh.of[j], sh.qg[j], sh.og[j])
-        lines = sh.diff_lines(c)
+    for s, e, j, gj in lower_envelope(g_lines, t_min, None).spans():
+        c, mu = _ratio_record(*qf[j], *qg[j])
+        lines = []
+        for i, (x, y) in enumerate(zip(qf, qg)):
+            o = _diff_ord(p, c, *x, *y)
+            if o is not None:
+                lines.append((i, o + i * ov))
         if not lines:
             raise InternalInvariantError("map degenerated to a constant")
         env = lower_envelope(lines, s, e).pieces

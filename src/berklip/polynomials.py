@@ -2,12 +2,11 @@
 
 Coefficient lists are ascending: c[i] is the coefficient of z^i.  The
 kernels work on integers: ``hom_eval`` evaluates a form,
-``taylor_passes`` shifts a map's integer pair one final coefficient at a
-time (``berk.push_forward`` stops once no later coefficient can change
-its answer), ``taylor_shift`` drains it for a whole shift (``berk.Shift``,
-which the radial profile reads), and the resultant valuation eliminates
-over Z/p^N on the d x d Bezout matrix of the two forms, whose
-determinant is the resultant up to sign.  It runs once per map, at
+``taylor_shift`` shifts a map's integer pair one final coefficient at a
+time (``berk._Passes`` reads it, for the pushforward only until no later
+coefficient can change its answer, for the radial profile whole), and
+the resultant valuation eliminates over Z/p^N on the d x d Bezout matrix
+of the two forms, whose determinant is the resultant up to sign.  It runs once per map, at
 construction, where it is the coprimality test (two forms share a root
 in P1 exactly when that determinant vanishes) and its value is kept as
 the map's ``res``.
@@ -41,7 +40,7 @@ def hom_eval(c: list[int], u: int, v: int) -> int:
     return acc
 
 
-def taylor_passes(c: Poly, a) -> Iterator:
+def taylor_shift(c: Poly, a) -> Iterator:
     """Coefficients of f(z + a) in index order, by iterated synthetic
     division: pass i adds a times each coefficient above i to the one
     below it, from the top down to i, and no later pass touches index i,
@@ -59,11 +58,6 @@ def taylor_passes(c: Poly, a) -> Iterator:
             out[j] += a * out[j + 1]
         yield out[i]
     yield from out[n - 1 :]
-
-
-def taylor_shift(c: Poly, a) -> Poly:
-    """Coefficients of f(z + a), every pass of ``taylor_passes``."""
-    return list(taylor_passes(c, a))
 
 
 def _integral_form(p: int, c: Poly) -> tuple[list[int], int] | None:

@@ -19,9 +19,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
-from .errors import DegenerateMapError, FactoredFormRequiredError
+from .errors import DegenerateMapError, FactoredFormRequiredError, InternalInvariantError
 from .polynomials import hom_eval, trim
 from .projective import INF_POINT, ProjPoint, _num_den
 from .valued import Ord, _ords, int_val
@@ -239,30 +239,41 @@ def resultant_ord(m: RationalMap) -> Ord:
     return Ord.of(m.res_ord)
 
 
-def resultant_ord_product(m: RationalMap) -> Ord:
-    """Resultant valuation from the factorization: d*(ord C0 + ord C1) plus
-    the sum of spherical distances over all zero/pole pairs, each counted
-    with the product of its multiplicities.
+def _zero_pole_ords(p: int, ff: FactoredForm) -> Iterator[tuple[int, int]]:
+    """(j*k, s) for each zero/pole pair, j and k their multiplicities and
+    s the exponent of their spherical distance.
 
-    C0 and C1 are the contents of the two forms, of ord that of F and G
-    since ord D = 0.  Each point is read as its pair (num, den) of coprime
-    integers, (1, 0) for infinity, so both gcds in the chordal distance
+    Each point is read as its pair (num, den) of coprime integers, (1, 0)
+    for infinity, so both gcds in the chordal distance
     ord((u_n v_d - v_n u_d) / (gcd(u_n, u_d) gcd(v_n, v_d))) of
-    ``projective._sph_pair_ord`` are 1, and the distance of a pair is
-    ord(u_n v_d - v_n u_d): one valuation per distinct pair.
+    ``projective._sph_pair_ord`` are 1, and s = ord(u_n v_d - v_n u_d):
+    one valuation per pair, with no gcd and none per point.  No point is
+    both a zero and a pole: ``from_factored`` rejects one, the derived
+    zero and pole of a degree-1 map are those of a coprime pair, and
+    ``pre_compose`` moves both lists by one bijection.
     """
-    ff = m.require_factored()
-    p = m.p
-    total = m.d * sum(min(o for o in _ords(p, form) if o is not None) for form in (m.F, m.G))
     poles = [(*_num_den(beta), k) for beta, k in ff.poles]
     for alpha, j in ff.zeros:
         un, ud = _num_den(alpha)
         for vn, vd, k in poles:
             det = un * vd - vn * ud
             if not det:
-                raise DegenerateMapError("a zero is also a pole")
-            total += j * k * int_val(det, p)
-    return Ord.of(total)
+                raise InternalInvariantError("a zero is also a pole")
+            yield j * k, int_val(det, p)
+
+
+def resultant_ord_product(m: RationalMap) -> Ord:
+    """Resultant valuation from the factorization: d*(ord C0 + ord C1) plus
+    the sum of spherical distances over all zero/pole pairs, each counted
+    with the product of its multiplicities (``_zero_pole_ords``).
+
+    C0 and C1 are the contents of the two forms, of ord that of F and G
+    since ord D = 0.
+    """
+    ff = m.require_factored()
+    p = m.p
+    total = m.d * sum(min(o for o in _ords(p, form) if o is not None) for form in (m.F, m.G))
+    return Ord.of(total + sum(jk * s for jk, s in _zero_pole_ords(p, ff)))
 
 
 def gir_minors(m: RationalMap) -> Ord:

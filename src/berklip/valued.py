@@ -64,10 +64,13 @@ __all__ = [
 # primality
 # ---------------------------------------------------------------------------
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
-# Miller-Rabin with these witnesses is deterministic below this bound
-# (Sorenson & Webster).
+# Miller-Rabin with the first 13 primes as witnesses is deterministic below
+# psi_13 = 3317044064679887385961981; the first 12 (up to 37) only below
+# psi_12 = 318665857834031151167461, itself a strong pseudoprime to them
+# (Sorenson & Webster, "Strong pseudoprimes to twelve prime bases",
+# Math. Comp. 86 (2017))
 _MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
 
 

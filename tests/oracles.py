@@ -1,8 +1,10 @@
 """Independent references for the exact pushforward, the gpr scan, the
 ratio sampler, the hull, PWLinear arithmetic and the radial profile.
 
-The first part is a brute-force oracle; the next section is a Fraction
-reference for the integer shift kernel (see there), the next holds
+The first part is a brute-force oracle; the next section is the
+whole-shift record ``Shift`` that the fiber and profile references and
+``ref_push_forward_full`` read, then a Fraction reference for the
+integer shift kernel (see there); the next holds
 unoptimized forms of the sampler and the hull, and the last ones
 PWLinear arithmetic by sampled alignment with the envelopes, the Gauss
 fiber with the unscreened gpr scan on it, and the radial profile.  The
@@ -51,12 +53,11 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal, getcontext
 from fractions import Fraction
+from typing import NamedTuple
 
 from berklip.berk import (
     BerkPoint,
-    Shift,
-    _lines,
-    _ords,
+    _diff_ord,
     _scaled,
     berk_equal,
     diam_gauss,
@@ -83,6 +84,7 @@ from berklip.valued import (
     PPOW_ZERO,
     Ord,
     PPowerSum,
+    _ords,
     int_val,
     parse_fraction,
     ppow_normalize,
@@ -376,6 +378,60 @@ def minimality_refuted(m: RationalMap, x: BerkPoint, seed: int = 0) -> bool:
             if s_w > s_hat:
                 return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# the whole-shift record
+# ---------------------------------------------------------------------------
+
+
+def _lines(ords, ov: int) -> list[tuple[int, int]]:
+    """Seminorm lines (j, ord q[j] + j*ov) of the nonzero numerators q[j]
+    with the given ords: the line t -> ord(coefficient j) + j*t, up to the
+    offset -d*ov."""
+    return [(j, o + j * ov) for j, o in enumerate(ords) if o is not None]
+
+
+class Shift(NamedTuple):
+    """A map's pair (f, g) Taylor-shifted whole to a center u/v, kept as
+    integers: every pass of ``taylor_shift`` drained into a list, where
+    the program reads the shift lazily through ``berk._Passes``.
+
+    With (F, G) the map's integer pair over its denominator D, coefficient
+    j of f(z + u/v) is qf[j] * v^(j-d) / D, of ord
+    ord qf[j] + j*ord v - (d*ord v + ord D); likewise for g.  Every reader
+    compares seminorms of the same shift, so the common offset in brackets
+    cancels and is never computed.
+    """
+
+    p: int
+    ov: int  # ord_p v
+    qf: list[int]
+    qg: list[int]
+    of: list[int | None]  # ord_p qf[j], None for 0
+    og: list[int | None]
+
+    @staticmethod
+    def at(p: int, f: list[int], g: list[int], a: Fraction) -> "Shift":
+        u, v = a.numerator, a.denominator
+        qf = list(taylor_shift(_scaled(f, v), u))
+        qg = list(taylor_shift(_scaled(g, v), u))
+        return Shift(p, int_val(v, p), qf, qg, _ords(p, qf), _ords(p, qg))
+
+    def g_lines(self) -> list[tuple[int, int]]:
+        return _lines(self.og, self.ov)
+
+    def diff_lines(self, c) -> list[tuple[int, int]]:
+        """Seminorm lines (j, o) of f - w*g on the offset of f and g less
+        ord wd, for a center record c = (wn, wd, ord wn, ord wd) of
+        w = wn/wd, wn = 0 as (0, 1, None, 0); empty when f = w*g.  Line j
+        is ``berk._diff_ord`` of the pair at j plus j*ord v."""
+        out = []
+        for j, pair in enumerate(zip(self.qf, self.of, self.qg, self.og)):
+            o = _diff_ord(self.p, c, *pair)
+            if o is not None:
+                out.append((j, o + j * self.ov))
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -716,9 +772,9 @@ def ref_zero_set(f):
 
 
 def ref_candidate(p: int, wn: int, wd: int) -> tuple[int, int, int | None, int]:
-    """The candidate record (wn, wd, ord wn, ord wd) that
-    ``Shift.candidates`` gives for the integer pair (wn, wd), wd > 0, with
-    the ords found by ``ref_vord``, None for wn = 0."""
+    """The center record (wn, wd, ord wn, ord wd) of the integer pair
+    (wn, wd), wd > 0, with the ords found by ``ref_vord``, None for
+    wn = 0."""
     own = ref_vord(wn, p)
     return wn, wd, None if own is None else int(own), int(ref_vord(wd, p))
 

@@ -305,6 +305,9 @@ def test_prime_is_checked(tmp_path, capsys):
     coeffs = {"F": ["1", "0"], "G": ["0", "1"]}
     msg = _parse_failure(tmp_path, capsys, {"p": 15, "coeffs": coeffs})
     assert msg == "error: 15 is not prime"
+    # a strong pseudoprime to the bases 2..37, below the bound
+    msg = _parse_failure(tmp_path, capsys, {"p": 318665857834031151167461, "coeffs": coeffs})
+    assert msg == "error: 318665857834031151167461 is not prime"
     # past the bound of the deterministic test, even for a prime
     p = 2**89 - 1
     msg = _parse_failure(tmp_path, capsys, {"p": p, "coeffs": coeffs})

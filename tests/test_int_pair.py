@@ -12,12 +12,13 @@ from functools import lru_cache
 from math import gcd
 from pathlib import Path
 
-from berklip.berk import BerkPoint, Shift, berk_equal, diam_gauss, push_forward
+from berklip.berk import BerkPoint, berk_equal, diam_gauss, push_forward
 from berklip.lipschitz import radial_profile
 from berklip.ratmap import from_coeffs, gir_minors, post_compose, pre_compose
 from berklip.valued import int_val
 from corpus import acceptance_corpus
 from oracles import (
+    Shift,
     ref_expand,
     ref_gir_minors,
     ref_normalized,

@@ -9,7 +9,6 @@ import pytest
 from berklip import invariants
 from berklip.berk import (
     BerkPoint,
-    Shift,
     berk_equal,
     diam_gauss,
     gauss_point,
@@ -25,13 +24,14 @@ from berklip.invariants import (
     rp_ord,
 )
 from berklip.piecewise import lower_envelope
-from berklip.polynomials import hom_eval, taylor_passes
+from berklip.polynomials import hom_eval, taylor_shift
 from berklip.projective import INF_POINT, ProjPoint
 from berklip.ratmap import from_coeffs, from_factored, gir_minors
 from berklip.sampling import DetRng, random_rational
 from berklip.valued import Ord
 from corpus import acceptance_corpus, random_factored_map, random_ladder_map, random_mobius
 from oracles import (
+    Shift,
     dehomogenized,
     ref_candidate,
     ref_gauss_fiber_zero_set,
@@ -372,41 +372,29 @@ def test_point_decision_matches_reference_fiber():
     assert seen["pole_center"] >= 50 and seen["sloped"] >= 100, seen
 
 
-def test_screen_counts_shifts_and_reverifications(count_calls, monkeypatch):
+def test_screen_counts_shifts_and_reverifications(count_calls):
     """gpr builds no shift for any edge, sloped or flat, and re-verifies
     each distinct preimage once, each pushforward starting one shift of F
-    and one of G: gpr builds no ``Shift``, and every started Taylor shift
-    (``taylor_passes``, which ``taylor_shift`` drains too) is one of the
-    two of a pushforward.  The totals are pinned, so a screen that passes
-    every edge, or a shift built for an edge, fails here."""
+    and one of G: every started Taylor shift (``taylor_shift``) is one of
+    the two of a pushforward.  The totals are pinned, so a screen that
+    passes every edge, or a shift built for an edge, fails here."""
     pushes = count_calls(push_forward)
-    passes = count_calls(taylor_passes)
-    shifts = []
-    at = Shift.at
-
-    def counted_at(*args):
-        shifts.append(args)
-        return at(*args)
-
-    monkeypatch.setattr(Shift, "at", staticmethod(counted_at))
-    totals = {"shifts": 0, "passes": 0, "pushes": 0, "unscreened": 0}
+    started = count_calls(taylor_shift)
+    totals = {"started": 0, "pushes": 0, "unscreened": 0}
     rng = DetRng(4711)
     maps = [random_factored_map(rng, p, dmax=6, multiplicities=True) for p in (3, 5, 7) * 4]
     maps += [random_ladder_map(rng, 3, 10), random_ladder_map(rng, 5, 10)]
     for m in maps:
         edges = _zero_pole_hull(m).edges
-        shifts.clear()
         pushes.clear()
-        passes.clear()
+        started.clear()
         res = gpr(m)
         assert len(pushes) == len(res.preimages)
-        assert not shifts, m
-        assert len(passes) == 2 * len(pushes), m
-        totals["shifts"] += len(shifts)
-        totals["passes"] += len(passes)
+        assert len(started) == 2 * len(pushes), m
+        totals["started"] += len(started)
         totals["pushes"] += len(pushes)
         totals["unscreened"] += len({e.center for e in edges})
-    assert totals == {"shifts": 0, "passes": 90, "pushes": 45, "unscreened": 92}, totals
+    assert totals == {"started": 90, "pushes": 45, "unscreened": 92}, totals
 
 
 def test_bundle_examples():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from berklip import invariants
-from berklip.berk import BerkPoint, Shift, diam_gauss, push_forward
+from berklip.berk import BerkPoint, diam_gauss, push_forward
 from berklip.errors import DegenerateMapError, FactoredFormRequiredError
 from berklip.invariants import bundle, gpr, hull, rp_ord
 from berklip.lipschitz import (
@@ -27,7 +27,7 @@ from berklip.lipschitz import (
     segment_lip,
 )
 from berklip.piecewise import PWLinear, lower_envelope
-from berklip.polynomials import hom_eval
+from berklip.polynomials import hom_eval, taylor_shift
 from berklip.projective import INF_POINT, ProjPoint, spherical_ord
 from berklip.ratmap import (
     eval_proj,
@@ -39,6 +39,7 @@ from berklip.sampling import DetRng, random_rational
 from berklip.valued import Ord, ppow_compare, ppow_term
 from corpus import acceptance_corpus, random_factored_map, random_ladder_map, random_mobius
 from oracles import (
+    Shift,
     choice,
     ref_gpr_witness,
     ref_radial_profile,
@@ -116,26 +117,48 @@ def test_radial_profile_examples():
     assert value_ord_at(pr, 2) == Fraction(1)  # diam(image) = p^-1 at r = p^-2
 
 
-def test_radial_profile_reads_one_envelope_per_piece_of_env_g(monkeypatch):
-    """On the degree-64 map with zeros 1..64 and poles -k/2 at p = 3, at
-    the center 0 and at a 100-digit center, radial_profile builds the
-    lines of f - w g and takes one max exactly once per piece of env(g),
-    and equals the chart-and-candidates reference."""
-    m = from_factored(3, 1, [(pt(k), 1) for k in range(1, 65)],
-                      [(pt(Fraction(-k, 2)), 1) for k in range(1, 65)])
-    counts = {"diff_lines": 0, "max_with": 0}
-    for cls, name in ((Shift, "diff_lines"), (PWLinear, "max_with")):
-        def counted(*args, _fn=getattr(cls, name), _name=name):
-            counts[_name] += 1
-            return _fn(*args)
-        monkeypatch.setattr(cls, name, counted)
+def _degree_64_map():
+    """The degree-64 map with zeros 1..64 and poles -k/2 at p = 3."""
+    return from_factored(3, 1, [(pt(k), 1) for k in range(1, 65)],
+                         [(pt(Fraction(-k, 2)), 1) for k in range(1, 65)])
+
+
+def test_radial_profile_reads_one_envelope_per_piece_of_env_g(count_calls, monkeypatch):
+    """On the degree-64 map, at the center 0 and at a 100-digit center,
+    radial_profile takes one envelope of env(g) and one of f - w g and
+    one max per piece of env(g), and equals the chart-and-candidates
+    reference."""
+    m = _degree_64_map()
+    envelopes = count_calls(lower_envelope)
+    maxes = []
+    max_with = PWLinear.max_with
+
+    def counted(*args):
+        maxes.append(args)
+        return max_with(*args)
+
+    monkeypatch.setattr(PWLinear, "max_with", counted)
     for center in (Fraction(0), Fraction(int("7" * 99 + "6"))):
         sh = Shift.at(m.p, m.F, m.G, center)
         pieces = len(lower_envelope(sh.g_lines(), Fraction(0), None).pieces)
-        counts.update(diff_lines=0, max_with=0)
+        envelopes.clear()
+        maxes.clear()
         got = radial_profile(m, center, 0)
-        assert counts == {"diff_lines": pieces, "max_with": pieces} and pieces > 1, (center, counts)
+        assert pieces > 1, center
+        assert (len(envelopes), len(maxes)) == (pieces + 1, pieces), (center, pieces)
         assert got == ref_radial_profile(m, center, 0), center
+
+
+def test_radial_profile_starts_two_shifts(count_calls):
+    """A profile starts one Taylor shift of F and one of G, both to the
+    center, on the degree-64 map and on the acceptance corpus."""
+    started = count_calls(taylor_shift)
+    maps = [_degree_64_map()] + acceptance_corpus()
+    for m in maps:
+        for center in (Fraction(0), Fraction(int("7" * 99 + "6"), 5)):
+            started.clear()
+            radial_profile(m, center, Fraction(3, 2))
+            assert [a for _, a in started] == [center.numerator] * 2, (m, center)
 
 
 def test_radial_profile_matches_pointwise_pushforward():

@@ -4,7 +4,6 @@ the reference fiber on the Taylor shift at the edge center."""
 
 from fractions import Fraction
 
-from berklip.berk import Shift
 from berklip.invariants import _fiber_points, _ord_phi_lines, hull
 from berklip.piecewise import lower_envelope
 from berklip.projective import INF_POINT, ProjPoint
@@ -12,6 +11,7 @@ from berklip.ratmap import from_factored
 from berklip.sampling import DetRng
 from corpus import random_factored_map, random_ladder_map
 from oracles import (
+    Shift,
     choice,
     ref_gauss_fiber_zero_set,
     ref_lower_envelope,

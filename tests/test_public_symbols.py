@@ -4,7 +4,9 @@ acceptance criterion: each name in a module's ``__all__`` is referenced in
 ``tests/test_acceptance.py``, or it is a ``NamedTuple`` record type; so
 is each public method (a name without a leading ``_``) of a class in
 ``src/berklip``.  A symbol that only other tests use belongs in
-``tests/oracles.py``."""
+``tests/oracles.py``.  Each private helper (a top-level function or class,
+or a method, named with one leading ``_``) is read in ``src/berklip``
+outside its own definition."""
 
 import ast
 from pathlib import Path
@@ -112,3 +114,30 @@ def test_every_public_method_has_a_user():
                     unused.append(f"{path.stem}.{cls.name}.{method.name}")
     assert checked >= 20, checked
     assert not unused, f"public methods used only by tests: {unused}"
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def test_every_private_helper_has_a_src_caller():
+    modules = {path: _parse(path) for path in sorted(SRC.glob("*.py"))}
+    checked = 0
+    unused = []
+    for path, tree in modules.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and _private(node.name):
+                checked += 1
+                if not any(node.name in _referenced(other, node.name if other is tree else None)
+                           for other in modules.values()):
+                    unused.append(f"{path.stem}.{node.name}")
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for method in node.body:
+                if isinstance(method, ast.FunctionDef) and _private(method.name):
+                    checked += 1
+                    if not any(method.name in _names_read(other, method)
+                               for other in modules.values()):
+                        unused.append(f"{path.stem}.{node.name}.{method.name}")
+    assert checked >= 40, checked
+    assert not unused, f"private helpers no src code reads: {unused}"

@@ -8,7 +8,8 @@ import pytest
 
 from berklip import polynomials
 from berklip.berk import diam_gauss, gauss_point, push_forward
-from berklip.errors import DegenerateMapError
+from berklip.errors import DegenerateMapError, InternalInvariantError
+from berklip.invariants import rp_ord
 from berklip.projective import INF_POINT, ProjPoint
 from berklip.ratmap import (
     eval_proj,
@@ -282,6 +283,20 @@ def test_resultant_product_examples():
     mob = from_factored(p, Fraction(1, 9), [(pt(0), 1)], [(INF_POINT, 1)])  # z/9
     assert resultant_ord_product(mob) == Ord.of(2)
     assert resultant_ord(mob) == Ord.of(2)
+
+
+def test_shared_zero_and_pole_is_an_internal_error():
+    """No constructor makes a factored form with a point both a zero and a
+    pole (``from_factored`` rejects one), so on a record built by hand
+    the zero/pole pair kernel raises in both of its readers."""
+    p = 3
+    m = from_factored(p, 1, [(pt(1), 1), (pt(2), 1)], [(pt(0), 1), (INF_POINT, 1)])
+    with pytest.raises(DegenerateMapError):
+        from_factored(p, 1, [(pt(1), 1), (pt(2), 1)], [(pt(1), 1), (INF_POINT, 1)])
+    bad = m._replace(factored=m.factored._replace(poles=((pt(1), 1), (INF_POINT, 1))))
+    for reader in (rp_ord, resultant_ord_product):
+        with pytest.raises(InternalInvariantError, match="a zero is also a pole"):
+            reader(bad)
 
 
 def test_gir_examples():

@@ -5,13 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from berklip.berk import BerkPoint, Shift
+from berklip.berk import BerkPoint
 from berklip.invariants import FiniteTree, GprResult, InvariantBundle, TreeEdge
 from berklip.lipschitz import BoundReport, ProfileSegment, RadialProfile
 from berklip.piecewise import PWLinear
 from berklip.projective import INF_POINT, ProjPoint
 from berklip.ratmap import FactoredForm, RationalMap
 from berklip.valued import ORD_INF, Ord, PPowerSum, ppow_term
+from oracles import Shift
 
 
 def _records():
@@ -124,7 +125,7 @@ def test_text_forms_unchanged(index):
 def test_hash_is_the_field_tuple_hash(index):
     """So set and dict orders are those of the frozen dataclasses.  Ord
     equals its value (``Ord.of(2) == 2``), so it hashes as its value; a
-    record holding lists (``Shift``) is unhashable."""
+    record holding lists (the reference ``Shift``) is unhashable."""
     obj = _records()[index][0]
     fields = tuple(getattr(obj, name) for name in obj._fields)
     if isinstance(obj, Ord):

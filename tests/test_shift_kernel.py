@@ -19,7 +19,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from berklip import berk
-from berklip.berk import BerkPoint, Shift, berk_equal, diam_gauss, push_forward
+from berklip.berk import BerkPoint, berk_equal, diam_gauss, push_forward
 from berklip.errors import DegenerateMapError
 from berklip.invariants import gpr, hull
 from berklip.lipschitz import radial_profile
@@ -28,6 +28,7 @@ from berklip.sampling import DetRng, random_rational
 from berklip.valued import int_val
 from corpus import acceptance_corpus, random_factored_map, random_ladder_map
 from oracles import (
+    Shift,
     dehomogenized,
     ref_gpr_ord,
     ref_push_forward,
@@ -103,25 +104,20 @@ def test_push_forward_and_seminorm_match_reference():
 def test_push_forward_center_is_the_dominant_ratio(monkeypatch):
     """The image center is the ratio f_j/g_j of the shifted Fraction
     coefficients at the first index j whose term ord g_j + j*t is least,
-    the point is the reference's, and each call builds no ``Shift`` and
-    starts one shift of F and one of G, both to the center.  Pole
-    centers, images outside the unit disc (where the reference swaps
-    charts), p in numerators and denominators, and ties of g's least
-    term between indices of different ratios (where only the first index
-    gives the center) are all reached."""
-    shifts, started = [], []
-    at, passes = Shift.at, berk.taylor_passes
+    the point is the reference's, and each call starts one shift of F
+    and one of G, both to the center.  Pole centers, images outside the
+    unit disc (where the reference swaps charts), p in numerators and
+    denominators, and ties of g's least term between indices of
+    different ratios (where only the first index gives the center) are
+    all reached."""
+    started = []
+    shift = berk.taylor_shift
 
-    def counted_at(*args):
-        shifts.append(args)
-        return at(*args)
-
-    def counted_passes(c, a):
+    def counted_shift(c, a):
         started.append((list(c), a))
-        return passes(c, a)
+        return shift(c, a)
 
-    monkeypatch.setattr(Shift, "at", staticmethod(counted_at))
-    monkeypatch.setattr(berk, "taylor_passes", counted_passes)
+    monkeypatch.setattr(berk, "taylor_shift", counted_shift)
     seen = {"pole": 0, "outside": 0, "p_in_den": 0, "p_in_num": 0, "tie": 0}
     events: set = set()
     for rng, m in _maps(6262, 40):
@@ -136,10 +132,8 @@ def test_push_forward_center_is_the_dominant_ratio(monkeypatch):
                 least = min(terms)[0]
                 first, *rest = [j for o, j in terms if o == least]
                 x = BerkPoint.disc(a, t)
-                shifts.clear()
                 started.clear()
                 got = push_forward(m, x)
-                assert not shifts, (m, x)
                 assert started == [(scaled[0], u), (scaled[1], u)], (m, x)
                 assert got.center == fs[first] / gs[first], (m, x)
                 events.clear()
@@ -222,10 +216,10 @@ def _outcome(push, m, x):
 
 
 def _read_counter(monkeypatch):
-    """Replaces the pushforward's ``taylor_passes`` with one that counts
+    """Replaces the pushforward's ``taylor_shift`` with one that counts
     the coefficients it finalises; returns the list of per-shift counts,
     one entry per started shift, in the order they start."""
-    passes, counts = berk.taylor_passes, []
+    passes, counts = berk.taylor_shift, []
 
     def counted(c, a):
         counts.append(0)
@@ -238,7 +232,7 @@ def _read_counter(monkeypatch):
 
         return read()
 
-    monkeypatch.setattr(berk, "taylor_passes", counted)
+    monkeypatch.setattr(berk, "taylor_shift", counted)
     return counts
 
 

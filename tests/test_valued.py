@@ -115,6 +115,8 @@ def test_is_prime_examples():
     assert not is_prime(15)
     assert is_prime(2**31 - 1)
     assert not is_prime(2**32 + 1)
+    # psi_12 = 399165290221 * 798330580441 passes the witnesses 2..37
+    assert not is_prime(318665857834031151167461)
 
 
 def test_ord_p_examples():
