@@ -54,7 +54,7 @@ from typing import NamedTuple
 from .errors import DegenerateMapError
 from .polynomials import taylor_shift
 from .projective import INF_POINT, ProjPoint, _vord
-from .valued import ORD_INF, Ord, PPowerSum, format_fraction, int_val, ppow_normalize
+from .valued import ORD_INF, Ord, PPowerSum, _frac, format_fraction, int_val, ppow_normalize
 
 __all__ = [
     "BerkPoint",
@@ -81,7 +81,7 @@ class BerkPoint(NamedTuple):
 
     @staticmethod
     def disc(center, radius_ord) -> "BerkPoint":
-        return BerkPoint(None, Fraction(center), Fraction(radius_ord))
+        return BerkPoint(None, _frac(center), _frac(radius_ord))
 
     @property
     def is_classical(self) -> bool:
@@ -96,9 +96,12 @@ class BerkPoint(NamedTuple):
         return f"BerkPoint({self})"
 
 
+_GAUSS = BerkPoint.disc(0, 0)
+
+
 def gauss_point() -> BerkPoint:
-    """The point of the closed unit disc, zeta_{0,1}."""
-    return BerkPoint.disc(0, 0)
+    """The point of the closed unit disc, zeta_{0,1}: one immutable record."""
+    return _GAUSS
 
 
 def berk_equal(p: int, x: BerkPoint, y: BerkPoint) -> bool:
@@ -118,9 +121,9 @@ def berk_equal(p: int, x: BerkPoint, y: BerkPoint) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _diam_gauss_frac(p: int, center: Fraction, t: Fraction) -> Fraction:
-    """Exponent s with diam_G = p^(-s) for a disc point: r / max(1,|a|,r)^2."""
-    va = _vord(center, p)
+def _diam_gauss_frac(va: int | None, t: Fraction) -> Fraction:
+    """Exponent s with diam_G = p^(-s) for the disc point zeta_{a, p^(-t)},
+    given va = ord a (None for a = 0): r / max(1,|a|,r)^2."""
     m = min(0, t) if va is None else min(0, va, t)
     return t - 2 * m
 
@@ -130,7 +133,7 @@ def diam_gauss(p: int, x: BerkPoint) -> Ord:
     Gauss point, +infinity iff x is classical."""
     if x.is_classical:
         return ORD_INF
-    return Ord.of(_diam_gauss_frac(p, x.center, x.radius_ord))
+    return Ord.of(_diam_gauss_frac(_vord(x.center, p), x.radius_ord))
 
 
 def _in_unit_region(p: int, x: BerkPoint) -> bool:

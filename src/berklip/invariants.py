@@ -369,32 +369,42 @@ def gpr(m: RationalMap) -> GprResult:
     distinct points share a key and no point has two keys: the set of keys
     decides what a ``berk_equal`` scan of ``found`` would, without its
     cost quadratic in the preimages.
+
+    One point is built per key, when the key is new, and only then are its
+    pushforward and its diam_G exponent read (the center's ord taken once
+    per edge, ``_diam_gauss_frac``).  A repeated key names a point already
+    weighed, and diam_G is a function of the point, not of the center
+    that names it, so the repeat ties that earlier record and cannot be
+    the first point to reach the maximum: the argmin, the first record to
+    reach it, is the full scan's.
     """
     p = m.p
     ff = m.require_factored()
     edges = hull(p, [pt for pt, _ in ff.zeros] + [pt for pt, _ in ff.poles]).edges
     best: tuple[Fraction, BerkPoint] | None = None
-    found: list[BerkPoint] = []
-    seen = set()  # the keys of the points in found
+    found: dict = {}  # key -> the record of the preimage with that key
     for i, (edge, ts) in enumerate(zip(edges, _fiber_points(p, ff, edges))):
+        if not ts:
+            continue
         center = edge.center
+        va = _vord(center, p)
         lo, hi = edge.t_range()
         for t in ts:
-            pt = BerkPoint.disc(center, t)
             key = id(edge.upper) if t == lo else id(edge.lower) if t == hi else (i, t)
-            if key not in seen:
-                if not berk_equal(p, push_forward(m, pt), gauss_point()):
-                    raise InternalInvariantError(
-                        "edge scan produced a non-preimage; candidate set bug"
-                    )
-                seen.add(key)
-                found.append(pt)
-            s = _diam_gauss_frac(p, center, t)
+            if key in found:
+                continue
+            pt = BerkPoint.disc(center, t)
+            if not berk_equal(p, push_forward(m, pt), gauss_point()):
+                raise InternalInvariantError(
+                    "edge scan produced a non-preimage; candidate set bug"
+                )
+            found[key] = pt
+            s = _diam_gauss_frac(va, t)
             if best is None or s > best[0]:
                 best = (s, pt)
     if best is None:
         raise InternalInvariantError("internal: preimage must lie on hull")
-    return GprResult(Ord.of(best[0]), best[1], tuple(found))
+    return GprResult(Ord.of(best[0]), best[1], tuple(found.values()))
 
 
 # ---------------------------------------------------------------------------

@@ -23,9 +23,9 @@ and the pairs by descending source exponent; the map is evaluated at most
 once per distinct point, the first time a pair needs it.  An image
 distance is at most 1, so a pair's ratio exponent is at most its source
 exponent: the scan stops at the first pair whose source exponent is below
-the running maximum, and of the pairs at the maximum evaluates only those
-that could still be the first in pool order to reach it (proof in
-``sample_ratios``).
+the running maximum, or equal to it and later in pool order than the
+current witness, since no pair from there on can be the first in pool
+order to reach the maximum (proof in ``sample_ratios``).
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ from .valued import (
     Ord,
     PPowerSum,
     PPOW_ZERO,
+    _frac,
     int_val,
     ppow_compare,
     ppow_max,
@@ -103,7 +104,7 @@ def invariant_bound_terms(
 def _invariant_bound_terms(
     p: int, d: int, gir: Ord, b0_ord
 ) -> tuple[PPowerSum, PPowerSum]:
-    b0 = Fraction(b0_ord)
+    b0 = _frac(b0_ord)
     if b0 < 0:
         raise ValueError("B0 > 1 impossible")
     g = gir.frac
@@ -307,23 +308,29 @@ def sample_ratios(m: RationalMap, n: int, seed: int, lip_ord=None):
     The pairs are visited by descending source exponent s, ties in pool
     order (see ``_pair_pool``).  With e = s - s_img the ratio exponent of
     a pair and m the running maximum, the visit stops at the first pair
-    with s < m and skips a pair with s = m whose pool index is above the
-    current witness's; a pair that ties m with a lower pool index becomes
-    the witness.  Proof that the result is the pool-order loop's, with M
-    its maximum and W its witness, the first pair in pool order with
-    e = M:
+    with s < m, or with s = m and a pool index above the current
+    witness's; a pair that ties m with a lower pool index becomes the
+    witness.  Proof that the result is the pool-order loop's, with M its
+    maximum and W its witness, the first pair in pool order with e = M:
 
     * an image distance is at most 1, so s_img >= 0 and e <= s; m is a
       max over pairs visited, so m <= M at every step;
-    * the visit never stops before W: the stop needs s < m <= M, and every
-      pair from there on has s < M, while s_W >= e_W = M;
-    * W is never skipped: a skip needs s_W = m, and m <= M <= s_W makes
-      m = M, so the current witness, a pair with e = M, would lie before W
-      in pool order, against W being the first;
+    * the visit never stops at a pair X before W.  A stop with s_X < m
+      needs s_X < M, and every pair from X on, W among them, has s < M,
+      while s_W >= e_W = M.  A stop with s_X = m needs s_X <= M <= s_W,
+      and W comes after X, so s_W <= s_X: then s_W = m = M, W lies after
+      X in pool order (one level, ascending pool index), and the current
+      witness, a pair with e = M below X in pool order, would lie before
+      W, against W being the first;
     * once W is evaluated the maximum is M and the witness W (a tie with
       the current witness moves it to W, the lower pool index), and
       neither moves again: that needs e > M, or e = M below W in pool
       order.
+
+    Where the visit stops, the pool-order loop would evaluate nothing that
+    moves the result either: the pairs left at the level of a stop with
+    s = m have pool indices above the witness's too, and every later
+    level has s < m.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -334,11 +341,8 @@ def sample_ratios(m: RationalMap, n: int, seed: int, lip_ord=None):
     vals = [None] * len(points)  # (F, G, gcd(F, G)) at each point, once needed
     max_e = best = None
     for s_src, k, a, b in pairs:
-        if max_e is not None:
-            if s_src < max_e:
-                break
-            if s_src == max_e and k > best[0]:
-                continue
+        if max_e is not None and (s_src < max_e or s_src == max_e and k > best[0]):
+            break
         for j in (a, b):
             if vals[j] is None:
                 # F and G at (num, den): Horner in num with den powers

@@ -28,6 +28,10 @@ never yields a guess.
 
 The value types are ``NamedTuple`` records: immutable, with C-level
 equality and hashing, and nothing costly to build when the module loads.
+A constructor keeps a ``Fraction`` it is given as it is and wraps
+anything else, an int in practice (``_frac``), so a value is built once,
+where it is computed; ``Ord`` orders two ``Ord``s on their fields, with
+no conversion.
 """
 
 from __future__ import annotations
@@ -180,18 +184,26 @@ def _val_by_squaring(n: int, b: int) -> tuple[int, int]:
     return w, n
 
 
+def _frac(x) -> Fraction:
+    """x itself when it is a ``Fraction``, else ``Fraction(x)``: a value
+    the caller already holds is kept, not built again."""
+    return x if type(x) is Fraction else Fraction(x)
+
+
 class Ord(NamedTuple):
     """A valuation exponent t in QQ, or +infinity; |x| = p^(-t).
 
     Total order with +infinity as the maximum.  Addition and integer
-    scaling follow valuation arithmetic (infinity is absorbing).
+    scaling follow valuation arithmetic (infinity is absorbing).  Two
+    ``Ord``s are compared on their ``v`` fields, None above every
+    rational; an int or ``Fraction`` operand is read through ``Ord.of``.
     """
 
     v: Fraction | None  # None encodes +infinity
 
     @staticmethod
     def of(value) -> "Ord":
-        return Ord(Fraction(value))
+        return Ord(_frac(value))
 
     @property
     def is_inf(self) -> bool:
@@ -210,40 +222,34 @@ class Ord(NamedTuple):
         return Ord(self.v + o.v)
 
     def __mul__(self, k) -> "Ord":
-        k = Fraction(k)
+        k = _frac(k)
         if self.v is None:
             if k <= 0:
                 raise ValueError("cannot scale infinite Ord by a nonpositive factor")
             return ORD_INF
         return Ord(self.v * k)
 
-    def _key(self, other):
-        o = other if isinstance(other, Ord) else Ord.of(other)
-        return self.v, o.v
-
     def __lt__(self, other) -> bool:
-        a, b = self._key(other)
-        if a is None:
-            return False
-        if b is None:
-            return True
-        return a < b
+        a, b = self.v, (other if type(other) is Ord else Ord.of(other)).v
+        return a is not None and (b is None or a < b)
 
     def __le__(self, other) -> bool:
-        return self == other or self < other
+        a, b = self.v, (other if type(other) is Ord else Ord.of(other)).v
+        return b is None or (a is not None and a <= b)
 
     def __gt__(self, other) -> bool:
-        o = other if isinstance(other, Ord) else Ord.of(other)
-        return o < self
+        a, b = self.v, (other if type(other) is Ord else Ord.of(other)).v
+        return b is not None and (a is None or a > b)
 
     def __ge__(self, other) -> bool:
-        return self == other or self > other
+        a, b = self.v, (other if type(other) is Ord else Ord.of(other)).v
+        return a is None or (b is not None and a >= b)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Ord):
             return self.v == other.v
         if isinstance(other, (int, Fraction)):
-            return self.v == Fraction(other)
+            return self.v == other
         return NotImplemented
 
     def __ne__(self, other) -> bool:
@@ -319,7 +325,7 @@ def parse_int(s: str) -> int:
 
 
 def format_fraction(x: Fraction) -> str:
-    x = Fraction(x)
+    x = _frac(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
@@ -369,7 +375,7 @@ def ppow_normalize(p: int, terms) -> PPowerSum:
     """
     groups: dict[Fraction, list[tuple[Fraction, Fraction]]] = {}
     for coef, exp in terms:
-        coef, exp = Fraction(coef), Fraction(exp)
+        coef, exp = _frac(coef), _frac(exp)
         if coef == 0:
             continue
         cls = exp - floor(exp)
@@ -394,7 +400,7 @@ def _unit_term(p: int, total: Fraction, base: Fraction) -> tuple[Fraction, Fract
     """The term total * p^base as (p-unit, exponent) for a nonzero total:
     the p-part of its numerator or of its denominator (they are coprime)
     is divided out as an int power and moved into the exponent."""
-    if total < 0:
+    if total.numerator < 0:
         raise ValueError("non-positive term")
     num, den = total.numerator, total.denominator
     v = int_val(num, p)
@@ -409,10 +415,10 @@ def _unit_term(p: int, total: Fraction, base: Fraction) -> tuple[Fraction, Fract
 def ppow_term(p: int, coef, exp) -> PPowerSum:
     """The one-term sum coef * p^exp in normal form, as
     ``ppow_normalize(p, [(coef, exp)])``."""
-    coef = Fraction(coef)
+    coef = _frac(coef)
     if coef == 0:
         return PPOW_ZERO
-    return PPowerSum((_unit_term(p, coef, Fraction(exp)),))
+    return PPowerSum((_unit_term(p, coef, _frac(exp)),))
 
 
 def ppow_mul(p: int, a: PPowerSum, b: PPowerSum) -> PPowerSum:

@@ -1,6 +1,7 @@
 """Valuation arithmetic, p-power sums, and exact comparison."""
 
 import json
+import operator
 from decimal import Decimal, getcontext, localcontext
 from fractions import Fraction
 from pathlib import Path
@@ -11,8 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from berklip import valued
+from berklip.berk import BerkPoint, gauss_point
 from berklip.errors import ResourceLimitError
 from berklip.lipschitz import _invariant_bound_terms
+from berklip.projective import ProjPoint
 from berklip.sampling import DetRng
 from berklip.valued import (
     ORD_INF,
@@ -134,6 +137,69 @@ def test_ord_arithmetic_and_order():
     assert max(Ord.of(2), ORD_INF).is_inf
     assert str(Ord.of(Fraction(3, 2))) == "3/2"
     assert str(ORD_INF) == "inf"
+
+
+# each constructor that takes a rational, with the fields it stores it in;
+# at p = 3 the inputs below are p-units, so ppow_term keeps them whole
+_CONSTRUCTORS = {
+    "Ord.of": lambda x: [Ord.of(x).v],
+    "ppow_term coefficient": lambda x: [ppow_term(3, x, 0).terms[0][0]],
+    "ppow_term exponent": lambda x: [ppow_term(3, 1, x).terms[0][1]],
+    "BerkPoint.disc": lambda x: list(BerkPoint.disc(x, x)[1:]),
+    "ProjPoint.of": lambda x: [ProjPoint.of(x).z],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CONSTRUCTORS))
+def test_constructors_store_exact_fractions(name):
+    """A constructor stores a field of type exactly ``Fraction`` for an
+    int, a bool or a ``Fraction``, and keeps a ``Fraction`` it is given as
+    that same object."""
+    build = _CONSTRUCTORS[name]
+    for x in (2, True, Fraction(2, 5)):
+        fields = build(x)
+        assert all(type(f) is Fraction and f == x for f in fields), (x, fields)
+    x = Fraction(2, 5)
+    assert all(f is x for f in build(x))
+    for coef in (-1, Fraction(-2, 5)):
+        with pytest.raises(ValueError):
+            ppow_term(3, coef, 0)
+    assert gauss_point() == BerkPoint.disc(0, 0)
+    assert gauss_point() is gauss_point()
+
+
+_ORDS = [ORD_INF, Ord.of(-1), Ord.of(0), Ord.of(Fraction(3, 2))]
+_OPERANDS = _ORDS + [0, 2, Fraction(3, 2)]
+
+
+def _order_key(x):
+    """A reference key of the order: (1, 0) for infinity, above (0, v) for
+    every rational v."""
+    v = x.v if isinstance(x, Ord) else Fraction(x)
+    return (1, 0) if v is None else (0, v)
+
+
+@pytest.mark.parametrize(
+    "op",
+    [operator.lt, operator.le, operator.gt, operator.ge, operator.eq, operator.ne],
+    ids=lambda op: op.__name__,
+)
+def test_ord_order_matches_reference_key(op):
+    """Every comparison of an ``Ord`` with an ``Ord``, an int or a
+    ``Fraction``, in both orders, agrees with the reference key that puts
+    infinity above every rational."""
+    for a in _ORDS:
+        for b in _OPERANDS:
+            assert op(a, b) is op(_order_key(a), _order_key(b)), (a, b)
+            assert op(b, a) is op(_order_key(b), _order_key(a)), (b, a)
+
+
+def test_ord_max_min_and_sort_over_a_mixed_list():
+    mixed = [Ord.of(0), 2, ORD_INF, Fraction(3, 2), Ord.of(-1), Ord.of(2), 0]
+    assert max(mixed) is ORD_INF
+    assert min(mixed) is mixed[4]
+    assert max(mixed[:2] + mixed[3:]) is mixed[1]  # ties 2 and Ord.of(2): the first
+    assert [id(x) for x in sorted(mixed)] == [id(x) for x in sorted(mixed, key=_order_key)]
 
 
 @given(rationals, rationals)
