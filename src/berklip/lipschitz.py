@@ -327,10 +327,9 @@ def sample_ratios(m: RationalMap, n: int, seed: int, lip_ord=None):
       neither moves again: that needs e > M, or e = M below W in pool
       order.
 
-    Where the visit stops, the pool-order loop would evaluate nothing that
-    moves the result either: the pairs left at the level of a stop with
-    s = m have pool indices above the witness's too, and every later
-    level has s < m.
+    A stop with s = m evaluates the same pairs as skipping that one pair
+    and going on would: the pairs left at its level have pool indices
+    above the witness's too, and every later level has s < m.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
