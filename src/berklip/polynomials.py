@@ -6,10 +6,12 @@ kernels work on integers: ``hom_eval`` evaluates a form,
 time (``berk._Passes`` reads it, for the pushforward only until no later
 coefficient can change its answer, for the radial profile whole), and
 the resultant valuation eliminates over Z/p^N on the d x d Bezout matrix
-of the two forms, whose determinant is the resultant up to sign.  It runs once per map, at
-construction, where it is the coprimality test (two forms share a root
-in P1 exactly when that determinant vanishes) and its value is kept as
-the map's ``res``.
+of the two forms, whose determinant is the resultant up to sign.  It
+runs once per map built from coefficients or from zeros and poles, where
+it is the coprimality test (two forms share a root in P1 exactly when
+that determinant vanishes) and its value is kept as the map's ``res``; a
+composition with a Möbius map carries that value by an identity (see
+``ratmap.pre_compose`` and ``ratmap.post_compose``) and runs none.
 """
 
 from __future__ import annotations

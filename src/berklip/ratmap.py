@@ -7,12 +7,15 @@ normalized form, p-integral with at least one p-unit coefficient, as one
 integer pair: f = F / D and g = G / D with D the least common
 denominator, prime to p, so each coefficient ord is its numerator's.
 Every reader takes the integers; ``f`` and ``g`` are views.  Each map
-carries ord_p of its resultant, taken from the one p-adic elimination on
-the Bezout matrix its constructor runs, which is also the coprimality
-test; ``resultant_ord`` only reads it.  An optional factored form
-(leading constant, zeros, poles over P1(QQ) with multiplicity) unlocks
-the zero/pole-based invariants; it is derived automatically for degree
-1, where both points are always rational.
+carries ord_p of its resultant.  A map built from coefficients or from
+zeros and poles takes it from one p-adic elimination on the Bezout
+matrix, which is also the coprimality test; a composition with a Möbius
+map carries its operand's value by the identities in ``pre_compose`` and
+``post_compose`` and runs no elimination.  ``resultant_ord`` only reads
+it.  An optional factored form (leading constant, zeros, poles over
+P1(QQ) with multiplicity) unlocks the zero/pole-based invariants; it is
+derived automatically for degree 1, where both points are always
+rational.
 """
 
 from __future__ import annotations
@@ -58,10 +61,12 @@ class FactoredForm(NamedTuple):
 class RationalMap(NamedTuple):
     """A normalized map.  Instances come from the constructors of this
     module (``from_coeffs``, ``from_factored``, ``pre_compose`` and
-    ``post_compose``), each of which builds the integer pair, runs the
-    resultant elimination (on the d x d Bezout matrix) once and
+    ``post_compose``), each of which builds the integer pair and
     normalizes once, so no reader does either again.  ``res_ord`` is
-    ord_p of the resultant of (f, g), and of (F, G) since ord_p D = 0."""
+    ord_p of the resultant of (f, g), and of (F, G) since ord_p D = 0:
+    ``from_coeffs`` and ``from_factored`` take it from the one resultant
+    elimination (on the d x d Bezout matrix), and the two compositions
+    from their operand's by an identity, with no elimination."""
 
     p: int
     d: int
@@ -101,22 +106,33 @@ def _times_linear(h: list[int], y: int, x: int) -> list[int]:
     return [y * u + x * v for u, v in zip(h + [0], [0] + h)]
 
 
-def _build(p: int, d: int, F: list[int], G: list[int], D: int, factored=None) -> RationalMap:
-    """The normalized map of the raw pair (F / D, G / D), D > 0, with its
-    resultant valuation.
-
-    The resultant elimination runs once, on (F, G): it rejects a pair
-    whose forms share a root in P1, infinity included (exactly the pairs
-    whose determinant vanishes, an all-zero form among them), and its
-    value, moved by -2d ord D, is kept.  Dividing out the common factor
-    of D and every numerator makes D least.  A degree-1 map without
-    zero/pole data gets the data of its coefficients.
-    """
+def _eliminated_res(p: int, d: int, F: list[int], G: list[int]) -> int:
+    """ord_p Res(F, G) of a raw integer pair of degree-d forms, from the
+    resultant elimination, which runs here once per map built from
+    coefficients or from zeros and poles.  It is also the coprimality
+    test: it rejects a pair whose forms share a root in P1, infinity
+    included (exactly the pairs whose determinant vanishes, an all-zero
+    form among them).  A pair of degree zero is rejected first."""
     if d < 1:
         raise DegenerateMapError("degree zero")
     res = poly.sylvester_det_ord(p, F, G, d)
     if res is None:
         raise DegenerateMapError("degenerate map")
+    return res
+
+
+def _build(p: int, d: int, F: list[int], G: list[int], D: int, res: int, factored=None) -> RationalMap:
+    """The normalized map of the coprime raw pair (F / D, G / D), D > 0,
+    given res = ord_p Res(F, G) of its integer numerators.
+
+    The caller computes res: ``from_coeffs`` and ``from_factored`` by
+    ``_eliminated_res``, the compositions by their identities.  Res is
+    homogeneous of degree d in each form, so Res(F / D, G / D) =
+    D^(-2d) Res(F, G) and the map keeps res - 2d ord D.  Dividing D and
+    every numerator by their common factor then makes D least; it leaves
+    the quotients F / D and G / D, so this value, unchanged.  A degree-1
+    map without zero/pole data gets the data of its coefficients.
+    """
     res -= 2 * d * int_val(D, p)
     if factored is None and d == 1:
         factored = _mobius_factored(F, G)
@@ -161,14 +177,17 @@ def from_coeffs(p: int, f_coeffs, g_coeffs) -> RationalMap:
     if len(f) != len(g):
         raise DegenerateMapError("coefficient lists must have equal length")
     D, ints = _cleared(f + g)
-    return _build(p, len(f) - 1, ints[: len(f)], ints[len(f):], D)
+    d, F, G = len(f) - 1, ints[: len(f)], ints[len(f):]
+    return _build(p, d, F, G, D, _eliminated_res(p, d, F, G))
 
 
 def from_factored(p: int, c, zeros, poles) -> RationalMap:
     """Expand zero/pole data into a normalized homogeneous pair.
 
-    ``zeros`` and ``poles`` are (ProjPoint, multiplicity) pairs; a missing
-    balance of multiplicity is assigned to infinity.  A point shared
+    ``zeros`` and ``poles`` are (ProjPoint, multiplicity) pairs, each
+    multiplicity an ``int`` of at least 1 (a bool, float, string or
+    ``Fraction`` is rejected, never rounded); a missing balance of
+    multiplicity is assigned to infinity.  A point shared
     between the two lists is rejected.  Each side is expanded in integers:
     with every finite root a/b in lowest terms, prod(z - a/b) =
     prod(b z - a) / prod b, so with c = n / q the pair is (n B_p P_z,
@@ -182,7 +201,8 @@ def from_factored(p: int, c, zeros, poles) -> RationalMap:
         fin: dict[Fraction, int] = {}
         inf_mult = 0
         for pt, mult in items:
-            mult = int(mult)
+            if type(mult) is not int:
+                raise DegenerateMapError("multiplicities must be integers")
             if mult < 1:
                 raise DegenerateMapError("multiplicities must be positive")
             if pt.is_inf:
@@ -225,7 +245,8 @@ def from_factored(p: int, c, zeros, poles) -> RationalMap:
             out.append((INF_POINT, inf_mult))
         return tuple(out)
 
-    return _build(p, d, F, G, D, FactoredForm(c, _pairs(zf, z_inf), _pairs(pf, p_inf)))
+    ff = FactoredForm(c, _pairs(zf, z_inf), _pairs(pf, p_inf))
+    return _build(p, d, F, G, D, _eliminated_res(p, d, F, G), ff)
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +373,21 @@ def pre_compose(m: RationalMap, entries) -> RationalMap:
     With lam gamma = ((a, b), (c, e)) integral, the forms become
     sum F_i T^i B^(d-i), T = aX + bY and B = cX + eY, over D lam^d: by
     Horner's rule in T, with the powers of B shared by both forms.
+
+    The resultant needs no elimination: for M = ((a, b), (c, e)),
+    Res(F o M, G o M) = (ae - bc)^(d^2) Res(F, G).  Over an algebraic
+    closure both forms split into linear forms, F = prod_i L_i and
+    G = prod_j L'_j, a zero leading coefficient giving the factor Y, and
+    Res(F, G) = +-prod_(i,j) det(L_i, L'_j), the 2x2 determinant of the
+    two coefficient rows (Cox, Little and O'Shea, *Using Algebraic
+    Geometry*, ch. 3).  L o M has the coefficient row of L times M, so
+    each of the d^2 determinants gains the factor det M = ae - bc, and
+    the sign does not change ord_p.  As det M != 0 (``_mat`` rejects a
+    singular matrix), the composite's resultant vanishes exactly when
+    Res(F, G) does, and Res(F, G) != 0 because m is a map: the pair
+    stays coprime.  With ord_p Res(F, G) = m.res_ord + 2d ord m.D, the
+    raw pair has ord_p Res = d^2 ord(ae - bc) + m.res_ord + 2d ord m.D,
+    and ``_build`` takes off 2d ord(D lam^d) for its denominator.
     """
     lam, (a, b, c, e) = _cleared([x for row in _mat(entries) for x in row])
     n = m.d
@@ -378,13 +414,29 @@ def pre_compose(m: RationalMap, entries) -> RationalMap:
             for side in (m.factored.zeros, m.factored.poles)
         )
         ff = FactoredForm(Fraction(trim(F2)[-1], trim(G2)[-1]), zeros, poles)
-    return _build(m.p, n, F2, G2, m.D * lam**n, ff)
+    res = n * n * int_val(a * e - b * c, m.p) + m.res_ord + 2 * n * int_val(m.D, m.p)
+    return _build(m.p, n, F2, G2, m.D * lam**n, res, ff)
 
 
 def post_compose(entries, m: RationalMap) -> RationalMap:
     """The map z -> gamma(phi(z)); zeros and poles move off QQ in general,
-    so no factored form is attached."""
+    so no factored form is attached.
+
+    With lam gamma = ((a, b), (c, e)) integral, the pair is (aF + bG,
+    cF + eG) over D lam, and its resultant needs no elimination:
+    Res(aF + bG, cF + eG) = (ae - bc)^d Res(F, G).  Each Sylvester row
+    of aF + bG is a times the matching row of F plus b times that of G,
+    and likewise for cF + eG, so the new Sylvester matrix is the block
+    matrix ((a I, b I), (c I, e I)) times the old, I of size d.  Its
+    blocks commute, so its determinant is det((ae - bc) I) = (ae - bc)^d
+    (Gelfand, Kapranov and Zelevinsky, ch. 12).  As ae - bc != 0
+    (``_mat`` rejects a singular matrix) and Res(F, G) != 0, the pair
+    stays coprime.  With ord_p Res(F, G) = m.res_ord + 2d ord m.D, the
+    raw pair has ord_p Res = d ord(ae - bc) + m.res_ord + 2d ord m.D, and
+    ``_build`` takes off 2d ord(D lam) for its denominator.
+    """
     lam, (a, b, c, e) = _cleared([x for row in _mat(entries) for x in row])
     F2 = [a * x + b * y for x, y in zip(m.F, m.G)]
     G2 = [c * x + e * y for x, y in zip(m.F, m.G)]
-    return _build(m.p, m.d, F2, G2, m.D * lam)
+    res = m.d * int_val(a * e - b * c, m.p) + m.res_ord + 2 * m.d * int_val(m.D, m.p)
+    return _build(m.p, m.d, F2, G2, m.D * lam, res)

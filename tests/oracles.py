@@ -23,8 +23,10 @@ Valuations here are the Fraction ``ref_vord`` and ``ref_spherical_ord``
 ``ref_resultant_ord_product``, on the latter), independent of the
 program's integer kernels.  Next to them sit the ``Fraction`` expansion
 of a factored form (``ref_expand``) and the Sylvester matrix with an
-exact determinant (``ref_sylvester_rows``, ``ref_det``), against which
-the integer expansion and the Bezout kernel are checked.  The brute-force
+exact determinant (``ref_sylvester_rows``, ``ref_det``, and the
+resultant valuation read off them, ``ref_res_ord``), against which the
+integer expansion, the Bezout kernel and the resultant that a
+composition carries are checked.  The brute-force
 reconstruction uses only classical evaluation, exact valuations and disc
 joins; it never touches Taylor shifts, seminorm envelopes, or the
 candidate-center minimization it is meant to check.
@@ -251,6 +253,15 @@ def ref_det(rows: list[list[int]]) -> int:
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
         prev = m[k][k]
     return sign * m[-1][-1]
+
+
+def ref_res_ord(m: RationalMap) -> Fraction:
+    """ord_p Res(f, g) from the 2d x 2d Sylvester determinant of the
+    stored integer pair (``ref_sylvester_rows``, ``ref_det``), less
+    2d ord D: independent of the Bezout kernel and of the identities by
+    which a composition carries the resultant."""
+    det = ref_det(ref_sylvester_rows(list(m.F), list(m.G)))
+    return ref_vord(det, m.p) - 2 * m.d * ref_vord(m.D, m.p)
 
 
 def _point_directions(points, a: Fraction, t: int, p: int) -> set[int]:

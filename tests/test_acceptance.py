@@ -51,7 +51,7 @@ from corpus import (
     random_mobius,
     random_unimodular,
 )
-from oracles import minimality_refuted, oracle_push_forward, ref_gpr_scan
+from oracles import minimality_refuted, oracle_push_forward, ref_gpr_scan, ref_res_ord
 
 CORPUS_SEED = ACCEPTANCE_SEED
 PRIMES = (3, 5, 7)
@@ -192,11 +192,11 @@ def test_criterion_8_unimodular_invariance(corpus):
         for mat in mats:
             pre = pre_compose(m, mat)
             assert gir_minors(pre) == b_g
-            assert resultant_ord(pre) == b_r
+            assert resultant_ord(pre) == b_r == ref_res_ord(pre)
             assert gpr(pre).ord == b_p
             post = post_compose(mat, m)
             assert gir_minors(post) == b_g
-            assert resultant_ord(post) == b_r
+            assert resultant_ord(post) == b_r == ref_res_ord(post)
             assert ref_gpr_scan(post, hull_pts).ord == b_p
     _passed(8, "gir/gpr/res invariant under 20 unimodular matrices x 50 maps")
 

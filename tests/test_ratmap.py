@@ -1,6 +1,7 @@
 """Rational map construction, normalization, resultants, minors."""
 
 from fractions import Fraction
+from itertools import cycle
 from pathlib import Path
 from time import process_time
 
@@ -40,6 +41,7 @@ from oracles import (
     ref_det,
     ref_expand,
     ref_normalized,
+    ref_res_ord,
     ref_resultant_ord_product,
     ref_sylvester_rows,
 )
@@ -64,6 +66,18 @@ def test_from_factored_examples():
     # inconsistent multiplicity balance puts infinity on both sides
     with pytest.raises(DegenerateMapError):
         from_factored(p, 1, [(INF_POINT, 2), (pt(1), 1)], [(pt(0), 1)])
+
+
+@pytest.mark.parametrize("mult", [1.5, "2", True, Fraction(3, 2)])
+@pytest.mark.parametrize("side", ["zeros", "poles"])
+def test_from_factored_rejects_non_integer_multiplicities(mult, side):
+    """A multiplicity must be an int: it is never rounded or parsed, as
+    the map file parser already requires."""
+    good = [(pt(2), 1)]
+    bad = [(pt(1), mult)]
+    zeros, poles = (bad, good) if side == "zeros" else (good, bad)
+    with pytest.raises(DegenerateMapError, match="integers"):
+        from_factored(3, 1, zeros, poles)
 
 
 def test_implied_infinity_padding():
@@ -196,26 +210,78 @@ def test_stored_resultant_matches_kernel_and_product():
     assert min(lows) < 0 < max(lows)
 
 
+def test_compositions_carry_the_resultant():
+    """``pre_compose`` and ``post_compose`` take res from the identities
+    Res(F o M, G o M) = det(M)^(d^2) Res(F, G) and Res(aF + bG, cF + eG) =
+    det(M)^d Res(F, G), with no elimination; an independent determinant
+    of the stored pair agrees with the carried value.  The matrices are
+    p^s times a unimodular one, s in [-3, 3], so the cleared integer
+    matrix has ord det 2 max(s, 0), plus matrices of any determinant.  At
+    low degree the oracle is the 2d x 2d Bareiss determinant, at d = 10,
+    20, 30 the Bezout kernel on the stored pair."""
+    rng = DetRng(3030)
+    small = [
+        from_factored(3, Fraction(2, 27), [(INF_POINT, 2), (pt(Fraction(1, 3)), 1)],
+                      [(pt(-6), 2), (pt(Fraction(5, 9)), 1)]),
+        from_factored(5, Fraction(-25, 3), [(pt(-2), 3)],
+                      [(INF_POINT, 1), (pt(Fraction(-7, 25)), 2)]),
+        from_factored(7, 1, [(INF_POINT, 1)], [(pt(7), 1)]),
+        from_factored(2, 4, [(pt(Fraction(1, 2)), 1)], [(INF_POINT, 1)]),
+    ]
+    for i in range(24):
+        p = (2, 3, 5, 7)[i % 4]
+        small += [random_mobius(rng, p), random_factored_map(rng, p, dmax=5)]
+    large = [random_ladder_map(DetRng(100 * d + p), p, d) for d in (10, 20, 30) for p in (2, 3, 5, 7)]
+    assert any(m.d == 1 for m in small)
+    assert any(q.is_inf for m in small for q, _ in m.factored.zeros)
+    assert any(q.is_inf for m in small for q, _ in m.factored.poles)
+
+    exponents = cycle(range(-3, 4))
+
+    def matrices(m, count):
+        for _ in range(count):
+            s = next(exponents)
+            yield tuple(tuple(x * Fraction(m.p) ** s for x in row) for row in random_unimodular(rng))
+            mob = random_mobius(rng, m.p)
+            yield ((mob.f[1], mob.f[0]), (mob.g[1], mob.g[0]))
+
+    def bezout(m):
+        return polynomials.sylvester_det_ord(m.p, list(m.f), list(m.g), m.d)
+
+    moved = 0
+    for maps, oracle, count in ((small, ref_res_ord, 7), (large, bezout, 2)):
+        for m in maps:
+            for mat in matrices(m, count):
+                pre, post = pre_compose(m, mat), post_compose(mat, m)
+                assert pre.res_ord == oracle(pre) == resultant_ord_product(pre).frac, (m, mat)
+                assert post.res_ord == oracle(post), (m, mat)
+                moved += post.res_ord != m.res_ord
+    assert moved > 0
+
+
 def test_one_elimination_per_map(count_calls, capsys):
-    """The Sylvester elimination runs once per map built, and never in
-    the readers of a built map."""
+    """The Sylvester elimination runs once per map built from coefficients
+    or from zeros and poles, never for a composition, which carries its
+    operand's value, and never in the readers of a built map."""
     from berklip import cli, invariants, lipschitz
 
     calls = count_calls(polynomials.sylvester_det_ord)
     rng = DetRng(77)
     m = random_factored_map(rng, 3, dmax=4)
     mat = random_unimodular(rng)
+    big = random_ladder_map(DetRng(64), 3, 64)
     builders = [
-        lambda: random_factored_map(DetRng(5), 5, dmax=5),
-        lambda: from_coeffs(3, [Fraction(1, 9), 0, 2], [0, 3, 0]),
-        lambda: mobius_from_matrix(5, ((25, 5), (0, 1))),
-        lambda: pre_compose(m, mat),
-        lambda: post_compose(mat, m),
+        (1, lambda: random_factored_map(DetRng(5), 5, dmax=5)),
+        (1, lambda: from_coeffs(3, [Fraction(1, 9), 0, 2], [0, 3, 0])),
+        (1, lambda: mobius_from_matrix(5, ((25, 5), (0, 1)))),
+        (0, lambda: pre_compose(m, mat)),
+        (0, lambda: post_compose(mat, m)),
+        (0, lambda: post_compose(mat, big)),
     ]
-    for build in builders:
+    for expected, build in builders:
         calls.clear()
         build()
-        assert len(calls) == 1
+        assert len(calls) == expected
     for d in (1, 3, 5):
         m = random_factored_map(DetRng(d), 3, dmax=d)
         calls.clear()
