@@ -270,7 +270,7 @@ def test_one_elimination_per_map(count_calls, capsys):
     m = random_factored_map(rng, 3, dmax=4)
     mat = random_unimodular(rng)
     big = random_ladder_map(DetRng(64), 3, 64)
-    builders = [
+    cases = [
         (1, lambda: random_factored_map(DetRng(5), 5, dmax=5)),
         (1, lambda: from_coeffs(3, [Fraction(1, 9), 0, 2], [0, 3, 0])),
         (1, lambda: mobius_from_matrix(5, ((25, 5), (0, 1)))),
@@ -278,7 +278,7 @@ def test_one_elimination_per_map(count_calls, capsys):
         (0, lambda: post_compose(mat, m)),
         (0, lambda: post_compose(mat, big)),
     ]
-    for expected, build in builders:
+    for expected, build in cases:
         calls.clear()
         build()
         assert len(calls) == expected
