@@ -1,34 +1,28 @@
 """Tree-geometric invariants of a rational map.
 
-* rp_ord    -- smallest spherical distance between a zero and a pole,
-               one valuation per zero/pole pair.
+* rp_ord    -- smallest spherical distance between a zero and a pole.
 * hull      -- the convex hull (Steiner tree) of finitely many classical
-               points inside the Berkovich line: the single-linkage tree
-               of their pairwise ords, merged from one link per point to
-               its nearest earlier point.
-* gpr       -- the Gauss preimage radius: the minimum diameter among the
-               preimages of the Gauss point, found by an exact edge scan
-               of the zero/pole hull.
+               points inside the Berkovich line, as records.
+* gpr       -- the Gauss preimage radius, the least diameter of a Gauss
+               point preimage, by an exact edge scan of the tree.
 * bundle    -- all invariants of one map, with the inequality chain
                |Res| <= GPR <= RP <= 1 and GIR >= |Res|^(1/d) asserted;
                the last map's bundle is kept for a repeat call.
 
-The preimages of the Gauss point lie on the hull of the zeros and poles:
-off the hull all zeros and poles sit in a single direction, while a point
-mapping onto the Gauss point must separate a zero-direction from a
-pole-direction.  Each distinct preimage, told apart from the others by
-where it lies on the hull (a vertex, or a point inside one edge), is
-re-verified once through the pushforward, and its identity with the Gauss
-point decided by ``berk_equal``.
+One kernel, ``_tree``, turns the zeros and poles into integer arrays,
+the single-linkage tree of their pairwise ords: per vertex its parent,
+radius exponent, center's input index and the signed multiplicity below
+it.  rp is the largest zero/pole entry of its row loop, which values
+every pair once, or an entry at infinity (proof in ``rp_ord``).  ``hull``
+builds records on the arrays; ``gpr`` reads them directly.
 
-Most hull edges cannot meet the fiber, and the factored form says which.
-On a hull edge ord phi(zeta_{a, t}) is the line K + s*t, s = zeros -
-poles below the edge's lower vertex (proof in ``gpr``; the lines are
-computed in ints by ``_ord_phi_lines``).  A Gauss preimage has ord phi =
-0, so an edge on which K + s*t has no zero holds none.  An edge that
-passes is decided by its slope alone, with no Taylor shift: when s != 0
-its fiber is its one point t0 = -K/s, and when s = 0 it is those of its
-two ends that touch an edge of nonzero slope.
+The preimages of the Gauss point lie on the hull of the zeros and poles:
+off it all of them sit in one direction, while a preimage separates a
+zero-direction from a pole-direction.  On a hull edge ord phi is a line
+K + s*t, s = zeros - poles below the edge, so each edge is decided by
+its slope alone, with no Taylor shift, and each distinct preimage, told
+apart by where it lies on the hull, is re-verified once through the
+pushforward (proofs in ``gpr``).
 """
 
 from __future__ import annotations
@@ -47,7 +41,7 @@ from .berk import (
 )
 from .errors import InternalInvariantError
 from .projective import INF_POINT, ProjPoint, _vord
-from .ratmap import FactoredForm, RationalMap, _zero_pole_ords, gir_minors, resultant_ord
+from .ratmap import RationalMap, gir_minors, resultant_ord
 from .valued import Ord, int_val
 
 __all__ = [
@@ -62,72 +56,38 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# root-pole number
+# the zero/pole tree as integer arrays
 # ---------------------------------------------------------------------------
 
 
-def rp_ord(m: RationalMap) -> Ord:
-    """Largest exponent t with p^(-t) the minimal zero-pole spherical
-    distance: the largest distance exponent ``ratmap._zero_pole_ords``
-    gives, one valuation per zero/pole pair."""
-    best = max((s for _, s in _zero_pole_ords(m.p, m.require_factored())), default=None)
-    if best is None:
-        raise InternalInvariantError("zero/pole lists cannot be empty")
-    return Ord.of(best)
+class _Tree(NamedTuple):
+    """The arrays of ``_tree``, one entry per vertex: the finite inputs,
+    then the discs, deepest first, then infinity when it is an input.  A
+    vertex comes before its parent, and its edge runs from it to up[v]."""
+
+    points: list[Fraction]  # the finite inputs, zeros first
+    up: list[int | None]  # parent vertex, None at the top
+    t: list[int | None]  # radius exponent of a disc, None at a classical vertex
+    center: list[int | None]  # input index of the center, None at infinity
+    below: list[int]  # signed multiplicity at or under v: the slope of its edge
+    rp: int | None  # largest zero/pole distance exponent; None with no pair
 
 
-# ---------------------------------------------------------------------------
-# convex hulls of classical points
-# ---------------------------------------------------------------------------
+def _tree(p: int, zeros, poles) -> _Tree:
+    """The hull of >= 2 distinct classical points, given as (ProjPoint,
+    multiplicity) pairs, ``zeros`` counted + and ``poles`` -.  The finite
+    inputs z_0, ..., z_(n-1) keep input order, zeros first.
 
-
-class TreeEdge(NamedTuple):
-    """A radial edge {zeta_{center, t}} between two tree vertices.
-
-    ``lower`` is the small-radius end (larger t, possibly a classical
-    point), ``upper`` the large-radius end (smaller t, possibly the point
-    at infinity).  The center is a classical witness below the edge, so
-    every edge point is zeta_{center, t}.
-    """
-
-    lower: BerkPoint
-    upper: BerkPoint
-    center: Fraction
-
-    def t_range(self) -> tuple[Fraction | None, Fraction | None]:
-        """(t_lo, t_hi) of the edge as an interval in t = radius ord.
-
-        t_lo is the upper vertex's exponent (None when the edge runs to
-        infinity), t_hi the lower vertex's (None for a classical lower
-        end, where t -> +infinity).
-        """
-        lo = None if self.upper.is_classical else self.upper.radius_ord
-        hi = None if self.lower.is_classical else self.lower.radius_ord
-        return lo, hi
-
-
-class FiniteTree(NamedTuple):
-    vertices: tuple[BerkPoint, ...]
-    edges: tuple[TreeEdge, ...]
-
-
-def hull(p: int, points) -> FiniteTree:
-    """Convex hull in the Berkovich line of >= 2 distinct classical points.
-
-    Vertices are the inputs plus all pairwise joins; each edge is radial
-    with the lower vertex's classical center as witness.
-
-    The tree is the single-linkage dendrogram of the finite inputs z_0,
-    ..., z_(n-1) under ord(z_i - z_j), an ultrametric (Gower and Ross,
-    Minimum spanning trees and single linkage cluster analysis, Appl.
-    Stat. 1969), built from n - 1 links.  Each z_i, i >= 1, links to z_j,
-    j_i the lowest j < i attaining s_i = max_(j < i) ord(z_i - z_j); the
-    ords are computed in integers, ord(a/d - a'/d') = ord(a d' - a' d) -
-    ord d - ord d', with the ord of each denominator taken once.  The
-    links are merged by descending s with a union-find whose root is the
-    lowest index, and each cluster that the links of one level s touch
-    becomes the vertex D(z_root, s), the parent of the previous top
-    vertices of the clusters it merged.
+    The tree is the single-linkage dendrogram of the finite inputs under
+    the ultrametric ord(z_i - z_j) (Gower and Ross, Appl. Stat. 1969),
+    built from n - 1 links.  Each z_i, i >= 1, links to z_j, j_i the lowest j < i
+    attaining s_i = max_(j < i) ord(z_i - z_j); the ords are computed in
+    integers, ord(a/b - a'/b') = ord(a b' - a' b) - ord b - ord b', with
+    the ord of each denominator taken once.  The links are merged by
+    descending s with a union-find whose root is the lowest index, and
+    each cluster that the links of one level s touch becomes the disc
+    D(z_root, s), the parent of the previous top vertices of the clusters
+    it merged, with t = s, center = root and below the sum of theirs.
 
     Proof that these are the hull's discs.  At a threshold sigma, the
     classes {k : ord(z_i - z_k) >= sigma} are the inputs in the discs
@@ -138,39 +98,46 @@ def hull(p: int, points) -> FiniteTree:
     level >= sigma joins two points of one class.  So the links with s >=
     sigma connect exactly the classes at sigma.  A class at s is a hull
     vertex iff it is not also a class at s + 1 (levels are ints), that is
-    iff a link of level exactly s lies in it, and it is then the disc D(z_e, s)
-    with e its lowest index, the union-find root.  Its children are the
-    classes at s + 1 inside it, the top vertices of the clusters merged
-    at s.
+    iff a link of level exactly s lies in it, and it is then the disc
+    D(z_e, s) with e its lowest index, the union-find root.  Its children
+    are the classes at s + 1 inside it, the top vertices of the clusters
+    merged at s.
 
     The top cluster holds every finite input: its parent is infinity
-    when infinity is an input, and otherwise it is the root.  Vertices
-    are ordered deepest first: finite inputs in input order, discs by
-    descending radius exponent, ties by lowest index, then infinity; the
-    levels come in descending order and each level's clusters in
-    ascending root order, so the vertices need no sort.  Edges follow that
-    order.
+    when infinity is an input, and otherwise it is the root.  The levels
+    come in descending order and each level's clusters in ascending root
+    order, so the vertices need no sort.  rp: see ``rp_ord``.
     """
-    pts: list[ProjPoint] = list(dict.fromkeys(points))
-    if len(pts) < 2:
-        raise ValueError("hull needs at least 2 distinct points")
-
-    finite = [q.z for q in pts if not q.is_inf]
+    finite = [(q.z, k) for q, k in zeros if not q.is_inf]
+    nz = len(finite)
+    finite += [(q.z, -k) for q, k in poles if not q.is_inf]
     n = len(finite)
-    nums = [z.numerator for z in finite]
-    dens = [z.denominator for z in finite]
-    od = [int_val(d, p) for d in dens]
+    inf_zero, inf_pole = nz < len(zeros), n - nz < len(poles)
+    points = [z for z, _ in finite]
+    nums = [z.numerator for z in points]
+    dens = [z.denominator for z in points]
+    if len(set(zip(nums, dens))) < n or inf_zero and inf_pole:
+        raise InternalInvariantError("a zero is also a pole")
+    od = [int_val(b, p) for b in dens]
+    # rp's entries at infinity: (1, 0) against a/b is ord b
+    near = od[nz:] if inf_zero else od[:nz] if inf_pole else []
+    shifted = any(od)
     links = []
     for i in range(1, n):
-        a, d, o = nums[i], dens[i], od[i]
-        row = [int_val(a * dens[j] - nums[j] * d, p) - o - od[j] for j in range(i)]
+        a, b = nums[i], dens[i]
+        raw = [int_val(a * dens[j] - nums[j] * b, p) for j in range(i)]
+        if i >= nz > 0:  # a pole: its entries against the zeros, j < nz
+            near.append(max(raw[:nz]))
+        row = [x - o for x, o in zip(raw, od)] if shifted else raw
         s = max(row)
-        links.append((s, i, row.index(s)))
+        links.append((s - od[i], i, row.index(s)))
     links.sort(reverse=True)
+    rp = max(near, default=None)
 
-    # the finite inputs first, then each disc as it is made
-    vertices = [BerkPoint.classical(q) for q in pts if not q.is_inf]
-    up: list[int | None] = [None] * n  # parent vertex of each vertex
+    up: list[int | None] = [None] * n
+    t: list[int | None] = [None] * n
+    center: list[int | None] = list(range(n))
+    below = [k for _, k in finite]
     root = list(range(n))  # union-find over input indices
     top = list(range(n))  # a cluster's top vertex, at its root
 
@@ -188,23 +155,89 @@ def hull(p: int, points) -> FiniteTree:
         children: dict[int, list[int]] = {}
         for r in sorted(merged):  # a new root is its cluster's least old one
             children.setdefault(find(r), []).append(top[r])
-        for r, below in children.items():
-            top[r] = len(vertices)
-            vertices.append(BerkPoint.disc(finite[r], s))
+        for r, kids in children.items():
+            v = top[r] = len(up)
             up.append(None)
-            for c in below:
-                up[c] = top[r]
-    if n < len(pts):  # infinity is an input
-        up[top[0]] = len(vertices)
-        vertices.append(BerkPoint.classical(INF_POINT))
+            t.append(s)
+            center.append(r)
+            below.append(sum(below[c] for c in kids))
+            for c in kids:
+                up[c] = v
+    if inf_zero or inf_pole:
+        up[top[0]] = len(up)
         up.append(None)
-    edges = tuple(
-        TreeEdge(w, vertices[u], w.pt.z if w.is_classical else w.center)
-        for w, u in zip(vertices, up)
-        if u is not None
-    )
-    if len(vertices) - len(edges) != 1:
+        t.append(None)
+        center.append(None)
+        below.append(below[top[0]])
+    if up.index(None) != len(up) - 1:
         raise InternalInvariantError("hull is not a single tree")
+    return _Tree(points, up, t, center, below, rp)
+
+
+# ---------------------------------------------------------------------------
+# root-pole number
+# ---------------------------------------------------------------------------
+
+
+def rp_ord(m: RationalMap, tree: _Tree | None = None) -> Ord:
+    """Largest exponent t with p^(-t) the minimal zero-pole spherical
+    distance: the ``rp`` of the zero/pole tree (built here unless given).
+
+    Proof.  With each point read as its coprime pair (num, den), (1, 0)
+    for infinity, both gcds of ``projective._sph_pair_ord`` are 1, so a
+    zero and a pole are at exponent ord(u_n v_d - v_n u_d).  For a finite
+    zero a/b and pole a'/b' that is ord(a b' - a' b), the pair's row-loop
+    entry before ord b + ord b' is taken off: the row of the pole (zeros
+    come first), a column below the number of finite zeros.  For infinity
+    and a/b it is ord(a * 0 - 1 * b) = ord b, an entry at infinity.  Each
+    pair is one of these once (infinity is on one side), so rp is their
+    maximum.
+    """
+    ff = m.require_factored()
+    return Ord.of((tree or _tree(m.p, ff.zeros, ff.poles)).rp)
+
+
+# ---------------------------------------------------------------------------
+# convex hulls of classical points
+# ---------------------------------------------------------------------------
+
+
+class TreeEdge(NamedTuple):
+    """A radial edge {zeta_{center, t}} from its small-radius end
+    ``lower`` (possibly classical) to ``upper`` (possibly infinity); the
+    center is a classical witness below the edge."""
+
+    lower: BerkPoint
+    upper: BerkPoint
+    center: Fraction
+
+
+class FiniteTree(NamedTuple):
+    vertices: tuple[BerkPoint, ...]
+    edges: tuple[TreeEdge, ...]
+
+
+def hull(p: int, points, tree: _Tree | None = None) -> FiniteTree:
+    """Convex hull in the Berkovich line of >= 2 distinct classical points,
+    as records on the arrays of ``_tree`` (where the proof is): the inputs
+    and all pairwise joins, deepest first (finite inputs in input order,
+    discs by descending radius exponent, ties by lowest index, then
+    infinity), and one radial edge per vertex below the top, in that
+    order, with the lower vertex's classical center as witness; on a
+    given ``tree`` of the same inputs in the same order.
+    """
+    pts: list[ProjPoint] = list(dict.fromkeys(points))
+    if len(pts) < 2:
+        raise ValueError("hull needs at least 2 distinct points")
+    tree = tree or _tree(p, [(q, 0) for q in pts], ())
+    z, n = tree.points, len(tree.points)
+    vertices = [BerkPoint.classical(q) for q in pts if not q.is_inf]
+    vertices += [BerkPoint.disc(z[c], s)
+                 for c, s in zip(tree.center[n:], tree.t[n:]) if s is not None]
+    if len(vertices) < len(tree.up):  # infinity is an input
+        vertices.append(BerkPoint.classical(INF_POINT))
+    edges = tuple(TreeEdge(w, vertices[u], z[c])
+                  for w, u, c in zip(vertices, tree.up, tree.center) if u is not None)
     return FiniteTree(tuple(vertices), edges)
 
 
@@ -219,93 +252,46 @@ class GprResult(NamedTuple):
     preimages: tuple[BerkPoint, ...]
 
 
-def _ord_phi_lines(p: int, ff: FactoredForm, edges) -> list[tuple[int, int]]:
-    """(K, s) for each edge of the zero/pole hull, in edge order, with
-    ord phi(zeta_{center, t}) = K + s*t on the edge.
-
-    s is the signed multiplicity of the inputs below the lower vertex,
-    summed bottom-up (the edges come deepest first), and K comes from one
-    top-down walk of the vertex values: an edge up to infinity has K =
-    ord C, the root disc (when infinity is no input) has ord C, and
-    F(lower) = F(upper) + s * (t_hi - t_lo).  No shift and no valuation
-    beyond ord C is needed, and everything is an int: the hull's radius
-    exponents are ords of differences of its inputs.  Vertices are keyed
-    by identity, since ``hull`` builds each once and every edge at it
-    refers to that object.
+def _gauss_fiber(tree: _Tree, oc: int) -> list[tuple[int, int, tuple]]:
+    """(K, s, fiber) for each edge of the tree, in edge order: ord
+    phi(zeta_{center, t}) = K + s*t on the edge, oc = ord C, and fiber the
+    (t, key) of its Gauss preimages, upper end first, keyed by the vertex
+    at an end and by (edge, t) inside (proof in ``gpr``).  s is the edge's
+    ``below``; K comes top-down from ord C at infinity and at the root.
     """
-    mult: dict[tuple[int, int], int] = {}  # keyed without hashing a Fraction
-    for sign, side in ((1, ff.zeros), (-1, ff.poles)):
-        for pt, k in side:
-            if not pt.is_inf:
-                key = pt.z.numerator, pt.z.denominator
-                mult[key] = mult.get(key, 0) + sign * k
-    below: dict[int, int] = {}
-    slopes = []
-    for e in edges:
-        # a classical lower vertex is a finite input and a leaf
-        if e.lower.is_classical:
-            s = mult[e.center.numerator, e.center.denominator]
-        else:
-            s = below[id(e.lower)]
-        below[id(e.upper)] = below.get(id(e.upper), 0) + s
-        slopes.append(s)
-    oc = _vord(ff.c, p)
-    # the last vertex, above every other; as a disc it has ord phi = ord C
-    value = {id(edges[-1].upper): oc}
-    lines = []
-    for e, s in zip(reversed(edges), reversed(slopes)):
-        if e.upper.is_classical:  # infinity: every finite input is below
-            k = oc
-        else:
-            t = e.upper.radius_ord.numerator
-            k = value[id(e.upper)] - s * t
-        if not e.lower.is_classical:
-            value[id(e.lower)] = k + s * e.lower.radius_ord.numerator
-        lines.append((k, s))
-    lines.reverse()
-    return lines
-
-
-def _has_zero(k: int, s: int, lo, hi) -> bool:
-    """Whether K + s*t vanishes somewhere on [lo, hi] (None: unbounded)."""
-    if s == 0:
-        return k == 0
-    # the signs of the line at the two ends (times their positive
-    # denominators); at an open end, those of -s and s
-    a = -s if lo is None else k * lo.denominator + s * lo.numerator
-    b = s if hi is None else k * hi.denominator + s * hi.numerator
-    return a <= 0 <= b or b <= 0 <= a
-
-
-def _fiber_points(p: int, ff: FactoredForm, edges) -> list[list[Fraction]]:
-    """For each edge of the zero/pole hull, in edge order, the t of its
-    Gauss preimages zeta_{center, t}, upper end first (proof in ``gpr``).
-
-    A screened edge of slope s != 0 gives its one point t0 = -K/s, and a
-    flat screened edge (s = 0, K = 0) those of its two ends that touch an
-    edge of nonzero slope, screened or not.  Vertices are keyed by
-    identity, as in ``_ord_phi_lines``.
-    """
-    lines = _ord_phi_lines(p, ff, edges)
-    sloped = {id(v) for e, (_, s) in zip(edges, lines) if s for v in (e.upper, e.lower)}
+    up, ts, below = tree.up, tree.t, tree.below
+    top = len(up) - 1
+    sloped = {w for v in range(top) if below[v] for w in (v, up[v])}
+    value = [oc] * (top + 1)  # ord phi at each disc, ord C at the top
     out = []
-    for e, (k, s) in zip(edges, lines):
-        if not _has_zero(k, s, *e.t_range()):
-            out.append([])
-        elif s:
-            out.append([Fraction(-k, s)])
-        else:
-            out.append([v.radius_ord for v in (e.upper, e.lower) if id(v) in sloped])
+    for v in range(top - 1, -1, -1):
+        u, s = up[v], below[v]
+        lo, hi = ts[u], ts[v]  # None at infinity and at a leaf
+        k = oc if lo is None else value[u] - s * lo
+        if hi is not None:
+            value[v] = k + s * hi
+        fiber = ()
+        if s:
+            # the line's signs at the two ends, -s and s at an open end
+            a = -s if lo is None else k + s * lo
+            b = s if hi is None else k + s * hi
+            if a <= 0 <= b or b <= 0 <= a:
+                t0 = Fraction(-k, s)
+                fiber = ((t0, u if a == 0 else v if b == 0 else (v, t0)),)
+        elif k == 0:
+            fiber = tuple((ts[w], w) for w in (u, v) if w in sloped)
+        out.append((k, s, fiber))
+    out.reverse()
     return out
 
 
-def gpr(m: RationalMap) -> GprResult:
+def gpr(m: RationalMap, tree: _Tree | None = None) -> GprResult:
     """Minimal Gauss-point preimage diameter and a witness point.
 
-    The search space is the hull of the zeros and poles.  Each edge's
-    preimages are read from the factored form by ``_fiber_points``, with
-    no Taylor shift, and every distinct one is re-verified once through
-    push_forward.
+    The search space is the hull of the zeros and poles, the arrays of
+    ``_tree`` (built here unless given).  Each edge's
+    preimages are read from them by ``_gauss_fiber``, with no Taylor
+    shift, and every distinct one is re-verified once through push_forward.
 
     The edges are screened first by the slope rule: ord phi(zeta_{a, t})
     = K + s*t on an edge, s = (zeros - poles below the edge's lower
@@ -320,7 +306,10 @@ def gpr(m: RationalMap) -> GprResult:
     continuous along the tree, and at the root disc, which contains every
     finite input, it is ord C + t_root * (finite zeros - finite poles) =
     ord C: the root is a disc only when infinity is neither a zero nor a
-    pole, and then both sides have d finite points.
+    pole, and then both sides have d finite points.  So s is the edge's
+    ``below``, and K is read top-down: at a disc v, ord phi = K_v + s_v t_v,
+    and a child edge w has K_w = that - s_w t_v, at the parent's t.  All
+    are ints: the radius exponents are ords of differences of inputs.
 
     A passing edge with s != 0 meets the fiber exactly at t0 = -K/s.  A
     preimage has ord phi = K + s*t = 0, and the line vanishes only at t0,
@@ -360,15 +349,14 @@ def gpr(m: RationalMap) -> GprResult:
     fiber.
 
     A preimage is recorded once, by a key of where it lies on the hull:
-    at an end of its edge (t equal to an end of ``t_range``) by the
-    identity of that vertex, inside the edge by (edge index, t).  Two
-    records name one point exactly when their keys agree.  The hull is a
-    tree: ``hull`` builds each vertex once, and every edge at a vertex
-    refers to that object; the open edges are disjoint from each other and
-    from the vertices; and on one edge t names one point.  So no two
-    distinct points share a key and no point has two keys: the set of keys
-    decides what a ``berk_equal`` scan of ``found`` would, without its
-    cost quadratic in the preimages.
+    at an end of its edge by that vertex's index, inside the edge by
+    (edge, t).  Two records name one point exactly when their keys agree.
+    The hull is a tree: each vertex has one index, shared by every edge
+    at it; the open edges are disjoint from each other and from the
+    vertices; and on one edge t names one point.  So no two distinct
+    points share a key and no point has two keys: the set of keys decides
+    what a ``berk_equal`` scan of ``found`` would, without its cost
+    quadratic in the preimages.
 
     One point is built per key, when the key is new, and only then are its
     pushforward and its diam_G exponent read (the center's ord taken once
@@ -380,20 +368,20 @@ def gpr(m: RationalMap) -> GprResult:
     """
     p = m.p
     ff = m.require_factored()
-    edges = hull(p, [pt for pt, _ in ff.zeros] + [pt for pt, _ in ff.poles]).edges
+    if tree is None:
+        tree = _tree(p, ff.zeros, ff.poles)
+    points, center = tree.points, tree.center
     best: tuple[Fraction, BerkPoint] | None = None
     found: dict = {}  # key -> the record of the preimage with that key
-    for i, (edge, ts) in enumerate(zip(edges, _fiber_points(p, ff, edges))):
-        if not ts:
+    for v, (_, _, fiber) in enumerate(_gauss_fiber(tree, _vord(ff.c, p))):
+        if not fiber:
             continue
-        center = edge.center
-        va = _vord(center, p)
-        lo, hi = edge.t_range()
-        for t in ts:
-            key = id(edge.upper) if t == lo else id(edge.lower) if t == hi else (i, t)
+        a = points[center[v]]
+        va = _vord(a, p)
+        for t, key in fiber:
             if key in found:
                 continue
-            pt = BerkPoint.disc(center, t)
+            pt = BerkPoint.disc(a, t)
             if not berk_equal(p, push_forward(m, pt), gauss_point()):
                 raise InternalInvariantError(
                     "edge scan produced a non-preimage; candidate set bug"
@@ -429,8 +417,7 @@ _last = None  # (map, its bundle) for the last map ``bundle`` built
 
 
 def bundle(m: RationalMap) -> InvariantBundle:
-    """All invariants of one map; asserts the inequality chain before
-    returning.
+    """All invariants of one map; asserts the inequality chain first.
 
     The last map's bundle is kept, keyed by object identity: a call with
     that same object returns it, so a bound report on a map its caller
@@ -439,6 +426,8 @@ def bundle(m: RationalMap) -> InvariantBundle:
     One entry, not a cache: any other object (an equal map built again
     too) is computed and replaces it, and a bundle that raises is never
     kept.  It is read once, so a concurrent caller can only miss.
+    The zero/pole tree is built once, and rp, gpr and the hull records
+    (for a tracer of the public functions) are read from it.
     """
     global _last
     last = _last
@@ -448,8 +437,11 @@ def bundle(m: RationalMap) -> InvariantBundle:
     res = resultant_ord(m)
     rp = gp = argmin = note = None
     if m.factored is not None:
-        rp = rp_ord(m)
-        result = gpr(m)
+        ff = m.factored
+        tree = _tree(m.p, ff.zeros, ff.poles)
+        hull(m.p, [q for q, _ in ff.zeros + ff.poles], tree)
+        rp = rp_ord(m, tree)
+        result = gpr(m, tree)
         gp, argmin = result.ord, result.argmin
         # value form: |Res| <= GPR <= RP <= 1
         if not (res >= gp and gp >= rp and rp >= Ord.of(0)):

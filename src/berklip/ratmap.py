@@ -24,10 +24,10 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterator, NamedTuple
 
-from .errors import DegenerateMapError, FactoredFormRequiredError, InternalInvariantError
+from .errors import DegenerateMapError, FactoredFormRequiredError, InternalInvariantError, ParseError
 from .polynomials import hom_eval, trim
 from .projective import INF_POINT, ProjPoint, _num_den
-from .valued import Ord, _ords, int_val
+from .valued import Ord, _clip, _frac, _ords, int_val, is_prime
 from . import polynomials as poly
 
 __all__ = [
@@ -170,10 +170,30 @@ def _mobius_factored(F, G) -> FactoredForm:
     return FactoredForm(c, ((zero, 1),), ((pole, 1),))
 
 
+def _check_prime(p) -> None:
+    """Raise ``ParseError`` unless p is an int that ``is_prime`` accepts."""
+    if not isinstance(p, int):
+        raise ParseError("p must be an integer")
+    try:
+        prime = is_prime(p)
+    except ValueError as e:
+        raise ParseError(str(e)) from None
+    if not prime:
+        raise ParseError(f"{_clip(str(p))} is not prime")
+
+
+def _rational(x) -> Fraction:
+    """x as a ``Fraction``; a float or a bool is refused, never expanded."""
+    if isinstance(x, (float, bool)):
+        raise ParseError(f"a coefficient or constant must be rational, not {type(x).__name__}")
+    return _frac(x)
+
+
 def from_coeffs(p: int, f_coeffs, g_coeffs) -> RationalMap:
-    """Build a map from ascending coefficient lists of equal length d+1."""
-    f = [Fraction(c) for c in f_coeffs]
-    g = [Fraction(c) for c in g_coeffs]
+    """A map over a prime p from two ascending coefficient lists of length d+1."""
+    _check_prime(p)
+    f = [_rational(c) for c in f_coeffs]
+    g = [_rational(c) for c in g_coeffs]
     if len(f) != len(g):
         raise DegenerateMapError("coefficient lists must have equal length")
     D, ints = _cleared(f + g)
@@ -192,8 +212,10 @@ def from_factored(p: int, c, zeros, poles) -> RationalMap:
     with every finite root a/b in lowest terms, prod(z - a/b) =
     prod(b z - a) / prod b, so with c = n / q the pair is (n B_p P_z,
     q B_z P_p) over q B_z B_p, P the integer products and B their scales.
+    p must be prime (``_check_prime``), and c is refused as a float.
     """
-    c = Fraction(c)
+    _check_prime(p)
+    c = _rational(c)
     if c == 0:
         raise DegenerateMapError("degenerate map")
 
@@ -262,16 +284,10 @@ def resultant_ord(m: RationalMap) -> Ord:
 
 def _zero_pole_ords(p: int, ff: FactoredForm) -> Iterator[tuple[int, int]]:
     """(j*k, s) for each zero/pole pair, j and k their multiplicities and
-    s the exponent of their spherical distance.
-
-    Each point is read as its pair (num, den) of coprime integers, (1, 0)
-    for infinity, so both gcds in the chordal distance
-    ord((u_n v_d - v_n u_d) / (gcd(u_n, u_d) gcd(v_n, v_d))) of
-    ``projective._sph_pair_ord`` are 1, and s = ord(u_n v_d - v_n u_d):
-    one valuation per pair, with no gcd and none per point.  No point is
-    both a zero and a pole: ``from_factored`` rejects one, the derived
-    zero and pole of a degree-1 map are those of a coprime pair, and
-    ``pre_compose`` moves both lists by one bijection.
+    s the exponent of their spherical distance: the product formula's
+    kernel (rp reads them off the zero/pole tree).  With each point read
+    as its coprime pair (num, den), (1, 0) for infinity, both gcds of
+    ``projective._sph_pair_ord`` are 1 and s = ord(u_n v_d - v_n u_d).
     """
     poles = [(*_num_den(beta), k) for beta, k in ff.poles]
     for alpha, j in ff.zeros:

@@ -19,13 +19,12 @@ from typing import TYPE_CHECKING
 from .berk import BerkPoint
 from .errors import ParseError
 from .projective import ProjPoint
-from .ratmap import RationalMap, from_coeffs, from_factored
+from .ratmap import RationalMap, _check_prime, from_coeffs, from_factored
 from .valued import (
     _clip,
     Ord,
     PPowerSum,
     format_fraction,
-    is_prime,
     parse_fraction,
     ppow_decimal,
 )
@@ -193,14 +192,7 @@ def parse_map_data(data: dict, p_override: int | None = None) -> RationalMap:
         )
     if p is None:
         raise ParseError("no prime given (file key 'p' or --p)")
-    if not isinstance(p, int):
-        raise ParseError("p must be an integer")
-    try:
-        prime = is_prime(p)
-    except ValueError as e:
-        raise ParseError(str(e)) from None
-    if not prime:
-        raise ParseError(f"{_clip(str(p))} is not prime")
+    _check_prime(p)
     if "coeffs" in data:
         block = data["coeffs"]
         try:

@@ -573,7 +573,7 @@ def ref_gpr_ord(m: RationalMap, edges) -> Fraction:
     f, g = dehomogenized(m)
     best = None
     for edge in edges:
-        lo, hi = edge.t_range()
+        lo, hi = t_range(edge)
         fs, gs = ref_taylor_shift(f, edge.center), ref_taylor_shift(g, edge.center)
         g_lines = [(i, ref_vord(c, p)) for i, c in enumerate(gs) if c != 0]
         w_lines = [
@@ -834,7 +834,7 @@ def ref_gpr_scan(m: RationalMap, points):
     found = []
     for edge in hull(p, points).edges:
         center = edge.center
-        for a, b in ref_gauss_fiber_zero_set(Shift.at(p, f, g, center), *edge.t_range()):
+        for a, b in ref_gauss_fiber_zero_set(Shift.at(p, f, g, center), *t_range(edge)):
             assert a is not None and b is not None, "unbounded Gauss-fiber interval"
             for t in dict.fromkeys((a, b)):
                 pt = BerkPoint.disc(center, t)
@@ -848,19 +848,37 @@ def ref_gpr_scan(m: RationalMap, points):
     return GprResult(Ord.of(best[0]), best[1], tuple(found))
 
 
+def t_range(edge) -> tuple:
+    """(t_lo, t_hi) of a hull edge as an interval in t = radius ord: the
+    upper vertex's exponent (None when the edge runs to infinity) and the
+    lower vertex's (None for a classical lower end)."""
+    lo = None if edge.upper.is_classical else edge.upper.radius_ord
+    hi = None if edge.lower.is_classical else edge.lower.radius_ord
+    return lo, hi
+
+
+def fiber_by_edge(m: RationalMap) -> list:
+    """gpr's (K, s, fiber t's) for each edge of the hull of the map's
+    zeros then poles, in ``hull``'s edge order: the lines and fibers that
+    ``invariants._gauss_fiber`` reads on the arrays of ``_tree``."""
+    from berklip.invariants import _gauss_fiber, _tree
+
+    ff = m.require_factored()
+    lines = _gauss_fiber(_tree(m.p, ff.zeros, ff.poles), _vord(ff.c, m.p))
+    return [(k, s, [t for t, _ in fiber]) for k, s, fiber in lines]
+
+
 def ref_gpr_found_by_scan(m: RationalMap) -> GprResult:
     """gpr on the same hull edges and fiber points, with each new point
     compared against every point found so far by ``berk_equal`` (the
     dedupe before the key of where a point lies on the hull) and the
     diameters by ``diam_gauss``.  No point is re-verified here."""
-    from berklip.invariants import _fiber_points
-
     p = m.p
     ff = m.require_factored()
     edges = hull(p, [pt for pt, _ in ff.zeros] + [pt for pt, _ in ff.poles]).edges
     best = None
     found = []
-    for edge, ts in zip(edges, _fiber_points(p, ff, edges)):
+    for edge, (_, _, ts) in zip(edges, fiber_by_edge(m)):
         for t in ts:
             pt = BerkPoint.disc(edge.center, t)
             if not any(berk_equal(p, pt, q) for q in found):

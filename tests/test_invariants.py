@@ -3,6 +3,7 @@
 import sys
 import threading
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -16,8 +17,6 @@ from berklip.berk import (
 )
 from berklip.errors import FactoredFormRequiredError, InternalInvariantError
 from berklip.invariants import (
-    _has_zero,
-    _ord_phi_lines,
     bundle,
     gpr,
     hull,
@@ -26,13 +25,14 @@ from berklip.invariants import (
 from berklip.piecewise import lower_envelope
 from berklip.polynomials import hom_eval, taylor_shift
 from berklip.projective import INF_POINT, ProjPoint
-from berklip.ratmap import from_coeffs, from_factored, gir_minors
+from berklip.ratmap import _zero_pole_ords, from_coeffs, from_factored, gir_minors
 from berklip.sampling import DetRng, random_rational
 from berklip.valued import Ord
 from corpus import acceptance_corpus, random_factored_map, random_ladder_map, random_mobius
 from oracles import (
     Shift,
     dehomogenized,
+    fiber_by_edge,
     ref_candidate,
     ref_gauss_fiber_zero_set,
     ref_gpr_found_by_scan,
@@ -41,6 +41,7 @@ from oracles import (
     ref_rp_ord,
     ref_sub,
     ref_zero_set,
+    t_range,
 )
 
 
@@ -87,6 +88,33 @@ def test_rp_matches_reference():
             maps.append(from_factored(p, Fraction(p, 7), zeros, poles))
     for m in maps:
         assert rp_ord(m) == Ord.of(ref_rp_ord(m)), m
+
+
+def test_rp_from_the_tree_matches_pair_kernel_and_reference():
+    """rp read off the tree's row loop, its zero/pole and infinity
+    entries, equals the largest exponent of the product formula's pair
+    kernel and ``ref_rp_ord``, in ``bundle`` and in ``rp_ord``: on corpus
+    seeds 0-3, ladder seeds 0-2, the acceptance corpus, and maps with
+    multiplicities at p = 2, infinity a zero and a pole in some."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import benchgen
+
+    maps = [m for seed in range(4) for m in benchgen.corpus_maps(seed, 405)]
+    maps += [m for seed in range(3) for _, pairs in benchgen.ladder_steps(seed) for m, _ in pairs]
+    maps += acceptance_corpus()
+    rng = DetRng(3131)
+    maps += [random_factored_map(rng, 2, dmax=6, multiplicities=True) for _ in range(60)]
+    seen = {"inf_zero": 0, "inf_pole": 0, "multiple": 0}
+    for m in maps:
+        ff = m.factored
+        want = max(s for _, s in _zero_pole_ords(m.p, ff))
+        assert want == ref_rp_ord(m), m
+        invariants._last = None
+        assert bundle(m).rp == rp_ord(m) == Ord.of(want), m
+        seen["inf_zero"] += m.p == 2 and any(q.is_inf for q, _ in ff.zeros)
+        seen["inf_pole"] += m.p == 2 and any(q.is_inf for q, _ in ff.poles)
+        seen["multiple"] += m.p == 2 and any(k > 1 for _, k in ff.zeros + ff.poles)
+    assert min(seen.values()) >= 5, seen
 
 
 def test_hull_star_example():
@@ -283,6 +311,16 @@ def _w0_equal_set(sh, lo, hi):
                                 lower_envelope(sh.g_lines(), lo, hi)))
 
 
+def _line_has_zero(k, s, lo, hi):
+    """Whether K + s*t vanishes somewhere on [lo, hi] (None: unbounded),
+    by the line's values at finite ends and its sign toward open ones."""
+    if s == 0:
+        return k == 0
+    a = -s if lo is None else k + s * lo
+    b = s if hi is None else k + s * hi
+    return min(a, b) <= 0 <= max(a, b)
+
+
 def test_screened_gpr_equals_unscreened_scan():
     """The screen changes no field of the result: gpr on the zero/pole
     hull equals the reference scan of every edge of the same hull,
@@ -327,8 +365,8 @@ def test_screen_agrees_with_w0_equality_set():
         seen["inf_pole"] += any(q.is_inf for q, _ in ff.poles)
         fi, gi = m.F, m.G
         edges = _zero_pole_hull(m).edges
-        for e, (k, s) in zip(edges, _ord_phi_lines(p, ff, edges)):
-            lo, hi = e.t_range()
+        for e, (k, s, _) in zip(edges, fiber_by_edge(m)):
+            lo, hi = t_range(e)
             sh = Shift.at(p, fi, gi, e.center)
             inverted = Shift(p, sh.ov, sh.qg, sh.qf, sh.og, sh.of)
             a = lo if lo is not None else (hi if hi is not None else 0) - 3
@@ -337,7 +375,7 @@ def test_screen_agrees_with_w0_equality_set():
                 semi_f = min(o + j * t for j, o in inverted.g_lines())
                 semi_g = min(o + j * t for j, o in sh.g_lines())
                 assert k + s * t == semi_f - semi_g, (m, e, t)
-            kept = _has_zero(k, s, lo, hi)
+            kept = _line_has_zero(k, s, lo, hi)
             assert kept == bool(_w0_equal_set(sh, lo, hi)), (m, e)
             seen["kept" if kept else "skipped"] += 1
     assert all(n >= 20 for n in seen.values()), seen
@@ -360,10 +398,11 @@ def test_point_decision_matches_reference_fiber():
         p, ff = m.p, m.factored
         fi, gi = m.F, m.G
         edges = _zero_pole_hull(m).edges
-        for e, (k, s) in zip(edges, _ord_phi_lines(p, ff, edges)):
-            lo, hi = e.t_range()
-            if s and _has_zero(k, s, lo, hi):
+        for e, (k, s, ts) in zip(edges, fiber_by_edge(m)):
+            lo, hi = t_range(e)
+            if s and _line_has_zero(k, s, lo, hi):
                 t0 = Fraction(-k, s)
+                assert ts == [t0], (m, e)
                 sh = Shift.at(p, fi, gi, e.center)
                 assert ref_gauss_fiber_zero_set(sh, lo, hi) == [(t0, t0)], (m, e)
                 seen["sloped"] += 1
@@ -560,7 +599,7 @@ def test_hull_scan_completeness_spot_check():
         grid = 0
         per_edge = max(4, 1000 // len(tree.edges))
         for edge in tree.edges:
-            lo, hi = edge.t_range()
+            lo, hi = t_range(edge)
             lo = lo if lo is not None else Fraction(-6)
             hi = hi if hi is not None else Fraction(6)
             if lo > hi:

@@ -652,12 +652,14 @@ def _memo_maps():
 
 def test_corpus_operation_memo_computes_each_invariant_once(count_calls):
     """One operation of the corpus benchmark (bundle, then a bound report
-    with 1000 samples, then the profile and its segment constant) computes
-    gpr, the hull, rp and the Gauss-image minors once per factored map: the
-    report reads the bundle its caller just built.  A map with only
-    coefficients computes the minors once and nothing of the zero/pole
-    layer."""
-    counts = {f.__name__: count_calls(f) for f in (gpr, hull, rp_ord, gir_minors)}
+    with 1000 samples, then the profile and its segment constant) builds
+    the zero/pole tree once per factored map, and calls gpr, the hull's
+    record builder, rp and the Gauss-image minors once: all three read
+    that one tree, and the report reads the bundle its caller just
+    built.  A map with only coefficients computes the minors once and
+    nothing of the zero/pole layer."""
+    kernels = (invariants._tree, gpr, hull, rp_ord, gir_minors)
+    counts = {f.__name__: count_calls(f) for f in kernels}
     seen = {"deg1": 0, "coeffs_only": 0, "factored": 0}
     for m in _memo_maps():
         for calls in counts.values():
@@ -667,7 +669,9 @@ def test_corpus_operation_memo_computes_each_invariant_once(count_calls):
         segment_lip(radial_profile(m, 0, 0))
         factored = int(m.factored is not None)
         got = {name: len(calls) for name, calls in counts.items()}
-        assert got == {"gpr": factored, "hull": factored, "rp_ord": factored, "gir_minors": 1}, m
+        want = {"_tree": factored, "gpr": factored, "hull": factored, "rp_ord": factored,
+                "gir_minors": 1}
+        assert got == want, m
         assert rep.lip_classical == (ppow_term(m.p, 1, b.gpr.frac) if factored else None)
         seen["deg1"] += m.d == 1
         seen["coeffs_only"] += not factored

@@ -4,7 +4,7 @@ the reference fiber on the Taylor shift at the edge center."""
 
 from fractions import Fraction
 
-from berklip.invariants import _fiber_points, _ord_phi_lines, hull
+from berklip.invariants import hull
 from berklip.piecewise import lower_envelope
 from berklip.projective import INF_POINT, ProjPoint
 from berklip.ratmap import from_factored
@@ -13,11 +13,13 @@ from corpus import random_factored_map, random_ladder_map
 from oracles import (
     Shift,
     choice,
+    fiber_by_edge,
     ref_gauss_fiber_zero_set,
     ref_lower_envelope,
     ref_max,
     ref_sub,
     ref_zero_set,
+    t_range,
 )
 
 
@@ -196,13 +198,12 @@ def test_gauss_fiber_matches_reference_on_every_hull_edge():
         p, ff = m.p, m.factored
         tree = hull(p, [q for q, _ in ff.zeros] + [q for q, _ in ff.poles])
         f, g = m.F, m.G
-        lines = _ord_phi_lines(p, ff, tree.edges)
-        for edge, ts, line in zip(tree.edges, _fiber_points(p, ff, tree.edges), lines):
-            want = ref_gauss_fiber_zero_set(Shift.at(p, f, g, edge.center), *edge.t_range())
+        for edge, (k, s, ts) in zip(tree.edges, fiber_by_edge(m)):
+            want = ref_gauss_fiber_zero_set(Shift.at(p, f, g, edge.center), *t_range(edge))
             assert [(t, t) for t in ts] == want, (m, edge)
             edges += 1
             hits += bool(ts)
-            if line == (0, 0):
+            if (k, s) == (0, 0):
                 flat[("none", "one end", "both ends")[len(ts)]] += 1
     assert edges >= 1000 and hits >= 100, (edges, hits)
     assert min(flat.values()) >= 1, flat

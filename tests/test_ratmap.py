@@ -9,7 +9,7 @@ import pytest
 
 from berklip import polynomials
 from berklip.berk import diam_gauss, gauss_point, push_forward
-from berklip.errors import DegenerateMapError, InternalInvariantError
+from berklip.errors import DegenerateMapError, InternalInvariantError, ParseError
 from berklip.invariants import rp_ord
 from berklip.projective import INF_POINT, ProjPoint
 from berklip.ratmap import (
@@ -673,3 +673,24 @@ def test_pre_compose_transports_factored_form():
         for q, _ in pre.factored.zeros:
             assert eval_proj(m, mobius_apply(mat, q)) == ProjPoint.of(0)
         assert resultant_ord(pre) == resultant_ord_product(pre)
+
+
+def test_constructors_refuse_a_bad_prime_and_float_or_bool_values():
+    """``from_coeffs`` and ``from_factored`` check p as the map-file parser
+    does, with its messages, and refuse a float or bool coefficient or
+    constant instead of expanding its binary value."""
+    psi_12 = 318665857834031151167461
+    for p, why in ((4, "4 is not prime"), (15, "15 is not prime"), (1, "1 is not prime"),
+                   (psi_12, f"{psi_12} is not prime"), (3.0, "p must be an integer"),
+                   (2**89 - 1, "exceeds the deterministic test bound")):
+        for build in (lambda: from_coeffs(p, [1, 0], [0, 1]),
+                      lambda: from_factored(p, 1, [(INF_POINT, 1)], [(ProjPoint.of(0), 1)])):
+            with pytest.raises(ParseError, match=why):
+                build()
+    for f in ([0.1, 1], [True, 1], [1, False]):
+        with pytest.raises(ParseError, match="must be rational"):
+            from_coeffs(3, f, [1, 0])
+    for c in (0.5, True):
+        with pytest.raises(ParseError, match="must be rational"):
+            from_factored(3, c, [(ProjPoint.of(0), 1)], [(INF_POINT, 1)])
+    assert from_coeffs(3, ["1/3", 1], [Fraction(1), 0]) == from_coeffs(3, [Fraction(1, 3), 1], [1, 0])
