@@ -192,7 +192,7 @@ def parse_map_data(data: dict, p_override: int | None = None) -> RationalMap:
         )
     if p is None:
         raise ParseError("no prime given (file key 'p' or --p)")
-    _check_prime(p)
+    _check_prime(p)  # before the blocks, so a bad p is the error reported
     if "coeffs" in data:
         block = data["coeffs"]
         try:

@@ -149,6 +149,28 @@ def test_hull_two_points():
         hull(p, [pt(0)])
 
 
+def test_hull_on_a_given_tree_checks_its_points():
+    """Records on the zero/pole tree that ``bundle`` builds equal those
+    ``hull`` builds alone; a tree of other points, of the same points in
+    another order, or with infinity added or dropped is refused."""
+    for m in acceptance_corpus():
+        p, ff = m.p, m.factored
+        if ff is None:
+            continue
+        pts = [q for q, _ in ff.zeros + ff.poles]
+        tree = invariants._tree(p, ff.zeros, ff.poles)
+        assert hull(p, pts, tree) == hull(p, pts), m
+    p = 3
+    pts = [pt(0), pt(1), pt(3), INF_POINT]
+    others = (pts[:3] + [pt(9), INF_POINT], pts[1::-1] + pts[2:], pts[:3], [pts[3]] + pts[:2])
+    for other in others:
+        tree = invariants._tree(p, [(q, 1) for q in other], ())
+        with pytest.raises(ValueError):
+            hull(p, pts, tree)
+    with pytest.raises(ValueError):
+        hull(p, pts[:3], invariants._tree(p, [(q, 1) for q in pts], ()))
+
+
 def test_hull_matches_reference():
     """The keyed join dedupe gives the reference's tree, vertex and edge
     order included, on scattered and clustered sets with and without
@@ -356,7 +378,9 @@ def test_gpr_preimage_key_matches_berk_equal_dedupe(count_calls):
 def test_screen_agrees_with_w0_equality_set():
     """Edge by edge, the line K + s*t of the screen is ord phi = env(f) -
     env(g) on the edge (checked at its ends and inside), and it has a zero
-    on the edge exactly when the w = 0 equality set is nonempty."""
+    on the edge exactly when the w = 0 equality set is nonempty.  gpr's
+    own decision agrees: a sloped edge has a fiber point exactly when the
+    line has a zero, and a flat edge has one only then."""
     seen = {"deg1": 0, "inf_zero": 0, "inf_pole": 0, "kept": 0, "skipped": 0}
     for m in _screen_maps(32):
         p, ff = m.p, m.factored
@@ -365,7 +389,7 @@ def test_screen_agrees_with_w0_equality_set():
         seen["inf_pole"] += any(q.is_inf for q, _ in ff.poles)
         fi, gi = m.F, m.G
         edges = _zero_pole_hull(m).edges
-        for e, (k, s, _) in zip(edges, fiber_by_edge(m)):
+        for e, (k, s, ts) in zip(edges, fiber_by_edge(m)):
             lo, hi = t_range(e)
             sh = Shift.at(p, fi, gi, e.center)
             inverted = Shift(p, sh.ov, sh.qg, sh.qf, sh.og, sh.of)
@@ -377,6 +401,7 @@ def test_screen_agrees_with_w0_equality_set():
                 assert k + s * t == semi_f - semi_g, (m, e, t)
             kept = _line_has_zero(k, s, lo, hi)
             assert kept == bool(_w0_equal_set(sh, lo, hi)), (m, e)
+            assert bool(ts) == kept if s else kept or not ts, (m, e, ts)
             seen["kept" if kept else "skipped"] += 1
     assert all(n >= 20 for n in seen.values()), seen
 
