@@ -10,11 +10,15 @@
                the last map's bundle is kept for a repeat call.
 
 One kernel, ``_tree``, turns the zeros and poles into integer arrays,
-the single-linkage tree of their pairwise ords: per vertex its parent,
-radius exponent, center's input index and the signed multiplicity below
-it.  rp is the largest zero/pole entry of its row loop, which values
-every pair once, or an entry at infinity (proof in ``rp_ord``).  ``hull``
-builds records on the arrays; ``gpr`` reads them directly.
+the tree of their pairwise ords: per vertex its parent, radius exponent,
+center's input index and the signed multiplicity below it.  It is built
+top-down by pivot scans: each cluster of inputs is valued once against
+its lowest index, and splits by those ords and their leading p-adic
+digits, so each pair is valued at most once, and a tree of height h
+takes at most n*h valuations (proof in ``_tree``).  rp is read at each
+disc from its radius and the ords of the denominators below it, or at
+infinity (proof in ``rp_ord``).  ``hull`` builds records on the arrays;
+``gpr`` reads them directly.
 
 The preimages of the Gauss point lie on the hull of the zeros and poles:
 off it all of them sit in one direction, while a preimage separates a
@@ -28,8 +32,6 @@ pushforward (proofs in ``gpr``).
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import groupby
-from operator import itemgetter
 from typing import NamedTuple
 
 from .berk import BerkPoint, _diam_gauss_frac, berk_equal, gauss_point, push_forward
@@ -72,100 +74,125 @@ def _tree(p: int, zeros, poles) -> _Tree:
     multiplicity) pairs, ``zeros`` counted + and ``poles`` -.  The finite
     inputs z_0, ..., z_(n-1) keep input order, zeros first.
 
-    The tree is the single-linkage dendrogram of the finite inputs under
-    the ultrametric ord(z_i - z_j) (Gower and Ross, Appl. Stat. 1969),
-    built from n - 1 links.  Each z_i, i >= 1, links to z_j, j_i the
-    lowest j < i attaining s_i = max_(j < i) ord(z_i - z_j), the ords in
-    integers, ord(a/b - a'/b') = ord(a b' - a' b) - ord b - ord b', each
-    denominator's ord taken once.  The links are merged by descending s
-    with a union-find whose root is the lowest index, and each cluster
-    that the links of one level s touch becomes the disc D(z_root, s),
-    the parent of the previous top vertices of the clusters it merged,
-    with t = s, center = root and below the sum of theirs.
+    The tree is built top-down, one cluster of finite inputs at a time,
+    each cluster scanned from its pivot c, its lowest input index.  Every
+    z_j of the cluster takes one valuation e_j = ord(z_j - z_c), in
+    integers ord(a b' - a' b) - ord b - ord b' for z_j = a/b and z_c =
+    a'/b', each denominator's ord taken once.  With s = min e_j the
+    cluster is the disc D(z_c, s), a vertex with t = s and center c.  Its
+    children are the classes of its members at s + 1: those with e_j > s
+    stay with the pivot, and the others split by the leading p-adic digit
+    of (z_j - z_c)/p^s.  That unit is (a b' - a' b)/p^k times the
+    inverse units of b and b', k its ord, so the digit is read mod p from
+    the pair's integer already valued and the unit part of b, inverted
+    mod p once per input; the unit part of b' is common to the cluster,
+    and multiplying every digit by it changes none of the classes.  Each
+    child of two or more members is a cluster in turn, and one member is a
+    leaf.
 
-    Proof that these are the hull's discs.  At a threshold sigma, the
-    classes {k : ord(z_i - z_k) >= sigma} are the inputs in the discs
-    D(z_i, sigma).  In a class, every member i other than its lowest
-    index e has s_i >= ord(z_i - z_e) >= sigma, and z_(j_i) lies in
-    D(z_i, s_i), inside the class; so i links to an earlier member of its
-    class, and following the links from any member reaches e.  A link of
-    level >= sigma joins two points of one class.  So the links with s >=
-    sigma connect exactly the classes at sigma.  A class at s is a hull
-    vertex iff it is not also a class at s + 1 (levels are ints), that is
-    iff a link of level exactly s lies in it, and it is then the disc
-    D(z_e, s) with e its lowest index, the union-find root.  Its children
-    are the classes at s + 1 inside it, the top vertices of the clusters
-    merged at s.
+    Proof that these are the hull's discs.  The finite inputs in a disc
+    D(z_c, sigma) are the class {j : ord(z_j - z_c) >= sigma}, and a class
+    is a hull vertex iff it is not also a class at sigma + 1 (levels are
+    ints).  Every member of the cluster lies in D(z_c, s) and some e_j = s,
+    so it is not one class at s + 1: it is the vertex D(z_c, s), and the
+    cluster of all finite inputs is the top disc.  Two members j, l are in
+    one class at s + 1 iff ord(z_j - z_l) > s.  If e_j > s that holds for l
+    exactly when e_l > s, by the ultrametric inequality.  If e_j = e_l = s,
+    write z_j - z_c = p^s u_j with u_j a unit: z_j - z_l = p^s (u_j - u_l),
+    of ord > s iff u_j = u_l mod p.  So the children are exactly the
+    classes, and each is a disc below, or a single input.
 
-    The top cluster holds every finite input: its parent is infinity
-    when infinity is an input, and otherwise it is the root.  The levels
-    come in descending order and each level's clusters in ascending root
-    order, so the vertices need no sort.  rp: see ``rp_ord``.
+    Each pair is valued at most once: a pair is valued only in a cluster
+    that holds both, against the pivot, one of them; the child that keeps
+    the pivot keeps its ords (its lowest index is still c), the pivot stays
+    the pivot of every cluster below that holds it, and the other children
+    take new pivots.  So each depth of the tree costs at most n - 1
+    valuations: n(n - 1)/2 on a caterpillar, and far fewer on a bushy
+    tree.
+
+    The vertices are the finite inputs, then the discs by descending t,
+    ties by ascending center (the order of the single-linkage merge by
+    descending level, which ``tests/oracles.py`` keeps as ``ref_tree``),
+    then infinity when it is an input, the parent of the top vertex.  A
+    child's t exceeds its parent's, so each vertex comes before its
+    parent, and ``below`` and rp are summed up the tree in vertex order.
+    rp: see ``rp_ord``.
     """
     finite = [(q.z, k) for q, k in zeros if not q.is_inf]
     nz = len(finite)
     finite += [(q.z, -k) for q, k in poles if not q.is_inf]
     n = len(finite)
     inf_zero, inf_pole = nz < len(zeros), n - nz < len(poles)
-    points = [z for z, _ in finite]
-    nums = [z.numerator for z in points]
-    dens = [z.denominator for z in points]
+    nums = [z.numerator for z, _ in finite]
+    dens = [z.denominator for z, _ in finite]
     if len(set(zip(nums, dens))) < n or inf_zero and inf_pole:
         raise InternalInvariantError("a zero is also a pole")
     od = [int_val(b, p) for b in dens]
-    # rp's entries at infinity: (1, 0) against a/b is ord b
-    near = od[nz:] if inf_zero else od[:nz] if inf_pole else []
-    shifted = any(od)
-    links = []
-    for i in range(1, n):
-        a, b = nums[i], dens[i]
-        raw = [int_val(a * dens[j] - nums[j] * b, p) for j in range(i)]
-        if i >= nz > 0:  # a pole: its entries against the zeros, j < nz
-            near.append(max(raw[:nz]))
-        row = [x - o for x, o in zip(raw, od)] if shifted else raw
-        s = max(row)
-        links.append((s - od[i], i, row.index(s)))
-    links.sort(reverse=True)
-    rp = max(near, default=None)
+    inv = [pow(b // p**o, -1, p) for b, o in zip(dens, od)]
 
-    up: list[int | None] = [None] * n
-    t: list[int | None] = [None] * n
-    center: list[int | None] = list(range(n))
-    below = [k for _, k in finite]
-    root = list(range(n))  # union-find over input indices
-    top = list(range(n))  # a cluster's top vertex, at its root
-
-    def find(i: int) -> int:
-        while root[i] != i:
-            root[i] = i = root[root[i]]
-        return i
-
-    for s, level in groupby(links, key=itemgetter(0)):
-        merged = set()  # roots, before this level, of the clusters it touches
-        for _, i, j in level:
-            ri, rj = find(i), find(j)
-            merged.update((ri, rj))
-            root[max(ri, rj)] = min(ri, rj)
-        children: dict[int, list[int]] = {}
-        for r in sorted(merged):  # a new root is its cluster's least old one
-            children.setdefault(find(r), []).append(top[r])
-        for r, kids in children.items():
-            v = top[r] = len(up)
-            up.append(None)
-            t.append(s)
-            center.append(r)
-            below.append(sum(below[c] for c in kids))
-            for c in kids:
-                up[c] = v
+    discs = []  # (t, center, parent disc) in the order found
+    leaf_up: list[int | None] = [None] * n  # an input's parent disc
+    work = [(list(range(n)), None, None)] if n > 1 else []
+    while work:  # (members, pivot first; their (e, integer) or None; parent)
+        members, vals, par = work.pop()
+        c = members[0]
+        if vals is None:
+            a, b, oc = nums[c], dens[c], od[c]
+            vals = []
+            for j in members[1:]:
+                x = nums[j] * b - a * dens[j]
+                vals.append((int_val(x, p) - od[j] - oc, x))
+        s = min(e for e, _ in vals)
+        k = len(discs)
+        discs.append((s, c, par))
+        keep, kept, split = [c], [], {}
+        for j, (e, x) in zip(members[1:], vals):
+            if e > s:
+                keep.append(j)
+                kept.append((e, x))
+            else:
+                digit = x // p ** (s + od[j] + od[c]) * inv[j] % p
+                split.setdefault(digit, []).append(j)
+        if not split:
+            raise InternalInvariantError("a disc of the hull does not split")
+        for kids, kv in [(keep, kept), *((g, None) for g in split.values())]:
+            if len(kids) == 1:
+                leaf_up[kids[0]] = k
+            else:
+                work.append((kids, kv, k))
+    order = sorted(range(len(discs)), key=lambda k: (-discs[k][0], discs[k][1]))
+    vertex = [0] * len(discs)
+    for r, k in enumerate(order):
+        vertex[k] = n + r
+    up = [None if k is None else vertex[k] for k in leaf_up]
+    up += [None if discs[k][2] is None else vertex[discs[k][2]] for k in order]
+    t: list[int | None] = [None] * n + [discs[k][0] for k in order]
+    center: list[int | None] = list(range(n)) + [discs[k][1] for k in order]
     if inf_zero or inf_pole:
-        up[top[0]] = len(up)
+        up[-1] = len(up)
         up.append(None)
         t.append(None)
         center.append(None)
-        below.append(below[top[0]])
-    if up.index(None) != len(up) - 1:
-        raise InternalInvariantError("hull is not a single tree")
-    return _Tree(points, up, t, center, below, rp)
+
+    below = [k for _, k in finite] + [0] * (len(up) - n)
+    # the largest ord b of a finite zero, and of a finite pole, at or under
+    # each vertex, and rp, an ord of an integer: -1 where there is none
+    zb = od[:nz] + [-1] * (len(up) - nz)
+    pb = [-1] * nz + od[nz:] + [-1] * (len(up) - n)
+    rp = -1
+    for v in range(len(up) - 1):
+        u = up[v]
+        below[u] += below[v]
+        if t[u] is not None:  # pair v with the children of u before it
+            if zb[u] >= 0 <= pb[v]:
+                rp = max(rp, t[u] + zb[u] + pb[v])
+            if zb[v] >= 0 <= pb[u]:
+                rp = max(rp, t[u] + zb[v] + pb[u])
+        zb[u] = max(zb[u], zb[v])
+        pb[u] = max(pb[u], pb[v])
+    # the entries at infinity: (1, 0) against a/b is ord b
+    rp = max(rp, pb[-1] if inf_zero else zb[-1] if inf_pole else -1)
+    return _Tree([z for z, _ in finite], up, t, center, below, rp if rp >= 0 else None)
 
 
 # ---------------------------------------------------------------------------
@@ -180,12 +207,19 @@ def rp_ord(m: RationalMap, tree: _Tree | None = None) -> Ord:
     Proof.  With each point read as its coprime pair (num, den), (1, 0)
     for infinity, both gcds of ``projective._sph_pair_ord`` are 1, so a
     zero and a pole are at exponent ord(u_n v_d - v_n u_d).  For a finite
-    zero a/b and pole a'/b' that is ord(a b' - a' b), the pair's row-loop
-    entry before ord b + ord b' is taken off: the row of the pole (zeros
-    come first), a column below the number of finite zeros.  For infinity
-    and a/b it is ord(a * 0 - 1 * b) = ord b, an entry at infinity.  Each
-    pair is one of these once (infinity is on one side), so rp is their
-    maximum.
+    zero a/b and pole a'/b' that is ord(a b' - a' b) = ord(a/b - a'/b') +
+    ord b + ord b'.  The two lie under distinct children of their join,
+    the disc vertex of the tree where their paths meet, so ord(a/b - a'/b')
+    is its t: the pair's exponent is t + ord b + ord b'.  The largest over
+    the pairs joined at a disc is t plus the largest ord b of a zero under
+    one child and ord b' of a pole under another.  ``_tree`` reads it as
+    it sums up the tree in vertex order, keeping for each vertex the
+    largest ord b of the zeros and of the poles under it, and pairing each
+    child with the children of the same disc before it.  For infinity and
+    a/b the exponent is ord(a * 0 - 1 * b) = ord b: the largest ord b of a
+    finite pole when infinity is a zero, of a finite zero when it is a
+    pole, read at the top.  Each pair has one join, or infinity on one
+    side, so rp is the maximum of these.
     """
     ff = m.require_factored()
     return Ord.of((tree or _tree(m.p, ff.zeros, ff.poles)).rp)

@@ -41,13 +41,12 @@ from .invariants import bundle, gpr  # noqa: F401 (gpr re-exported; read via bun
 from .piecewise import PWLinear, lower_envelope
 from .polynomials import hom_eval
 from .projective import INF_POINT, ProjPoint, _cross_ord, _sph_pair_ord, _vord
-from .ratmap import RationalMap, gir_minors, resultant_ord, resultant_ord_product
+from .ratmap import RationalMap, _rational, gir_minors, resultant_ord, resultant_ord_product
 from .sampling import DetRng, random_point_ints
 from .valued import (
     Ord,
     PPowerSum,
     PPOW_ZERO,
-    _frac,
     int_val,
     ppow_compare,
     ppow_max,
@@ -104,7 +103,7 @@ def invariant_bound_terms(
 def _invariant_bound_terms(
     p: int, d: int, gir: Ord, b0_ord
 ) -> tuple[PPowerSum, PPowerSum]:
-    b0 = _frac(b0_ord)
+    b0 = _rational(b0_ord, "b0_ord")
     if b0 < 0:
         raise ValueError("B0 > 1 impossible")
     g = gir.frac
@@ -200,8 +199,8 @@ def radial_profile(m: RationalMap, center, t_min) -> RadialProfile:
     the pair at i plus i*ord v.
     """
     p = m.p
-    center = Fraction(center)
-    t_min = Fraction(t_min)
+    center = _rational(center, "center")
+    t_min = _rational(t_min, "t_min")
     if t_min < 0:
         raise ValueError("t_min must be >= 0 (radii at most 1)")
     u, v = center.numerator, center.denominator

@@ -182,10 +182,11 @@ def _check_prime(p) -> None:
         raise ParseError(f"{_clip(str(p))} is not prime")
 
 
-def _rational(x) -> Fraction:
-    """x as a ``Fraction``; a float or a bool is refused, never expanded."""
+def _rational(x, what: str = "a coefficient or constant") -> Fraction:
+    """x as a ``Fraction``; a float or a bool is refused, never expanded:
+    the check at each public entry point that takes a rational."""
     if isinstance(x, (float, bool)):
-        raise ParseError(f"a coefficient or constant must be rational, not {type(x).__name__}")
+        raise ParseError(f"{what} must be rational, not {type(x).__name__}")
     return _frac(x)
 
 
@@ -315,38 +316,27 @@ def resultant_ord_product(m: RationalMap) -> Ord:
 
 def gir_minors(m: RationalMap) -> Ord:
     """Gauss image radius from 2x2 coefficient minors: the image of the
-    Gauss point has diameter max_{i != j} |f_i g_j - f_j g_i|.
+    Gauss point has diameter max_{i != j} |f_i g_j - f_j g_i|, the least
+    ord of the minors m(j, l) = F_j G_l - F_l G_j, the second determinantal
+    divisor of the 2 x (d + 1) matrix (F; G).  The minors of (F, G) have
+    the same ords, as ord D = 0.
 
-    The minors of (F, G) have the same ords, as ord D = 0.  Each is first
-    decided by the ords of its two products: where ord F_i + ord G_j and
-    ord F_j + ord G_i differ (a zero product has none) the minor's ord is
-    the smaller, and where they tie at o it is o or more.  So only tied
-    minors with o below the least ord so far are multiplied out, lowest
-    o first.
+    Pivot scan: with i the index of F's least-ord nonzero coefficient, the
+    least ord is that of the d minors m(i, j) in column i, so d + 1
+    valuations find i and at most d more decide them.  Proof: expanding
+    the 3 x 3 determinant with rows (F; F; G) along its first row,
+    F_i m(j, l) = F_j m(i, l) - F_l m(i, j).  As ord F_j and ord F_l are
+    at least ord F_i, ord m(j, l) >= min(ord m(i, l), ord m(i, j)), a zero
+    minor counting as ord infinity.  When every minor in column i is 0 so
+    is every other, and F and G are proportional.
     """
-    p = m.p
-    F, G = m.F, m.G
-    of, og = _ords(p, F), _ords(p, G)
-    best, tied = None, []
-    for i, (ofi, ogi) in enumerate(zip(of, og)):
-        for j in range(i + 1, m.d + 1):
-            a = None if ofi is None or og[j] is None else ofi + og[j]
-            b = None if of[j] is None or ogi is None else of[j] + ogi
-            if a == b:
-                if a is not None:
-                    tied.append((a, i, j))
-            else:
-                v = b if a is None else a if b is None else min(a, b)
-                best = v if best is None else min(best, v)
-    for o, i, j in sorted(tied):
-        if best is not None and o >= best:
-            break
-        if det := F[i] * G[j] - F[j] * G[i]:
-            v = int_val(det, p)
-            best = v if best is None else min(best, v)
-    if best is None:
+    p, F, G = m.p, m.F, m.G
+    i = min((int_val(x, p), j) for j, x in enumerate(F) if x)[1]
+    fi, gi = F[i], G[i]
+    ords = [int_val(det, p) for fj, gj in zip(F, G) if (det := fi * gj - fj * gi)]
+    if not ords:
         raise DegenerateMapError("degenerate map")
-    return Ord.of(best)
+    return Ord.of(min(ords))
 
 
 def eval_proj(m: RationalMap, pt: ProjPoint) -> ProjPoint:
@@ -365,7 +355,8 @@ Matrix2 = tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
 
 def _mat(entries) -> Matrix2:
     (a, b), (c, d) = entries
-    mat = ((Fraction(a), Fraction(b)), (Fraction(c), Fraction(d)))
+    w = "a matrix entry"
+    mat = ((_rational(a, w), _rational(b, w)), (_rational(c, w), _rational(d, w)))
     if mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0] == 0:
         raise DegenerateMapError("singular matrix")
     return mat

@@ -5,7 +5,7 @@ The first part is a brute-force oracle; the next section is the
 whole-shift record ``Shift`` that the fiber and profile references and
 ``ref_push_forward_full`` read, then a Fraction reference for the
 integer shift kernel (see there); the next holds
-unoptimized forms of the sampler and the hull, and the last ones
+unoptimized forms of the sampler, the zero/pole tree and the hull, and the last ones
 PWLinear arithmetic by sampled alignment with the envelopes, the Gauss
 fiber with the unscreened gpr scan on it, and the radial profile.  The
 last section keeps the helpers that only the tests use (directions, rho,
@@ -55,6 +55,8 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal, getcontext
 from fractions import Fraction
+from itertools import groupby
+from operator import itemgetter
 from typing import NamedTuple
 
 from berklip.berk import (
@@ -68,7 +70,7 @@ from berklip.berk import (
     push_forward,
 )
 from berklip.errors import DegenerateMapError, InternalInvariantError, ParseError
-from berklip.invariants import GprResult, hull
+from berklip.invariants import GprResult, _Tree, hull
 from berklip.piecewise import PWLinear
 from berklip.polynomials import taylor_shift
 from berklip.projective import INF_POINT, ProjPoint, _vord, spherical_ord
@@ -665,6 +667,110 @@ def ref_gpr_witness(m: RationalMap):
             if spherical_ord(m.p, ix, iy) == Ord.of(0):
                 return (pts[i], pts[j]), None
     return None, f"no witness among {min(m.p, 97)} residue directions"
+
+
+def ref_tree(p: int, zeros, poles):
+    """The arrays of ``invariants._tree`` by an independent construction,
+    the single-linkage row loop, which values every pair: the hull of >= 2
+    distinct classical points, given as (ProjPoint, multiplicity) pairs,
+    ``zeros`` counted + and ``poles`` -.  The finite inputs z_0, ...,
+    z_(n-1) keep input order, zeros first.
+
+    The tree is the single-linkage dendrogram of the finite inputs under
+    the ultrametric ord(z_i - z_j) (Gower and Ross, Appl. Stat. 1969),
+    built from n - 1 links.  Each z_i, i >= 1, links to z_j, j_i the
+    lowest j < i attaining s_i = max_(j < i) ord(z_i - z_j), the ords in
+    integers, ord(a/b - a'/b') = ord(a b' - a' b) - ord b - ord b', each
+    denominator's ord taken once.  The links are merged by descending s
+    with a union-find whose root is the lowest index, and each cluster
+    that the links of one level s touch becomes the disc D(z_root, s),
+    the parent of the previous top vertices of the clusters it merged,
+    with t = s, center = root and below the sum of theirs.
+
+    Proof that these are the hull's discs.  At a threshold sigma, the
+    classes {k : ord(z_i - z_k) >= sigma} are the inputs in the discs
+    D(z_i, sigma).  In a class, every member i other than its lowest
+    index e has s_i >= ord(z_i - z_e) >= sigma, and z_(j_i) lies in
+    D(z_i, s_i), inside the class; so i links to an earlier member of its
+    class, and following the links from any member reaches e.  A link of
+    level >= sigma joins two points of one class.  So the links with s >=
+    sigma connect exactly the classes at sigma.  A class at s is a hull
+    vertex iff it is not also a class at s + 1 (levels are ints), that is
+    iff a link of level exactly s lies in it, and it is then the disc
+    D(z_e, s) with e its lowest index, the union-find root.  Its children
+    are the classes at s + 1 inside it, the top vertices of the clusters
+    merged at s.
+
+    The top cluster holds every finite input: its parent is infinity
+    when infinity is an input, and otherwise it is the root.  The levels
+    come in descending order and each level's clusters in ascending root
+    order, so the vertices need no sort.  rp is the largest entry of a
+    pole's row against the zeros, or an entry at infinity.
+    """
+    finite = [(q.z, k) for q, k in zeros if not q.is_inf]
+    nz = len(finite)
+    finite += [(q.z, -k) for q, k in poles if not q.is_inf]
+    n = len(finite)
+    inf_zero, inf_pole = nz < len(zeros), n - nz < len(poles)
+    points = [z for z, _ in finite]
+    nums = [z.numerator for z in points]
+    dens = [z.denominator for z in points]
+    if len(set(zip(nums, dens))) < n or inf_zero and inf_pole:
+        raise InternalInvariantError("a zero is also a pole")
+    od = [int_val(b, p) for b in dens]
+    # rp's entries at infinity: (1, 0) against a/b is ord b
+    near = od[nz:] if inf_zero else od[:nz] if inf_pole else []
+    shifted = any(od)
+    links = []
+    for i in range(1, n):
+        a, b = nums[i], dens[i]
+        raw = [int_val(a * dens[j] - nums[j] * b, p) for j in range(i)]
+        if i >= nz > 0:  # a pole: its entries against the zeros, j < nz
+            near.append(max(raw[:nz]))
+        row = [x - o for x, o in zip(raw, od)] if shifted else raw
+        s = max(row)
+        links.append((s - od[i], i, row.index(s)))
+    links.sort(reverse=True)
+    rp = max(near, default=None)
+
+    up: list[int | None] = [None] * n
+    t: list[int | None] = [None] * n
+    center: list[int | None] = list(range(n))
+    below = [k for _, k in finite]
+    root = list(range(n))  # union-find over input indices
+    top = list(range(n))  # a cluster's top vertex, at its root
+
+    def find(i: int) -> int:
+        while root[i] != i:
+            root[i] = i = root[root[i]]
+        return i
+
+    for s, level in groupby(links, key=itemgetter(0)):
+        merged = set()  # roots, before this level, of the clusters it touches
+        for _, i, j in level:
+            ri, rj = find(i), find(j)
+            merged.update((ri, rj))
+            root[max(ri, rj)] = min(ri, rj)
+        children: dict[int, list[int]] = {}
+        for r in sorted(merged):  # a new root is its cluster's least old one
+            children.setdefault(find(r), []).append(top[r])
+        for r, kids in children.items():
+            v = top[r] = len(up)
+            up.append(None)
+            t.append(s)
+            center.append(r)
+            below.append(sum(below[c] for c in kids))
+            for c in kids:
+                up[c] = v
+    if inf_zero or inf_pole:
+        up[top[0]] = len(up)
+        up.append(None)
+        t.append(None)
+        center.append(None)
+        below.append(below[top[0]])
+    if up.index(None) != len(up) - 1:
+        raise InternalInvariantError("hull is not a single tree")
+    return _Tree(points, up, t, center, below, rp)
 
 
 def ref_hull(p: int, points):

@@ -12,11 +12,14 @@ from functools import lru_cache
 from math import gcd
 from pathlib import Path
 
+from berklip import ratmap
 from berklip.berk import BerkPoint, berk_equal, diam_gauss, push_forward
+from berklip.errors import DegenerateMapError
 from berklip.lipschitz import radial_profile
 from berklip.ratmap import from_coeffs, gir_minors, post_compose, pre_compose
+from berklip.sampling import DetRng
 from berklip.valued import int_val
-from corpus import acceptance_corpus
+from corpus import acceptance_corpus, random_ladder_map
 from oracles import (
     Shift,
     ref_expand,
@@ -118,6 +121,60 @@ def test_gir_minors_match_brute_force():
     maps = _corpus_maps() + [x for pair in _ladder_pairs() for x in pair]
     for m in maps:
         assert gir_minors(m).frac == ref_gir_minors(m), m
+
+
+def test_gir_minors_match_brute_force_at_degree_64():
+    """The pivot scan at the largest degree the CLI admits: seeded
+    ladder-type maps and their post-composed twins, whose products mostly
+    tie, at p in {2, 3, 5, 7}."""
+    rng = DetRng(6464)
+    for p in (2, 3, 5, 7):
+        m = random_ladder_map(rng, p, 64)
+        for x in (m, post_compose(MATRIX, m)):
+            assert gir_minors(x).frac == ref_gir_minors(x), x
+
+
+def test_gir_minors_with_zero_coefficients_and_tied_minors():
+    """``from_coeffs`` pairs G = u F + p^k H, each coefficient drawn from
+    0, units and p-powers: every product F_i G_j ties with F_j G_i at the
+    same ord, zeros are common, and the minors p^k (F_i H_j - F_j H_i)
+    cancel further.  Also a pair whose first nonzero F coefficient is
+    not the least-ord one, so that a pivot there misses the least minor."""
+    rng = DetRng(1213)
+    seen = 0
+    for _ in range(300):
+        p = (2, 3, 5, 7)[rng.randint(0, 3)]
+        d = rng.randint(2, 8)
+        draw = [0, 0, 1, -1, 2, p, -p, p * p, 1 + p, Fraction(1, p)]
+        f = [draw[rng.randint(0, len(draw) - 1)] for _ in range(d + 1)]
+        h = [draw[rng.randint(0, len(draw) - 1)] for _ in range(d + 1)]
+        u, k = rng.randint(1, 4), rng.randint(0, 3)
+        g = [u * x + p**k * y for x, y in zip(f, h)]
+        try:
+            m = from_coeffs(p, f, g)
+        except DegenerateMapError:
+            continue
+        seen += 1
+        assert gir_minors(m).frac == ref_gir_minors(m), (p, f, g)
+    assert seen >= 150, seen
+    m = from_coeffs(3, [3, 1, 0], [3, 2, 1])  # minors 3, 3, 1
+    assert gir_minors(m).frac == ref_gir_minors(m) == 0
+
+
+def test_gir_minors_takes_at_most_2d_plus_1_valuations(monkeypatch):
+    """d + 1 valuations for F's coefficients and at most d for the
+    minors in the pivot's column, on corpus seed 0, the ladder seed 0
+    maps and twins, and degree-64 maps."""
+    calls = []
+    real = ratmap.int_val
+    monkeypatch.setattr(ratmap, "int_val", lambda x, p: calls.append(x) or real(x, p))
+    rng = DetRng(64)
+    maps = _corpus_maps()[:405] + [x for pair in _ladder_pairs()[:10] for x in pair]
+    maps += [random_ladder_map(rng, 3, 64)]
+    for m in maps:
+        calls.clear()
+        gir_minors(m)
+        assert len(calls) <= 2 * m.d + 1, m
 
 
 def test_gir_minors_on_tied_minors():

@@ -2,7 +2,9 @@
 
 import sys
 import threading
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -40,6 +42,7 @@ from oracles import (
     ref_hull,
     ref_rp_ord,
     ref_sub,
+    ref_tree,
     ref_zero_set,
     t_range,
 )
@@ -91,9 +94,9 @@ def test_rp_matches_reference():
 
 
 def test_rp_from_the_tree_matches_pair_kernel_and_reference():
-    """rp read off the tree's row loop, its zero/pole and infinity
-    entries, equals the largest exponent of the product formula's pair
-    kernel and ``ref_rp_ord``, in ``bundle`` and in ``rp_ord``: on corpus
+    """rp read off the tree, at its discs and at infinity, equals the
+    largest exponent of the product formula's pair kernel and
+    ``ref_rp_ord``, in ``bundle`` and in ``rp_ord``: on corpus
     seeds 0-3, ladder seeds 0-2, the acceptance corpus, and maps with
     multiplicities at p = 2, infinity a zero and a pole in some."""
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -115,6 +118,100 @@ def test_rp_from_the_tree_matches_pair_kernel_and_reference():
         seen["inf_pole"] += m.p == 2 and any(q.is_inf for q, _ in ff.poles)
         seen["multiple"] += m.p == 2 and any(k > 1 for _, k in ff.zeros + ff.poles)
     assert min(seen.values()) >= 5, seen
+
+
+def _bench_maps(corpus_seeds, ladder_seeds):
+    """The benchmark's corpus maps and ladder maps (not their twins) of the
+    given seeds."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import benchgen
+
+    maps = [m for seed in corpus_seeds for m in benchgen.corpus_maps(seed, 405)]
+    return maps + [m for seed in ladder_seeds for _, pairs in benchgen.ladder_steps(seed)
+                   for m, _ in pairs]
+
+
+def test_tree_matches_row_loop_reference():
+    """The pivot scan builds the arrays of the single-linkage row loop
+    (``oracles.ref_tree``), rp included: on corpus seeds 0-3,
+    ladder seeds 0-3, the acceptance corpus and 240 maps with
+    multiplicities at p in {2, 3, 5, 7} (infinity a zero in some and a
+    pole in others), each also as ``hull``'s multiplicity-0 call; on the
+    caterpillar z_k = p^k of 128 points (32 at the large p); on points
+    that agree to p^200, with and without p in their denominators; and at
+    p = 2^61 - 1."""
+    maps = _bench_maps(range(4), range(4)) + acceptance_corpus()
+    rng = DetRng(3232)
+    maps += [random_factored_map(rng, p, dmax=7, multiplicities=True)
+             for p in (2, 3, 5, 7) for _ in range(60)]
+    big = 2**61 - 1
+    maps += [random_factored_map(rng, big, dmax=6, multiplicities=True) for _ in range(20)]
+    maps += [random_ladder_map(rng, big, 12) for _ in range(2)]
+    seen = {"inf_zero": 0, "inf_pole": 0, "multiple": 0}
+    cases = []
+    for m in maps:
+        ff = m.factored
+        cases.append((m.p, ff.zeros, ff.poles))
+        cases.append((m.p, [(q, 0) for q, _ in ff.zeros + ff.poles], ()))
+        if m.p < 10 and any(k > 1 for _, k in ff.zeros + ff.poles):
+            seen["multiple"] += 1
+            seen["inf_zero"] += any(q.is_inf for q, _ in ff.zeros)
+            seen["inf_pole"] += any(q.is_inf for q, _ in ff.poles)
+    assert seen["multiple"] >= 200 and min(seen.values()) >= 20, seen
+    for p in (2, 3, 5, 7, big):
+        caterpillar = [pt(Fraction(p) ** k) for k in range(128 if p < big else 32)]
+        cases.append((p, [(q, 1) for q in caterpillar[::2]], [(q, 1) for q in caterpillar[1::2]]))
+        cases.append((p, [(q, 0) for q in caterpillar[::-1]] + [(INF_POINT, 0)], ()))
+        deep = Fraction(p) ** 200
+        base = Fraction(1, 2 + 3 * p)
+        close = [pt(base + deep * Fraction(k, 1 + 2 * p)) for k in range(17)]
+        close += [pt(base + deep * p * k) for k in range(1, 4)]
+        close += [pt(base + deep / p**3 * k) for k in range(1, 4)]
+        close = list(dict.fromkeys(close))
+        cases.append((p, [(q, 2) for q in close[::2]], [(q, 1) for q in close[1::2]]))
+        cases.append((p, [(q, 1) for q in close[1::3]] + [(INF_POINT, 1)],
+                      [(q, 3) for q in close[::3]]))
+    for p, zeros, poles in cases:
+        assert invariants._tree(p, zeros, poles) == ref_tree(p, zeros, poles), (p, zeros, poles)
+
+
+# the pair valuations of the pivot scan on the seed-0 ladder's d = 30 maps
+LADDER_D30_PAIR_VALUATIONS = [170, 136, 131]
+
+
+def _pair_valuations(monkeypatch, p, zeros, poles):
+    """The number of pair valuations ``_tree`` takes on these inputs.  Its
+    int_val calls must be, as a multiset, within the n denominators and
+    the n(n - 1)/2 pair integers a b' - a' b (up to sign): so each pair
+    is valued at most once."""
+    calls = []
+    real = invariants.int_val
+    monkeypatch.setattr(invariants, "int_val", lambda x, q: calls.append(abs(x)) or real(x, q))
+    invariants._tree(p, zeros, poles)
+    monkeypatch.setattr(invariants, "int_val", real)
+    z = [q.z for q, _ in list(zeros) + list(poles) if not q.is_inf]
+    allowed = Counter(x.denominator for x in z)
+    allowed += Counter(abs(x.numerator * y.denominator - y.numerator * x.denominator)
+                       for x, y in combinations(z, 2))
+    assert not Counter(calls) - allowed, (p, zeros, poles)
+    return len(calls) - len(z)
+
+
+def test_tree_values_each_pair_at_most_once(monkeypatch):
+    """The pivot scan values each pair at most once: every pair on the
+    caterpillar z_k = p^k, whose depth is n - 1, and on the seed-0 ladder's
+    d = 30 maps (60 points) a pinned count below a fifth of the
+    n(n - 1)/2 = 1770 pairs; on corpus seed 0 and the acceptance corpus
+    at most once each."""
+    for p in (2, 3):
+        cat = [pt(Fraction(p) ** k) for k in range(40)]
+        assert _pair_valuations(monkeypatch, p, [(q, 0) for q in cat], ()) == 40 * 39 // 2
+    ladder = [m for m in _bench_maps((), (0,)) if m.d == 30]
+    counts = [_pair_valuations(monkeypatch, m.p, m.factored.zeros, m.factored.poles)
+              for m in ladder]
+    assert counts == LADDER_D30_PAIR_VALUATIONS and max(counts) < 1770 // 5, counts
+    for m in _bench_maps((0,), ()) + acceptance_corpus():
+        _pair_valuations(monkeypatch, m.p, m.factored.zeros, m.factored.poles)
 
 
 def test_hull_star_example():

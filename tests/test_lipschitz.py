@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from berklip import invariants
 from berklip.berk import BerkPoint, diam_gauss, push_forward
-from berklip.errors import DegenerateMapError, FactoredFormRequiredError
+from berklip.errors import DegenerateMapError, FactoredFormRequiredError, ParseError
 from berklip.invariants import bundle, gpr, hull, rp_ord
 from berklip.lipschitz import (
     _cross_ord,
@@ -704,3 +704,24 @@ def test_gpr_readers_memo_require_the_factored_form():
     for fn in (lip_classical, gpr_witness):
         with pytest.raises(FactoredFormRequiredError):
             fn(m)
+
+
+@pytest.mark.parametrize("call", [
+    lambda m, x: invariant_bound(m, x),
+    lambda m, x: invariant_bound_terms(m, x),
+    lambda m, x: bound_report(m, b0_ord=x),
+    lambda m, x: radial_profile(m, x, 0),
+    lambda m, x: radial_profile(m, 0, x),
+], ids=["invariant_bound", "invariant_bound_terms", "bound_report", "radial_profile_center",
+        "radial_profile_t_min"])
+def test_rational_arguments_refuse_float_and_bool(call):
+    """b0_ord, a profile's center and its t_min are refused as a float or a
+    bool instead of read at their binary value (0.1 as
+    3602879701896397/36028797018963968) or as 1; ints, ``Fraction``s and
+    "num/den" strings are kept."""
+    m = from_factored(3, 1, [(ProjPoint.of(0), 2)], [(ProjPoint.of(1), 1), (INF_POINT, 1)])
+    for bad in (0.1, True, False):
+        with pytest.raises(ParseError, match="must be rational"):
+            call(m, bad)
+    assert call(m, "1/2") == call(m, Fraction(1, 2))
+    assert call(m, 1) == call(m, Fraction(1))

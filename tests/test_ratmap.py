@@ -13,6 +13,7 @@ from berklip.errors import DegenerateMapError, InternalInvariantError, ParseErro
 from berklip.invariants import rp_ord
 from berklip.projective import INF_POINT, ProjPoint
 from berklip.ratmap import (
+    mobius_apply,
     eval_proj,
     from_coeffs,
     from_factored,
@@ -649,8 +650,6 @@ def test_composition_preserves_coefficients_semantics():
         mat = random_unimodular(rng)
         pre = pre_compose(m, mat)
         post = post_compose(mat, m)
-        from berklip.ratmap import mobius_apply
-
         for _ in range(5):
             from berklip.sampling import random_rational
 
@@ -694,3 +693,20 @@ def test_constructors_refuse_a_bad_prime_and_float_or_bool_values():
         with pytest.raises(ParseError, match="must be rational"):
             from_factored(3, c, [(ProjPoint.of(0), 1)], [(INF_POINT, 1)])
     assert from_coeffs(3, ["1/3", 1], [Fraction(1), 0]) == from_coeffs(3, [Fraction(1, 3), 1], [1, 0])
+
+
+@pytest.mark.parametrize("build", [
+    lambda m, x: pre_compose(m, ((x, 1), (0, 1))),
+    lambda m, x: post_compose(((1, 0), (x, 1)), m),
+    lambda m, x: mobius_apply(((1, x), (0, 1)), ProjPoint.of(0)),
+], ids=["pre_compose", "post_compose", "mobius_apply"])
+def test_matrix_entry_points_refuse_float_and_bool(build):
+    """A Möbius matrix entry is refused as a float or a bool, as a map's
+    coefficients are, instead of being expanded to its binary value or
+    read as 1; ints, ``Fraction``s and "num/den" strings are kept."""
+    m = from_coeffs(3, [1, 2, 1], [0, 1, 3])
+    for bad in (0.1, True, False):
+        with pytest.raises(ParseError, match="must be rational"):
+            build(m, bad)
+    assert build(m, "1/3") == build(m, Fraction(1, 3))
+    assert build(m, 2) == build(m, Fraction(2))
