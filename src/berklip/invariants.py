@@ -161,11 +161,8 @@ def _tree(p: int, zeros, poles) -> _Tree:
             else:
                 work.append((kids, kv, k))
     order = sorted(range(len(discs)), key=lambda k: (-discs[k][0], discs[k][1]))
-    vertex = [0] * len(discs)
-    for r, k in enumerate(order):
-        vertex[k] = n + r
-    up = [None if k is None else vertex[k] for k in leaf_up]
-    up += [None if discs[k][2] is None else vertex[discs[k][2]] for k in order]
+    vertex = {k: n + r for r, k in enumerate(order)}
+    up = [vertex.get(k) for k in leaf_up] + [vertex.get(discs[k][2]) for k in order]
     t: list[int | None] = [None] * n + [discs[k][0] for k in order]
     center: list[int | None] = list(range(n)) + [discs[k][1] for k in order]
     if inf_zero or inf_pole:

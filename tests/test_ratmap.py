@@ -13,11 +13,11 @@ from berklip.errors import DegenerateMapError, InternalInvariantError, ParseErro
 from berklip.invariants import rp_ord
 from berklip.projective import INF_POINT, ProjPoint
 from berklip.ratmap import (
-    mobius_apply,
     eval_proj,
     from_coeffs,
     from_factored,
     gir_minors,
+    mobius_apply,
     normalize,
     post_compose,
     pre_compose,
