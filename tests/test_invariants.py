@@ -197,7 +197,7 @@ def _pair_valuations(monkeypatch, p, zeros, poles):
     return len(calls) - len(z)
 
 
-def test_tree_values_each_pair_at_most_once(monkeypatch):
+def test_tree_values_no_pair_twice(monkeypatch):
     """The pivot scan values each pair at most once: every pair on the
     caterpillar z_k = p^k, whose depth is n - 1, and on the seed-0 ladder's
     d = 30 maps (60 points) a pinned count below a fifth of the
