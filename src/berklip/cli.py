@@ -12,8 +12,10 @@ input that needs more than a documented cap allows).
 Each command imports only what it runs: ``invariants`` reads the map and
 builds its bundle, and the Lipschitz layer (``lipschitz``, with the
 sampler under it) is imported by the other four commands on first use.
-``invariants.bundle`` keeps the last map's bundle, so the checks of
-``verify`` and the parts of a ``bounds`` report share one.
+The Lipschitz layer takes the bundle it needs as an argument: ``bounds``
+reads it inside ``bound_report``, and ``sample`` reads it for the 1/GPR
+check of a factored map.  The checks of ``verify`` each call
+``invariants.bundle``, which keeps the last map's bundle, so they share one.
 """
 
 from __future__ import annotations
@@ -225,7 +227,7 @@ def _verify_checks(m: RationalMap, cfg: argparse.Namespace):
         add("sampled-ratios-bounded", sampled_res_bound)
 
     if m.d == 1:
-        add("mobius-constants-agree", lambda: mobius_exact(m))
+        add("mobius-constants-agree", lambda: mobius_exact(m, bundle(m)))
     return checks
 
 
@@ -250,7 +252,9 @@ def run(cfg: argparse.Namespace) -> int:
         print(_emit(profile_json(pr), cfg.fmt))
         return 0
     if cfg.command == "sample":
-        s, pair = lipschitz.sample_ratios(m, cfg.n, cfg.seed)
+        # a factored map's sampled maximum is checked against 1/GPR
+        lip_ord = None if m.factored is None else bundle(m).gpr.frac
+        s, pair = lipschitz.sample_ratios(m, cfg.n, cfg.seed, lip_ord)
         obj = {
             "p": m.p,
             "n": cfg.n,

@@ -445,16 +445,21 @@ _last = None  # (map, its bundle) for the last map ``bundle`` built
 def bundle(m: RationalMap) -> InvariantBundle:
     """All invariants of one map; asserts the inequality chain first.
 
-    The last map's bundle is kept, keyed by object identity: a call with
-    that same object returns it, so a bound report on a map its caller
-    just bundled computes nothing twice.  Exact, since a ``RationalMap``
-    is immutable and its bundle a pure function of it, checked when built.
-    One entry, not a cache: any other object (an equal map built again
-    too) is computed and replaces it, and a bundle that raises is never
-    kept.  It is read once, so a concurrent caller can only miss.  The
-    zero/pole tree is built once, and rp and gpr are read from it; the
-    hull records built on it are unread, kept only because the benchmark
-    harness's smoke test requires each function it spans to be reached.
+    The Lipschitz layer takes the bundle as an argument, and only its
+    entry point ``bound_report`` and the CLI commands call this.  The last
+    map's bundle is kept, keyed by object identity, for the two callers
+    that still ask for one map's bundle twice: a caller that bundles a map
+    and then asks ``bound_report`` for its report (the benchmark harness's
+    corpus operation), and the checks of ``verify``, each of which calls
+    ``bundle``.  A call with that same object returns it.  Exact, since a
+    ``RationalMap`` is immutable and its bundle a pure function of it,
+    checked when built.  One entry, not a cache: any other object (an
+    equal map built again too) is computed and replaces it, and a bundle
+    that raises is never kept.  It is read once, so a concurrent caller
+    can only miss.  The zero/pole tree is built once, and rp and gpr are
+    read from it; the hull records built on it are unread, kept only
+    because the benchmark harness's smoke test requires each function it
+    spans to be reached.
     """
     global _last
     last = _last

@@ -36,12 +36,12 @@ from math import gcd
 from typing import NamedTuple
 
 from .berk import _diff_ord, _Passes, _ratio_record, iota
-from .errors import InternalInvariantError
-from .invariants import bundle, gpr  # noqa: F401 (gpr re-exported; read via bundle)
+from .errors import FactoredFormRequiredError, InternalInvariantError
+from .invariants import InvariantBundle, bundle, gpr  # noqa: F401 (gpr re-exported; read via bundle)
 from .piecewise import PWLinear, lower_envelope
 from .polynomials import hom_eval
 from .projective import INF_POINT, ProjPoint, _cross_ord, _sph_pair_ord, _vord
-from .ratmap import RationalMap, _rational, gir_minors, resultant_ord, resultant_ord_product
+from .ratmap import RationalMap, _rational, resultant_ord, resultant_ord_product
 from .sampling import DetRng, random_point_ints
 from .valued import (
     Ord,
@@ -75,54 +75,51 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def lip_classical(m: RationalMap) -> PPowerSum:
+def _gpr(b: InvariantBundle) -> Ord:
+    """The bundle's gpr; a map given by its coefficients only has none."""
+    if b.gpr is None:
+        raise FactoredFormRequiredError("factored form required")
+    return b.gpr
+
+
+def lip_classical(b: InvariantBundle) -> PPowerSum:
     """Exact classical Lipschitz constant 1/GPR as a one-term sum."""
-    m.require_factored()
-    return ppow_term(m.p, 1, bundle(m).gpr.frac)
+    return ppow_term(b.p, 1, _gpr(b).frac)
 
 
 def resultant_bounds(m: RationalMap) -> tuple[PPowerSum, PPowerSum]:
     """(classical bound 1/|Res|, Berkovich bound max(d/|Res|, 1/|Res|^d))."""
-    return _resultant_bounds(m.p, m.d, resultant_ord(m))
-
-
-def _resultant_bounds(p: int, d: int, res: Ord) -> tuple[PPowerSum, PPowerSum]:
-    r = res.frac
+    p, d, r = m.p, m.d, resultant_ord(m).frac
     classical = ppow_term(p, 1, r)
     berk = ppow_max(p, ppow_term(p, d, r), ppow_term(p, 1, d * r))
     return classical, berk
 
 
-def invariant_bound_terms(
-    m: RationalMap, b0_ord
-) -> tuple[PPowerSum, PPowerSum]:
-    """Both branches of max(1/(GIR * B^d), d/(GIR^(1/d) * B)) for B = p^(-b0_ord)."""
-    return _invariant_bound_terms(m.p, m.d, gir_minors(m), b0_ord)
-
-
-def _invariant_bound_terms(
-    p: int, d: int, gir: Ord, b0_ord
-) -> tuple[PPowerSum, PPowerSum]:
+def _ball_ord(b0_ord) -> Fraction:
+    """A ball-radius exponent, refused as a float or a bool and when
+    negative (a radius above 1)."""
     b0 = _rational(b0_ord, "b0_ord")
     if b0 < 0:
         raise ValueError("B0 > 1 impossible")
-    g = gir.frac
+    return b0
+
+
+def invariant_bound_terms(b: InvariantBundle, b0_ord) -> tuple[PPowerSum, PPowerSum]:
+    """Both branches of max(1/(GIR * B^d), d/(GIR^(1/d) * B)) for B = p^(-b0_ord)."""
+    b0 = _ball_ord(b0_ord)
+    p, d, g = b.p, b.d, b.gir.frac
     first = ppow_term(p, 1, g + d * b0)
     second = ppow_term(p, d, g / d + b0)
     return first, second
 
 
-def invariant_bound(m: RationalMap, b0_ord) -> PPowerSum:
+def invariant_bound(b: InvariantBundle, b0_ord) -> PPowerSum:
     """The two-term Berkovich bound with ball radius p^(-b0_ord)."""
-    return _invariant_bound(m.p, m.d, gir_minors(m), b0_ord)
+    return ppow_max(b.p, *invariant_bound_terms(b, b0_ord))
 
 
-def _invariant_bound(p: int, d: int, gir: Ord, b0_ord) -> PPowerSum:
-    return ppow_max(p, *_invariant_bound_terms(p, d, gir, b0_ord))
-
-
-def mobius_exact(m: RationalMap) -> PPowerSum:
-    """Exact Lipschitz constant of a degree-1 map.
+def mobius_exact(m: RationalMap, b: InvariantBundle) -> PPowerSum:
+    """Exact Lipschitz constant of a degree-1 map, with ``b`` its bundle.
 
     Computed as max coefficient norm over |determinant| and cross-checked
     against 1/GIR, 1/GPR and both resultant computations, which must all
@@ -130,7 +127,6 @@ def mobius_exact(m: RationalMap) -> PPowerSum:
     """
     if m.d != 1:
         raise ValueError("mobius_exact requires degree 1")
-    inv = bundle(m)
     (a0, a1), (b0, b1) = m.F, m.G
     # on the integer pair: the denominator D is prime to p
     det = a1 * b0 - a0 * b1
@@ -138,10 +134,10 @@ def mobius_exact(m: RationalMap) -> PPowerSum:
     min_ord = min(v for v in ords if v is not None)
     direct = _vord(det, m.p) - min_ord
     values = {
-        "1/|Res| (sylvester)": inv.res.frac,
+        "1/|Res| (sylvester)": b.res.frac,
         "1/|Res| (product)": resultant_ord_product(m).frac,
-        "1/GIR": inv.gir.frac,
-        "1/GPR": inv.gpr.frac,
+        "1/GIR": b.gir.frac,
+        "1/GPR": _gpr(b).frac,
         "max-entry/det": direct,
     }
     if len(set(values.values())) != 1:
@@ -300,9 +296,9 @@ def sample_ratios(m: RationalMap, n: int, seed: int, lip_ord=None):
     one ``_cross_ord`` on the two slots.  The chordal distance reads
     homogeneous pairs, so the pool's reduced points give the distances
     of the drawn ones.  The witness is kept as its pool record and built
-    once, at the end.  When the exact Lipschitz exponent is known
-    (``lip_ord``, or computable from a factored form) the maximum is
-    asserted to stay within it.
+    once, at the end.  Given the exact Lipschitz exponent ``lip_ord``
+    (1/GPR's, read from the map's bundle by the caller), the maximum is
+    asserted to stay within it; None checks nothing.
 
     The pairs are visited by descending source exponent s, ties in pool
     order (see ``_pair_pool``).  With e = s - s_img the ratio exponent of
@@ -362,8 +358,6 @@ def sample_ratios(m: RationalMap, n: int, seed: int, lip_ord=None):
             best = k, a, b
     if max_e is None:
         return PPOW_ZERO, None
-    if lip_ord is None and m.factored is not None:
-        lip_ord = bundle(m).gpr.frac
     if lip_ord is not None and max_e > lip_ord:
         raise InternalInvariantError("sampled ratio exceeded the exact Lipschitz bound")
     (xn, xd), (yn, yd) = points[best[1]], points[best[2]]
@@ -375,22 +369,20 @@ def _proj_point(num: int, den: int) -> ProjPoint:
     return INF_POINT if den == 0 else ProjPoint.of(Fraction(num, den))
 
 
-def gpr_witness(m: RationalMap):
+def gpr_witness(m: RationalMap, b: InvariantBundle):
     """Search for classical points x, y at spherical distance GPR whose
     images are at distance 1, certifying that 1/GPR is attained.
 
-    GPR and its argmin are read from ``bundle(m)``.  Returns (pair, None)
-    on success or (None, diagnostic).  Candidates sit in distinct residue
-    directions at the minimizing preimage point; over QQ only p residue
-    directions exist, so failure is a reportable outcome rather than an
-    error.  Each candidate's image is evaluated once, as the integer pair
-    of the homogeneous forms at its (num, den), and both distances are
-    read by ``_sph_pair_ord``; pairs are tried in index order and the first
-    hit is returned.
+    GPR and its argmin are read from ``b``, the map's bundle.  Returns
+    (pair, None) on success or (None, diagnostic).  Candidates sit in
+    distinct residue directions at the minimizing preimage point; over QQ
+    only p residue directions exist, so failure is a reportable outcome
+    rather than an error.  Each candidate's image is evaluated once, as
+    the integer pair of the homogeneous forms at its (num, den), and both
+    distances are read by ``_sph_pair_ord``; pairs are tried in index
+    order and the first hit is returned.
     """
-    m.require_factored()
-    inv = bundle(m)
-    q, target = inv.gpr_argmin, inv.gpr.frac
+    q, target = b.gpr_argmin, _gpr(b).frac
     p = m.p
     a, t = q.center, q.radius_ord
     va = _vord(a, p)
@@ -446,28 +438,31 @@ def bound_report(
 ) -> BoundReport:
     """Assemble every computable bound for one map.
 
-    Every field is derived from one invariant bundle, which asserts the
-    invariant chain; ``bundle`` keeps the last map's, so a report on the
-    map object its caller just bundled, and the witness search and the
-    degree-1 check inside it, reuse that exact bundle.  Fields depending
-    on the factored form are None when it is absent; the orderings
-    sampled <= exact classical <= resultant bound are asserted.
+    A bad ``b0_ord`` is refused before any work.  The report then reads
+    the map's invariant bundle once, through ``bundle`` (which asserts the
+    invariant chain, and returns the bundle its caller just built when it
+    bundled the same map object), and hands it to each bound, to the
+    witness search, to the degree-1 cross-check and, as 1/GPR, to the
+    sampler.  Fields depending on the factored form are None when it is
+    absent; the orderings sampled <= exact classical <= resultant bound
+    are asserted.
     """
+    b0 = None if b0_ord is None else _ball_ord(b0_ord)
     p, d = m.p, m.d
     b = bundle(m)
-    res_cl, res_bk = _resultant_bounds(p, d, b.res)
+    res_cl, res_bk = resultant_bounds(m)
     lip = inv_rp = coarse = witness = note = lip_ord = None
     if m.factored is not None:
         lip_ord = b.gpr.frac
-        lip = ppow_term(p, 1, lip_ord)
+        lip = lip_classical(b)
         rp = b.rp.frac
-        inv_rp = _invariant_bound(p, d, b.gir, rp)
+        inv_rp = invariant_bound(b, rp)
         coarse = ppow_term(p, d, b.gir.frac + d * rp)
-        witness, note = gpr_witness(m)
+        witness, note = gpr_witness(m, b)
         if ppow_compare(p, lip, res_cl) > 0:
             raise InternalInvariantError("exact constant exceeded resultant bound")
-    inv_b0 = _invariant_bound(p, d, b.gir, b0_ord) if b0_ord is not None else None
-    mob = mobius_exact(m) if d == 1 else None
+    inv_b0 = invariant_bound(b, b0) if b0 is not None else None
+    mob = mobius_exact(m, b) if d == 1 else None
     sampled, pair = sample_ratios(m, n, seed, lip_ord=lip_ord) if n > 0 else (None, None)
     return BoundReport(
         p,

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 _MASK = (1 << 64) - 1
 
-__all__ = ["DetRng", "random_unit_fraction", "random_rational", "random_point_ints"]
+__all__ = ["DetRng", "random_rational", "random_point_ints"]
 
 
 class DetRng:
@@ -33,28 +33,18 @@ class DetRng:
         return lo + self.next_u64() % (hi - lo + 1)
 
 
-def random_unit_fraction(rng: DetRng, p: int, height: int = 9) -> Fraction:
-    """Nonzero rational of bounded height with numerator and denominator
-    prime to p."""
-    while True:
-        n = rng.randint(1, height)
-        d = rng.randint(1, height)
-        if n % p != 0 and d % p != 0:
-            sign = -1 if rng.randint(0, 1) else 1
-            return Fraction(sign * n, d)
-
-
 def random_rational(rng: DetRng, p: int, max_exp: int = 2, height: int = 9) -> Fraction:
-    """u * p^e with u a p-unit and e in [-max_exp, max_exp]."""
-    u = random_unit_fraction(rng, p, height)
-    e = rng.randint(-max_exp, max_exp)
-    return u * Fraction(p) ** e
+    """u * p^e with u a p-unit of height at most ``height`` and e in
+    [-max_exp, max_exp]: the point of ``random_point_ints``, reduced."""
+    return Fraction(*random_point_ints(rng, p, max_exp, height))
 
 
 def random_point_ints(
     rng: DetRng, p: int, max_exp: int = 2, height: int = 9
 ) -> tuple[int, int]:
-    """A sampled rational as a raw (numerator, denominator) integer pair.
+    """A sampled rational u * p^e as a raw (numerator, denominator)
+    integer pair: numerator and denominator of u prime to p and at most
+    ``height`` in size, then its sign, then e in [-max_exp, max_exp].
 
     Used by the high-volume ratio sampler, which works on unreduced
     integer pairs to stay fast.

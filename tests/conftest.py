@@ -22,6 +22,16 @@ def decimal_context_unchanged():
     assert _decimal_settings() == before, "test changed the process-wide Decimal context"
 
 
+@pytest.fixture(autouse=True)
+def bundle_memo_cleared():
+    """Starts each test with the entry that ``invariants.bundle`` keeps
+    empty, so no test's outcome depends on the map an earlier test
+    bundled last."""
+    from berklip import invariants
+
+    invariants._last = None
+
+
 @pytest.fixture
 def count_calls(monkeypatch):
     """``count_calls(fn)`` replaces ``fn`` in every berklip module that binds

@@ -82,7 +82,7 @@ from berklip.ratmap import (
     from_coeffs,
     mobius_apply,
 )
-from berklip.sampling import DetRng, random_unit_fraction
+from berklip.sampling import DetRng
 from berklip.valued import (
     ORD_INF,
     PPOW_ZERO,
@@ -296,6 +296,18 @@ def _join_top(values, p: int) -> BerkPoint | None:
     return BerkPoint.disc(b, s)
 
 
+def _unit_fraction(rng: DetRng, p: int, height: int = 9) -> Fraction:
+    """Nonzero rational of bounded height with numerator and denominator
+    prime to p: the unit part of a ``random_rational``, for the samplers of
+    the two pushforward gates below."""
+    while True:
+        n = rng.randint(1, height)
+        d = rng.randint(1, height)
+        if n % p != 0 and d % p != 0:
+            sign = -1 if rng.randint(0, 1) else 1
+            return Fraction(sign * n, d)
+
+
 def oracle_push_forward(m: RationalMap, x: BerkPoint, seed: int = 0):
     """(point, decisive): brute-force image of a disc point.
 
@@ -315,7 +327,7 @@ def oracle_push_forward(m: RationalMap, x: BerkPoint, seed: int = 0):
     images: dict[int, list[ProjPoint]] = {c: [] for c in range(p)}
     for c in range(p):
         for _ in range(per_dir):
-            u = random_unit_fraction(rng, p)
+            u = _unit_fraction(rng, p)
             e = rng.randint(1, 4)
             z = a + c * Fraction(p) ** t + u * Fraction(p) ** (t + e)
             images[c].append(eval_proj(m, ProjPoint.of(z)))
@@ -381,7 +393,7 @@ def minimality_refuted(m: RationalMap, x: BerkPoint, seed: int = 0) -> bool:
         if c in pole_dirs:
             continue
         for _ in range(15):
-            u = random_unit_fraction(rng, p)
+            u = _unit_fraction(rng, p)
             e = rng.randint(1, 4)
             z = a + c * Fraction(p) ** t + u * Fraction(p) ** (t + e)
             w = eval_proj(m, ProjPoint.of(z))

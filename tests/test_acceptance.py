@@ -84,7 +84,7 @@ def test_criterion_1_worked_example():
         b = bundle(m)
         assert b.gpr == Ord.of(3), f"GPR must be p^-3 at p={p}"
         assert b.rp == Ord.of(1), f"RP must be p^-1 at p={p}"
-        assert lip_classical(m) == ppow_term(p, 1, 3)
+        assert lip_classical(b) == ppow_term(p, 1, 3)
     _passed(1, "z^2 - 1/p^2 invariants for p in {3,5,7}")
 
 
@@ -93,7 +93,7 @@ def test_criterion_2_mobius_exactness():
     for _ in range(200):
         p = PRIMES[rng.randint(0, 2)]
         m = random_mobius(rng, p)
-        exact = mobius_exact(m)  # internally cross-asserts five computations
+        exact = mobius_exact(m, bundle(m))  # internally cross-asserts five computations
         g = gpr(m)
         assert exact == ppow_term(p, 1, gir_minors(m).frac)
         assert exact == ppow_term(p, 1, g.ord.frac)
@@ -101,7 +101,7 @@ def test_criterion_2_mobius_exactness():
         assert exact == ppow_term(p, 1, resultant_ord_product(m).frac)
         sampled, _ = sample_ratios(m, 1000, seed=CORPUS_SEED, lip_ord=g.ord.frac)
         assert ppow_compare(p, sampled, exact) <= 0
-        w, note = gpr_witness(m)
+        w, note = gpr_witness(m, bundle(m))
         assert w is not None, f"witness must exist for the degree-1 corpus: {note}"
         x, y = w
         ratio_ord = spherical_ord(p, x, y).frac - spherical_ord(
@@ -141,7 +141,7 @@ def test_criterion_6_classical_lipschitz(corpus, corpus_bundles):
         lip_ord = b.gpr.frac
         sampled, _ = sample_ratios(m, 10_000, seed=CORPUS_SEED, lip_ord=lip_ord)
         assert ppow_compare(p, sampled, ppow_term(p, 1, lip_ord)) <= 0
-        w, _ = gpr_witness(m)
+        w, _ = gpr_witness(m, b)
         if w is not None:
             x, y = w
             ratio_ord = spherical_ord(p, x, y).frac - spherical_ord(
@@ -166,9 +166,9 @@ def test_criterion_7_sharpness_family():
         # k / (GIR^(1/k) * B0^(d/k)) with GIR = p^-2, B0 = p^-1
         t1 = (d * s_ord + 2) / k
         assert lip == ppow_term(p, k, t1)
-        full = invariant_bound(m, s_ord)
+        full = invariant_bound(bundle(m), s_ord)
         assert ppow_compare(p, lip, full) <= 0
-        first, second = invariant_bound_terms(m, s_ord)
+        first, second = invariant_bound_terms(bundle(m), s_ord)
         if k == 1:
             assert ppow_compare(p, lip, first) == 0, "first term attained at k=1"
         if k == d - 1:
@@ -230,7 +230,7 @@ def test_criterion_10_bounds_dominate(corpus, corpus_bundles):
     for m, b in zip(corpus[:50], corpus_bundles[:50]):
         p = m.p
         _, res_berk = resultant_bounds(m)
-        inv_rp = invariant_bound(m, b.rp.frac)
+        inv_rp = invariant_bound(b, b.rp.frac)
         sampled, _ = sample_ratios(m, 500, seed=CORPUS_SEED, lip_ord=b.gpr.frac)
         assert ppow_compare(p, sampled, ppow_term(p, 1, b.gpr.frac)) <= 0
         assert ppow_compare(p, ppow_term(p, 1, b.gpr.frac), res_berk) <= 0
@@ -268,7 +268,7 @@ def test_criterion_11_berkovich_bounds_on_disc_pairs(corpus, corpus_bundles):
     for m, b in zip(corpus[:60], corpus_bundles[:60]):
         p = m.p
         _, res_berk = resultant_bounds(m)
-        inv_rp = invariant_bound(m, b.rp.frac)
+        inv_rp = invariant_bound(b, b.rp.frac)
         for _ in range(20):
             x, y = _disc_pair(rng, p)
             dist = d_metric(p, x, y)

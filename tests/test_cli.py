@@ -79,6 +79,30 @@ def test_profile_and_sample_commands(capsys):
     assert data["max_ratio"]["terms"][0]["exp"] in {"0", "1", "2", "3"}
 
 
+def test_sample_checks_a_factored_map_against_gpr(capsys, monkeypatch):
+    """``sample`` on a factored map asserts that the sampled maximum stays
+    within 1/GPR: with the bundle's gpr set below that maximum it exits 5."""
+    from fractions import Fraction
+
+    from berklip import invariants
+    from berklip.valued import Ord
+
+    args = ["sample", "--input", str(FIXTURES / "square_shift_p3.json"), "--n", "300", "--seed", "9"]
+    code, out = run_cli(capsys, *args)
+    assert code == 0
+    top = Fraction(json.loads(out)["max_ratio"]["terms"][0]["exp"])
+    real = invariants.bundle
+
+    def low_gpr(m):
+        return real(m)._replace(gpr=Ord.of(top - 1))
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("berklip") and getattr(mod, "bundle", None) is real:
+            monkeypatch.setattr(mod, "bundle", low_gpr)
+    assert main(args) == 5
+    assert "sampled ratio exceeded the exact Lipschitz bound" in capsys.readouterr().err
+
+
 def test_verify_identity_passes(capsys):
     code, out = run_cli(capsys, "verify", "--input", str(FIXTURES / "identity_p3.json"), "--n", "200")
     assert code == 0

@@ -70,11 +70,11 @@ def example1_map(p, d, k, beta_scale, c):
 
 def test_lip_classical_examples():
     p = 3
-    assert lip_classical(sq_minus_inv_p2(p)) == ppow_term(p, 1, 3)  # 27
+    assert lip_classical(bundle(sq_minus_inv_p2(p))) == ppow_term(p, 1, 3)  # 27
     zd = from_factored(p, 1, [(pt(0), 2)], [(INF_POINT, 2)])
-    assert lip_classical(zd) == ppow_term(p, 1, 0)
+    assert lip_classical(bundle(zd)) == ppow_term(p, 1, 0)
     mob = from_factored(p, Fraction(1, 9), [(pt(0), 1)], [(INF_POINT, 1)])
-    assert lip_classical(mob) == ppow_term(p, 1, 2)
+    assert lip_classical(bundle(mob)) == ppow_term(p, 1, 2)
 
 
 def test_resultant_bounds_examples():
@@ -94,12 +94,12 @@ def test_resultant_bounds_examples():
 def test_invariant_bound_examples():
     p = 3
     m = sq_minus_inv_p2(p)
-    b = invariant_bound(m, rp_ord(m).frac)
+    b = invariant_bound(bundle(m), rp_ord(m).frac)
     assert b == ppow_term(p, 1, 6)  # max(3^6, 2*3^3) = 729
     with pytest.raises(ValueError):
-        invariant_bound(m, -1)
+        invariant_bound(bundle(m), -1)
     mob = from_coeffs(p, [0, 1], [9, 0])
-    assert invariant_bound(mob, 0) == ppow_term(p, 1, 2)  # 1/GIR
+    assert invariant_bound(bundle(mob), 0) == ppow_term(p, 1, 2)  # 1/GIR
 
 
 def test_radial_profile_examples():
@@ -259,11 +259,11 @@ def test_example1_profile_and_segment_lip():
 def test_example1_sharpness_k1_first_term():
     p = 5
     m = example1_map(p, 3, 1, 5, Fraction(1, 25))
-    first, second = invariant_bound_terms(m, 1)  # B0 = S = p^-1
+    first, second = invariant_bound_terms(bundle(m), 1)  # B0 = S = p^-1
     pr = radial_profile(m, 0, 1)
     lip = segment_lip(pr)
     assert ppow_compare(p, lip, first) == 0  # attains 1/(GIR * B0^d)
-    assert ppow_compare(p, lip, invariant_bound(m, 1)) <= 0
+    assert ppow_compare(p, lip, invariant_bound(bundle(m), 1)) <= 0
 
 
 def test_example2_approaches_second_term():
@@ -278,7 +278,7 @@ def test_example2_approaches_second_term():
     lip = segment_lip(pr)
     t1 = Fraction(2 * 1 + 2, d)  # (S^(d-1)/|C|)^(1/d)
     assert lip == ppow_term(p, d, t1)
-    _, second = invariant_bound_terms(m, 1)
+    _, second = invariant_bound_terms(bundle(m), 1)
     # second / lip = p^(1/d) = B0^(-1/d) ... i.e. lip * B0^(-1/d) = second
     from berklip.valued import ppow_mul
 
@@ -294,14 +294,17 @@ def test_segment_lip_constant_segment_is_zero():
 
 def test_mobius_exact_examples():
     p = 3
-    assert mobius_exact(from_coeffs(p, [0, 1], [9, 0])) == ppow_term(p, 1, 2)
-    assert mobius_exact(from_coeffs(p, [2, 1], [1, 0])) == ppow_term(p, 1, 0)  # z + 2
+    m = from_coeffs(p, [0, 1], [9, 0])
+    assert mobius_exact(m, bundle(m)) == ppow_term(p, 1, 2)
+    m = from_coeffs(p, [2, 1], [1, 0])
+    assert mobius_exact(m, bundle(m)) == ppow_term(p, 1, 0)  # z + 2
+    m = from_coeffs(p, [0, 0, 1], [1, 0, 0])
     with pytest.raises(ValueError):
-        mobius_exact(from_coeffs(p, [0, 0, 1], [1, 0, 0]))
+        mobius_exact(m, bundle(m))
     rng = DetRng(42)
     for _ in range(40):
         m = random_mobius(rng, [3, 5, 7][rng.randint(0, 2)])
-        mobius_exact(m)  # internal five-way agreement assertion
+        mobius_exact(m, bundle(m))  # internal five-way agreement assertion
 
 
 def test_sample_ratios_examples():
@@ -512,16 +515,16 @@ def test_sample_ratios_tie_goes_to_the_first_pair_in_pool_order():
 def test_gpr_witness_examples():
     p = 3
     m = sq_minus_inv_p2(p)
-    w, note = gpr_witness(m)
+    w, note = gpr_witness(m, bundle(m))
     assert note is None
     x, y = w
     assert spherical_ord(p, x, y) == Ord.of(3)
     assert spherical_ord(p, eval_proj(m, x), eval_proj(m, y)) == Ord.of(0)
     mob = from_factored(p, Fraction(1, 9), [(pt(0), 1)], [(INF_POINT, 1)])
-    w, note = gpr_witness(mob)
+    w, note = gpr_witness(mob, bundle(mob))
     assert w == (pt(0), pt(9))
     ident = from_factored(p, 1, [(pt(0), 1)], [(INF_POINT, 1)])
-    w, _ = gpr_witness(ident)
+    w, _ = gpr_witness(ident, bundle(ident))
     assert w == (pt(0), pt(1))
 
 
@@ -536,7 +539,7 @@ def test_gpr_witness_matches_fraction_reference():
     maps += [random_factored_map(rng, p, dmax=5) for p in (2, 101) for _ in range(40)]
     seen = {"inverted": 0, "infinity": 0, "none": 0, "capped": 0}
     for m in maps:
-        got = gpr_witness(m)
+        got = gpr_witness(m, bundle(m))
         assert got == ref_gpr_witness(m), m
         q = gpr(m).argmin
         # outside the closed unit disc exactly when diam_G differs from r
@@ -697,18 +700,53 @@ def test_bound_report_memo_cold_equals_warm(count_calls, monkeypatch):
         assert warm._asdict() == cold._asdict(), m
 
 
+def test_bound_report_reads_one_bundle(count_calls):
+    """A report calls ``bundle`` once, degree 1 included, and hands that
+    bundle on: the bounds, the witness search, the degree-1 cross-check and
+    the sampler, called on their own with it, never call ``bundle``."""
+    calls = count_calls(bundle)
+    for m in _memo_maps():
+        calls.clear()
+        bound_report(m, n=300, seed=4, b0_ord=Fraction(1, 2))
+        assert len(calls) == 1, m
+        b = bundle(m)
+        calls.clear()
+        invariant_bound(b, Fraction(1, 2))
+        invariant_bound_terms(b, Fraction(1, 2))
+        sample_ratios(m, 300, 4, None if b.gpr is None else b.gpr.frac)
+        if b.gpr is not None:
+            lip_classical(b)
+            gpr_witness(m, b)
+            if m.d == 1:
+                mobius_exact(m, b)
+        assert calls == [], m
+
+
+def test_bound_report_refuses_a_bad_ball_radius_first(count_calls):
+    """A float, a bool or a negative ``b0_ord`` is refused before the
+    report builds the zero/pole tree or runs gpr."""
+    m = sq_minus_inv_p2(3)
+    kernels = [count_calls(f) for f in (invariants._tree, gpr)]
+    for bad, error in ((0.1, ParseError), (True, ParseError), (-1, ValueError),
+                       (Fraction(-1, 2), ValueError)):
+        with pytest.raises(error):
+            bound_report(m, n=50, b0_ord=bad)
+        assert kernels == [[], []], bad
+
+
 def test_gpr_readers_memo_require_the_factored_form():
-    """The Lipschitz readers of gpr go through ``bundle`` but still reject a
-    map with only coefficients, whose bundle carries no gpr."""
+    """The Lipschitz readers of gpr take the bundle but still reject a map
+    with only coefficients, whose bundle carries no gpr."""
     m = from_coeffs(3, [1, 1, 1], [1, 0, 0])
-    for fn in (lip_classical, gpr_witness):
+    b = bundle(m)
+    for call in (lambda: lip_classical(b), lambda: gpr_witness(m, b)):
         with pytest.raises(FactoredFormRequiredError):
-            fn(m)
+            call()
 
 
 @pytest.mark.parametrize("call", [
-    lambda m, x: invariant_bound(m, x),
-    lambda m, x: invariant_bound_terms(m, x),
+    lambda m, x: invariant_bound(bundle(m), x),
+    lambda m, x: invariant_bound_terms(bundle(m), x),
     lambda m, x: bound_report(m, b0_ord=x),
     lambda m, x: radial_profile(m, x, 0),
     lambda m, x: radial_profile(m, 0, x),

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from berklip import valued
 from berklip.berk import BerkPoint, gauss_point
 from berklip.errors import ResourceLimitError
-from berklip.lipschitz import _invariant_bound_terms
+from berklip.invariants import InvariantBundle
+from berklip.lipschitz import invariant_bound_terms
 from berklip.projective import ProjPoint
 from berklip.sampling import DetRng
 from berklip.valued import (
@@ -455,7 +456,8 @@ def test_invariant_bound_terms_compare_fast(p, d, gir, b0, expected):
     exactly when (d - 1)(gir/d + B0) > log_p d.  The larger one renders
     in well under a second too (the bisection rendering took 38.5 s on
     the first case and 17.8 s on the third)."""
-    first, second = _invariant_bound_terms(p, d, Ord.of(gir), b0)
+    b = InvariantBundle(p, d, Ord.of(gir), None, None, None, None, None)  # only p, d, gir read
+    first, second = invariant_bound_terms(b, b0)
     start = process_time()
     got = ppow_compare(p, first, second)
     assert process_time() - start < 0.5
@@ -555,12 +557,12 @@ def test_invariant_bound_renders_fast(fixture, b0, expected):
     finished; each is also the rounding of a 50-digit Decimal.power
     value."""
     from berklip.invariants import bundle
-    from berklip.lipschitz import _invariant_bound
+    from berklip.lipschitz import invariant_bound
     from berklip.serialize import parse_map_data
 
     path = Path(__file__).parent.parent / "fixtures" / f"{fixture}.json"
     m = parse_map_data(json.loads(path.read_text()))
-    bound = _invariant_bound(m.p, m.d, bundle(m).gir, b0)
+    bound = invariant_bound(bundle(m), b0)
     start = process_time()
     got = ppow_decimal(m.p, bound)
     assert process_time() - start < 0.5
