@@ -1,24 +1,24 @@
 """Tree-geometric invariants of a rational map.
 
+* hull      -- the convex hull (Steiner tree) in the Berkovich line of a
+               map's zeros and poles, as integer arrays.
 * rp_ord    -- smallest spherical distance between a zero and a pole.
-* hull      -- the convex hull (Steiner tree) of finitely many classical
-               points inside the Berkovich line, as records.
 * gpr       -- the Gauss preimage radius, the least diameter of a Gauss
-               point preimage, by an exact edge scan of the tree.
+               point preimage, by an exact edge scan of the hull.
 * bundle    -- all invariants of one map, with the inequality chain
                |Res| <= GPR <= RP <= 1 and GIR >= |Res|^(1/d) asserted;
                the last map's bundle is kept for a repeat call.
 
-One kernel, ``_tree``, turns the zeros and poles into integer arrays,
-the tree of their pairwise ords: per vertex its parent, radius exponent,
-center's input index and the signed multiplicity below it.  It is built
-top-down by pivot scans: each cluster of inputs is valued once against
-its lowest index, and splits by those ords and their leading p-adic
-digits, so each pair is valued at most once, and a tree of height h
-takes at most n*h valuations (proof in ``_tree``).  rp is read at each
-disc from its radius and the ords of the denominators below it, or at
-infinity (proof in ``rp_ord``).  ``hull`` builds records on the arrays;
-``gpr`` reads them directly.
+One kernel, ``hull``, turns the zeros and poles into the tree of their
+pairwise ords: per vertex its parent, radius exponent, center's input
+index and the signed multiplicity below it.  It is built top-down by
+pivot scans: each cluster of inputs is valued once against its lowest
+index, and splits by those ords and their leading p-adic digits, so
+each pair is valued at most once, and a tree of height h takes at most
+n*h valuations (proof in ``hull``).  rp is read at each disc from its
+radius and the ords of the denominators below it, or at infinity (proof
+in ``rp_ord``).  ``bundle`` builds the hull once per map, and ``rp_ord``
+and ``gpr`` read that one object.
 
 The preimages of the Gauss point lie on the hull of the zeros and poles:
 off it all of them sit in one direction, while a preimage separates a
@@ -36,13 +36,12 @@ from typing import NamedTuple
 
 from .berk import BerkPoint, _diam_gauss_frac, berk_equal, gauss_point, push_forward
 from .errors import InternalInvariantError
-from .projective import INF_POINT, ProjPoint, _vord
+from .projective import _vord
 from .ratmap import RationalMap, gir_minors, resultant_ord
 from .valued import Ord, int_val
 
 __all__ = [
-    "TreeEdge",
-    "FiniteTree",
+    "Hull",
     "InvariantBundle",
     "rp_ord",
     "hull",
@@ -52,12 +51,12 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# the zero/pole tree as integer arrays
+# the hull of the zeros and poles
 # ---------------------------------------------------------------------------
 
 
-class _Tree(NamedTuple):
-    """The arrays of ``_tree``, one entry per vertex: the finite inputs,
+class Hull(NamedTuple):
+    """The arrays of ``hull``, one entry per vertex: the finite inputs,
     then the discs, deepest first, then infinity when it is an input.  A
     vertex comes before its parent, and its edge runs from it to up[v]."""
 
@@ -68,11 +67,20 @@ class _Tree(NamedTuple):
     below: list[int]  # signed multiplicity at or under v: the slope of its edge
     rp: int | None  # largest zero/pole distance exponent; None with no pair
 
+    @property
+    def edges(self) -> list[int | None]:
+        """The upper end of each edge, one per vertex below the top (the
+        last vertex), in vertex order."""
+        return self.up[:-1]
 
-def _tree(p: int, zeros, poles) -> _Tree:
-    """The hull of >= 2 distinct classical points, given as (ProjPoint,
-    multiplicity) pairs, ``zeros`` counted + and ``poles`` -.  The finite
-    inputs z_0, ..., z_(n-1) keep input order, zeros first.
+
+def hull(p: int, zeros, poles) -> Hull:
+    """The convex hull in the Berkovich line of >= 2 distinct classical
+    points, given as (ProjPoint, multiplicity) pairs, ``zeros`` counted +
+    and ``poles`` -: the inputs and all their pairwise joins.  The finite
+    inputs z_0, ..., z_(n-1) keep input order, zeros first.  Fewer than 2
+    inputs, or a point listed twice among the zeros or among the poles, is
+    a ValueError.
 
     The tree is built top-down, one cluster of finite inputs at a time,
     each cluster scanned from its pivot c, its lowest input index.  Every
@@ -112,7 +120,7 @@ def _tree(p: int, zeros, poles) -> _Tree:
 
     The vertices are the finite inputs, then the discs by descending t,
     ties by ascending center (the order of the single-linkage merge by
-    descending level, which ``tests/oracles.py`` keeps as ``ref_tree``),
+    descending level, the reference construction in ``tests/oracles.py``),
     then infinity when it is an input, the parent of the top vertex.  A
     child's t exceeds its parent's, so each vertex comes before its
     parent, and ``below`` and rp are summed up the tree in vertex order.
@@ -122,10 +130,16 @@ def _tree(p: int, zeros, poles) -> _Tree:
     nz = len(finite)
     finite += [(q.z, -k) for q, k in poles if not q.is_inf]
     n = len(finite)
-    inf_zero, inf_pole = nz < len(zeros), n - nz < len(poles)
+    inf_zero, inf_pole = len(zeros) - nz, len(poles) - n + nz
+    if n + inf_zero + inf_pole < 2:
+        raise ValueError("hull needs at least 2 distinct points")
     nums = [z.numerator for z, _ in finite]
     dens = [z.denominator for z, _ in finite]
-    if len(set(zip(nums, dens))) < n or inf_zero and inf_pole:
+    keys = list(zip(nums, dens))
+    zs, ps = set(keys[:nz]), set(keys[nz:])
+    if len(zs) < nz or len(ps) < n - nz or inf_zero > 1 or inf_pole > 1:
+        raise ValueError("a point is repeated among the zeros or among the poles")
+    if zs & ps or inf_zero and inf_pole:
         raise InternalInvariantError("a zero is also a pole")
     od = [int_val(b, p) for b in dens]
     inv = [pow(b // p**o, -1, p) for b, o in zip(dens, od)]
@@ -189,7 +203,7 @@ def _tree(p: int, zeros, poles) -> _Tree:
         pb[u] = max(pb[u], pb[v])
     # the entries at infinity: (1, 0) against a/b is ord b
     rp = max(rp, pb[-1] if inf_zero else zb[-1] if inf_pole else -1)
-    return _Tree([z for z, _ in finite], up, t, center, below, rp if rp >= 0 else None)
+    return Hull([z for z, _ in finite], up, t, center, below, rp if rp >= 0 else None)
 
 
 # ---------------------------------------------------------------------------
@@ -197,9 +211,9 @@ def _tree(p: int, zeros, poles) -> _Tree:
 # ---------------------------------------------------------------------------
 
 
-def rp_ord(m: RationalMap, tree: _Tree | None = None) -> Ord:
+def rp_ord(m: RationalMap, tree: Hull | None = None) -> Ord:
     """Largest exponent t with p^(-t) the minimal zero-pole spherical
-    distance: the ``rp`` of the zero/pole tree (built here unless given).
+    distance: the ``rp`` of the zero/pole hull (built here unless given).
 
     Proof.  With each point read as its coprime pair (num, den), (1, 0)
     for infinity, both gcds of ``projective._sph_pair_ord`` are 1, so a
@@ -209,7 +223,7 @@ def rp_ord(m: RationalMap, tree: _Tree | None = None) -> Ord:
     the disc vertex of the tree where their paths meet, so ord(a/b - a'/b')
     is its t: the pair's exponent is t + ord b + ord b'.  The largest over
     the pairs joined at a disc is t plus the largest ord b of a zero under
-    one child and ord b' of a pole under another.  ``_tree`` reads it as
+    one child and ord b' of a pole under another.  ``hull`` reads it as
     it sums up the tree in vertex order, keeping for each vertex the
     largest ord b of the zeros and of the poles under it, and pairing each
     child with the children of the same disc before it.  For infinity and
@@ -219,55 +233,7 @@ def rp_ord(m: RationalMap, tree: _Tree | None = None) -> Ord:
     side, so rp is the maximum of these.
     """
     ff = m.require_factored()
-    return Ord.of((tree or _tree(m.p, ff.zeros, ff.poles)).rp)
-
-
-# ---------------------------------------------------------------------------
-# convex hulls of classical points
-# ---------------------------------------------------------------------------
-
-
-class TreeEdge(NamedTuple):
-    """A radial edge {zeta_{center, t}} from its small-radius end
-    ``lower`` (possibly classical) to ``upper`` (possibly infinity); the
-    center is a classical witness below the edge."""
-
-    lower: BerkPoint
-    upper: BerkPoint
-    center: Fraction
-
-
-class FiniteTree(NamedTuple):
-    vertices: tuple[BerkPoint, ...]
-    edges: tuple[TreeEdge, ...]
-
-
-def hull(p: int, points, tree: _Tree | None = None) -> FiniteTree:
-    """Convex hull in the Berkovich line of >= 2 distinct classical points,
-    as records on the arrays of ``_tree`` (where the proof is): the inputs
-    and all pairwise joins, deepest first (finite inputs in input order,
-    discs by descending radius exponent, ties by lowest index, then
-    infinity), and one radial edge per vertex below the top, in that
-    order, with the lower vertex's classical center as witness.  A given
-    ``tree`` must be that of the same inputs in the same order.
-    """
-    pts: list[ProjPoint] = list(dict.fromkeys(points))
-    if len(pts) < 2:
-        raise ValueError("hull needs at least 2 distinct points")
-    finite = [q.z for q in pts if not q.is_inf]
-    if tree is None:
-        tree = _tree(p, [(q, 0) for q in pts], ())
-    elif tree.points != finite or (tree.center[-1] is None) != (len(finite) < len(pts)):
-        raise ValueError("the tree was built on other points")
-    z, n = tree.points, len(finite)
-    vertices = [BerkPoint.classical(q) for q in pts if not q.is_inf]
-    vertices += [BerkPoint.disc(z[c], s)
-                 for c, s in zip(tree.center[n:], tree.t[n:]) if s is not None]
-    if len(vertices) < len(tree.up):  # infinity is an input
-        vertices.append(BerkPoint.classical(INF_POINT))
-    edges = tuple(TreeEdge(w, vertices[u], z[c])
-                  for w, u, c in zip(vertices, tree.up, tree.center) if u is not None)
-    return FiniteTree(tuple(vertices), edges)
+    return Ord.of((tree or hull(m.p, ff.zeros, ff.poles)).rp)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +247,7 @@ class GprResult(NamedTuple):
     preimages: tuple[BerkPoint, ...]
 
 
-def _gauss_fiber(tree: _Tree, oc: int) -> list[tuple[int, int, tuple]]:
+def _gauss_fiber(tree: Hull, oc: int) -> list[tuple[int, int, tuple]]:
     """(K, s, fiber) for each edge of the tree, in edge order: ord
     phi(zeta_{center, t}) = K + s*t on the edge, oc = ord C, and fiber the
     (t, key) of its Gauss preimages, upper end first, keyed by the vertex
@@ -314,11 +280,11 @@ def _gauss_fiber(tree: _Tree, oc: int) -> list[tuple[int, int, tuple]]:
     return out
 
 
-def gpr(m: RationalMap, tree: _Tree | None = None) -> GprResult:
+def gpr(m: RationalMap, tree: Hull | None = None) -> GprResult:
     """Minimal Gauss-point preimage diameter and a witness point.
 
     The search space is the hull of the zeros and poles, the arrays of
-    ``_tree`` (built here unless given).  Each edge's preimages are read
+    ``hull`` (built here unless given).  Each edge's preimages are read
     from them by ``_gauss_fiber``, with no Taylor shift, and every
     distinct one is re-verified once through push_forward.
 
@@ -397,7 +363,7 @@ def gpr(m: RationalMap, tree: _Tree | None = None) -> GprResult:
     """
     p = m.p
     ff = m.require_factored()
-    tree = tree or _tree(p, ff.zeros, ff.poles)
+    tree = tree or hull(p, ff.zeros, ff.poles)
     points, center = tree.points, tree.center
     best: tuple[Fraction, BerkPoint] | None = None
     found: dict = {}  # key -> the record of the preimage with that key
@@ -434,8 +400,6 @@ class InvariantBundle(NamedTuple):
     rp: Ord | None
     gpr: Ord | None
     gpr_argmin: BerkPoint | None
-    b0_lower: Ord | None  # = rp, a computable lower bound for the
-    # ball-mapping radius (whose exact value is out of reach)
     note: str | None = None  # why zero/pole invariants are absent
 
 
@@ -456,10 +420,8 @@ def bundle(m: RationalMap) -> InvariantBundle:
     checked when built.  One entry, not a cache: any other object (an
     equal map built again too) is computed and replaces it, and a bundle
     that raises is never kept.  It is read once, so a concurrent caller
-    can only miss.  The zero/pole tree is built once, and rp and gpr are
-    read from it; the hull records built on it are unread, kept only
-    because the benchmark harness's smoke test requires each function it
-    spans to be reached.
+    can only miss.  The hull of the zeros and poles is built once, by one
+    ``hull`` call, and ``rp_ord`` and ``gpr`` read that one object.
     """
     global _last
     last = _last
@@ -470,8 +432,7 @@ def bundle(m: RationalMap) -> InvariantBundle:
     rp = gp = argmin = note = None
     if m.factored is not None:
         ff = m.factored
-        tree = _tree(m.p, ff.zeros, ff.poles)
-        hull(m.p, [q for q, _ in ff.zeros + ff.poles], tree)
+        tree = hull(m.p, ff.zeros, ff.poles)
         rp = rp_ord(m, tree)
         result = gpr(m, tree)
         gp, argmin = result.ord, result.argmin
@@ -485,5 +446,5 @@ def bundle(m: RationalMap) -> InvariantBundle:
         )
     if gir > res * Fraction(1, m.d):
         raise InternalInvariantError("GIR >= |Res|^(1/d) violated")
-    _last = last = (m, InvariantBundle(m.p, m.d, gir, res, rp, gp, argmin, rp, note))
+    _last = last = (m, InvariantBundle(m.p, m.d, gir, res, rp, gp, argmin, note))
     return last[1]

@@ -41,12 +41,13 @@ from .invariants import InvariantBundle, bundle, gpr  # noqa: F401 (gpr re-expor
 from .piecewise import PWLinear, lower_envelope
 from .polynomials import hom_eval
 from .projective import INF_POINT, ProjPoint, _cross_ord, _sph_pair_ord, _vord
-from .ratmap import RationalMap, _rational, resultant_ord, resultant_ord_product
+from .ratmap import RationalMap, resultant_ord, resultant_ord_product
 from .sampling import DetRng, random_point_ints
 from .valued import (
     Ord,
     PPowerSum,
     PPOW_ZERO,
+    _rational,
     int_val,
     ppow_compare,
     ppow_max,

@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
 
-from .valued import ORD_INF, Ord, _frac, int_val, format_fraction, parse_fraction
+from .valued import ORD_INF, Ord, _rational, int_val, format_fraction, parse_fraction
 
 __all__ = ["ProjPoint", "INF_POINT", "spherical_ord"]
 
@@ -35,7 +35,7 @@ class ProjPoint(NamedTuple):
 
     @staticmethod
     def of(value) -> "ProjPoint":
-        return ProjPoint(_frac(value))
+        return ProjPoint(_rational(value, "a point"))
 
     @property
     def is_inf(self) -> bool:

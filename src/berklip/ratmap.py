@@ -27,7 +27,7 @@ from typing import Iterator, NamedTuple
 from .errors import DegenerateMapError, FactoredFormRequiredError, InternalInvariantError, ParseError
 from .polynomials import hom_eval, trim
 from .projective import INF_POINT, ProjPoint, _num_den
-from .valued import Ord, _clip, _frac, _ords, int_val, is_prime
+from .valued import Ord, _clip, _ords, _rational, int_val, is_prime
 from . import polynomials as poly
 
 __all__ = [
@@ -180,14 +180,6 @@ def _check_prime(p) -> None:
         raise ParseError(str(e)) from None
     if not prime:
         raise ParseError(f"{_clip(str(p))} is not prime")
-
-
-def _rational(x, what: str = "a coefficient or constant") -> Fraction:
-    """x as a ``Fraction``; a float or a bool is refused, never expanded:
-    the check at each public entry point that takes a rational."""
-    if isinstance(x, (float, bool)):
-        raise ParseError(f"{what} must be rational, not {type(x).__name__}")
-    return _frac(x)
 
 
 def from_coeffs(p: int, f_coeffs, g_coeffs) -> RationalMap:

@@ -86,7 +86,9 @@ def bundle_json(b: InvariantBundle) -> dict:
         "rp": ord_json(b.p, b.rp),
         "gpr": ord_json(b.p, b.gpr),
         "gpr_argmin": berk_point_json(b.gpr_argmin),
-        "b0_lower": ord_json(b.p, b.b0_lower),
+        # rp again: a computable lower bound for the ball-mapping radius,
+        # whose exact value is out of reach
+        "b0_lower": ord_json(b.p, b.rp),
         "note": b.note,
     }
 

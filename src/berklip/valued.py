@@ -190,6 +190,14 @@ def _frac(x) -> Fraction:
     return x if type(x) is Fraction else Fraction(x)
 
 
+def _rational(x, what: str = "a coefficient or constant") -> Fraction:
+    """x as a ``Fraction``; a float or a bool is refused, never expanded:
+    the check at each public entry point that takes a rational."""
+    if isinstance(x, (float, bool)):
+        raise ParseError(f"{what} must be rational, not {type(x).__name__}")
+    return _frac(x)
+
+
 class Ord(NamedTuple):
     """A valuation exponent t in QQ, or +infinity; |x| = p^(-t).
 

@@ -5,7 +5,9 @@ The first part is a brute-force oracle; the next section is the
 whole-shift record ``Shift`` that the fiber and profile references and
 ``ref_push_forward_full`` read, then a Fraction reference for the
 integer shift kernel (see there); the next holds
-unoptimized forms of the sampler, the zero/pole tree and the hull, and the last ones
+unoptimized forms of the sampler, the zero/pole tree and the hull, with
+the hull's records (``TreeEdge``, ``FiniteTree``) and their builder on
+the program's arrays (``hull_records``), and the last ones
 PWLinear arithmetic by sampled alignment with the envelopes, the Gauss
 fiber with the unscreened gpr scan on it, and the radial profile.  The
 last section keeps the helpers that only the tests use (directions, rho,
@@ -70,7 +72,7 @@ from berklip.berk import (
     push_forward,
 )
 from berklip.errors import DegenerateMapError, InternalInvariantError, ParseError
-from berklip.invariants import GprResult, _Tree, hull
+from berklip.invariants import GprResult, Hull, _gauss_fiber, hull
 from berklip.piecewise import PWLinear
 from berklip.polynomials import taylor_shift
 from berklip.projective import INF_POINT, ProjPoint, _vord, spherical_ord
@@ -682,7 +684,7 @@ def ref_gpr_witness(m: RationalMap):
 
 
 def ref_tree(p: int, zeros, poles):
-    """The arrays of ``invariants._tree`` by an independent construction,
+    """The arrays of ``invariants.hull`` by an independent construction,
     the single-linkage row loop, which values every pair: the hull of >= 2
     distinct classical points, given as (ProjPoint, multiplicity) pairs,
     ``zeros`` counted + and ``poles`` -.  The finite inputs z_0, ...,
@@ -782,15 +784,45 @@ def ref_tree(p: int, zeros, poles):
         below.append(below[top[0]])
     if up.index(None) != len(up) - 1:
         raise InternalInvariantError("hull is not a single tree")
-    return _Tree(points, up, t, center, below, rp)
+    return Hull(points, up, t, center, below, rp)
+
+
+class TreeEdge(NamedTuple):
+    """A radial edge {zeta_{center, t}} from its small-radius end
+    ``lower`` (possibly classical) to ``upper`` (possibly infinity); the
+    center is a classical witness below the edge."""
+
+    lower: BerkPoint
+    upper: BerkPoint
+    center: Fraction
+
+
+class FiniteTree(NamedTuple):
+    vertices: tuple[BerkPoint, ...]
+    edges: tuple[TreeEdge, ...]
+
+
+def hull_records(p: int, points) -> FiniteTree:
+    """The hull of the distinct classical ``points`` (repeats dropped)
+    as records built on the arrays of ``invariants.hull``: its vertices
+    in its order (the finite inputs in input order, the discs by
+    descending radius exponent, ties by lowest index, then infinity), and
+    one radial edge per vertex below the top, in that order, with the
+    lower vertex's classical center as witness."""
+    h = hull(p, [(q, 0) for q in dict.fromkeys(points)], ())
+    z = h.points
+    vertices = [BerkPoint.classical(ProjPoint(x)) for x in z]
+    vertices += [BerkPoint.disc(z[c], s) for c, s in zip(h.center, h.t) if s is not None]
+    if len(vertices) < len(h.up):  # infinity is an input
+        vertices.append(BerkPoint.classical(INF_POINT))
+    edges = tuple(TreeEdge(w, vertices[u], z[c]) for w, u, c in zip(vertices, h.edges, h.center))
+    return FiniteTree(tuple(vertices), edges)
 
 
 def ref_hull(p: int, points):
     """The hull with every pairwise join compared against every vertex
     through ``berk_equal`` (O(n^3)), and each vertex's parent searched
     among all vertices."""
-    from berklip.invariants import FiniteTree, TreeEdge
-
     pts: list[ProjPoint] = []
     for q in points:
         if q not in pts:
@@ -950,7 +982,7 @@ def ref_gpr_scan(m: RationalMap, points):
     f, g = m.F, m.G
     best = None
     found = []
-    for edge in hull(p, points).edges:
+    for edge in hull_records(p, points).edges:
         center = edge.center
         for a, b in ref_gauss_fiber_zero_set(Shift.at(p, f, g, center), *t_range(edge)):
             assert a is not None and b is not None, "unbounded Gauss-fiber interval"
@@ -978,11 +1010,9 @@ def t_range(edge) -> tuple:
 def fiber_by_edge(m: RationalMap) -> list:
     """gpr's (K, s, fiber t's) for each edge of the hull of the map's
     zeros then poles, in ``hull``'s edge order: the lines and fibers that
-    ``invariants._gauss_fiber`` reads on the arrays of ``_tree``."""
-    from berklip.invariants import _gauss_fiber, _tree
-
+    ``invariants._gauss_fiber`` reads on its arrays."""
     ff = m.require_factored()
-    lines = _gauss_fiber(_tree(m.p, ff.zeros, ff.poles), _vord(ff.c, m.p))
+    lines = _gauss_fiber(hull(m.p, ff.zeros, ff.poles), _vord(ff.c, m.p))
     return [(k, s, [t for t, _ in fiber]) for k, s, fiber in lines]
 
 
@@ -993,7 +1023,7 @@ def ref_gpr_found_by_scan(m: RationalMap) -> GprResult:
     diameters by ``diam_gauss``.  No point is re-verified here."""
     p = m.p
     ff = m.require_factored()
-    edges = hull(p, [pt for pt, _ in ff.zeros] + [pt for pt, _ in ff.poles]).edges
+    edges = hull_records(p, [pt for pt, _ in ff.zeros] + [pt for pt, _ in ff.poles]).edges
     best = None
     found = []
     for edge, (_, _, ts) in zip(edges, fiber_by_edge(m)):

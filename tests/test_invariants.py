@@ -29,12 +29,15 @@ from berklip.polynomials import hom_eval, taylor_shift
 from berklip.projective import INF_POINT, ProjPoint
 from berklip.ratmap import _zero_pole_ords, from_coeffs, from_factored, gir_minors
 from berklip.sampling import DetRng, random_rational
+from berklip.serialize import bundle_json, ord_json
 from berklip.valued import Ord
 from corpus import acceptance_corpus, random_factored_map, random_ladder_map, random_mobius
 from oracles import (
     Shift,
+    TreeEdge,
     dehomogenized,
     fiber_by_edge,
+    hull_records,
     ref_candidate,
     ref_gauss_fiber_zero_set,
     ref_gpr_found_by_scan,
@@ -136,7 +139,7 @@ def test_tree_matches_row_loop_reference():
     (``oracles.ref_tree``), rp included: on corpus seeds 0-3,
     ladder seeds 0-3, the acceptance corpus and 240 maps with
     multiplicities at p in {2, 3, 5, 7} (infinity a zero in some and a
-    pole in others), each also as ``hull``'s multiplicity-0 call; on the
+    pole in others), each also with every multiplicity 0; on the
     caterpillar z_k = p^k of 128 points (32 at the large p); on points
     that agree to p^200, with and without p in their denominators; and at
     p = 2^61 - 1."""
@@ -172,7 +175,7 @@ def test_tree_matches_row_loop_reference():
         cases.append((p, [(q, 1) for q in close[1::3]] + [(INF_POINT, 1)],
                       [(q, 3) for q in close[::3]]))
     for p, zeros, poles in cases:
-        assert invariants._tree(p, zeros, poles) == ref_tree(p, zeros, poles), (p, zeros, poles)
+        assert hull(p, zeros, poles) == ref_tree(p, zeros, poles), (p, zeros, poles)
 
 
 # the pair valuations of the pivot scan on the seed-0 ladder's d = 30 maps
@@ -180,14 +183,14 @@ LADDER_D30_PAIR_VALUATIONS = [170, 136, 131]
 
 
 def _pair_valuations(monkeypatch, p, zeros, poles):
-    """The number of pair valuations ``_tree`` takes on these inputs.  Its
+    """The number of pair valuations ``hull`` takes on these inputs.  Its
     int_val calls must be, as a multiset, within the n denominators and
     the n(n - 1)/2 pair integers a b' - a' b (up to sign): so each pair
     is valued at most once."""
     calls = []
     real = invariants.int_val
     monkeypatch.setattr(invariants, "int_val", lambda x, q: calls.append(abs(x)) or real(x, q))
-    invariants._tree(p, zeros, poles)
+    hull(p, zeros, poles)
     monkeypatch.setattr(invariants, "int_val", real)
     z = [q.z for q, _ in list(zeros) + list(poles) if not q.is_inf]
     allowed = Counter(x.denominator for x in z)
@@ -216,7 +219,7 @@ def test_tree_values_no_pair_twice(monkeypatch):
 
 def test_hull_star_example():
     p = 3
-    tree = hull(p, [pt(0), pt(1), INF_POINT])
+    tree = hull_records(p, [pt(0), pt(1), INF_POINT])
     assert len(tree.edges) == 3
     for e in tree.edges:
         if not e.upper.is_classical:
@@ -227,7 +230,7 @@ def test_hull_star_example():
 
 def test_hull_asymmetric_example():
     p = 3
-    tree = hull(p, [pt(Fraction(1, 3)), pt(Fraction(-1, 3)), INF_POINT])
+    tree = hull_records(p, [pt(Fraction(1, 3)), pt(Fraction(-1, 3)), INF_POINT])
     join = BerkPoint.disc(0, -1)
     assert len(tree.edges) == 3
     for e in tree.edges:
@@ -239,33 +242,32 @@ def test_hull_asymmetric_example():
 
 
 def test_hull_two_points():
+    """The hull of 0 and infinity is one edge, from 0 up to infinity.
+    Fewer than 2 points, or a point listed twice among the zeros or among
+    the poles, is refused with ValueError; a point that is both a zero and
+    a pole is an internal error."""
     p = 3
-    tree = hull(p, [pt(0), INF_POINT])
-    assert len(tree.edges) == 1
-    with pytest.raises(ValueError):
-        hull(p, [pt(0)])
-
-
-def test_hull_on_a_given_tree_checks_its_points():
-    """Records on the zero/pole tree that ``bundle`` builds equal those
-    ``hull`` builds alone; a tree of other points, of the same points in
-    another order, or with infinity added or dropped is refused."""
-    for m in acceptance_corpus():
-        p, ff = m.p, m.factored
-        if ff is None:
-            continue
-        pts = [q for q, _ in ff.zeros + ff.poles]
-        tree = invariants._tree(p, ff.zeros, ff.poles)
-        assert hull(p, pts, tree) == hull(p, pts), m
-    p = 3
-    pts = [pt(0), pt(1), pt(3), INF_POINT]
-    others = (pts[:3] + [pt(9), INF_POINT], pts[1::-1] + pts[2:], pts[:3], [pts[3]] + pts[:2])
-    for other in others:
-        tree = invariants._tree(p, [(q, 1) for q in other], ())
+    h = hull(p, [(pt(0), 1)], [(INF_POINT, 1)])
+    assert h.edges == [1] and h.up == [1, None]
+    tree = hull_records(p, [pt(0), INF_POINT])
+    assert tree.edges == (TreeEdge(BerkPoint.classical(pt(0)), BerkPoint.classical(INF_POINT), 0),)
+    for zeros, poles in (
+        ([(pt(0), 1)], ()),
+        ([(INF_POINT, 1)], ()),
+        ((), [(INF_POINT, 1)]),
+        ((), ()),
+        ([(pt(0), 1), (pt(0), 1)], ()),
+        ([(pt(0), 1)], [(pt(1), 1), (pt(1), 2)]),
+        ([(INF_POINT, 1), (INF_POINT, 1)], [(pt(1), 1)]),
+        ([(pt(1), 1)], [(INF_POINT, 1), (INF_POINT, 1)]),
+    ):
         with pytest.raises(ValueError):
-            hull(p, pts, tree)
+            hull(p, zeros, poles)
     with pytest.raises(ValueError):
-        hull(p, pts[:3], invariants._tree(p, [(q, 1) for q in pts], ()))
+        hull_records(p, [pt(0), pt(0)])
+    for zeros, poles in (([(pt(0), 1)], [(pt(0), 1)]), ([(INF_POINT, 1)], [(INF_POINT, 1)])):
+        with pytest.raises(InternalInvariantError):
+            hull(p, zeros, poles)
 
 
 def test_hull_matches_reference():
@@ -285,7 +287,7 @@ def test_hull_matches_reference():
                 z = random_rational(rng, p)
             if pt(z) not in pts:
                 pts.append(pt(z))
-        assert hull(p, pts) == ref_hull(p, pts), k
+        assert hull_records(p, pts) == ref_hull(p, pts), k
     # a deep chain: every point in the residue class of 1 (mod p), at
     # several depths; one finite point with infinity; duplicated inputs;
     # infinity listed first
@@ -301,7 +303,7 @@ def test_hull_matches_reference():
             [INF_POINT] + extra + chain[::2],
         ]
         for pts in cases:
-            assert hull(p, pts) == ref_hull(p, pts), (p, pts)
+            assert hull_records(p, pts) == ref_hull(p, pts), (p, pts)
     # clusters that merge at one level into a vertex with three or more
     # children; discs of one level in disjoint branches, whose order is
     # by lowest index and not by when a link first reaches them; a deep
@@ -319,14 +321,14 @@ def test_hull_matches_reference():
             spread + deep,
             [INF_POINT] + spread + twins + deep[::-1],
         ):
-            assert hull(p, pts) == ref_hull(p, pts), (p, pts)
-        children = [e.upper for e in hull(p, star).edges]
+            assert hull_records(p, pts) == ref_hull(p, pts), (p, pts)
+        children = [e.upper for e in hull_records(p, star).edges]
         assert max(children.count(v) for v in children) >= 3
 
 
 def test_hull_makes_no_berk_equal_call(count_calls):
-    """Vertices are deduplicated by key and parents read from the ord
-    matrix, without comparing points."""
+    """The hull and its records are built without comparing points, with
+    one edge per vertex below the top."""
     calls = count_calls(berk_equal)
     rng = DetRng(909)
     for k in range(6):
@@ -336,8 +338,9 @@ def test_hull_makes_no_berk_equal_call(count_calls):
             z = pt(random_rational(rng, p))
             if z not in pts:
                 pts.append(z)
-        tree = hull(p, pts)
-        assert len(tree.edges) == len(tree.vertices) - 1
+        h = hull(p, [(q, 0) for q in pts], ())
+        tree = hull_records(p, pts)
+        assert len(h.edges) == len(tree.edges) == len(tree.vertices) - 1 == len(h.up) - 1
     assert calls == []
 
 
@@ -388,7 +391,7 @@ def test_gpr_verifies_each_distinct_preimage_once(count_calls):
     calls = count_calls(push_forward)
     for p in (2, 3, 5):
         m = from_factored(p, 1, [(pt(0), 2)], [(pt(1), 1), (INF_POINT, 1)])
-        tree = hull(p, [pt(0), pt(1), INF_POINT])
+        tree = hull_records(p, [pt(0), pt(1), INF_POINT])
         ends = [(e.lower, e.upper) for e in tree.edges]
         assert all(any(berk_equal(p, x, gauss_point()) for x in pair) for pair in ends)
         assert len(ends) == 3
@@ -419,7 +422,7 @@ def _screen_maps(seed: int):
 
 def _zero_pole_hull(m):
     ff = m.factored
-    return hull(m.p, [q for q, _ in ff.zeros] + [q for q, _ in ff.poles])
+    return hull_records(m.p, [q for q, _ in ff.zeros] + [q for q, _ in ff.poles])
 
 
 def _w0_equal_set(sh, lo, hi):
@@ -562,16 +565,46 @@ def test_bundle_examples():
     p = 3
     b = bundle(sq_minus_inv_p2(p))
     assert (b.gir, b.rp, b.gpr, b.res) == (Ord.of(4), Ord.of(1), Ord.of(3), Ord.of(8))
-    assert b.b0_lower == Ord.of(1)
+    assert bundle_json(b)["b0_lower"] == bundle_json(b)["rp"] == ord_json(p, Ord.of(1))
     ident = from_factored(p, 1, [(pt(0), 1)], [(INF_POINT, 1)])
     b = bundle(ident)
-    assert (b.gir, b.rp, b.gpr, b.res, b.b0_lower) == (
-        Ord.of(0), Ord.of(0), Ord.of(0), Ord.of(0), Ord.of(0),
-    )
+    assert (b.gir, b.rp, b.gpr, b.res) == (Ord.of(0), Ord.of(0), Ord.of(0), Ord.of(0))
+    assert bundle_json(b)["b0_lower"] == ord_json(p, Ord.of(0))
     mob = from_factored(p, Fraction(1, 9), [(pt(0), 1)], [(INF_POINT, 1)])
     b = bundle(mob)
     assert (b.gir, b.gpr, b.res) == (Ord.of(2), Ord.of(2), Ord.of(2))
-    assert b.rp == Ord.of(0) and b.b0_lower == Ord.of(0)
+    assert b.rp == Ord.of(0) and bundle_json(b)["b0_lower"] == ord_json(p, Ord.of(0))
+
+
+def test_bundle_builds_one_hull_and_hands_it_on(monkeypatch):
+    """Inside ``bundle(m)`` ``hull`` is called once, on the factored form's
+    zeros and poles as they are, and ``rp_ord`` and ``gpr`` are given that
+    one object; a map with only coefficients builds no hull."""
+    built, given = [], []
+
+    def spy(name, fn, record):
+        def wrapped(*args):
+            out = fn(*args)
+            record.append((name, args, out))
+            return out
+        monkeypatch.setattr(invariants, name, wrapped)
+
+    spy("hull", hull, built)
+    spy("rp_ord", rp_ord, given)
+    spy("gpr", gpr, given)
+    maps = acceptance_corpus() + [from_coeffs(3, [1, 1, 1], [1, 0, 0])]
+    for m in maps:
+        built.clear()
+        given.clear()
+        bundle(m)
+        ff = m.factored
+        if ff is None:
+            assert built == given == [], m
+            continue
+        assert [args for _, args, _ in built] == [(m.p, ff.zeros, ff.poles)], m
+        h = built[0][2]
+        assert [name for name, _, _ in given] == ["rp_ord", "gpr"], m
+        assert all(args[0] is m and args[1] is h for _, args, _ in given), m
 
 
 def test_bundle_chain_on_corpus():
@@ -716,7 +749,7 @@ def test_hull_scan_completeness_spot_check():
         res = gpr(m)
         ff = m.factored
         points = [q for q, _ in ff.zeros] + [q for q, _ in ff.poles]
-        tree = hull(p, points)
+        tree = hull_records(p, points)
         f, g = dehomogenized(m)
         grid = 0
         per_edge = max(4, 1000 // len(tree.edges))

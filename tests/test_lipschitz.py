@@ -656,12 +656,12 @@ def _memo_maps():
 def test_corpus_operation_memo_computes_each_invariant_once(count_calls):
     """One operation of the corpus benchmark (bundle, then a bound report
     with 1000 samples, then the profile and its segment constant) builds
-    the zero/pole tree once per factored map, and calls gpr, the hull's
-    record builder, rp and the Gauss-image minors once: all three read
-    that one tree, and the report reads the bundle its caller just
-    built.  A map with only coefficients computes the minors once and
-    nothing of the zero/pole layer."""
-    kernels = (invariants._tree, gpr, hull, rp_ord, gir_minors)
+    the hull of the zeros and poles once per factored map, and calls gpr,
+    rp and the Gauss-image minors once: gpr and rp read that one hull,
+    and the report reads the bundle its caller just built.  A map with
+    only coefficients computes the minors once and nothing of the
+    zero/pole layer."""
+    kernels = (gpr, hull, rp_ord, gir_minors)
     counts = {f.__name__: count_calls(f) for f in kernels}
     seen = {"deg1": 0, "coeffs_only": 0, "factored": 0}
     for m in _memo_maps():
@@ -672,8 +672,7 @@ def test_corpus_operation_memo_computes_each_invariant_once(count_calls):
         segment_lip(radial_profile(m, 0, 0))
         factored = int(m.factored is not None)
         got = {name: len(calls) for name, calls in counts.items()}
-        want = {"_tree": factored, "gpr": factored, "hull": factored, "rp_ord": factored,
-                "gir_minors": 1}
+        want = {"gpr": factored, "hull": factored, "rp_ord": factored, "gir_minors": 1}
         assert got == want, m
         assert rep.lip_classical == (ppow_term(m.p, 1, b.gpr.frac) if factored else None)
         seen["deg1"] += m.d == 1
@@ -724,9 +723,9 @@ def test_bound_report_reads_one_bundle(count_calls):
 
 def test_bound_report_refuses_a_bad_ball_radius_first(count_calls):
     """A float, a bool or a negative ``b0_ord`` is refused before the
-    report builds the zero/pole tree or runs gpr."""
+    report builds the zero/pole hull or runs gpr."""
     m = sq_minus_inv_p2(3)
-    kernels = [count_calls(f) for f in (invariants._tree, gpr)]
+    kernels = [count_calls(f) for f in (hull, gpr)]
     for bad, error in ((0.1, ParseError), (True, ParseError), (-1, ValueError),
                        (Fraction(-1, 2), ValueError)):
         with pytest.raises(error):

@@ -4,7 +4,6 @@ the reference fiber on the Taylor shift at the edge center."""
 
 from fractions import Fraction
 
-from berklip.invariants import hull
 from berklip.piecewise import lower_envelope
 from berklip.projective import INF_POINT, ProjPoint
 from berklip.ratmap import from_factored
@@ -14,6 +13,7 @@ from oracles import (
     Shift,
     choice,
     fiber_by_edge,
+    hull_records,
     ref_gauss_fiber_zero_set,
     ref_lower_envelope,
     ref_max,
@@ -196,7 +196,7 @@ def test_gauss_fiber_matches_reference_on_every_hull_edge():
     flat = {"both ends": 0, "one end": 0, "none": 0}
     for m in _fiber_maps(DetRng(6064)):
         p, ff = m.p, m.factored
-        tree = hull(p, [q for q, _ in ff.zeros] + [q for q, _ in ff.poles])
+        tree = hull_records(p, [q for q, _ in ff.zeros] + [q for q, _ in ff.poles])
         f, g = m.F, m.G
         for edge, (k, s, ts) in zip(tree.edges, fiber_by_edge(m)):
             want = ref_gauss_fiber_zero_set(Shift.at(p, f, g, edge.center), *t_range(edge))

@@ -17,6 +17,21 @@ from oracles import HomogCoords, ref_vord, unit_normalize
 pts = st.fractions(min_value=-50, max_value=50, max_denominator=30)
 
 
+def test_point_refuses_float_and_bool():
+    """``ProjPoint.of`` refuses a float or a bool with the ``ParseError``
+    of the other rational entry points, instead of reading 0.1 at its
+    binary value (which made ``from_factored`` build a map with D = 2^55)
+    or True as the point 1; ints, ``Fraction``s and "num/den" strings are
+    kept."""
+    for bad in (0.1, 2.0, True, False):
+        with pytest.raises(ParseError, match=r"^a point must be rational, not (float|bool)$"):
+            ProjPoint.of(bad)
+    assert ProjPoint.of(1) == ProjPoint.of(Fraction(1)) == ProjPoint(Fraction(1))
+    assert ProjPoint.of("-1/3") == ProjPoint(Fraction(-1, 3))
+    half = Fraction(1, 2)
+    assert ProjPoint.of(half).z is half
+
+
 def test_spherical_examples():
     assert spherical_ord(3, ProjPoint.of(0), INF_POINT) == Ord.of(0)
     x, y = ProjPoint.of(Fraction(1, 3)), ProjPoint.of(Fraction(-1, 3))

@@ -6,13 +6,13 @@ from fractions import Fraction
 import pytest
 
 from berklip.berk import BerkPoint
-from berklip.invariants import FiniteTree, GprResult, InvariantBundle, TreeEdge
+from berklip.invariants import GprResult, Hull, InvariantBundle
 from berklip.lipschitz import BoundReport, ProfileSegment, RadialProfile
 from berklip.piecewise import PWLinear
 from berklip.projective import INF_POINT, ProjPoint
 from berklip.ratmap import FactoredForm, RationalMap
 from berklip.valued import ORD_INF, Ord, PPowerSum, ppow_term
-from oracles import Shift
+from oracles import FiniteTree, Shift, TreeEdge
 
 
 def _records():
@@ -76,9 +76,9 @@ def _records():
             None,
         ),
         (
-            InvariantBundle(3, 2, Ord.of(1), Ord.of(4), None, None, None, None, "no form"),
+            InvariantBundle(3, 2, Ord.of(1), Ord.of(4), None, None, None, "no form"),
             "InvariantBundle(p=3, d=2, gir=Ord(1), res=Ord(4), rp=None, gpr=None, "
-            "gpr_argmin=None, b0_lower=None, note='no form')",
+            "gpr_argmin=None, note='no form')",
             None,
         ),
         (
@@ -102,6 +102,12 @@ def _records():
             "gpr_witness=(ProjPoint(1/2), ProjPoint(inf)), gpr_witness_note=None)",
             None,
         ),
+        (
+            Hull([half], [1, None], [None, None], [0, None], [1, 1], 0),
+            "Hull(points=[Fraction(1, 2)], up=[1, None], t=[None, None], center=[0, None], "
+            "below=[1, 1], rp=0)",
+            None,
+        ),
     ]
 
 
@@ -110,7 +116,7 @@ def test_every_record_type_is_covered():
     assert types == {
         Ord, PPowerSum, ProjPoint, BerkPoint, PWLinear, FactoredForm, RationalMap,
         Shift, TreeEdge, FiniteTree, GprResult, InvariantBundle, ProfileSegment,
-        RadialProfile, BoundReport,
+        RadialProfile, BoundReport, Hull,
     }
 
 
@@ -125,13 +131,14 @@ def test_text_forms_unchanged(index):
 def test_hash_is_the_field_tuple_hash(index):
     """So set and dict orders are those of the frozen dataclasses.  Ord
     equals its value (``Ord.of(2) == 2``), so it hashes as its value; a
-    record holding lists (the reference ``Shift``) is unhashable."""
+    record holding lists (``Hull`` and the reference ``Shift``) is
+    unhashable."""
     obj = _records()[index][0]
     fields = tuple(getattr(obj, name) for name in obj._fields)
     if isinstance(obj, Ord):
         assert hash(obj) == hash(obj.v)
         assert hash(Ord.of(2)) == hash(2) and Ord.of(2) == 2
-    elif isinstance(obj, Shift):
+    elif isinstance(obj, (Hull, Shift)):
         with pytest.raises(TypeError):
             hash(obj)
     else:

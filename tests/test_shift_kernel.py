@@ -21,7 +21,7 @@ from pathlib import Path
 from berklip import berk
 from berklip.berk import BerkPoint, berk_equal, diam_gauss, push_forward
 from berklip.errors import DegenerateMapError
-from berklip.invariants import gpr, hull
+from berklip.invariants import gpr
 from berklip.lipschitz import radial_profile
 from berklip.projective import ProjPoint
 from berklip.sampling import DetRng, random_rational
@@ -30,6 +30,7 @@ from corpus import acceptance_corpus, random_factored_map, random_ladder_map
 from oracles import (
     Shift,
     dehomogenized,
+    hull_records,
     ref_gpr_ord,
     ref_push_forward,
     ref_push_forward_full,
@@ -182,7 +183,7 @@ def test_gpr_matches_brute_force_reference():
     events: set = set()
     for _, m in _maps(777, 32):
         p, ff = m.p, m.factored
-        tree = hull(p, [pt for pt, _ in ff.zeros + ff.poles])
+        tree = hull_records(p, [pt for pt, _ in ff.zeros + ff.poles])
         result = gpr(m)
         assert result.ord.frac == ref_gpr_ord(m, tree.edges)
         assert diam_gauss(p, result.argmin) == result.ord

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from berklip import valued
 from berklip.berk import BerkPoint, gauss_point
-from berklip.errors import ResourceLimitError
+from berklip.errors import ParseError, ResourceLimitError
 from berklip.invariants import InvariantBundle
 from berklip.lipschitz import invariant_bound_terms
 from berklip.projective import ProjPoint
@@ -155,9 +155,14 @@ _CONSTRUCTORS = {
 def test_constructors_store_exact_fractions(name):
     """A constructor stores a field of type exactly ``Fraction`` for an
     int, a bool or a ``Fraction``, and keeps a ``Fraction`` it is given as
-    that same object."""
+    that same object.  ``ProjPoint.of``, the entry point for the points of
+    a map, refuses a bool as it refuses a float."""
     build = _CONSTRUCTORS[name]
     for x in (2, True, Fraction(2, 5)):
+        if x is True and name == "ProjPoint.of":
+            with pytest.raises(ParseError, match="must be rational"):
+                build(x)
+            continue
         fields = build(x)
         assert all(type(f) is Fraction and f == x for f in fields), (x, fields)
     x = Fraction(2, 5)
@@ -456,7 +461,7 @@ def test_invariant_bound_terms_compare_fast(p, d, gir, b0, expected):
     exactly when (d - 1)(gir/d + B0) > log_p d.  The larger one renders
     in well under a second too (the bisection rendering took 38.5 s on
     the first case and 17.8 s on the third)."""
-    b = InvariantBundle(p, d, Ord.of(gir), None, None, None, None, None)  # only p, d, gir read
+    b = InvariantBundle(p, d, Ord.of(gir), None, None, None, None)  # only p, d, gir read
     first, second = invariant_bound_terms(b, b0)
     start = process_time()
     got = ppow_compare(p, first, second)
