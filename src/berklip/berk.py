@@ -54,7 +54,7 @@ from typing import NamedTuple
 from .errors import DegenerateMapError
 from .polynomials import taylor_shift
 from .projective import INF_POINT, ProjPoint, _vord
-from .valued import ORD_INF, Ord, PPowerSum, _frac, format_fraction, int_val, ppow_normalize
+from .valued import ORD_INF, Ord, PPowerSum, _frac, _quotient, format_fraction, int_val, ppow_normalize
 
 __all__ = [
     "BerkPoint",
@@ -72,8 +72,8 @@ class BerkPoint(NamedTuple):
     """A classical point of P1(QQ) or a disc point zeta_{a, p^(-t)}."""
 
     pt: ProjPoint | None  # set for type I
-    center: Fraction | None  # set for type II
-    radius_ord: Fraction | None  # t with r = p^(-t), set for type II
+    center: int | Fraction | None  # set for type II
+    radius_ord: int | Fraction | None  # t with r = p^(-t), set for type II
 
     @staticmethod
     def classical(pt: ProjPoint) -> "BerkPoint":
@@ -121,7 +121,7 @@ def berk_equal(p: int, x: BerkPoint, y: BerkPoint) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _diam_gauss_frac(va: int | None, t: Fraction) -> Fraction:
+def _diam_gauss_frac(va: int | None, t: int | Fraction) -> int | Fraction:
     """Exponent s with diam_G = p^(-s) for the disc point zeta_{a, p^(-t)},
     given va = ord a (None for a = 0): r / max(1,|a|,r)^2."""
     m = min(0, t) if va is None else min(0, va, t)
@@ -158,15 +158,16 @@ def iota(p: int, x: BerkPoint) -> BerkPoint:
             return BerkPoint.classical(ProjPoint.of(0))
         if x.pt.z == 0:
             return BerkPoint.classical(INF_POINT)
-        return BerkPoint.classical(ProjPoint.of(1 / x.pt.z))
+        z = x.pt.z
+        return BerkPoint.classical(ProjPoint.of(_quotient(z.denominator, z.numerator)))
     a, t = x.center, x.radius_ord
     va = _vord(a, p)
     if va is None or va >= t:
-        return BerkPoint.disc(Fraction(0), -t)
-    return BerkPoint.disc(1 / a, t - 2 * va)
+        return BerkPoint.disc(0, -t)
+    return BerkPoint.disc(_quotient(a.denominator, a.numerator), t - 2 * va)
 
 
-def _position(x: BerkPoint) -> tuple[Fraction, Fraction | None]:
+def _position(x: BerkPoint) -> tuple[int | Fraction, int | Fraction | None]:
     """(center, radius_ord) with None radius for classical finite points."""
     if x.is_classical:
         return x.pt.z, None
@@ -207,7 +208,7 @@ def d_metric(p: int, x: BerkPoint, y: BerkPoint) -> PPowerSum:
     sj = diam_gauss(p, j)
     terms = []
     if not sj.is_inf:
-        terms.append((Fraction(2), -sj.frac))
+        terms.append((2, -sj.frac))
     for s in (diam_gauss(p, x), diam_gauss(p, y)):
         if not s.is_inf:
             if (s.frac - sj.frac).denominator != 1:
@@ -216,7 +217,7 @@ def d_metric(p: int, x: BerkPoint, y: BerkPoint) -> PPowerSum:
                     "join differ by a non-integer, so the distance is no "
                     "p-power sum with positive coefficients"
                 )
-            terms.append((Fraction(-1), -s.frac))
+            terms.append((-1, -s.frac))
     return ppow_normalize(p, terms)
 
 
@@ -362,4 +363,4 @@ def push_forward(rmap, x: BerkPoint) -> BerkPoint:
             s = o * td + i * k
     if s is None:
         raise DegenerateMapError("degenerate map")
-    return BerkPoint.disc(Fraction(c[0], c[1]), Fraction(s - sg, td))
+    return BerkPoint.disc(_quotient(c[0], c[1]), _quotient(s - sg, td))

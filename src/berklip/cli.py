@@ -37,6 +37,7 @@ from .errors import (
 )
 from .invariants import bundle
 from .ratmap import (
+    MAX_DEGREE,
     RationalMap,
     gir_minors,
     normalize,
@@ -44,7 +45,6 @@ from .ratmap import (
     resultant_ord_product,
 )
 from .serialize import (
-    MAX_DEGREE,
     bundle_json,
     parse_map_data,
     ppow_json,

@@ -38,7 +38,7 @@ from .berk import BerkPoint, _diam_gauss_frac, berk_equal, gauss_point, push_for
 from .errors import InternalInvariantError
 from .projective import _vord
 from .ratmap import RationalMap, gir_minors, resultant_ord
-from .valued import Ord, int_val
+from .valued import Ord, _quotient, int_val
 
 __all__ = [
     "Hull",
@@ -60,7 +60,7 @@ class Hull(NamedTuple):
     then the discs, deepest first, then infinity when it is an input.  A
     vertex comes before its parent, and its edge runs from it to up[v]."""
 
-    points: list[Fraction]  # the finite inputs, zeros first
+    points: list[int | Fraction]  # the finite inputs, zeros first
     up: list[int | None]  # parent vertex, None at the top
     t: list[int | None]  # radius exponent of a disc, None at a classical vertex
     center: list[int | None]  # input index of the center, None at infinity
@@ -271,7 +271,7 @@ def _gauss_fiber(tree: Hull, oc: int) -> list[tuple[int, int, tuple]]:
             a = -s if lo is None else k + s * lo
             b = s if hi is None else k + s * hi
             if a <= 0 <= b or b <= 0 <= a:
-                t0 = Fraction(-k, s)
+                t0 = _quotient(-k, s)
                 fiber = ((t0, u if a == 0 else v if b == 0 else (v, t0)),)
         elif k == 0:
             fiber = tuple((ts[w], w) for w in (u, v) if w in sloped)
@@ -365,7 +365,7 @@ def gpr(m: RationalMap, tree: Hull | None = None) -> GprResult:
     ff = m.require_factored()
     tree = tree or hull(p, ff.zeros, ff.poles)
     points, center = tree.points, tree.center
-    best: tuple[Fraction, BerkPoint] | None = None
+    best: tuple[int | Fraction, BerkPoint] | None = None
     found: dict = {}  # key -> the record of the preimage with that key
     for v, (_, _, fiber) in enumerate(_gauss_fiber(tree, _vord(ff.c, p))):
         if not fiber:
@@ -444,7 +444,7 @@ def bundle(m: RationalMap) -> InvariantBundle:
             "rp/gpr need the zero/pole factorization; the map's roots are "
             "not rational and are never approximated"
         )
-    if gir > res * Fraction(1, m.d):
+    if gir > res * _quotient(1, m.d):
         raise InternalInvariantError("GIR >= |Res|^(1/d) violated")
     _last = last = (m, InvariantBundle(m.p, m.d, gir, res, rp, gp, argmin, note))
     return last[1]

@@ -47,6 +47,7 @@ from .valued import (
     Ord,
     PPowerSum,
     PPOW_ZERO,
+    _quotient,
     _rational,
     int_val,
     ppow_compare,
@@ -96,7 +97,7 @@ def resultant_bounds(m: RationalMap) -> tuple[PPowerSum, PPowerSum]:
     return classical, berk
 
 
-def _ball_ord(b0_ord) -> Fraction:
+def _ball_ord(b0_ord) -> int | Fraction:
     """A ball-radius exponent, refused as a float or a bool and when
     negative (a radius above 1)."""
     b0 = _rational(b0_ord, "b0_ord")
@@ -110,7 +111,7 @@ def invariant_bound_terms(b: InvariantBundle, b0_ord) -> tuple[PPowerSum, PPower
     b0 = _ball_ord(b0_ord)
     p, d, g = b.p, b.d, b.gir.frac
     first = ppow_term(p, 1, g + d * b0)
-    second = ppow_term(p, d, g / d + b0)
+    second = ppow_term(p, d, _quotient(g.numerator, g.denominator * d) + b0)
     return first, second
 
 
@@ -156,16 +157,16 @@ class ProfileSegment(NamedTuple):
     r = p^(-t), t in [t_hi, t_lo] (t_lo None when the piece runs to the
     classical center, r -> 0)."""
 
-    t_hi: Fraction
-    t_lo: Fraction | None
+    t_hi: int | Fraction
+    t_lo: int | Fraction | None
     coeff_ord: int
     k: int
 
 
 class RadialProfile(NamedTuple):
     p: int
-    center: Fraction
-    t_min: Fraction
+    center: int | Fraction
+    t_min: int | Fraction
     segments: tuple[ProfileSegment, ...]
 
 
@@ -362,12 +363,12 @@ def sample_ratios(m: RationalMap, n: int, seed: int, lip_ord=None):
     if lip_ord is not None and max_e > lip_ord:
         raise InternalInvariantError("sampled ratio exceeded the exact Lipschitz bound")
     (xn, xd), (yn, yd) = points[best[1]], points[best[2]]
-    pair = (ProjPoint.of(Fraction(xn, xd)), ProjPoint.of(Fraction(yn, yd)))
+    pair = (ProjPoint.of(_quotient(xn, xd)), ProjPoint.of(_quotient(yn, yd)))
     return ppow_term(p, 1, max_e), pair
 
 
 def _proj_point(num: int, den: int) -> ProjPoint:
-    return INF_POINT if den == 0 else ProjPoint.of(Fraction(num, den))
+    return INF_POINT if den == 0 else ProjPoint.of(_quotient(num, den))
 
 
 def gpr_witness(m: RationalMap, b: InvariantBundle):

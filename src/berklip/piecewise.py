@@ -11,8 +11,9 @@ it.  The envelope takes integer lines (integer slopes i, integer
 intercepts: valuations of integer numerators), builds its hull and clips
 it to the domain in integers.  Every function here is made of integer
 lines with rational breakpoints: a max of integer lines is again an
-integer line, and the only Fractions are breakpoints, the crossings
-Fraction(c2 - c1, k1 - k2) of two lines and the domain ends.
+integer line.  A breakpoint is a domain end or a crossing
+(c2 - c1)/(k1 - k2) of two lines, built by ``valued._quotient``: an int
+when it is integral, as most are, and a ``Fraction`` only otherwise.
 
 Domains are intervals [lo, hi] where either end may be None (unbounded).
 A function is stored as contiguous pieces (start, slope, intercept); piece
@@ -25,9 +26,11 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
+from .valued import _quotient
+
 __all__ = ["PWLinear", "lower_envelope"]
 
-_Bound = Fraction | None
+_Bound = int | Fraction | None
 
 
 class _PWLinearFields(NamedTuple):
@@ -100,7 +103,7 @@ class PWLinear(_PWLinearFields):
             if k1 == k2:
                 pieces.append((s, k1, c1) if c1 >= c2 else (s, k2, c2))
                 continue
-            root = Fraction(c2 - c1, k1 - k2)
+            root = _quotient(c2 - c1, k1 - k2)
             steep, flat = ((k1, c1), (k2, c2)) if k1 > k2 else ((k2, c2), (k1, c1))
             if (s is None or s < root) and (e is None or root < e):
                 pieces += [(s, *flat), (root, *steep)]
@@ -119,7 +122,7 @@ def lower_envelope(lines, lo: _Bound, hi: _Bound) -> PWLinear:
 
     The hull and its clipping to [lo, hi] run in integers; only the pieces
     in force on [lo, hi] are emitted, with their integer lines and the
-    crossings between them as Fraction breakpoints.
+    crossings between them as breakpoints.
     """
     best: dict[int, int] = {}
     for k, c in lines:
@@ -157,5 +160,5 @@ def lower_envelope(lines, lo: _Bound, hi: _Bound) -> PWLinear:
     for (k1, c1), (k2, c2) in zip(hull[i:], hull[i + 1 :]):
         if hi is not None and (c2 - c1) * hd >= hn * (k1 - k2):
             break
-        pieces.append((Fraction(c2 - c1, k1 - k2), k2, c2))
+        pieces.append((_quotient(c2 - c1, k1 - k2), k2, c2))
     return PWLinear(lo, hi, tuple(pieces))

@@ -16,7 +16,6 @@ composition with a Möbius map carries that value by an identity (see
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterator
 
@@ -176,8 +175,8 @@ def sylvester_det_ord(p: int, f: Poly, g: Poly, d: int) -> int | None:
     root in P1, infinity included; that is decided once the precision
     reaches Hadamard's bound on the Bezout rows (``_precision_cap``).
     """
-    fc = list(f) + [Fraction(0)] * (d + 1 - len(f))
-    gc = list(g) + [Fraction(0)] * (d + 1 - len(g))
+    fc = list(f) + [0] * (d + 1 - len(f))
+    gc = list(g) + [0] * (d + 1 - len(g))
     fa, ga = _integral_form(p, fc), _integral_form(p, gc)
     if fa is None or ga is None:
         return None

@@ -31,7 +31,7 @@ __all__ = ["ProjPoint", "INF_POINT", "spherical_ord"]
 class ProjPoint(NamedTuple):
     """A point of P1(QQ): a finite rational z, or the point at infinity."""
 
-    z: Fraction | None  # None encodes infinity
+    z: int | Fraction | None  # None encodes infinity
 
     @staticmethod
     def of(value) -> "ProjPoint":
@@ -57,7 +57,7 @@ class ProjPoint(NamedTuple):
 INF_POINT = ProjPoint(None)
 
 
-def _vord(x: Fraction, p: int) -> int | None:
+def _vord(x: int | Fraction, p: int) -> int | None:
     """Plain valuation as an int, None for 0 (internal fast form)."""
     n = x.numerator
     if not n:

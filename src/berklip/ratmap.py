@@ -27,7 +27,7 @@ from typing import Iterator, NamedTuple
 from .errors import DegenerateMapError, FactoredFormRequiredError, InternalInvariantError, ParseError
 from .polynomials import hom_eval, trim
 from .projective import INF_POINT, ProjPoint, _num_den
-from .valued import Ord, _clip, _ords, _rational, int_val, is_prime
+from .valued import Ord, _clip, _ords, _quotient, _rational, int_val, is_prime
 from . import polynomials as poly
 
 __all__ = [
@@ -53,7 +53,7 @@ class FactoredForm(NamedTuple):
     appear on one side only.
     """
 
-    c: Fraction
+    c: int | Fraction
     zeros: tuple[tuple[ProjPoint, int], ...]
     poles: tuple[tuple[ProjPoint, int], ...]
 
@@ -95,7 +95,7 @@ class RationalMap(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-def _cleared(xs: list[Fraction]) -> tuple[int, list[int]]:
+def _cleared(xs: list) -> tuple[int, list[int]]:
     """(D, D * xs), D the least common denominator of the rationals xs."""
     D = lcm(*[x.denominator for x in xs])
     return D, [x.numerator * (D // x.denominator) for x in xs]
@@ -164,10 +164,23 @@ def _mobius_factored(F, G) -> FactoredForm:
     """Zero/pole data of a degree-1 map, always rational; unchanged by a
     common rescaling of (F, G)."""
     (a0, a1), (b0, b1) = F, G
-    zero = ProjPoint.of(Fraction(-a0, a1)) if a1 else INF_POINT
-    pole = ProjPoint.of(Fraction(-b0, b1)) if b1 else INF_POINT
-    c = Fraction(a1, b1) if a1 and b1 else Fraction(a1, b0) if a1 else Fraction(a0, b1)
+    zero = ProjPoint.of(_quotient(-a0, a1)) if a1 else INF_POINT
+    pole = ProjPoint.of(_quotient(-b0, b1)) if b1 else INF_POINT
+    c = _quotient(a1, b1) if a1 and b1 else _quotient(a1, b0) if a1 else _quotient(a0, b1)
     return FactoredForm(c, ((zero, 1),), ((pole, 1),))
+
+
+# Largest degree of a map: a bundle at this degree already takes seconds,
+# and a multiplicity of 10^9 would otherwise be expanded term by term.
+MAX_DEGREE = 64
+
+
+def _check_degree(d: int) -> None:
+    """Raise ``ParseError`` for a degree (or one multiplicity) above
+    ``MAX_DEGREE``: the one statement of the cap, which the map file parser
+    and both constructors check before any work."""
+    if d > MAX_DEGREE:
+        raise ParseError(f"degree {_clip(str(d))} exceeds the supported maximum {MAX_DEGREE}")
 
 
 def _check_prime(p) -> None:
@@ -183,12 +196,14 @@ def _check_prime(p) -> None:
 
 
 def from_coeffs(p: int, f_coeffs, g_coeffs) -> RationalMap:
-    """A map over a prime p from two ascending coefficient lists of length d+1."""
+    """A map over a prime p from two ascending coefficient lists of length
+    d+1, d at most ``MAX_DEGREE``."""
     _check_prime(p)
     f = [_rational(c) for c in f_coeffs]
     g = [_rational(c) for c in g_coeffs]
     if len(f) != len(g):
         raise DegenerateMapError("coefficient lists must have equal length")
+    _check_degree(len(f) - 1)
     D, ints = _cleared(f + g)
     d, F, G = len(f) - 1, ints[: len(f)], ints[len(f):]
     return _build(p, d, F, G, D, _eliminated_res(p, d, F, G))
@@ -205,7 +220,9 @@ def from_factored(p: int, c, zeros, poles) -> RationalMap:
     with every finite root a/b in lowest terms, prod(z - a/b) =
     prod(b z - a) / prod b, so with c = n / q the pair is (n B_p P_z,
     q B_z P_p) over q B_z B_p, P the integer products and B their scales.
-    p must be prime (``_check_prime``), and c is refused as a float.
+    p must be prime (``_check_prime``), and c is refused as a float.  A
+    multiplicity, or a degree, above ``MAX_DEGREE`` is refused before any
+    expansion (``_check_degree``).
     """
     _check_prime(p)
     c = _rational(c)
@@ -213,13 +230,14 @@ def from_factored(p: int, c, zeros, poles) -> RationalMap:
         raise DegenerateMapError("degenerate map")
 
     def _merge(items):
-        fin: dict[Fraction, int] = {}
+        fin: dict[int | Fraction, int] = {}
         inf_mult = 0
         for pt, mult in items:
             if type(mult) is not int:
                 raise DegenerateMapError("multiplicities must be integers")
             if mult < 1:
                 raise DegenerateMapError("multiplicities must be positive")
+            _check_degree(mult)
             if pt.is_inf:
                 inf_mult += mult
             else:
@@ -233,6 +251,7 @@ def from_factored(p: int, c, zeros, poles) -> RationalMap:
     n_total = sum(zf.values()) + z_inf
     m_total = sum(pf.values()) + p_inf
     d = max(n_total, m_total)
+    _check_degree(d)
     if n_total < d:
         z_inf += d - n_total
     if m_total < d:
@@ -335,14 +354,14 @@ def eval_proj(m: RationalMap, pt: ProjPoint) -> ProjPoint:
     """Evaluate the map at a classical point (exact, infinity-aware)."""
     u, v = (1, 0) if pt.is_inf else (pt.z.numerator, pt.z.denominator)
     den = hom_eval(m.G, u, v)
-    return ProjPoint.of(Fraction(hom_eval(m.F, u, v), den)) if den else INF_POINT
+    return ProjPoint.of(_quotient(hom_eval(m.F, u, v), den)) if den else INF_POINT
 
 
 # ---------------------------------------------------------------------------
 # composition with linear fractional transformations
 # ---------------------------------------------------------------------------
 
-Matrix2 = tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
+Matrix2 = tuple[tuple, tuple]  # rows of int or Fraction entries
 
 
 def _mat(entries) -> Matrix2:
@@ -355,15 +374,13 @@ def _mat(entries) -> Matrix2:
 
 
 def mobius_apply(entries, pt: ProjPoint) -> ProjPoint:
-    """Action of a matrix on a classical point: z -> (az+b)/(cz+d)."""
-    ((a, b), (c, d)) = _mat(entries)
-    if pt.is_inf:
-        return ProjPoint.of(a / c) if c != 0 else INF_POINT
-    num = a * pt.z + b
-    den = c * pt.z + d
-    if den == 0:
-        return INF_POINT
-    return ProjPoint.of(num / den)
+    """Action of a matrix on a classical point: z -> (az+b)/(cz+d), read
+    in integers, on the matrix scaled to integer entries and the point's
+    (num, den), (1, 0) for infinity; a scalar multiple acts alike."""
+    _, (a, b, c, d) = _cleared([x for row in _mat(entries) for x in row])
+    u, v = _num_den(pt)
+    num, den = a * u + b * v, c * u + d * v
+    return ProjPoint.of(_quotient(num, den)) if den else INF_POINT
 
 
 def pre_compose(m: RationalMap, entries) -> RationalMap:
@@ -412,7 +429,7 @@ def pre_compose(m: RationalMap, entries) -> RationalMap:
             tuple((mobius_apply(inv, pt), k) for pt, k in side)
             for side in (m.factored.zeros, m.factored.poles)
         )
-        ff = FactoredForm(Fraction(trim(F2)[-1], trim(G2)[-1]), zeros, poles)
+        ff = FactoredForm(_quotient(trim(F2)[-1], trim(G2)[-1]), zeros, poles)
     res = n * n * int_val(a * e - b * c, m.p) + m.res_ord + 2 * n * int_val(m.D, m.p)
     return _build(m.p, n, F2, G2, m.D * lam**n, res, ff)
 

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 from .berk import BerkPoint
 from .errors import ParseError
 from .projective import ProjPoint
-from .ratmap import RationalMap, _check_prime, from_coeffs, from_factored
+from .ratmap import RationalMap, _check_degree, _check_prime, from_coeffs, from_factored
 from .valued import (
     _clip,
     Ord,
@@ -139,16 +139,6 @@ def _json_list(block: dict, key: str) -> list:
     if not isinstance(value, list):
         raise ParseError(f"{key!r} must be a JSON list, not {type(value).__name__}")
     return value
-
-
-# Largest degree a map file may give: a bundle at this degree already takes
-# seconds, and a multiplicity of 10^9 would otherwise be expanded term by term.
-MAX_DEGREE = 64
-
-
-def _check_degree(d: int) -> None:
-    if d > MAX_DEGREE:
-        raise ParseError(f"degree {_clip(str(d))} exceeds the supported maximum {MAX_DEGREE}")
 
 
 def _bad_entry(entry, why: str) -> ParseError:

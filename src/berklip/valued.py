@@ -26,12 +26,19 @@ and the enclosure width goes to 0 as the precision grows.  The precision
 cap is a resource limit: reaching it raises ``ResourceLimitError``, and
 never yields a guess.
 
+Every exact rational follows one rule: a value berklip computes is a
+plain ``int`` when it is integral and a reduced ``Fraction`` otherwise,
+never a ``float`` or a ``bool``.  Nearly every exponent the paper bounds
+is an integer, and ``int`` arithmetic and comparison run in C, where each
+``Fraction`` step is Python code.  ``format_fraction``, ``==`` and
+``hash`` treat ``3`` and ``Fraction(3)`` alike, so the representation
+never shows in an output.  ``_quotient`` is the one place a rational is
+built from two integers, and ``_frac`` keeps an ``int`` or a
+``Fraction`` it is given, so a value is built once, where it is computed.
+
 The value types are ``NamedTuple`` records: immutable, with C-level
 equality and hashing, and nothing costly to build when the module loads.
-A constructor keeps a ``Fraction`` it is given as it is and wraps
-anything else, an int in practice (``_frac``), so a value is built once,
-where it is computed; ``Ord`` orders two ``Ord``s on their fields, with
-no conversion.
+``Ord`` orders two ``Ord``s on their fields, with no conversion.
 """
 
 from __future__ import annotations
@@ -184,15 +191,31 @@ def _val_by_squaring(n: int, b: int) -> tuple[int, int]:
     return w, n
 
 
-def _frac(x) -> Fraction:
-    """x itself when it is a ``Fraction``, else ``Fraction(x)``: a value
-    the caller already holds is kept, not built again."""
-    return x if type(x) is Fraction else Fraction(x)
+def _frac(x) -> int | Fraction:
+    """x itself when it is an ``int`` or a ``Fraction``, else
+    ``Fraction(x)``: a value the caller already holds is kept, not built
+    again.  The test is on the exact type, so a bool becomes a
+    ``Fraction``, never a kept ``bool``.  A float is a TypeError: it
+    would stand for its binary expansion, and only a true division, which
+    the program never makes, produces one."""
+    t = type(x)
+    if t is int or t is Fraction:
+        return x
+    if isinstance(x, float):
+        raise TypeError(f"a float is not an exact rational: {x!r}")
+    return Fraction(x)
 
 
-def _rational(x, what: str = "a coefficient or constant") -> Fraction:
-    """x as a ``Fraction``; a float or a bool is refused, never expanded:
-    the check at each public entry point that takes a rational."""
+def _quotient(n: int, d: int) -> int | Fraction:
+    """The exact quotient n / d of two integers, d != 0: the int n // d
+    when d divides n, else the reduced ``Fraction(n, d)``."""
+    return Fraction(n, d) if n % d else n // d
+
+
+def _rational(x, what: str = "a coefficient or constant") -> int | Fraction:
+    """x as an int or a ``Fraction`` (``_frac``); a float or a bool is
+    refused, never expanded: the check at each public entry point that
+    takes a rational."""
     if isinstance(x, (float, bool)):
         raise ParseError(f"{what} must be rational, not {type(x).__name__}")
     return _frac(x)
@@ -204,21 +227,22 @@ class Ord(NamedTuple):
     Total order with +infinity as the maximum.  Addition and integer
     scaling follow valuation arithmetic (infinity is absorbing).  Two
     ``Ord``s are compared on their ``v`` fields, None above every
-    rational; an int or ``Fraction`` operand is read through ``Ord.of``.
+    rational; an int or ``Fraction`` operand is read through ``Ord.of``,
+    which refuses a float or a bool.
     """
 
-    v: Fraction | None  # None encodes +infinity
+    v: int | Fraction | None  # None encodes +infinity
 
     @staticmethod
     def of(value) -> "Ord":
-        return Ord(_frac(value))
+        return Ord(_rational(value, "a valuation"))
 
     @property
     def is_inf(self) -> bool:
         return self.v is None
 
     @property
-    def frac(self) -> Fraction:
+    def frac(self) -> int | Fraction:
         if self.v is None:
             raise ValueError("infinite Ord has no finite value")
         return self.v
@@ -230,7 +254,7 @@ class Ord(NamedTuple):
         return Ord(self.v + o.v)
 
     def __mul__(self, k) -> "Ord":
-        k = _frac(k)
+        k = _rational(k, "a factor")
         if self.v is None:
             if k <= 0:
                 raise ValueError("cannot scale infinite Ord by a nonpositive factor")
@@ -332,7 +356,7 @@ def parse_int(s: str) -> int:
     return int(s)
 
 
-def format_fraction(x: Fraction) -> str:
+def format_fraction(x: int | Fraction) -> str:
     x = _frac(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
@@ -351,7 +375,7 @@ class PPowerSum(NamedTuple):
     sum is the value 0.  Build through :func:`ppow_normalize`.
     """
 
-    terms: tuple[tuple[Fraction, Fraction], ...]
+    terms: tuple[tuple[int | Fraction, int | Fraction], ...]
 
     @property
     def is_zero(self) -> bool:
@@ -381,7 +405,7 @@ def ppow_normalize(p: int, terms) -> PPowerSum:
     every surviving coefficient is a p-unit.  A class with one term (the
     common case) is not summed.
     """
-    groups: dict[Fraction, list[tuple[Fraction, Fraction]]] = {}
+    groups: dict = {}  # exponent class mod ZZ -> its (coef, exp) terms
     for coef, exp in terms:
         coef, exp = _frac(coef), _frac(exp)
         if coef == 0:
@@ -394,9 +418,9 @@ def ppow_normalize(p: int, terms) -> PPowerSum:
             (total, base), = items
         else:
             base = min(e for _, e in items)
-            total = Fraction(0)
+            total = 0
             for coef, exp in items:
-                total += coef * Fraction(p) ** int(exp - base)
+                total += coef * p ** int(exp - base)
             if total == 0:
                 continue
         out.append(_unit_term(p, total, base))
@@ -404,7 +428,7 @@ def ppow_normalize(p: int, terms) -> PPowerSum:
     return PPowerSum(tuple(out))
 
 
-def _unit_term(p: int, total: Fraction, base: Fraction) -> tuple[Fraction, Fraction]:
+def _unit_term(p: int, total: int | Fraction, base: int | Fraction) -> tuple:
     """The term total * p^base as (p-unit, exponent) for a nonzero total:
     the p-part of its numerator or of its denominator (they are coprime)
     is divided out as an int power and moved into the exponent."""
@@ -413,10 +437,10 @@ def _unit_term(p: int, total: Fraction, base: Fraction) -> tuple[Fraction, Fract
     num, den = total.numerator, total.denominator
     v = int_val(num, p)
     if v:
-        return Fraction(num // p**v, den), base + v
+        return _quotient(num // p**v, den), base + v
     v = int_val(den, p)
     if v:
-        return Fraction(num, den // p**v), base - v
+        return _quotient(num, den // p**v), base - v
     return total, base
 
 
@@ -457,12 +481,7 @@ def ppow_compare(p: int, a: PPowerSum, b: PPowerSum) -> int:
         # both sides times den * p^(-base) are integers
         base = min(e.numerator for _, e in terms)
         den = lcm(*[c.denominator for c, _ in terms])
-        va, vb = (
-            sum(c.numerator * (den // c.denominator) * p ** (e.numerator - base)
-                for c, e in s.terms)
-            for s in (a, b)
-        )
-        return -1 if va < vb else 1
+        return -1 if _scaled_int(p, a, base, den) < _scaled_int(p, b, base, den) else 1
 
     def disjoint(enc_a, enc_b):
         return -1 if enc_a[1] < enc_b[0] else 1 if enc_b[1] < enc_a[0] else None
@@ -471,7 +490,14 @@ def ppow_compare(p: int, a: PPowerSum, b: PPowerSum) -> int:
     return _widen(p, (a, b), 4, disjoint)
 
 
-def _gap_sign(p: int, a: tuple[Fraction, Fraction], b: tuple[Fraction, Fraction]) -> int:
+def _scaled_int(p: int, s: PPowerSum, base: int, den: int) -> int:
+    """den * p^(-base) * s, an integer for a sum of integer exponents, none
+    below ``base``, and coefficient denominators that divide ``den``."""
+    return sum(c.numerator * (den // c.denominator) * p ** (e.numerator - base)
+               for c, e in s.terms)
+
+
+def _gap_sign(p: int, a: tuple, b: tuple) -> int:
     """Sign of c_a p^(e_a) - c_b p^(e_b), positive rationals c_a and c_b,
     when the exponent gap alone decides it; else 0.
 
@@ -507,17 +533,24 @@ def ppow_decimal(p: int, s: PPowerSum, digits: int = 12) -> str:
     """Decimal rendering to ``digits`` significant figures, rounded half
     to even (display only).
 
-    A sum with integer exponents is a rational and is rounded once.  Any
-    other sum is irrational (the normal form is unique), so it lies on no
-    rounding boundary, and its enclosure is widened until both ends round
-    alike.
+    A sum with integer exponents is a rational, num / den in integers, and
+    is rounded once: ``Context.divide`` rounds the exact quotient, so the
+    common factors of num and den change nothing.  Any other sum is
+    irrational (the normal form is unique), so it lies on no rounding
+    boundary, and its enclosure is widened until both ends round alike.
     """
     if s.is_zero:
         return "0"
     out = Context(prec=digits, Emax=MAX_EMAX, Emin=MIN_EMIN)
     if all(e.denominator == 1 for _, e in s.terms):
-        val = sum(c * Fraction(p) ** int(e) for c, e in s.terms)
-        return str(out.divide(Decimal(val.numerator), Decimal(val.denominator)))
+        base = min(e.numerator for _, e in s.terms)
+        den = lcm(*[c.denominator for c, _ in s.terms])
+        num = _scaled_int(p, s, base, den)
+        if base < 0:
+            den *= p**-base
+        else:
+            num *= p**base
+        return str(out.divide(Decimal(num), Decimal(den)))
 
     def rounded_alike(enc):
         low, high = (str(out.plus(x)) for x in enc)

@@ -136,20 +136,24 @@ def test_max_matches_reference():
 
 
 def _int_lines(h) -> bool:
-    """Every piece of h has an int slope and intercept and a Fraction or
-    None start."""
+    """Every piece of h has an int slope and intercept, and every start but
+    the domain's lower end (None, or a ``Fraction`` as drawn) is an int or
+    a ``Fraction`` that is not integral."""
     return all(
-        type(k) is int and type(c) is int and (s is None or type(s) is Fraction)
+        type(k) is int and type(c) is int and (
+            s is h.lo or type(s) is int or type(s) is Fraction and s.denominator > 1
+        )
         for s, k, c in h.pieces
     )
 
 
 def test_no_float_in_pieces_or_interval_ends():
-    """Envelopes and maxima are integer lines with Fraction or None
-    breakpoints: a crossing is Fraction(c2 - c1, k1 - k2), never an int
-    division, which would be a float."""
+    """Envelopes and maxima are integer lines whose computed breakpoints
+    are ints where integral and Fractions otherwise: a crossing is the
+    exact quotient (c2 - c1)/(k1 - k2), never an int division, which
+    would be a float.  Both kinds of breakpoint occur."""
     rng = DetRng(6068)
-    seen = {"envelope break": 0, "max split": 0}
+    seen = {"envelope break": 0, "max split": 0, "int break": 0, "fraction break": 0}
     for _ in range(3000):
         if rng.randint(0, 3) == 0:
             a, b = _touching(rng)
@@ -161,6 +165,9 @@ def test_no_float_in_pieces_or_interval_ends():
         for h in (f, g, f.max_with(g), g.max_with(f)):
             assert _int_lines(h), (a, b, lo, hi, h)
         starts = {x for x, _, _ in f.pieces + g.pieces}
+        breaks = [x for x, _, _ in f.pieces[1:]]
+        seen["int break"] += any(type(x) is int for x in breaks)
+        seen["fraction break"] += any(type(x) is Fraction for x in breaks)
         seen["envelope break"] += len(f.pieces) > 1
         seen["max split"] += any(x not in starts for x, _, _ in f.max_with(g).pieces)
     assert min(seen.values()) >= 100, seen

@@ -32,6 +32,26 @@ def test_point_refuses_float_and_bool():
     assert ProjPoint.of(half).z is half
 
 
+def test_ord_refuses_float_and_bool():
+    """``Ord.of`` refuses a float or a bool with the ``ParseError`` of the
+    other rational entry points, so an ``Ord`` compared with a float, or
+    added to or scaled by one, raises instead of comparing or computing
+    in binary floating point; ints and ``Fraction``s are kept."""
+    for bad in (0.5, 2.0, True, False):
+        with pytest.raises(ParseError, match=r"^a valuation must be rational, not (float|bool)$"):
+            Ord.of(bad)
+        with pytest.raises(ParseError):
+            Ord.of(0) <= bad
+        with pytest.raises(ParseError):
+            Ord.of(1) + bad
+        with pytest.raises(ParseError, match=r"^a factor must be rational"):
+            Ord.of(1) * bad
+    assert type(Ord.of(3).v) is int and Ord.of(3) == Ord.of(Fraction(3)) == 3
+    half = Fraction(1, 2)
+    assert Ord.of(half).v is half
+    assert Ord.of(half) <= half < Ord.of(1)
+
+
 def test_spherical_examples():
     assert spherical_ord(3, ProjPoint.of(0), INF_POINT) == Ord.of(0)
     x, y = ProjPoint.of(Fraction(1, 3)), ProjPoint.of(Fraction(-1, 3))

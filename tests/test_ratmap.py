@@ -13,6 +13,7 @@ from berklip.errors import DegenerateMapError, InternalInvariantError, ParseErro
 from berklip.invariants import rp_ord
 from berklip.projective import INF_POINT, ProjPoint
 from berklip.ratmap import (
+    MAX_DEGREE,
     eval_proj,
     from_coeffs,
     from_factored,
@@ -27,7 +28,7 @@ from berklip.ratmap import (
 )
 from berklip.sampling import DetRng, random_rational
 from berklip.valued import Ord
-from berklip.serialize import MAX_DEGREE
+from berklip.serialize import parse_map_data
 from corpus import (
     acceptance_corpus,
     random_factored_map,
@@ -590,6 +591,33 @@ def test_resultant_at_the_degree_cap():
     m = random_ladder_map(DetRng(MAX_DEGREE), 3, MAX_DEGREE)
     assert m.d == MAX_DEGREE
     assert m.res_ord == resultant_ord_product(m).frac
+
+
+def test_constructors_refuse_a_degree_above_the_cap():
+    """``from_factored`` and ``from_coeffs`` refuse a degree, or one
+    multiplicity, above ``MAX_DEGREE`` with the map file parser's own
+    ``ParseError`` message, before any work: a multiplicity of 10^6 is
+    never multiplied out factor by factor."""
+    big = 10**6
+    cases = [
+        (lambda: from_factored(3, 1, [(ProjPoint.of(1), big)], [(INF_POINT, big)]),
+         {"p": 3, "factored": {"C": "1", "zeros": [["1", big]], "poles": [["inf", big]]}}),
+        (lambda: from_factored(3, 1, [(ProjPoint.of(k), 1) for k in range(MAX_DEGREE + 1)],
+                               [(INF_POINT, 1)]),
+         {"p": 3, "factored": {"C": "1", "zeros": [[str(k), 1] for k in range(MAX_DEGREE + 1)],
+                               "poles": [["inf", 1]]}}),
+        (lambda: from_coeffs(3, [1] + [0] * MAX_DEGREE + [1], [0] * (MAX_DEGREE + 1) + [1]),
+         {"p": 3, "coeffs": {"F": ["1"] + ["0"] * MAX_DEGREE + ["1"],
+                             "G": ["1"] + ["0"] * (MAX_DEGREE + 1)}}),
+    ]
+    for build, data in cases:
+        start = process_time()
+        with pytest.raises(ParseError, match=rf"^degree \d+ exceeds the supported maximum {MAX_DEGREE}$") as got:
+            build()
+        assert process_time() - start < 0.5
+        with pytest.raises(ParseError) as parsed:
+            parse_map_data(data)
+        assert str(got.value) == str(parsed.value)
 
 
 def _factored_maps():

@@ -153,18 +153,22 @@ _CONSTRUCTORS = {
 
 @pytest.mark.parametrize("name", sorted(_CONSTRUCTORS))
 def test_constructors_store_exact_fractions(name):
-    """A constructor stores a field of type exactly ``Fraction`` for an
-    int, a bool or a ``Fraction``, and keeps a ``Fraction`` it is given as
-    that same object.  ``ProjPoint.of``, the entry point for the points of
-    a map, refuses a bool as it refuses a float."""
+    """A constructor stores an int as that int and keeps a ``Fraction`` it
+    is given as that same object; a bool is never stored as a bool.  The
+    entry points ``Ord.of`` and ``ProjPoint.of`` refuse a bool as they
+    refuse a float, and the internal constructors store it as a
+    ``Fraction``.  No field is ever a float."""
     build = _CONSTRUCTORS[name]
     for x in (2, True, Fraction(2, 5)):
-        if x is True and name == "ProjPoint.of":
+        if x is True and name in ("Ord.of", "ProjPoint.of"):
             with pytest.raises(ParseError, match="must be rational"):
                 build(x)
             continue
         fields = build(x)
-        assert all(type(f) is Fraction and f == x for f in fields), (x, fields)
+        want = Fraction if type(x) is bool else type(x)
+        assert all(type(f) is want and f == x for f in fields), (x, fields)
+    with pytest.raises((ParseError, TypeError), match="rational"):
+        build(0.5)
     x = Fraction(2, 5)
     assert all(f is x for f in build(x))
     for coef in (-1, Fraction(-2, 5)):
@@ -541,6 +545,24 @@ def test_decimal_rendering_matches_bisection_reference():
         else:
             assert got == _round_decimal(_decimal_value(p, s, 50), digits), (p, s, digits)
     assert agreed >= 360
+
+
+def test_integer_exponent_rendering_matches_fraction_value():
+    """A sum with integer exponents renders, from its integer numerator
+    and denominator, exactly as the rounding of its ``Fraction`` value
+    did, byte for byte: negative and large exponents, several terms, and
+    coefficients with a power of p in the denominator included."""
+    rng = DetRng(3501)
+    for i in range(600):
+        p = [2, 3, 5, 7, 11][i % 5]
+        digits = 12 if i % 4 else 6
+        terms = [
+            (Fraction(rng.randint(1, 400), rng.randint(1, 30)), rng.randint(-70, 70))
+            for _ in range(rng.randint(1, 4))
+        ]
+        s = ppow_normalize(p, terms)
+        assert all(e.denominator == 1 for _, e in s.terms)
+        assert ppow_decimal(p, s, digits) == ref_ppow_decimal_enclosure(p, s, digits)[2], (p, s)
 
 
 @pytest.mark.parametrize(
